@@ -139,9 +139,10 @@ int main(int argc, char** argv) {
   FILE* json = bench::open_bench_json("BENCH_compression.json", "compression");
   if (json == nullptr) return 1;
   std::fprintf(json,
-               "  \"workload\": \"basic-tree-%u\",\n  \"smoke\": %s,\n"
+               "  \"workload\": \"basic-tree-%llu\",\n  \"smoke\": %s,\n"
                "  \"v1_reduces_report_bytes_everywhere\": %s,\n  \"cells\": [\n",
-               tree_cfg.target_nodes, smoke ? "true" : "false",
+               static_cast<unsigned long long>(tree_cfg.target_nodes),
+               smoke ? "true" : "false",
                v1_wins_everywhere ? "true" : "false");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

@@ -23,9 +23,11 @@
 #include <vector>
 
 #include "bench/bench_timing.hpp"
+#include "bench/workloads.hpp"
 #include "bnb/basic_tree.hpp"
 #include "core/code_set.hpp"
 #include "core/messages.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 
 // --- instrumented global allocator (this bench binary only) ----------------
@@ -35,36 +37,43 @@ std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line. Inlined into a container, the
+// malloc/free inside them meets the library's delete/new on the other side
+// of the allocation and GCC reports a mismatched pair
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
 using namespace ftbb;
 using bench::measure;
+using core::CodeList;
 using core::CodeSet;
 using core::PathCode;
 
@@ -89,6 +98,41 @@ std::vector<PathCode> leaf_codes(std::uint64_t nodes, std::uint64_t seed) {
     }
   }
   return out;
+}
+
+/// Every leaf code of bench::large_problem_dense(), the Table-1 tree (node
+/// depths: mean 32.1, maximum 78).
+std::vector<PathCode> table1_leaf_codes() {
+  const bnb::BasicTree tree = bench::large_problem_dense();
+  std::vector<PathCode> out;
+  std::vector<std::pair<std::int32_t, PathCode>> stack{{0, PathCode::root()}};
+  while (!stack.empty()) {
+    auto [idx, code] = std::move(stack.back());
+    stack.pop_back();
+    const auto& n = tree.node(static_cast<std::size_t>(idx));
+    if (n.is_leaf()) {
+      out.push_back(std::move(code));
+      continue;
+    }
+    for (int bit = 0; bit < 2; ++bit) {
+      stack.emplace_back(n.child[bit], code.child(n.var, bit != 0));
+    }
+  }
+  return out;
+}
+
+/// A mid-run completion table of that tree: random leaves completed (and
+/// contracted) until the table holds `codes` codes.
+CodeSet table1_table(const std::vector<PathCode>& leaves, std::size_t codes,
+                     std::uint64_t seed) {
+  support::Rng rng(seed);
+  CodeSet table;
+  for (const std::size_t i :
+       rng.sample_without_replacement(leaves.size(), leaves.size())) {
+    if (table.code_count() >= codes) break;
+    table.insert(leaves[i]);
+  }
+  return table;
 }
 
 struct Result {
@@ -242,17 +286,65 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The gossip/report path's pattern, same scratch-reuse contract.
+    // The gossip path's export between two table mutations: the memoized
+    // list is the shared payload, so each call is a reference-count bump.
+    // `_fresh` materializes owned PathCodes (tests and diagnostics only).
     const auto leaves = leaf_codes(10001, 23);
     CodeSet set;
     for (std::size_t i = 0; i < leaves.size(); i += 2) set.insert(leaves[i]);
-    std::vector<PathCode> scratch;
-    bench("code_set_export", 1.0, [&] {
-      set.export_into(scratch);
-      g_sink = g_sink + scratch.size();
-    });
+    bench("code_set_export", 1.0,
+          [&] { g_sink = g_sink + set.export_list().size(); });
     bench("code_set_export_fresh", 1.0,
           [&] { g_sink = g_sink + set.export_codes().size(); });
+  }
+
+  {
+    // Table-1 gossip: ~3,300 codes at the Table-1 tree's depths, the size a
+    // table1-dense worker gossips mid-run.
+    const std::vector<PathCode> leaves = table1_leaf_codes();
+    const CodeSet sender = table1_table(leaves, 3300, 31);
+    const CodeList gossip = sender.export_list();
+    // The receiver overlaps the sender: its own completions plus every
+    // other code of the gossip.
+    CodeSet receiver = table1_table(leaves, 3300, 37);
+    for (std::size_t i = 0; i < gossip.size(); i += 2) receiver.insert(gossip[i]);
+    std::size_t words = 0;
+    for (const core::PathView c : gossip) words += c.depth();
+    std::printf("table-1 gossip: %zu codes, mean depth %.1f; receiver %zu codes\n\n",
+                gossip.size(), static_cast<double>(words) / static_cast<double>(gossip.size()),
+                receiver.code_count());
+
+    // Merge into the overlapping receiver, batch versus per-code. Each op
+    // first restores the receiver by copy-assignment (same cost in both
+    // rows, allocation-free once capacities settle).
+    CodeSet table;
+    bench("code_list_merge_table1_gossip_batch", 1.0, [&] {
+      table = receiver;
+      g_sink = g_sink + table.insert_all(gossip).nodes_walked;
+    });
+    bench("code_list_merge_table1_gossip_per_code", 1.0, [&] {
+      table = receiver;
+      std::uint32_t walked = 0;
+      for (const core::PathView c : gossip) walked += table.insert(c).nodes_walked;
+      g_sink = g_sink + walked;
+    });
+
+    // Export after a mutation: the memo is stale, so this is the full
+    // one-pass build of the list from the trie that each gossip of a
+    // changed table pays. Each op first completes one fresh region (the
+    // child of an uncovered region: one more code, no contraction); the
+    // table is restored every 64 ops so its size stays put.
+    std::vector<PathCode> fresh;
+    for (const PathCode& region : sender.complement()) {
+      if (fresh.size() == 64) break;
+      fresh.push_back(region.child(PathCode::kMaxVar, false));
+    }
+    std::size_t k = 0;
+    bench("code_list_export_table1", 1.0, [&] {
+      if (k % fresh.size() == 0) table = sender;
+      table.insert(fresh[k++ % fresh.size()]);
+      g_sink = g_sink + table.export_list().size();
+    });
   }
 
   for (const int codes : {8, 64}) {
@@ -261,9 +353,11 @@ int main(int argc, char** argv) {
     msg.type = core::MsgType::kWorkReport;
     msg.from = 3;
     msg.best_known = -123.0;
+    std::vector<PathCode> list;
     for (int i = 0; i < codes; ++i) {
-      msg.codes.push_back(leaves[static_cast<std::size_t>(i) % leaves.size()]);
+      list.push_back(leaves[static_cast<std::size_t>(i) % leaves.size()]);
     }
+    msg.codes = core::CodeList(list);
     bench("work_report_encode_decode_" + std::to_string(codes) + "codes", 1.0,
           [&] {
             support::ByteWriter w;

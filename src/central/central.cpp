@@ -39,7 +39,7 @@ std::size_t batch_bytes(const core::FrameCodec& codec,
 std::size_t conclude_bytes(const core::FrameCodec& codec) {
   core::Message m;
   m.type = core::MsgType::kRootReport;
-  m.codes.push_back(PathCode::root());
+  m.codes = {PathCode::root()};
   return codec.frame_size(m, nullptr);
 }
 

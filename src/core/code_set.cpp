@@ -16,8 +16,7 @@ void CodeSet::clear() {
   ++version_;
   // Release memo storage: a cleared table (worker restart, scratch reuse)
   // should not pin the previous incarnation's contracted list.
-  export_memo_.clear();
-  export_memo_.shrink_to_fit();
+  exported_ = CodeList();
   complement_memo_.clear();
   complement_memo_.shrink_to_fit();
   // Node 0 is always the root problem.
@@ -111,10 +110,11 @@ void CodeSet::mark_complete(std::int32_t idx, InsertResult& res) {
   }
 }
 
-CodeSet::InsertResult CodeSet::insert(PathView code) {
+CodeSet::InsertResult CodeSet::walk(PathView code, std::size_t i,
+                                    std::int32_t cur,
+                                    std::vector<std::int32_t>* path) {
   InsertResult res;
-  std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
+  for (; i < code.depth(); ++i) {
     Node& n = nodes_[static_cast<std::size_t>(cur)];
     ++res.nodes_walked;
     if (n.complete) return res;  // covered by an ancestor; nothing to do
@@ -141,6 +141,7 @@ CodeSet::InsertResult CodeSet::insert(PathView code) {
       parent.child[bit] = next;
     }
     cur = next;
+    if (path != nullptr) path->push_back(cur);
   }
   ++res.nodes_walked;
   if (nodes_[static_cast<std::size_t>(cur)].complete) return res;
@@ -151,18 +152,49 @@ CodeSet::InsertResult CodeSet::insert(PathView code) {
   // stale gossip re-reports known completions — keep the memos warm.
   ++version_;
   mark_complete(cur, res);
+  // Each merge completed the parent and freed the node below it: the path
+  // now ends at the covering node.
+  if (path != nullptr) path->resize(path->size() - res.merges);
   return res;
 }
 
-CodeSet::InsertResult CodeSet::insert_all(const std::vector<PathCode>& codes) {
+CodeSet::InsertResult CodeSet::insert(PathView code) {
+  return walk(code, 0, 0, nullptr);
+}
+
+template <typename Codes>
+CodeSet::InsertResult CodeSet::merge(const Codes& codes) {
   InsertResult total;
-  for (const PathCode& c : codes) {
-    const InsertResult r = insert(c);
+  // merge_path_[j] is the node at depth j of the previous code's walk, down
+  // to the node that covered it. Those nodes are still live and (above the
+  // last) incomplete, and the variables along them were checked against the
+  // shared prefix: a per-code walk would visit exactly them. So each code
+  // resumes below its common prefix with the previous code, counting the
+  // skipped nodes as walked.
+  std::vector<std::int32_t>& path = merge_path_;
+  path.assign(1, 0);
+  PathView prev;
+  for (const PathView code : codes) {
+    const std::size_t limit =
+        std::min({prev.depth(), code.depth(), path.size() - 1});
+    std::size_t lcp = 0;
+    while (lcp < limit && prev.word(lcp) == code.word(lcp)) ++lcp;
+    path.resize(lcp + 1);
+    const InsertResult r = walk(code, lcp, path[lcp], &path);
     total.newly_covered = total.newly_covered || r.newly_covered;
-    total.nodes_walked += r.nodes_walked;
+    total.nodes_walked += static_cast<std::uint32_t>(lcp) + r.nodes_walked;
     total.merges += r.merges;
+    prev = code;
   }
   return total;
+}
+
+CodeSet::InsertResult CodeSet::insert_all(const CodeList& codes) {
+  return merge(codes);
+}
+
+CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
+  return merge(codes);
 }
 
 bool CodeSet::covered(PathView code) const {
@@ -199,30 +231,11 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 }
 
 
-void CodeSet::emit(const PathCode& path, std::vector<PathCode>& out,
-                   std::size_t& n) {
-  if (n < out.size()) {
-    out[n] = path;  // copy-assign recycles the element's heap capacity
-  } else {
-    out.push_back(path);
-  }
-  ++n;
-}
-
-void CodeSet::copy_codes(const std::vector<PathCode>& src,
-                         std::vector<PathCode>& out) {
-  out.reserve(src.size());
-  const std::size_t common = std::min(src.size(), out.size());
-  for (std::size_t i = 0; i < common; ++i) out[i] = src[i];
-  for (std::size_t i = common; i < src.size(); ++i) out.push_back(src[i]);
-  out.resize(src.size());
-}
-
-void CodeSet::export_dfs(std::int32_t idx, PathCode& path,
-                         std::vector<PathCode>& out, std::size_t& n) const {
+void CodeSet::list_dfs(std::int32_t idx, PathCode& path,
+                       CodeList::Builder& out) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
   if (node.complete) {
-    emit(path, out, n);
+    out.append(path, code_bytes(node));
     return;
   }
   for (std::uint32_t bit = 0; bit < 2; ++bit) {
@@ -230,37 +243,37 @@ void CodeSet::export_dfs(std::int32_t idx, PathCode& path,
     if (c < 0) continue;
     // Unchecked push: node.var was validated when the trie learned it.
     path.push_word((node.var << 1) | bit);
-    export_dfs(c, path, out, n);
+    list_dfs(c, path, out);
     path.pop_step();
   }
 }
 
-void CodeSet::export_into(std::vector<PathCode>& out) const {
-  if (export_memo_version_ != version_) {
-    export_memo_.reserve(complete_count_);
-    std::size_t n = 0;
+CodeList CodeSet::export_list() const {
+  if (exported_version_ != version_) {
+    CodeList::Builder out;
+    // Every step word encodes to at least one byte, so the byte total
+    // bounds the word total: one allocation, no regrowth.
+    out.reserve(complete_count_, body_bytes_);
     PathCode path;
-    export_dfs(0, path, export_memo_, n);
-    export_memo_.resize(n);
-    export_memo_version_ = version_;
+    list_dfs(0, path, out);
+    exported_ = out.finish();
+    exported_version_ = version_;
   }
-  copy_codes(export_memo_, out);
+  return exported_;
 }
 
 std::vector<PathCode> CodeSet::export_codes() const {
-  std::vector<PathCode> out;
-  export_into(out);
-  return out;
+  return export_list().to_vector();
 }
 
 void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
-                             std::vector<PathCode>& out, std::size_t& n) const {
+                             std::vector<PathCode>& out) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
   if (node.complete) return;
   if (node.var == kNoVar) {
     // No completion was ever reported below this node: the whole region is
     // uncovered. (Only reachable for the empty table's root.)
-    emit(path, out, n);
+    out.push_back(path);
     return;
   }
   for (std::uint32_t bit = 0; bit < 2; ++bit) {
@@ -269,11 +282,11 @@ void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
       // The sibling region never mentioned in any report; its tree node
       // exists because this node was expanded on node.var.
       path.push_word((node.var << 1) | bit);
-      emit(path, out, n);
+      out.push_back(path);
       path.pop_step();
     } else if (!nodes_[static_cast<std::size_t>(c)].complete) {
       path.push_word((node.var << 1) | bit);
-      complement_dfs(c, path, out, n);
+      complement_dfs(c, path, out);
       path.pop_step();
     }
   }
@@ -281,13 +294,12 @@ void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
 
 void CodeSet::complement_into(std::vector<PathCode>& out) const {
   if (complement_memo_version_ != version_) {
-    std::size_t n = 0;
+    complement_memo_.clear();
     PathCode path;
-    complement_dfs(0, path, complement_memo_, n);
-    complement_memo_.resize(n);
+    complement_dfs(0, path, complement_memo_);
     complement_memo_version_ = version_;
   }
-  copy_codes(complement_memo_, out);
+  out = complement_memo_;  // element-wise copy-assign over out's elements
 }
 
 std::vector<PathCode> CodeSet::complement() const {
@@ -341,10 +353,10 @@ void CodeSet::check_invariants() const {
 std::string CodeSet::to_string() const {
   std::string s = "{";
   bool first = true;
-  for (const PathCode& c : export_codes()) {
+  for (const PathView c : export_list()) {
     if (!first) s += ", ";
     first = false;
-    s += c.to_string();
+    s += PathCode(c).to_string();
   }
   s += "}";
   return s;

@@ -27,9 +27,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/code_list.hpp"
 #include "core/path_code.hpp"
 #include "support/bytes.hpp"
 
@@ -41,6 +43,12 @@ class CodeSet {
 
   /// Outcome of an insert, with the work performed — the simulator charges
   /// list-contraction time proportional to `nodes_walked + merges`.
+  ///
+  /// `nodes_walked` counts the *modeled* per-code walk the simulator
+  /// charges: the trie nodes a root-to-cover walk of each code visits. With
+  /// the worker's per-gossip trie_nodes() charge it makes up
+  /// WorkItem::kContractionNodes. It is not host work: insert_all() skips
+  /// most of that walk on the host and still reports it in full.
   struct InsertResult {
     bool newly_covered = false;  // false when the code was already covered
     std::uint32_t nodes_walked = 0;
@@ -53,9 +61,17 @@ class CodeSet {
   /// view (a PathCode converts implicitly): the walk only reads steps.
   InsertResult insert(PathView code);
 
-  /// Inserts every code of a report/table snapshot; returns summed stats and
-  /// whether anything changed.
-  InsertResult insert_all(const std::vector<PathCode>& codes);
+  /// Inserts every code of a report/table list in order; returns summed
+  /// stats and whether anything changed. Each code resumes the trie walk at
+  /// its common prefix with the previous code (whose path nodes are kept on
+  /// a stack), so a DFS-ordered gossip enters each trie node on its paths
+  /// once rather than once per code below it, and codes under the previous
+  /// code's covering node are skipped outright.
+  /// Table and result are exactly those of per-code insert() calls.
+  InsertResult insert_all(const CodeList& codes);
+  /// The same merge over a local batch (any order; unsorted input merely
+  /// shares shorter prefixes).
+  InsertResult insert_all(std::span<const PathCode> codes);
 
   /// True when `code` or one of its ancestors is recorded completed.
   [[nodiscard]] bool covered(PathView code) const;
@@ -78,14 +94,13 @@ class CodeSet {
 
   /// Contracted list of completed codes, in deterministic DFS order
   /// (left branch first). This is what a full-table gossip message carries.
-  [[nodiscard]] std::vector<PathCode> export_codes() const;
+  /// Built in one pass straight from the trie (sizes come from the per-node
+  /// byte counts) and memoized until the table next changes, so every
+  /// gossip between two mutations shares one payload.
+  [[nodiscard]] CodeList export_list() const;
 
-  /// export_codes() into a caller-owned buffer. Existing elements are
-  /// overwritten in place (copy-assign reuses each element's heap capacity)
-  /// and the vector is resized to the result, so a worker passing the same
-  /// scratch vector every report/gossip cycle reaches a zero-allocation
-  /// steady state even for codes deeper than the inline buffer.
-  void export_into(std::vector<PathCode>& out) const;
+  /// export_list() materialized as owned codes (tests, diagnostics).
+  [[nodiscard]] std::vector<PathCode> export_codes() const;
 
   /// Maximal regions of the tree *not* covered by this table: for every
   /// incomplete trie node, branches that were never reported under. Each
@@ -95,8 +110,8 @@ class CodeSet {
   [[nodiscard]] std::vector<PathCode> complement() const;
 
   /// complement() into a caller-owned buffer — the recovery path's
-  /// scratch-reusing variant, with the same overwrite-in-place contract as
-  /// export_into().
+  /// scratch-reusing variant: existing elements are overwritten in place
+  /// (copy-assign reuses each element's heap capacity).
   void complement_into(std::vector<PathCode>& out) const;
 
   /// Number of codes in the contracted representation.
@@ -122,7 +137,7 @@ class CodeSet {
 
   /// Two tables are equivalent iff their contracted exports match.
   friend bool operator==(const CodeSet& a, const CodeSet& b) {
-    return a.export_codes() == b.export_codes();
+    return a.export_list() == b.export_list();
   }
 
   [[nodiscard]] std::string to_string() const;
@@ -148,33 +163,35 @@ class CodeSet {
   void drop_completed_below(std::int32_t idx);  // accounting for subsumed codes
   void mark_complete(std::int32_t idx, InsertResult& res);
 
-  /// Appends `path` at out[n++], overwriting a previous element when one
-  /// exists so its heap capacity is recycled.
-  static void emit(const PathCode& path, std::vector<PathCode>& out,
-                   std::size_t& n);
-  /// Element-wise copy with the same capacity-recycling contract as emit().
-  static void copy_codes(const std::vector<PathCode>& src,
-                         std::vector<PathCode>& out);
-  void export_dfs(std::int32_t idx, PathCode& path,
-                  std::vector<PathCode>& out, std::size_t& n) const;
+  /// The insert walk of `code` from depth `i` at node `cur` (the nodes above
+  /// were walked and found incomplete). With a `path`, appends every node
+  /// entered and leaves it ending at the node that covers the code.
+  InsertResult walk(PathView code, std::size_t i, std::int32_t cur,
+                    std::vector<std::int32_t>* path);
+  template <typename Codes>
+  InsertResult merge(const Codes& codes);
+
+  void list_dfs(std::int32_t idx, PathCode& path, CodeList::Builder& out) const;
   void complement_dfs(std::int32_t idx, PathCode& path,
-                      std::vector<PathCode>& out, std::size_t& n) const;
+                      std::vector<PathCode>& out) const;
 
   std::vector<Node> nodes_;
   std::vector<std::int32_t> free_list_;
   std::size_t complete_count_ = 0;
   std::size_t body_bytes_ = 0;  // sum over completed leaves of code body+header bytes (see encoded_bytes)
   std::size_t live_nodes_ = 0;
+  std::vector<std::int32_t> merge_path_;  // insert_all's walk stack (scratch)
   /// Bumped by every mutation that changes the completed set. The export and
   /// complement enumerations are memoized against it: a table gossiped to k
   /// peers (or complemented repeatedly during recovery) between mutations
-  /// walks the trie once and serves the next k-1 calls from the memo as a
-  /// flat element-wise copy. The memos cost one contracted list each — small
-  /// by design (compactness of the contracted form is the paper's Table 1
-  /// point) — and are lazily built, so tables that never export pay nothing.
+  /// walks the trie once. The export memo is the shared payload itself, so
+  /// the next k-1 gossips cost a reference-count bump. The memos cost one
+  /// contracted list each — small by design (compactness of the contracted
+  /// form is the paper's Table 1 point) — and are lazily built, so tables
+  /// that never export pay nothing.
   std::uint64_t version_ = 0;
-  mutable std::vector<PathCode> export_memo_;
-  mutable std::uint64_t export_memo_version_ = ~std::uint64_t{0};
+  mutable CodeList exported_;
+  mutable std::uint64_t exported_version_ = ~std::uint64_t{0};
   mutable std::vector<PathCode> complement_memo_;
   mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};
   /// Mirrors nodes_[0].complete. The termination predicate is polled on

@@ -43,8 +43,14 @@ enum class WorkItem : std::uint8_t {
   kCompletions,
   kCoveredSkips,
   // -- completion-table contraction --
+  // Both count the modeled work the simulator charges contraction time
+  // for, not host work: per inserted code the nodes a root-to-cover walk
+  // visits plus its merges (CodeSet::InsertResult, which insert_all()
+  // reports in full while skipping most of the walk on the host), per
+  // compressed report code its covering walk, and one trie_nodes() charge
+  // per table gossip and per recovery complement.
   kContractionCodes,  // codes inserted into a table (local or from reports)
-  kContractionNodes,  // trie nodes walked / merged while inserting
+  kContractionNodes,  // modeled trie nodes walked / merged (see above)
   // -- reports & gossip --
   kReportsSent,
   kReportCodesSent,

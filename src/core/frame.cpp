@@ -46,10 +46,10 @@ namespace {
 }
 
 /// Resolved delta decisions for one report frame: the wire sequence and the
-/// chain base (nullptr when the chain starts at the empty root code).
+/// chain base (shipped in the frame iff seq > 0; the root code otherwise).
 struct ReportPlan {
   std::uint64_t seq = 0;
-  const PathCode* base = nullptr;
+  PathView base;
 };
 
 /// Advances the sender's delta state to the batch `msg` belongs to.
@@ -67,18 +67,17 @@ ReportPlan plan_report(const Message& msg, ReportDeltaState* state) {
     state->prev_last = state->cur_last;
     ++state->seq;
   }
-  if (!msg.codes.empty()) state->cur_last = msg.codes.back();
+  if (!msg.codes.empty()) state->cur_last = PathCode(msg.codes.back());
   ReportPlan plan;
   plan.seq = state->seq;
-  if (state->seq > 0) plan.base = &state->prev_last;
+  if (state->seq > 0) plan.base = state->prev_last;
   return plan;
 }
 
 /// One code as (trim, add, steps...) against the previous code in the chain.
 /// Straight off the packed words: the per-step wire varint IS the stored
 /// word, and the shared prefix is a word comparison.
-void encode_delta(const PathCode& prev, const PathCode& code,
-                  support::ByteWriter& w) {
+void encode_delta(PathView prev, PathView code, support::ByteWriter& w) {
   std::size_t lcp = 0;
   const std::size_t cap = std::min(prev.depth(), code.depth());
   while (lcp < cap && prev.word(lcp) == code.word(lcp)) ++lcp;
@@ -87,32 +86,34 @@ void encode_delta(const PathCode& prev, const PathCode& code,
   for (std::size_t i = lcp; i < code.depth(); ++i) w.varint(code.word(i));
 }
 
-PathCode decode_delta(const PathCode& prev, support::ByteReader& r) {
+/// Inverse of encode_delta: turns the previous code of the chain into the
+/// next one in place. False (with the reader marked) on malformed input.
+bool apply_delta(PathCode& code, support::ByteReader& r) {
   const std::uint64_t trim = r.varint();
   const std::uint64_t add = r.varint();
-  if (!r.ok()) return PathCode{};
-  if (trim > prev.depth()) {
+  if (!r.ok()) return false;
+  if (trim > code.depth()) {
     r.mark_corrupt("report delta: trim exceeds base depth");
-    return PathCode{};
+    return false;
   }
-  const std::uint64_t keep = prev.depth() - trim;
+  const std::uint64_t keep = code.depth() - trim;
   if (keep + add > PathCode::kMaxDepth) {
     r.mark_corrupt("report delta: implausible depth");
-    return PathCode{};
+    return false;
   }
-  if (!r.fits_count(add)) return PathCode{};
-  PathCode out(prev.view().prefix(static_cast<std::size_t>(keep)));
-  out.reserve(static_cast<std::size_t>(keep + add));
+  if (!r.fits_count(add)) return false;
+  for (std::uint64_t i = 0; i < trim; ++i) code.pop_step();
+  code.reserve(static_cast<std::size_t>(keep + add));
   for (std::uint64_t i = 0; i < add; ++i) {
     const std::uint64_t packed = r.varint();
-    if (!r.ok()) return PathCode{};
+    if (!r.ok()) return false;
     if ((packed >> 1) > static_cast<std::uint64_t>(PathCode::kMaxVar)) {
       r.mark_corrupt("report delta: variable index overflow");
-      return PathCode{};
+      return false;
     }
-    out.push_word(static_cast<std::uint32_t>(packed));
+    code.push_word(static_cast<std::uint32_t>(packed));
   }
-  return out;
+  return true;
 }
 
 void write_v1_payload(const Message& msg, const ReportPlan& plan,
@@ -135,19 +136,17 @@ void write_v1_payload(const Message& msg, const ReportPlan& plan,
       break;
     case MsgType::kRootReport:
       // Termination broadcast: one (root) code, flat — never delta-coded.
-      w.varint(msg.codes.size());
-      for (const PathCode& c : msg.codes) c.encode(w);
+      msg.codes.encode(w);
       break;
     case MsgType::kWorkReport:
     case MsgType::kTableGossip: {
-      static const PathCode kEmpty;
       w.varint(plan.seq);
-      if (plan.base != nullptr) plan.base->encode(w);
+      if (plan.seq > 0) plan.base.encode(w);
       w.varint(msg.codes.size());
-      const PathCode* prev = plan.base != nullptr ? plan.base : &kEmpty;
-      for (const PathCode& c : msg.codes) {
-        encode_delta(*prev, c, w);
-        prev = &c;
+      PathView prev = plan.base;
+      for (const PathView c : msg.codes) {
+        encode_delta(prev, c, w);
+        prev = c;
       }
       break;
     }
@@ -180,33 +179,29 @@ Message read_v1_payload(MsgType type, support::ByteReader& r) {
       }
       break;
     }
-    case MsgType::kRootReport: {
-      const std::uint64_t n = r.varint();
-      if (!r.fits_count(n)) break;
-      m.codes.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        PathCode c = PathCode::decode(r);
-        if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
-      }
+    case MsgType::kRootReport:
+      m.codes = CodeList::decode(r);
       break;
-    }
     case MsgType::kWorkReport:
     case MsgType::kTableGossip: {
-      static const PathCode kEmpty;
       m.report_seq = r.varint();
-      PathCode base;
-      if (r.ok() && m.report_seq > 0) base = PathCode::decode(r);
+      PathCode code;  // the chain: the base, then each decoded code in turn
+      if (r.ok() && m.report_seq > 0) code = PathCode::decode(r);
       const std::uint64_t n = r.varint();
       if (!r.fits_count(n, 2)) break;  // >= trim + add varints each
-      m.codes.reserve(n);
-      const PathCode* prev = m.report_seq > 0 ? &base : &kEmpty;
+      CodeList::Builder codes;
+      // Steps shared with the previous code cost no input bytes, so only
+      // the reservation is bounded by the input; the list grows past it.
+      codes.reserve(static_cast<std::size_t>(n), r.remaining());
       for (std::uint64_t i = 0; i < n; ++i) {
-        PathCode c = decode_delta(*prev, r);
-        if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
-        prev = &m.codes.back();
+        if (!apply_delta(code, r)) break;
+        if (code.depth() > CodeList::kMaxWords - codes.word_count()) {
+          r.mark_corrupt("report delta: list exceeds the step-word limit");
+          break;
+        }
+        codes.append(code);
       }
+      m.codes = codes.finish();
       break;
     }
   }

@@ -43,8 +43,7 @@ void Message::encode(support::ByteWriter& w) const {
     case MsgType::kWorkReport:
     case MsgType::kTableGossip:
     case MsgType::kRootReport:
-      w.varint(codes.size());
-      for (const PathCode& c : codes) c.encode(w);
+      codes.encode(w);
       break;
   }
 }
@@ -79,17 +78,9 @@ Message Message::decode(support::ByteReader& r) {
     }
     case MsgType::kWorkReport:
     case MsgType::kTableGossip:
-    case MsgType::kRootReport: {
-      const std::uint64_t n = r.varint();
-      if (!r.fits_count(n)) break;
-      m.codes.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        PathCode c = PathCode::decode(r);
-        if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
-      }
+    case MsgType::kRootReport:
+      m.codes = CodeList::decode(r);
       break;
-    }
     default:
       // Recoverable with a tolerant reader (the transport drops the frame);
       // still an abort on the trusted in-simulator path.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bnb/problem.hpp"
+#include "core/code_list.hpp"
 #include "core/path_code.hpp"
 #include "support/bytes.hpp"
 
@@ -39,8 +40,9 @@ struct Message {
   double best_known = bnb::kInfinity;
   /// kWorkGrant payload.
   std::vector<bnb::Subproblem> problems;
-  /// kWorkReport / kTableGossip / kRootReport payload.
-  std::vector<PathCode> codes;
+  /// kWorkReport / kTableGossip / kRootReport payload. Shared and
+  /// immutable: copying a message for fan-out or delivery copies no codes.
+  CodeList codes;
   /// Matches grants/denies to the request they answer (stale replies that
   /// arrive after the requester timed out are recognizable).
   std::uint64_t request_id = 0;
@@ -65,7 +67,8 @@ struct Message {
 
   /// Exact legacy-encoded size in bytes — the L of the paper's
   /// 1.5 + 0.005*L ms latency model under the kLegacy frame version.
-  /// Computed with a counting writer: no allocation per call.
+  /// Computed with a counting writer: no allocation per call, and a code
+  /// list adds its cached byte count instead of being re-encoded.
   [[nodiscard]] std::size_t wire_size() const;
 
   [[nodiscard]] std::string summary() const;

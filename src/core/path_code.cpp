@@ -2,7 +2,7 @@
 
 namespace ftbb::core {
 
-void PathCode::encode(support::ByteWriter& w) const {
+void PathView::encode(support::ByteWriter& w) const {
   w.varint(depth());
   for (std::size_t i = 0; i < depth(); ++i) w.varint(word(i));
 }
@@ -27,7 +27,7 @@ PathCode PathCode::decode(support::ByteReader& r) {
   return out;
 }
 
-std::size_t PathCode::encoded_size() const {
+std::size_t PathView::encoded_size() const {
   std::size_t n = support::varint_size(depth());
   for (std::size_t i = 0; i < depth(); ++i) n += support::varint_size(word(i));
   return n;

@@ -115,6 +115,10 @@ class PathView {
     return size_ < other.size_ && contains(other);
   }
 
+  /// Wire encoding (see PathCode::encode) and its exact byte count.
+  void encode(support::ByteWriter& w) const;
+  [[nodiscard]] std::size_t encoded_size() const;
+
   friend bool operator==(PathView a, PathView b) {
     return a.size_ == b.size_ &&
            std::memcmp(a.words_, b.words_, a.size_ * sizeof(std::uint32_t)) == 0;
@@ -143,12 +147,15 @@ class PathView {
 /// is exported or reported.
 class PathCode {
  public:
-  /// Decisions stored inline before spilling to the heap. 32 words (144-byte
-  /// object) cover the depths the standard workloads actually search at, so
-  /// the hot paths — child() in expand, code copies during pool pushes and
-  /// table export — never touch the allocator; only pathological deep codes
-  /// (depth > 32) spill. Measured break-even: the extra memcpy width costs
-  /// ~2ns per copy while a spilled derivation costs ~40ns of malloc/free.
+  /// Decisions stored inline before spilling to the heap (144-byte object).
+  /// Codes up to depth 32 — child() in expand, code copies during pool
+  /// pushes — never touch the allocator; deeper codes spill. Measured
+  /// break-even: the extra memcpy width costs ~2ns per copy while a spilled
+  /// derivation costs ~40ns of malloc/free. 32 words do not cover every
+  /// standard workload: bench::large_problem_dense() (the Table-1 tree) has
+  /// mean node depth 32.1, 46% of its nodes deeper than 32 and maximum depth
+  /// 78, so report and gossip payloads travel as a CodeList (packed words,
+  /// no per-code allocation) rather than as PathCodes.
   static constexpr std::uint32_t kInlineWords = 32;
   /// Packed-word representation caps variable indices at 31 bits.
   static constexpr std::uint32_t kMaxVar = 0x7fffffffu;
@@ -326,13 +333,13 @@ class PathCode {
   /// exactly the packed words. Variable indices are small in practice, so
   /// codes cost ~1 byte per level — this is the unit in which work-report
   /// compression pays off.
-  void encode(support::ByteWriter& w) const;
+  void encode(support::ByteWriter& w) const { view().encode(w); }
   /// Decoding a tolerant reader surfaces malformed input through r.ok()
   /// (returning the root code); a trusted reader aborts, as before.
   static PathCode decode(support::ByteReader& r);
 
   /// Exact number of bytes encode() will produce.
-  [[nodiscard]] std::size_t encoded_size() const;
+  [[nodiscard]] std::size_t encoded_size() const { return view().encoded_size(); }
 
   /// Paper notation, e.g. "(<x1,0>,<x2,1>)"; "()" for the root.
   [[nodiscard]] std::string to_string() const;

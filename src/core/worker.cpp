@@ -209,7 +209,7 @@ void BnbWorker::prune_pool_by_bound() {
   }
 }
 
-void BnbWorker::prune_pool_covered(const std::vector<PathCode>& just_inserted) {
+void BnbWorker::prune_pool_covered(const CodeList& just_inserted) {
   const bool overflowed = cover_hints_overflowed_;
   cover_hints_overflowed_ = false;
   if (pool_.empty()) {
@@ -233,12 +233,12 @@ void BnbWorker::prune_pool_covered(const std::vector<PathCode>& just_inserted) {
   // antichain, so after dedup each region is scanned at most once.
   cover_regions_.clear();
   cover_regions_.reserve(pending_cover_hints_.size() + just_inserted.size());
-  const auto add_region = [this](const PathCode& c) {
+  const auto add_region = [this](PathView c) {
     const std::optional<std::size_t> len = table_.covering_prefix_len(c);
-    cover_regions_.push_back(c.view().prefix(len.value_or(c.depth())));
+    cover_regions_.push_back(c.prefix(len.value_or(c.depth())));
   };
   for (const PathCode& c : pending_cover_hints_) add_region(c);
-  for (const PathCode& c : just_inserted) add_region(c);
+  for (const PathView c : just_inserted) add_region(c);
   std::sort(cover_regions_.begin(), cover_regions_.end());
   cover_regions_.erase(std::unique(cover_regions_.begin(), cover_regions_.end()),
                        cover_regions_.end());
@@ -254,22 +254,24 @@ void BnbWorker::prune_pool_covered(const std::vector<PathCode>& just_inserted) {
 
 void BnbWorker::send_report() {
   if (fresh_.empty()) return;
-  std::vector<PathCode>& codes = msg_codes_scratch_;
-  codes.clear();
-  codes.reserve(fresh_.size());
+  CodeList codes;
   if (config_.compress_against_table) {
     // Ship the maximal covering code the table knows for each fresh
-    // completion; dedup (covering codes form an antichain, so equality is
-    // the only possible overlap).
+    // completion — a prefix of it, so a view into fresh_ — deduplicated
+    // (covering codes form an antichain, so equality is the only possible
+    // overlap).
+    std::vector<PathView>& regions = cover_regions_;
+    regions.clear();
     for (const PathCode& c : fresh_) {
-      std::optional<PathCode> covering = table_.covering_code(c);
-      codes.push_back(covering.has_value() ? std::move(*covering) : c);
+      const std::optional<std::size_t> len = table_.covering_prefix_len(c);
+      regions.push_back(c.view().prefix(len.value_or(c.depth())));
       note_contraction(0, c.depth() + 1);
       env_->charge(CostKind::kContraction,
                    config_.costs.contract_per_node * static_cast<double>(c.depth() + 1));
     }
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+    std::sort(regions.begin(), regions.end());
+    regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
+    codes = CodeList(std::span<const PathView>(regions));
   } else {
     // Paper-literal scheme: contract the list against itself only (in the
     // per-worker scratch trie; clear() keeps its node storage).
@@ -281,7 +283,7 @@ void BnbWorker::send_report() {
     env_->charge(CostKind::kContraction,
                  config_.costs.contract_per_code * static_cast<double>(fresh_.size()) +
                      config_.costs.contract_per_node * (r.nodes_walked + r.merges));
-    tmp.export_into(codes);
+    codes = tmp.export_list();
   }
 
   Message m;
@@ -301,9 +303,6 @@ void BnbWorker::send_report() {
     ++stats_.reports_sent;
     stats_.report_codes_sent += m.codes.size();
   }
-  // Reclaim the batch buffer for the next report (send() copies the
-  // message, so m still owns it here).
-  msg_codes_scratch_ = std::move(m.codes);
   fresh_.clear();
   flush_armed_ = false;
 }
@@ -315,15 +314,13 @@ void BnbWorker::send_table_gossip() {
   m.type = MsgType::kTableGossip;
   m.from = id_;
   m.best_known = incumbent_;
-  table_.export_into(msg_codes_scratch_);
-  m.codes = std::move(msg_codes_scratch_);
+  m.codes = table_.export_list();
   m.report_seq = ++report_batches_;
   note_contraction(0, table_.trie_nodes());
   env_->charge(CostKind::kContraction,
                config_.costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
   env_->send(peers[env_->rng().pick(peers.size())], m);
   ++stats_.table_gossips_sent;
-  msg_codes_scratch_ = std::move(m.codes);  // send() copied; reclaim the buffer
 }
 
 void BnbWorker::arm_flush_timer() {
@@ -343,7 +340,7 @@ bool BnbWorker::maybe_terminate() {
   m.type = MsgType::kRootReport;
   m.from = id_;
   m.best_known = incumbent_;
-  m.codes.push_back(PathCode::root());
+  m.codes = {PathCode::root()};
   for (const NodeId peer : env_->peers()) env_->send(peer, m);
   env_->set_wait_hint(WaitHint::kHalted);
   env_->notify_halted();

@@ -330,7 +330,7 @@ class BnbWorker {
   void complete(const PathCode& code);
   void absorb_incumbent(double value);
   void prune_pool_by_bound();
-  void prune_pool_covered(const std::vector<PathCode>& just_inserted);
+  void prune_pool_covered(const CodeList& just_inserted);
 
   // -- reports & termination --
   void send_report();
@@ -370,14 +370,12 @@ class BnbWorker {
   std::vector<PathCode> pending_cover_hints_;
   bool cover_hints_overflowed_ = false;
 
-  /// Steady-state scratch, one per worker: report/gossip code batches build
-  /// into msg_codes_scratch_ (reclaimed from the Message after the fanout
-  /// sends), recovery complements into complement_scratch_, covered sweeps
-  /// collect their region views in cover_regions_, and the paper-literal
-  /// report scheme contracts into report_contract_scratch_. None of these
-  /// change any observable behavior — they only keep the per-call
-  /// vector/trie allocations out of the hot loops.
-  std::vector<PathCode> msg_codes_scratch_;
+  /// Steady-state scratch, one per worker: recovery complements into
+  /// complement_scratch_, covered sweeps and report batches collect their
+  /// region views in cover_regions_, and the paper-literal report scheme
+  /// contracts into report_contract_scratch_. None of these change any
+  /// observable behavior — they only keep the per-call vector/trie
+  /// allocations out of the hot loops.
   std::vector<PathCode> complement_scratch_;
   std::vector<PathView> cover_regions_;
   CodeSet report_contract_scratch_;

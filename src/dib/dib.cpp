@@ -39,7 +39,7 @@ std::size_t donate_bytes(const core::FrameCodec& codec, const bnb::Subproblem& s
 std::size_t completion_bytes(const core::FrameCodec& codec, const PathCode& code) {
   core::Message m;
   m.type = core::MsgType::kWorkReport;
-  m.codes.push_back(code);
+  m.codes = {code};
   return codec.frame_size(m, nullptr);
 }
 
@@ -47,7 +47,7 @@ std::size_t completion_bytes(const core::FrameCodec& codec, const PathCode& code
 std::size_t conclude_bytes(const core::FrameCodec& codec) {
   core::Message m;
   m.type = core::MsgType::kRootReport;
-  m.codes.push_back(PathCode::root());
+  m.codes = {PathCode::root()};
   return codec.frame_size(m, nullptr);
 }
 

@@ -91,7 +91,10 @@ inline void free_block(void* block) {
 struct VTable {
   void (*invoke)(void* target);
   void (*destroy)(void* target);
-  /// Inline targets only: move-construct into `to`, destroy the source.
+  /// Moves the representation from buffer `from` to buffer `to`: an inline
+  /// target is move-constructed and its source destroyed; a heap target's
+  /// block pointer is copied. Dispatching both through the table keeps a
+  /// move from reading buffer bytes the stored callable never wrote.
   void (*relocate)(void* from, void* to);
   bool heap;    // target lives in a heap block (pointer stored in the buffer)
   bool pooled;  // that block came from (and returns to) the thread freelist
@@ -119,13 +122,18 @@ void relocate_fn(void* from, void* to) {
   src->~F();
 }
 
+inline void relocate_block_ptr(void* from, void* to) {
+  std::memcpy(to, from, sizeof(void*));
+}
+
 template <typename F>
 inline constexpr VTable inline_vtable{&invoke_fn<F>, &destroy_fn<F>,
                                       &relocate_fn<F>, false, false};
 
 template <typename F>
-inline constexpr VTable heap_vtable{&invoke_fn<F>, &destroy_fn<F>, nullptr,
-                                    true, sizeof(F) <= kBlockBytes};
+inline constexpr VTable heap_vtable{&invoke_fn<F>, &destroy_fn<F>,
+                                    &relocate_block_ptr, true,
+                                    sizeof(F) <= kBlockBytes};
 
 }  // namespace cbdetail
 
@@ -199,11 +207,7 @@ class InlineCallback {
   void adopt(InlineCallback& other) noexcept {
     vt_ = other.vt_;
     if (vt_ == nullptr) return;
-    if (vt_->heap) {
-      std::memcpy(buf_, other.buf_, sizeof(void*));
-    } else {
-      vt_->relocate(other.buf_, buf_);
-    }
+    vt_->relocate(other.buf_, buf_);
     other.vt_ = nullptr;
   }
 

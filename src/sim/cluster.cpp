@@ -152,23 +152,10 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     const bool is_report = msg.type == core::MsgType::kWorkReport ||
                            msg.type == core::MsgType::kTableGossip;
     const bool was_active = delta_.active;
-    // One counting pass over the payload. Under kLegacy the frame IS the
-    // flat encoding, so the flat size doubles as the frame size; only kV1
-    // needs the second (delta-advancing) pass. Report/gossip batches fan the
-    // same payload out to several peers (stamped with one report_seq per
-    // batch), so the count from the first copy serves the whole fanout.
-    std::size_t flat;
-    if (is_report && msg.report_seq == flat_cache_seq_ &&
-        epoch_ == flat_cache_epoch_) {
-      flat = flat_cache_val_;
-    } else {
-      flat = msg.wire_size();
-      if (is_report) {
-        flat_cache_seq_ = msg.report_seq;
-        flat_cache_epoch_ = epoch_;
-        flat_cache_val_ = flat;
-      }
-    }
+    // Under kLegacy the frame IS the flat encoding, so the flat size doubles
+    // as the frame size; only kV1 needs the (delta-advancing) frame pass.
+    // The flat size is O(1) in the payload: a code list carries its count.
+    const std::size_t flat = msg.wire_size();
     const std::size_t bytes =
         cluster_->codec_.version() == core::FrameVersion::kLegacy
             ? flat
@@ -196,11 +183,13 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
            cluster_->config_.worker.costs.send_fixed +
                cluster_->config_.worker.costs.send_per_byte * static_cast<double>(bytes));
     WorkerHost* dest = cluster_->hosts_[to].get();
-    cluster_->network_->send(
-        id_, to, bytes, busy_until_,
-        [dest, dest_epoch = dest->epoch(), bytes, msg = std::move(msg)]() mutable {
-          dest->accept(std::move(msg), bytes, dest_epoch);
-        });
+    auto deliver = [dest, dest_epoch = dest->epoch(), bytes,
+                    msg = std::move(msg)]() mutable {
+      dest->accept(std::move(msg), bytes, dest_epoch);
+    };
+    static_assert(sizeof(deliver) <= sim::cbdetail::kBlockBytes,
+                  "a delivery must fit the kernel's pooled callback block");
+    cluster_->network_->send(id_, to, bytes, busy_until_, std::move(deliver));
   }
 
   void set_timer(core::TimerKind kind, double delay, std::uint64_t gen) override {
@@ -414,12 +403,6 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// worker's shard arms and fires its timers). Fires with an older gen are
   /// dropped at the kernel boundary instead of riding through pump().
   std::uint64_t timer_slot_[core::kTimerKinds] = {};
-  /// Memoized flat wire size of the current report/gossip batch (keyed by
-  /// the worker's per-incarnation batch stamp; the epoch guards against a
-  /// revived incarnation reusing stamp values).
-  std::uint64_t flat_cache_seq_ = 0;
-  std::uint64_t flat_cache_epoch_ = ~0ULL;
-  std::size_t flat_cache_val_ = 0;
   core::ReportDeltaState delta_;   // per-incarnation; reset on revive()
   WireStats wire_;                 // all incarnations of this worker
   std::uint32_t report_streams_ = 0;  // incarnations that opened a v1 chain

@@ -84,6 +84,13 @@ class ByteWriter {
     buf_.insert(buf_.end(), p, p + n);
   }
 
+  /// Counting writers only: accounts `n` bytes that a payload of known
+  /// encoded size (a CodeList) would write, without walking it.
+  void add_counted(std::size_t n) {
+    FTBB_CHECK_MSG(counting_, "add_counted needs a counting ByteWriter");
+    count_ += n;
+  }
+
   void str(std::string_view s) {
     varint(s.size());
     bytes(s.data(), s.size());

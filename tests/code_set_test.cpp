@@ -440,6 +440,127 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
   EXPECT_TRUE(rebuilt.root_complete());
 }
 
+/// Twin-table differential: merging `list` with insert_all() (both
+/// overloads) must give exactly the InsertResult, table and trie footprint
+/// of per-code insert() calls in list order — the simulator charges modeled
+/// contraction time from nodes_walked + merges.
+void expect_merge_matches_per_code(const CodeSet& start,
+                                   const std::vector<PathCode>& list) {
+  CodeSet per_code = start;
+  CodeSet::InsertResult want;
+  for (const PathCode& c : list) {
+    const CodeSet::InsertResult r = per_code.insert(c);
+    want.newly_covered = want.newly_covered || r.newly_covered;
+    want.nodes_walked += r.nodes_walked;
+    want.merges += r.merges;
+  }
+  CodeSet from_list = start;
+  CodeSet from_span = start;
+  const CodeSet::InsertResult got = from_list.insert_all(CodeList(list));
+  const CodeSet::InsertResult got_span = from_span.insert_all(list);
+  for (const auto& [table, r] : {std::pair{&from_list, got}, std::pair{&from_span, got_span}}) {
+    EXPECT_EQ(r.newly_covered, want.newly_covered);
+    EXPECT_EQ(r.nodes_walked, want.nodes_walked);
+    EXPECT_EQ(r.merges, want.merges);
+    EXPECT_EQ(table->export_codes(), per_code.export_codes());
+    EXPECT_EQ(table->trie_nodes(), per_code.trie_nodes());
+    EXPECT_EQ(table->encoded_bytes(), per_code.encoded_bytes());
+    table->check_invariants();
+  }
+  per_code.check_invariants();
+}
+
+TEST_P(CodeSetPropertyTest, InsertAllMatchesPerCodeInserts) {
+  const std::uint64_t seed = GetParam();
+  RandomTreeConfig cfg;
+  cfg.target_nodes = 401;
+  cfg.depth_bias = 0.9;  // deep, B&B-like: many codes past 32 inline words
+  cfg.seed = seed + 4000;
+  const BasicTree tree = BasicTree::random(cfg);
+  std::vector<std::pair<PathCode, std::int32_t>> nodes;
+  collect_codes(tree, 0, PathCode::root(), nodes);
+  std::vector<PathCode> all;
+  std::vector<PathCode> leaves;
+  std::vector<PathCode> inner;  // interior nodes below the root
+  std::size_t max_depth = 0;
+  for (const auto& [code, idx] : nodes) {
+    all.push_back(code);
+    max_depth = std::max(max_depth, code.depth());
+    if (tree.node(static_cast<std::size_t>(idx)).is_leaf()) {
+      leaves.push_back(code);
+    } else if (!code.is_root()) {
+      inner.push_back(code);
+    }
+  }
+  ASSERT_GT(max_depth, PathCode::kInlineWords);
+  support::Rng rng(seed * 17 + 3);
+  const auto shuffled = [&rng](std::vector<PathCode> v) {
+    for (std::size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[rng.pick(i)]);
+    return v;
+  };
+  const auto random_leaves = [&](std::size_t n) {
+    std::vector<PathCode> out;
+    for (const std::size_t i : rng.sample_without_replacement(leaves.size(), n)) {
+      out.push_back(leaves[i]);
+    }
+    return out;
+  };
+
+  // Receivers: empty, and one overlapping any sender below.
+  CodeSet partial;
+  for (const PathCode& c : random_leaves(leaves.size() / 3)) partial.insert(c);
+  const std::vector<const CodeSet*> receivers = {nullptr, &partial};
+
+  std::vector<std::vector<PathCode>> lists;
+  // A sender's DFS export (a gossip), and the same codes shuffled.
+  CodeSet sender;
+  for (const PathCode& c : random_leaves(leaves.size() / 2)) sender.insert(c);
+  lists.push_back(sender.export_codes());
+  lists.push_back(shuffled(sender.export_codes()));
+  // Duplicates, nested prefixes (ancestor before and after descendant) and
+  // the root somewhere in the middle.
+  {
+    std::vector<PathCode> mixed;
+    for (int i = 0; i < 60; ++i) {
+      const PathCode& c = all[rng.pick(all.size())];
+      mixed.push_back(c);
+      if (rng.chance(0.3)) mixed.push_back(c);
+      if (c.depth() > 0 && rng.chance(0.4)) {
+        mixed.push_back(c.prefix(rng.pick(c.depth())));
+      }
+    }
+    std::vector<PathCode> with_root = mixed;
+    with_root.insert(with_root.begin() + static_cast<std::ptrdiff_t>(mixed.size() / 2),
+                     PathCode::root());
+    lists.push_back(mixed);
+    lists.push_back(shuffled(mixed));
+    lists.push_back(with_root);
+  }
+  // Long runs under one covering node: an interior node, then its whole
+  // subtree in DFS order (all skipped once the node is complete).
+  {
+    std::vector<PathCode> run;
+    const PathCode& top = inner[rng.pick(inner.size())];
+    run.push_back(top);
+    for (const PathCode& c : all) {
+      if (top.is_ancestor_of(c)) run.push_back(c);
+    }
+    lists.push_back(run);
+  }
+  // Contraction cascades up to the root: every leaf, in DFS order and in
+  // reverse (the last insert of each completes the root).
+  lists.push_back(leaves);
+  lists.push_back(std::vector<PathCode>(leaves.rbegin(), leaves.rend()));
+  lists.push_back(shuffled(leaves));
+
+  for (const CodeSet* receiver : receivers) {
+    const CodeSet start = receiver == nullptr ? CodeSet() : *receiver;
+    for (const std::vector<PathCode>& list : lists) {
+      expect_merge_matches_per_code(start, list);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodeSetPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 

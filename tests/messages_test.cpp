@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/code_set.hpp"
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "support/rng.hpp"
@@ -14,11 +15,23 @@ namespace {
 Message round_trip(const Message& m) {
   support::ByteWriter w;
   m.encode(w);
+  // wire_size() takes a code list's size from its cached byte count, so
+  // this also checks that count against the encoder.
   EXPECT_EQ(w.size(), m.wire_size());
   support::ByteReader r(w.data());
   Message out = Message::decode(r);
   EXPECT_TRUE(r.done());
   return out;
+}
+
+/// A code `depth` steps deep whose variable indices grow past the one-byte
+/// varint range, so its encoded size is not simply 1 + depth.
+PathCode deep_code(std::size_t depth, std::uint32_t salt = 0) {
+  PathCode c = PathCode::root();
+  for (std::size_t i = 0; i < depth; ++i) {
+    c = c.child(static_cast<std::uint32_t>(i * 37 + salt), (i + salt) % 3 == 0);
+  }
+  return c;
 }
 
 TEST(Messages, WorkRequestRoundTrip) {
@@ -63,18 +76,22 @@ TEST(Messages, WorkReportCarriesCodes) {
   m.type = MsgType::kWorkReport;
   m.from = 1;
   m.best_known = 2.5;
-  m.codes.push_back(PathCode::root().child(2, true));
-  m.codes.push_back(PathCode::root().child(2, false).child(3, true));
+  m.codes = {PathCode::root().child(2, true),
+             PathCode::root().child(2, false).child(3, true), deep_code(33),
+             deep_code(78, 1)};
   const Message out = round_trip(m);
-  ASSERT_EQ(out.codes.size(), 2u);
+  ASSERT_EQ(out.codes.size(), 4u);
   EXPECT_EQ(out.codes[0], m.codes[0]);
   EXPECT_EQ(out.codes[1], m.codes[1]);
+  EXPECT_EQ(out.codes[2].depth(), 33u);
+  EXPECT_EQ(out.codes[3], deep_code(78, 1).view());
+  EXPECT_EQ(out.codes, m.codes);
 }
 
 TEST(Messages, RootReportIsTheRootCode) {
   Message m;
   m.type = MsgType::kRootReport;
-  m.codes.push_back(PathCode::root());
+  m.codes = {PathCode::root()};
   const Message out = round_trip(m);
   ASSERT_EQ(out.codes.size(), 1u);
   EXPECT_TRUE(out.codes[0].is_root());
@@ -83,20 +100,43 @@ TEST(Messages, RootReportIsTheRootCode) {
 TEST(Messages, TableGossipRoundTrip) {
   Message m;
   m.type = MsgType::kTableGossip;
+  std::vector<PathCode> codes;
   for (std::uint32_t i = 0; i < 50; ++i) {
-    m.codes.push_back(PathCode::root().child(i, i % 2 == 0));
+    codes.push_back(PathCode::root().child(i, i % 2 == 0));
   }
-  EXPECT_EQ(round_trip(m).codes.size(), 50u);
+  for (std::uint32_t i = 0; i < 10; ++i) codes.push_back(deep_code(32 + 5 * i, i));
+  m.codes = CodeList(codes);
+  const Message out = round_trip(m);
+  EXPECT_EQ(out.codes.size(), 60u);
+  EXPECT_EQ(out.codes.to_vector(), codes);
+}
+
+TEST(Messages, GossipOfAnExportedDeepTableSizesExactly) {
+  // A gossip list built from the completion trie takes every code's size
+  // from the trie's per-node byte counts instead of encoding it.
+  CodeSet table;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    const PathCode c = deep_code(30 + i);
+    table.insert(c.sibling());  // one completed leaf per depth 30..69
+  }
+  Message m;
+  m.type = MsgType::kTableGossip;
+  m.codes = table.export_list();
+  ASSERT_EQ(m.codes.size(), 40u);
+  EXPECT_EQ(m.codes.encoded_bytes(), table.encoded_bytes());
+  EXPECT_EQ(round_trip(m).codes, m.codes);
 }
 
 TEST(Messages, WireSizeGrowsWithPayload) {
   Message small;
   small.type = MsgType::kWorkReport;
-  small.codes.push_back(PathCode::root().child(1, false));
+  std::vector<PathCode> codes = {PathCode::root().child(1, false)};
+  small.codes = CodeList(codes);
   Message large = small;
   for (std::uint32_t i = 0; i < 20; ++i) {
-    large.codes.push_back(PathCode::root().child(1, true).child(i + 2, false));
+    codes.push_back(PathCode::root().child(1, true).child(i + 2, false));
   }
+  large.codes = CodeList(codes);
   EXPECT_GT(large.wire_size(), small.wire_size());
 }
 
@@ -125,7 +165,9 @@ TEST(Messages, SummaryMentionsTypeAndCounts) {
 
 PathCode random_code(support::Rng& rng, std::size_t max_depth = 12) {
   PathCode c = PathCode::root();
-  const std::size_t depth = rng.pick(max_depth + 1);
+  // One code in ten is deeper than PathCode's 32 inline words.
+  const std::size_t depth =
+      rng.chance(0.1) ? 33 + rng.pick(48) : rng.pick(max_depth + 1);
   for (std::size_t i = 0; i < depth; ++i) {
     c = c.child(static_cast<std::uint32_t>(rng.pick(40)), rng.chance(0.5));
   }
@@ -154,11 +196,14 @@ Message random_message(support::Rng& rng) {
     case MsgType::kTableGossip:
       m.report_seq = 1 + rng.pick(100);
       [[fallthrough]];
-    case MsgType::kRootReport:
+    case MsgType::kRootReport: {
+      std::vector<PathCode> codes;
       for (std::size_t i = 0, n = rng.pick(10); i < n; ++i) {
-        m.codes.push_back(random_code(rng));
+        codes.push_back(random_code(rng));
       }
+      m.codes = CodeList(codes);
       break;
+    }
   }
   return m;
 }
@@ -171,7 +216,9 @@ void expect_same_content(const Message& a, const Message& b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.best_known),
             std::bit_cast<std::uint64_t>(b.best_known));
   EXPECT_EQ(a.request_id, b.request_id);
-  if (a.type == MsgType::kWorkDeny) EXPECT_EQ(a.busy, b.busy);
+  if (a.type == MsgType::kWorkDeny) {
+    EXPECT_EQ(a.busy, b.busy);
+  }
   ASSERT_EQ(a.problems.size(), b.problems.size());
   for (std::size_t i = 0; i < a.problems.size(); ++i) {
     EXPECT_EQ(a.problems[i].code, b.problems[i].code);
@@ -243,9 +290,11 @@ TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
     m.from = 3;
     m.best_known = 10.0;
     m.report_seq = batch;
+    std::vector<PathCode> codes;
     for (std::size_t i = 0, n = rng.pick(8); i < n; ++i) {
-      m.codes.push_back(random_code(rng));
+      codes.push_back(random_code(rng));
     }
+    m.codes = CodeList(codes);
     // The worker fans the same batch out to several peers: every copy must
     // encode identically (the state advances once per report_seq).
     const auto first = encode_frame(v1, m, &state);
@@ -369,6 +418,120 @@ TEST(Frames, HostileCountsNeverOverAllocate) {
   v.varint(payload.size());
   for (const std::uint8_t b : payload.data()) v.u8(b);
   EXPECT_FALSE(FrameCodec::decode(v.data()).ok());
+}
+
+/// Legacy frame header (type, from, best_known, request_id) for `type`.
+support::ByteWriter legacy_header(MsgType type) {
+  support::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.varint(1);    // from
+  w.f64(0.0);     // best_known
+  w.varint(0);    // request_id
+  return w;
+}
+
+/// Wraps a v1 payload (from, best_known, request_id already included) in a
+/// frame header of `type`.
+std::vector<std::uint8_t> v1_frame(MsgType type, const support::ByteWriter& payload) {
+  support::ByteWriter v;
+  v.u8(kFrameMagic);
+  v.u8(1);
+  v.u8(static_cast<std::uint8_t>(type));
+  v.varint(payload.size());
+  for (const std::uint8_t b : payload.data()) v.u8(b);
+  return std::move(v.data());
+}
+
+support::ByteWriter v1_payload_header() {
+  support::ByteWriter p;
+  p.varint(1);    // from
+  p.f64(0.0);     // best_known
+  p.varint(0);    // request_id
+  return p;
+}
+
+TEST(Frames, HostileCodeListCountsNeverAbortOrOverAllocate) {
+  // Code lists (reports, gossip, the root broadcast) reserve their code and
+  // step-word storage up front; every count an attacker controls must be
+  // checked against the input first.
+  for (const MsgType type :
+       {MsgType::kWorkReport, MsgType::kTableGossip, MsgType::kRootReport}) {
+    // Legacy: a huge code count.
+    support::ByteWriter count = legacy_header(type);
+    count.varint(1ull << 60);
+    count.u8(0);
+    EXPECT_EQ(FrameCodec::decode(count.data()).status,
+              DecodeStatus::kCorruptPayload);
+
+    // Legacy: a sane count whose one code claims 2^40 step words.
+    support::ByteWriter depth = legacy_header(type);
+    depth.varint(2);
+    depth.varint(1ull << 40);
+    depth.u8(2);
+    depth.u8(4);
+    EXPECT_EQ(FrameCodec::decode(depth.data()).status,
+              DecodeStatus::kCorruptPayload);
+
+    // Legacy: one code past PathCode::kMaxDepth, and a step word whose
+    // variable index overflows 31 bits.
+    support::ByteWriter max_depth = legacy_header(type);
+    max_depth.varint(1);
+    max_depth.varint(PathCode::kMaxDepth + 1);
+    EXPECT_FALSE(FrameCodec::decode(max_depth.data()).ok());
+    support::ByteWriter wide = legacy_header(type);
+    wide.varint(1);
+    wide.varint(1);
+    wide.varint(std::uint64_t{PathCode::kMaxVar + 1} << 1);
+    EXPECT_EQ(FrameCodec::decode(wide.data()).status,
+              DecodeStatus::kCorruptPayload);
+  }
+
+  // v1 root report (flat list): a huge count.
+  support::ByteWriter root = v1_payload_header();
+  root.varint(1ull << 50);
+  EXPECT_FALSE(FrameCodec::decode(v1_frame(MsgType::kRootReport, root)).ok());
+
+  for (const MsgType type : {MsgType::kWorkReport, MsgType::kTableGossip}) {
+    // v1 delta chain: a base claiming 2^40 step words.
+    support::ByteWriter base = v1_payload_header();
+    base.varint(1);             // wire seq 1: a base follows
+    base.varint(1ull << 40);    // hostile base depth
+    base.u8(0);
+    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, base)).ok());
+
+    // v1 delta chain: one delta appending 2^40 words, and one trimming
+    // more words than the chain holds.
+    support::ByteWriter add = v1_payload_header();
+    add.varint(0);              // self-contained
+    add.varint(1);              // one code
+    add.varint(0);              // trim
+    add.varint(1ull << 40);     // hostile add
+    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, add)).ok());
+    support::ByteWriter trim = v1_payload_header();
+    trim.varint(0);
+    trim.varint(1);
+    trim.varint(5);             // trim 5 words off the empty root
+    trim.varint(0);
+    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, trim)).ok());
+  }
+}
+
+TEST(Frames, DeltaChainsExpandPastTheirInputBytes) {
+  // Codes sharing a deep prefix cost two bytes each on the v1 wire but
+  // their full depth in the decoded list: the decoder reserves what the
+  // input can hold and grows from there, without rejecting the frame.
+  const PathCode deep = deep_code(200);
+  std::vector<PathCode> codes;
+  for (std::uint32_t i = 0; i < 300; ++i) codes.push_back(deep.child(5000 + i, true));
+  Message m;
+  m.type = MsgType::kTableGossip;
+  m.codes = CodeList(codes);
+  m.report_seq = 1;
+  const auto buf = encode_frame(FrameCodec(FrameVersion::kV1), m, nullptr);
+  EXPECT_LT(buf.size(), m.codes.encoded_bytes() / 10);
+  const FrameDecode d = FrameCodec::decode(buf);
+  ASSERT_TRUE(d.ok()) << to_string(d.status);
+  EXPECT_EQ(d.msg.codes, m.codes);
 }
 
 TEST(Frames, EmptyAndOneByteInputsAreErrors) {
