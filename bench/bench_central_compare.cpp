@@ -21,6 +21,13 @@ int main() {
   const bnb::BasicTree tree = bnb::BasicTree::random(tree_cfg);
   bnb::TreeProblem problem(&tree, /*honor_bounds=*/false);
 
+  // Crash schedules are in the baseline's network ids: node 0 is the manager.
+  const auto crash_at = [](std::uint32_t node, double time) {
+    fault::FaultSchedule schedule;
+    schedule.crashes.push_back(fault::CrashAt{node, time});
+    return schedule;
+  };
+
   central::CentralConfig central_cfg;
   central_cfg.batch_size = 4;
   central_cfg.reissue_timeout = 0.3;
@@ -59,7 +66,7 @@ int main() {
     cfg.time_limit = 3e4;
     const auto ours = sim::SimCluster::run(problem, cfg);
     const auto central = central::CentralSim::run(
-        problem, 8, central_cfg, {}, {{3, central_base.makespan * 0.4}}, 3e4, 59);
+        problem, 8, central_cfg, {}, crash_at(3, central_base.makespan * 0.4), 3e4, 59);
     tb.row({"one worker dies", "FTBB", ours.all_live_halted ? "yes" : "NO",
             support::TextTable::num(ours.makespan, 2), "complement recovery"});
     tb.row({"one worker dies", "central", central.completed ? "yes" : "NO",
@@ -73,14 +80,14 @@ int main() {
     cfg.time_limit = 3e4;
     const auto ours = sim::SimCluster::run(problem, cfg);
     const auto central_plain = central::CentralSim::run(
-        problem, 8, central_cfg, {}, {{0, central_base.makespan * 0.4}},
+        problem, 8, central_cfg, {}, crash_at(0, central_base.makespan * 0.4),
         central_base.makespan * 6.0, 59);
     central::CentralConfig ckpt_cfg = central_cfg;
     ckpt_cfg.checkpointing = true;
     ckpt_cfg.checkpoint_interval = 0.5;
     ckpt_cfg.restart_delay = 0.5;
     const auto central_ckpt = central::CentralSim::run(
-        problem, 8, ckpt_cfg, {}, {{0, central_base.makespan * 0.4}}, 3e4, 59);
+        problem, 8, ckpt_cfg, {}, crash_at(0, central_base.makespan * 0.4), 3e4, 59);
     tb.row({"node 0 dies", "FTBB", ours.all_live_halted ? "yes" : "NO",
             support::TextTable::num(ours.makespan, 2),
             "no special nodes exist"});

@@ -24,6 +24,12 @@ int main() {
   const bnb::BasicTree tree = bnb::BasicTree::random(tree_cfg);
   bnb::TreeProblem problem(&tree, /*honor_bounds=*/false);
 
+  const auto crash_at = [](std::uint32_t machine, double time) {
+    fault::FaultSchedule schedule;
+    schedule.crashes.push_back(fault::CrashAt{machine, time});
+    return schedule;
+  };
+
   dib::DibConfig dib_cfg;
   dib_cfg.work_request_timeout = 0.03;
   dib_cfg.request_backoff = 0.01;
@@ -70,7 +76,7 @@ int main() {
     add_ftbb("machine 3 dies", sim::SimCluster::run(problem, cfg));
     add_dib("machine 3 dies",
             dib::DibSim::run(problem, 8, dib_cfg, {},
-                             {{3, dib_base.makespan * 0.5}}, 3e4, 53));
+                             crash_at(3, dib_base.makespan * 0.5), 3e4, 53));
   }
 
   // Root/holder failure: FTBB has no special node; machine 0 merely held
@@ -83,7 +89,7 @@ int main() {
     add_ftbb("machine 0 dies", sim::SimCluster::run(problem, cfg));
     add_dib("machine 0 dies",
             dib::DibSim::run(problem, 8, dib_cfg, {},
-                             {{0, dib_base.makespan * 0.5}},
+                             crash_at(0, dib_base.makespan * 0.5),
                              dib_base.makespan * 6.0, 53));
   }
 
@@ -95,11 +101,11 @@ int main() {
     }
     cfg.time_limit = 3e4;
     add_ftbb("7 of 8 die", sim::SimCluster::run(problem, cfg));
-    std::vector<dib::DibCrash> crashes;
+    fault::FaultSchedule faults;
     for (std::uint32_t v = 1; v < 8; ++v) {
-      crashes.push_back({v, dib_base.makespan * (0.3 + 0.05 * v)});
+      faults.crashes.push_back(fault::CrashAt{v, dib_base.makespan * (0.3 + 0.05 * v)});
     }
-    add_dib("7 of 8 die", dib::DibSim::run(problem, 8, dib_cfg, {}, crashes,
+    add_dib("7 of 8 die", dib::DibSim::run(problem, 8, dib_cfg, {}, faults,
                                            dib_base.makespan * 20.0, 53));
   }
 

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const rt::RtResult res = rt::Cluster::run(model, cfg);
 
   std::printf("terminated    : %s in %.2fs wall\n",
-              res.all_live_halted ? "yes" : "NO", res.wall_seconds);
+              res.all_live_halted ? "yes" : "NO", res.makespan);
   std::printf("cover size    : %.0f", res.solution);
   if (model.known_optimal().has_value()) {
     std::printf(" (optimum %.0f, %s)", *model.known_optimal(),

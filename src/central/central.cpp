@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
+#include "fault/driver.hpp"
 #include "sim/kernel.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -51,7 +55,10 @@ struct Batch {
   double issued_at = 0.0;
 };
 
-struct Sim {
+/// The run, and its fault plane: a FaultDriver replays the schedule through
+/// the capabilities below, in network ids (0 = the manager), with
+/// injections on the kernel's control event stream.
+struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   const bnb::IProblemModel& model;
   CentralConfig cfg;
   sim::Kernel kernel;  // node 0 = manager, nodes 1..N = workers
@@ -107,6 +114,20 @@ struct Sim {
   void take_checkpoint();
   void crash_manager();
   void restart_manager();
+
+  void crash(std::uint32_t node) override;
+  void revive(std::uint32_t node) override;
+  void join(std::uint32_t node) override;
+  void abandon_join(std::uint32_t /*node*/) override {}
+  void set_partition(const sim::Partition& partition) override {
+    net->add_partition(partition);
+  }
+  void set_loss_rule(const sim::LossRule& rule) override {
+    net->add_loss_rule(rule);
+  }
+  void call_at(double at, sim::Callback fn) override {
+    kernel.at(at, std::move(fn));
+  }
 };
 
 struct Worker {
@@ -182,11 +203,14 @@ struct Worker {
     if (!running()) return;
     if (todo.empty()) {
       busy = false;
+      // The result carries the incumbent as of sending: the worker's own
+      // field belongs to its shard, not the manager's.
       sim->net->send(id, 0, batch_bytes(sim->codec, children), sim->kernel.now(),
-                     [this, batch_id, children = std::move(children)]() mutable {
+                     [this, batch_id, best = incumbent,
+                      children = std::move(children)]() mutable {
                        ++sim->manager_messages;
                        if (sim->manager_alive) {
-                         sim->on_result(batch_id, incumbent, std::move(children));
+                         sim->on_result(batch_id, best, std::move(children));
                        }
                      });
       fetch();
@@ -347,66 +371,51 @@ void Sim::restart_manager() {
   // Workers re-fetch on their own timeout cycle.
 }
 
-}  // namespace
-
-CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t worker_count,
-                              const CentralConfig& config, const sim::NetConfig& net,
-                              const std::vector<CentralCrash>& crashes,
-                              double time_limit, std::uint64_t seed) {
-  CentralFaults faults;
-  faults.crashes = crashes;
-  return run_with_faults(model, worker_count, config, net, faults, time_limit, seed);
+void Sim::crash(std::uint32_t node) {
+  if (node == 0) {
+    crash_manager();
+  } else {
+    workers[node - 1]->alive = false;
+  }
 }
 
-CentralResult CentralSim::run_with_faults(
-    const bnb::IProblemModel& model, std::uint32_t worker_count,
-    const CentralConfig& config, const sim::NetConfig& net,
-    const CentralFaults& faults, double time_limit, std::uint64_t seed) {
-  FTBB_CHECK(worker_count >= 1);
-  FTBB_CHECK_MSG(faults.worker_join_times.empty() ||
-                     faults.worker_join_times.size() == worker_count,
-                 "worker_join_times must be empty or one entry per worker");
+void Sim::revive(std::uint32_t node) {
+  FTBB_CHECK_MSG(node >= 1, "the manager cannot blank-restart; use checkpointing");
+  workers[node - 1]->revive();
+}
+
+void Sim::join(std::uint32_t node) {
+  if (node >= 1) workers[node - 1]->fetch();  // the manager starts with the run
+}
+
+}  // namespace
+
+CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t workers,
+                              const CentralConfig& config, const sim::NetConfig& net,
+                              fault::FaultSchedule faults, double time_limit,
+                              std::uint64_t seed) {
+  FTBB_CHECK(workers >= 1);
+  faults.population = std::max(workers + 1, faults.population);
+  const std::uint32_t worker_count = faults.population - 1;
   // Network node 0 is the manager; the topology's coordinates apply to the
   // shifted ids (workers start at rack coordinate of node 1).
   const sim::ExecutorConfig ex = sim::make_executor_config(
-      net, worker_count + 1, sim::resolve_sim_threads(config.sim_threads));
+      net, faults.population, sim::resolve_sim_threads(config.sim_threads));
   Sim sim(model, config, time_limit, ex);
   support::Rng master(seed);
   sim.net = std::make_unique<sim::Network>(&sim.kernel, net, master.split(0x63656e74),
-                                           worker_count + 1);
-  for (const ftbb::sim::Partition& p : faults.partitions) sim.net->add_partition(p);
+                                           faults.population);
   for (std::uint32_t i = 1; i <= worker_count; ++i) {
     sim.workers.push_back(std::make_unique<Worker>(&sim, i));
   }
   sim.pool.push_back(bnb::Subproblem{PathCode::root(), model.root_bound()});
-  for (std::uint32_t i = 0; i < worker_count; ++i) {
-    const double when =
-        faults.worker_join_times.empty() ? 0.0 : faults.worker_join_times[i];
-    if (when >= time_limit) continue;  // never joins within this run
-    sim.kernel.at(when, static_cast<sim::OwnerId>(i + 1),
-                  [wp = sim.workers[i].get()] { wp->fetch(); });
-  }
   sim.kernel.after(config.audit_interval, sim::OwnerId{0}, [&sim] { sim.audit(); });
   if (config.checkpointing) {
     sim.kernel.after(config.checkpoint_interval, sim::OwnerId{0},
                      [&sim] { sim.take_checkpoint(); });
   }
-  for (const CentralCrash& crash : faults.crashes) {
-    sim.kernel.at(crash.time, [&sim, crash] {
-      if (crash.node == 0) {
-        sim.crash_manager();
-      } else if (crash.node <= sim.workers.size()) {
-        sim.workers[crash.node - 1]->alive = false;
-      }
-    });
-  }
-  for (const CentralCrash& rejoin : faults.rejoins) {
-    FTBB_CHECK_MSG(rejoin.node >= 1, "the manager cannot blank-restart; use checkpointing");
-    FTBB_CHECK(rejoin.node <= worker_count);
-    sim.kernel.at(rejoin.time, [&sim, rejoin] {
-      sim.workers[rejoin.node - 1]->revive();
-    });
-  }
+  fault::FaultDriver driver(std::move(faults), &sim, &sim);
+  driver.arm(time_limit);
   const auto kr = sim.kernel.run(time_limit);
 
   CentralResult result;
@@ -428,13 +437,7 @@ CentralResult CentralSim::run_with_faults(
   result.reissues = sim.reissues;
   result.manager_restarts = sim.manager_restarts;
   result.net = sim.net->stats();
-  // Coarse work-mix ledger from the already-deterministic aggregates.
-  result.work[core::WorkItem::kExpansions] = result.total_expanded;
-  result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;
-  result.work[core::WorkItem::kMsgsSent] = result.net.messages_sent;
-  result.work[core::WorkItem::kMsgsReceived] = result.net.messages_delivered;
-  result.work[core::WorkItem::kWireBytesSent] = result.net.bytes_sent;
-  result.work[core::WorkItem::kWireBytesReceived] = result.net.bytes_delivered;
+  result.fill_coarse_work();
   return result;
 }
 

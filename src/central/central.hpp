@@ -16,13 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "bnb/problem.hpp"
-#include "core/cost_model.hpp"
 #include "core/frame.hpp"
+#include "fault/schedule.hpp"
 #include "sim/network.hpp"
+#include "sim/outcome.hpp"
 
 namespace ftbb::central {
 
@@ -44,61 +43,25 @@ struct CentralConfig {
   core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
-struct CentralCrash {
-  /// Node index: 0 = the manager, 1..N = workers.
-  std::uint32_t node = 0;
-  double time = 0.0;
-};
-
-/// Full fault-injection schedule for a centralized run. Node indices are
-/// network ids: 0 is the manager, 1..N the workers.
-struct CentralFaults {
-  std::vector<CentralCrash> crashes;
-  /// Worker restarts: the crashed worker re-enters as a fresh process and
-  /// re-fetches work. Rejoining node 0 is invalid — manager recovery is
-  /// checkpoint-based (CentralConfig::checkpointing), not a blank restart.
-  std::vector<CentralCrash> rejoins;
-  /// Temporary partitions over network ids (messages crossing groups drop).
-  std::vector<sim::Partition> partitions;
-  /// Empty, or one entry per worker (index 0 = worker node 1): the time the
-  /// worker starts fetching. Models late joiners / membership churn.
-  std::vector<double> worker_join_times;
-};
-
-struct CentralResult {
-  bool completed = false;
-  bool solution_found = false;
-  double solution = bnb::kInfinity;
-  double makespan = 0.0;
-  bool hit_time_limit = false;
-  std::uint64_t total_expanded = 0;
-  std::uint64_t unique_expanded = 0;
-  std::uint64_t redundant_expansions = 0;
+struct CentralResult : sim::RunOutcome {
+  bool completed = false;  // the manager concluded the computation
   std::uint64_t manager_messages = 0;  // the bottleneck metric
   std::uint64_t reissues = 0;
   std::uint64_t manager_restarts = 0;
-  sim::Network::Stats net;
-  /// Coarse work-mix ledger (expansions, redundancy, wire traffic). The
-  /// baseline has no per-worker protocol counters, so the finer-grained
-  /// WorkItem entries stay zero by design.
-  core::WorkLedger work;
 };
 
 class CentralSim {
  public:
-  /// `workers` excludes the manager (node 0).
+  /// `workers` excludes the manager. `faults` is in network ids: node 0 is
+  /// the manager and nodes 1..N the workers, i.e. a protocol schedule's
+  /// remapped(1); a larger population raises the worker count. A crash of
+  /// node 0 crashes the manager. Reviving node 0 is rejected: manager
+  /// recovery is checkpoint-based (CentralConfig::checkpointing), not a
+  /// blank restart.
   static CentralResult run(const bnb::IProblemModel& model, std::uint32_t workers,
                            const CentralConfig& config, const sim::NetConfig& net,
-                           const std::vector<CentralCrash>& crashes,
-                           double time_limit, std::uint64_t seed);
-
-  /// Full fault-injection entry point (crashes, rejoins, partitions, late
-  /// joins); windowed loss arrives through `net.loss_rules`.
-  static CentralResult run_with_faults(const bnb::IProblemModel& model, std::uint32_t workers,
-                                       const CentralConfig& config,
-                                       const sim::NetConfig& net,
-                                       const CentralFaults& faults, double time_limit,
-                                       std::uint64_t seed);
+                           fault::FaultSchedule faults, double time_limit,
+                           std::uint64_t seed);
 };
 
 }  // namespace ftbb::central

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
 #include "dib/dib_pool.hpp"
+#include "fault/driver.hpp"
 #include "sim/kernel.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -69,7 +72,10 @@ struct Donation {
 
 struct Machine;
 
-struct Sim {
+/// The run, and its fault plane: a FaultDriver replays the schedule through
+/// the capabilities below, with injections on the kernel's control event
+/// stream.
+struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   const bnb::IProblemModel& model;
   DibConfig cfg;
   sim::Kernel kernel;
@@ -87,6 +93,20 @@ struct Sim {
   Sim(const bnb::IProblemModel& m, const DibConfig& c, double limit,
       const sim::ExecutorConfig& ex)
       : model(m), cfg(c), kernel(ex), time_limit(limit), codec(c.wire) {}
+
+  void crash(std::uint32_t node) override;
+  void revive(std::uint32_t node) override;
+  void join(std::uint32_t node) override;
+  void abandon_join(std::uint32_t /*node*/) override {}
+  void set_partition(const sim::Partition& partition) override {
+    net->add_partition(partition);
+  }
+  void set_loss_rule(const sim::LossRule& rule) override {
+    net->add_loss_rule(rule);
+  }
+  void call_at(double at, sim::Callback fn) override {
+    kernel.at(at, std::move(fn));
+  }
 };
 
 struct Machine {
@@ -356,61 +376,41 @@ struct Machine {
   }
 };
 
+void Sim::crash(std::uint32_t node) { machines[node]->alive = false; }
+
+void Sim::revive(std::uint32_t node) { machines[node]->revive(); }
+
+void Sim::join(std::uint32_t node) {
+  Machine& machine = *machines[node];
+  machine.schedule_step();
+  machine.audit();
+}
+
 }  // namespace
 
 DibResult DibSim::run(const bnb::IProblemModel& model, std::uint32_t machines,
                       const DibConfig& config, const sim::NetConfig& net,
-                      const std::vector<DibCrash>& crashes, double time_limit,
+                      fault::FaultSchedule faults, double time_limit,
                       std::uint64_t seed) {
-  DibFaults faults;
-  faults.crashes = crashes;
-  return run_with_faults(model, machines, config, net, faults, time_limit, seed);
-}
-
-DibResult DibSim::run_with_faults(const bnb::IProblemModel& model,
-                                  std::uint32_t machines, const DibConfig& config,
-                                  const sim::NetConfig& net, const DibFaults& faults,
-                                  double time_limit, std::uint64_t seed) {
   FTBB_CHECK(machines >= 1);
-  FTBB_CHECK_MSG(faults.join_times.empty() || faults.join_times.size() == machines,
-                 "join_times must be empty or one entry per machine");
   FTBB_CHECK_MSG(faults.join_times.empty() || faults.join_times[0] == 0.0,
                  "machine 0 holds the root job and must join at time 0");
+  faults.population = std::max(machines, faults.population);
   const sim::ExecutorConfig ex = sim::make_executor_config(
-      net, machines, sim::resolve_sim_threads(config.sim_threads));
+      net, faults.population, sim::resolve_sim_threads(config.sim_threads));
   Sim sim(model, config, time_limit, ex);
   support::Rng master(seed);
   sim.net = std::make_unique<sim::Network>(&sim.kernel, net, master.split(0x646962),
-                                           machines);
-  for (const ftbb::sim::Partition& p : faults.partitions) sim.net->add_partition(p);
-  for (std::uint32_t i = 0; i < machines; ++i) {
+                                           faults.population);
+  for (std::uint32_t i = 0; i < faults.population; ++i) {
     sim.machines.push_back(std::make_unique<Machine>(&sim, i, master.split(i).next()));
   }
   // Machine 0 holds the root of the responsibility hierarchy.
   Machine& root = *sim.machines[0];
   root.jobs.push_back(Job{PathCode::root(), -1, 0, 1, 0, false});
   root.pool.push(Task{bnb::Subproblem{PathCode::root(), model.root_bound()}, 0});
-  for (std::uint32_t i = 0; i < machines; ++i) {
-    const double when = faults.join_times.empty() ? 0.0 : faults.join_times[i];
-    if (when >= time_limit) continue;  // never joins within this run
-    sim.kernel.at(when, static_cast<sim::OwnerId>(i),
-                  [mp = sim.machines[i].get()] {
-                    mp->schedule_step();
-                    mp->audit();
-                  });
-  }
-  for (const DibCrash& crash : faults.crashes) {
-    FTBB_CHECK(crash.machine < machines);
-    sim.kernel.at(crash.time, [&sim, crash] {
-      sim.machines[crash.machine]->alive = false;
-    });
-  }
-  for (const DibCrash& rejoin : faults.rejoins) {
-    FTBB_CHECK(rejoin.machine < machines);
-    sim.kernel.at(rejoin.time, [&sim, rejoin] {
-      sim.machines[rejoin.machine]->revive();
-    });
-  }
+  fault::FaultDriver driver(std::move(faults), &sim, &sim);
+  driver.arm(time_limit);
   const auto kr = sim.kernel.run(time_limit);
 
   DibResult result;
@@ -425,22 +425,16 @@ DibResult DibSim::run_with_faults(const bnb::IProblemModel& model,
     result.total_expanded += m->expanded;
     result.donations += m->donations_made;
     result.donation_redos += m->donation_redos;
+    result.expanded_per_machine.push_back(m->expanded);
     for (const auto& [code, count] : m->expansions) merged[code] += count;
   }
   result.unique_expanded = merged.size();
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.net = sim.net->stats();
-  for (const auto& m : sim.machines) result.expanded_per_machine.push_back(m->expanded);
-  // Coarse work-mix ledger from the already-deterministic aggregates
-  // (donations map onto the grant counters).
-  result.work[core::WorkItem::kExpansions] = result.total_expanded;
-  result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;
+  result.fill_coarse_work();
+  // Donations map onto the grant counters.
   result.work[core::WorkItem::kGrantsGiven] = result.donations;
   result.work[core::WorkItem::kRecoveries] = result.donation_redos;
-  result.work[core::WorkItem::kMsgsSent] = result.net.messages_sent;
-  result.work[core::WorkItem::kMsgsReceived] = result.net.messages_delivered;
-  result.work[core::WorkItem::kWireBytesSent] = result.net.bytes_sent;
-  result.work[core::WorkItem::kWireBytesReceived] = result.net.bytes_delivered;
   return result;
 }
 

@@ -25,9 +25,10 @@
 #include <vector>
 
 #include "bnb/problem.hpp"
-#include "core/cost_model.hpp"
 #include "core/frame.hpp"
+#include "fault/schedule.hpp"
 #include "sim/network.hpp"
+#include "sim/outcome.hpp"
 
 namespace ftbb::dib {
 
@@ -46,56 +47,27 @@ struct DibConfig {
   core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
-struct DibCrash {
-  std::uint32_t machine = 0;
-  double time = 0.0;
-};
-
-/// Full fault-injection schedule for a DIB run. Machine ids are 0-based;
-/// machine 0 holds the root of the responsibility hierarchy.
-struct DibFaults {
-  std::vector<DibCrash> crashes;
-  /// Machine restarts: the crashed machine re-enters empty (pool, job list,
-  /// and donation ledger lost — its donor still redoes the donated work,
-  /// DIB's structural weakness). Reviving machine 0 cannot restore the root
-  /// job, faithfully leaving termination unconcludable.
-  std::vector<DibCrash> rejoins;
-  std::vector<sim::Partition> partitions;
-  /// Empty, or one entry per machine: when it starts working/requesting.
-  std::vector<double> join_times;
-};
-
-struct DibResult {
+struct DibResult : sim::RunOutcome {
   bool completed = false;  // root machine concluded the computation
-  bool solution_found = false;
-  double solution = bnb::kInfinity;
-  double makespan = 0.0;  // time of the root machine's conclusion (or limit)
-  bool hit_time_limit = false;
-  std::uint64_t total_expanded = 0;
-  std::uint64_t unique_expanded = 0;
-  std::uint64_t redundant_expansions = 0;
   std::uint64_t donations = 0;
   std::uint64_t donation_redos = 0;  // audit decided to redo a donation
-  sim::Network::Stats net;
   std::vector<std::uint64_t> expanded_per_machine;
-  /// Coarse work-mix ledger (expansions, redundancy, donations as grants,
-  /// wire traffic); finer WorkItem entries stay zero by design.
-  core::WorkLedger work;
 };
 
 class DibSim {
  public:
+  /// Machine ids are 0-based; machine 0 holds the root of the
+  /// responsibility hierarchy and must join at time 0. `faults` is in those
+  /// ids; a larger population raises the machine count. A revived machine
+  /// re-enters empty (pool, job list and donation ledger lost), so its donor
+  /// still redoes the donated work, DIB's structural weakness; reviving
+  /// machine 0 cannot restore the root job, so termination stays
+  /// unconcludable. The makespan is the root machine's conclusion (or the
+  /// limit).
   static DibResult run(const bnb::IProblemModel& model, std::uint32_t machines,
                        const DibConfig& config, const sim::NetConfig& net,
-                       const std::vector<DibCrash>& crashes, double time_limit,
+                       fault::FaultSchedule faults, double time_limit,
                        std::uint64_t seed);
-
-  /// Full fault-injection entry point (crashes, rejoins, partitions, late
-  /// joins); windowed loss arrives through `net.loss_rules`.
-  static DibResult run_with_faults(const bnb::IProblemModel& model,
-                                   std::uint32_t machines, const DibConfig& config,
-                                   const sim::NetConfig& net, const DibFaults& faults,
-                                   double time_limit, std::uint64_t seed);
 };
 
 }  // namespace ftbb::dib

@@ -5,10 +5,12 @@
 //
 //   * IFaultBackend — the capability surface a runtime must expose to be
 //     fault-injectable: crash(node), revive(node), join(node) plus the
-//     static window installers set_partition()/set_loss_rule(). The
-//     discrete-event SimCluster and the thread-backed rt::Cluster both
-//     implement it; what "crash" means (dropping a virtual host vs. tearing
-//     down an OS thread) stays the backend's business.
+//     static window installers set_partition()/set_loss_rule(). All four
+//     substrates implement it: the discrete-event SimCluster, the
+//     centralized and DIB baselines (in their network ids; the central
+//     manager is node 0), and the thread-backed rt::Cluster. What "crash"
+//     means (dropping a virtual host, ending the manager, tearing down an OS
+//     thread) stays the backend's business.
 //
 //   * IFaultClock — where injection deadlines live: virtual simulation time
 //     (kernel.at on the control stream) or wall-clock deadline scheduling.
@@ -86,7 +88,9 @@ class FaultDriver {
   /// Members whose join time is at/beyond `horizon` are abandoned instead of
   /// scheduled. Injection scheduling order is fixed — crashes, revives,
   /// joins in member order — so a deterministic clock yields a
-  /// deterministic event stream. Call exactly once, before the run starts.
+  /// deterministic event stream, and a crash at a member's exact join
+  /// instant lands first: that member never joins. Call exactly once,
+  /// before the run starts.
   void arm(double horizon);
 
   /// Scheduled injections that have not fired yet. Wall-clock runtimes gate

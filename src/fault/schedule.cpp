@@ -51,6 +51,10 @@ FaultSchedule FaultSchedule::compile(const sim::FaultPlan& plan,
 FaultSchedule FaultSchedule::remapped(std::uint32_t id_offset) const {
   FaultSchedule shifted = *this;
   if (id_offset == 0) return shifted;
+  shifted.population += id_offset;
+  if (!shifted.join_times.empty()) {
+    shifted.join_times.insert(shifted.join_times.begin(), id_offset, 0.0);
+  }
   for (CrashAt& c : shifted.crashes) c.node += id_offset;
   for (ReviveAt& r : shifted.revives) r.node += id_offset;
   for (sim::Partition& p : shifted.partitions) {

@@ -12,7 +12,7 @@
 // capability surface in driver.hpp to replay it.
 //
 // Substrates whose network ids differ from protocol ids (the centralized
-// baseline inserts the manager at network id 0) use remapped() instead of
+// baseline inserts the manager at network id 0) replay remapped() instead of
 // hand-shifting every spec.
 #pragma once
 
@@ -60,10 +60,11 @@ struct FaultSchedule {
                                              std::uint32_t min_workers);
 
   /// The same schedule expressed against network ids shifted up by
-  /// `id_offset` (infrastructure nodes occupy [0, id_offset); they share
-  /// partition group with protocol node 0 and are never crashed by a plan).
-  /// join_times stay per-protocol-member — late-join semantics belong to the
-  /// members, not the infrastructure.
+  /// `id_offset`, self-consistent for a FaultDriver: infrastructure nodes
+  /// occupy [0, id_offset), join at t=0, share partition group with protocol
+  /// node 0 and are never crashed by a plan; the population grows by the
+  /// offset, and join_times (if any) gain the infrastructure's entries in
+  /// front.
   [[nodiscard]] FaultSchedule remapped(std::uint32_t id_offset) const;
 
   [[nodiscard]] bool empty() const {

@@ -715,13 +715,13 @@ RtResult RtCluster::run() {
     // holds the run open, else the configured fault would silently never
     // happen.
     std::unique_lock lock(done_mutex_);
-    result.timed_out = !done_cv_.wait_for(
+    result.hit_time_limit = !done_cv_.wait_for(
         lock, std::chrono::duration<double>(config_.wall_timeout), [this] {
           return live_halted_ >= live_count_ &&
                  driver_->pending_injections() == 0;
         });
   }
-  result.wall_seconds = now_wall();
+  result.makespan = now_wall();
 
   // Shut everything down. The scheduler stops first — a late injection
   // dispatched during teardown could otherwise spawn a fresh incarnation
@@ -771,7 +771,7 @@ RtResult RtCluster::run() {
   result.net.messages_partitioned = net_partitioned_.load();
   result.net.bytes_sent = net_bytes_sent_.load();
   result.net.bytes_delivered = net_bytes_delivered_.load();
-  result.net.decode_errors = net_decode_errors_.load();
+  result.decode_errors = net_decode_errors_.load();
   return result;
 }
 

@@ -37,6 +37,7 @@
 #include "core/worker.hpp"
 #include "fault/schedule.hpp"
 #include "sim/network.hpp"
+#include "sim/outcome.hpp"
 
 namespace ftbb::rt {
 
@@ -63,34 +64,22 @@ struct RtConfig {
   core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
-/// Transport counters (the rt analogue of sim::Network::Stats).
-struct RtNetStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_lost = 0;        // random loss (base + windowed rules)
-  std::uint64_t messages_partitioned = 0; // dropped at a partition
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
+/// The makespan is in wall seconds, and hit_time_limit means the wall
+/// timeout was hit; `net` counts the in-process transport exactly where the
+/// simulated Network counts (delivered at arrival, before epoch guards).
+struct RtResult : sim::RunOutcome {
+  bool all_live_halted = false;
   /// Frames that arrived but failed FrameCodec::decode (corrupt, truncated,
   /// unknown version...). The transport drops them — a decode failure is a
   /// recoverable network event, never a crash. Zero on a healthy run.
   std::uint64_t decode_errors = 0;
-};
-
-struct RtResult {
-  bool all_live_halted = false;
-  bool timed_out = false;
-  bool solution_found = false;
-  double solution = bnb::kInfinity;
-  double wall_seconds = 0.0;
   /// Per member, merged across every incarnation (crashed incarnations'
   /// spend included), mirroring SimCluster's per-incarnation merge.
   std::vector<core::WorkerStats> workers;
-  /// Per-member work ledgers (all incarnations folded, member order) and
-  /// their member-order aggregate. Real threads make the *values*
+  /// Per-member work ledgers (all incarnations folded, member order); `work`
+  /// is their member-order aggregate. Real threads make the *values*
   /// nondeterministic run to run; the composition mirrors SimCluster's.
   std::vector<core::WorkLedger> worker_ledgers;
-  core::WorkLedger work;
   std::vector<bool> crashed;  // ever crash-injected
   std::vector<std::uint32_t> incarnations_per_worker;
   /// Per member: incarnations that opened a v1 report delta chain (sent at
@@ -103,11 +92,6 @@ struct RtResult {
   /// incarnations, i.e. churn never leaks a thread.
   std::uint32_t incarnations = 0;
   std::uint32_t reaped = 0;
-  /// Redundant-work accounting over all incarnations (total - unique).
-  std::uint64_t total_expanded = 0;
-  std::uint64_t unique_expanded = 0;
-  std::uint64_t redundant_expansions = 0;
-  RtNetStats net;
 };
 
 class Cluster {

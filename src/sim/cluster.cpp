@@ -586,7 +586,9 @@ ClusterResult SimCluster::collect() {
     res.work.add(res.worker_ledgers.back());
     res.crashed.push_back(!host->alive());
     res.incumbents.push_back(w.incumbent());
-    if (host->alive()) {
+    // A member that never started (its join was abandoned at the horizon)
+    // is not part of the live set the run waits for.
+    if (host->alive() && host->started()) {
       ++live_total;
       if (w.halted()) {
         ++live_halted;

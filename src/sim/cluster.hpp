@@ -34,6 +34,7 @@
 #include "fault/driver.hpp"
 #include "sim/kernel.hpp"
 #include "sim/network.hpp"
+#include "sim/outcome.hpp"
 #include "trace/timeline.hpp"
 
 namespace ftbb::sim {
@@ -127,16 +128,16 @@ struct WireStats {
   }
 };
 
-struct ClusterResult {
+/// The makespan is the halt instant of the last live worker; the ledger
+/// (`work`) sums the per-worker ledgers in host-id order, with the
+/// redundant-work fields filled from the canonical-order expansion merge, so
+/// it is bit-identical sequential vs sharded.
+struct ClusterResult : RunOutcome {
   // -- outcome --
   bool all_live_halted = false;
-  bool hit_time_limit = false;
   bool hit_event_limit = false;
   std::uint64_t kernel_events = 0;  // discrete events the kernel dispatched
-  double makespan = 0.0;         // halt instant of the last live worker
   double first_detection = 0.0;  // earliest termination detection
-  double solution = bnb::kInfinity;
-  bool solution_found = false;
 
   // -- per worker --
   std::vector<core::WorkerStats> workers;
@@ -151,17 +152,8 @@ struct ClusterResult {
 
   // -- aggregates over live + crashed workers --
   double total_time[core::kCostKinds] = {0, 0, 0, 0, 0};
-  std::uint64_t total_expanded = 0;
-  std::uint64_t unique_expanded = 0;
-  std::uint64_t redundant_expansions = 0;  // total - unique
-  double redundant_cost = 0.0;             // virtual seconds spent re-expanding
   std::uint64_t total_completions = 0;
   std::uint64_t total_report_codes = 0;    // compression numerator
-
-  /// Cluster-wide work-mix ledger: per-worker ledgers summed in host-id
-  /// order, redundant-work fields filled from the canonical-order expansion
-  /// merge. Bit-identical sequential vs sharded.
-  core::WorkLedger work;
 
   // -- storage (Table 1) --
   std::size_t peak_table_bytes_total = 0;   // sum of all live tables at peak
@@ -169,7 +161,6 @@ struct ClusterResult {
   std::size_t final_table_bytes_total = 0;
 
   // -- network --
-  Network::Stats net;
   WireStats wire;
   /// Per worker: report delta streams opened, i.e. incarnations that encoded
   /// at least one report/gossip batch under kV1. A worker that crashed

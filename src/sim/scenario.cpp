@@ -48,8 +48,14 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-void fill_common(ScenarioReport& report, const ScenarioSpec& spec,
-                 const fault::FaultSchedule& schedule, const Workload& workload) {
+/// Fills the report from the spec, the compiled schedule, the workload and
+/// the outcome core every backend returns. `completed` is the backend's own
+/// completion flag.
+ScenarioReport make_report(const ScenarioSpec& spec,
+                           const fault::FaultSchedule& schedule,
+                           const Workload& workload, const RunOutcome& outcome,
+                           bool completed) {
+  ScenarioReport report;
   report.scenario = spec.name;
   report.backend = to_string(spec.backend);
   report.workload = workload.name;
@@ -62,21 +68,25 @@ void fill_common(ScenarioReport& report, const ScenarioSpec& spec,
     report.optimum_known = true;
     report.optimum = *opt;
   }
-}
-
-void fill_net(ScenarioReport& report, const Network::Stats& net) {
-  report.messages_sent = net.messages_sent;
-  report.messages_delivered = net.messages_delivered;
-  report.messages_lost = net.messages_lost;
-  report.messages_partitioned = net.messages_partitioned;
-  report.bytes_sent = net.bytes_sent;
-  report.bytes_delivered = net.bytes_delivered;
-}
-
-void finish(ScenarioReport& report) {
-  report.optimum_matched = report.completed && report.solution_found &&
+  report.completed = completed;
+  report.solution_found = outcome.solution_found;
+  report.solution = outcome.solution_found ? outcome.solution : 0.0;
+  report.optimum_matched = completed && outcome.solution_found &&
                            report.optimum_known &&
                            report.solution == report.optimum;
+  report.makespan = outcome.makespan;
+  report.total_expanded = outcome.total_expanded;
+  report.unique_expanded = outcome.unique_expanded;
+  report.redundant_expansions = outcome.redundant_expansions;
+  report.redundant_cost = outcome.redundant_cost;
+  report.messages_sent = outcome.net.messages_sent;
+  report.messages_delivered = outcome.net.messages_delivered;
+  report.messages_lost = outcome.net.messages_lost;
+  report.messages_partitioned = outcome.net.messages_partitioned;
+  report.bytes_sent = outcome.net.bytes_sent;
+  report.bytes_delivered = outcome.net.bytes_delivered;
+  report.work_mix = outcome.work;
+  return report;
 }
 
 ScenarioReport run_ftbb(const ScenarioSpec& spec,
@@ -101,99 +111,33 @@ ScenarioReport run_ftbb(const ScenarioSpec& spec,
   cfg.join_times = schedule.join_times;
 
   const ClusterResult res = SimCluster::run(*workload.model, cfg);
-
-  ScenarioReport report;
-  fill_common(report, spec, schedule, workload);
-  report.completed = res.all_live_halted;
-  report.solution_found = res.solution_found;
-  report.solution = res.solution_found ? res.solution : 0.0;
-  report.makespan = res.makespan;
-  report.total_expanded = res.total_expanded;
-  report.unique_expanded = res.unique_expanded;
-  report.redundant_expansions = res.redundant_expansions;
-  report.redundant_cost = res.redundant_cost;
-  report.work_mix = res.work;
-  fill_net(report, res.net);
-  finish(report);
-  return report;
+  return make_report(spec, schedule, workload, res, res.all_live_halted);
 }
 
 ScenarioReport run_central(const ScenarioSpec& spec,
                            const fault::FaultSchedule& schedule,
                            const Workload& workload) {
+  central::CentralConfig cfg = spec.central;
+  cfg.sim_threads = spec.sim_threads;
+  if (spec.wire.has_value()) cfg.wire = *spec.wire;
   // Network ids shift by one: node 0 is the manager, protocol node i is
   // worker i+1. The manager shares a partition group with protocol node 0.
-  const fault::FaultSchedule shifted = schedule.remapped(1);
-  central::CentralFaults faults;
-  for (const fault::CrashAt& c : shifted.crashes) {
-    faults.crashes.push_back(central::CentralCrash{c.node, c.time});
-  }
-  for (const fault::ReviveAt& r : shifted.revives) {
-    faults.rejoins.push_back(central::CentralCrash{r.node, r.time});
-  }
-  faults.partitions = shifted.partitions;
-  faults.worker_join_times = schedule.join_times;  // per protocol worker
-  NetConfig net = spec.net;
-  for (const LossRule& rule : shifted.loss_rules) net.loss_rules.push_back(rule);
-
-  central::CentralConfig central_cfg = spec.central;
-  central_cfg.sim_threads = spec.sim_threads;
-  if (spec.wire.has_value()) central_cfg.wire = *spec.wire;
-  const central::CentralResult res =
-      central::CentralSim::run_with_faults(*workload.model, schedule.population,
-                                           central_cfg, net, faults,
-                                           spec.time_limit, spec.seed);
-
-  ScenarioReport report;
-  fill_common(report, spec, schedule, workload);
-  report.completed = res.completed;
-  report.solution_found = res.solution_found;
-  report.solution = res.solution_found ? res.solution : 0.0;
-  report.makespan = res.makespan;
-  report.total_expanded = res.total_expanded;
-  report.unique_expanded = res.unique_expanded;
-  report.redundant_expansions = res.redundant_expansions;
-  report.work_mix = res.work;
-  fill_net(report, res.net);
-  finish(report);
-  return report;
+  const central::CentralResult res = central::CentralSim::run(
+      *workload.model, schedule.population, cfg, spec.net, schedule.remapped(1),
+      spec.time_limit, spec.seed);
+  return make_report(spec, schedule, workload, res, res.completed);
 }
 
 ScenarioReport run_dib(const ScenarioSpec& spec,
                        const fault::FaultSchedule& schedule,
                        const Workload& workload) {
-  dib::DibFaults faults;
-  for (const fault::CrashAt& c : schedule.crashes) {
-    faults.crashes.push_back(dib::DibCrash{c.node, c.time});
-  }
-  for (const fault::ReviveAt& r : schedule.revives) {
-    faults.rejoins.push_back(dib::DibCrash{r.node, r.time});
-  }
-  faults.partitions = schedule.partitions;
-  faults.join_times = schedule.join_times;
-  NetConfig net = spec.net;
-  for (const LossRule& rule : schedule.loss_rules) net.loss_rules.push_back(rule);
-
-  dib::DibConfig dib_cfg = spec.dib;
-  dib_cfg.sim_threads = spec.sim_threads;
-  if (spec.wire.has_value()) dib_cfg.wire = *spec.wire;
+  dib::DibConfig cfg = spec.dib;
+  cfg.sim_threads = spec.sim_threads;
+  if (spec.wire.has_value()) cfg.wire = *spec.wire;
   const dib::DibResult res =
-      dib::DibSim::run_with_faults(*workload.model, schedule.population, dib_cfg,
-                                   net, faults, spec.time_limit, spec.seed);
-
-  ScenarioReport report;
-  fill_common(report, spec, schedule, workload);
-  report.completed = res.completed;
-  report.solution_found = res.solution_found;
-  report.solution = res.solution_found ? res.solution : 0.0;
-  report.makespan = res.makespan;
-  report.total_expanded = res.total_expanded;
-  report.unique_expanded = res.unique_expanded;
-  report.redundant_expansions = res.redundant_expansions;
-  report.work_mix = res.work;
-  fill_net(report, res.net);
-  finish(report);
-  return report;
+      dib::DibSim::run(*workload.model, schedule.population, cfg, spec.net,
+                       schedule, spec.time_limit, spec.seed);
+  return make_report(spec, schedule, workload, res, res.completed);
 }
 
 ScenarioReport run_rt(const ScenarioSpec& spec,
@@ -209,26 +153,10 @@ ScenarioReport run_rt(const ScenarioSpec& spec,
   cfg.faults = schedule;
   if (spec.wire.has_value()) cfg.wire = *spec.wire;
 
+  // The makespan is in wall seconds, not virtual time.
   const rt::RtResult res = rt::Cluster::run(*workload.model, cfg);
-
-  ScenarioReport report;
-  fill_common(report, spec, schedule, workload);
-  report.completed = res.all_live_halted && !res.timed_out;
-  report.solution_found = res.solution_found;
-  report.solution = res.solution_found ? res.solution : 0.0;
-  report.makespan = res.wall_seconds;  // wall seconds, not virtual time
-  report.total_expanded = res.total_expanded;
-  report.unique_expanded = res.unique_expanded;
-  report.redundant_expansions = res.redundant_expansions;
-  report.work_mix = res.work;
-  report.messages_sent = res.net.messages_sent;
-  report.messages_delivered = res.net.messages_delivered;
-  report.messages_lost = res.net.messages_lost;
-  report.messages_partitioned = res.net.messages_partitioned;
-  report.bytes_sent = res.net.bytes_sent;
-  report.bytes_delivered = res.net.bytes_delivered;
-  finish(report);
-  return report;
+  return make_report(spec, schedule, workload, res,
+                     res.all_live_halted && !res.hit_time_limit);
 }
 
 }  // namespace

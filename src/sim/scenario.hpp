@@ -2,11 +2,13 @@
 //
 // ScenarioRunner is the single entry point the test suite, the benches, and
 // the CLI use to drive an end-to-end run under adversity: it builds the
-// requested workload (knapsack / vertex cover / number partition / synthetic
-// basic tree), translates a backend-neutral FaultPlan into the primitives of
+// requested workload (one of the seven WorkloadKinds below), compiles the
+// backend-neutral FaultPlan once into a fault::FaultSchedule, and runs it on
 // the chosen backend (the paper's decentralized protocol, the centralized
-// manager/worker baseline, or the DIB baseline), runs the simulation to
-// termination, and emits a structured ScenarioReport.
+// manager/worker baseline, the DIB baseline, or the protocol on the rt
+// runtime). Every backend replays the schedule through its own
+// fault::FaultDriver and returns a result built on the shared RunOutcome
+// core, from which the runner fills a structured ScenarioReport.
 //
 // Reproducibility contract: everything in the spec is deterministic, so the
 // same spec (including its seed) produces a bit-identical report —
@@ -172,7 +174,7 @@ struct ScenarioReport {
 
 class ScenarioRunner {
  public:
-  /// Builds the workload, translates the fault plan, runs the backend to
+  /// Builds the workload, compiles the fault plan, runs the backend to
   /// termination (or the time limit), and reports.
   static ScenarioReport run(const ScenarioSpec& spec);
 };

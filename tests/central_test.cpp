@@ -19,6 +19,13 @@ BasicTree test_tree(std::uint64_t seed, std::uint64_t nodes = 601) {
   return BasicTree::random(cfg);
 }
 
+/// A crash of network node `node` at `time`; node 0 is the manager.
+fault::FaultSchedule crash_at(std::uint32_t node, double time) {
+  fault::FaultSchedule schedule;
+  schedule.crashes.push_back(fault::CrashAt{node, time});
+  return schedule;
+}
+
 CentralConfig fast_config() {
   CentralConfig cfg;
   cfg.batch_size = 4;
@@ -61,7 +68,7 @@ TEST(Central, SurvivesWorkerCrashByReissue) {
   ASSERT_TRUE(baseline.completed);
   const CentralResult res =
       CentralSim::run(problem, 4, fast_config(), {},
-                      {{2, baseline.makespan * 0.4}}, 240.0, 3);
+                      crash_at(2, baseline.makespan * 0.4), 240.0, 3);
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
 }
@@ -74,7 +81,7 @@ TEST(Central, ManagerCrashWithoutCheckpointingIsFatal) {
   ASSERT_TRUE(baseline.completed);
   const CentralResult res =
       CentralSim::run(problem, 3, fast_config(), {},
-                      {{0, baseline.makespan * 0.3}}, 20.0, 4);
+                      crash_at(0, baseline.makespan * 0.3), 20.0, 4);
   EXPECT_FALSE(res.completed);
 }
 
@@ -87,7 +94,7 @@ TEST(Central, ManagerCrashWithCheckpointingRecovers) {
       CentralSim::run(problem, 3, cfg, {}, {}, 120.0, 5);
   ASSERT_TRUE(baseline.completed);
   const CentralResult res = CentralSim::run(
-      problem, 3, cfg, {}, {{0, baseline.makespan * 0.5}}, 240.0, 5);
+      problem, 3, cfg, {}, crash_at(0, baseline.makespan * 0.5), 240.0, 5);
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_EQ(res.manager_restarts, 1u);

@@ -22,6 +22,12 @@ BasicTree test_tree(std::uint64_t seed, std::uint64_t nodes = 601) {
   return BasicTree::random(cfg);
 }
 
+fault::FaultSchedule crash_at(std::uint32_t machine, double time) {
+  fault::FaultSchedule schedule;
+  schedule.crashes.push_back(fault::CrashAt{machine, time});
+  return schedule;
+}
+
 DibConfig fast_config() {
   DibConfig cfg;
   cfg.work_request_timeout = 0.02;
@@ -80,7 +86,7 @@ TEST(Dib, SurvivesNonRootFailureByDonorRedo) {
       DibSim::run(problem, 4, fast_config(), {}, {}, 120.0, 5);
   ASSERT_TRUE(baseline.completed);
   const DibResult res = DibSim::run(problem, 4, fast_config(), {},
-                                    {{2, baseline.makespan * 0.5}}, 240.0, 5);
+                                    crash_at(2, baseline.makespan * 0.5), 240.0, 5);
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   // The donor redid work: either explicit redos or duplicated expansions.
@@ -97,7 +103,7 @@ TEST(Dib, RootFailureIsFatal) {
       DibSim::run(problem, 3, fast_config(), {}, {}, 120.0, 6);
   ASSERT_TRUE(baseline.completed);
   const DibResult res = DibSim::run(problem, 3, fast_config(), {},
-                                    {{0, baseline.makespan * 0.3}}, 20.0, 6);
+                                    crash_at(0, baseline.makespan * 0.3), 20.0, 6);
   EXPECT_FALSE(res.completed);
 }
 
@@ -111,7 +117,7 @@ TEST(Dib, FailureAmplification) {
       DibSim::run(problem, 5, fast_config(), {}, {}, 240.0, 8);
   ASSERT_TRUE(baseline.completed);
   const DibResult res = DibSim::run(problem, 5, fast_config(), {},
-                                    {{1, baseline.makespan * 0.5}}, 480.0, 8);
+                                    crash_at(1, baseline.makespan * 0.5), 480.0, 8);
   ASSERT_TRUE(res.completed);
   EXPECT_GT(res.total_expanded, baseline.total_expanded);
 }

@@ -88,7 +88,7 @@ TEST(FaultSchedule, CompileResolvesPopulationAndJoins) {
   EXPECT_FALSE(schedule.timeline.empty());
 }
 
-TEST(FaultSchedule, RemappedShiftsNetworkIdsButNotJoinTimes) {
+TEST(FaultSchedule, RemapsNetworkIds) {
   FaultPlan plan;
   plan.crash(1, 0.1).rejoin(1, 0.2);
   plan.link_loss(0, 2, 0.0, 1.0, 0.5);
@@ -106,8 +106,36 @@ TEST(FaultSchedule, RemappedShiftsNetworkIdsButNotJoinTimes) {
   EXPECT_EQ(shifted.loss_rules[1].to, sim::LossRule::kAnyNode);
   // The infrastructure node shares protocol node 0's partition group.
   EXPECT_EQ(shifted.partitions[0].group_of, (std::vector<int>{0, 0, 1, 1}));
-  // join_times stay per-protocol-member.
-  EXPECT_EQ(shifted.join_times, schedule.join_times);
+  // The population grows by the offset, and the infrastructure node joins
+  // at t=0 in front of the members' own join times.
+  EXPECT_EQ(shifted.population, schedule.population + 1);
+  ASSERT_EQ(shifted.join_times.size(), schedule.join_times.size() + 1);
+  EXPECT_EQ(shifted.join_times[0], 0.0);
+  EXPECT_EQ(std::vector<double>(shifted.join_times.begin() + 1,
+                                shifted.join_times.end()),
+            schedule.join_times);
+}
+
+TEST(FaultDriver, ReplaysARemappedScheduleUpToTheLastProtocolNode) {
+  // The centralized baseline replays remapped(1): a crash and a revive of
+  // the last protocol node land on the last network node, and the manager
+  // (network node 0) joins at t=0 with everyone else.
+  FaultPlan plan;
+  plan.churn(2, 1, 0.05, 0.0).bounce(2, 0.1, 0.2);
+  const FaultSchedule shifted = FaultSchedule::compile(plan, 2).remapped(1);
+
+  RecordingBackend backend;
+  ManualClock clock;
+  FaultDriver driver(shifted, &backend, &clock);
+  driver.arm(100.0);
+  EXPECT_EQ(driver.pending_injections(), 6u);  // crash, revive, 4 joins
+  clock.fire_all_due(0.05);
+  clock.fire_all_due(0.1);
+  clock.fire_all_due(0.2);
+  EXPECT_EQ(driver.pending_injections(), 0u);
+  EXPECT_EQ(backend.calls,
+            (std::vector<std::string>{"join 0", "join 1", "join 2", "join 3",
+                                      "crash 3", "revive 3"}));
 }
 
 TEST(FaultDriver, ArmsInCanonicalOrderAndGatesOnPendingInjections) {

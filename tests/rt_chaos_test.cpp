@@ -90,7 +90,7 @@ TEST(RtChaos, RandomizedChurnSoakFindsOptimumAndReapsEveryIncarnation) {
 
     const RtResult res = Cluster::run(problem, cfg);
 
-    EXPECT_FALSE(res.timed_out) << "seed " << seed;
+    EXPECT_FALSE(res.hit_time_limit) << "seed " << seed;
     ASSERT_TRUE(res.all_live_halted) << "seed " << seed;
     EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value()) << "seed " << seed;
 
@@ -137,7 +137,7 @@ TEST(RtChaos, LongPartitionWithLossStillConverges) {
   cfg.faults = fault::FaultSchedule::compile(plan, cfg.workers);
 
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_EQ(res.reaped, res.incarnations);

@@ -43,7 +43,7 @@ TEST(Rt, SingleThreadSolves) {
   const BasicTree tree = tiny_tree(1, 201);
   TreeProblem problem(&tree);
   const RtResult res = Cluster::run(problem, fast_config(1, 1));
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
 }
@@ -52,7 +52,7 @@ TEST(Rt, FourThreadsSolveTree) {
   const BasicTree tree = tiny_tree(2);
   TreeProblem problem(&tree);
   const RtResult res = Cluster::run(problem, fast_config(4, 2));
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_GT(res.net.messages_delivered, 0u);
@@ -76,7 +76,7 @@ TEST(Rt, SurvivesWorkerCrashes) {
   // Kill two workers early, while work is still spreading.
   cfg.faults.crashes = {{1, 0.01}, {3, 0.02}};
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_TRUE(res.crashed[1]);
@@ -90,7 +90,7 @@ TEST(Rt, SurvivesMessageLoss) {
   RtConfig cfg = fast_config(3, 5);
   cfg.net.loss_prob = 0.1;
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
 }
@@ -102,7 +102,7 @@ TEST(Rt, LatencyDelaysDoNotBreakCorrectness) {
   cfg.net.latency_fixed = 0.002;
   cfg.net.latency_per_byte = 1e-7;
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
 }
@@ -118,7 +118,7 @@ TEST(Rt, CrashedWorkerRejoinsAsFreshIncarnation) {
   cfg.faults.crashes = {{1, 0.02}};
   cfg.faults.revives = {{1, 0.12}};
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_TRUE(res.crashed[1]);
@@ -136,7 +136,7 @@ TEST(Rt, ChurnArrivalsJoinLate) {
   plan.churn(2, 2, 0.02, 0.03);
   cfg.faults = fault::FaultSchedule::compile(plan, cfg.workers);
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   ASSERT_EQ(res.workers.size(), 4u);  // population grew to 4
@@ -152,7 +152,7 @@ TEST(Rt, WindowedLinkLossAndPartitionReplay) {
   plan.split_halves(0.02, 0.1);
   cfg.faults = fault::FaultSchedule::compile(plan, cfg.workers);
   const RtResult res = Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
 }

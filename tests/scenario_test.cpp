@@ -211,6 +211,36 @@ TEST(Scenario, CrashedWorkForcesRedundantExpansion) {
             report.total_expanded - report.unique_expanded);
 }
 
+TEST(Scenario, CrashAtTheJoinInstantMatchesAJoinPastTheHorizon) {
+  // A crash at a member's own join instant lands first, so the member never
+  // joins: the run must match one whose member joins past the horizon and is
+  // abandoned. DIB is left out: its machines answer work requests before
+  // they join, because running() ignores membership.
+  for (const Backend backend : {Backend::kFtbb, Backend::kCentral}) {
+    ScenarioSpec crashed = base_spec("join-instant", backend, 37);
+    crashed.workers = 3;
+    crashed.faults.churn(3, 1, 0.05, 0.0).crash(3, 0.05);
+    ScenarioSpec abandoned = crashed;
+    abandoned.faults = FaultPlan{};
+    abandoned.faults.churn(3, 1, crashed.time_limit + 1.0, 0.0);
+    const ScenarioReport a = ScenarioRunner::run(crashed);
+    const ScenarioReport b = ScenarioRunner::run(abandoned);
+    expect_solved(a);
+    EXPECT_EQ(a.workers, b.workers);
+    EXPECT_EQ(a.completed, b.completed) << b.to_string();
+    EXPECT_EQ(a.solution_found, b.solution_found);
+    EXPECT_EQ(a.solution, b.solution);
+    EXPECT_EQ(a.makespan, b.makespan) << a.to_string() << b.to_string();
+    EXPECT_EQ(a.total_expanded, b.total_expanded);
+    EXPECT_EQ(a.unique_expanded, b.unique_expanded);
+    EXPECT_EQ(a.redundant_expansions, b.redundant_expansions);
+    EXPECT_EQ(a.messages_sent, b.messages_sent) << to_string(backend);
+    EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+    EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+  }
+}
+
 TEST(Scenario, DifferentSeedsProduceDifferentFingerprints) {
   ScenarioSpec spec_a = base_spec("seed-sensitivity", Backend::kFtbb, 51);
   ScenarioSpec spec_b = base_spec("seed-sensitivity", Backend::kFtbb, 52);
@@ -241,11 +271,50 @@ TEST(Scenario, ReportCarriesTimelineAndDescribe) {
 // Named fault-plan corpus: golden fingerprints + executor equality
 // ---------------------------------------------------------------------------
 
+/// The same spec replayed on the two baselines: pinned ScenarioReport and
+/// work-mix fingerprints (the work mix is excluded from the report's own).
+struct BaselineGoldens {
+  std::uint64_t central_report;
+  std::uint64_t central_work_mix;
+  std::uint64_t dib_report;
+  std::uint64_t dib_work_mix;
+};
+
+/// Runs `spec` on the central and DIB backends at 1, 2 and 4 sim threads
+/// and checks every report against `goldens`.
+void expect_baseline_goldens(const ScenarioSpec& spec,
+                             const BaselineGoldens& goldens) {
+  const struct {
+    Backend backend;
+    std::uint64_t report;
+    std::uint64_t work_mix;
+  } legs[] = {{Backend::kCentral, goldens.central_report, goldens.central_work_mix},
+              {Backend::kDib, goldens.dib_report, goldens.dib_work_mix}};
+  for (const auto& leg : legs) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      ScenarioSpec swapped = spec;
+      swapped.backend = leg.backend;
+      swapped.sim_threads = threads;
+      const ScenarioReport report = ScenarioRunner::run(swapped);
+      ASSERT_TRUE(report.work_mix.has_value());
+      EXPECT_EQ(report.fingerprint(), leg.report)
+          << spec.name << " on " << to_string(leg.backend) << " with " << threads
+          << " threads: actual 0x" << std::hex << report.fingerprint() << "\n"
+          << report.to_string();
+      EXPECT_EQ(report.work_mix->fingerprint(), leg.work_mix)
+          << spec.name << " on " << to_string(leg.backend) << " with " << threads
+          << " threads: actual work mix 0x" << std::hex
+          << report.work_mix->fingerprint();
+    }
+  }
+}
+
 struct NamedPlanCase {
   const char* name;
   std::uint32_t workers;
   FaultPlan plan;
   std::uint64_t golden;  // pinned ScenarioReport fingerprint (see below)
+  BaselineGoldens baselines;
 };
 
 /// The corpus: one archetypal schedule per named factory, with fixed shape
@@ -257,22 +326,34 @@ std::vector<NamedPlanCase> named_plan_cases() {
   std::vector<NamedPlanCase> cases;
   cases.push_back({"flaky-link", 4,
                    FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
-                   0xbedd27688b2c6af2ULL});
+                   0xbedd27688b2c6af2ULL,
+                   {0x52c9574c3cb77f47ULL, 0xe0bc854f580aa917ULL,
+                    0xdd302378584e36ccULL, 0x64701ba28b1f5290ULL}});
   cases.push_back({"rolling-restart", 4,
                    FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
-                   0xeecdf5c085d9481bULL});
+                   0xeecdf5c085d9481bULL,
+                   {0x7119ed5f8c21175aULL, 0xb01e9dde2005e163ULL,
+                    0x9814bf18601238e6ULL, 0xb3ae81cc827796b7ULL}});
   cases.push_back({"flapping-partition", 4,
                    FaultPlan::flapping_partition(3, 0.04, 0.06, 0.05),
-                   0xd6ad87d9d9192decULL});
+                   0xd6ad87d9d9192decULL,
+                   {0x15bfee03799af23aULL, 0x4b08b58d17b069d0ULL,
+                    0xcbd01acda6c5f370ULL, 0x14bc3f82fb308afcULL}});
   cases.push_back({"adversarial-churn", 2,
                    FaultPlan::adversarial_churn(2, 3, 0.05, 0.05),
-                   0xd9ce2b9abc7d04bbULL});
+                   0xd9ce2b9abc7d04bbULL,
+                   {0x6ab457eef20ea0aaULL, 0xea6db6854f853fe5ULL,
+                    0x1ec22dfb03fa2efeULL, 0x9484ab0475176543ULL}});
   cases.push_back({"cascading-storm", 4,
                    FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
-                   0x3d0aa57af5be3356ULL});
+                   0x3d0aa57af5be3356ULL,
+                   {0x683d5eba2b54e2c7ULL, 0xa7baff291c47ede4ULL,
+                    0x7a2954fe9b22489cULL, 0x50634a5367e0d779ULL}});
   cases.push_back({"asymmetric-partition", 4,
                    FaultPlan::asymmetric_partition(1, 3, 0.04, 0.07, 0.05),
-                   0xdeff50c1d8aaf7e0ULL});
+                   0xdeff50c1d8aaf7e0ULL,
+                   {0xff120a4f3fbf9c9cULL, 0xb1179a075541db7aULL,
+                    0x96aca23bdb519c68ULL, 0x1f65706d2c7045d9ULL}});
   return cases;
 }
 
@@ -302,6 +383,12 @@ TEST(NamedPlans, ShardedExecutorReproducesEveryGolden) {
       EXPECT_EQ(report.fingerprint(), c.golden)
           << c.name << " with " << threads << " threads\n" << report.to_string();
     }
+  }
+}
+
+TEST(NamedPlans, BaselinesMatchGoldenFingerprintsAtEveryThreadCount) {
+  for (const NamedPlanCase& c : named_plan_cases()) {
+    expect_baseline_goldens(named_plan_spec(c), c.baselines);
   }
 }
 
@@ -337,6 +424,7 @@ struct PlanetaryCase {
   std::uint32_t workers;
   FaultPlan plan;
   std::uint64_t golden;  // pinned ScenarioReport fingerprint
+  BaselineGoldens baselines;
 };
 
 constexpr std::uint32_t kPlanetaryNodesPerRack = 4;
@@ -346,21 +434,29 @@ std::vector<PlanetaryCase> planetary_cases() {
   std::vector<PlanetaryCase> cases;
   cases.push_back({"planetary-churn", 8,
                    FaultPlan::planetary_churn(8, 5, 0.05, 0.04),
-                   0x7f242dcf9997bbd9ULL});
+                   0x7f242dcf9997bbd9ULL,
+                   {0xcb8a9b72686cc59eULL, 0x2038876551164b8cULL,
+                    0xa8aeff16bf01c71dULL, 0x28fe286105f9c094ULL}});
   cases.push_back({"rack-failures", 12,
                    FaultPlan::rack_failures(1, 2, kPlanetaryNodesPerRack, 0.05,
                                             0.04, 0.1),
-                   0x2fe602dd22a964abULL});
+                   0x2fe602dd22a964abULL,
+                   {0xca01fcbf71ad3f3eULL, 0x36aaa848e18f682cULL,
+                    0x257156016963a55bULL, 0x60f5d9010f46f128ULL}});
   cases.push_back({"cascading-partition", 24,
                    FaultPlan::cascading_partition(24, kPlanetaryNodesPerRack,
                                                   kPlanetaryRacksPerCampus,
                                                   0.04, 0.08, 0.04),
-                   0xa9ad8d7a8eb61ab5ULL});
+                   0xa9ad8d7a8eb61ab5ULL,
+                   {0xdef027b78d4718bfULL, 0xc48d69acd1d12ed4ULL,
+                    0xfe4e7101952d5b8eULL, 0x3a23ad48961a8e69ULL}});
   cases.push_back({"planetary-storm", 24,
                    FaultPlan::planetary_storm(24, kPlanetaryNodesPerRack,
                                               kPlanetaryRacksPerCampus, 0.05,
                                               0.05),
-                   0xad4d06cd043024abULL});
+                   0xad4d06cd043024abULL,
+                   {0xcfc4d716868fd1b8ULL, 0x06dcd2e7c1f45e0cULL,
+                    0x1f1d9d7e4996867dULL, 0xdd337e6099f58504ULL}});
   return cases;
 }
 
@@ -392,6 +488,12 @@ TEST(PlanetaryPlans, ShardedExecutorReproducesEveryGolden) {
       EXPECT_EQ(report.fingerprint(), c.golden)
           << c.name << " with " << threads << " threads\n" << report.to_string();
     }
+  }
+}
+
+TEST(PlanetaryPlans, BaselinesMatchGoldenFingerprintsAtEveryThreadCount) {
+  for (const PlanetaryCase& c : planetary_cases()) {
+    expect_baseline_goldens(planetary_spec(c), c.baselines);
   }
 }
 

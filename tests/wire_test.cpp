@@ -158,10 +158,10 @@ TEST(Wire, RtRevivedWorkerRestartsItsDeltaStream) {
   cfg.faults.revives = {{1, 0.12}};
 
   const rt::RtResult res = rt::Cluster::run(problem, cfg);
-  EXPECT_FALSE(res.timed_out);
+  EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
-  EXPECT_EQ(res.net.decode_errors, 0u);
+  EXPECT_EQ(res.decode_errors, 0u);
   ASSERT_EQ(res.report_streams_per_worker.size(), 4u);
   ASSERT_EQ(res.incarnations_per_worker.size(), 4u);
   EXPECT_GE(res.incarnations_per_worker[1], 2u);
