@@ -1,15 +1,12 @@
-// E16 — cost-model adaptivity: fixed vs per-knob adaptive (kEwma) vs the
-// cost-model controller (core/cost_model.hpp) on the E15 granularity setup.
+// E16 — cost-model adaptivity: the fixed policy vs the cost-model
+// controller (core/cost_model.hpp) on the E15 granularity setup.
 //
-// The per-knob kEwma scheme (PR-era adaptive_timeouts) fixes the spurious
-// failure-suspicion problem at coarse granularity (257 -> ~16 timeouts at
-// cost factor 10) but pays ~4 efficiency points for it, because it scales
-// *every* interval — including the message-priced report flush and idle
-// backoff, whose cost does not grow with node cost. The CostController
-// raises only the time-priced knob (the request timeout), keeps the
-// message-priced knobs at base, and sizes report batches and work grants
-// from the same EWMA. Target: efficiency within one point of the fixed
-// policy while timeouts stay within 2x of the kEwma scheme.
+// At coarse granularity the fixed request timeout misreads busy peers as
+// dead ones (257 timeouts at cost factor 10). The CostController raises only
+// the time-priced knob (the request timeout), keeps the message-priced knobs
+// (report flush, idle backoff) at base, and sizes report batches and work
+// grants from the same EWMA. Target: efficiency within one point of the
+// fixed policy with at most kMaxModelTimeouts timeouts.
 //
 // Also emits the work-mix ledger ratios (model vs fixed) used by CI's
 // regression check: `--baseline <file>` compares the measured metrics
@@ -38,6 +35,10 @@ struct PolicyRow {
   double redundant_share = 0.0;
   std::uint64_t retunes = 0;
 };
+
+/// Acceptance bound on the controller's timeouts at cost factor >= 10: the
+/// band `f10_model_timeouts 16 16` of bench/baselines/cost_smoke.txt.
+constexpr std::uint64_t kMaxModelTimeouts = 32;
 
 std::uint64_t sum_timeouts(const ftbb::sim::ClusterResult& res) {
   std::uint64_t n = 0;
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
       baseline = argv[i + 1];
     }
   }
-  std::printf("E16 / cost-model adaptivity: fixed vs kEwma vs CostController, "
+  std::printf("E16 / cost-model adaptivity: fixed vs CostController, "
               "8 processors%s\n\n", smoke ? " (smoke)" : "");
 
   const std::vector<double> factors =
@@ -117,27 +118,20 @@ int main(int argc, char** argv) {
     bnb::TreeProblem problem(&tree, /*honor_bounds=*/false);
     const double ideal = tree.total_cost() / 8.0;
 
-    auto run = [&](bool adaptive, bool model) {
+    auto run = [&](bool model) {
       sim::ClusterConfig cfg = bench::small_cluster_config(8, 23);
       cfg.time_limit = 3e6;
       cfg.worker.attempts_before_recovery = 1;  // eager timeout suspicion
-      cfg.worker.adaptive_timeouts = adaptive;
       cfg.worker.model_adaptivity = model;
       return sim::SimCluster::run(problem, cfg);
     };
-    struct Policy {
-      const char* name;
-      bool adaptive;
-      bool model;
-    };
-    constexpr Policy kPolicies[] = {
-        {"fixed", false, false}, {"kEwma", true, false}, {"model", false, true}};
     std::map<std::string, PolicyRow> by_policy;
-    for (const Policy& p : kPolicies) {
-      const sim::ClusterResult res = run(p.adaptive, p.model);
+    for (const bool model : {false, true}) {
+      const char* name = model ? "model" : "fixed";
+      const sim::ClusterResult res = run(model);
       PolicyRow row;
       row.factor = factor;
-      row.policy = p.name;
+      row.policy = name;
       row.timeouts = sum_timeouts(res);
       row.redundant = res.redundant_expansions;
       row.efficiency = res.all_live_halted ? ideal / res.makespan : -1.0;
@@ -150,8 +144,8 @@ int main(int argc, char** argv) {
                             static_cast<double>(res.total_expanded);
       row.retunes = res.work[core::WorkItem::kControllerRetunes];
       rows.push_back(row);
-      by_policy[p.name] = row;
-      table.row({support::TextTable::num(factor, 1), p.name,
+      by_policy[name] = row;
+      table.row({support::TextTable::num(factor, 1), name,
                  std::to_string(row.timeouts), std::to_string(row.redundant),
                  row.efficiency >= 0.0
                      ? support::TextTable::pct(row.efficiency, 1)
@@ -163,7 +157,6 @@ int main(int argc, char** argv) {
     // Work-mix regression metrics at each factor (keys carry the factor).
     char key[64];
     const PolicyRow& fixed = by_policy["fixed"];
-    const PolicyRow& ewma = by_policy["kEwma"];
     const PolicyRow& model = by_policy["model"];
     auto put = [&](const char* name, double v) {
       std::snprintf(key, sizeof(key), "f%g_%s", factor, name);
@@ -175,21 +168,20 @@ int main(int argc, char** argv) {
     put("model_expansion_ratio", model.expansions / fixed.expansions);
     put("model_bytes_per_node", model.bytes_per_node);
     put("model_redundant_share", model.redundant_share);
-    put("ewma_timeouts", static_cast<double>(ewma.timeouts));
 
-    // Acceptance (ISSUE PR 8): at coarse granularity the model policy keeps
-    // the efficiency of the fixed policy (within one point) while its
-    // timeout count stays within 2x of the kEwma scheme's.
+    // Acceptance: at coarse granularity the model policy keeps the
+    // efficiency of the fixed policy (within one point) with at most
+    // kMaxModelTimeouts request timeouts.
     if (factor >= 10.0) {
       const bool eff_ok = model.efficiency >= fixed.efficiency - 0.01;
-      const bool to_ok = model.timeouts <= 2 * (ewma.timeouts > 0 ? ewma.timeouts : 1);
+      const bool to_ok = model.timeouts <= kMaxModelTimeouts;
       if (!eff_ok || !to_ok) {
         std::printf("ACCEPTANCE FAILED at factor %.1f: model eff %.4f vs fixed "
-                    "%.4f (need within 0.01), model timeouts %llu vs kEwma "
-                    "%llu (need <= 2x)\n",
+                    "%.4f (need within 0.01), model timeouts %llu (need <= "
+                    "%llu)\n",
                     factor, model.efficiency, fixed.efficiency,
                     static_cast<unsigned long long>(model.timeouts),
-                    static_cast<unsigned long long>(ewma.timeouts));
+                    static_cast<unsigned long long>(kMaxModelTimeouts));
         acceptance_ok = false;
       }
     }

@@ -33,9 +33,6 @@ struct AdaptiveSample {
   std::uint64_t fixed_timeouts = 0;
   std::uint64_t fixed_redundant = 0;
   double fixed_efficiency = -1.0;  // -1: did not halt in the time limit
-  std::uint64_t adaptive_timeouts = 0;
-  std::uint64_t adaptive_redundant = 0;
-  double adaptive_efficiency = -1.0;
   std::uint64_t model_timeouts = 0;
   std::uint64_t model_redundant = 0;
   double model_efficiency = -1.0;
@@ -110,14 +107,12 @@ int main(int argc, char** argv) {
 
   // E15 extension: the paper's proposed remedy — "a flexible scheme for
   // adapting parameters to runtime informations, such as ... execution time
-  // per problem" (Section 7) — in its two implementations: the per-knob
-  // kEwma scheme (WorkerConfig::adaptive_timeouts) and the cost-model
-  // controller (WorkerConfig::model_adaptivity, core/cost_model.hpp).
+  // per problem" (Section 7) — as the cost-model controller
+  // (WorkerConfig::model_adaptivity, core/cost_model.hpp).
   std::printf("E15 / adaptive parameters (Section 7 future work): fixed vs\n"
-              "adaptive vs cost-model timeouts across the same granularity\n"
-              "sweep, with eager failure suspicion (1 attempt) to expose the risk\n");
+              "cost-model timeouts across the same granularity sweep, with\n"
+              "eager failure suspicion (1 attempt) to expose the risk\n");
   support::TextTable t2({"cost factor", "fixed: timeouts", "fixed: eff",
-                         "adaptive: timeouts", "adaptive: eff",
                          "model: timeouts", "model: eff"});
   for (const double factor : adaptive_factors) {
     bnb::RandomTreeConfig tree_cfg;
@@ -129,17 +124,15 @@ int main(int argc, char** argv) {
     bnb::TreeProblem problem(&tree, /*honor_bounds=*/false);
     const double ideal = tree.total_cost() / 8.0;
 
-    auto run = [&](bool adaptive, bool model) {
+    auto run = [&](bool model) {
       sim::ClusterConfig cfg = bench::small_cluster_config(8, 23);
       cfg.time_limit = 3e6;
       cfg.worker.attempts_before_recovery = 1;  // eager timeout suspicion
-      cfg.worker.adaptive_timeouts = adaptive;
       cfg.worker.model_adaptivity = model;
       return sim::SimCluster::run(problem, cfg);
     };
-    const sim::ClusterResult fixed = run(false, false);
-    const sim::ClusterResult adaptive = run(true, false);
-    const sim::ClusterResult model = run(false, true);
+    const sim::ClusterResult fixed = run(false);
+    const sim::ClusterResult model = run(true);
     auto timeouts = [](const sim::ClusterResult& res) {
       std::uint64_t n = 0;
       for (const auto& w : res.workers) n += w.request_timeouts;
@@ -150,25 +143,21 @@ int main(int argc, char** argv) {
     };
     adaptive_sweep.push_back(AdaptiveSample{
         factor, timeouts(fixed), fixed.redundant_expansions, eff(fixed),
-        timeouts(adaptive), adaptive.redundant_expansions, eff(adaptive),
         timeouts(model), model.redundant_expansions, eff(model)});
-    auto pct = [&](const sim::ClusterResult& res) {
+  auto pct = [&](const sim::ClusterResult& res) {
       return res.all_live_halted
                  ? support::TextTable::pct(ideal / res.makespan, 1)
                  : std::string("-");
     };
     t2.row({support::TextTable::num(factor, 1),
             std::to_string(timeouts(fixed)), pct(fixed),
-            std::to_string(timeouts(adaptive)), pct(adaptive),
             std::to_string(timeouts(model)), pct(model)});
   }
   std::printf("%s", t2.render().c_str());
   std::printf("\nexpected shape: with fixed fine-grained timeouts, coarse nodes make\n"
               "busy peers look dead -> spurious recovery -> redundant work; the\n"
-              "adaptive schemes scale their patience with the observed node cost.\n"
-              "The cost-model controller additionally keeps message-priced knobs\n"
-              "(backoff, flush) at base, recovering the efficiency the per-knob\n"
-              "scheme gives up.\n");
+              "cost-model controller scales its request timeout with the observed\n"
+              "node cost and keeps message-priced knobs (backoff, flush) at base.\n");
 
   FILE* json = bench::open_bench_json("BENCH_granularity.json", "granularity");
   if (json == nullptr) return 1;
@@ -184,22 +173,17 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.redundant),
                  i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"adaptive_timeouts\": [\n");
+  std::fprintf(json, "  ],\n  \"adaptive\": [\n");
   for (std::size_t i = 0; i < adaptive_sweep.size(); ++i) {
     const AdaptiveSample& s = adaptive_sweep[i];
     std::fprintf(json,
                  "    {\"cost_factor\": %.1f, \"fixed_timeouts\": %llu, "
                  "\"fixed_redundant\": %llu, \"fixed_efficiency\": %.4f, "
-                 "\"adaptive_timeouts\": %llu, \"adaptive_redundant\": %llu, "
-                 "\"adaptive_efficiency\": %.4f, "
                  "\"model_timeouts\": %llu, \"model_redundant\": %llu, "
                  "\"model_efficiency\": %.4f}%s\n",
                  s.factor, static_cast<unsigned long long>(s.fixed_timeouts),
                  static_cast<unsigned long long>(s.fixed_redundant),
                  s.fixed_efficiency,
-                 static_cast<unsigned long long>(s.adaptive_timeouts),
-                 static_cast<unsigned long long>(s.adaptive_redundant),
-                 s.adaptive_efficiency,
                  static_cast<unsigned long long>(s.model_timeouts),
                  static_cast<unsigned long long>(s.model_redundant),
                  s.model_efficiency,

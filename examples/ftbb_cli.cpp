@@ -6,7 +6,7 @@
 //            [--crash FRACTION ...]   kill one worker at FRACTION of the
 //                                     failure-free makespan (repeatable)
 //            [--loss P]               i.i.d. message loss probability
-//            [--adaptive]             adaptive timeouts (Section 7)
+//            [--adaptive]             cost-model adaptivity (Section 7)
 //            [--trace]                print the activity timeline
 //
 // Example: ./ftbb_cli --problem partition --workers 6 --crash 0.4 --crash 0.6
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   cfg.worker.table_gossip_interval = 0.5;
   cfg.worker.work_request_timeout = 0.02;
   cfg.worker.idle_backoff = 0.01;
-  cfg.worker.adaptive_timeouts = opt.adaptive;
+  cfg.worker.model_adaptivity = opt.adaptive;
   cfg.net.loss_prob = opt.loss;
   cfg.record_trace = opt.trace;
   cfg.time_limit = 1e5;

@@ -13,8 +13,8 @@
 // CostController turns the observed per-node expansion cost (EWMA-smoothed,
 // with a hysteresis band so cheap subtrees don't thrash the outputs) into
 // the worker's adaptivity knobs. The deliberate asymmetry against the
-// PR-era `adaptive_timeouts` scheme: node cost prices *waiting for a busy
-// peer*, not messaging. So the controller raises only the request timeout
+// per-knob EWMA scheme it replaced (every waiting parameter scaled with node
+// cost): node cost prices *waiting for a busy peer*, not messaging. So the controller raises only the request timeout
 // (a busy peer answers at its next step boundary, one node away), keeps the
 // idle backoff and report flush at their configured base (polling cadence
 // and knowledge spread are message-priced, and messages did not get more
@@ -176,8 +176,8 @@ class CostController {
     return base_timeout_ + cfg_.timeout_safety * tuned_ewma_;
   }
   /// Deliberately the base value: backoff paces polling, and polling is
-  /// message-priced. Scaling it with node cost is exactly where the PR-era
-  /// scheme lost its efficiency.
+  /// message-priced. Scaling it with node cost is exactly where the per-knob
+  /// EWMA scheme lost its efficiency.
   [[nodiscard]] double backoff() const { return base_backoff_; }
   /// Deliberately the base value, same reasoning as backoff().
   [[nodiscard]] double flush_interval() const { return base_flush_; }

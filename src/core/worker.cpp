@@ -122,7 +122,6 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
   const bnb::NodeEval eval = model_->eval(p.code);
   env_->charge(CostKind::kBB, eval.cost);
   env_->note_expansion(p.code, eval.cost);
-  observe_cost(eval.cost);
   controller_.observe(eval.cost);
   ++stats_.expanded;
 
@@ -359,42 +358,23 @@ void BnbWorker::enter_backoff(std::uint32_t steps) {
                   effective_backoff() * static_cast<double>(steps), ++backoff_gen_);
 }
 
-void BnbWorker::observe_cost(double cost) {
-  if (cost <= 0.0) return;
-  if (cost_ewma_ == 0.0) {
-    cost_ewma_ = cost;
-  } else {
-    cost_ewma_ += config_.cost_ewma_alpha * (cost - cost_ewma_);
-  }
-}
-
 double BnbWorker::effective_request_timeout() const {
-  if (config_.model_adaptivity) return controller_.request_timeout();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) {
-    return config_.work_request_timeout;
-  }
-  return std::max(config_.work_request_timeout,
-                  config_.adaptive_timeout_factor * cost_ewma_);
+  return config_.model_adaptivity ? controller_.request_timeout()
+                                  : config_.work_request_timeout;
 }
 
 double BnbWorker::effective_backoff() const {
-  if (config_.model_adaptivity) return controller_.backoff();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) return config_.idle_backoff;
-  return std::max(config_.idle_backoff, config_.adaptive_backoff_factor * cost_ewma_);
+  return config_.model_adaptivity ? controller_.backoff() : config_.idle_backoff;
 }
 
 double BnbWorker::effective_flush_interval() const {
-  if (config_.model_adaptivity) return controller_.flush_interval();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) {
-    return config_.report_flush_interval;
-  }
-  return std::max(config_.report_flush_interval,
-                  config_.adaptive_flush_factor * cost_ewma_);
+  return config_.model_adaptivity ? controller_.flush_interval()
+                                  : config_.report_flush_interval;
 }
 
 std::uint32_t BnbWorker::effective_report_batch() const {
-  if (config_.model_adaptivity) return controller_.report_batch();
-  return config_.report_batch;
+  return config_.model_adaptivity ? controller_.report_batch()
+                                  : config_.report_batch;
 }
 
 bool BnbWorker::stalled() const {

@@ -143,28 +143,14 @@ struct WorkerConfig {
   bool enable_elimination = true;        // l(v) >= U pruning
 
   // --- adaptive parameter control (paper Section 7 future work) ---
-  /// When enabled, the worker tracks an exponential moving average of the
-  /// node-expansion costs it observes and *raises* its waiting parameters to
-  /// match the granularity: request timeout, idle backoff, and report flush
-  /// interval each become max(configured value, factor * EWMA cost). This is
-  /// the paper's proposed "flexible scheme for adapting parameters to
-  /// runtime informations, such as ... execution time per problem"; without
-  /// it, coarse-grained problems under fine-grained timeouts misread busy
-  /// peers as dead ones (see E7/E15).
-  bool adaptive_timeouts = false;
-  double adaptive_timeout_factor = 2.5;  // request timeout vs mean node cost
-  double adaptive_backoff_factor = 0.5;
-  double adaptive_flush_factor = 25.0;
-  double cost_ewma_alpha = 0.1;
-
-  /// Cost-model-driven adaptivity (supersedes adaptive_timeouts; keep both
-  /// so benches can compare the schemes). When enabled the CostController
-  /// steers the request timeout, report batch, and grant sizing from the
-  /// EWMA-smoothed expansion cost with hysteresis — and deliberately leaves
-  /// the idle backoff and flush interval at their configured base (see
-  /// cost_model.hpp for why that asymmetry recovers the efficiency the
-  /// adaptive_timeouts scheme loses). Takes precedence over
-  /// adaptive_timeouts when both are set.
+  /// Cost-model-driven adaptivity: the paper's proposed "flexible scheme for
+  /// adapting parameters to runtime informations, such as ... execution time
+  /// per problem". When enabled the CostController steers the request
+  /// timeout, report batch, and grant sizing from the EWMA-smoothed
+  /// expansion cost with hysteresis, and deliberately leaves the idle
+  /// backoff and flush interval at their configured base (see
+  /// cost_model.hpp for why). Without it, coarse-grained problems under
+  /// fine-grained timeouts misread busy peers as dead ones (see E7/E15).
   bool model_adaptivity = false;
   CostModelConfig cost_model;
 
@@ -397,9 +383,8 @@ class BnbWorker {
 
   void enter_backoff(std::uint32_t steps);
 
-  // Adaptive parameter state (see WorkerConfig::adaptive_timeouts).
-  double cost_ewma_ = 0.0;
-  void observe_cost(double cost);
+  // The waiting parameters in force: the controller's under
+  // WorkerConfig::model_adaptivity, the configured ones otherwise.
   [[nodiscard]] double effective_request_timeout() const;
   [[nodiscard]] double effective_backoff() const;
   [[nodiscard]] double effective_flush_interval() const;

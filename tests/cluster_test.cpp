@@ -386,8 +386,8 @@ TEST(Cluster, WorkerCrashingBeforeJoiningIsIgnored) {
 
 TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
   // Coarse nodes + eager fixed timeouts: busy peers look dead and whole
-  // regions get duplicated. The adaptive scheme stretches its patience to
-  // the observed node cost.
+  // regions get duplicated. The cost-model controller stretches its
+  // patience to the observed node cost.
   BasicTree tree = test_tree(23, 601, /*cost_mean=*/0.5);
   TreeProblem problem(&tree, /*honor_bounds=*/false);
   ClusterConfig eager = base_config(4, 23);
@@ -397,7 +397,7 @@ TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
                                              // requester gives up
   eager.time_limit = 3e4;
   ClusterConfig adaptive = eager;
-  adaptive.worker.adaptive_timeouts = true;
+  adaptive.worker.model_adaptivity = true;
   const ClusterResult fixed_res = SimCluster::run(problem, eager);
   const ClusterResult adaptive_res = SimCluster::run(problem, adaptive);
   ASSERT_TRUE(fixed_res.all_live_halted);
@@ -411,10 +411,10 @@ TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
   // regress; the precise stretching contract is tested at the worker level
   // in worker_test.cpp.)
   std::uint64_t fixed_timeouts = 0;
-  std::uint64_t adaptive_timeouts = 0;
+  std::uint64_t model_timeouts = 0;
   for (const auto& w : fixed_res.workers) fixed_timeouts += w.request_timeouts;
-  for (const auto& w : adaptive_res.workers) adaptive_timeouts += w.request_timeouts;
-  EXPECT_LE(adaptive_timeouts, fixed_timeouts);
+  for (const auto& w : adaptive_res.workers) model_timeouts += w.request_timeouts;
+  EXPECT_LE(model_timeouts, fixed_timeouts);
   // Small endgame duplication is possible; ramp-up scale blowups are not.
   EXPECT_LT(adaptive_res.redundant_expansions, 50u);
 }
@@ -425,7 +425,7 @@ TEST(Cluster, AdaptiveTimeoutsStillRecoverFromRealCrashes) {
   const ClusterResult baseline = SimCluster::run(problem, base_config(4, 24));
   ASSERT_TRUE(baseline.all_live_halted);
   ClusterConfig cfg = base_config(4, 24);
-  cfg.worker.adaptive_timeouts = true;
+  cfg.worker.model_adaptivity = true;
   cfg.crashes = {{1, baseline.makespan * 0.4}, {2, baseline.makespan * 0.4}};
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());

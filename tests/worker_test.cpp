@@ -354,9 +354,10 @@ TEST(Worker, RecoveryPoliciesAllSolveSolo) {
 
 
 TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
-  // The adaptive scheme (Section 7 future work) raises the request timeout
-  // to factor * EWMA(node cost): after expanding coarse nodes, the worker
-  // must arm request-timeout timers far beyond the configured base.
+  // The cost-model controller (Section 7 future work) raises the request
+  // timeout to base + timeout_safety * EWMA(node cost): after expanding
+  // coarse nodes, the worker must arm request-timeout timers far beyond the
+  // configured base.
   RandomTreeConfig tree_cfg;
   tree_cfg.target_nodes = 31;
   tree_cfg.seed = 16;
@@ -370,8 +371,7 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
     env.peer_list = {1};
     WorkerConfig config;
     config.work_request_timeout = 0.02;  // base, far below node cost
-    config.adaptive_timeouts = adaptive;
-    config.adaptive_timeout_factor = 2.5;
+    config.model_adaptivity = adaptive;
     BnbWorker worker(0, &problem, config, &env);
     worker.on_start(/*with_root=*/false);
     // Hand it a single subtree; once finished it must seek work again.
@@ -394,7 +394,7 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
     ASSERT_GT(worker.stats().expanded, 5u);
     ASSERT_GT(last_request_delay, 0.0);
     if (adaptive) {
-      // ~2.5 * 0.5s, modulo the EWMA's spread.
+      // ~0.02 + 2.0 * 0.5s, modulo the EWMA's spread.
       EXPECT_GT(last_request_delay, 0.5);
     } else {
       EXPECT_DOUBLE_EQ(last_request_delay, 0.02);
