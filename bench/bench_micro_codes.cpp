@@ -26,6 +26,7 @@
 #include "bench/workloads.hpp"
 #include "bnb/basic_tree.hpp"
 #include "core/code_set.hpp"
+#include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -361,9 +362,8 @@ int main(int argc, char** argv) {
     bench("work_report_encode_decode_" + std::to_string(codes) + "codes", 1.0,
           [&] {
             support::ByteWriter w;
-            msg.encode(w);
-            support::ByteReader r(w.data());
-            g_sink = g_sink + core::Message::decode(r).codes.size();
+            core::encode_frame(msg, nullptr, w);
+            g_sink = g_sink + core::decode_frame(w.data()).msg.codes.size();
           });
   }
 

@@ -23,28 +23,27 @@ namespace {
 using core::PathCode;
 
 // Honest wire pricing: the centralized baseline charges its traffic through
-// the same frame codec as the decentralized transports by sizing the
+// the same frame encoding as the decentralized transports by sizing the
 // Message-shaped frame each exchange would be. The protocol carries no
 // report streams, so all frames are stateless (nullptr delta state).
-std::size_t request_bytes(const core::FrameCodec& codec) {
+std::size_t request_bytes() {
   core::Message m;
   m.type = core::MsgType::kWorkRequest;
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
-std::size_t batch_bytes(const core::FrameCodec& codec,
-                        const std::vector<bnb::Subproblem>& batch) {
+std::size_t batch_bytes(const std::vector<bnb::Subproblem>& batch) {
   core::Message m;
   m.type = core::MsgType::kWorkGrant;
   m.problems = batch;  // sizing only
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
-std::size_t conclude_bytes(const core::FrameCodec& codec) {
+std::size_t conclude_bytes() {
   core::Message m;
   m.type = core::MsgType::kRootReport;
   m.codes = {PathCode::root()};
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
 struct Worker;
@@ -92,11 +91,9 @@ struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   std::uint64_t reissues = 0;
   std::uint64_t manager_restarts = 0;
 
-  core::FrameCodec codec;
-
   Sim(const bnb::IProblemModel& m, const CentralConfig& c, double limit,
       const sim::ExecutorConfig& ex)
-      : model(m), cfg(c), kernel(ex), time_limit(limit), codec(c.wire) {}
+      : model(m), cfg(c), kernel(ex), time_limit(limit) {}
 
   void manager_prune() {
     if (!cfg.enable_elimination) return;
@@ -168,7 +165,7 @@ struct Worker {
   void fetch() {
     if (!running() || busy || fetch_outstanding) return;
     fetch_outstanding = true;
-    sim->net->send(id, 0, request_bytes(sim->codec), sim->kernel.now(), [this] {
+    sim->net->send(id, 0, request_bytes(), sim->kernel.now(), [this] {
       ++sim->manager_messages;
       if (sim->manager_alive) sim->on_fetch(id);
     });
@@ -205,7 +202,7 @@ struct Worker {
       busy = false;
       // The result carries the incumbent as of sending: the worker's own
       // field belongs to its shard, not the manager's.
-      sim->net->send(id, 0, batch_bytes(sim->codec, children), sim->kernel.now(),
+      sim->net->send(id, 0, batch_bytes(children), sim->kernel.now(),
                      [this, batch_id, best = incumbent,
                       children = std::move(children)]() mutable {
                        ++sim->manager_messages;
@@ -258,7 +255,7 @@ void Sim::try_dispatch() {
     const std::uint64_t batch_id = next_batch_id++;
     outstanding.emplace(batch_id, Batch{batch, w, kernel.now()});
     Worker* worker = workers[w - 1].get();
-    net->send(0, w, batch_bytes(codec, batch), kernel.now(),
+    net->send(0, w, batch_bytes(batch), kernel.now(),
               [worker, batch_id, batch = std::move(batch), best = incumbent,
                e = worker->epoch] {
                 // Batches addressed to a crashed incarnation are not handed
@@ -299,7 +296,7 @@ void Sim::maybe_conclude() {
   concluded = true;
   concluded_at = kernel.now();
   for (auto& w : workers) {
-    net->send(0, w->id, conclude_bytes(codec), kernel.now(),
+    net->send(0, w->id, conclude_bytes(), kernel.now(),
               [wp = w.get()] { wp->stopped = true; });
   }
 }

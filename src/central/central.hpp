@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "bnb/problem.hpp"
-#include "core/frame.hpp"
 #include "fault/schedule.hpp"
 #include "sim/network.hpp"
 #include "sim/outcome.hpp"
@@ -37,10 +36,6 @@ struct CentralConfig {
   bool checkpointing = false;
   double checkpoint_interval = 1.0;
   double restart_delay = 1.0;  // manager recovery time after a crash
-  /// Wire frame version used to price manager/worker traffic (the baseline
-  /// carries no report streams, so v1 only adds the frame header and the
-  /// common varint-packed fields).
-  core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
 struct CentralResult : sim::RunOutcome {

@@ -33,31 +33,6 @@ void CodeList::release(Rep* rep) {
   ::operator delete(rep);
 }
 
-void CodeList::encode(support::ByteWriter& w) const {
-  if (w.counting_only()) {
-    w.add_counted(encoded_bytes());
-    return;
-  }
-  w.varint(size());
-  for (const PathView c : *this) c.encode(w);
-}
-
-CodeList CodeList::decode(support::ByteReader& r) {
-  const std::uint64_t n = r.varint();
-  // Every code is at least its one-byte depth varint, and every step word
-  // at least one more byte: neither reservation can exceed the input.
-  if (!r.fits_count(n)) return {};
-  Builder b;
-  b.reserve(static_cast<std::size_t>(n),
-            r.remaining() - static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const PathCode c = PathCode::decode(r);
-    if (!r.ok()) break;
-    b.append(c);
-  }
-  return b.finish();
-}
-
 std::vector<PathCode> CodeList::to_vector() const {
   std::vector<PathCode> out;
   out.reserve(size());
@@ -104,7 +79,7 @@ void CodeList::Builder::reserve(std::size_t codes, std::size_t words) {
   grown->offsets()[0] = 0;
   if (rep_ != nullptr) {
     grown->count = rep_->count;
-    grown->bytes = rep_->bytes;
+    grown->chain_bytes = rep_->chain_bytes;
     std::memcpy(grown->offsets(), rep_->offsets(),
                 (rep_->count + 1) * sizeof(std::uint32_t));
     std::memcpy(grown->words(), rep_->words(),
@@ -114,7 +89,20 @@ void CodeList::Builder::reserve(std::size_t codes, std::size_t words) {
   rep_ = grown;
 }
 
-void CodeList::Builder::append(PathView code, std::size_t encoded) {
+void CodeList::Builder::append(PathView code) {
+  if (size() == 0) {
+    append(code, 0);
+    return;
+  }
+  const std::uint32_t* offsets = rep_->offsets();
+  const std::uint32_t start = offsets[rep_->count - 1];
+  append(code, delta_size(PathView(rep_->words() + start,
+                                   offsets[rep_->count] - start),
+                          code));
+}
+
+void CodeList::Builder::append(PathView code, std::size_t link) {
+  if (size() == 0) link = 0;  // the first code links to the chain base
   reserve(1, code.depth());
   std::uint32_t* offsets = rep_->offsets();
   const std::uint32_t start = offsets[rep_->count];
@@ -123,7 +111,7 @@ void CodeList::Builder::append(PathView code, std::size_t encoded) {
                 code.depth() * sizeof(std::uint32_t));
   }
   offsets[++rep_->count] = start + static_cast<std::uint32_t>(code.depth());
-  rep_->bytes += encoded;
+  rep_->chain_bytes += link;
 }
 
 CodeList CodeList::Builder::finish() {

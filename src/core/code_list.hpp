@@ -7,13 +7,13 @@
 // serve the sender's export memo, every fan-out copy and every in-flight
 // delivery. A CodeList is that payload: the codes' packed step words back to
 // back in one reference-counted allocation, with per-code offsets and the
-// exact legacy-encoded byte count fixed at construction.
+// wire size of the list's delta chain fixed at construction.
 //
 //  * Copying bumps an atomic reference count (a delivery built on one
 //    simulator shard is destroyed on another); nothing is deep-copied.
 //  * Reading yields PathViews into the shared words.
-//  * encoded_bytes() is O(1), so sizing a message for the latency model
-//    never re-encodes its codes.
+//  * chain_bytes() is O(1), so sizing a frame for the latency model
+//    (core/frame.hpp) never re-encodes the codes after the first.
 #pragma once
 
 #include <atomic>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/path_code.hpp"
-#include "support/bytes.hpp"
 
 namespace ftbb::core {
 
@@ -116,18 +115,13 @@ class CodeList {
                                       rep_->words());
   }
 
-  /// Exact size of encode(): the varint code count plus every code's
-  /// PathCode::encode() bytes. Fixed at construction.
-  [[nodiscard]] std::size_t encoded_bytes() const {
-    return support::varint_size(size()) + (rep_ == nullptr ? 0 : rep_->bytes);
+  /// Wire bytes of the list's delta chain after its first code: the sum of
+  /// delta_size(codes[i - 1], codes[i]) for i >= 1 (see core/frame.hpp).
+  /// Fixed at construction; a frame adds the first code's delta against its
+  /// chain base.
+  [[nodiscard]] std::size_t chain_bytes() const {
+    return rep_ == nullptr ? 0 : rep_->chain_bytes;
   }
-
-  /// Legacy flat encoding: varint count, then each code's encode(). A
-  /// counting writer is advanced by encoded_bytes() without a walk.
-  void encode(support::ByteWriter& w) const;
-  /// Inverse of encode(). Checks the count against the input before
-  /// reserving; a tolerant reader surfaces malformed input through r.ok().
-  static CodeList decode(support::ByteReader& r);
 
   /// Owned copies of the codes, in order (tests and diagnostics).
   [[nodiscard]] std::vector<PathCode> to_vector() const;
@@ -143,7 +137,7 @@ class CodeList {
     std::uint32_t count = 0;
     std::uint32_t code_cap = 0;
     std::uint32_t word_cap = 0;
-    std::size_t bytes = 0;  // sum of the codes' encoded sizes
+    std::size_t chain_bytes = 0;  // see CodeList::chain_bytes()
 
     std::uint32_t* offsets() { return reinterpret_cast<std::uint32_t*>(this + 1); }
     const std::uint32_t* offsets() const {
@@ -176,10 +170,13 @@ class CodeList::Builder {
   /// Room for `codes` more codes totalling `words` more step words.
   void reserve(std::size_t codes, std::size_t words);
 
-  /// Appends a copy of `code`. `encoded` is code.encoded_size(), passed by
-  /// callers that already know it (the completion trie keeps it per node).
-  void append(PathView code) { append(code, code.encoded_size()); }
-  void append(PathView code, std::size_t encoded);
+  /// Appends a copy of `code`, sizing its chain link against the code
+  /// appended before it.
+  void append(PathView code);
+  /// The same with the link size supplied: `link` is delta_size(previous
+  /// code, code), which the completion trie's DFS reads off its nodes
+  /// instead of comparing words. Ignored for the first code.
+  void append(PathView code, std::size_t link);
 
   [[nodiscard]] std::size_t size() const {
     return rep_ == nullptr ? 0 : rep_->count;

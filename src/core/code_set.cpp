@@ -231,19 +231,29 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 }
 
 
-void CodeSet::list_dfs(std::int32_t idx, PathCode& path,
+void CodeSet::list_dfs(std::int32_t idx, PathCode& path, ListCursor& cursor,
                        CodeList::Builder& out) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
   if (node.complete) {
-    out.append(path, code_bytes(node));
+    // Consecutive leaves of the DFS share exactly the path down to the
+    // node where it turned from the previous leaf's branch to this one's,
+    // so the chain link is sized from the two nodes, not from the words.
+    const Node& turn = nodes_[static_cast<std::size_t>(cursor.turn)];
+    out.append(path, support::varint_size(cursor.prev_depth - turn.depth) +
+                         support::varint_size(node.depth - turn.depth) +
+                         node.body_bytes - turn.body_bytes);
+    cursor.prev_depth = node.depth;
     return;
   }
+  const std::size_t emitted = out.size();
   for (std::uint32_t bit = 0; bit < 2; ++bit) {
     const std::int32_t c = node.child[bit];
     if (c < 0) continue;
+    // The next leaf turns here iff the left subtree emitted the previous one.
+    if (bit == 1 && out.size() > emitted) cursor.turn = idx;
     // Unchecked push: node.var was validated when the trie learned it.
     path.push_word((node.var << 1) | bit);
-    list_dfs(c, path, out);
+    list_dfs(c, path, cursor, out);
     path.pop_step();
   }
 }
@@ -255,7 +265,8 @@ CodeList CodeSet::export_list() const {
     // bounds the word total: one allocation, no regrowth.
     out.reserve(complete_count_, body_bytes_);
     PathCode path;
-    list_dfs(0, path, out);
+    ListCursor cursor;
+    list_dfs(0, path, cursor, out);
     exported_ = out.finish();
     exported_version_ = version_;
   }

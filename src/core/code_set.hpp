@@ -94,9 +94,9 @@ class CodeSet {
 
   /// Contracted list of completed codes, in deterministic DFS order
   /// (left branch first). This is what a full-table gossip message carries.
-  /// Built in one pass straight from the trie (sizes come from the per-node
-  /// byte counts) and memoized until the table next changes, so every
-  /// gossip between two mutations shares one payload.
+  /// Built in one pass straight from the trie (chain link sizes come from
+  /// the per-node depths and byte counts) and memoized until the table next
+  /// changes, so every gossip between two mutations shares one payload.
   [[nodiscard]] CodeList export_list() const;
 
   /// export_list() materialized as owned codes (tests, diagnostics).
@@ -119,8 +119,10 @@ class CodeSet {
 
   [[nodiscard]] bool empty() const { return complete_count_ == 0; }
 
-  /// Exact wire size of export_codes() (varint count header + each code),
-  /// maintained incrementally; this is the storage-space unit of Table 1.
+  /// Stored size of the contracted table: a varint count plus every code's
+  /// PathCode::encode() bytes, maintained incrementally. This is the
+  /// storage-space unit of Table 1 (a gossip frame ships the same codes
+  /// delta-chained, see core/frame.hpp).
   [[nodiscard]] std::size_t encoded_bytes() const {
     return support::varint_size(complete_count_) + body_bytes_;
   }
@@ -171,7 +173,14 @@ class CodeSet {
   template <typename Codes>
   InsertResult merge(const Codes& codes);
 
-  void list_dfs(std::int32_t idx, PathCode& path, CodeList::Builder& out) const;
+  /// Where export_list()'s DFS stands: the depth of the leaf it emitted
+  /// last, and the node at which it turned away from that leaf's path.
+  struct ListCursor {
+    std::uint32_t prev_depth = 0;
+    std::int32_t turn = 0;
+  };
+  void list_dfs(std::int32_t idx, PathCode& path, ListCursor& cursor,
+                CodeList::Builder& out) const;
   void complement_dfs(std::int32_t idx, PathCode& path,
                       std::vector<PathCode>& out) const;
 

@@ -58,7 +58,7 @@ enum class WorkItem : std::uint8_t {
   // -- wire traffic --
   kMsgsSent,
   kMsgsReceived,
-  kWireBytesSent,      // FrameCodec::wire_size() of every frame shipped
+  kWireBytesSent,      // core::frame_size() of every frame shipped
   kWireBytesReceived,
   // -- load balancing --
   kWorkRequestsSent,

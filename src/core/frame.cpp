@@ -1,18 +1,6 @@
 #include "core/frame.hpp"
 
-#include <algorithm>
-
 namespace ftbb::core {
-
-const char* to_string(FrameVersion version) {
-  switch (version) {
-    case FrameVersion::kLegacy:
-      return "legacy";
-    case FrameVersion::kV1:
-      return "v1";
-  }
-  return "?";
-}
 
 const char* to_string(DecodeStatus status) {
   switch (status) {
@@ -20,10 +8,6 @@ const char* to_string(DecodeStatus status) {
       return "ok";
     case DecodeStatus::kTruncated:
       return "truncated";
-    case DecodeStatus::kBadMagic:
-      return "bad-magic";
-    case DecodeStatus::kUnknownVersion:
-      return "unknown-version";
     case DecodeStatus::kUnknownType:
       return "unknown-type";
     case DecodeStatus::kCorruptPayload:
@@ -36,28 +20,27 @@ const char* to_string(DecodeStatus status) {
 
 namespace {
 
-[[nodiscard]] bool is_report(MsgType type) {
-  return type == MsgType::kWorkReport || type == MsgType::kTableGossip;
-}
-
 [[nodiscard]] bool known_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(MsgType::kWorkRequest) &&
          raw <= static_cast<std::uint8_t>(MsgType::kRootReport);
 }
 
-/// Resolved delta decisions for one report frame: the wire sequence and the
+/// Resolved delta decisions for one code chain: the wire sequence and the
 /// chain base (shipped in the frame iff seq > 0; the root code otherwise).
-struct ReportPlan {
+struct ChainPlan {
   std::uint64_t seq = 0;
   PathView base;
 };
 
 /// Advances the sender's delta state to the batch `msg` belongs to.
 /// Idempotent per Message::report_seq: the m fanout copies of one batch all
-/// resolve to the same (seq, base), and a frame_size() followed by encode()
-/// advances once, not twice.
-ReportPlan plan_report(const Message& msg, ReportDeltaState* state) {
-  if (state == nullptr) return {};
+/// resolve to the same (seq, base), and a frame_size() followed by
+/// encode_frame() advances once, not twice. The termination broadcast and
+/// stateless senders get a self-contained chain.
+ChainPlan plan_chain(const Message& msg, ReportDeltaState* state) {
+  const bool chained = msg.type == MsgType::kWorkReport ||
+                       msg.type == MsgType::kTableGossip;
+  if (state == nullptr || !chained) return {};
   if (!state->active) {
     state->active = true;
     state->batch_id = msg.report_seq;
@@ -68,7 +51,7 @@ ReportPlan plan_report(const Message& msg, ReportDeltaState* state) {
     ++state->seq;
   }
   if (!msg.codes.empty()) state->cur_last = PathCode(msg.codes.back());
-  ReportPlan plan;
+  ChainPlan plan;
   plan.seq = state->seq;
   if (state->seq > 0) plan.base = state->prev_last;
   return plan;
@@ -76,11 +59,9 @@ ReportPlan plan_report(const Message& msg, ReportDeltaState* state) {
 
 /// One code as (trim, add, steps...) against the previous code in the chain.
 /// Straight off the packed words: the per-step wire varint IS the stored
-/// word, and the shared prefix is a word comparison.
+/// word. delta_size() is its exact size.
 void encode_delta(PathView prev, PathView code, support::ByteWriter& w) {
-  std::size_t lcp = 0;
-  const std::size_t cap = std::min(prev.depth(), code.depth());
-  while (lcp < cap && prev.word(lcp) == code.word(lcp)) ++lcp;
+  const std::size_t lcp = common_prefix(prev, code);
   w.varint(prev.depth() - lcp);  // decisions to trim off the previous code
   w.varint(code.depth() - lcp);  // decisions appended after the shared prefix
   for (std::size_t i = lcp; i < code.depth(); ++i) w.varint(code.word(i));
@@ -93,12 +74,12 @@ bool apply_delta(PathCode& code, support::ByteReader& r) {
   const std::uint64_t add = r.varint();
   if (!r.ok()) return false;
   if (trim > code.depth()) {
-    r.mark_corrupt("report delta: trim exceeds base depth");
+    r.mark_corrupt("code chain: trim exceeds the previous code's depth");
     return false;
   }
   const std::uint64_t keep = code.depth() - trim;
   if (keep + add > PathCode::kMaxDepth) {
-    r.mark_corrupt("report delta: implausible depth");
+    r.mark_corrupt("code chain: implausible depth");
     return false;
   }
   if (!r.fits_count(add)) return false;
@@ -108,7 +89,7 @@ bool apply_delta(PathCode& code, support::ByteReader& r) {
     const std::uint64_t packed = r.varint();
     if (!r.ok()) return false;
     if ((packed >> 1) > static_cast<std::uint64_t>(PathCode::kMaxVar)) {
-      r.mark_corrupt("report delta: variable index overflow");
+      r.mark_corrupt("code chain: variable index overflow");
       return false;
     }
     code.push_word(static_cast<std::uint32_t>(packed));
@@ -116,44 +97,45 @@ bool apply_delta(PathCode& code, support::ByteReader& r) {
   return true;
 }
 
-void write_v1_payload(const Message& msg, const ReportPlan& plan,
-                      support::ByteWriter& w) {
-  w.varint(msg.from);
-  w.f64(msg.best_known);
-  w.varint(msg.request_id);
-  switch (msg.type) {
-    case MsgType::kWorkRequest:
-      break;
-    case MsgType::kWorkDeny:
-      w.u8(msg.busy ? 1 : 0);
-      break;
-    case MsgType::kWorkGrant:
-      w.varint(msg.problems.size());
-      for (const bnb::Subproblem& p : msg.problems) {
-        p.code.encode(w);
-        w.f64(p.bound);
-      }
-      break;
-    case MsgType::kRootReport:
-      // Termination broadcast: one (root) code, flat — never delta-coded.
-      msg.codes.encode(w);
-      break;
-    case MsgType::kWorkReport:
-    case MsgType::kTableGossip: {
-      w.varint(plan.seq);
-      if (plan.seq > 0) plan.base.encode(w);
-      w.varint(msg.codes.size());
-      PathView prev = plan.base;
-      for (const PathView c : msg.codes) {
-        encode_delta(prev, c, w);
-        prev = c;
-      }
-      break;
-    }
+void write_chain(const CodeList& codes, const ChainPlan& plan,
+                 support::ByteWriter& w) {
+  w.varint(plan.seq);
+  if (plan.seq > 0) plan.base.encode(w);
+  w.varint(codes.size());
+  if (codes.empty()) return;
+  encode_delta(plan.base, codes[0], w);
+  if (w.counting_only()) {
+    // The rest of the chain was sized when the list was built.
+    w.add_counted(codes.chain_bytes());
+    return;
+  }
+  for (std::size_t i = 1; i < codes.size(); ++i) {
+    encode_delta(codes[i - 1], codes[i], w);
   }
 }
 
-Message read_v1_payload(MsgType type, support::ByteReader& r) {
+CodeList read_chain(support::ByteReader& r, std::uint64_t& seq) {
+  seq = r.varint();
+  PathCode code;  // the chain: the base, then each decoded code in turn
+  if (r.ok() && seq > 0) code = PathCode::decode(r);
+  const std::uint64_t n = r.varint();
+  if (!r.fits_count(n, 2)) return {};  // >= trim + add varints each
+  CodeList::Builder codes;
+  // Steps shared with the previous code cost no input bytes, so only the
+  // reservation is bounded by the input; the list grows past it.
+  codes.reserve(static_cast<std::size_t>(n), r.remaining());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!apply_delta(code, r)) break;
+    if (code.depth() > CodeList::kMaxWords - codes.word_count()) {
+      r.mark_corrupt("code chain: list exceeds the step-word limit");
+      break;
+    }
+    codes.append(code);
+  }
+  return codes.finish();
+}
+
+Message read_payload(MsgType type, support::ByteReader& r) {
   Message m;
   m.type = type;
   m.from = static_cast<NodeId>(r.varint());
@@ -179,115 +161,66 @@ Message read_v1_payload(MsgType type, support::ByteReader& r) {
       }
       break;
     }
-    case MsgType::kRootReport:
-      m.codes = CodeList::decode(r);
-      break;
     case MsgType::kWorkReport:
-    case MsgType::kTableGossip: {
-      m.report_seq = r.varint();
-      PathCode code;  // the chain: the base, then each decoded code in turn
-      if (r.ok() && m.report_seq > 0) code = PathCode::decode(r);
-      const std::uint64_t n = r.varint();
-      if (!r.fits_count(n, 2)) break;  // >= trim + add varints each
-      CodeList::Builder codes;
-      // Steps shared with the previous code cost no input bytes, so only
-      // the reservation is bounded by the input; the list grows past it.
-      codes.reserve(static_cast<std::size_t>(n), r.remaining());
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (!apply_delta(code, r)) break;
-        if (code.depth() > CodeList::kMaxWords - codes.word_count()) {
-          r.mark_corrupt("report delta: list exceeds the step-word limit");
-          break;
-        }
-        codes.append(code);
-      }
-      m.codes = codes.finish();
+    case MsgType::kTableGossip:
+    case MsgType::kRootReport:
+      m.codes = read_chain(r, m.report_seq);
       break;
-    }
   }
   return m;
 }
 
 }  // namespace
 
-void FrameCodec::encode(const Message& msg, ReportDeltaState* state,
-                        support::ByteWriter& w) const {
-  if (version_ == FrameVersion::kLegacy) {
-    msg.encode(w);
-    return;
-  }
-  const ReportPlan plan =
-      is_report(msg.type) ? plan_report(msg, state) : ReportPlan{};
-  support::ByteWriter counter = support::ByteWriter::counting();
-  write_v1_payload(msg, plan, counter);
-  w.u8(kFrameMagic);
-  w.u8(static_cast<std::uint8_t>(FrameVersion::kV1));
+void encode_frame(const Message& msg, ReportDeltaState* state,
+                  support::ByteWriter& w) {
   w.u8(static_cast<std::uint8_t>(msg.type));
-  w.varint(counter.size());
-  write_v1_payload(msg, plan, w);
+  w.varint(msg.from);
+  w.f64(msg.best_known);
+  w.varint(msg.request_id);
+  switch (msg.type) {
+    case MsgType::kWorkRequest:
+      break;
+    case MsgType::kWorkDeny:
+      w.u8(msg.busy ? 1 : 0);
+      break;
+    case MsgType::kWorkGrant:
+      w.varint(msg.problems.size());
+      for (const bnb::Subproblem& p : msg.problems) {
+        p.code.encode(w);
+        w.f64(p.bound);
+      }
+      break;
+    case MsgType::kWorkReport:
+    case MsgType::kTableGossip:
+    case MsgType::kRootReport:
+      write_chain(msg.codes, plan_chain(msg, state), w);
+      break;
+  }
 }
 
-std::size_t FrameCodec::frame_size(const Message& msg,
-                                   ReportDeltaState* state) const {
+std::size_t frame_size(const Message& msg, ReportDeltaState* state) {
   support::ByteWriter w = support::ByteWriter::counting();
-  encode(msg, state, w);
+  encode_frame(msg, state, w);
   return w.size();
 }
 
-FrameDecode FrameCodec::decode(const std::uint8_t* data, std::size_t size) {
+FrameDecode decode_frame(const std::uint8_t* data, std::size_t size) {
   FrameDecode out;
   if (size == 0) {
     out.status = DecodeStatus::kTruncated;
     return out;
   }
-  if (data[0] != kFrameMagic) {
-    // Legacy frame: the raw seed-era encoding, first byte is the MsgType.
-    if (!known_type(data[0])) {
-      out.status = DecodeStatus::kBadMagic;
-      return out;
-    }
-    support::ByteReader r(data, size, support::ByteReader::Policy::kTolerant);
-    out.version = FrameVersion::kLegacy;
-    out.msg = Message::decode(r);
-    if (!r.ok()) {
-      out.status = DecodeStatus::kCorruptPayload;
-    } else if (!r.done()) {
-      out.status = DecodeStatus::kLengthMismatch;
-    } else {
-      out.status = DecodeStatus::kOk;
-    }
-    return out;
-  }
-  support::ByteReader h(data, size, support::ByteReader::Policy::kTolerant);
-  (void)h.u8();  // magic, already matched
-  const std::uint8_t version = h.u8();
-  if (h.ok() && version != static_cast<std::uint8_t>(FrameVersion::kV1)) {
-    out.status = DecodeStatus::kUnknownVersion;
-    return out;
-  }
-  const std::uint8_t raw_type = h.u8();
-  const std::uint64_t length = h.varint();
-  if (!h.ok()) {
-    out.status = DecodeStatus::kTruncated;
-    return out;
-  }
-  out.version = FrameVersion::kV1;
-  if (!known_type(raw_type)) {
+  if (!known_type(data[0])) {
     out.status = DecodeStatus::kUnknownType;
     return out;
   }
-  // One frame per buffer: the declared payload must be exactly what's left.
-  if (length != h.remaining()) {
-    out.status = DecodeStatus::kLengthMismatch;
-    return out;
-  }
-  support::ByteReader payload(data + (size - h.remaining()),
-                              static_cast<std::size_t>(length),
-                              support::ByteReader::Policy::kTolerant);
-  out.msg = read_v1_payload(static_cast<MsgType>(raw_type), payload);
-  if (!payload.ok()) {
+  support::ByteReader r(data + 1, size - 1,
+                        support::ByteReader::Policy::kTolerant);
+  out.msg = read_payload(static_cast<MsgType>(data[0]), r);
+  if (!r.ok()) {
     out.status = DecodeStatus::kCorruptPayload;
-  } else if (!payload.done()) {
+  } else if (!r.done()) {
     out.status = DecodeStatus::kLengthMismatch;
   } else {
     out.status = DecodeStatus::kOk;
@@ -295,8 +228,8 @@ FrameDecode FrameCodec::decode(const std::uint8_t* data, std::size_t size) {
   return out;
 }
 
-FrameDecode FrameCodec::decode(const std::vector<std::uint8_t>& buf) {
-  return decode(buf.data(), buf.size());
+FrameDecode decode_frame(const std::vector<std::uint8_t>& buf) {
+  return decode_frame(buf.data(), buf.size());
 }
 
 }  // namespace ftbb::core

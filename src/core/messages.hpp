@@ -4,9 +4,9 @@
 // information-sharing rule ("circulating the best-known solution among
 // processes, embedded in the most frequently sent messages").
 //
-// All messages have an honest binary encoding; the simulator charges network
-// latency and handling CPU from the encoded size, and the real-time runtime
-// actually ships the bytes.
+// Every message travels as one binary frame (core/frame.hpp): the
+// simulators charge network latency and handling CPU from the frame's size,
+// and the real-time runtime actually ships the bytes.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "bnb/problem.hpp"
 #include "core/code_list.hpp"
 #include "core/path_code.hpp"
-#include "support/bytes.hpp"
 
 namespace ftbb::core {
 
@@ -52,24 +51,10 @@ struct Message {
   bool busy = false;
   /// Sender-local report batch marker, monotone per incarnation: the worker
   /// stamps each kWorkReport / kTableGossip batch before fanning it out, so
-  /// the v1 frame codec advances its per-sender delta state exactly once per
-  /// batch even though the same batch is sent to m peers. Not part of the
-  /// legacy wire encoding; the v1 frame carries the codec's own sequence.
+  /// the frame encoder advances its per-sender delta state exactly once per
+  /// batch even though the same batch is sent to m peers. A decoded frame
+  /// carries the chain's wire sequence here instead.
   std::uint64_t report_seq = 0;
-
-  /// Legacy (v0) flat encoding — the seed-era wire format, and the payload
-  /// the kLegacy frame version ships unframed (see core/frame.hpp for v1).
-  void encode(support::ByteWriter& w) const;
-  /// With a tolerant reader, malformed input (truncation, hostile counts,
-  /// unknown type) latches r.ok() == false instead of aborting; callers on
-  /// a transport path must check it. A trusted reader aborts, as before.
-  static Message decode(support::ByteReader& r);
-
-  /// Exact legacy-encoded size in bytes — the L of the paper's
-  /// 1.5 + 0.005*L ms latency model under the kLegacy frame version.
-  /// Computed with a counting writer: no allocation per call, and a code
-  /// list adds its cached byte count instead of being re-encoded.
-  [[nodiscard]] std::size_t wire_size() const;
 
   [[nodiscard]] std::string summary() const;
 };

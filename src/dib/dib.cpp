@@ -21,37 +21,37 @@ namespace {
 
 using core::PathCode;
 
-// Honest wire pricing through the shared frame codec: each DIB exchange is
-// sized as the Message-shaped frame it corresponds to. DIB has no report
+// Honest wire pricing through the shared frame encoding: each DIB exchange
+// is sized as the Message-shaped frame it corresponds to. DIB has no report
 // streams, so every frame is stateless (nullptr delta state).
-std::size_t typed_bytes(const core::FrameCodec& codec, core::MsgType type) {
+std::size_t typed_bytes(core::MsgType type) {
   core::Message m;
   m.type = type;
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
 /// Donation: a one-problem kWorkGrant.
-std::size_t donate_bytes(const core::FrameCodec& codec, const bnb::Subproblem& sub) {
+std::size_t donate_bytes(const bnb::Subproblem& sub) {
   core::Message m;
   m.type = core::MsgType::kWorkGrant;
   m.problems.push_back(sub);
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
 /// Completion report back to the donor: a one-code kWorkReport.
-std::size_t completion_bytes(const core::FrameCodec& codec, const PathCode& code) {
+std::size_t completion_bytes(const PathCode& code) {
   core::Message m;
   m.type = core::MsgType::kWorkReport;
   m.codes = {code};
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
 /// Conclusion broadcast from the root machine: a kRootReport.
-std::size_t conclude_bytes(const core::FrameCodec& codec) {
+std::size_t conclude_bytes() {
   core::Message m;
   m.type = core::MsgType::kRootReport;
   m.codes = {PathCode::root()};
-  return codec.frame_size(m, nullptr);
+  return core::frame_size(m, nullptr);
 }
 
 struct Job {
@@ -88,11 +88,9 @@ struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   double best = bnb::kInfinity;
   bool best_found = false;
 
-  core::FrameCodec codec;
-
   Sim(const bnb::IProblemModel& m, const DibConfig& c, double limit,
       const sim::ExecutorConfig& ex)
-      : model(m), cfg(c), kernel(ex), time_limit(limit), codec(c.wire) {}
+      : model(m), cfg(c), kernel(ex), time_limit(limit) {}
 
   void crash(std::uint32_t node) override;
   void revive(std::uint32_t node) override;
@@ -114,6 +112,7 @@ struct Machine {
   std::uint32_t id;
   support::Rng rng;
   bool alive = true;
+  bool joined = false;   // entered the membership (FaultDriver join)
   bool busy = false;
   bool stopped = false;  // computation concluded
 
@@ -135,7 +134,9 @@ struct Machine {
 
   Machine(Sim* s, std::uint32_t i, std::uint64_t seed) : sim(s), id(i), rng(seed) {}
 
-  [[nodiscard]] bool running() const { return alive && !stopped; }
+  /// A machine that has not joined yet does nothing, not even answer a
+  /// work request: it is not part of the computation until it arrives.
+  [[nodiscard]] bool running() const { return alive && joined && !stopped; }
 
   /// Fresh restart of a crashed machine (fault-injection hook). Everything
   /// local is lost — including the ledger, so work this machine donated
@@ -190,7 +191,7 @@ struct Machine {
       sim->best_found = incumbent < bnb::kInfinity;
       for (auto& m : sim->machines) {
         if (m->id != id) {
-          sim->net->send(id, m->id, conclude_bytes(sim->codec),
+          sim->net->send(id, m->id, conclude_bytes(),
                          sim->kernel.now(), [mp = m.get()] {
             mp->stopped = true;
           });
@@ -202,7 +203,7 @@ struct Machine {
     // Report completion to the machine the problem came from.
     const auto donor = static_cast<std::uint32_t>(job.donor);
     Machine* target = sim->machines[donor].get();
-    sim->net->send(id, donor, completion_bytes(sim->codec, job.code),
+    sim->net->send(id, donor, completion_bytes(job.code),
                    sim->kernel.now(),
                    [target, donation_id = job.donation_id, best = incumbent] {
                      target->on_completion_report(donation_id, best);
@@ -280,7 +281,7 @@ struct Machine {
     const std::uint64_t gen = ++request_gen;
     Machine* peer = sim->machines[target].get();
     sim->net->send(id, target,
-                   typed_bytes(sim->codec, core::MsgType::kWorkRequest),
+                   typed_bytes(core::MsgType::kWorkRequest),
                    sim->kernel.now(),
                    [peer, from = id, best = incumbent] {
                      peer->on_work_request(from, best);
@@ -310,7 +311,7 @@ struct Machine {
       ++donations_made;
       ledger.emplace(donation_id,
                      Donation{task, from, task.job, sim->kernel.now()});
-      sim->net->send(id, from, donate_bytes(sim->codec, task.sub),
+      sim->net->send(id, from, donate_bytes(task.sub),
                      sim->kernel.now(),
                      [requester, sub = task.sub, donation_id, donor = id,
                       best = incumbent] {
@@ -318,7 +319,7 @@ struct Machine {
                      });
     } else {
       sim->net->send(id, from,
-                     typed_bytes(sim->codec, core::MsgType::kWorkDeny),
+                     typed_bytes(core::MsgType::kWorkDeny),
                      sim->kernel.now(),
                      [requester, best = incumbent] { requester->on_deny(best); });
     }
@@ -382,6 +383,7 @@ void Sim::revive(std::uint32_t node) { machines[node]->revive(); }
 
 void Sim::join(std::uint32_t node) {
   Machine& machine = *machines[node];
+  machine.joined = true;
   machine.schedule_step();
   machine.audit();
 }

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bnb/problem.hpp"
-#include "core/frame.hpp"
 #include "fault/schedule.hpp"
 #include "sim/network.hpp"
 #include "sim/outcome.hpp"
@@ -42,9 +41,6 @@ struct DibConfig {
   /// Simulation dispatch threads (> 1 shards machine event streams; results
   /// stay bit-identical); 0 consults FTBB_SIM_THREADS, else sequential.
   std::uint32_t sim_threads = 0;
-  /// Wire frame version used to price DIB's control traffic (sized as the
-  /// Message-shaped frame each exchange would be; no report streams here).
-  core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
 struct DibResult : sim::RunOutcome {

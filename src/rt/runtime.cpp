@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <variant>
 
+#include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "fault/driver.hpp"
 #include "support/check.hpp"
@@ -400,7 +401,6 @@ class RtCluster final : public fault::IFaultBackend, public fault::IFaultClock {
 
   const bnb::IProblemModel& model_;
   RtConfig config_;
-  core::FrameCodec codec_;
   std::uint32_t population_ = 0;
   Clock::time_point start_{};
   Scheduler scheduler_;
@@ -459,7 +459,7 @@ void Incarnation::send(core::NodeId to, core::Message msg) {
   // Real wire crossing: frame-encode here, decode at the receiver. The
   // delta state is this incarnation's own and is touched only by its thread.
   support::ByteWriter w;
-  host_->cluster_->codec_.encode(msg, &delta_, w);
+  core::encode_frame(msg, &delta_, w);
   worker_->stats().msgs_sent++;
   worker_->stats().bytes_sent += w.size();
   host_->cluster_->transport_send(host_->id(), to, std::move(w));
@@ -629,7 +629,7 @@ void WorkerHost::on_incarnation_halted(std::uint64_t epoch) {
 // ---------------------------------------------------------------------------
 
 RtCluster::RtCluster(const bnb::IProblemModel& model, const RtConfig& config)
-    : model_(model), config_(config), codec_(config.wire), net_(config.net) {
+    : model_(model), config_(config), net_(config.net) {
   FTBB_CHECK(config_.workers >= 1);
   population_ = std::max(config_.workers, config_.faults.population);
   support::Rng master(config_.seed);
@@ -684,7 +684,7 @@ void RtCluster::transport_send(std::uint32_t from, core::NodeId to,
       now + latency, [this, to, dest_epoch, bytes, buf = w.take()]() {
         net_delivered_.fetch_add(1, std::memory_order_relaxed);
         net_bytes_delivered_.fetch_add(bytes, std::memory_order_relaxed);
-        core::FrameDecode frame = core::FrameCodec::decode(buf);
+        core::FrameDecode frame = core::decode_frame(buf);
         if (!frame.ok()) {
           // A frame that fails to decode is a network event, not a fault:
           // count it and drop it, exactly like a lost message.

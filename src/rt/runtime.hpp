@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bnb/problem.hpp"
-#include "core/frame.hpp"
 #include "core/worker.hpp"
 #include "fault/schedule.hpp"
 #include "sim/network.hpp"
@@ -58,10 +57,6 @@ struct RtConfig {
   /// Compiled fault schedule; all times are wall seconds since run start.
   /// Joins at/after wall_timeout are abandoned (the member never enters).
   fault::FaultSchedule faults;
-  /// Wire frame version. The runtime actually ships and decodes the bytes,
-  /// so it defaults to the framed, delta-coded v1 encoding; kLegacy is
-  /// available for apples-to-apples byte comparisons.
-  core::FrameVersion wire = core::FrameVersion::kV1;
 };
 
 /// The makespan is in wall seconds, and hit_time_limit means the wall
@@ -69,8 +64,8 @@ struct RtConfig {
 /// simulated Network counts (delivered at arrival, before epoch guards).
 struct RtResult : sim::RunOutcome {
   bool all_live_halted = false;
-  /// Frames that arrived but failed FrameCodec::decode (corrupt, truncated,
-  /// unknown version...). The transport drops them — a decode failure is a
+  /// Frames that arrived but failed core::decode_frame (corrupt, truncated,
+  /// unknown type...). The transport drops them — a decode failure is a
   /// recoverable network event, never a crash. Zero on a healthy run.
   std::uint64_t decode_errors = 0;
   /// Per member, merged across every incarnation (crashed incarnations'

@@ -7,6 +7,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/frame.hpp"
 #include "support/check.hpp"
 
 namespace ftbb::sim {
@@ -104,6 +105,12 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
 
   void kill(double t) {
     if (!alive_) return;
+    // An idle worker's open gap ends here: no later event of this
+    // incarnation will close it.
+    if (started_ && !worker_->halted() && busy_until_ < t) {
+      attribute_gap(busy_until_, t);
+      busy_until_ = t;
+    }
     alive_ = false;
     crash_time_ = t;
     pending_.clear();
@@ -146,34 +153,23 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   [[nodiscard]] double now() const override { return busy_until_; }
 
   void send(core::NodeId to, core::Message msg) override {
-    // Frame-size the message under the cluster's wire version; for
-    // report/gossip under kV1 this advances the per-incarnation delta state
-    // (idempotently per batch — the m fanout copies size identically).
-    const bool is_report = msg.type == core::MsgType::kWorkReport ||
-                           msg.type == core::MsgType::kTableGossip;
+    // Frame-size the message; for report/gossip this advances the
+    // per-incarnation delta state (idempotently per batch — the m fanout
+    // copies size identically).
     const bool was_active = delta_.active;
-    // Under kLegacy the frame IS the flat encoding, so the flat size doubles
-    // as the frame size; only kV1 needs the (delta-advancing) frame pass.
-    // The flat size is O(1) in the payload: a code list carries its count.
-    const std::size_t flat = msg.wire_size();
-    const std::size_t bytes =
-        cluster_->codec_.version() == core::FrameVersion::kLegacy
-            ? flat
-            : cluster_->codec_.frame_size(msg, &delta_);
+    const std::size_t bytes = core::frame_size(msg, &delta_);
     ++wire_.frames;
     wire_.frame_bytes += bytes;
-    wire_.flat_bytes += flat;
-    if (is_report) {
+    if (msg.type == core::MsgType::kWorkReport ||
+        msg.type == core::MsgType::kTableGossip) {
       ++wire_.report_frames;
       wire_.report_frame_bytes += bytes;
-      wire_.report_flat_bytes += flat;
-      if (delta_.active) {
-        if (!was_active) ++report_streams_;
-        if (delta_.seq == 0) {
-          ++wire_.self_contained_reports;
-        } else {
-          ++wire_.delta_reports;
-        }
+      if (!was_active) ++report_streams_;
+      if (delta_.seq == 0) {
+        ++wire_.self_contained_reports;
+      } else {
+        ++wire_.delta_reports;
+        wire_.delta_report_bytes += bytes;
       }
     }
     auto& stats = worker_->stats();
@@ -204,31 +200,10 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
                          [this, kind, gen, epoch = epoch_]() {
       if (epoch != epoch_ || !alive_ || worker_->halted()) return;
       // Superseded arm: the worker's own gen filter would discard this fire
-      // anyway (~40% of all fires in the planetary storm), so skip the
-      // deque round-trip and pump. Riding through pump() is not entirely
-      // free, though — a delivered no-op fire still attributes the idle gap
-      // and advances the local clock — so replicate exactly that bookkeeping
-      // here. (Deferring the attribution to the next delivered event is NOT
-      // equivalent: a crash in between would lose the gap from the ledger.)
-      if (gen != timer_slot_[static_cast<int>(kind)]) {
-        const double t = cluster_->kernel_.now();
-        // Worker busy past the fire time: the old path parked the fire in
-        // pending_ and re-pumped at busy_until_, where the zero-width gap
-        // attributed nothing. Net effect was nil; just drop it.
-        if (t < busy_until_) return;
-        if (!pending_.empty()) {
-          // Backlog present (only reachable through same-instant races):
-          // keep strict deque ordering by taking the ordinary path.
-          pending_.emplace_back(TimerFire{kind, gen});
-          pump();
-          return;
-        }
-        if (busy_until_ < t) {
-          attribute_gap(busy_until_, t);
-          busy_until_ = t;
-        }
-        return;
-      }
+      // anyway (~40% of all fires in the planetary storm), so it never
+      // reaches the queue. The idle gap it falls into is attributed by the
+      // next event that does, or by kill() or finalize().
+      if (gen != timer_slot_[static_cast<int>(kind)]) return;
       pending_.emplace_back(TimerFire{kind, gen});
       pump();
     });
@@ -405,7 +380,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   std::uint64_t timer_slot_[core::kTimerKinds] = {};
   core::ReportDeltaState delta_;   // per-incarnation; reset on revive()
   WireStats wire_;                 // all incarnations of this worker
-  std::uint32_t report_streams_ = 0;  // incarnations that opened a v1 chain
+  std::uint32_t report_streams_ = 0;  // incarnations that opened a report chain
   ExpansionMap expansions_;   // every expansion this host performed
   trace::Timeline trace_;     // host-local; merged in collect()
 };
@@ -432,7 +407,6 @@ ExecutorConfig executor_config(const ClusterConfig& config) {
 SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& config)
     : model_(model),
       config_(config),
-      codec_(config.wire),
       kernel_(executor_config(config)) {
   FTBB_CHECK(config_.workers >= 1);
   FTBB_CHECK(config_.root_holder < config_.workers);

@@ -29,7 +29,6 @@
 
 #include "bnb/problem.hpp"
 #include "core/code_set.hpp"
-#include "core/frame.hpp"
 #include "core/worker.hpp"
 #include "fault/driver.hpp"
 #include "sim/kernel.hpp"
@@ -88,10 +87,6 @@ struct ClusterConfig {
   bool record_trace = false;
   double storage_sample_interval = 0.25; // virtual seconds between samples
   core::NodeId root_holder = 0;          // the one member seeded with the root
-  /// Wire frame version every member speaks. Defaults to the seed-era flat
-  /// encoding so the pinned golden ScenarioReport fingerprints (which cover
-  /// byte counts) stay valid; experiments opt into kV1 explicitly.
-  core::FrameVersion wire = core::FrameVersion::kLegacy;
   /// Join time per worker (empty: everyone joins at t=0). Models the
   /// dynamically available resource pool of Section 4: late joiners enter
   /// the membership and acquire work through the normal load-balancing
@@ -101,30 +96,26 @@ struct ClusterConfig {
   std::vector<double> join_times;
 };
 
-/// Frame-level accounting under the configured wire version. The flat_*
-/// fields price the *same traffic* in the legacy flat encoding (the frame
-/// codec computes both), so one run yields a legacy-vs-v1 comparison. The
-/// self-contained/delta split is meaningful only under kV1 (legacy frames
-/// carry no delta chain and leave both counters at zero).
+/// Frame-level accounting (core/frame.hpp). Report frames split by their
+/// chain: a self-contained one (wire sequence 0) opens an incarnation's
+/// report stream, and every later batch deltas against the one before.
 struct WireStats {
   std::uint64_t frames = 0;
-  std::uint64_t frame_bytes = 0;       // bytes actually on the wire
-  std::uint64_t flat_bytes = 0;        // same traffic, legacy encoding
+  std::uint64_t frame_bytes = 0;       // bytes on the wire
   std::uint64_t report_frames = 0;     // kWorkReport + kTableGossip only
   std::uint64_t report_frame_bytes = 0;
-  std::uint64_t report_flat_bytes = 0;
   std::uint64_t self_contained_reports = 0;  // wire sequence 0: no delta base
   std::uint64_t delta_reports = 0;           // chained to the previous batch
+  std::uint64_t delta_report_bytes = 0;      // the chained ones' share
 
   void add(const WireStats& o) {
     frames += o.frames;
     frame_bytes += o.frame_bytes;
-    flat_bytes += o.flat_bytes;
     report_frames += o.report_frames;
     report_frame_bytes += o.report_frame_bytes;
-    report_flat_bytes += o.report_flat_bytes;
     self_contained_reports += o.self_contained_reports;
     delta_reports += o.delta_reports;
+    delta_report_bytes += o.delta_report_bytes;
   }
 };
 
@@ -163,7 +154,7 @@ struct ClusterResult : RunOutcome {
   // -- network --
   WireStats wire;
   /// Per worker: report delta streams opened, i.e. incarnations that encoded
-  /// at least one report/gossip batch under kV1. A worker that crashed
+  /// at least one report/gossip batch. A worker that crashed
   /// mid-stream and revived shows 2 — its revived incarnation restarted the
   /// chain from a self-contained report instead of a dead predecessor's base.
   std::vector<std::uint32_t> report_streams_per_worker;
@@ -222,7 +213,6 @@ class SimCluster {
 
   const bnb::IProblemModel& model_;
   ClusterConfig config_;
-  core::FrameCodec codec_;
   Kernel kernel_;
   std::unique_ptr<Network> network_;
   FaultPlane fault_plane_{this};

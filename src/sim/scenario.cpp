@@ -100,7 +100,6 @@ ScenarioReport run_ftbb(const ScenarioSpec& spec,
   cfg.loss_rules = schedule.loss_rules;
   cfg.seed = spec.seed;
   cfg.time_limit = spec.time_limit;
-  if (spec.wire.has_value()) cfg.wire = *spec.wire;
   for (const fault::CrashAt& c : schedule.crashes) {
     cfg.crashes.push_back(CrashEvent{c.node, c.time});
   }
@@ -119,7 +118,6 @@ ScenarioReport run_central(const ScenarioSpec& spec,
                            const Workload& workload) {
   central::CentralConfig cfg = spec.central;
   cfg.sim_threads = spec.sim_threads;
-  if (spec.wire.has_value()) cfg.wire = *spec.wire;
   // Network ids shift by one: node 0 is the manager, protocol node i is
   // worker i+1. The manager shares a partition group with protocol node 0.
   const central::CentralResult res = central::CentralSim::run(
@@ -133,7 +131,6 @@ ScenarioReport run_dib(const ScenarioSpec& spec,
                        const Workload& workload) {
   dib::DibConfig cfg = spec.dib;
   cfg.sim_threads = spec.sim_threads;
-  if (spec.wire.has_value()) cfg.wire = *spec.wire;
   const dib::DibResult res =
       dib::DibSim::run(*workload.model, schedule.population, cfg, spec.net,
                        schedule, spec.time_limit, spec.seed);
@@ -151,7 +148,6 @@ ScenarioReport run_rt(const ScenarioSpec& spec,
   cfg.time_scale = spec.rt_time_scale;
   cfg.wall_timeout = spec.rt_wall_timeout;
   cfg.faults = schedule;
-  if (spec.wire.has_value()) cfg.wire = *spec.wire;
 
   // The makespan is in wall seconds, not virtual time.
   const rt::RtResult res = rt::Cluster::run(*workload.model, cfg);

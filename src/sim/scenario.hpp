@@ -95,11 +95,6 @@ struct ScenarioSpec {
   central::CentralConfig central;  // kCentral tuning
   dib::DibConfig dib;              // kDib tuning
 
-  /// Wire frame version override for whichever backend runs the scenario.
-  /// Unset keeps each backend's default (kFtbb: kLegacy, preserving pinned
-  /// golden fingerprints; kCentral/kDib/kRt: kV1).
-  std::optional<core::FrameVersion> wire;
-
   // kRt tuning. On the real-time backend the spec's times are *wall*
   // seconds: fault times and net latencies count from run start on a
   // steady clock, and rt_wall_timeout (not time_limit) caps the run.

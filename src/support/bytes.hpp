@@ -23,7 +23,7 @@ namespace ftbb::support {
 ///
 /// A counting() writer accepts the same encode calls but accumulates size()
 /// only, never touching a buffer — the allocation-free path behind every
-/// per-send wire_size() / frame_size() latency charge.
+/// per-send frame_size() latency charge.
 class ByteWriter {
  public:
   ByteWriter() = default;

@@ -380,6 +380,34 @@ TEST(Cluster, WorkerCrashingBeforeJoiningIsIgnored) {
   expect_solved(res, tree.optimal_value());
 }
 
+TEST(Cluster, CrashedIdleWorkerAccountsForEverySecondUntilItsCrash) {
+  // Worker 1 joins at 0.03 and crashes at 0.1 without ever holding work:
+  // worker 0 grants nothing, and every protocol cost is zero, so worker 1
+  // is idle at every instant. Its five time categories must then sum to
+  // exactly its lifetime. With worker 0 reachable, its denies answer each
+  // request early and the next request supersedes the pending timeout, so
+  // superseded timer fires land in the idle gaps; behind a partition every
+  // timeout fires for real.
+  const BasicTree tree = test_tree(25, 601, /*cost_mean=*/0.01);
+  TreeProblem problem(&tree);
+  for (const bool partitioned : {false, true}) {
+    ClusterConfig cfg = base_config(2, 25);
+    cfg.worker.costs = core::ProtocolCosts{0, 0, 0, 0, 0, 0, 0, 0};
+    cfg.worker.min_pool_to_grant = 1u << 30;
+    cfg.join_times = {0.0, 0.03};
+    cfg.crashes = {{1, 0.1}};
+    if (partitioned) cfg.partitions = {Partition{0.0, 1e9, {0, 1}}};
+    const ClusterResult res = SimCluster::run(problem, cfg);
+    expect_solved(res, tree.optimal_value());
+    ASSERT_TRUE(res.crashed[1]);
+    double lifetime = 0.0;
+    for (const double t : res.workers[1].time) lifetime += t;
+    EXPECT_NEAR(lifetime, 0.1 - 0.03, 1e-12) << "partitioned " << partitioned;
+    EXPECT_GT(res.workers[1].work_requests_sent, 0u);
+    EXPECT_EQ(res.workers[1].expanded, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Adaptive timeouts (paper Section 7 future work)
 // ---------------------------------------------------------------------------

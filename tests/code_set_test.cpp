@@ -465,6 +465,10 @@ void expect_merge_matches_per_code(const CodeSet& start,
     EXPECT_EQ(table->export_codes(), per_code.export_codes());
     EXPECT_EQ(table->trie_nodes(), per_code.trie_nodes());
     EXPECT_EQ(table->encoded_bytes(), per_code.encoded_bytes());
+    // The export sizes its chain links from the trie's turn nodes; a list
+    // built from the same codes compares their words.
+    EXPECT_EQ(table->export_list().chain_bytes(),
+              CodeList(table->export_codes()).chain_bytes());
     table->check_invariants();
   }
   per_code.check_invariants();

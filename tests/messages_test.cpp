@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -14,14 +15,13 @@ namespace {
 
 Message round_trip(const Message& m) {
   support::ByteWriter w;
-  m.encode(w);
-  // wire_size() takes a code list's size from its cached byte count, so
-  // this also checks that count against the encoder.
-  EXPECT_EQ(w.size(), m.wire_size());
-  support::ByteReader r(w.data());
-  Message out = Message::decode(r);
-  EXPECT_TRUE(r.done());
-  return out;
+  encode_frame(m, nullptr, w);
+  // frame_size() takes all but the first link of a code chain from the
+  // list's cached chain bytes, so this also checks that count.
+  EXPECT_EQ(w.size(), frame_size(m, nullptr));
+  const FrameDecode d = decode_frame(w.data());
+  EXPECT_TRUE(d.ok()) << to_string(d.status);
+  return d.msg;
 }
 
 /// A code `depth` steps deep whose variable indices grow past the one-byte
@@ -111,20 +111,122 @@ TEST(Messages, TableGossipRoundTrip) {
   EXPECT_EQ(out.codes.to_vector(), codes);
 }
 
-TEST(Messages, GossipOfAnExportedDeepTableSizesExactly) {
-  // A gossip list built from the completion trie takes every code's size
-  // from the trie's per-node byte counts instead of encoding it.
-  CodeSet table;
+/// Export lists of the completion trie, whose chain links are sized from
+/// the trie's nodes rather than from the words: codes deeper than 32, a
+/// one-code table, a root-complete table, and a table whose export follows
+/// a sibling contraction.
+std::vector<CodeList> export_lists() {
+  std::vector<CodeList> lists;
+  CodeSet deep;
   for (std::uint32_t i = 0; i < 40; ++i) {
-    const PathCode c = deep_code(30 + i);
-    table.insert(c.sibling());  // one completed leaf per depth 30..69
+    deep.insert(deep_code(30 + i).sibling());  // one leaf per depth 30..69
   }
-  Message m;
-  m.type = MsgType::kTableGossip;
-  m.codes = table.export_list();
-  ASSERT_EQ(m.codes.size(), 40u);
-  EXPECT_EQ(m.codes.encoded_bytes(), table.encoded_bytes());
-  EXPECT_EQ(round_trip(m).codes, m.codes);
+  lists.push_back(deep.export_list());
+
+  CodeSet one;
+  one.insert(deep_code(45, 2));
+  lists.push_back(one.export_list());
+
+  CodeSet root;
+  root.insert(PathCode::root().child(3, false));
+  root.insert(PathCode::root().child(3, true));
+  EXPECT_TRUE(root.root_complete());
+  lists.push_back(root.export_list());
+
+  // Codes of one tree: deep_code() branches on the same variable at each
+  // depth, and the siblings leave its path on the other bit.
+  CodeSet contracted;
+  const PathCode parent = deep_code(36);
+  contracted.insert(deep_code(12).sibling());
+  contracted.insert(parent.child(900, false).child(7, true));
+  (void)contracted.export_list();  // memoized before the contraction
+  contracted.insert(parent.child(900, true));
+  contracted.insert(parent.child(900, false).child(7, false));
+  contracted.insert(deep_code(20).sibling());
+  EXPECT_TRUE(contracted.covered(parent));
+  EXPECT_EQ(contracted.code_count(), 3u);
+  lists.push_back(contracted.export_list());
+  return lists;
+}
+
+/// Every list origin the size must hold for: trie exports, lists built from
+/// a span of codes, and lists decoded off the wire.
+std::vector<CodeList> list_inputs() {
+  std::vector<CodeList> lists = export_lists();
+  support::Rng rng(41);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<PathCode> codes;
+    for (std::size_t i = 0, n = 1 + rng.pick(12); i < n; ++i) {
+      PathCode c = PathCode::root();
+      const std::size_t depth = rng.pick(70);
+      for (std::size_t d = 0; d < depth; ++d) {
+        c = c.child(static_cast<std::uint32_t>(rng.pick(300)), rng.chance(0.5));
+      }
+      codes.push_back(c);
+    }
+    std::sort(codes.begin(), codes.end());
+    if (trial % 2 == 1) std::reverse(codes.begin(), codes.end());
+    lists.emplace_back(codes);
+  }
+  const std::size_t built = lists.size();
+  for (std::size_t i = 0; i < built; ++i) {
+    Message m;
+    m.type = MsgType::kTableGossip;
+    m.codes = lists[i];
+    support::ByteWriter w;
+    encode_frame(m, nullptr, w);
+    const FrameDecode d = decode_frame(w.data());
+    EXPECT_TRUE(d.ok()) << to_string(d.status);
+    lists.push_back(d.msg.codes);
+  }
+  return lists;
+}
+
+/// The chain bytes a list must cache: every link after the first, sized by
+/// comparing the codes' words.
+std::size_t chain_bytes_by_walk(const CodeList& codes) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < codes.size(); ++i) {
+    n += delta_size(codes[i - 1], codes[i]);
+  }
+  return n;
+}
+
+/// A two-batch report stream whose second batch is `codes`: the first batch
+/// sets a deep delta base, so the second ships at wire sequence 1.
+std::vector<Message> report_stream(MsgType type, const CodeList& codes) {
+  Message first;
+  first.type = type;
+  first.from = 4;
+  first.report_seq = 1;
+  first.codes = {deep_code(50, 3), deep_code(20, 1)};
+  Message second = first;
+  second.report_seq = 2;
+  second.codes = codes;
+  return {first, second};
+}
+
+TEST(Messages, GossipOfAnExportedDeepTableSizesExactly) {
+  // A gossip list built from the completion trie takes its chain's link
+  // sizes from the trie's nodes instead of comparing words; the frame's
+  // size must still be exact, at wire sequence 0 and above it.
+  for (const CodeList& codes : export_lists()) {
+    ASSERT_FALSE(codes.empty());
+    EXPECT_EQ(codes.chain_bytes(), chain_bytes_by_walk(codes));
+    ReportDeltaState counted;
+    ReportDeltaState encoded;
+    std::uint64_t seq = 0;
+    for (const Message& m : report_stream(MsgType::kTableGossip, codes)) {
+      const std::size_t size = frame_size(m, &counted);
+      support::ByteWriter w;
+      encode_frame(m, &encoded, w);
+      EXPECT_EQ(size, w.size()) << "wire sequence " << seq;
+      const FrameDecode d = decode_frame(w.data());
+      ASSERT_TRUE(d.ok()) << to_string(d.status);
+      EXPECT_EQ(d.msg.codes, m.codes);
+      EXPECT_EQ(d.msg.report_seq, seq++);
+    }
+  }
 }
 
 TEST(Messages, WireSizeGrowsWithPayload) {
@@ -137,7 +239,7 @@ TEST(Messages, WireSizeGrowsWithPayload) {
     codes.push_back(PathCode::root().child(1, true).child(i + 2, false));
   }
   large.codes = CodeList(codes);
-  EXPECT_GT(large.wire_size(), small.wire_size());
+  EXPECT_GT(frame_size(large, nullptr), frame_size(small, nullptr));
 }
 
 TEST(Messages, RequestIsSmall) {
@@ -146,7 +248,7 @@ TEST(Messages, RequestIsSmall) {
   m.type = MsgType::kWorkRequest;
   m.from = 1000;
   m.request_id = 100000;
-  EXPECT_LE(m.wire_size(), 20u);
+  EXPECT_LE(frame_size(m, nullptr), 20u);
 }
 
 TEST(Messages, SummaryMentionsTypeAndCounts) {
@@ -160,7 +262,7 @@ TEST(Messages, SummaryMentionsTypeAndCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec: property round-trips and decode robustness (core/frame.hpp).
+// Frames: property round-trips and decode robustness (core/frame.hpp).
 // ---------------------------------------------------------------------------
 
 PathCode random_code(support::Rng& rng, std::size_t max_depth = 12) {
@@ -228,51 +330,49 @@ void expect_same_content(const Message& a, const Message& b) {
   EXPECT_EQ(a.codes, b.codes);
 }
 
-std::vector<std::uint8_t> encode_frame(const FrameCodec& codec,
-                                       const Message& m,
-                                       ReportDeltaState* state) {
+std::vector<std::uint8_t> encode(const Message& m, ReportDeltaState* state) {
   support::ByteWriter w;
-  codec.encode(m, state, w);
+  encode_frame(m, state, w);
   return std::move(w.data());
 }
 
-TEST(Frames, RandomMessagesSurviveBothVersions) {
+TEST(Frames, RandomMessagesSurviveARoundTrip) {
   support::Rng rng(20260808);
-  const FrameCodec legacy(FrameVersion::kLegacy);
-  const FrameCodec v1(FrameVersion::kV1);
+  ReportDeltaState state;  // one sender's stream: chains above sequence 0
   for (int trial = 0; trial < 400; ++trial) {
     const Message m = random_message(rng);
-    {
-      const auto buf = encode_frame(legacy, m, nullptr);
-      const FrameDecode d = FrameCodec::decode(buf);
+    for (ReportDeltaState* s : {static_cast<ReportDeltaState*>(nullptr), &state}) {
+      const FrameDecode d = decode_frame(encode(m, s));
       ASSERT_TRUE(d.ok()) << to_string(d.status);
-      EXPECT_EQ(d.version, FrameVersion::kLegacy);
-      expect_same_content(m, d.msg);
-    }
-    {
-      ReportDeltaState state;
-      const auto buf = encode_frame(v1, m, &state);
-      const FrameDecode d = FrameCodec::decode(buf);
-      ASSERT_TRUE(d.ok()) << to_string(d.status);
-      EXPECT_EQ(d.version, FrameVersion::kV1);
       expect_same_content(m, d.msg);
     }
   }
+  EXPECT_GT(state.seq, 0u);
 }
 
 TEST(Frames, CountingSizeMatchesEncodedSize) {
+  // Two states advanced in lockstep: frame_size() must walk the same
+  // delta-state path as encode_frame() for a chained report stream.
   support::Rng rng(7);
-  for (const FrameVersion version :
-       {FrameVersion::kLegacy, FrameVersion::kV1}) {
-    const FrameCodec codec(version);
-    // Two states advanced in lockstep: frame_size() must walk the same
-    // delta-state path as encode() for a chained report stream.
+  {
     ReportDeltaState counted, encoded;
     for (int trial = 0; trial < 200; ++trial) {
       const Message m = random_message(rng);
-      const std::size_t counted_size = codec.frame_size(m, &counted);
-      const auto buf = encode_frame(codec, m, &encoded);
-      EXPECT_EQ(counted_size, buf.size()) << to_string(version);
+      EXPECT_EQ(frame_size(m, &counted), encode(m, &encoded).size());
+    }
+  }
+  // Every list origin, on every list-carrying type, at wire sequence 0 and
+  // above it (the root report's chain is always self-contained).
+  for (const CodeList& codes : list_inputs()) {
+    EXPECT_EQ(codes.chain_bytes(), chain_bytes_by_walk(codes));
+    for (const MsgType type :
+         {MsgType::kWorkReport, MsgType::kTableGossip, MsgType::kRootReport}) {
+      ReportDeltaState counted, encoded;
+      for (const Message& m : report_stream(type, codes)) {
+        EXPECT_EQ(frame_size(m, &counted), encode(m, &encoded).size())
+            << to_string(type) << " at wire sequence " << counted.seq;
+        EXPECT_EQ(frame_size(m, nullptr), encode(m, nullptr).size());
+      }
     }
   }
 }
@@ -282,7 +382,6 @@ TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
   // must decode in isolation (receivers are random fanout peers and any
   // frame may be the first one they see of this sender).
   support::Rng rng(99);
-  const FrameCodec v1(FrameVersion::kV1);
   ReportDeltaState state;
   for (std::uint64_t batch = 1; batch <= 50; ++batch) {
     Message m;
@@ -297,31 +396,55 @@ TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
     m.codes = CodeList(codes);
     // The worker fans the same batch out to several peers: every copy must
     // encode identically (the state advances once per report_seq).
-    const auto first = encode_frame(v1, m, &state);
-    const auto second = encode_frame(v1, m, &state);
+    const auto first = encode(m, &state);
+    const auto second = encode(m, &state);
     EXPECT_EQ(first, second);
-    const FrameDecode d = FrameCodec::decode(first);
+    const FrameDecode d = decode_frame(first);
     ASSERT_TRUE(d.ok()) << to_string(d.status) << " at batch " << batch;
     EXPECT_EQ(d.msg.codes, m.codes);
-    EXPECT_EQ(d.msg.report_seq, batch - 1);  // codec's own wire sequence
+    EXPECT_EQ(d.msg.report_seq, batch - 1);  // the chain's wire sequence
   }
   EXPECT_EQ(state.seq, 49u);
 }
 
+TEST(Frames, RootReportIsASelfContainedChainThatLeavesTheStreamAlone) {
+  ReportDeltaState state;
+  Message report;
+  report.type = MsgType::kWorkReport;
+  report.report_seq = 1;
+  report.codes = {deep_code(10)};
+  (void)encode(report, &state);
+  report.report_seq = 2;
+  report.codes = {deep_code(11)};
+  (void)encode(report, &state);
+  ASSERT_EQ(state.seq, 1u);
+
+  Message root;
+  root.type = MsgType::kRootReport;
+  root.codes = {PathCode::root()};
+  const auto buf = encode(root, &state);
+  EXPECT_EQ(state.seq, 1u);
+  EXPECT_EQ(state.batch_id, 2u);
+  EXPECT_EQ(state.cur_last, deep_code(11));
+  EXPECT_EQ(buf, encode(root, nullptr));
+  const FrameDecode d = decode_frame(buf);
+  ASSERT_TRUE(d.ok()) << to_string(d.status);
+  EXPECT_EQ(d.msg.report_seq, 0u);
+  EXPECT_EQ(d.msg.codes, root.codes);
+}
+
 TEST(Frames, EveryTruncationDecodesToErrorNotCrash) {
   support::Rng rng(13);
-  for (const FrameVersion version :
-       {FrameVersion::kLegacy, FrameVersion::kV1}) {
-    const FrameCodec codec(version);
-    for (int trial = 0; trial < 40; ++trial) {
-      ReportDeltaState state;
-      const Message m = random_message(rng);
-      const auto buf = encode_frame(codec, m, &state);
-      for (std::size_t len = 0; len < buf.size(); ++len) {
-        const FrameDecode d = FrameCodec::decode(buf.data(), len);
-        EXPECT_FALSE(d.ok())
-            << to_string(version) << " prefix " << len << "/" << buf.size();
-      }
+  for (int trial = 0; trial < 80; ++trial) {
+    ReportDeltaState state;
+    Message m = random_message(rng);
+    // Half the report frames ship above sequence 0, with a delta base.
+    if (trial % 2 == 1) (void)encode(random_message(rng), &state);
+    m.report_seq = 1000;
+    const auto buf = encode(m, &state);
+    for (std::size_t len = 0; len < buf.size(); ++len) {
+      const FrameDecode d = decode_frame(buf.data(), len);
+      EXPECT_FALSE(d.ok()) << "prefix " << len << "/" << buf.size();
     }
   }
 }
@@ -331,97 +454,45 @@ TEST(Frames, EveryBitFlipDecodesOrErrorsNeverCrashes) {
   // different valid message — the guarantee under test is purely that no
   // single-bit corruption can crash or over-allocate the decoder.
   support::Rng rng(29);
-  for (const FrameVersion version :
-       {FrameVersion::kLegacy, FrameVersion::kV1}) {
-    const FrameCodec codec(version);
-    for (int trial = 0; trial < 20; ++trial) {
-      ReportDeltaState state;
-      const Message m = random_message(rng);
-      const auto buf = encode_frame(codec, m, &state);
-      for (std::size_t byte = 0; byte < buf.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-          auto flipped = buf;
-          flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-          (void)FrameCodec::decode(flipped);  // must return, never abort
-        }
+  for (int trial = 0; trial < 40; ++trial) {
+    ReportDeltaState state;
+    Message m = random_message(rng);
+    if (trial % 2 == 1) (void)encode(random_message(rng), &state);
+    m.report_seq = 1000;
+    const auto buf = encode(m, &state);
+    for (std::size_t byte = 0; byte < buf.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = buf;
+        flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        (void)decode_frame(flipped);  // must return, never abort
       }
     }
   }
 }
 
-TEST(Frames, WrongVersionByteIsRecoverable) {
-  Message m;
-  m.type = MsgType::kWorkRequest;
-  m.from = 5;
-  auto buf = encode_frame(FrameCodec(FrameVersion::kV1), m, nullptr);
-  ASSERT_GE(buf.size(), 2u);
-  ASSERT_EQ(buf[0], kFrameMagic);
-  buf[1] = 2;  // a future version we do not speak
-  EXPECT_EQ(FrameCodec::decode(buf).status, DecodeStatus::kUnknownVersion);
-  buf[1] = 0xee;
-  EXPECT_EQ(FrameCodec::decode(buf).status, DecodeStatus::kUnknownVersion);
-}
-
-TEST(Frames, UnframedGarbageIsBadMagic) {
-  // First byte is neither the v1 magic nor a legacy MsgType (1..6).
-  const std::vector<std::uint8_t> garbage = {0x07, 0x01, 0x02, 0x03};
-  EXPECT_EQ(FrameCodec::decode(garbage).status, DecodeStatus::kBadMagic);
-  const std::vector<std::uint8_t> zero = {0x00};
-  EXPECT_EQ(FrameCodec::decode(zero).status, DecodeStatus::kBadMagic);
-}
-
 TEST(Frames, FramedUnknownTypeIsRejected) {
   Message m;
   m.type = MsgType::kWorkDeny;
-  auto buf = encode_frame(FrameCodec(FrameVersion::kV1), m, nullptr);
-  buf[2] = 9;  // outside the MsgType enum
-  EXPECT_EQ(FrameCodec::decode(buf).status, DecodeStatus::kUnknownType);
-}
-
-TEST(Frames, TrailingBytesAreALengthMismatch) {
-  Message m;
-  m.type = MsgType::kWorkRequest;
-  for (const FrameVersion version :
-       {FrameVersion::kLegacy, FrameVersion::kV1}) {
-    auto buf = encode_frame(FrameCodec(version), m, nullptr);
-    buf.push_back(0xab);
-    EXPECT_EQ(FrameCodec::decode(buf).status, DecodeStatus::kLengthMismatch)
-        << to_string(version);
+  auto buf = encode(m, nullptr);
+  for (const int type : {0, 7, 9, 0xfb, 0xff}) {
+    buf[0] = static_cast<std::uint8_t>(type);  // outside the MsgType enum
+    EXPECT_EQ(decode_frame(buf).status, DecodeStatus::kUnknownType);
   }
 }
 
-TEST(Frames, HostileCountsNeverOverAllocate) {
-  // Legacy kWorkGrant claiming ~2^60 problems in a 20-byte buffer: the
-  // decoder must bound the claimed count against the remaining bytes
-  // instead of reserving petabytes.
-  support::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kWorkGrant));
-  w.varint(1);                 // from
-  w.f64(0.0);                  // best_known
-  w.varint(0);                 // request_id
-  w.varint(1ull << 60);        // hostile problem count
-  w.u8(0);
-  EXPECT_FALSE(FrameCodec::decode(w.data()).ok());
-
-  // Same attack through a v1 report frame: a huge code count and a huge
-  // delta `add` count inside a tiny declared payload.
-  support::ByteWriter v;
-  v.u8(kFrameMagic);
-  v.u8(1);
-  v.u8(static_cast<std::uint8_t>(MsgType::kWorkReport));
-  support::ByteWriter payload;
-  payload.varint(1);            // from
-  payload.f64(0.0);             // best_known
-  payload.varint(0);            // request_id
-  payload.varint(0);            // wire seq 0: self-contained
-  payload.varint(1ull << 50);   // hostile code count
-  v.varint(payload.size());
-  for (const std::uint8_t b : payload.data()) v.u8(b);
-  EXPECT_FALSE(FrameCodec::decode(v.data()).ok());
+TEST(Frames, TrailingBytesAreALengthMismatch) {
+  for (const MsgType type : {MsgType::kWorkRequest, MsgType::kWorkReport}) {
+    Message m;
+    m.type = type;
+    auto buf = encode(m, nullptr);
+    buf.push_back(0xab);
+    EXPECT_EQ(decode_frame(buf).status, DecodeStatus::kLengthMismatch)
+        << to_string(type);
+  }
 }
 
-/// Legacy frame header (type, from, best_known, request_id) for `type`.
-support::ByteWriter legacy_header(MsgType type) {
+/// Frame header (type, from, best_known, request_id) for `type`.
+support::ByteWriter frame_header(MsgType type) {
   support::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
   w.varint(1);    // from
@@ -430,114 +501,99 @@ support::ByteWriter legacy_header(MsgType type) {
   return w;
 }
 
-/// Wraps a v1 payload (from, best_known, request_id already included) in a
-/// frame header of `type`.
-std::vector<std::uint8_t> v1_frame(MsgType type, const support::ByteWriter& payload) {
-  support::ByteWriter v;
-  v.u8(kFrameMagic);
-  v.u8(1);
-  v.u8(static_cast<std::uint8_t>(type));
-  v.varint(payload.size());
-  for (const std::uint8_t b : payload.data()) v.u8(b);
-  return std::move(v.data());
-}
+TEST(Frames, HostileCountsNeverOverAllocate) {
+  // A kWorkGrant claiming ~2^60 problems in a 20-byte buffer: the decoder
+  // must bound the claimed count against the remaining bytes instead of
+  // reserving petabytes.
+  support::ByteWriter grant = frame_header(MsgType::kWorkGrant);
+  grant.varint(1ull << 60);  // hostile problem count
+  grant.u8(0);
+  EXPECT_FALSE(decode_frame(grant.data()).ok());
 
-support::ByteWriter v1_payload_header() {
-  support::ByteWriter p;
-  p.varint(1);    // from
-  p.f64(0.0);     // best_known
-  p.varint(0);    // request_id
-  return p;
+  // Same attack through a report: a huge code count.
+  support::ByteWriter report = frame_header(MsgType::kWorkReport);
+  report.varint(0);           // wire seq 0: self-contained
+  report.varint(1ull << 50);  // hostile code count
+  EXPECT_FALSE(decode_frame(report.data()).ok());
 }
 
 TEST(Frames, HostileCodeListCountsNeverAbortOrOverAllocate) {
-  // Code lists (reports, gossip, the root broadcast) reserve their code and
-  // step-word storage up front; every count an attacker controls must be
-  // checked against the input first.
+  // Code chains (reports, gossip, the root broadcast) reserve their code
+  // and step-word storage up front; every count an attacker controls must
+  // be checked against the input first.
   for (const MsgType type :
        {MsgType::kWorkReport, MsgType::kTableGossip, MsgType::kRootReport}) {
-    // Legacy: a huge code count.
-    support::ByteWriter count = legacy_header(type);
+    // A huge code count.
+    support::ByteWriter count = frame_header(type);
+    count.varint(0);
     count.varint(1ull << 60);
     count.u8(0);
-    EXPECT_EQ(FrameCodec::decode(count.data()).status,
-              DecodeStatus::kCorruptPayload);
+    EXPECT_EQ(decode_frame(count.data()).status, DecodeStatus::kCorruptPayload);
 
-    // Legacy: a sane count whose one code claims 2^40 step words.
-    support::ByteWriter depth = legacy_header(type);
-    depth.varint(2);
-    depth.varint(1ull << 40);
-    depth.u8(2);
-    depth.u8(4);
-    EXPECT_EQ(FrameCodec::decode(depth.data()).status,
-              DecodeStatus::kCorruptPayload);
+    // A base claiming 2^40 step words, and one past PathCode::kMaxDepth.
+    for (const std::uint64_t depth : {std::uint64_t{1} << 40, PathCode::kMaxDepth + 1}) {
+      support::ByteWriter base = frame_header(type);
+      base.varint(1);      // wire seq 1: a base follows
+      base.varint(depth);  // hostile base depth
+      base.u8(0);
+      EXPECT_FALSE(decode_frame(base.data()).ok());
+    }
 
-    // Legacy: one code past PathCode::kMaxDepth, and a step word whose
-    // variable index overflows 31 bits.
-    support::ByteWriter max_depth = legacy_header(type);
-    max_depth.varint(1);
-    max_depth.varint(PathCode::kMaxDepth + 1);
-    EXPECT_FALSE(FrameCodec::decode(max_depth.data()).ok());
-    support::ByteWriter wide = legacy_header(type);
-    wide.varint(1);
-    wide.varint(1);
-    wide.varint(std::uint64_t{PathCode::kMaxVar + 1} << 1);
-    EXPECT_EQ(FrameCodec::decode(wide.data()).status,
-              DecodeStatus::kCorruptPayload);
-  }
-
-  // v1 root report (flat list): a huge count.
-  support::ByteWriter root = v1_payload_header();
-  root.varint(1ull << 50);
-  EXPECT_FALSE(FrameCodec::decode(v1_frame(MsgType::kRootReport, root)).ok());
-
-  for (const MsgType type : {MsgType::kWorkReport, MsgType::kTableGossip}) {
-    // v1 delta chain: a base claiming 2^40 step words.
-    support::ByteWriter base = v1_payload_header();
-    base.varint(1);             // wire seq 1: a base follows
-    base.varint(1ull << 40);    // hostile base depth
-    base.u8(0);
-    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, base)).ok());
-
-    // v1 delta chain: one delta appending 2^40 words, and one trimming
-    // more words than the chain holds.
-    support::ByteWriter add = v1_payload_header();
-    add.varint(0);              // self-contained
-    add.varint(1);              // one code
-    add.varint(0);              // trim
-    add.varint(1ull << 40);     // hostile add
-    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, add)).ok());
-    support::ByteWriter trim = v1_payload_header();
+    // One delta appending 2^40 words, one reaching past kMaxDepth, and one
+    // trimming more words than the chain holds.
+    for (const std::uint64_t add : {std::uint64_t{1} << 40, PathCode::kMaxDepth + 1}) {
+      support::ByteWriter grow = frame_header(type);
+      grow.varint(0);  // self-contained
+      grow.varint(1);  // one code
+      grow.varint(0);  // trim
+      grow.varint(add);
+      EXPECT_EQ(decode_frame(grow.data()).status, DecodeStatus::kCorruptPayload);
+    }
+    support::ByteWriter trim = frame_header(type);
     trim.varint(0);
     trim.varint(1);
-    trim.varint(5);             // trim 5 words off the empty root
+    trim.varint(5);  // trim 5 words off the empty root
     trim.varint(0);
-    EXPECT_FALSE(FrameCodec::decode(v1_frame(type, trim)).ok());
+    EXPECT_EQ(decode_frame(trim.data()).status, DecodeStatus::kCorruptPayload);
+
+    // A step word whose variable index overflows 31 bits.
+    support::ByteWriter wide = frame_header(type);
+    wide.varint(0);
+    wide.varint(1);
+    wide.varint(0);
+    wide.varint(1);
+    wide.varint(std::uint64_t{PathCode::kMaxVar + 1} << 1);
+    EXPECT_EQ(decode_frame(wide.data()).status, DecodeStatus::kCorruptPayload);
   }
 }
 
 TEST(Frames, DeltaChainsExpandPastTheirInputBytes) {
-  // Codes sharing a deep prefix cost two bytes each on the v1 wire but
-  // their full depth in the decoded list: the decoder reserves what the
-  // input can hold and grows from there, without rejecting the frame.
+  // Codes sharing a deep prefix cost two bytes each on the wire but their
+  // full depth in the decoded list: the decoder reserves what the input can
+  // hold and grows from there, without rejecting the frame.
   const PathCode deep = deep_code(200);
   std::vector<PathCode> codes;
-  for (std::uint32_t i = 0; i < 300; ++i) codes.push_back(deep.child(5000 + i, true));
+  std::size_t flat_bytes = 0;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    codes.push_back(deep.child(5000 + i, true));
+    flat_bytes += codes.back().encoded_size();
+  }
   Message m;
   m.type = MsgType::kTableGossip;
   m.codes = CodeList(codes);
   m.report_seq = 1;
-  const auto buf = encode_frame(FrameCodec(FrameVersion::kV1), m, nullptr);
-  EXPECT_LT(buf.size(), m.codes.encoded_bytes() / 10);
-  const FrameDecode d = FrameCodec::decode(buf);
+  const auto buf = encode(m, nullptr);
+  EXPECT_LT(buf.size(), flat_bytes / 10);
+  const FrameDecode d = decode_frame(buf);
   ASSERT_TRUE(d.ok()) << to_string(d.status);
   EXPECT_EQ(d.msg.codes, m.codes);
 }
 
 TEST(Frames, EmptyAndOneByteInputsAreErrors) {
-  EXPECT_EQ(FrameCodec::decode(nullptr, 0).status, DecodeStatus::kTruncated);
-  const std::uint8_t magic_only = kFrameMagic;
-  EXPECT_FALSE(FrameCodec::decode(&magic_only, 1).ok());
+  EXPECT_EQ(decode_frame(nullptr, 0).status, DecodeStatus::kTruncated);
+  for (std::uint8_t type = 1; type <= 6; ++type) {
+    EXPECT_EQ(decode_frame(&type, 1).status, DecodeStatus::kCorruptPayload);
+  }
 }
 
 }  // namespace

@@ -214,9 +214,8 @@ TEST(Scenario, CrashedWorkForcesRedundantExpansion) {
 TEST(Scenario, CrashAtTheJoinInstantMatchesAJoinPastTheHorizon) {
   // A crash at a member's own join instant lands first, so the member never
   // joins: the run must match one whose member joins past the horizon and is
-  // abandoned. DIB is left out: its machines answer work requests before
-  // they join, because running() ignores membership.
-  for (const Backend backend : {Backend::kFtbb, Backend::kCentral}) {
+  // abandoned. (A DIB machine that has not joined answers no work request.)
+  for (const Backend backend : {Backend::kFtbb, Backend::kCentral, Backend::kDib}) {
     ScenarioSpec crashed = base_spec("join-instant", backend, 37);
     crashed.workers = 3;
     crashed.faults.churn(3, 1, 0.05, 0.0).crash(3, 0.05);

@@ -1,6 +1,5 @@
-// Cluster-level tests of the v1 wire frames: protocol outcomes are
-// unchanged by the encoding, delta-coded reports genuinely shrink the
-// traffic, and a revived worker restarts its delta stream from a
+// Cluster-level tests of the wire frames: delta-chained reports genuinely
+// shrink the traffic, and a revived worker restarts its delta stream from a
 // self-contained report instead of chaining to a dead incarnation's base.
 #include <gtest/gtest.h>
 
@@ -37,64 +36,37 @@ BasicTree test_tree(std::uint64_t seed, std::uint64_t nodes = 1001) {
   return BasicTree::random(cfg);
 }
 
-ClusterConfig base_config(std::uint32_t workers, std::uint64_t seed,
-                          core::FrameVersion wire) {
+ClusterConfig base_config(std::uint32_t workers, std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.workers = workers;
   cfg.worker = fast_worker_config();
   cfg.seed = seed;
   cfg.time_limit = 300.0;
-  cfg.wire = wire;
   return cfg;
-}
-
-TEST(Wire, V1AgreesWithLegacyOnTheOptimum) {
-  const BasicTree tree = test_tree(11, 2001);
-  TreeProblem problem(&tree);
-  const ClusterResult legacy = SimCluster::run(
-      problem, base_config(4, 11, core::FrameVersion::kLegacy));
-  const ClusterResult v1 =
-      SimCluster::run(problem, base_config(4, 11, core::FrameVersion::kV1));
-  ASSERT_TRUE(legacy.all_live_halted);
-  ASSERT_TRUE(v1.all_live_halted);
-  ASSERT_TRUE(legacy.solution_found);
-  ASSERT_TRUE(v1.solution_found);
-  EXPECT_DOUBLE_EQ(legacy.solution, tree.optimal_value());
-  EXPECT_DOUBLE_EQ(v1.solution, tree.optimal_value());
-}
-
-TEST(Wire, LegacyFramesPriceIdenticalToFlatEncoding) {
-  const BasicTree tree = test_tree(12);
-  TreeProblem problem(&tree);
-  const ClusterResult res = SimCluster::run(
-      problem, base_config(4, 12, core::FrameVersion::kLegacy));
-  ASSERT_TRUE(res.all_live_halted);
-  // kLegacy is byte-identical to the seed encoding: the frame bytes ARE the
-  // flat bytes (this is what keeps the pinned golden fingerprints valid),
-  // and no frame carries a delta chain.
-  EXPECT_EQ(res.wire.frame_bytes, res.wire.flat_bytes);
-  EXPECT_EQ(res.wire.delta_reports, 0u);
-  EXPECT_EQ(res.wire.self_contained_reports, 0u);
-  EXPECT_EQ(res.wire.frame_bytes, res.net.bytes_sent);
 }
 
 TEST(Wire, V1ShrinksReportTraffic) {
   // Exhaustive walk with full batches — the E6 load regime where delta
-  // coding pays; a near-empty report stream would be dominated by the
-  // 3-byte frame header plus the shipped base.
+  // coding pays. (v1 named the delta-chained payload; it is the only
+  // encoding now, so the saving against flat codes is pinned at the frame
+  // level by Frames.DeltaChainsExpandPastTheirInputBytes.) Here: past each
+  // worker's first batch, every report chains to the batch before it, and
+  // the network charges exactly the frame bytes.
   const BasicTree tree = test_tree(13, 4001);
   TreeProblem problem(&tree, /*honor_bounds=*/false);
-  ClusterConfig cfg = base_config(4, 13, core::FrameVersion::kV1);
+  ClusterConfig cfg = base_config(4, 13);
   cfg.worker.report_batch = 16;
   cfg.worker.report_flush_interval = 5.0;
   cfg.worker.compress_against_table = true;
   const ClusterResult res = SimCluster::run(problem, cfg);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_GT(res.wire.report_frames, 0u);
-  // Delta-coded report frames undercut the same traffic priced flat.
-  EXPECT_LT(res.wire.report_frame_bytes, res.wire.report_flat_bytes);
-  EXPECT_GT(res.wire.delta_reports, 0u);
-  // The network charged exactly the framed bytes.
+  EXPECT_EQ(res.wire.self_contained_reports + res.wire.delta_reports,
+            res.wire.report_frames);
+  // One stream per worker, each opened by one batch fanned out to m = 2.
+  EXPECT_LE(res.wire.self_contained_reports, 4u * cfg.worker.report_fanout);
+  EXPECT_GT(res.wire.delta_reports, 10 * res.wire.self_contained_reports);
+  EXPECT_LT(res.wire.delta_report_bytes, res.wire.report_frame_bytes);
   EXPECT_EQ(res.wire.frame_bytes, res.net.bytes_sent);
 }
 
@@ -105,7 +77,7 @@ TEST(Wire, RevivedWorkerRestartsItsDeltaStream) {
   // dead incarnation's last batch.
   const BasicTree tree = test_tree(14, 8001);
   TreeProblem problem(&tree, /*honor_bounds=*/false);
-  ClusterConfig cfg = base_config(4, 14, core::FrameVersion::kV1);
+  ClusterConfig cfg = base_config(4, 14);
   const ClusterResult baseline = SimCluster::run(problem, cfg);
   ASSERT_TRUE(baseline.all_live_halted);
 
