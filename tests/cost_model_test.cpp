@@ -134,13 +134,13 @@ std::vector<WorkMixCase> work_mix_cases() {
   std::vector<WorkMixCase> cases;
   cases.push_back({"flaky-link", 4,
                    sim::FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
-                   0xeb8c5bc364900856ULL});
+                   0x502dbb7ca6dc7d0cULL});
   cases.push_back({"rolling-restart", 4,
                    sim::FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
-                   0x1bd4a512149e2b01ULL});
+                   0xd2280f9f512ad350ULL});
   cases.push_back({"cascading-storm", 4,
                    sim::FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
-                   0x45ae4ace67219776ULL});
+                   0x481d922e0fb9f35fULL});
   return cases;
 }
 

@@ -141,7 +141,7 @@ TEST(Scenario, ShiftyAdversaryCompletesAndMatchesGolden) {
   spec.faults.loss(0.0, 1e9, 0.05).bounce(2, 0.05, 0.2);
   const ScenarioReport report = ScenarioRunner::run(spec);
   expect_solved(report);
-  constexpr std::uint64_t kGolden = 0x92fea02cd9f7207bULL;
+  constexpr std::uint64_t kGolden = 0x33f315da0956bb70ULL;
   EXPECT_EQ(report.fingerprint(), kGolden)
       << "actual 0x" << std::hex << report.fingerprint() << "\n"
       << report.to_string();
@@ -163,7 +163,7 @@ TEST(Scenario, MaxSatCompletesAndMatchesGolden) {
   spec.faults.loss(0.0, 1e9, 0.05).bounce(2, 0.05, 0.2);
   const ScenarioReport report = ScenarioRunner::run(spec);
   expect_solved(report);
-  constexpr std::uint64_t kGolden = 0x43193f2e5d810f3cULL;
+  constexpr std::uint64_t kGolden = 0xb7fea46d31ce4330ULL;
   EXPECT_EQ(report.fingerprint(), kGolden)
       << "actual 0x" << std::hex << report.fingerprint() << "\n"
       << report.to_string();
@@ -187,7 +187,7 @@ TEST(Scenario, TspCompletesAndMatchesGolden) {
   spec.faults.loss(0.0, 1e9, 0.05).bounce(2, 0.05, 0.2);
   const ScenarioReport report = ScenarioRunner::run(spec);
   expect_solved(report);
-  constexpr std::uint64_t kGolden = 0xd5eb398bb6af5d6cULL;
+  constexpr std::uint64_t kGolden = 0xe171b6dd0bd4bc18ULL;
   EXPECT_EQ(report.fingerprint(), kGolden)
       << "actual 0x" << std::hex << report.fingerprint() << "\n"
       << report.to_string();
@@ -325,34 +325,34 @@ std::vector<NamedPlanCase> named_plan_cases() {
   std::vector<NamedPlanCase> cases;
   cases.push_back({"flaky-link", 4,
                    FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
-                   0xbedd27688b2c6af2ULL,
-                   {0x52c9574c3cb77f47ULL, 0xe0bc854f580aa917ULL,
-                    0xdd302378584e36ccULL, 0x64701ba28b1f5290ULL}});
+                   0x4cee3ee639cfb4b2ULL,
+                   {0x77b54f27b47b4f67ULL, 0x2d3aa8d646f23197ULL,
+                    0x73791d6e83888990ULL, 0x0dca0fa525503684ULL}});
   cases.push_back({"rolling-restart", 4,
                    FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
-                   0xeecdf5c085d9481bULL,
-                   {0x7119ed5f8c21175aULL, 0xb01e9dde2005e163ULL,
-                    0x9814bf18601238e6ULL, 0xb3ae81cc827796b7ULL}});
+                   0x8ffe5b5f6a3b8838ULL,
+                   {0x4c28bfc9fad1d6e5ULL, 0x052d752280539327ULL,
+                    0x3bb5d45afe9a6116ULL, 0x67ffa77ba1fda9dfULL}});
   cases.push_back({"flapping-partition", 4,
                    FaultPlan::flapping_partition(3, 0.04, 0.06, 0.05),
-                   0xd6ad87d9d9192decULL,
-                   {0x15bfee03799af23aULL, 0x4b08b58d17b069d0ULL,
-                    0xcbd01acda6c5f370ULL, 0x14bc3f82fb308afcULL}});
+                   0x4dec7d9ae7820e9dULL,
+                   {0xe13ac833977bd8afULL, 0xb7d28fa53c7bbebbULL,
+                    0x221477e868639117ULL, 0xec68d3296ee4f8e0ULL}});
   cases.push_back({"adversarial-churn", 2,
                    FaultPlan::adversarial_churn(2, 3, 0.05, 0.05),
-                   0xd9ce2b9abc7d04bbULL,
-                   {0x6ab457eef20ea0aaULL, 0xea6db6854f853fe5ULL,
-                    0x1ec22dfb03fa2efeULL, 0x9484ab0475176543ULL}});
+                   0x03599496eef5f8bdULL,
+                   {0xd4afa13e1e0b4b12ULL, 0x92a461cee2fc5864ULL,
+                    0x40363c7dd178a285ULL, 0x96ea1c5efb916698ULL}});
   cases.push_back({"cascading-storm", 4,
                    FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
-                   0x3d0aa57af5be3356ULL,
-                   {0x683d5eba2b54e2c7ULL, 0xa7baff291c47ede4ULL,
-                    0x7a2954fe9b22489cULL, 0x50634a5367e0d779ULL}});
+                   0x322c12890445edb7ULL,
+                   {0x0fcb510577e2e3efULL, 0x21660a65676b98cfULL,
+                    0x6224fa21b47a6acfULL, 0x6fbf8c80b6cf2fd2ULL}});
   cases.push_back({"asymmetric-partition", 4,
                    FaultPlan::asymmetric_partition(1, 3, 0.04, 0.07, 0.05),
-                   0xdeff50c1d8aaf7e0ULL,
-                   {0xff120a4f3fbf9c9cULL, 0xb1179a075541db7aULL,
-                    0x96aca23bdb519c68ULL, 0x1f65706d2c7045d9ULL}});
+                   0x83d23375e08522d9ULL,
+                   {0x3cd3b40e7c0480dfULL, 0xed8aecf10ab52392ULL,
+                    0x5fe07da15f3731e3ULL, 0xde8754a78008c25eULL}});
   return cases;
 }
 
@@ -433,29 +433,29 @@ std::vector<PlanetaryCase> planetary_cases() {
   std::vector<PlanetaryCase> cases;
   cases.push_back({"planetary-churn", 8,
                    FaultPlan::planetary_churn(8, 5, 0.05, 0.04),
-                   0x7f242dcf9997bbd9ULL,
-                   {0xcb8a9b72686cc59eULL, 0x2038876551164b8cULL,
-                    0xa8aeff16bf01c71dULL, 0x28fe286105f9c094ULL}});
+                   0xeab0ac07971ab207ULL,
+                   {0x4ff5790c1e4c8f20ULL, 0xc59a1f168e09c9c8ULL,
+                    0x62a5ba002ae366f5ULL, 0xacb65aea68965bf4ULL}});
   cases.push_back({"rack-failures", 12,
                    FaultPlan::rack_failures(1, 2, kPlanetaryNodesPerRack, 0.05,
                                             0.04, 0.1),
-                   0x2fe602dd22a964abULL,
-                   {0xca01fcbf71ad3f3eULL, 0x36aaa848e18f682cULL,
-                    0x257156016963a55bULL, 0x60f5d9010f46f128ULL}});
+                   0x9902a4d6a863069cULL,
+                   {0x8e9594907878862cULL, 0x18911c417bc62f58ULL,
+                    0x38df03a19c976e47ULL, 0xfdff13a105d53124ULL}});
   cases.push_back({"cascading-partition", 24,
                    FaultPlan::cascading_partition(24, kPlanetaryNodesPerRack,
                                                   kPlanetaryRacksPerCampus,
                                                   0.04, 0.08, 0.04),
-                   0xa9ad8d7a8eb61ab5ULL,
-                   {0xdef027b78d4718bfULL, 0xc48d69acd1d12ed4ULL,
-                    0xfe4e7101952d5b8eULL, 0x3a23ad48961a8e69ULL}});
+                   0x530067f73f264c50ULL,
+                   {0x74b661f66cec1c75ULL, 0xd7b53db413b17c60ULL,
+                    0x618b225c2e82279aULL, 0xe7f5013846a9e9c1ULL}});
   cases.push_back({"planetary-storm", 24,
                    FaultPlan::planetary_storm(24, kPlanetaryNodesPerRack,
                                               kPlanetaryRacksPerCampus, 0.05,
                                               0.05),
-                   0xad4d06cd043024abULL,
-                   {0xcfc4d716868fd1b8ULL, 0x06dcd2e7c1f45e0cULL,
-                    0x1f1d9d7e4996867dULL, 0xdd337e6099f58504ULL}});
+                   0xa0f6cdc626dc6ddeULL,
+                   {0x9d33c2946db1b9aaULL, 0x50e587bab989e254ULL,
+                    0xe8de76a7a6b18901ULL, 0x8709ec58c7104a40ULL}});
   return cases;
 }
 
