@@ -123,6 +123,8 @@ int main(int argc, char** argv) {
   support::TextTable speedup_table(
       {"threads", "events", "wall (s)", "events/s", "speedup"});
   double sequential_wall = 0.0;
+  // Threads that share one core measure contention, not a speedup.
+  const bool one_core = std::thread::hardware_concurrency() <= 1;
   for (const std::uint32_t threads : thread_counts(argc, argv)) {
     dense_cfg.sim_threads = threads;
     const auto start = std::chrono::steady_clock::now();
@@ -148,7 +150,8 @@ int main(int argc, char** argv) {
         {std::to_string(threads), std::to_string(res.kernel_events),
          support::TextTable::num(wall, 2),
          support::TextTable::num(static_cast<double>(res.kernel_events) / wall, 0),
-         support::TextTable::num(sequential_wall / wall, 2)});
+         one_core ? std::string("n/a")
+                  : support::TextTable::num(sequential_wall / wall, 2)});
   }
   std::printf("%s", speedup_table.render().c_str());
 
@@ -161,13 +164,17 @@ int main(int argc, char** argv) {
                bench::kSmallNodeCost);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
+    char speedup[32] = "null";
+    if (!one_core) {
+      std::snprintf(speedup, sizeof(speedup), "%.3f",
+                    sequential_wall / s.wall_seconds);
+    }
     std::fprintf(json,
                  "    {\"threads\": %u, \"events\": %llu, \"wall_seconds\": "
-                 "%.6f, \"events_per_sec\": %.0f, \"speedup\": %.3f}%s\n",
+                 "%.6f, \"events_per_sec\": %.0f, \"speedup\": %s}%s\n",
                  s.threads, static_cast<unsigned long long>(s.events),
                  s.wall_seconds,
-                 static_cast<double>(s.events) / s.wall_seconds,
-                 sequential_wall / s.wall_seconds,
+                 static_cast<double>(s.events) / s.wall_seconds, speedup,
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");

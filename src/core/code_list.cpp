@@ -4,6 +4,8 @@
 #include <cstring>
 #include <new>
 
+#include "core/frame.hpp"
+
 namespace ftbb::core {
 
 namespace {
@@ -96,9 +98,9 @@ void CodeList::Builder::append(PathView code) {
   }
   const std::uint32_t* offsets = rep_->offsets();
   const std::uint32_t start = offsets[rep_->count - 1];
-  append(code, delta_size(PathView(rep_->words() + start,
-                                   offsets[rep_->count] - start),
-                          code));
+  append(code, chain_link_size(PathView(rep_->words() + start,
+                                        offsets[rep_->count] - start),
+                               code));
 }
 
 void CodeList::Builder::append(PathView code, std::size_t link) {

@@ -116,7 +116,7 @@ class CodeList {
   }
 
   /// Wire bytes of the list's delta chain after its first code: the sum of
-  /// delta_size(codes[i - 1], codes[i]) for i >= 1 (see core/frame.hpp).
+  /// chain_link_size(codes[i - 1], codes[i]) for i >= 1 (core/frame.hpp).
   /// Fixed at construction; a frame adds the first code's delta against its
   /// chain base.
   [[nodiscard]] std::size_t chain_bytes() const {
@@ -173,9 +173,9 @@ class CodeList::Builder {
   /// Appends a copy of `code`, sizing its chain link against the code
   /// appended before it.
   void append(PathView code);
-  /// The same with the link size supplied: `link` is delta_size(previous
-  /// code, code), which the completion trie's DFS reads off its nodes
-  /// instead of comparing words. Ignored for the first code.
+  /// The same with the link size supplied: `link` is chain_link_size(
+  /// previous code, code), which the completion trie's DFS reads off its
+  /// nodes instead of comparing words. Ignored for the first code.
   void append(PathView code, std::size_t link);
 
   [[nodiscard]] std::size_t size() const {

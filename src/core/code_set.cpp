@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/frame.hpp"
+
 namespace ftbb::core {
 
 CodeSet::CodeSet() { clear(); }
@@ -239,9 +241,9 @@ void CodeSet::list_dfs(std::int32_t idx, PathCode& path, ListCursor& cursor,
     // node where it turned from the previous leaf's branch to this one's,
     // so the chain link is sized from the two nodes, not from the words.
     const Node& turn = nodes_[static_cast<std::size_t>(cursor.turn)];
-    out.append(path, support::varint_size(cursor.prev_depth - turn.depth) +
-                         support::varint_size(node.depth - turn.depth) +
-                         node.body_bytes - turn.body_bytes);
+    out.append(path, chain_link_size(cursor.prev_depth - turn.depth,
+                                     node.depth - turn.depth,
+                                     node.body_bytes - turn.body_bytes));
     cursor.prev_depth = node.depth;
     return;
   }

@@ -1,5 +1,7 @@
 #include "core/frame.hpp"
 
+#include <algorithm>
+
 namespace ftbb::core {
 
 const char* to_string(DecodeStatus status) {
@@ -57,9 +59,17 @@ ChainPlan plan_chain(const Message& msg, ReportDeltaState* state) {
   return plan;
 }
 
+/// Decisions two codes share from the root.
+std::size_t common_prefix(PathView a, PathView b) {
+  const std::size_t cap = std::min(a.depth(), b.depth());
+  std::size_t n = 0;
+  while (n < cap && a.word(n) == b.word(n)) ++n;
+  return n;
+}
+
 /// One code as (trim, add, steps...) against the previous code in the chain.
 /// Straight off the packed words: the per-step wire varint IS the stored
-/// word. delta_size() is its exact size.
+/// word. chain_link_size() is its exact size.
 void encode_delta(PathView prev, PathView code, support::ByteWriter& w) {
   const std::size_t lcp = common_prefix(prev, code);
   w.varint(prev.depth() - lcp);  // decisions to trim off the previous code
@@ -171,6 +181,15 @@ Message read_payload(MsgType type, support::ByteReader& r) {
 }
 
 }  // namespace
+
+std::size_t chain_link_size(PathView prev, PathView code) {
+  const std::size_t lcp = common_prefix(prev, code);
+  std::size_t step_bytes = 0;
+  for (std::size_t i = lcp; i < code.depth(); ++i) {
+    step_bytes += support::varint_size(code.word(i));
+  }
+  return chain_link_size(prev.depth() - lcp, code.depth() - lcp, step_bytes);
+}
 
 void encode_frame(const Message& msg, ReportDeltaState* state,
                   support::ByteWriter& w) {

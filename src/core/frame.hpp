@@ -22,15 +22,15 @@
 //
 // Each code of a chain ships as (trim, add, steps...) against the previous
 // code: trim decisions come off the end of the previous code, then add step
-// words go on. The first code is delta-coded against the base, and the
-// base is the last code of the sender's *previous* report batch, so the
-// consecutive batches of one worker — which the contraction machinery keeps
-// sorted and clustered — cost a handful of bytes per code. The base travels
-// in the frame, so every report is self-delimiting and decodable by any
-// receiver (reports fan out to m random peers over lossy links; receiver-
-// side delta state would strand most of them). A chain of sequence 0 starts
-// from the root and needs no base. The termination broadcast (kRootReport)
-// is always such a self-contained chain and leaves the delta state alone.
+// words go on. Report batches and table exports are sorted and clustered,
+// so most codes cost a handful of bytes instead of their full depth. The
+// first code is delta-coded against the base: the last code of the
+// sender's *previous* report batch. The base travels in the frame, so every
+// report is self-delimiting and decodable by any receiver (reports fan out
+// to m random peers over lossy links; receiver-side delta state would
+// strand most of them). A chain of sequence 0 starts from the root and
+// needs no base. The termination broadcast (kRootReport) is always such a
+// self-contained chain and leaves the delta state alone.
 //
 // There is no magic, version or length header: the transport hands the
 // decoder exactly one frame per buffer, and a decoder that reaches the end
@@ -87,6 +87,18 @@ struct FrameDecode {
 
   [[nodiscard]] bool ok() const { return status == DecodeStatus::kOk; }
 };
+
+/// Exact size of one link of a code chain: the varint counts of decisions
+/// trimmed off the previous code and of decisions added, then the added
+/// step words, which encode to `step_bytes`.
+[[nodiscard]] constexpr std::size_t chain_link_size(std::size_t trim,
+                                                    std::size_t add,
+                                                    std::size_t step_bytes) {
+  return support::varint_size(trim) + support::varint_size(add) + step_bytes;
+}
+
+/// Exact size of the link that turns `prev` into `code`.
+[[nodiscard]] std::size_t chain_link_size(PathView prev, PathView code);
 
 /// Encodes one frame, advancing `state` for report/gossip messages
 /// (nullptr: every chain ships self-contained with sequence 0).

@@ -1,7 +1,5 @@
 #include "core/path_code.hpp"
 
-#include <algorithm>
-
 namespace ftbb::core {
 
 void PathView::encode(support::ByteWriter& w) const {
@@ -32,23 +30,6 @@ PathCode PathCode::decode(support::ByteReader& r) {
 std::size_t PathView::encoded_size() const {
   std::size_t n = support::varint_size(depth());
   for (std::size_t i = 0; i < depth(); ++i) n += support::varint_size(word(i));
-  return n;
-}
-
-std::size_t common_prefix(PathView a, PathView b) {
-  const std::size_t cap = std::min(a.depth(), b.depth());
-  std::size_t n = 0;
-  while (n < cap && a.word(n) == b.word(n)) ++n;
-  return n;
-}
-
-std::size_t delta_size(PathView prev, PathView code) {
-  const std::size_t lcp = common_prefix(prev, code);
-  std::size_t n = support::varint_size(prev.depth() - lcp) +
-                  support::varint_size(code.depth() - lcp);
-  for (std::size_t i = lcp; i < code.depth(); ++i) {
-    n += support::varint_size(code.word(i));
-  }
   return n;
 }
 

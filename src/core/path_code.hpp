@@ -140,14 +140,6 @@ class PathView {
   std::size_t size_ = 0;
 };
 
-/// Decisions two codes share from the root (their longest common prefix).
-[[nodiscard]] std::size_t common_prefix(PathView a, PathView b);
-
-/// Exact wire size of `code` as one link of a code chain (core/frame.hpp):
-/// a varint count of decisions trimmed off `prev`, a varint count of
-/// decisions added after the shared prefix, then the added step words.
-[[nodiscard]] std::size_t delta_size(PathView prev, PathView code);
-
 /// Immutable-ish sequence of branching decisions from the root.
 ///
 /// The empty code denotes the root problem. Codes order lexicographically

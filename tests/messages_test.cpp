@@ -187,7 +187,7 @@ std::vector<CodeList> list_inputs() {
 std::size_t chain_bytes_by_walk(const CodeList& codes) {
   std::size_t n = 0;
   for (std::size_t i = 1; i < codes.size(); ++i) {
-    n += delta_size(codes[i - 1], codes[i]);
+    n += chain_link_size(codes[i - 1], codes[i]);
   }
   return n;
 }
@@ -573,17 +573,17 @@ TEST(Frames, DeltaChainsExpandPastTheirInputBytes) {
   // hold and grows from there, without rejecting the frame.
   const PathCode deep = deep_code(200);
   std::vector<PathCode> codes;
-  std::size_t flat_bytes = 0;
+  std::size_t code_bytes = 0;
   for (std::uint32_t i = 0; i < 300; ++i) {
     codes.push_back(deep.child(5000 + i, true));
-    flat_bytes += codes.back().encoded_size();
+    code_bytes += codes.back().encoded_size();
   }
   Message m;
   m.type = MsgType::kTableGossip;
   m.codes = CodeList(codes);
   m.report_seq = 1;
   const auto buf = encode(m, nullptr);
-  EXPECT_LT(buf.size(), flat_bytes / 10);
+  EXPECT_LT(buf.size(), code_bytes / 10);
   const FrameDecode d = decode_frame(buf);
   ASSERT_TRUE(d.ok()) << to_string(d.status);
   EXPECT_EQ(d.msg.codes, m.codes);
