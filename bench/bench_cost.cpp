@@ -2,11 +2,12 @@
 // controller (core/cost_model.hpp) on the E15 granularity setup.
 //
 // At coarse granularity the fixed request timeout misreads busy peers as
-// dead ones (257 timeouts at cost factor 10). The CostController raises only
-// the time-priced knob (the request timeout), keeps the message-priced knobs
-// (report flush, idle backoff) at base, and sizes report batches and work
-// grants from the same EWMA. Target: efficiency within one point of the
-// fixed policy with at most kMaxModelTimeouts timeouts.
+// dead ones (hundreds of request timeouts at cost factor 10). The
+// CostController raises only the time-priced knob (the request timeout),
+// keeps the message-priced knobs (report flush, idle backoff) at base, and
+// sizes report batches and work grants from the same EWMA. Target:
+// efficiency within one point of the fixed policy with at most
+// kMaxModelTimeouts timeouts.
 //
 // Also emits the work-mix ledger ratios (model vs fixed) used by CI's
 // regression check: `--baseline <file>` compares the measured metrics

@@ -1,5 +1,6 @@
-// Cluster-level tests of the wire frames: delta-chained reports genuinely
-// shrink the traffic, and a revived worker restarts its delta stream from a
+// Cluster-level tests of the wire frames: every report batch after a
+// worker's first chains to the one before, the network charges exactly the
+// frame bytes, and a revived worker restarts its delta stream from a
 // self-contained report instead of chaining to a dead incarnation's base.
 #include <gtest/gtest.h>
 
