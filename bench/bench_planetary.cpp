@@ -18,7 +18,9 @@
 // All three produce bit-identical simulations — the bench asserts the
 // counters match — so the only number that moves is wall-clock events/sec.
 // On a single-core CI runner ~1.0x between variants is expected; the curve
-// of population vs throughput is the artifact. Results go to
+// of population vs throughput is the artifact. Each variant also records
+// its peak resident memory (the watermark is reset before each run), which
+// tracks the per-worker footprint as the population grows. Results go to
 // BENCH_planetary.json. `--smoke` shrinks populations and horizon for CI.
 #include <cstdio>
 #include <cstring>
@@ -51,6 +53,7 @@ struct VariantResult {
   }
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
+  double peak_rss_mb = 0.0;  // peak resident memory of this variant's run
   // Identity probes: every variant of one row must agree bit-for-bit.
   std::uint64_t kernel_events = 0;
   std::uint64_t total_expanded = 0;
@@ -113,9 +116,11 @@ Row run_row(std::uint32_t workers, double horizon) {
     cfg.join_times = schedule.join_times;
 
     VariantResult v = kind;
+    bench::reset_peak_rss();
     const double t0 = bench::now_seconds();
     const sim::ClusterResult res = sim::SimCluster::run(*workload.model, cfg);
     v.wall_seconds = bench::now_seconds() - t0;
+    v.peak_rss_mb = bench::peak_rss_mb();
     v.kernel_events = res.kernel_events;
     v.total_expanded = res.total_expanded;
     v.messages_sent = res.net.messages_sent;
@@ -169,7 +174,7 @@ int main(int argc, char** argv) {
     Row row = run_row(s.workers, s.horizon);
     ok = ok && row.identical;
     support::TextTable table({"variant", "threads", "events", "wall (s)",
-                              "events/s", "vs sequential"});
+                              "events/s", "vs sequential", "peak RSS (MB)"});
     const double base = row.variants.front().events_per_sec;
     for (const VariantResult& v : row.variants) {
       table.row({v.name, std::to_string(v.threads),
@@ -177,7 +182,8 @@ int main(int argc, char** argv) {
                  support::TextTable::num(v.wall_seconds, 3),
                  support::TextTable::num(v.events_per_sec, 0),
                  support::TextTable::num(
-                     base > 0.0 ? v.events_per_sec / base : 0.0, 2)});
+                     base > 0.0 ? v.events_per_sec / base : 0.0, 2),
+                 support::TextTable::num(v.peak_rss_mb, 1)});
     }
     std::printf("workers=%u horizon=%.2fs identical=%s\n%s\n", row.workers,
                 row.horizon, row.identical ? "yes" : "NO",
@@ -203,10 +209,10 @@ int main(int argc, char** argv) {
                    "      {\"name\": \"%s\", \"threads\": %u, "
                    "\"window_mode\": \"%s\", "
                    "\"kernel_events\": %llu, \"wall_seconds\": %.4f, "
-                   "\"events_per_sec\": %.0f}%s\n",
+                   "\"events_per_sec\": %.0f, \"peak_rss_mb\": %.1f}%s\n",
                    vr.name, vr.threads, vr.window_mode(),
                    static_cast<unsigned long long>(vr.kernel_events),
-                   vr.wall_seconds, vr.events_per_sec,
+                   vr.wall_seconds, vr.events_per_sec, vr.peak_rss_mb,
                    v + 1 < row.variants.size() ? "," : "");
     }
     std::fprintf(json, "    ]}%s\n", i + 1 < rows.size() ? "," : "");

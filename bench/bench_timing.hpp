@@ -8,10 +8,15 @@
 // its bench-specific fields before closing the object.
 #pragma once
 
+#include <malloc.h>
+#include <sys/resource.h>
+
 #include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -56,6 +61,28 @@ double measure(double target_seconds, double ops_per_call, Fn&& op) {
 /// derived PathCode whose buffer copy would otherwise be dead-store
 /// eliminated once the op is inlined into the measurement loop.
 inline void keep(void* p) { asm volatile("" : "+r"(p) : : "memory"); }
+
+/// Returns freed heap to the system and restarts the kernel's peak-RSS
+/// watermark, so peak_rss_mb() afterwards is the peak of what runs next.
+/// Where /proc/self/clear_refs is unavailable the watermark stays
+/// process-wide.
+inline void reset_peak_rss() {
+  ::malloc_trim(0);
+  std::ofstream("/proc/self/clear_refs") << "5";
+}
+
+/// Peak resident memory in MB since the last reset_peak_rss().
+inline double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // both are KiB
+}
 
 /// Compiler + optimization mode the binary was built with.
 inline std::string build_flags() {

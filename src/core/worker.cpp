@@ -36,18 +36,18 @@ const char* to_string(RecoveryPolicy policy) {
   return "?";
 }
 
-BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model, WorkerConfig config,
-                     IWorkerEnv* env)
-    : id_(id), model_(model), config_(config), env_(env), pool_(config.rule) {
+BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model,
+                     const WorkerConfig* config, IWorkerEnv* env)
+    : id_(id), model_(model), config_(config), env_(env), pool_(config->rule) {
   FTBB_CHECK(model_ != nullptr);
   FTBB_CHECK(env_ != nullptr);
-  FTBB_CHECK(config_.report_fanout >= 1);
-  FTBB_CHECK(config_.grant_divisor >= 1);
+  FTBB_CHECK(config_->report_fanout >= 1);
+  FTBB_CHECK(config_->grant_divisor >= 1);
   controller_.configure(
-      config_.cost_model, config_.work_request_timeout, config_.idle_backoff,
-      config_.report_flush_interval, config_.report_batch,
-      static_cast<double>(config_.report_fanout) *
-          (config_.costs.send_fixed + config_.costs.recv_fixed));
+      config_->cost_model, config_->work_request_timeout, config_->idle_backoff,
+      config_->report_flush_interval, config_->report_batch,
+      static_cast<double>(config_->report_fanout) *
+          (config_->costs.send_fixed + config_->costs.recv_fixed));
 }
 
 void BnbWorker::on_start(bool with_root) {
@@ -57,7 +57,7 @@ void BnbWorker::on_start(bool with_root) {
   // Stagger the first table gossip so the anti-entropy traffic of a large
   // group does not synchronize.
   env_->set_timer(TimerKind::kTableGossip,
-                  config_.table_gossip_interval * (0.5 + env_->rng().uniform()),
+                  config_->table_gossip_interval * (0.5 + env_->rng().uniform()),
                   ++gossip_gen_);
   if (with_root) {
     pool_.push(bnb::Subproblem{PathCode::root(), model_->root_bound()});
@@ -68,7 +68,7 @@ void BnbWorker::on_start(bool with_root) {
   // stagger every member would hit the root holder in the same instant.
   backoff_armed_ = true;
   env_->set_wait_hint(WaitHint::kIdle);
-  env_->set_timer(TimerKind::kBackoff, env_->rng().uniform(0.0, config_.initial_stagger),
+  env_->set_timer(TimerKind::kBackoff, env_->rng().uniform(0.0, config_->initial_stagger),
                   ++backoff_gen_);
 }
 
@@ -99,7 +99,7 @@ void BnbWorker::do_step() {
     return;
   }
   const bnb::Subproblem p = pool_.pop();
-  if (config_.enable_elimination && p.bound >= incumbent_) {
+  if (config_->enable_elimination && p.bound >= incumbent_) {
     // Eliminate: the incumbent improved after insertion. A problem fathomed
     // by its bound is completed (paper Figure 2 semantics).
     ++stats_.eliminated;
@@ -150,7 +150,7 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
       complete(code);
       continue;
     }
-    if (config_.enable_elimination && child.bound >= incumbent_) {
+    if (config_->enable_elimination && child.bound >= incumbent_) {
       ++stats_.eliminated;
       complete(code);
       continue;
@@ -170,8 +170,8 @@ void BnbWorker::complete(const PathCode& code) {
   const CodeSet::InsertResult r = table_.insert(code);
   note_contraction(1, static_cast<std::uint64_t>(r.nodes_walked + r.merges));
   env_->charge(CostKind::kContraction,
-               config_.costs.contract_per_code +
-                   config_.costs.contract_per_node * (r.nodes_walked + r.merges));
+               config_->costs.contract_per_code +
+                   config_->costs.contract_per_node * (r.nodes_walked + r.merges));
   if (!r.newly_covered) return;  // already known through reports
   // Remaining pool entries can only be covered by regions that grew since
   // their push; remember this one so the next covered sweep inspects it.
@@ -200,7 +200,7 @@ void BnbWorker::absorb_incumbent(double value) {
 }
 
 void BnbWorker::prune_pool_by_bound() {
-  if (!config_.enable_elimination) return;
+  if (!config_->enable_elimination) return;
   const auto removed = pool_.prune_above(incumbent_);
   for (const bnb::Subproblem& p : removed) {
     ++stats_.eliminated;
@@ -254,7 +254,7 @@ void BnbWorker::prune_pool_covered(const CodeList& just_inserted) {
 void BnbWorker::send_report() {
   if (fresh_.empty()) return;
   CodeList codes;
-  if (config_.compress_against_table) {
+  if (config_->compress_against_table) {
     // Ship the maximal covering code the table knows for each fresh
     // completion — a prefix of it, so a view into fresh_ — deduplicated
     // (covering codes form an antichain, so equality is the only possible
@@ -266,7 +266,7 @@ void BnbWorker::send_report() {
       regions.push_back(c.view().prefix(len.value_or(c.depth())));
       note_contraction(0, c.depth() + 1);
       env_->charge(CostKind::kContraction,
-                   config_.costs.contract_per_node * static_cast<double>(c.depth() + 1));
+                   config_->costs.contract_per_node * static_cast<double>(c.depth() + 1));
     }
     std::sort(regions.begin(), regions.end());
     regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
@@ -274,14 +274,17 @@ void BnbWorker::send_report() {
   } else {
     // Paper-literal scheme: contract the list against itself only (in the
     // per-worker scratch trie; clear() keeps its node storage).
-    CodeSet& tmp = report_contract_scratch_;
+    if (!report_contract_scratch_) {
+      report_contract_scratch_ = std::make_unique<CodeSet>();
+    }
+    CodeSet& tmp = *report_contract_scratch_;
     tmp.clear();
     const CodeSet::InsertResult r = tmp.insert_all(fresh_);
     note_contraction(fresh_.size(),
                      static_cast<std::uint64_t>(r.nodes_walked + r.merges));
     env_->charge(CostKind::kContraction,
-                 config_.costs.contract_per_code * static_cast<double>(fresh_.size()) +
-                     config_.costs.contract_per_node * (r.nodes_walked + r.merges));
+                 config_->costs.contract_per_code * static_cast<double>(fresh_.size()) +
+                     config_->costs.contract_per_node * (r.nodes_walked + r.merges));
     codes = tmp.export_list();
   }
 
@@ -295,7 +298,7 @@ void BnbWorker::send_report() {
   const std::vector<NodeId>& peers = env_->peers();
   if (!peers.empty()) {
     const std::size_t fanout =
-        std::min<std::size_t>(config_.report_fanout, peers.size());
+        std::min<std::size_t>(config_->report_fanout, peers.size());
     const std::vector<std::size_t> picks =
         env_->rng().sample_without_replacement(peers.size(), fanout);
     for (const std::size_t i : picks) env_->send(peers[i], m);
@@ -307,8 +310,11 @@ void BnbWorker::send_report() {
 }
 
 void BnbWorker::send_table_gossip() {
+  // Nothing to push yet: the common case of an idle worker's deny loop,
+  // settled before the peer view is read.
+  if (table_.empty()) return;
   const std::vector<NodeId>& peers = env_->peers();
-  if (peers.empty() || table_.empty()) return;
+  if (peers.empty()) return;
   Message m;
   m.type = MsgType::kTableGossip;
   m.from = id_;
@@ -317,7 +323,7 @@ void BnbWorker::send_table_gossip() {
   m.report_seq = ++report_batches_;
   note_contraction(0, table_.trie_nodes());
   env_->charge(CostKind::kContraction,
-               config_.costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
+               config_->costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
   env_->send(peers[env_->rng().pick(peers.size())], m);
   ++stats_.table_gossips_sent;
 }
@@ -352,34 +358,34 @@ bool BnbWorker::maybe_terminate() {
 
 void BnbWorker::enter_backoff(std::uint32_t steps) {
   backoff_armed_ = true;
-  steps = std::min(std::max(steps, 1u), config_.max_backoff_steps);
+  steps = std::min(std::max(steps, 1u), config_->max_backoff_steps);
   env_->set_wait_hint(WaitHint::kIdle);
   env_->set_timer(TimerKind::kBackoff,
                   effective_backoff() * static_cast<double>(steps), ++backoff_gen_);
 }
 
 double BnbWorker::effective_request_timeout() const {
-  return config_.model_adaptivity ? controller_.request_timeout()
-                                  : config_.work_request_timeout;
+  return config_->model_adaptivity ? controller_.request_timeout()
+                                  : config_->work_request_timeout;
 }
 
 double BnbWorker::effective_backoff() const {
-  return config_.model_adaptivity ? controller_.backoff() : config_.idle_backoff;
+  return config_->model_adaptivity ? controller_.backoff() : config_->idle_backoff;
 }
 
 double BnbWorker::effective_flush_interval() const {
-  return config_.model_adaptivity ? controller_.flush_interval()
-                                  : config_.report_flush_interval;
+  return config_->model_adaptivity ? controller_.flush_interval()
+                                  : config_->report_flush_interval;
 }
 
 std::uint32_t BnbWorker::effective_report_batch() const {
-  return config_.model_adaptivity ? controller_.report_batch()
-                                  : config_.report_batch;
+  return config_->model_adaptivity ? controller_.report_batch()
+                                  : config_->report_batch;
 }
 
 bool BnbWorker::stalled() const {
-  double threshold = config_.stall_recovery_factor * effective_request_timeout();
-  if (table_.empty()) threshold *= config_.empty_table_stall_multiplier;
+  double threshold = config_->stall_recovery_factor * effective_request_timeout();
+  if (table_.empty()) threshold *= config_->empty_table_stall_multiplier;
   return env_->now() - last_progress_ >= threshold;
 }
 
@@ -394,8 +400,8 @@ void BnbWorker::seek_work() {
   // (timeouts, or a long deny streak) AND a group-wide progress stall.
   // Failure evidence without a stall is ramp-up or contention; a stall
   // without failure evidence resolves through the stall check below.
-  if ((failed_attempts_ >= config_.attempts_before_recovery ||
-       deny_streak_ >= config_.deny_streak_before_recovery) &&
+  if ((failed_attempts_ >= config_->attempts_before_recovery ||
+       deny_streak_ >= config_->deny_streak_before_recovery) &&
       stalled()) {
     recover();
     return;
@@ -406,7 +412,7 @@ void BnbWorker::seek_work() {
   m.best_known = incumbent_;
   m.request_id = ++request_gen_;
   const NodeId target = peers[env_->rng().pick(peers.size())];
-  env_->charge(CostKind::kLoadBalance, config_.costs.lb_handle);
+  env_->charge(CostKind::kLoadBalance, config_->costs.lb_handle);
   env_->send(target, m);
   ++stats_.work_requests_sent;
   request_outstanding_ = true;
@@ -415,19 +421,19 @@ void BnbWorker::seek_work() {
 }
 
 void BnbWorker::handle_work_request(const Message& msg) {
-  env_->charge(CostKind::kLoadBalance, config_.costs.lb_handle);
+  env_->charge(CostKind::kLoadBalance, config_->costs.lb_handle);
   Message reply;
   reply.from = id_;
   reply.best_known = incumbent_;
   reply.request_id = msg.request_id;
-  if (pool_.size() >= config_.min_pool_to_grant) {
-    std::size_t k = std::max<std::size_t>(pool_.size() / config_.grant_divisor, 1);
-    k = std::min<std::size_t>(k, config_.max_grant_problems);
-    if (config_.model_adaptivity) k = controller_.grant_size(k);
+  if (pool_.size() >= config_->min_pool_to_grant) {
+    std::size_t k = std::max<std::size_t>(pool_.size() / config_->grant_divisor, 1);
+    k = std::min<std::size_t>(k, config_->max_grant_problems);
+    if (config_->model_adaptivity) k = controller_.grant_size(k);
     reply.type = MsgType::kWorkGrant;
     reply.problems = pool_.extract_for_sharing(k);
     env_->charge(CostKind::kLoadBalance,
-                 config_.costs.lb_per_problem * static_cast<double>(reply.problems.size()));
+                 config_->costs.lb_per_problem * static_cast<double>(reply.problems.size()));
     ++stats_.grants_given;
     stats_.problems_given += reply.problems.size();
   } else {
@@ -439,8 +445,8 @@ void BnbWorker::handle_work_request(const Message& msg) {
 
 void BnbWorker::handle_work_grant(const Message& msg) {
   env_->charge(CostKind::kLoadBalance,
-               config_.costs.lb_handle +
-                   config_.costs.lb_per_problem * static_cast<double>(msg.problems.size()));
+               config_->costs.lb_handle +
+                   config_->costs.lb_per_problem * static_cast<double>(msg.problems.size()));
   ++stats_.grants_received;
   if (msg.request_id == request_gen_) request_outstanding_ = false;
   failed_attempts_ = 0;
@@ -458,7 +464,7 @@ void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
     ++stats_.covered_skips;
     return;
   }
-  if (config_.enable_elimination && p.bound >= incumbent_) {
+  if (config_->enable_elimination && p.bound >= incumbent_) {
     ++stats_.eliminated;
     complete(p.code);
     return;
@@ -468,7 +474,7 @@ void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
 
 std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& candidates) {
   FTBB_CHECK(!candidates.empty());
-  switch (config_.recovery) {
+  switch (config_->recovery) {
     case RecoveryPolicy::kRandom:
       return env_->rng().pick(candidates.size());
     case RecoveryPolicy::kDeepest: {
@@ -531,7 +537,7 @@ void BnbWorker::recover() {
   std::vector<PathCode>& candidates = complement_scratch_;
   note_contraction(0, table_.trie_nodes());
   env_->charge(CostKind::kContraction,
-               config_.costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
+               config_->costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
   if (candidates.empty()) {
     // The table is root-complete; termination will be detected upstream.
     continue_work();
@@ -548,7 +554,7 @@ void BnbWorker::recover() {
     candidates.pop_back();
     if (table_.covered(code)) continue;  // our own eliminations covered it
     const double bound = model_->bound_of(code);
-    if (config_.enable_elimination && bound >= incumbent_) {
+    if (config_->enable_elimination && bound >= incumbent_) {
       ++stats_.eliminated;
       complete(code);
       continue;
@@ -564,7 +570,9 @@ void BnbWorker::recover() {
 // ---------------------------------------------------------------------------
 
 WorkLedger BnbWorker::work_snapshot() const {
-  WorkLedger w = ledger_;  // contraction codes/nodes accumulate in place
+  WorkLedger w;
+  w[WorkItem::kContractionCodes] = contraction_codes_;
+  w[WorkItem::kContractionNodes] = contraction_nodes_;
   w[WorkItem::kExpansions] = stats_.expanded;
   w[WorkItem::kEliminated] = stats_.eliminated;
   w[WorkItem::kDeadEnds] = stats_.dead_ends;
@@ -617,7 +625,7 @@ void BnbWorker::on_message(const Message& msg) {
       break;
     case MsgType::kWorkDeny:
       ++stats_.denies_received;
-      env_->charge(CostKind::kLoadBalance, config_.costs.lb_handle);
+      env_->charge(CostKind::kLoadBalance, config_->costs.lb_handle);
       // Progress accounting accepts busy denies even when stale: a late
       // reply from a peer grinding a coarse node is exactly the situation
       // in which the stall detector must stay quiet.
@@ -627,7 +635,7 @@ void BnbWorker::on_message(const Message& msg) {
         // A deny proves the peer is alive; by default it does not feed the
         // failure suspicion, it only slows down the polling.
         ++deny_streak_;
-        if (config_.count_denies_toward_recovery) ++failed_attempts_;
+        if (config_->count_denies_toward_recovery) ++failed_attempts_;
         // Repeated denies with an empty pool look like the end of the
         // computation; push completion knowledge around to accelerate
         // termination detection (Section 6.3.1: idle processes "suspect
@@ -646,8 +654,8 @@ void BnbWorker::on_message(const Message& msg) {
       note_contraction(msg.codes.size(),
                        static_cast<std::uint64_t>(r.nodes_walked + r.merges));
       env_->charge(CostKind::kContraction,
-                   config_.costs.contract_per_code * static_cast<double>(msg.codes.size()) +
-                       config_.costs.contract_per_node * (r.nodes_walked + r.merges));
+                   config_->costs.contract_per_code * static_cast<double>(msg.codes.size()) +
+                       config_->costs.contract_per_node * (r.nodes_walked + r.merges));
       if (r.newly_covered) {
         note_progress();  // fresh knowledge: the computation is advancing
         prune_pool_covered(msg.codes);
@@ -677,7 +685,7 @@ void BnbWorker::on_timer(TimerKind kind, std::uint64_t gen) {
     case TimerKind::kTableGossip:
       if (gen != gossip_gen_) return;
       send_table_gossip();
-      env_->set_timer(TimerKind::kTableGossip, config_.table_gossip_interval,
+      env_->set_timer(TimerKind::kTableGossip, config_->table_gossip_interval,
                       ++gossip_gen_);
       continue_work();
       break;

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -274,8 +275,10 @@ class IWorkerEnv {
 
 class BnbWorker {
  public:
-  BnbWorker(NodeId id, const bnb::IProblemModel* model, WorkerConfig config,
-            IWorkerEnv* env);
+  /// `model` and `config` are borrowed and must outlive the worker (see
+  /// the members below for who owns them in each substrate).
+  BnbWorker(NodeId id, const bnb::IProblemModel* model,
+            const WorkerConfig* config, IWorkerEnv* env);
 
   /// `with_root` seeds this worker's pool with the root problem (exactly one
   /// member of the computation starts with it).
@@ -294,7 +297,7 @@ class BnbWorker {
   [[nodiscard]] const bnb::ActivePool& pool() const { return pool_; }
   [[nodiscard]] const WorkerStats& stats() const { return stats_; }
   [[nodiscard]] WorkerStats& stats() { return stats_; }
-  [[nodiscard]] const WorkerConfig& config() const { return config_; }
+  [[nodiscard]] const WorkerConfig& config() const { return *config_; }
   [[nodiscard]] std::size_t fresh_count() const { return fresh_.size(); }
   [[nodiscard]] const CostController& controller() const { return controller_; }
 
@@ -333,54 +336,6 @@ class BnbWorker {
       const std::vector<PathCode>& candidates);
 
   void add_subproblem(bnb::Subproblem p, bool from_grant);
-
-  NodeId id_;
-  const bnb::IProblemModel* model_;
-  WorkerConfig config_;
-  IWorkerEnv* env_;
-  WorkerStats stats_;
-
-  bnb::ActivePool pool_;
-  CodeSet table_;
-  std::vector<PathCode> fresh_;  // locally discovered, unreported completions
-  /// Codes whose insertion into the table newly covered a region while the
-  /// pool was non-empty. A pool entry can only become covered through such
-  /// an insertion (every push is covered-checked first), so the next covered
-  /// sweep needs to inspect only the regions these codes contracted into —
-  /// not the whole pool. Capped: a worker that receives no reports for a
-  /// long stretch (solo, partitioned) would otherwise accumulate one code
-  /// per completion; past the cap the record is abandoned and the next
-  /// sweep falls back to the full per-entry scan, which removes the same
-  /// victim set.
-  static constexpr std::size_t kMaxCoverHints = 512;
-  std::vector<PathCode> pending_cover_hints_;
-  bool cover_hints_overflowed_ = false;
-
-  /// Steady-state scratch, one per worker: recovery complements into
-  /// complement_scratch_, covered sweeps and report batches collect their
-  /// region views in cover_regions_, and the paper-literal report scheme
-  /// contracts into report_contract_scratch_. None of these change any
-  /// observable behavior — they only keep the per-call vector/trie
-  /// allocations out of the hot loops.
-  std::vector<PathCode> complement_scratch_;
-  std::vector<PathView> cover_regions_;
-  CodeSet report_contract_scratch_;
-
-  double incumbent_ = bnb::kInfinity;
-  PathCode best_code_;
-  bool have_feasible_ = false;
-
-  bool started_ = false;
-  bool halted_ = false;
-
-  // Load-balancing state.
-  bool request_outstanding_ = false;
-  std::uint64_t request_gen_ = 0;
-  std::uint32_t failed_attempts_ = 0;  // timeouts (and denies if configured)
-  std::uint32_t deny_streak_ = 0;      // consecutive denies, for backoff growth
-  bool backoff_armed_ = false;
-  std::uint64_t backoff_gen_ = 0;
-
   void enter_backoff(std::uint32_t steps);
 
   // The waiting parameters in force: the controller's under
@@ -390,32 +345,93 @@ class BnbWorker {
   [[nodiscard]] double effective_flush_interval() const;
   [[nodiscard]] std::uint32_t effective_report_batch() const;
 
+  void note_contraction(std::uint64_t codes, std::uint64_t nodes) {
+    contraction_codes_ += codes;
+    contraction_nodes_ += nodes;
+  }
+
+  // Stall detection (see WorkerConfig::stall_recovery_factor).
+  void note_progress() { last_progress_ = env_->now(); }
+  [[nodiscard]] bool stalled() const;
+
+  // Hot state first: the fields one step of an idle worker's request, deny
+  // and backoff loop reads sit together at the front of the object, ahead
+  // of the search structures and the cold observers.
+
+  NodeId id_;
+  /// Borrowed, not copied: the model and the config must outlive the
+  /// worker. Each substrate owns one config for all of its workers and
+  /// incarnations — SimCluster's ClusterConfig::worker, rt::Cluster's
+  /// RtConfig::worker, the test fixtures' own WorkerConfig — and likewise
+  /// one model, the IProblemModel passed to its run().
+  const bnb::IProblemModel* model_;
+  const WorkerConfig* config_;
+  IWorkerEnv* env_;
+
+  double incumbent_ = bnb::kInfinity;
+  double last_progress_ = 0.0;
+
+  bool started_ = false;
+  bool halted_ = false;
+  bool step_scheduled_ = false;
+  bool flush_armed_ = false;
+  bool cover_hints_overflowed_ = false;
+
+  // Load-balancing state: at most one work request outstanding, then a
+  // backoff pause after each failed attempt.
+  bool request_outstanding_ = false;
+  bool backoff_armed_ = false;
+  std::uint32_t failed_attempts_ = 0;  // timeouts (and denies if configured)
+  std::uint32_t deny_streak_ = 0;      // consecutive denies, for backoff growth
+  std::uint64_t request_gen_ = 0;
+  std::uint64_t backoff_gen_ = 0;
+
+  std::uint64_t step_gen_ = 0;
+  std::uint64_t flush_gen_ = 0;
+  std::uint64_t gossip_gen_ = 0;
+  /// Batches stamped into Message::report_seq so the frame codec advances
+  /// its delta state once per report/gossip batch, not once per fanout copy.
+  std::uint64_t report_batches_ = 0;
+
+  /// Worker-internal work counters; work_snapshot() folds them into the
+  /// ledger next to the stats block and the pool's maintenance counters.
+  std::uint64_t contraction_codes_ = 0;  // codes inserted into a table
+  std::uint64_t contraction_nodes_ = 0;  // trie nodes walked doing it
+
+  WorkerStats stats_;
+  CodeSet table_;
+  bnb::ActivePool pool_;
+  std::vector<PathCode> fresh_;  // locally discovered, unreported completions
+  /// Codes whose insertion into the table newly covered a region while the
+  /// pool was non-empty. A pool entry can only become covered through such
+  /// an insertion (every push is covered-checked first), so the next covered
+  /// sweep needs to inspect only the regions these codes contracted into —
+  /// not the whole pool. Capped: a worker that receives no reports for a
+  /// long stretch (solo, partitioned) would otherwise accumulate one code
+  /// per completion; past the cap the record is abandoned
+  /// (cover_hints_overflowed_) and the next sweep falls back to the full
+  /// per-entry scan, which removes the same victim set.
+  static constexpr std::size_t kMaxCoverHints = 512;
+  std::vector<PathCode> pending_cover_hints_;
+
+  /// Steady-state scratch, one per worker: recovery complements into
+  /// complement_scratch_, covered sweeps and report batches collect their
+  /// region views in cover_regions_, and the paper-literal report scheme
+  /// contracts into report_contract_scratch_, created on its first use
+  /// (only with compress_against_table off). None of these change any
+  /// observable behavior — they only keep the per-call vector/trie
+  /// allocations out of the hot loops.
+  std::vector<PathCode> complement_scratch_;
+  std::vector<PathView> cover_regions_;
+  std::unique_ptr<CodeSet> report_contract_scratch_;
+
   // Cost-model state (see WorkerConfig::model_adaptivity). The controller
   // observes every expansion regardless of mode (observation is free and
   // keeps the ledger's retune counter meaningful in benches); its outputs
   // steer the worker only when model_adaptivity is set.
   CostController controller_;
-  WorkLedger ledger_;  // worker-internal counters (contraction work)
-  void note_contraction(std::uint64_t codes, std::uint64_t nodes) {
-    ledger_[WorkItem::kContractionCodes] += codes;
-    ledger_[WorkItem::kContractionNodes] += nodes;
-  }
 
-  // Stall detection (see WorkerConfig::stall_recovery_factor).
-  double last_progress_ = 0.0;
-  void note_progress() { last_progress_ = env_->now(); }
-  [[nodiscard]] bool stalled() const;
-
-  bool step_scheduled_ = false;
-  std::uint64_t step_gen_ = 0;
-  std::uint64_t flush_gen_ = 0;
-  bool flush_armed_ = false;
-  std::uint64_t gossip_gen_ = 0;
-
-  /// Batches stamped into Message::report_seq so the frame codec advances
-  /// its delta state once per report/gossip batch, not once per fanout copy.
-  std::uint64_t report_batches_ = 0;
-
+  PathCode best_code_;
   PathCode last_local_completion_;
 };
 

@@ -311,11 +311,13 @@ struct Machine {
       ++donations_made;
       ledger.emplace(donation_id,
                      Donation{task, from, task.job, sim->kernel.now()});
+      // The subproblem rides boxed: its inline code buffer alone would push
+      // the delivery past the kernel's pooled callback block.
       sim->net->send(id, from, donate_bytes(task.sub),
                      sim->kernel.now(),
-                     [requester, sub = task.sub, donation_id, donor = id,
-                      best = incumbent] {
-                       requester->on_grant(sub, donor, donation_id, best);
+                     [requester, sub = std::make_unique<bnb::Subproblem>(task.sub),
+                      donation_id, donor = id, best = incumbent] {
+                       requester->on_grant(*sub, donor, donation_id, best);
                      });
     } else {
       sim->net->send(id, from,

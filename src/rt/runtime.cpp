@@ -176,7 +176,7 @@ class Incarnation final : public core::IWorkerEnv {
   [[nodiscard]] const core::BnbWorker& worker() const { return *worker_; }
   [[nodiscard]] const ExpansionMap& expansions() const { return expansions_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  /// Whether this incarnation opened a v1 report delta chain (sent at least
+  /// Whether this incarnation opened a report delta chain (sent at least
   /// one report/gossip batch). Post-run observer: read after join_thread().
   [[nodiscard]] bool opened_report_stream() const { return delta_.active; }
 
@@ -449,7 +449,7 @@ class RtCluster final : public fault::IFaultBackend, public fault::IFaultClock {
 Incarnation::Incarnation(WorkerHost* host, std::uint64_t epoch, std::uint64_t seed)
     : host_(host), epoch_(epoch), rng_(seed) {
   worker_.emplace(host->id(), &host->cluster_->model_,
-                  host->cluster_->config_.worker, this);
+                  &host->cluster_->config_.worker, this);
 }
 
 double Incarnation::now() const { return host_->cluster_->now_wall(); }

@@ -77,7 +77,7 @@ struct RtResult : sim::RunOutcome {
   std::vector<core::WorkLedger> worker_ledgers;
   std::vector<bool> crashed;  // ever crash-injected
   std::vector<std::uint32_t> incarnations_per_worker;
-  /// Per member: incarnations that opened a v1 report delta chain (sent at
+  /// Per member: incarnations that opened a report delta chain (sent at
   /// least one report/gossip batch). A worker crashed mid-stream and revived
   /// shows 2 — the revived incarnation restarted from a self-contained
   /// report rather than the dead predecessor's delta base.

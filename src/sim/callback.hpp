@@ -12,8 +12,9 @@
 //     ZERO heap allocations for it. Every self-scheduling closure on the hot
 //     path (worker timers: this + kind + gen + epoch = 24 B; wakes: this +
 //     gen = 16 B; storage sampling: 8 B) fits.
-//   * Overflow contract: a larger capture (message deliveries carry a
-//     core::Message by value, ~100 B) spills into a fixed 128-byte block
+//   * Overflow contract: a larger capture (a message delivery — the
+//     network's DeliverTask around a closure holding a core::Message by
+//     value — is 112 B) spills into a fixed 128-byte block
 //     drawn from a thread-local freelist. Blocks recycle through mailboxes
 //     and Network::send's deliver path: after warm-up the freelist serves
 //     every spill, so the steady state performs zero mallocs per event on

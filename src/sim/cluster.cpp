@@ -1,7 +1,8 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -41,6 +42,36 @@ trace::Activity to_activity(core::CostKind kind) {
   return trace::Activity::kIdle;
 }
 
+/// FIFO on one vector: a pop advances a head index, and a push first drops
+/// the popped prefix once it is at least half the storage, so the storage
+/// is reused instead of growing and compaction moves no more elements than
+/// were popped. An empty Fifo owns no heap memory until its first push.
+template <typename T>
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+
+  void push(T item) {
+    if (head_ > 0 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(std::move(item));
+  }
+
+  T pop() { return std::move(items_[head_++]); }
+
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -51,19 +82,18 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
  public:
   WorkerHost(SimCluster* cluster, core::NodeId id, std::uint64_t seed)
       : cluster_(cluster), id_(id), rng_(seed) {
-    worker_.emplace(id, &cluster->model_, cluster->config_.worker, this);
+    worker_.emplace(id, &cluster->model_, &cluster->config_.worker, this);
   }
 
   core::BnbWorker& worker() { return *worker_; }
   [[nodiscard]] const core::BnbWorker& worker() const { return *worker_; }
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] double crash_time() const { return crash_time_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Current incarnation's stats plus everything crashed incarnations spent
   /// (the paper's aggregates cover crashed processors' time too).
   [[nodiscard]] core::WorkerStats merged_stats() const {
-    core::WorkerStats total = prior_stats_;
+    core::WorkerStats total = prior_ ? prior_->stats : core::WorkerStats{};
     total.add(worker_->stats());
     total.halted_at = worker_->stats().halted_at;
     return total;
@@ -72,7 +102,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// Work ledger across all incarnations (crashed lives folded first, like
   /// merged_stats; kIncarnations counts one per life).
   [[nodiscard]] core::WorkLedger merged_ledger() const {
-    core::WorkLedger total = prior_ledger_;
+    core::WorkLedger total = prior_ ? prior_->ledger : core::WorkLedger{};
     total.add(worker_->work_snapshot());
     return total;
   }
@@ -113,7 +143,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     }
     alive_ = false;
     crash_time_ = t;
-    pending_.clear();
+    inbox_.clear();
   }
 
   /// Restarts a crashed worker as a fresh incarnation: state gone, epoch
@@ -121,31 +151,32 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// are dropped, local clock restarted at the revival instant.
   void revive() {
     FTBB_CHECK(!alive_);
-    prior_stats_.add(worker_->stats());
-    prior_ledger_.add(worker_->work_snapshot());
-    ++epoch_;
+    if (!prior_) prior_ = std::make_unique<PriorLives>();
+    prior_->stats.add(worker_->stats());
+    prior_->ledger.add(worker_->work_snapshot());
+    ++cluster_->epochs_[id_];
     alive_ = true;
     started_ = true;
     // The new incarnation's first report must be self-contained: never delta
     // against the dead predecessor's last batch.
     delta_.reset();
-    pending_.clear();
+    inbox_.clear();
     busy_until_ = cluster_->kernel_.now();
     wait_hint_ = core::WaitHint::kIdle;
-    worker_.emplace(id_, &cluster_->model_, cluster_->config_.worker, this);
+    worker_.emplace(id_, &cluster_->model_, &cluster_->config_.worker, this);
     worker_->on_start(false);
   }
 
   /// Entry point for message arrivals from the network. `epoch` is the
   /// incarnation the sender addressed; mail for a dead incarnation is
   /// dropped even if the worker has since been revived. `bytes` is the
-  /// sender-computed frame size (the receiver cannot recompute a v1 frame's
-  /// size from the Message alone — delta coding made it sender-stateful).
+  /// sender-computed frame size (the receiver cannot recompute a report
+  /// frame's size from the Message alone: its delta chain depends on the
+  /// sender's previous batch).
   void accept(core::Message msg, std::size_t bytes, std::uint64_t epoch) {
-    if (epoch != epoch_) return;  // addressed to a crashed incarnation
+    if (epoch != incarnation()) return;  // addressed to a crashed incarnation
     if (!started_ || !alive_ || worker_->halted()) return;  // crash-stop / terminated
-    pending_.emplace_back(Inbound{std::move(msg), bytes});
-    pump();
+    arrive(Inbound{std::move(msg), bytes});
   }
 
   // ---- core::IWorkerEnv ----
@@ -153,19 +184,21 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   [[nodiscard]] double now() const override { return busy_until_; }
 
   void send(core::NodeId to, core::Message msg) override {
-    // Frame-size the message; for report/gossip this advances the
-    // per-incarnation delta state (idempotently per batch — the m fanout
-    // copies size identically).
-    const bool was_active = delta_.active;
-    const std::size_t bytes = core::frame_size(msg, &delta_);
+    // Frame-size the message; a report/gossip batch advances the
+    // per-incarnation delta state, created with the incarnation's first
+    // batch (idempotently per batch — the m fanout copies size identically).
+    const bool chained = msg.type == core::MsgType::kWorkReport ||
+                         msg.type == core::MsgType::kTableGossip;
+    if (chained && !delta_) delta_ = std::make_unique<core::ReportDeltaState>();
+    const bool was_active = delta_ && delta_->active;
+    const std::size_t bytes = core::frame_size(msg, delta_.get());
     ++wire_.frames;
     wire_.frame_bytes += bytes;
-    if (msg.type == core::MsgType::kWorkReport ||
-        msg.type == core::MsgType::kTableGossip) {
+    if (chained) {
       ++wire_.report_frames;
       wire_.report_frame_bytes += bytes;
       if (!was_active) ++report_streams_;
-      if (delta_.seq == 0) {
+      if (delta_->seq == 0) {
         ++wire_.self_contained_reports;
       } else {
         ++wire_.delta_reports;
@@ -178,14 +211,14 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     charge(core::CostKind::kComm,
            cluster_->config_.worker.costs.send_fixed +
                cluster_->config_.worker.costs.send_per_byte * static_cast<double>(bytes));
-    WorkerHost* dest = cluster_->hosts_[to].get();
-    auto deliver = [dest, dest_epoch = dest->epoch(), bytes,
-                    msg = std::move(msg)]() mutable {
-      dest->accept(std::move(msg), bytes, dest_epoch);
-    };
-    static_assert(sizeof(deliver) <= sim::cbdetail::kBlockBytes,
-                  "a delivery must fit the kernel's pooled callback block");
-    cluster_->network_->send(id_, to, bytes, busy_until_, std::move(deliver));
+    // The destination's incarnation comes from the cluster's dense epoch
+    // array, so a send touches no line of the destination's host.
+    cluster_->network_->send(
+        id_, to, bytes, busy_until_,
+        [dest = cluster_->hosts_[to].get(), dest_epoch = cluster_->epochs_[to],
+         bytes, msg = std::move(msg)]() mutable {
+          dest->accept(std::move(msg), bytes, dest_epoch);
+        });
   }
 
   void set_timer(core::TimerKind kind, double delay, std::uint64_t gen) override {
@@ -197,15 +230,14 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     // Owner-tagged: the firing must run on this worker's shard even when the
     // timer is armed from the control context (join / revive).
     cluster_->kernel_.at(busy_until_ + delay, static_cast<OwnerId>(id_),
-                         [this, kind, gen, epoch = epoch_]() {
-      if (epoch != epoch_ || !alive_ || worker_->halted()) return;
+                         [this, kind, gen, epoch = incarnation()]() {
+      if (epoch != incarnation() || !alive_ || worker_->halted()) return;
       // Superseded arm: the worker's own gen filter would discard this fire
       // anyway (~40% of all fires in the planetary storm), so it never
-      // reaches the queue. The idle gap it falls into is attributed by the
+      // reaches the worker. The idle gap it falls into is attributed by the
       // next event that does, or by kill() or finalize().
       if (gen != timer_slot_[static_cast<int>(kind)]) return;
-      pending_.emplace_back(TimerFire{kind, gen});
-      pump();
+      arrive(TimerFire{kind, gen});
     });
   }
 
@@ -252,7 +284,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
 
   void notify_halted() override {
     cluster_->live_halted_.fetch_add(1, std::memory_order_relaxed);
-    pending_.clear();
+    inbox_.clear();
   }
 
   void note_expansion(const core::PathCode& code, double cost) override {
@@ -290,6 +322,18 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   };
   using Pending = std::variant<Inbound, TimerFire>;
 
+  /// What crashed incarnations spent, folded on each revive; allocated on
+  /// the first one, so a worker that never crashes carries one pointer.
+  struct PriorLives {
+    core::WorkerStats stats;
+    core::WorkLedger ledger;  // work-mix counters
+  };
+
+  /// This worker's current incarnation (the cluster's epoch array holds it).
+  [[nodiscard]] std::uint64_t incarnation() const {
+    return cluster_->epochs_[id_];
+  }
+
   void attribute_gap(double from, double to) {
     const double dur = to - from;
     if (dur <= 0.0) return;
@@ -304,47 +348,67 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     }
   }
 
+  /// An event for the live incarnation. A worker that is idle with an empty
+  /// inbox handles it at once — exactly what pump() would do with it as the
+  /// only entry — so its inbox never allocates; otherwise it queues behind
+  /// the busy period and the earlier mail.
+  void arrive(Pending e) {
+    const double t = cluster_->kernel_.now();
+    if (inbox_.empty() && busy_until_ <= t) {
+      handle(t, e);
+      return;
+    }
+    inbox_.push(std::move(e));
+    pump();
+  }
+
   /// Drains pending events whose effective time has come. If a handler
   /// makes the worker busy, the remainder waits for a wake at busy end.
   void pump() {
     const double t = cluster_->kernel_.now();
     if (!alive_ || worker_->halted()) {
-      pending_.clear();
+      inbox_.clear();
       return;
     }
     if (t < busy_until_) {
       schedule_wake();
       return;
     }
-    while (!pending_.empty()) {
+    while (!inbox_.empty()) {
       if (busy_until_ > t) {
         schedule_wake();
         return;
       }
-      Pending e = std::move(pending_.front());
-      pending_.pop_front();
-      if (busy_until_ < t) {
-        attribute_gap(busy_until_, t);
-        busy_until_ = t;
-      }
-      if (std::holds_alternative<Inbound>(e)) {
-        Inbound& in = std::get<Inbound>(e);
-        auto& stats = worker_->stats();
-        ++stats.msgs_received;
-        stats.bytes_received += in.bytes;
-        charge(core::CostKind::kComm,
-               cluster_->config_.worker.costs.recv_fixed +
-                   cluster_->config_.worker.costs.recv_per_byte *
-                       static_cast<double>(in.bytes));
-        worker_->on_message(in.msg);
-      } else {
-        const TimerFire& fire = std::get<TimerFire>(e);
-        worker_->on_timer(fire.kind, fire.gen);
-      }
+      Pending e = inbox_.pop();
+      handle(t, e);
       if (!alive_ || worker_->halted()) {
-        pending_.clear();
+        inbox_.clear();
         return;
       }
+    }
+  }
+
+  /// The per-event body: closes the idle gap up to kernel time `t`, then
+  /// hands the event to the worker. Handlers add nothing to this worker's
+  /// inbox (their sends and timers go through the kernel), which is what
+  /// lets arrive() bypass an empty inbox.
+  void handle(double t, Pending& e) {
+    if (busy_until_ < t) {
+      attribute_gap(busy_until_, t);
+      busy_until_ = t;
+    }
+    if (Inbound* in = std::get_if<Inbound>(&e)) {
+      auto& stats = worker_->stats();
+      ++stats.msgs_received;
+      stats.bytes_received += in->bytes;
+      charge(core::CostKind::kComm,
+             cluster_->config_.worker.costs.recv_fixed +
+                 cluster_->config_.worker.costs.recv_per_byte *
+                     static_cast<double>(in->bytes));
+      worker_->on_message(in->msg);
+    } else {
+      const TimerFire& fire = std::get<TimerFire>(e);
+      worker_->on_timer(fire.kind, fire.gen);
     }
   }
 
@@ -356,31 +420,35 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     });
   }
 
+  // Hot block: what one event of an idle worker's request, deny and backoff
+  // loop reads, packed at the front (the worker's own hot fields lead
+  // BnbWorker in turn).
   SimCluster* cluster_;
+  double busy_until_ = 0.0;
   core::NodeId id_;
-  support::Rng rng_;
-  std::optional<core::BnbWorker> worker_;  // re-emplaced on revival
-  core::WorkerStats prior_stats_;          // spent by crashed incarnations
-  core::WorkLedger prior_ledger_;          // ditto, work-mix counters
-  std::uint64_t epoch_ = 0;                // incarnation counter
-
   bool alive_ = true;
   bool started_ = false;
-  bool counts_toward_live_ = true;
-  mutable std::vector<core::NodeId> peers_cache_;
-  mutable std::uint64_t peers_version_ = ~0ULL;
-  double crash_time_ = -1.0;
-  double busy_until_ = 0.0;
   core::WaitHint wait_hint_ = core::WaitHint::kIdle;
-  std::deque<Pending> pending_;
   std::uint64_t wake_gen_ = 0;
   /// Latest armed generation per timer kind (single-writer: only this
   /// worker's shard arms and fires its timers). Fires with an older gen are
   /// dropped at the kernel boundary instead of riding through pump().
   std::uint64_t timer_slot_[core::kTimerKinds] = {};
-  core::ReportDeltaState delta_;   // per-incarnation; reset on revive()
-  WireStats wire_;                 // all incarnations of this worker
+  Fifo<Pending> inbox_;  // events that found the worker busy
+  support::Rng rng_;
+  WireStats wire_;  // all incarnations of this worker
+  mutable std::uint64_t peers_version_ = ~0ULL;
+  mutable std::vector<core::NodeId> peers_cache_;
+  std::optional<core::BnbWorker> worker_;  // re-emplaced on revival
+
+  // Cold: allocated on first use, or read only at collection.
+  /// Per incarnation: the first report/gossip batch creates it, revive()
+  /// drops it.
+  std::unique_ptr<core::ReportDeltaState> delta_;
+  std::unique_ptr<PriorLives> prior_;
   std::uint32_t report_streams_ = 0;  // incarnations that opened a report chain
+  bool counts_toward_live_ = true;
+  double crash_time_ = -1.0;
   ExpansionMap expansions_;   // every expansion this host performed
   trace::Timeline trace_;     // host-local; merged in collect()
 };
@@ -419,6 +487,7 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
   FTBB_CHECK_MSG(config_.join_times.empty() ||
                      config_.join_times[config_.root_holder] == 0.0,
                  "the root holder must join at time 0");
+  epochs_.assign(config_.workers, 0);
   for (core::NodeId id = 0; id < config_.workers; ++id) {
     hosts_.push_back(std::make_unique<WorkerHost>(this, id, master.split(id).next()));
   }

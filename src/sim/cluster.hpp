@@ -218,6 +218,10 @@ class SimCluster {
   FaultPlane fault_plane_{this};
   std::optional<fault::FaultDriver> driver_;
   std::vector<std::unique_ptr<WorkerHost>> hosts_;
+  /// Current incarnation per worker, bumped by each revive. Senders read
+  /// the destination's epoch here — one dense array instead of a line of
+  /// every destination host. Mutated only by control events.
+  std::vector<std::uint64_t> epochs_;
   std::vector<core::NodeId> joined_;   // members that have joined so far;
                                        // mutated only by control events
   std::vector<std::uint32_t> join_pos_;  // node id -> index in joined_

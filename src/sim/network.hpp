@@ -33,6 +33,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -226,11 +228,16 @@ class Network {
   /// on the destination node's event stream — unless the message is lost.
   /// Returns false when dropped. Must be called from the sending node's own
   /// context (or from the control context while shards are quiescent).
-  /// `deliver` is taken by value as the kernel's move-only Callback and moved
-  /// straight through the loss/jitter path into the scheduled event — no
-  /// intermediate std::function conversion, no extra allocation.
-  bool send(std::uint32_t from, std::uint32_t to, std::size_t bytes, double departure,
-            Callback deliver) {
+  /// `deliver` is any void() callable; the scheduled event stores it by its
+  /// own type inside the DeliverTask, so a delivery is one kernel Callback —
+  /// inline for small closures, one pooled block for one that carries a
+  /// core::Message — never a Callback nested in another.
+  template <typename F>
+  bool send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
+            double departure, F&& deliver) {
+    using Task = DeliverTask<std::decay_t<F>>;
+    static_assert(sizeof(Task) <= cbdetail::kBlockBytes,
+                  "a delivery must fit the kernel's pooled callback block");
     FTBB_CHECK(from < channels_.size() && to < channels_.size());
     Channel& src = channels_[from];
     ++src.messages_sent;
@@ -252,7 +259,7 @@ class Network {
     }
     src.bytes_delivered += bytes;
     kernel_->at(departure + latency, static_cast<OwnerId>(to),
-                DeliverTask{this, to, std::move(deliver)});
+                Task{this, to, std::forward<F>(deliver)});
     return true;
   }
 
@@ -274,16 +281,14 @@ class Network {
 
  private:
   /// The scheduled arrival of a sent message: bumps the destination's
-  /// delivery counter, then runs the caller's deliver closure. A named
-  /// struct instead of a capturing lambda keeps the wrapper at exactly
-  /// {Network*, node id, inner callback} — one pooled Callback block even
-  /// when the inner closure itself carries a Message payload. `network` stays
-  /// valid: the kernel drains or is discarded before the Network in every
-  /// backend.
+  /// delivery counter, then runs the caller's deliver closure, held by its
+  /// own type. `network` stays valid: the kernel drains or is discarded
+  /// before the Network in every backend.
+  template <typename F>
   struct DeliverTask {
     Network* network;
     std::uint32_t to;
-    Callback inner;
+    F inner;
     void operator()() {
       ++network->channels_[to].messages_delivered;
       inner();
@@ -327,12 +332,13 @@ class Network {
 ///
 ///   * the global conservative lookahead (Network::min_latency) — backends
 ///     used to re-derive latency_fixed*(1-jitter_frac) by hand;
-///   * with a hierarchical topology, a per-channel lookahead model at rack
-///     granularity (group = rack, matrix of per-pair tier floors) so the
-///     sharded executor can open windows bounded by each *channel's* floor
-///     instead of the single global minimum;
-///   * a topology-aligned shard affinity so co-located nodes share a shard
-///     and cross-shard traffic crosses the slow, high-lookahead tiers.
+///   * with a hierarchical topology and more than one thread, a per-channel
+///     lookahead model at rack granularity (group = rack, matrix of per-pair
+///     tier floors) so the sharded executor can open windows bounded by each
+///     *channel's* floor instead of the single global minimum;
+///   * with them, a topology-aligned shard affinity so co-located nodes
+///     share a shard and cross-shard traffic crosses the slow,
+///     high-lookahead tiers.
 ///
 /// `per_channel = false` keeps the classic single global-barrier lookahead
 /// (used by benchmarks to measure what the refinement buys). Either setting
@@ -345,8 +351,13 @@ class Network {
   ex.threads = threads;
   ex.nodes = nodes;
   ex.lookahead = Network::min_latency(net);
+  // One dispatch thread means the sequential executor (make_executor), which
+  // reads neither the channel matrix nor the shard map; at 10^5 workers the
+  // matrix alone is 78 MB of rack pairs.
   const Topology& topo = net.topology;
-  if (!per_channel || !topo.hierarchical() || nodes == 0) return ex;
+  if (threads <= 1 || !per_channel || !topo.hierarchical() || nodes == 0) {
+    return ex;
+  }
 
   const std::uint32_t racks = topo.rack_of(nodes - 1) + 1;
   ex.channels.groups = racks;

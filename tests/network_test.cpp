@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "core/messages.hpp"
+#include "sim/callback.hpp"
 #include "sim/network.hpp"
 
 namespace ftbb::sim {
@@ -229,6 +231,37 @@ TEST(Network, StatsCountBytes) {
   EXPECT_EQ(net.stats().bytes_sent, 150u);
   EXPECT_EQ(net.stats().bytes_delivered, 150u);
   EXPECT_EQ(net.stats().messages_delivered, 2u);
+}
+
+TEST(Network, MessageDeliveryTakesOnePooledBlock) {
+  // A delivery shaped like the cluster's (destination, its epoch, the frame
+  // size and the Message itself) is too big for the inline buffer, so the
+  // kernel stores it in one pooled block: the DeliverTask holds the closure
+  // by its own type, not a Callback that would spill into a second block.
+  Kernel k;
+  Network net(&k, NetConfig{}, support::Rng(3), 4);
+  const cbdetail::BlockPool& pool = cbdetail::block_pool();
+  const std::uint64_t blocks_before = pool.fresh + pool.hits;
+  constexpr std::uint64_t kMessages = 100;
+  std::uint64_t delivered = 0;
+  std::uint64_t ids = 0;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    core::Message msg;
+    msg.type = core::MsgType::kWorkRequest;
+    msg.from = 0;
+    msg.request_id = i + 1;
+    ASSERT_TRUE(net.send(0, 1, 24, 0.0,
+                         [sink = &delivered, epoch = std::uint64_t{0},
+                          bytes = std::size_t{24}, ids = &ids,
+                          msg = std::move(msg)]() mutable {
+                           *ids += msg.request_id + epoch + bytes;
+                           ++*sink;
+                         }));
+  }
+  EXPECT_EQ(pool.fresh + pool.hits - blocks_before, kMessages);
+  k.run();
+  EXPECT_EQ(delivered, kMessages);
+  EXPECT_EQ(ids, kMessages * (kMessages + 1) / 2 + 24 * kMessages);
 }
 
 }  // namespace

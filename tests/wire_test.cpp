@@ -48,11 +48,11 @@ ClusterConfig base_config(std::uint32_t workers, std::uint64_t seed) {
 
 TEST(Wire, V1ShrinksReportTraffic) {
   // Exhaustive walk with full batches — the E6 load regime where delta
-  // coding pays. (v1 named the delta-chained payload; it is the only
-  // encoding now, so the saving against flat codes is pinned at the frame
-  // level by Frames.DeltaChainsExpandPastTheirInputBytes.) Here: past each
-  // worker's first batch, every report chains to the batch before it, and
-  // the network charges exactly the frame bytes.
+  // coding pays. (The name predates the single encoding: delta chains are
+  // the only code-list format now, so the saving against flat codes is
+  // pinned at the frame level by Frames.DeltaChainsExpandPastTheirInputBytes.)
+  // Here: past each worker's first batch, every report chains to the batch
+  // before it, and the network charges exactly the frame bytes.
   const BasicTree tree = test_tree(13, 4001);
   TreeProblem problem(&tree, /*honor_bounds=*/false);
   ClusterConfig cfg = base_config(4, 13);
@@ -107,8 +107,8 @@ TEST(Wire, RevivedWorkerRestartsItsDeltaStream) {
 }
 
 TEST(Wire, RtRevivedWorkerRestartsItsDeltaStream) {
-  // Same property on the thread-backed runtime, where v1 frames are
-  // actually encoded and decoded on delivery: a bounced worker's fresh
+  // Same property on the thread-backed runtime, where frames are actually
+  // encoded and decoded on delivery: a bounced worker's fresh
   // incarnation restarts the chain, and no frame ever fails to decode.
   RandomTreeConfig tree_cfg;
   tree_cfg.target_nodes = 4001;
@@ -144,7 +144,7 @@ TEST(Wire, RtRevivedWorkerRestartsItsDeltaStream) {
     EXPECT_LE(res.report_streams_per_worker[node],
               res.incarnations_per_worker[node]);
   }
-  // Somebody reported under v1 frames and every frame decoded.
+  // Somebody reported, and every frame decoded.
   std::uint32_t streams = 0;
   for (const std::uint32_t s : res.report_streams_per_worker) streams += s;
   EXPECT_GT(streams, 0u);

@@ -107,7 +107,7 @@ struct Fixture {
 
 TEST(Worker, SoloWithRootSolvesToTermination) {
   Fixture f(1);
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(/*with_root=*/true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   EXPECT_TRUE(f.env.halted_notified);
@@ -121,7 +121,7 @@ TEST(Worker, SoloWithoutRootRecoversTheRootFromAnEmptyTable) {
   // empty table — yielding the root — and solve everything itself. This is
   // the "all but one resource lost" degenerate case.
   Fixture f(2);
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(/*with_root=*/false);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
@@ -130,7 +130,7 @@ TEST(Worker, SoloWithoutRootRecoversTheRootFromAnEmptyTable) {
 
 TEST(Worker, BestCodeNamesAnOptimalLeaf) {
   Fixture f(3);
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   const bnb::NodeEval leaf = f.problem.eval(worker.best_code());
@@ -141,7 +141,7 @@ TEST(Worker, BestCodeNamesAnOptimalLeaf) {
 TEST(Worker, DeniesWorkRequestWhenPoolTooSmall) {
   Fixture f(4);
   f.env.peer_list = {1, 2};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);  // pool = {root} only
   Message req;
   req.type = MsgType::kWorkRequest;
@@ -156,7 +156,7 @@ TEST(Worker, DeniesWorkRequestWhenPoolTooSmall) {
 TEST(Worker, GrantsHalfThePoolOnRequest) {
   Fixture f(5);
   f.env.peer_list = {1, 2};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   // Expand a few nodes so the pool grows past the grant threshold.
   for (int i = 0; i < 8 && !worker.pool().empty(); ++i) f.env.fire_next(worker);
@@ -179,7 +179,7 @@ TEST(Worker, ReportsBatchAndCarryIncumbent) {
   f.env.peer_list = {1, 2, 3};
   Fixture* fp = &f;
   fp->config.report_fanout = 2;
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   // Run enough steps to accumulate report_batch completions.
   for (int i = 0; i < 2000 && f.env.sent_of(MsgType::kWorkReport).empty(); ++i) {
@@ -204,7 +204,7 @@ TEST(Worker, ReportsBatchAndCarryIncumbent) {
 TEST(Worker, ReceivedReportCoversPoolEntries) {
   Fixture f(7);
   f.env.peer_list = {1};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   for (int i = 0; i < 6 && !worker.pool().empty(); ++i) f.env.fire_next(worker);
   ASSERT_GE(worker.pool().size(), 1u);
@@ -225,7 +225,7 @@ TEST(Worker, ReceivedReportCoversPoolEntries) {
 TEST(Worker, RootReportTerminatesAndRebroadcasts) {
   Fixture f(8);
   f.env.peer_list = {1, 2, 3};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   Message root_report;
   root_report.type = MsgType::kRootReport;
@@ -242,7 +242,7 @@ TEST(Worker, RootReportTerminatesAndRebroadcasts) {
 TEST(Worker, IncumbentAbsorbedAndPruned) {
   Fixture f(9);
   f.env.peer_list = {1};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   for (int i = 0; i < 10 && !worker.pool().empty(); ++i) f.env.fire_next(worker);
   ASSERT_GE(worker.pool().size(), 1u);
@@ -262,7 +262,7 @@ TEST(Worker, RequestTimeoutsEscalateToRecovery) {
   f.env.peer_list = {1};  // a peer that never answers (crashed)
   Fixture* fp = &f;
   fp->config.attempts_before_recovery = 2;
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(/*with_root=*/false);
   // Recovery requires repeated timeouts AND a progress stall; with an empty
   // table the stall threshold is further multiplied (a wrong suspicion would
@@ -283,7 +283,7 @@ TEST(Worker, RequestTimeoutsEscalateToRecovery) {
 TEST(Worker, StaleGrantIsStillAbsorbed) {
   Fixture f(11);
   f.env.peer_list = {1};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(false);
   Message grant;
   grant.type = MsgType::kWorkGrant;
@@ -299,7 +299,7 @@ TEST(Worker, StaleGrantIsStillAbsorbed) {
 TEST(Worker, GrantOfCoveredProblemIsDropped) {
   Fixture f(12);
   f.env.peer_list = {1};
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(false);
   const PathCode left = PathCode::root().child(f.tree.root().var, false);
   Message report;
@@ -320,7 +320,7 @@ TEST(Worker, PaperLiteralReportCompressionAlsoWorks) {
   Fixture f(13);
   Fixture* fp = &f;
   fp->config.compress_against_table = false;  // contract the list only
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
@@ -330,7 +330,7 @@ TEST(Worker, EliminationDisabledStillTerminates) {
   Fixture f(14, 101);
   Fixture* fp = &f;
   fp->config.enable_elimination = false;
-  BnbWorker worker(0, &f.problem, f.config, &f.env);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   // Exhaustive traversal: every node expanded exactly once.
@@ -345,7 +345,7 @@ TEST(Worker, RecoveryPoliciesAllSolveSolo) {
     Fixture f(15, 101);
     Fixture* fp = &f;
     fp->config.recovery = policy;
-    BnbWorker worker(0, &f.problem, f.config, &f.env);
+    BnbWorker worker(0, &f.problem, &f.config, &f.env);
     worker.on_start(false);
     ASSERT_TRUE(f.env.run_to_halt(worker)) << to_string(policy);
     EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value()) << to_string(policy);
@@ -372,7 +372,7 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
     WorkerConfig config;
     config.work_request_timeout = 0.02;  // base, far below node cost
     config.model_adaptivity = adaptive;
-    BnbWorker worker(0, &problem, config, &env);
+    BnbWorker worker(0, &problem, &config, &env);
     worker.on_start(/*with_root=*/false);
     // Hand it a single subtree; once finished it must seek work again.
     const bnb::TreeNode& root = tree.root();
