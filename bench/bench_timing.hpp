@@ -126,6 +126,9 @@ inline std::string git_describe() {
 /// appends its own fields and writes the closing brace. Returns nullptr
 /// (after printing a diagnostic) when the file cannot be created.
 inline FILE* open_bench_json(const char* path, const char* bench_name) {
+  // Describe the tree before opening: truncating a committed artifact
+  // would otherwise mark every run "-dirty".
+  const std::string git = git_describe();
   FILE* json = std::fopen(path, "w");
   if (json == nullptr) {
     std::printf("cannot write %s\n", path);
@@ -135,7 +138,7 @@ inline FILE* open_bench_json(const char* path, const char* bench_name) {
                "{\n  \"bench\": \"%s\",\n  \"hardware_concurrency\": %u,\n"
                "  \"build\": \"%s\",\n  \"git\": \"%s\",\n",
                bench_name, std::thread::hardware_concurrency(),
-               build_flags().c_str(), git_describe().c_str());
+               build_flags().c_str(), git.c_str());
   return json;
 }
 
