@@ -19,9 +19,11 @@
 // counters match — so the only number that moves is wall-clock events/sec.
 // On a single-core CI runner ~1.0x between variants is expected; the curve
 // of population vs throughput is the artifact. Each variant also records
-// its peak resident memory (the watermark is reset before each run), which
-// tracks the per-worker footprint as the population grows. Results go to
-// BENCH_planetary.json. `--smoke` shrinks populations and horizon for CI.
+// its peak resident memory (the watermark is reset before each run), and
+// each row the resident bytes per worker of a run cut before any message
+// arrives, which tracks the per-worker footprint as the population grows.
+// Results go to BENCH_planetary.json. `--smoke` shrinks populations and
+// horizon for CI.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -66,6 +68,7 @@ struct Row {
   double horizon = 0.0;  // virtual seconds simulated
   std::vector<VariantResult> variants;
   bool identical = true;
+  double bytes_per_worker = 0.0;  // resident state per worker once joined
 };
 
 core::WorkerConfig tuned_worker() {
@@ -89,20 +92,16 @@ Row run_row(std::uint32_t workers, double horizon) {
   workload_spec.cost_mean = 2e-3;
   const sim::Workload workload = sim::build_workload(workload_spec);
 
-  const VariantResult kinds[] = {
-      {"sequential", 1, false},
-      {"sharded/barrier", 4, false},
-      {"sharded/channel", 4, true},
-  };
-  for (const VariantResult& kind : kinds) {
+  const auto config_for = [&](std::uint32_t threads, bool per_channel,
+                              double time_limit) {
     sim::ClusterConfig cfg;
     cfg.workers = schedule.population;
     cfg.worker = tuned_worker();
-    cfg.sim_threads = kind.threads;
-    cfg.per_channel_lookahead = kind.per_channel;
+    cfg.sim_threads = threads;
+    cfg.per_channel_lookahead = per_channel;
     cfg.peer_view_limit = 32;
     cfg.seed = 9;
-    cfg.time_limit = horizon;
+    cfg.time_limit = time_limit;
     cfg.net.topology.nodes_per_rack = kNodesPerRack;
     cfg.net.topology.racks_per_campus = kRacksPerCampus;
     cfg.loss_rules = schedule.loss_rules;
@@ -114,7 +113,26 @@ Row run_row(std::uint32_t workers, double horizon) {
     }
     cfg.partitions = schedule.partitions;
     cfg.join_times = schedule.join_times;
+    return cfg;
+  };
 
+  // Footprint: a sequential run cut 1 us into the storm, when the initial
+  // members have joined and no message can have arrived yet. The resident
+  // memory it adds, over the population, is the state each worker carries.
+  bench::reset_peak_rss();
+  const double resident_mb = bench::peak_rss_mb();
+  (void)sim::SimCluster::run(*workload.model, config_for(1, false, 1e-6));
+  row.bytes_per_worker = (bench::peak_rss_mb() - resident_mb) * 1024.0 *
+                         1024.0 / static_cast<double>(schedule.population);
+
+  const VariantResult kinds[] = {
+      {"sequential", 1, false},
+      {"sharded/barrier", 4, false},
+      {"sharded/channel", 4, true},
+  };
+  for (const VariantResult& kind : kinds) {
+    const sim::ClusterConfig cfg =
+        config_for(kind.threads, kind.per_channel, horizon);
     VariantResult v = kind;
     bench::reset_peak_rss();
     const double t0 = bench::now_seconds();
@@ -185,9 +203,9 @@ int main(int argc, char** argv) {
                      base > 0.0 ? v.events_per_sec / base : 0.0, 2),
                  support::TextTable::num(v.peak_rss_mb, 1)});
     }
-    std::printf("workers=%u horizon=%.2fs identical=%s\n%s\n", row.workers,
-                row.horizon, row.identical ? "yes" : "NO",
-                table.render().c_str());
+    std::printf("workers=%u horizon=%.2fs identical=%s bytes/worker=%.0f\n%s\n",
+                row.workers, row.horizon, row.identical ? "yes" : "NO",
+                row.bytes_per_worker, table.render().c_str());
     rows.push_back(std::move(row));
   }
 
@@ -201,8 +219,10 @@ int main(int argc, char** argv) {
     const Row& row = rows[i];
     std::fprintf(json,
                  "    {\"workers\": %u, \"horizon_s\": %.3f, "
-                 "\"identical\": %s, \"variants\": [\n",
-                 row.workers, row.horizon, row.identical ? "true" : "false");
+                 "\"identical\": %s, \"bytes_per_worker\": %.0f, "
+                 "\"variants\": [\n",
+                 row.workers, row.horizon, row.identical ? "true" : "false",
+                 row.bytes_per_worker);
     for (std::size_t v = 0; v < row.variants.size(); ++v) {
       const VariantResult& vr = row.variants[v];
       std::fprintf(json,
