@@ -7,6 +7,11 @@
 // BENCH_micro_codes.json so the trajectory is tracked across PRs; `--smoke`
 // shrinks the measurement windows for CI.
 //
+// Rows prefixed `legacy_` run the same operation on the pointer-trie
+// completion table the chunked one replaced (bench/legacy_code_set.hpp), so
+// each speed-up is read off one file. The "footprint" section records the
+// bytes of a Table-1 table and of its exported gossip list in both forms.
+//
 // Besides throughput, every bench reports allocs/op and bytes/op via an
 // instrumented global allocator (counted over a separate untimed loop so the
 // instrumentation never skews the timings). The binary exits nonzero if any
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_timing.hpp"
+#include "bench/legacy_code_set.hpp"
 #include "bench/workloads.hpp"
 #include "bnb/basic_tree.hpp"
 #include "core/code_set.hpp"
@@ -73,6 +79,7 @@ std::atomic<std::uint64_t> g_bytes{0};
 namespace {
 
 using namespace ftbb;
+using bench::LegacyCodeSet;
 using bench::measure;
 using core::CodeList;
 using core::CodeSet;
@@ -124,10 +131,11 @@ std::vector<PathCode> table1_leaf_codes() {
 
 /// A mid-run completion table of that tree: random leaves completed (and
 /// contracted) until the table holds `codes` codes.
-CodeSet table1_table(const std::vector<PathCode>& leaves, std::size_t codes,
-                     std::uint64_t seed) {
+template <typename Table = CodeSet>
+Table table1_table(const std::vector<PathCode>& leaves, std::size_t codes,
+                   std::uint64_t seed) {
   support::Rng rng(seed);
-  CodeSet table;
+  Table table;
   for (const std::size_t i :
        rng.sample_without_replacement(leaves.size(), leaves.size())) {
     if (table.code_count() >= codes) break;
@@ -141,6 +149,14 @@ struct Result {
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;
   double bytes_per_op = 0.0;
+};
+
+/// Resident bytes of one completion table or list, in each form.
+struct Footprint {
+  std::string name;
+  std::size_t codes = 0;
+  std::size_t bytes = 0;
+  std::size_t legacy_bytes = 0;
 };
 
 volatile std::size_t g_sink = 0;  // defeats dead-code elimination
@@ -231,27 +247,35 @@ int main(int argc, char** argv) {
     });
   }
 
-  for (const std::uint64_t nodes : {1001u, 10001u, 100001u}) {
-    const auto leaves = leaf_codes(nodes, 11);
-    bench("code_set_insert_all_leaves_" + std::to_string(nodes),
-          static_cast<double>(leaves.size()), [&] {
-            CodeSet set;
-            for (const PathCode& c : leaves) set.insert(c);
-            g_sink = g_sink + (set.root_complete() ? 1 : 0);
-          });
-  }
+  // Single inserts: every leaf of a tree, one by one, until the table
+  // contracts to the root.
+  const auto insert_leaves = [&]<typename Table>(const std::string& prefix) {
+    for (const std::uint64_t nodes : {1001u, 10001u, 100001u}) {
+      const auto leaves = leaf_codes(nodes, 11);
+      bench(prefix + "code_set_insert_all_leaves_" + std::to_string(nodes),
+            static_cast<double>(leaves.size()), [&] {
+              Table set;
+              for (const PathCode& c : leaves) set.insert(c);
+              g_sink = g_sink + (set.root_complete() ? 1 : 0);
+            });
+    }
+  };
+  insert_leaves.operator()<CodeSet>("");
+  insert_leaves.operator()<LegacyCodeSet>("legacy_");
 
-  {
+  const auto covered = [&]<typename Table>(const std::string& prefix) {
     const auto leaves = leaf_codes(10001, 13);
-    CodeSet set;
+    Table set;
     // Half completed -> realistic mid-run table.
     for (std::size_t i = 0; i < leaves.size(); i += 2) set.insert(leaves[i]);
     std::size_t i = 0;
-    bench("code_set_covered", 1.0, [&] {
+    bench(prefix + "code_set_covered", 1.0, [&] {
       g_sink = g_sink + (set.covered(leaves[i]) ? 1 : 0);
       i = (i + 1) % leaves.size();
     });
-  }
+  };
+  covered.operator()<CodeSet>("");
+  covered.operator()<LegacyCodeSet>("legacy_");
 
   {
     // A receiver merging 8-code work reports into a growing table.
@@ -299,31 +323,48 @@ int main(int argc, char** argv) {
           [&] { g_sink = g_sink + set.export_codes().size(); });
   }
 
-  {
-    // Table-1 gossip: ~3,300 codes at the Table-1 tree's depths, the size a
-    // table1-dense worker gossips mid-run.
-    const std::vector<PathCode> leaves = table1_leaf_codes();
-    const CodeSet sender = table1_table(leaves, 3300, 31);
+  // Table-1 gossip: ~3,300 codes at the Table-1 tree's depths, the size a
+  // table1-dense worker gossips mid-run.
+  std::vector<Footprint> footprints;
+  const std::vector<PathCode> table1_leaves = table1_leaf_codes();
+  const auto table1_gossip = [&]<typename Table>(const std::string& prefix) {
+    const std::vector<PathCode>& leaves = table1_leaves;
+    const Table sender = table1_table<Table>(leaves, 3300, 31);
     const CodeList gossip = sender.export_list();
     // The receiver overlaps the sender: its own completions plus every
     // other code of the gossip.
-    CodeSet receiver = table1_table(leaves, 3300, 37);
-    for (std::size_t i = 0; i < gossip.size(); i += 2) receiver.insert(gossip[i]);
-    std::size_t words = 0;
-    for (const core::PathView c : gossip) words += c.depth();
-    std::printf("table-1 gossip: %zu codes, mean depth %.1f; receiver %zu codes\n\n",
-                gossip.size(), static_cast<double>(words) / static_cast<double>(gossip.size()),
-                receiver.code_count());
+    Table receiver = table1_table<Table>(leaves, 3300, 37);
+    {
+      std::size_t i = 0;
+      for (const core::PathView c : gossip) {
+        if (i++ % 2 == 0) receiver.insert(c);
+      }
+    }
+    if (prefix.empty()) {
+      std::size_t words = 0;
+      for (const core::PathView c : gossip) words += c.depth();
+      std::printf("table-1 gossip: %zu codes, mean depth %.1f; receiver %zu codes\n\n",
+                  gossip.size(), static_cast<double>(words) / static_cast<double>(gossip.size()),
+                  receiver.code_count());
+      // The list the export replaced stored every code's whole words after
+      // a 24-byte header and an offset per code.
+      footprints.push_back({"table1_gossip_export", gossip.size(), gossip.allocated_bytes(),
+                            24 + (gossip.size() + 1 + words) * sizeof(std::uint32_t)});
+      const CodeSet plain = table1_table<CodeSet>(leaves, 3300, 37);
+      const LegacyCodeSet legacy = table1_table<LegacyCodeSet>(leaves, 3300, 37);
+      footprints.push_back({"table1_table", plain.code_count(), plain.allocated_bytes(),
+                            legacy.allocated_bytes()});
+    }
 
     // Merge into the overlapping receiver, batch versus per-code. Each op
     // first restores the receiver by copy-assignment (same cost in both
     // rows, allocation-free once capacities settle).
-    CodeSet table;
-    bench("code_list_merge_table1_gossip_batch", 1.0, [&] {
+    Table table;
+    bench(prefix + "code_list_merge_table1_gossip_batch", 1.0, [&] {
       table = receiver;
       g_sink = g_sink + table.insert_all(gossip).nodes_walked;
     });
-    bench("code_list_merge_table1_gossip_per_code", 1.0, [&] {
+    bench(prefix + "code_list_merge_table1_gossip_per_code", 1.0, [&] {
       table = receiver;
       std::uint32_t walked = 0;
       for (const core::PathView c : gossip) walked += table.insert(c).nodes_walked;
@@ -331,22 +372,24 @@ int main(int argc, char** argv) {
     });
 
     // Export after a mutation: the memo is stale, so this is the full
-    // one-pass build of the list from the trie that each gossip of a
-    // changed table pays. Each op first completes one fresh region (the
-    // child of an uncovered region: one more code, no contraction); the
-    // table is restored every 64 ops so its size stays put.
+    // build of the list that each gossip of a changed table pays. Each op
+    // first completes one fresh region (the child of an uncovered region:
+    // one more code, no contraction); the table is restored every 64 ops so
+    // its size stays put.
     std::vector<PathCode> fresh;
     for (const PathCode& region : sender.complement()) {
       if (fresh.size() == 64) break;
       fresh.push_back(region.child(PathCode::kMaxVar, false));
     }
     std::size_t k = 0;
-    bench("code_list_export_table1", 1.0, [&] {
+    bench(prefix + "code_list_export_table1", 1.0, [&] {
       if (k % fresh.size() == 0) table = sender;
       table.insert(fresh[k++ % fresh.size()]);
       g_sink = g_sink + table.export_list().size();
     });
-  }
+  };
+  table1_gossip.operator()<CodeSet>("");
+  table1_gossip.operator()<LegacyCodeSet>("legacy_");
 
   for (const int codes : {8, 64}) {
     const auto leaves = leaf_codes(2001, 29);
@@ -374,6 +417,13 @@ int main(int argc, char** argv) {
                support::TextTable::num(r.bytes_per_op, 0)});
   }
   std::printf("%s", table.render().c_str());
+  std::printf("\n");
+  support::TextTable bytes({"footprint", "codes", "bytes", "legacy bytes"});
+  for (const Footprint& f : footprints) {
+    bytes.row({f.name, std::to_string(f.codes), std::to_string(f.bytes),
+               std::to_string(f.legacy_bytes)});
+  }
+  std::printf("%s", bytes.render().c_str());
 
   FILE* json = bench::open_bench_json("BENCH_micro_codes.json", "micro_codes");
   if (json == nullptr) return 1;
@@ -386,6 +436,15 @@ int main(int argc, char** argv) {
                  results[i].name.c_str(), results[i].ops_per_sec,
                  results[i].allocs_per_op, results[i].bytes_per_op,
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"footprint\": [\n");
+  for (std::size_t i = 0; i < footprints.size(); ++i) {
+    const Footprint& f = footprints[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"codes\": %zu, \"bytes\": %zu, "
+                 "\"legacy_bytes\": %zu}%s\n",
+                 f.name.c_str(), f.codes, f.bytes, f.legacy_bytes,
+                 i + 1 < footprints.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -10,18 +10,46 @@ namespace ftbb::core {
 
 namespace {
 
+std::size_t common_prefix(PathView a, PathView b) {
+  const std::size_t cap = std::min(a.depth(), b.depth());
+  std::size_t n = 0;
+  while (n < cap && a.word(n) == b.word(n)) ++n;
+  return n;
+}
+
 /// One exactly sized allocation for a sequence of codes or views.
 template <typename Codes>
 CodeList build(const Codes& codes) {
   std::size_t words = 0;
-  for (const PathView c : codes) words += c.depth();
+  std::size_t i = 0;
+  PathView prev;
+  for (const PathView c : codes) {
+    words += CodeList::record_words(i++, c.depth(), common_prefix(prev, c));
+    prev = c;
+  }
   CodeList::Builder b;
   b.reserve(codes.size(), words);
-  for (const PathView c : codes) b.append(c);
+  prev = PathView();
+  for (const PathView c : codes) {
+    b.append(c, common_prefix(prev, c));
+    prev = c;
+  }
   return b.finish();
 }
 
+std::size_t restarts_for(std::size_t codes) {
+  return (codes + CodeList::kRestart - 1) / CodeList::kRestart;
+}
+
 }  // namespace
+
+void CodeList::Code::grow(std::size_t n) {
+  const std::size_t cap = std::max(n, 2 * cap_);
+  auto grown = std::make_unique_for_overwrite<std::uint32_t[]>(cap);
+  if (size_ != 0) std::memcpy(grown.get(), w_.get(), size_ * sizeof(std::uint32_t));
+  w_ = std::move(grown);
+  cap_ = cap;
+}
 
 CodeList::CodeList(std::initializer_list<PathView> codes)
     : CodeList(build(codes)) {}
@@ -33,6 +61,39 @@ void CodeList::release(Rep* rep) {
   if (rep->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   rep->~Rep();
   ::operator delete(rep);
+}
+
+PathCode CodeList::operator[](std::size_t i) const {
+  FTBB_CHECK(i < size());
+  // Decode from the whole-code record at or before i.
+  const std::size_t first = i - i % kRestart;
+  const std::uint32_t* pos = rep_->body() + rep_->restarts()[first / kRestart];
+  PathCode code(PathView(pos + 2, pos[0]));
+  pos += 2 + pos[0];
+  for (std::size_t k = first + 1; k <= i; ++k) {
+    const std::uint32_t depth = pos[0];
+    const std::uint32_t lcp = pos[1];
+    while (code.depth() > lcp) code.pop_step();
+    for (std::uint32_t w = 0; w < depth - lcp; ++w) code.push_word(pos[2 + w]);
+    pos += 2 + (depth - lcp);
+  }
+  return code;
+}
+
+void CodeList::decode_last(const Rep& rep, Code& out) {
+  const std::size_t last = rep.count - 1;
+  const std::uint32_t* pos = rep.body() + rep.restarts()[last / kRestart];
+  out.splice(0, pos + 2, pos[0]);
+  pos += 2 + pos[0];
+  for (std::size_t k = last - last % kRestart + 1; k <= last; ++k) {
+    out.splice(pos[1], pos + 2, pos[0] - pos[1]);
+    pos += 2 + (pos[0] - pos[1]);
+  }
+}
+
+std::size_t CodeList::allocated_bytes() const {
+  if (rep_ == nullptr) return 0;
+  return sizeof(Rep) + (rep_->restart_cap + rep_->cap) * sizeof(std::uint32_t);
 }
 
 std::vector<PathCode> CodeList::to_vector() const {
@@ -47,82 +108,152 @@ bool operator==(const CodeList& a, const CodeList& b) {
   const std::size_t n = a.size();
   if (n != b.size()) return false;
   if (n == 0) return true;
+  // Front coding is canonical: equal code sequences have equal records.
   const CodeList::Rep& x = *a.rep_;
   const CodeList::Rep& y = *b.rep_;
-  return std::memcmp(x.offsets(), y.offsets(), (n + 1) * sizeof(std::uint32_t)) == 0 &&
-         std::memcmp(x.words(), y.words(),
-                     x.word_count() * sizeof(std::uint32_t)) == 0;
+  return x.size == y.size &&
+         std::memcmp(x.body(), y.body(), x.size * sizeof(std::uint32_t)) == 0;
 }
 
-void CodeList::Builder::reserve(std::size_t codes, std::size_t words) {
-  if (codes == 0 && words == 0) return;  // an empty list needs no block
-  const std::size_t have_codes = size();
-  const std::size_t have_words = word_count();
-  FTBB_CHECK_MSG(codes <= kMaxWords - have_codes && words <= kMaxWords - have_words,
-                 "CodeList: too many codes or step words");
-  const std::size_t need_codes = have_codes + codes;
-  const std::size_t need_words = have_words + words;
-  if (rep_ != nullptr && need_codes <= rep_->code_cap &&
-      need_words <= rep_->word_cap) {
-    return;
-  }
-  // Geometric growth, so decoders that cannot pre-size stay amortized O(1).
-  std::size_t code_cap = need_codes;
-  std::size_t word_cap = need_words;
-  if (rep_ != nullptr) {
-    code_cap = std::max<std::size_t>(code_cap, std::min<std::size_t>(2 * rep_->code_cap, kMaxWords));
-    word_cap = std::max<std::size_t>(word_cap, std::min<std::size_t>(2 * rep_->word_cap, kMaxWords));
-  }
+void CodeList::Builder::resize_rep(std::size_t restart_cap, std::size_t cap) {
   void* block = ::operator new(sizeof(Rep) +
-                               (code_cap + 1 + word_cap) * sizeof(std::uint32_t));
+                               (restart_cap + cap) * sizeof(std::uint32_t));
   Rep* grown = ::new (block) Rep;
-  grown->code_cap = static_cast<std::uint32_t>(code_cap);
-  grown->word_cap = static_cast<std::uint32_t>(word_cap);
-  grown->offsets()[0] = 0;
+  grown->restart_cap = static_cast<std::uint32_t>(restart_cap);
+  grown->cap = static_cast<std::uint32_t>(cap);
   if (rep_ != nullptr) {
     grown->count = rep_->count;
+    grown->size = rep_->size;
+    grown->max_depth = rep_->max_depth;
+    grown->last = rep_->last;
     grown->chain_bytes = rep_->chain_bytes;
-    std::memcpy(grown->offsets(), rep_->offsets(),
-                (rep_->count + 1) * sizeof(std::uint32_t));
-    std::memcpy(grown->words(), rep_->words(),
-                have_words * sizeof(std::uint32_t));
+    std::memcpy(grown->restarts(), rep_->restarts(),
+                restarts_for(rep_->count) * sizeof(std::uint32_t));
+    std::memcpy(grown->body(), rep_->body(), rep_->size * sizeof(std::uint32_t));
     release(rep_);
   }
   rep_ = grown;
 }
 
-void CodeList::Builder::append(PathView code) {
-  if (size() == 0) {
-    append(code, 0);
+void CodeList::Builder::grow(std::size_t codes, std::size_t words) {
+  if (codes == 0 && words == 0) return;  // an empty list needs no block
+  const std::size_t have_codes = size();
+  const std::size_t have_words = body_words();
+  FTBB_CHECK_MSG(codes <= kMaxWords - have_codes && words <= kMaxWords - have_words,
+                 "CodeList: too many codes or record words");
+  const std::size_t need_restarts = restarts_for(have_codes + codes);
+  const std::size_t need_words = have_words + words;
+  if (rep_ != nullptr && need_restarts <= rep_->restart_cap &&
+      need_words <= rep_->cap) {
     return;
   }
-  const std::uint32_t* offsets = rep_->offsets();
-  const std::uint32_t start = offsets[rep_->count - 1];
-  append(code, chain_link_size(PathView(rep_->words() + start,
-                                        offsets[rep_->count] - start),
-                               code));
+  // Geometric growth, so decoders that cannot pre-size stay amortized O(1).
+  std::size_t restart_cap = need_restarts;
+  std::size_t cap = need_words;
+  if (rep_ != nullptr) {
+    restart_cap = std::max<std::size_t>(
+        restart_cap, std::min<std::size_t>(2 * rep_->restart_cap, kMaxWords));
+    cap = std::max<std::size_t>(cap, std::min<std::size_t>(2 * rep_->cap, kMaxWords));
+  }
+  resize_rep(restart_cap, cap);
 }
 
-void CodeList::Builder::append(PathView code, std::size_t link) {
-  if (size() == 0) link = 0;  // the first code links to the chain base
-  reserve(1, code.depth());
-  std::uint32_t* offsets = rep_->offsets();
-  const std::uint32_t start = offsets[rep_->count];
-  if (!code.is_root()) {  // a default view's null words must not reach memcpy
-    std::memcpy(rep_->words() + start, code.words(),
-                code.depth() * sizeof(std::uint32_t));
+void CodeList::Builder::append(PathView code, std::size_t lcp) {
+  const std::size_t index = size();
+  const std::size_t prev_depth = back_depth();
+  if (index == 0) lcp = 0;  // the first code links to the chain base
+  FTBB_CHECK(lcp <= code.depth() && lcp <= prev_depth);
+  const std::size_t words = record_words(index, code.depth(), lcp);
+  reserve(1, words);
+  Rep& r = *rep_;
+  std::uint32_t* rec = r.body() + r.size;
+  if (index % kRestart == 0) r.restarts()[index / kRestart] = r.size;
+  rec[0] = static_cast<std::uint32_t>(code.depth());
+  rec[1] = static_cast<std::uint32_t>(lcp);
+  const std::size_t from = index % kRestart == 0 ? 0 : lcp;
+  if (code.depth() > from) {  // a default view's null words must not reach memcpy
+    std::memcpy(rec + 2, code.words() + from,
+                (code.depth() - from) * sizeof(std::uint32_t));
   }
-  offsets[++rep_->count] = start + static_cast<std::uint32_t>(code.depth());
-  rep_->chain_bytes += link;
+  if (index != 0) {
+    std::size_t step_bytes = 0;
+    for (std::size_t i = lcp; i < code.depth(); ++i) {
+      step_bytes += support::varint_size(code.word(i));
+    }
+    r.chain_bytes += chain_link_size(prev_depth - lcp, code.depth() - lcp, step_bytes);
+  }
+  r.last = r.size;
+  r.size += static_cast<std::uint32_t>(words);
+  r.max_depth = std::max(r.max_depth, static_cast<std::uint32_t>(code.depth()));
+  ++r.count;
+}
+
+void CodeList::Builder::pop_back() {
+  Rep& r = *rep_;
+  FTBB_CHECK(r.count != 0);
+  const std::uint32_t* body = r.body();
+  const std::uint32_t popped = r.last;
+  --r.count;
+  r.size = popped;
+  if (r.count == 0) {
+    r.chain_bytes = 0;
+    r.last = 0;
+    return;
+  }
+  // Find the new last record by walking from the whole-code record at or
+  // before it, then take the popped record's link out of the chain bytes.
+  const std::size_t index = r.count - 1;
+  std::uint32_t pos = r.restarts()[index / kRestart];
+  for (std::size_t k = index - index % kRestart; k < index; ++k) {
+    pos += static_cast<std::uint32_t>(record_words(k, body[pos], body[pos + 1]));
+  }
+  r.last = pos;
+  const std::uint32_t depth = body[popped];
+  const std::uint32_t lcp = body[popped + 1];
+  const std::uint32_t* suffix = body + popped + 2 + (r.count % kRestart == 0 ? lcp : 0);
+  std::size_t step_bytes = 0;
+  for (std::uint32_t i = 0; i < depth - lcp; ++i) {
+    step_bytes += support::varint_size(suffix[i]);
+  }
+  r.chain_bytes -= chain_link_size(body[pos] - lcp, depth - lcp, step_bytes);
+}
+
+CodeList CodeList::Builder::take() {
+  if (size() == 0) return CodeList();
+  const std::size_t restarts = restarts_for(rep_->count);
+  void* block = ::operator new(sizeof(Rep) +
+                               (restarts + rep_->size) * sizeof(std::uint32_t));
+  Rep* copy = ::new (block) Rep;
+  copy->count = rep_->count;
+  copy->size = rep_->size;
+  copy->cap = rep_->size;
+  copy->restart_cap = static_cast<std::uint32_t>(restarts);
+  copy->max_depth = rep_->max_depth;
+  copy->last = rep_->last;
+  copy->chain_bytes = rep_->chain_bytes;
+  std::memcpy(copy->restarts(), rep_->restarts(), restarts * sizeof(std::uint32_t));
+  std::memcpy(copy->body(), rep_->body(), rep_->size * sizeof(std::uint32_t));
+  rep_->count = 0;
+  rep_->size = 0;
+  rep_->max_depth = 0;
+  rep_->last = 0;
+  rep_->chain_bytes = 0;
+  return CodeList(copy);
 }
 
 CodeList CodeList::Builder::finish() {
+  if (rep_ == nullptr || rep_->count == 0) {
+    release(rep_);
+    rep_ = nullptr;
+    return CodeList();
+  }
+  // Sealed lists live on in tables, memos and in-flight messages: trim a
+  // geometric or estimated reservation to what the records use.
+  const std::size_t restarts = restarts_for(rep_->count);
+  const std::size_t slack = rep_->cap - rep_->size + (rep_->restart_cap - restarts);
+  if (slack > rep_->size / 16 + 8) resize_rep(restarts, rep_->size);
   Rep* rep = rep_;
   rep_ = nullptr;
-  if (rep != nullptr && rep->count == 0) {
-    release(rep);
-    rep = nullptr;
-  }
   return CodeList(rep);
 }
 

@@ -1,19 +1,30 @@
-// Shared, immutable lists of completion codes — the payload of work reports,
-// full-table gossip and the termination broadcast (paper Section 5.3.2).
+// Shared, immutable, front-coded lists of completion codes — the payload of
+// work reports, full-table gossip and the termination broadcast, and the
+// chunks of the completion table itself (paper Section 5.3.2).
 //
 // Completion knowledge spreads epidemically: a contracted report fans out to
 // several peers, and a full-table gossip re-ships every code a worker knows.
 // A sent message never changes ("Building on Quicksand"), so one payload can
 // serve the sender's export memo, every fan-out copy and every in-flight
-// delivery. A CodeList is that payload: the codes' packed step words back to
-// back in one reference-counted allocation, with per-code offsets and the
-// wire size of the list's delta chain fixed at construction.
+// delivery. A CodeList is that payload, in one reference-counted allocation.
+//
+// Front coding: code i is stored as a record (depth, lcp, words...), where
+// lcp is its common prefix with code i - 1 and the words are only those
+// after that prefix — exactly the (trim, add, steps) link the wire chain
+// ships (core/frame.hpp), so a frame is written straight off the records.
+// Sorted, clustered lists (exports, report batches) share long prefixes:
+// a Table-1 code of depth ~32 costs a handful of words. Every kRestart-th
+// record stores its whole code, so operator[] and back() decode at most
+// kRestart - 1 records after one. The encoding is canonical: equal code
+// sequences give equal records, however the list was built.
 //
 //  * Copying bumps an atomic reference count (a delivery built on one
 //    simulator shard is destroyed on another); nothing is deep-copied.
-//  * Reading yields PathViews into the shared words.
-//  * chain_bytes() is O(1), so sizing a frame for the latency model
-//    (core/frame.hpp) never re-encodes the codes after the first.
+//  * Iteration decodes each code into a buffer the iterator owns: the view
+//    it yields lives until the iterator advances. Keep a PathCode to keep a
+//    code. operator[] and back() return owned PathCodes.
+//  * chain_bytes() is O(1), so sizing a frame for the latency model never
+//    re-encodes the codes after the first.
 #pragma once
 
 #include <atomic>
@@ -21,6 +32,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,8 +46,122 @@ class CodeList {
  public:
   class Builder;
 
-  /// Iteration in list order, yielding PathViews (valid while any copy of
-  /// the list lives).
+  /// Records between two whole-code records.
+  static constexpr std::size_t kRestart = 16;
+
+  /// Record words one list can hold (offsets are 32-bit). Tolerant
+  /// decoders reject longer lists as corrupt; building one aborts.
+  static constexpr std::size_t kMaxWords = 0xffffffffu;
+
+  /// Body words of code `index` of a list: two header words, then the
+  /// whole code at a restart and the words after `lcp` elsewhere.
+  [[nodiscard]] static constexpr std::size_t record_words(std::size_t index,
+                                                         std::size_t depth,
+                                                         std::size_t lcp) {
+    return 2 + (index % kRestart == 0 ? depth : depth - lcp);
+  }
+
+  /// One record: a code's depth, its common prefix with the code before it
+  /// (0 for the first) and the depth - lcp words after that prefix.
+  struct Link {
+    std::uint32_t depth = 0;
+    std::uint32_t lcp = 0;
+    const std::uint32_t* suffix = nullptr;
+    [[nodiscard]] std::uint32_t add() const { return depth - lcp; }
+  };
+
+  /// Reads the records in order without decoding them.
+  class Links {
+   public:
+    Links() = default;
+    explicit Links(const CodeList& list)
+        : pos_(list.rep_ == nullptr ? nullptr : list.rep_->body()),
+          left_(list.size()) {}
+    [[nodiscard]] bool done() const { return left_ == 0; }
+    /// Index of the record next() returns.
+    [[nodiscard]] std::size_t index() const { return index_; }
+    /// Records not read yet.
+    [[nodiscard]] std::size_t left() const { return left_; }
+    Link next() {
+      const Link l{pos_[0], pos_[1],
+                   pos_ + 2 + (index_ % kRestart == 0 ? pos_[1] : 0)};
+      pos_ = l.suffix + l.add();
+      ++index_;
+      --left_;
+      return l;
+    }
+
+   private:
+    const std::uint32_t* pos_ = nullptr;
+    std::size_t index_ = 0;
+    std::size_t left_ = 0;
+  };
+
+  /// A growable word buffer holding one decoded code.
+  class Code {
+   public:
+    Code() = default;
+    Code(const Code& other) { assign(other.view()); }
+    Code& operator=(const Code& other) {
+      if (this != &other) assign(other.view());
+      return *this;
+    }
+    Code(Code&&) noexcept = default;
+    Code& operator=(Code&&) noexcept = default;
+
+    [[nodiscard]] PathView view() const { return PathView(w_.get(), size_); }
+    [[nodiscard]] std::size_t depth() const { return size_; }
+    [[nodiscard]] std::uint32_t word(std::size_t i) const { return w_[i]; }
+    /// Keeps the first `keep` words and appends `n` more.
+    void splice(std::size_t keep, const std::uint32_t* words, std::size_t n) {
+      reserve(keep + n);
+      if (n != 0) std::memcpy(w_.get() + keep, words, n * sizeof(std::uint32_t));
+      size_ = keep + n;
+    }
+    void apply(const Link& l) { splice(l.lcp, l.suffix, l.add()); }
+    void assign(PathView code) { splice(0, code.words(), code.depth()); }
+    void pop() { --size_; }
+    void flip_last() { w_[size_ - 1] ^= 1u; }
+    /// Room for `n` words; the words held are kept.
+    void reserve(std::size_t n) {
+      if (n > cap_) grow(n);
+    }
+    /// Sets the depth to `n` <= the reserved room; new words are unset.
+    void resize(std::size_t n) { size_ = n; }
+    [[nodiscard]] std::uint32_t* data() { return w_.get(); }
+
+   private:
+    void grow(std::size_t n);
+
+    std::unique_ptr<std::uint32_t[]> w_;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
+
+  /// Decodes the records in order into a buffer it owns.
+  class Decoder {
+   public:
+    Decoder() = default;
+    explicit Decoder(const CodeList& list) : links_(list) {
+      if (list.rep_ != nullptr) code_.reserve(list.rep_->max_depth);
+    }
+    [[nodiscard]] bool done() const { return links_.done(); }
+    /// Decodes the next record and returns it; code() is now that code.
+    Link next() {
+      const Link l = links_.next();
+      code_.apply(l);
+      return l;
+    }
+    /// The code next() decoded last; valid until next() is called again.
+    [[nodiscard]] PathView code() const { return code_.view(); }
+
+   private:
+    Links links_;
+    Code code_;
+  };
+
+  /// Input iteration in list order, yielding views into the iterator's own
+  /// buffer (valid until the iterator advances or dies).
   class Iterator {
    public:
     using iterator_category = std::input_iterator_tag;
@@ -45,26 +171,27 @@ class CodeList {
     using reference = PathView;
 
     Iterator() = default;
-    PathView operator*() const {
-      return PathView(words_ + off_[0], off_[1] - off_[0]);
-    }
+    PathView operator*() const { return dec_.code(); }
     Iterator& operator++() {
-      ++off_;
+      ++index_;
+      if (!dec_.done()) dec_.next();
       return *this;
     }
-    friend bool operator==(Iterator a, Iterator b) { return a.off_ == b.off_; }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.index_ == b.index_;
+    }
 
    private:
     friend class CodeList;
-    Iterator(const std::uint32_t* off, const std::uint32_t* words)
-        : off_(off), words_(words) {}
-    const std::uint32_t* off_ = nullptr;
-    const std::uint32_t* words_ = nullptr;
+    Iterator(const CodeList& list, std::size_t index) : index_(index) {
+      if (index_ < list.size()) {
+        dec_ = Decoder(list);
+        dec_.next();
+      }
+    }
+    Decoder dec_;
+    std::size_t index_ = 0;
   };
-
-  /// Step words one list can hold (the offsets are 32-bit). Tolerant
-  /// decoders reject longer lists as corrupt; building one aborts.
-  static constexpr std::size_t kMaxWords = 0xffffffffu;
 
   CodeList() noexcept = default;
   /// `{a, b}` lists; PathCodes convert to views implicitly.
@@ -99,29 +226,42 @@ class CodeList {
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  [[nodiscard]] PathView operator[](std::size_t i) const {
-    FTBB_CHECK(i < size());
-    return *Iterator(rep_->offsets() + i, rep_->words());
+  /// Code i, decoded from the whole-code record at or before it.
+  [[nodiscard]] PathCode operator[](std::size_t i) const;
+  [[nodiscard]] PathCode back() const { return (*this)[size() - 1]; }
+  /// Decodes the last code into `out` (the list must not be empty).
+  void back_into(Code& out) const { decode_last(*rep_, out); }
+  /// Depth of the last code, without decoding it.
+  [[nodiscard]] std::size_t back_depth() const {
+    return rep_ == nullptr ? 0 : rep_->body()[rep_->last];
   }
-  [[nodiscard]] PathView back() const { return (*this)[size() - 1]; }
+  /// The first code, stored whole: a view into the list, no decoding.
+  [[nodiscard]] PathView front() const {
+    const std::uint32_t* r = rep_->body();
+    return PathView(r + 2, r[0]);
+  }
 
-  [[nodiscard]] Iterator begin() const {
-    return rep_ == nullptr ? Iterator()
-                           : Iterator(rep_->offsets(), rep_->words());
-  }
+  [[nodiscard]] Iterator begin() const { return Iterator(*this, 0); }
   [[nodiscard]] Iterator end() const {
-    return rep_ == nullptr ? Iterator()
-                           : Iterator(rep_->offsets() + rep_->count,
-                                      rep_->words());
+    Iterator it;
+    it.index_ = size();
+    return it;
   }
 
   /// Wire bytes of the list's delta chain after its first code: the sum of
-  /// chain_link_size(codes[i - 1], codes[i]) for i >= 1 (core/frame.hpp).
-  /// Fixed at construction; a frame adds the first code's delta against its
-  /// chain base.
+  /// chain_link_size() over the records after the first (core/frame.hpp).
+  /// A frame adds the first code's delta against its chain base.
   [[nodiscard]] std::size_t chain_bytes() const {
     return rep_ == nullptr ? 0 : rep_->chain_bytes;
   }
+
+  /// Words the records occupy (record headers included): the list's size
+  /// in memory, less a fixed header.
+  [[nodiscard]] std::size_t body_words() const {
+    return rep_ == nullptr ? 0 : rep_->size;
+  }
+  /// Bytes of the list's one allocation.
+  [[nodiscard]] std::size_t allocated_bytes() const;
 
   /// Owned copies of the codes, in order (tests and diagnostics).
   [[nodiscard]] std::vector<PathCode> to_vector() const;
@@ -129,26 +269,29 @@ class CodeList {
   friend bool operator==(const CodeList& a, const CodeList& b);
 
  private:
-  /// Header of the single allocation; trailing storage holds
-  /// offsets[code_cap + 1] and then words[word_cap]. Code i spans
-  /// words[offsets[i] .. offsets[i + 1]).
+  /// Header of the single allocation; trailing storage holds the body
+  /// offsets of the whole-code records (restarts[restart_cap]) and then the
+  /// records (body[cap]).
   struct Rep {
     std::atomic<std::uint32_t> refs{1};
     std::uint32_t count = 0;
-    std::uint32_t code_cap = 0;
-    std::uint32_t word_cap = 0;
+    std::uint32_t size = 0;  // body words in use
+    std::uint32_t cap = 0;
+    std::uint32_t restart_cap = 0;
+    std::uint32_t max_depth = 0;
+    std::uint32_t last = 0;  // body offset of the last record
     std::size_t chain_bytes = 0;  // see CodeList::chain_bytes()
 
-    std::uint32_t* offsets() { return reinterpret_cast<std::uint32_t*>(this + 1); }
-    const std::uint32_t* offsets() const {
+    std::uint32_t* restarts() { return reinterpret_cast<std::uint32_t*>(this + 1); }
+    const std::uint32_t* restarts() const {
       return reinterpret_cast<const std::uint32_t*>(this + 1);
     }
-    std::uint32_t* words() { return offsets() + code_cap + 1; }
-    const std::uint32_t* words() const { return offsets() + code_cap + 1; }
-    [[nodiscard]] std::uint32_t word_count() const { return offsets()[count]; }
+    std::uint32_t* body() { return restarts() + restart_cap; }
+    const std::uint32_t* body() const { return restarts() + restart_cap; }
   };
 
   explicit CodeList(Rep* rep) : rep_(rep) {}
+  static void decode_last(const Rep& rep, Code& out);
   void retain() const {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -167,28 +310,50 @@ class CodeList::Builder {
   Builder& operator=(const Builder&) = delete;
   ~Builder() { release(rep_); }
 
-  /// Room for `codes` more codes totalling `words` more step words.
-  void reserve(std::size_t codes, std::size_t words);
+  /// Room for `codes` more codes whose records take `words` more body
+  /// words (two header words per code, plus its stored words).
+  void reserve(std::size_t codes, std::size_t words) {
+    if (rep_ != nullptr && rep_->size + words <= rep_->cap &&
+        rep_->count + codes <= rep_->restart_cap * kRestart) {
+      return;
+    }
+    grow(codes, words);
+  }
 
-  /// Appends a copy of `code`, sizing its chain link against the code
-  /// appended before it.
-  void append(PathView code);
-  /// The same with the link size supplied: `link` is chain_link_size(
-  /// previous code, code), which the completion trie's DFS reads off its
-  /// nodes instead of comparing words. Ignored for the first code.
-  void append(PathView code, std::size_t link);
+  /// Appends `code`, whose common prefix with the code appended before it
+  /// is `lcp` (ignored for the first code). The caller knows the prefix —
+  /// a merge, a decoder or a list it copies — so no words are compared.
+  void append(PathView code, std::size_t lcp);
+
+  /// Removes the last code (the completion table's merge contracts it
+  /// away). Walks back from the last whole-code record.
+  void pop_back();
 
   [[nodiscard]] std::size_t size() const {
     return rep_ == nullptr ? 0 : rep_->count;
   }
-  [[nodiscard]] std::size_t word_count() const {
-    return rep_ == nullptr ? 0 : rep_->word_count();
+  /// Body words in use (decoders bound the list with it).
+  [[nodiscard]] std::size_t body_words() const {
+    return rep_ == nullptr ? 0 : rep_->size;
+  }
+  /// Depth of the last code appended.
+  [[nodiscard]] std::size_t back_depth() const {
+    return rep_ == nullptr || rep_->count == 0 ? 0 : rep_->body()[rep_->last];
   }
 
-  /// The sealed list; the builder is left empty.
+  /// Decodes the last code appended into `out` (not empty).
+  void back_into(Code& out) const { decode_last(*rep_, out); }
+
+  /// The sealed list, trimmed to its size; the builder is left empty.
   CodeList finish();
+  /// An exactly sized copy of the list built so far; the builder is left
+  /// empty but keeps its room for the next list.
+  CodeList take();
 
  private:
+  void grow(std::size_t codes, std::size_t words);
+  void resize_rep(std::size_t restart_cap, std::size_t cap);
+
   Rep* rep_ = nullptr;
 };
 

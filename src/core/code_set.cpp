@@ -2,228 +2,219 @@
 
 #include <algorithm>
 
-#include "core/frame.hpp"
-
 namespace ftbb::core {
 
-CodeSet::CodeSet() { clear(); }
+namespace {
 
-void CodeSet::clear() {
-  nodes_.clear();
-  free_list_.clear();
-  complete_count_ = 0;
-  body_bytes_ = 0;
-  live_nodes_ = 0;
-  root_complete_ = false;
-  ++version_;
-  // Release memo storage: a cleared table (worker restart, scratch reuse)
-  // should not pin the previous incarnation's contracted list.
-  exported_ = CodeList();
-  complement_memo_.clear();
-  complement_memo_.shrink_to_fit();
-  // Node 0 is always the root problem.
-  nodes_.push_back(Node{});
-  nodes_[0].in_use = true;
-  live_nodes_ = 1;
+/// Codes per chunk at most: each chunk is one whole code and the records
+/// that front-code against it.
+constexpr std::size_t kChunk = CodeList::kRestart;
+/// Chunks below this size are refilled instead of passed through whole.
+constexpr std::size_t kHalfChunk = kChunk / 2;
+
+/// Common prefix of a and b, given that they share at least `from` words.
+std::size_t lcp_from(PathView a, PathView b, std::size_t from) {
+  const std::size_t cap = std::min(a.depth(), b.depth());
+  std::size_t n = std::min(from, cap);
+  while (n < cap && a.word(n) == b.word(n)) ++n;
+  return n;
 }
 
-std::int32_t CodeSet::alloc_node() {
-  ++live_nodes_;
-  if (!free_list_.empty()) {
-    const std::int32_t idx = free_list_.back();
-    free_list_.pop_back();
-    nodes_[static_cast<std::size_t>(idx)] = Node{};
-    nodes_[static_cast<std::size_t>(idx)].in_use = true;
-    return idx;
-  }
-  nodes_.push_back(Node{});
-  nodes_.back().in_use = true;
-  return static_cast<std::int32_t>(nodes_.size() - 1);
+/// Sign of a <=> b, given n = lcp(a, b).
+int order(PathView a, PathView b, std::size_t n) {
+  if (n == a.depth()) return n == b.depth() ? 0 : -1;
+  if (n == b.depth()) return 1;
+  return a.word(n) < b.word(n) ? -1 : 1;
 }
 
-void CodeSet::free_subtree(std::int32_t idx) {
-  Node& n = nodes_[static_cast<std::size_t>(idx)];
-  for (const std::int32_t c : n.child) {
-    if (c >= 0) free_subtree(c);
-  }
-  n.in_use = false;
-  --live_nodes_;
-  free_list_.push_back(idx);
+/// True when `a` is the sibling of `z` (z not the root).
+bool is_sibling(PathView a, PathView z) {
+  const std::size_t d = z.depth();
+  return a.depth() == d && a.word(d - 1) == (z.word(d - 1) ^ 1u) &&
+         std::memcmp(a.words(), z.words(), (d - 1) * sizeof(std::uint32_t)) == 0;
 }
 
-void CodeSet::drop_completed_below(std::int32_t idx) {
-  // Codes completed somewhere under idx are about to be subsumed by an
-  // ancestor; remove them from the export accounting before the subtree is
-  // discarded.
-  const Node& n = nodes_[static_cast<std::size_t>(idx)];
-  if (n.complete) {
-    --complete_count_;
-    body_bytes_ -= code_bytes(n);
-    return;  // complete nodes are leaves; nothing below
-  }
-  for (const std::int32_t c : n.child) {
-    if (c >= 0) drop_completed_below(c);
+/// Codes of one search tree that leave a shared prefix branch there on the
+/// same variable (checking each new code against its two neighbours in
+/// order checks it against the whole table). `n` is lcp(a, b).
+void check_branching(PathView a, PathView b, std::size_t n) {
+  if (n < a.depth() && n < b.depth()) {
+    FTBB_CHECK_MSG(a.var(n) == b.var(n),
+                   "CodeSet: codes disagree on a node's branching variable "
+                   "(codes must come from one search tree)");
   }
 }
 
-void CodeSet::mark_complete(std::int32_t idx, InsertResult& res) {
-  {
-    Node& n = nodes_[static_cast<std::size_t>(idx)];
-    FTBB_CHECK(!n.complete);
-    // Subsume any completions previously recorded inside this subtree.
-    for (std::int32_t& c : n.child) {
-      if (c >= 0) {
-        drop_completed_below(c);
-        free_subtree(c);
-        c = -1;
-      }
+/// PathView::encoded_size() without a branch per word: each word is a
+/// varint of one to five bytes.
+std::size_t encoded_size(PathView c) {
+  std::size_t n = support::varint_size(c.depth()) + c.depth();
+  for (std::size_t i = 0; i < c.depth(); ++i) {
+    const std::uint32_t w = c.word(i);
+    n += static_cast<std::size_t>(w >= (1u << 7)) + (w >= (1u << 14)) +
+         (w >= (1u << 21)) + (w >= (1u << 28));
+  }
+  return n;
+}
+
+/// Chunk `c`'s share of trie_nodes() - 1: its records' depth - lcp, the
+/// head's taken against the previous chunk. Only the head is stored whole,
+/// so the words after the record headers are exactly the sum.
+std::size_t trie_words(const CodeList& codes, std::uint32_t lcp) {
+  return codes.body_words() - 2 * codes.size() - lcp;
+}
+
+/// A CodeList read in order: each code and its common prefix with the one
+/// before it, off the records.
+class ListSource {
+ public:
+  explicit ListSource(const CodeList& list) : links_(list) {}
+  bool next() {
+    if (links_.done()) return false;
+    const CodeList::Link l = links_.next();
+    if (links_.index() > 1) {
+      // Out of order when the new code is a proper prefix of the previous
+      // one or branches below it.
+      const bool below = l.add() == 0 ? l.lcp < code_.depth()
+                                      : l.lcp < code_.depth() &&
+                                            l.suffix[0] < code_.word(l.lcp);
+      ordered_ = ordered_ && !below;
     }
-    n.complete = true;
-    if (idx == 0) root_complete_ = true;
-    ++complete_count_;
-    body_bytes_ += code_bytes(n);
+    code_.apply(l);
+    lcp_ = l.lcp;
+    return true;
   }
+  [[nodiscard]] PathView code() const { return code_.view(); }
+  [[nodiscard]] std::size_t lcp() const { return lcp_; }
+  [[nodiscard]] bool ordered() const { return ordered_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
-  // List contraction: while the sibling is also complete, replace the pair
-  // by their parent (recursively) — Section 5.3.2.
-  std::int32_t cur = idx;
-  while (true) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    const std::int32_t parent = n.parent;
-    if (parent < 0) break;  // reached the root
-    Node& p = nodes_[static_cast<std::size_t>(parent)];
-    const std::int32_t sib = p.child[n.bit_in_parent ^ 1];
-    if (sib < 0 || !nodes_[static_cast<std::size_t>(sib)].complete) break;
+ private:
+  CodeList::Links links_;
+  CodeList::Code code_;
+  std::size_t lcp_ = 0;
+  bool ordered_ = true;
+  std::size_t size_ = links_.left();
+};
 
-    // Both children complete -> parent complete.
-    for (const std::int32_t c : p.child) {
-      --complete_count_;
-      body_bytes_ -= code_bytes(nodes_[static_cast<std::size_t>(c)]);
-      free_subtree(c);
+/// A span of codes read in order.
+class SpanSource {
+ public:
+  explicit SpanSource(std::span<const PathView> codes) : codes_(codes) {}
+  bool next() {
+    if (i_ == codes_.size()) return false;
+    lcp_ = 0;
+    if (i_ > 0) {
+      lcp_ = lcp_from(codes_[i_ - 1], codes_[i_], 0);
+      if (order(codes_[i_], codes_[i_ - 1], lcp_) < 0) ordered_ = false;
     }
-    p.child[0] = -1;
-    p.child[1] = -1;
-    p.complete = true;
-    if (parent == 0) root_complete_ = true;
-    ++complete_count_;
-    body_bytes_ += code_bytes(p);
-    ++res.merges;
-    cur = parent;
+    ++i_;
+    return true;
   }
-}
+  [[nodiscard]] PathView code() const { return codes_[i_ - 1]; }
+  [[nodiscard]] std::size_t lcp() const { return lcp_; }
+  [[nodiscard]] bool ordered() const { return ordered_; }
+  [[nodiscard]] std::size_t size() const { return codes_.size(); }
 
-CodeSet::InsertResult CodeSet::walk(PathView code, std::size_t i,
-                                    std::int32_t cur,
-                                    std::vector<std::int32_t>* path) {
-  InsertResult res;
-  for (; i < code.depth(); ++i) {
-    Node& n = nodes_[static_cast<std::size_t>(cur)];
-    ++res.nodes_walked;
-    if (n.complete) return res;  // covered by an ancestor; nothing to do
-    const std::uint32_t var = code.var(i);
-    const std::uint8_t bit = code.bit(i);
-    if (n.var == kNoVar) {
-      n.var = var;
+ private:
+  std::span<const PathView> codes_;
+  std::size_t i_ = 0;
+  std::size_t lcp_ = 0;
+  bool ordered_ = true;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Lookups
+// ---------------------------------------------------------------------------
+
+struct CodeSet::Probe {
+  std::ptrdiff_t chunk = -1;  // -1: every stored code sorts after the query
+  std::size_t depth = 0;      // depth of the last stored code <= the query
+  std::size_t lcp = 0;        // its common prefix with the query
+  [[nodiscard]] bool covers() const { return chunk >= 0 && lcp == depth; }
+};
+
+std::ptrdiff_t CodeSet::find_chunk(PathView code) const {
+  const std::size_t n = chunks_.size();
+  if (n == 0) return -1;
+  // Bisection over the chunk heads, each compared from the prefix the code
+  // shares with both bounds (sorted strings: a head between two bounds
+  // shares at least the smaller of the bounds' prefixes with the code).
+  std::size_t lo_lcp = 0;
+  std::size_t hi_lcp = 0;
+  const auto head_le = [&](std::size_t k, std::size_t from, std::size_t& lcp) {
+    const PathView head = chunks_[k].codes.front();
+    lcp = lcp_from(head, code, from);
+    return order(head, code, lcp) <= 0;
+  };
+  // Lookups cluster: try the last chunk found and its successor first.
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  const std::size_t h = std::min<std::size_t>(hint_, n - 1);
+  std::size_t lcp = 0;
+  if (head_le(h, 0, lcp)) {
+    lo = h + 1;
+    lo_lcp = lcp;
+    if (lo < n && !head_le(lo, 0, lcp)) return static_cast<std::ptrdiff_t>(h);
+    if (lo < n) {
+      lo_lcp = lcp;
+      ++lo;
+    }
+  } else {
+    hi = h;
+    hi_lcp = lcp;
+  }
+  // Invariant: heads before lo are <= code, heads from hi on are > code.
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (head_le(mid, std::min(lo_lcp, hi_lcp), lcp)) {
+      lo = mid + 1;
+      lo_lcp = lcp;
     } else {
-      FTBB_CHECK_MSG(n.var == var,
-                     "CodeSet: codes disagree on a node's branching variable "
-                     "(codes must come from one search tree)");
+      hi = mid;
+      hi_lcp = lcp;
     }
-    std::int32_t next = n.child[bit];
-    if (next < 0) {
-      next = alloc_node();
-      Node& parent = nodes_[static_cast<std::size_t>(cur)];  // realloc-safe refetch
-      Node& child = nodes_[static_cast<std::size_t>(next)];
-      child.parent = cur;
-      child.bit_in_parent = bit;
-      child.depth = parent.depth + 1;
-      child.body_bytes =
-          parent.body_bytes +
-          static_cast<std::uint32_t>(support::varint_size(code.word(i)));
-      parent.child[bit] = next;
+  }
+  if (lo > 0) hint_ = static_cast<std::uint32_t>(lo - 1);
+  return static_cast<std::ptrdiff_t>(lo) - 1;
+}
+
+CodeSet::Probe CodeSet::probe(PathView code) const {
+  Probe p;
+  p.chunk = find_chunk(code);
+  if (p.chunk < 0) return p;
+  // Walk the chunk's records keeping m = lcp(predecessor, code): a record
+  // sharing less than m with the predecessor sorts after the code, one
+  // sharing more sorts before it, and only a tie compares words.
+  CodeList::Links links(chunks_[static_cast<std::size_t>(p.chunk)].codes);
+  CodeList::Link l = links.next();
+  std::size_t m = lcp_from(PathView(l.suffix, l.depth), code, 0);
+  std::size_t depth = l.depth;
+  while (!links.done()) {
+    l = links.next();
+    if (l.lcp < m) break;
+    if (l.lcp == m) {
+      const std::size_t add = l.add();
+      std::size_t j = 0;
+      while (j < add && m + j < code.depth() && l.suffix[j] == code.word(m + j)) ++j;
+      if (j < add && (m + j == code.depth() || l.suffix[j] > code.word(m + j))) break;
+      m += j;
     }
-    cur = next;
-    if (path != nullptr) path->push_back(cur);
+    depth = l.depth;
   }
-  ++res.nodes_walked;
-  if (nodes_[static_cast<std::size_t>(cur)].complete) return res;
-  res.newly_covered = true;
-  // The trie changes iff the code is newly covered: fresh nodes are only
-  // allocated along a path whose endpoint was not yet complete (and then
-  // that endpoint is completed right here), so no-op inserts — common when
-  // stale gossip re-reports known completions — keep the memos warm.
-  ++version_;
-  mark_complete(cur, res);
-  // Each merge completed the parent and freed the node below it: the path
-  // now ends at the covering node.
-  if (path != nullptr) path->resize(path->size() - res.merges);
-  return res;
+  p.depth = depth;
+  p.lcp = m;
+  return p;
 }
 
-CodeSet::InsertResult CodeSet::insert(PathView code) {
-  return walk(code, 0, 0, nullptr);
-}
-
-template <typename Codes>
-CodeSet::InsertResult CodeSet::merge(const Codes& codes) {
-  InsertResult total;
-  // merge_path_[j] is the node at depth j of the previous code's walk, down
-  // to the node that covered it. Those nodes are still live and (above the
-  // last) incomplete, and the variables along them were checked against the
-  // shared prefix: a per-code walk would visit exactly them. So each code
-  // resumes below its common prefix with the previous code, counting the
-  // skipped nodes as walked.
-  std::vector<std::int32_t>& path = merge_path_;
-  path.assign(1, 0);
-  PathView prev;
-  for (const PathView code : codes) {
-    const std::size_t limit =
-        std::min({prev.depth(), code.depth(), path.size() - 1});
-    std::size_t lcp = 0;
-    while (lcp < limit && prev.word(lcp) == code.word(lcp)) ++lcp;
-    path.resize(lcp + 1);
-    const InsertResult r = walk(code, lcp, path[lcp], &path);
-    total.newly_covered = total.newly_covered || r.newly_covered;
-    total.nodes_walked += static_cast<std::uint32_t>(lcp) + r.nodes_walked;
-    total.merges += r.merges;
-    prev = code;
-  }
-  return total;
-}
-
-CodeSet::InsertResult CodeSet::insert_all(const CodeList& codes) {
-  return merge(codes);
-}
-
-CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
-  return merge(codes);
-}
-
-bool CodeSet::covered(PathView code) const {
-  std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (n.complete) return true;
-    if (n.var != kNoVar && n.var != code.var(i)) return false;  // different tree region knowledge
-    const std::int32_t next = n.child[code.bit(i)];
-    if (next < 0) return false;
-    cur = next;
-  }
-  return nodes_[static_cast<std::size_t>(cur)].complete;
-}
+bool CodeSet::covered(PathView code) const { return probe(code).covers(); }
 
 std::optional<std::size_t> CodeSet::covering_prefix_len(PathView code) const {
-  std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (n.complete) return i;
-    if (n.var != kNoVar && n.var != code.var(i)) return std::nullopt;
-    const std::int32_t next = n.child[code.bit(i)];
-    if (next < 0) return std::nullopt;
-    cur = next;
-  }
-  if (nodes_[static_cast<std::size_t>(cur)].complete) return code.depth();
-  return std::nullopt;
+  const Probe p = probe(code);
+  if (!p.covers()) return std::nullopt;
+  return p.depth;
 }
 
 std::optional<PathCode> CodeSet::covering_code(PathView code) const {
@@ -232,43 +223,449 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
   return PathCode(code.prefix(*len));
 }
 
+// ---------------------------------------------------------------------------
+// Merging a sorted run of codes
+// ---------------------------------------------------------------------------
 
-void CodeSet::list_dfs(std::int32_t idx, PathCode& path, ListCursor& cursor,
-                       CodeList::Builder& out) const {
-  const Node& node = nodes_[static_cast<std::size_t>(idx)];
-  if (node.complete) {
-    // Consecutive leaves of the DFS share exactly the path down to the
-    // node where it turned from the previous leaf's branch to this one's,
-    // so the chain link is sized from the two nodes, not from the words.
-    const Node& turn = nodes_[static_cast<std::size_t>(cursor.turn)];
-    out.append(path, chain_link_size(cursor.prev_depth - turn.depth,
-                                     node.depth - turn.depth,
-                                     node.body_bytes - turn.body_bytes));
-    cursor.prev_depth = node.depth;
-    return;
+/// One pass of a sorted run of codes over the table, from the chunk holding
+/// the first code's predecessor to the chunk boundary after the last code.
+/// It reads the old chunks of that range in order, writes their
+/// replacement (chunks no code lands in pass through whole), and splices it
+/// in. Per code it does what a per-code insert does — the output's last
+/// code is the only one that can cover the next code, and a sibling pair
+/// can only form between it and the next table code — so the table and
+/// every InsertResult equal those of per-code inserts.
+class CodeSet::Merge {
+ public:
+  /// A merge from chunk `first` on, of a run of about `codes` codes.
+  Merge(CodeSet& set, std::size_t first, std::size_t codes, InsertResult& res)
+      : set_(set),
+        chunks_(set.chunks_),
+        res_(res),
+        open_(open_builder()),
+        out_(out_chunks()),
+        a_(first),
+        b_(first),
+        // A run far shorter than the table lands in few chunks: look for
+        // whole chunks to pass between its codes. A gossip-sized run lands
+        // in nearly all of them, and the look would only cost a compare.
+        try_pass_(codes * 4 < set.count_),
+        t_(buffers().table),
+        back_(buffers().back) {
+    out_.clear();
   }
-  const std::size_t emitted = out.size();
-  for (std::uint32_t bit = 0; bit < 2; ++bit) {
-    const std::int32_t c = node.child[bit];
-    if (c < 0) continue;
-    // The next leaf turns here iff the left subtree emitted the previous one.
-    if (bit == 1 && out.size() > emitted) cursor.turn = idx;
-    // Unchecked push: node.var was validated when the trie learned it.
-    path.push_word((node.var << 1) | bit);
-    list_dfs(c, path, cursor, out);
-    path.pop_step();
+
+  /// Inserts `x`, which sorts at or after every code added before it and
+  /// shares `lx` words with the previous one.
+  void add(PathView x, std::size_t lx) {
+    // m_tx_ and m_bx_ bound how much the table's and the output's current
+    // codes share with x; each compare starts there.
+    m_tx_ = std::min(m_tx_, lx);
+    m_bx_ = std::min(m_bx_, lx);
+    // Move every table code before x to the output.
+    while (true) {
+      if (!have_t_) {
+        if (b_ == chunks_.size()) break;
+        if (try_pass_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
+          const PathView next = chunks_[b_ + 1].codes.front();
+          const std::size_t l = lcp_from(next, x, 0);
+          if (order(next, x, l) <= 0) {
+            pass_chunk(std::min<std::size_t>(l, chunks_[b_ + 1].lcp));
+            continue;
+          }
+        }
+        load();
+      }
+      m_tx_ = lcp_from(t_.view(), x, m_tx_);
+      if (order(t_.view(), x, m_tx_) >= 0) break;
+      push_t();
+    }
+    // Already stored, or covered by the output's last code.
+    if (have_t_ && m_tx_ == x.depth() && m_tx_ == t_.depth()) {
+      res_.nodes_walked += static_cast<std::uint32_t>(x.depth() + 1);
+      return;
+    }
+    if (has_back()) {
+      const PathView back = this->back();
+      m_bx_ = lcp_from(back, x, m_bx_);
+      if (m_bx_ == back.depth()) {
+        res_.nodes_walked += static_cast<std::uint32_t>(back.depth() + 1);
+        return;
+      }
+      check_branching(back, x, m_bx_);
+    }
+    if (have_t_) check_branching(t_.view(), x, m_tx_);
+    res_.newly_covered = true;
+    res_.nodes_walked += static_cast<std::uint32_t>(x.depth() + 1);
+    changed_ = true;
+    // Completion subsumes the table codes below x.
+    while (next_t()) {
+      m_tx_ = lcp_from(t_.view(), x, m_tx_);
+      if (m_tx_ < x.depth()) break;
+      drop_t();
+    }
+    // List contraction (Section 5.3.2): a left child's sibling is the next
+    // table code, a right child's the output's last code. Both share with
+    // the prefix z of x what they share with x, capped at z's depth.
+    std::size_t z = x.depth();
+    while (z != 0) {
+      const std::uint32_t sibling = x.word(z - 1) ^ 1u;
+      if ((sibling & 1u) != 0) {
+        if (!next_t()) break;
+        m_tx_ = lcp_from(t_.view(), x, m_tx_);
+        if (t_.depth() != z || m_tx_ != z - 1 || t_.word(z - 1) != sibling) break;
+        drop_t();
+      } else {
+        if (!has_back()) break;
+        const PathView back = this->back();
+        if (back.depth() != z || m_bx_ != z - 1 || back.word(z - 1) != sibling) break;
+        pop_back();
+        if (has_back()) m_bx_ = lcp_from(this->back(), x, 0);
+      }
+      --z;
+      ++res_.merges;
+    }
+    const PathView code = x.prefix(z);
+    push(code, has_back() ? std::min(m_bx_, z) : 0);
+    m_bx_ = z;
+    back_is_table_ = false;
+    ++set_.count_;
+    set_.body_bytes_ += encoded_size(code);
   }
+
+  /// Finishes the range at a chunk boundary and splices it into the table.
+  void finish() {
+    while (have_t_) push_t();
+    // Refill a short last chunk from its right neighbour.
+    while (open_.size() != 0 && open_.size() < kHalfChunk && b_ < chunks_.size() &&
+           open_.size() + chunks_[b_].codes.size() <= kChunk) {
+      load();
+      while (have_t_) push_t();
+    }
+    if (open_.size() != 0) seal();
+    balance_tail();
+    if (!changed_) {  // the chunks read were re-encoded as they were
+      out_.clear();
+      return;
+    }
+    std::size_t old_words = 0;
+    for (std::size_t i = a_; i < b_; ++i) {
+      old_words += trie_words(chunks_[i].codes, chunks_[i].lcp);
+    }
+    std::size_t new_words = 0;
+    for (const Chunk& c : out_) new_words += trie_words(c.codes, c.lcp);
+    if (b_ < chunks_.size()) {
+      Chunk& next = chunks_[b_];
+      old_words += next.lcp;
+      if (!back_is_table_) {
+        next.lcp = has_back() ? static_cast<std::uint32_t>(
+                                    lcp_from(back(), next.codes.front(), 0))
+                              : 0;
+      }
+      new_words += next.lcp;
+    }
+    set_.trie_words_ = set_.trie_words_ + new_words - old_words;
+    // Replace chunks [a, b) with the output, shifting the tail at most once.
+    const std::size_t common = std::min(out_.size(), b_ - a_);
+    for (std::size_t i = 0; i < common; ++i) chunks_[a_ + i] = std::move(out_[i]);
+    if (out_.size() > common) {
+      chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(b_),
+                     std::make_move_iterator(out_.begin() + static_cast<std::ptrdiff_t>(common)),
+                     std::make_move_iterator(out_.end()));
+    } else {
+      chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(a_ + common),
+                    chunks_.begin() + static_cast<std::ptrdiff_t>(b_));
+    }
+    out_.clear();
+    ++set_.version_;
+    set_.root_complete_ = set_.count_ == 1 && chunks_[0].codes.front().is_root();
+  }
+
+ private:
+  /// The open output chunk's builder and the replacement chunks, kept per
+  /// thread so their room is reused from merge to merge.
+  static CodeList::Builder& open_builder() {
+    thread_local CodeList::Builder builder;
+    return builder;
+  }
+  static std::vector<Chunk>& out_chunks() {
+    thread_local std::vector<Chunk> chunks;
+    return chunks;
+  }
+  struct Buffers {
+    CodeList::Code table;
+    CodeList::Code back;
+  };
+  static Buffers& buffers() {
+    thread_local Buffers b;
+    return b;
+  }
+
+  /// Chunk k can move to the output as it is: big enough, and not landing
+  /// after a short open chunk that it should refill.
+  [[nodiscard]] bool fits_whole(std::size_t k) const {
+    return chunks_[k].codes.size() >= kHalfChunk &&
+           (open_.size() == 0 || open_.size() >= kHalfChunk);
+  }
+
+  /// Moves chunk b to the output whole; `shared` bounds what its last code
+  /// shares with the code being added.
+  void pass_chunk(std::size_t shared) {
+    Chunk& c = chunks_[b_];
+    std::uint32_t lcp = c.lcp;
+    if (!back_is_table_) {
+      lcp = has_back() ? static_cast<std::uint32_t>(
+                             lcp_from(back(), c.codes.front(), 0))
+                       : 0;
+    }
+    if (open_.size() != 0) seal();
+    out_.push_back(Chunk{c.codes, lcp});
+    ++b_;
+    back_valid_ = false;
+    back_is_table_ = true;
+    m_tx_ = shared;
+    m_bx_ = shared;
+  }
+
+  /// Starts reading chunk b record by record.
+  void load() {
+    const Chunk& c = chunks_[b_++];
+    links_ = CodeList::Links(c.codes);
+    t_.apply(links_.next());
+    t_lcp_ = c.lcp;
+    m_tx_ = std::min<std::size_t>(m_tx_, c.lcp);
+    have_t_ = true;
+  }
+
+  /// Loads the next table code if the current chunk is used up.
+  bool next_t() {
+    if (!have_t_ && b_ < chunks_.size()) load();
+    return have_t_;
+  }
+
+  void advance_t() {
+    if (links_.done()) {
+      have_t_ = false;
+      return;
+    }
+    const CodeList::Link l = links_.next();
+    t_.apply(l);
+    t_lcp_ = l.lcp;
+    m_tx_ = std::min<std::size_t>(m_tx_, l.lcp);
+  }
+
+  /// Moves the current table code to the output.
+  void push_t() {
+    std::size_t lcp = t_lcp_;
+    if (!back_is_table_) {
+      lcp = has_back() ? lcp_from(back(), t_.view(), std::min(m_bx_, m_tx_)) : 0;
+    }
+    push(t_.view(), lcp);
+    back_is_table_ = true;
+    m_bx_ = m_tx_;
+    advance_t();
+  }
+
+  /// Drops the current table code (subsumed or contracted away).
+  void drop_t() {
+    --set_.count_;
+    set_.body_bytes_ -= encoded_size(t_.view());
+    back_is_table_ = false;
+    advance_t();
+  }
+
+  /// The output so far ends with a code: one written here, or the last
+  /// code of the chunk before the range.
+  [[nodiscard]] bool has_back() const {
+    return open_.size() != 0 || !out_.empty() || a_ > 0;
+  }
+
+  PathView back() {
+    if (!back_valid_) {
+      if (open_.size() != 0) {
+        open_.back_into(back_);
+      } else if (!out_.empty()) {
+        out_.back().codes.back_into(back_);
+      } else {
+        chunks_[a_ - 1].codes.back_into(back_);
+      }
+      back_valid_ = true;
+    }
+    return back_.view();
+  }
+
+  void push(PathView code, std::size_t lcp) {
+    if (open_.size() == kChunk) seal();
+    if (open_.size() == 0) open_lcp_ = static_cast<std::uint32_t>(lcp);
+    open_.append(code, lcp);
+    if (back_valid_) {
+      back_.splice(lcp, code.words() + lcp, code.depth() - lcp);
+    } else {
+      back_.assign(code);
+      back_valid_ = true;
+    }
+  }
+
+  /// Removes the output's last code (a sibling contracted with the next).
+  void pop_back() {
+    --set_.count_;
+    set_.body_bytes_ -= encoded_size(back());
+    if (open_.size() == 0) {
+      // Reopen the chunk the code sits in: the output's last, or the one
+      // before the range, which the range then takes in.
+      if (!out_.empty()) {
+        reopen(out_.back());
+        out_.pop_back();
+      } else {
+        --a_;
+        reopen(chunks_[a_]);
+      }
+    }
+    open_.pop_back();
+    back_valid_ = false;
+    back_is_table_ = false;
+  }
+
+  void reopen(const Chunk& c) {
+    CodeList::Decoder dec(c.codes);
+    open_lcp_ = c.lcp;
+    while (!dec.done()) {
+      const CodeList::Link l = dec.next();
+      open_.append(dec.code(), l.lcp);
+    }
+  }
+
+  void seal() { out_.push_back(Chunk{open_.take(), open_lcp_}); }
+
+  /// Splits a short last output chunk's codes evenly with the one before.
+  void balance_tail() {
+    if (out_.size() < 2 || out_.back().codes.size() >= kHalfChunk) return;
+    const Chunk left = std::move(out_[out_.size() - 2]);
+    const Chunk right = std::move(out_.back());
+    out_.resize(out_.size() - 2);
+    const std::size_t total = left.codes.size() + right.codes.size();
+    const std::size_t first = total <= kChunk ? total : total / 2;
+    std::size_t i = 0;
+    open_lcp_ = left.lcp;
+    for (const Chunk* c : {&left, &right}) {
+      CodeList::Decoder dec(c->codes);
+      bool head = true;
+      while (!dec.done()) {
+        const CodeList::Link l = dec.next();
+        const std::uint32_t lcp = head ? c->lcp : l.lcp;
+        head = false;
+        if (i++ == first) {
+          seal();
+          open_lcp_ = lcp;
+        }
+        open_.append(dec.code(), lcp);
+      }
+    }
+    seal();
+  }
+
+  CodeSet& set_;
+  std::vector<Chunk>& chunks_;
+  InsertResult& res_;
+  CodeList::Builder& open_;
+  std::vector<Chunk>& out_;
+  std::size_t a_;  // first chunk of the range
+  std::size_t b_;  // first chunk not read yet
+  bool try_pass_;
+  // The table code being read: its words and its common prefix with the
+  // table code before it.
+  CodeList::Links links_;
+  CodeList::Code& t_;
+  std::size_t t_lcp_ = 0;
+  bool have_t_ = false;
+  // The output: the open chunk's prefix against the previous chunk, and
+  // the last code, decoded on demand.
+  std::uint32_t open_lcp_ = 0;
+  CodeList::Code& back_;
+  bool back_valid_ = false;
+  /// The output's last code is the table code before the next one to read,
+  /// so their stored common prefix still holds.
+  bool back_is_table_ = true;
+  std::size_t m_tx_ = 0;  // <= lcp(current table code, code being added)
+  std::size_t m_bx_ = 0;  // <= lcp(output's last code, code being added)
+  bool changed_ = false;
+};
+
+template <typename Source>
+CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
+  InsertResult res;
+  if (!source.next()) return res;
+  bool stepped_back = false;
+  {
+    const std::ptrdiff_t first = find_chunk(source.code());
+    Merge merge(*this, first < 0 ? 0 : static_cast<std::size_t>(first),
+                source.size(), res);
+    do {
+      if (!source.ordered()) {
+        stepped_back = true;
+        break;
+      }
+      merge.add(source.code(), source.lcp());
+    } while (source.next());
+    merge.finish();
+  }
+  if (stepped_back) {
+    // The rest of a list that steps back goes code by code.
+    do {
+      const InsertResult r = insert(source.code());
+      res.newly_covered = res.newly_covered || r.newly_covered;
+      res.nodes_walked += r.nodes_walked;
+      res.merges += r.merges;
+    } while (source.next());
+  }
+  return res;
 }
+
+CodeSet::InsertResult CodeSet::insert(PathView code) {
+  const PathView one[] = {code};
+  SpanSource source{std::span<const PathView>(one)};
+  return insert_sorted(source);
+}
+
+CodeSet::InsertResult CodeSet::insert_all(const CodeList& codes) {
+  ListSource source(codes);
+  return insert_sorted(source);
+}
+
+CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
+  std::vector<PathView> views(codes.begin(), codes.end());
+  SpanSource source{std::span<const PathView>(views)};
+  return insert_sorted(source);
+}
+
+// ---------------------------------------------------------------------------
+// Export, complement, diagnostics
+// ---------------------------------------------------------------------------
 
 CodeList CodeSet::export_list() const {
   if (exported_version_ != version_) {
+    // Every record keeps its words after the common prefix, except that the
+    // export stores each kRestart-th code whole: size it exactly first.
+    std::size_t words = 2 * count_ + trie_words_;
+    std::size_t i = 0;
+    for (const Chunk& c : chunks_) {
+      CodeList::Links links(c.codes);
+      while (!links.done()) {
+        const CodeList::Link l = links.next();
+        if (i++ % CodeList::kRestart == 0) words += links.index() == 1 ? c.lcp : l.lcp;
+      }
+    }
     CodeList::Builder out;
-    // Every step word encodes to at least one byte, so the byte total
-    // bounds the word total: one allocation, no regrowth.
-    out.reserve(complete_count_, body_bytes_);
-    PathCode path;
-    ListCursor cursor;
-    list_dfs(0, path, cursor, out);
+    out.reserve(count_, words);
+    for (const Chunk& c : chunks_) {
+      CodeList::Decoder dec(c.codes);
+      bool head = true;
+      while (!dec.done()) {
+        const CodeList::Link l = dec.next();
+        out.append(dec.code(), head ? c.lcp : l.lcp);
+        head = false;
+      }
+    }
     exported_ = out.finish();
     exported_version_ = version_;
   }
@@ -279,37 +676,45 @@ std::vector<PathCode> CodeSet::export_codes() const {
   return export_list().to_vector();
 }
 
-void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
-                             std::vector<PathCode>& out) const {
-  const Node& node = nodes_[static_cast<std::size_t>(idx)];
-  if (node.complete) return;
-  if (node.var == kNoVar) {
-    // No completion was ever reported below this node: the whole region is
-    // uncovered. (Only reachable for the empty table's root.)
-    out.push_back(path);
-    return;
-  }
-  for (std::uint32_t bit = 0; bit < 2; ++bit) {
-    const std::int32_t c = node.child[bit];
-    if (c < 0) {
-      // The sibling region never mentioned in any report; its tree node
-      // exists because this node was expanded on node.var.
-      path.push_word((node.var << 1) | bit);
-      out.push_back(path);
-      path.pop_step();
-    } else if (!nodes_[static_cast<std::size_t>(c)].complete) {
-      path.push_word((node.var << 1) | bit);
-      complement_dfs(c, path, out);
-      path.pop_step();
-    }
-  }
-}
-
 void CodeSet::complement_into(std::vector<PathCode>& out) const {
   if (complement_memo_version_ != version_) {
-    complement_memo_.clear();
-    PathCode path;
-    complement_dfs(0, path, complement_memo_);
+    std::vector<PathCode>& regions = complement_memo_;
+    regions.clear();
+    if (chunks_.empty()) regions.emplace_back();  // nothing known: the root
+    // In DFS order, leaving code c at depth d toward a code that shares
+    // less passes c's right sibling region at d when c went left there, and
+    // entering a code passes the left sibling where it goes right.
+    CodeList::Code code;
+    const auto sibling_at = [&](std::size_t d) {
+      PathCode region(code.view().prefix(d));
+      region.push_word(code.word(d) ^ 1u);
+      regions.push_back(std::move(region));
+    };
+    const auto leave = [&](std::size_t shared) {
+      for (std::size_t d = code.depth(); d-- > shared;) {
+        if ((code.word(d) & 1u) == 0) sibling_at(d);
+      }
+    };
+    bool first = true;
+    for (const Chunk& c : chunks_) {
+      CodeList::Links links(c.codes);
+      bool head = true;
+      while (!links.done()) {
+        const CodeList::Link l = links.next();
+        const std::size_t lcp = head ? c.lcp : l.lcp;
+        head = false;
+        // Codes of a table differ below their shared prefix, where the
+        // earlier one goes left and the later right: neither side is open.
+        const std::size_t from = first ? 0 : lcp + 1;
+        if (!first) leave(lcp + 1);
+        first = false;
+        code.splice(lcp, l.suffix + (lcp - l.lcp), l.depth - lcp);
+        for (std::size_t d = from; d < code.depth(); ++d) {
+          if ((code.word(d) & 1u) != 0) sibling_at(d);
+        }
+      }
+    }
+    if (!first) leave(0);
     complement_memo_version_ = version_;
   }
   out = complement_memo_;  // element-wise copy-assign over out's elements
@@ -321,46 +726,63 @@ std::vector<PathCode> CodeSet::complement() const {
   return out;
 }
 
+std::size_t CodeSet::allocated_bytes() const {
+  std::size_t bytes = chunks_.capacity() * sizeof(Chunk);
+  for (const Chunk& c : chunks_) bytes += c.codes.allocated_bytes();
+  return bytes;
+}
+
+void CodeSet::clear() {
+  chunks_.clear();
+  count_ = 0;
+  body_bytes_ = 0;
+  trie_words_ = 0;
+  root_complete_ = false;
+  hint_ = 0;
+  ++version_;
+  // Release memo storage: a cleared table (worker restart, scratch reuse)
+  // should not pin the previous incarnation's contracted list.
+  exported_ = CodeList();
+  complement_memo_.clear();
+  complement_memo_.shrink_to_fit();
+}
+
 void CodeSet::check_invariants() const {
-  std::size_t complete_seen = 0;
-  std::size_t bytes_seen = 0;
-  std::size_t live_seen = 0;
-  // Iterative DFS with explicit parent verification.
-  struct Frame {
-    std::int32_t idx;
-  };
-  std::vector<Frame> stack{{0}};
-  while (!stack.empty()) {
-    const std::int32_t idx = stack.back().idx;
-    stack.pop_back();
-    const Node& n = nodes_[static_cast<std::size_t>(idx)];
-    FTBB_CHECK_MSG(n.in_use, "CodeSet: reachable node not in_use");
-    ++live_seen;
-    if (n.complete) {
-      ++complete_seen;
-      bytes_seen += code_bytes(n);
-      FTBB_CHECK_MSG(n.child[0] < 0 && n.child[1] < 0,
-                     "CodeSet: complete node must be a leaf");
-      continue;
-    }
-    const bool c0 = n.child[0] >= 0 &&
-                    nodes_[static_cast<std::size_t>(n.child[0])].complete;
-    const bool c1 = n.child[1] >= 0 &&
-                    nodes_[static_cast<std::size_t>(n.child[1])].complete;
-    FTBB_CHECK_MSG(!(c0 && c1), "CodeSet: uncontracted sibling pair");
-    for (int bit = 0; bit < 2; ++bit) {
-      const std::int32_t c = n.child[bit];
-      if (c < 0) continue;
-      const Node& ch = nodes_[static_cast<std::size_t>(c)];
-      FTBB_CHECK(ch.parent == idx);
-      FTBB_CHECK(ch.bit_in_parent == bit);
-      FTBB_CHECK(ch.depth == n.depth + 1);
-      stack.push_back({c});
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+  std::size_t words = 0;
+  CodeList::Code prev;
+  CodeList::Code code;
+  for (const Chunk& c : chunks_) {
+    FTBB_CHECK_MSG(!c.codes.empty() && c.codes.size() <= kChunk,
+                   "CodeSet: chunk size out of range");
+    CodeList::Decoder dec(c.codes);
+    bool head = true;
+    while (!dec.done()) {
+      const CodeList::Link l = dec.next();
+      code.assign(dec.code());
+      const std::size_t lcp = lcp_from(prev.view(), code.view(), 0);
+      FTBB_CHECK_MSG(lcp == (head ? c.lcp : l.lcp), "CodeSet: stale common prefix");
+      head = false;
+      if (count > 0) {
+        FTBB_CHECK_MSG(order(prev.view(), code.view(), lcp) < 0,
+                       "CodeSet: codes out of order");
+        FTBB_CHECK_MSG(lcp < prev.depth(), "CodeSet: a code covers the next");
+        FTBB_CHECK_MSG(!is_sibling(prev.view(), code.view()),
+                       "CodeSet: uncontracted sibling pair");
+        check_branching(prev.view(), code.view(), lcp);
+      }
+      ++count;
+      bytes += encoded_size(code.view());
+      words += code.depth() - lcp;
+      std::swap(prev, code);
     }
   }
-  FTBB_CHECK_MSG(complete_seen == complete_count_, "CodeSet: stale code_count");
-  FTBB_CHECK_MSG(bytes_seen == body_bytes_, "CodeSet: stale byte accounting");
-  FTBB_CHECK_MSG(live_seen == live_nodes_, "CodeSet: stale live node count");
+  FTBB_CHECK_MSG(count == count_, "CodeSet: stale code_count");
+  FTBB_CHECK_MSG(bytes == body_bytes_, "CodeSet: stale byte accounting");
+  FTBB_CHECK_MSG(words == trie_words_, "CodeSet: stale trie node count");
+  FTBB_CHECK_MSG(root_complete_ == (count_ == 1 && prev.depth() == 0),
+                 "CodeSet: stale root flag");
 }
 
 std::string CodeSet::to_string() const {

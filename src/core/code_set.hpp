@@ -17,12 +17,17 @@
 // parent was expanded) and is not known to be completed. complement() enumerates
 // the maximal such regions.
 //
-// Implementation: a binary trie keyed by branching decisions. Completed
-// nodes are trie leaves (their subtrees are pruned on completion), so the
-// exported code list is the set of completed trie leaves. All codes inserted
-// into one CodeSet must originate from a single underlying search tree
-// (decomposition is deterministic per node), which the trie checks: the
-// branching variable learned for a node must match on every later insert.
+// Implementation: the contracted codes form an antichain, kept sorted (in
+// the order of a left-first DFS) as a vector of small front-coded chunks,
+// each a CodeList of at most CodeList::kRestart codes whose first code is
+// stored whole. The table, its gossip export and the wire chain share that
+// one packed form: an export concatenates the chunks, and a frame writes the
+// export's records as they are. `covered(x)` searches the chunk heads and
+// scans one chunk; merging a sorted list is one pass over both that
+// contracts as it goes; the complement is one scan. All codes inserted into
+// one CodeSet must originate from a single underlying search tree
+// (decomposition is deterministic per node), which inserts check: two codes
+// that leave a shared prefix must branch there on the same variable.
 #pragma once
 
 #include <cstdint>
@@ -39,38 +44,33 @@ namespace ftbb::core {
 
 class CodeSet {
  public:
-  static constexpr std::uint32_t kNoVar = 0xffffffffu;
-
   /// Outcome of an insert, with the work performed — the simulator charges
   /// list-contraction time proportional to `nodes_walked + merges`.
   ///
   /// `nodes_walked` counts the *modeled* per-code walk the simulator
-  /// charges: the trie nodes a root-to-cover walk of each code visits. With
+  /// charges, that of a binary trie of the codes: the covering code's depth
+  /// + 1 when the code was already covered, else the code's depth + 1. With
   /// the worker's per-gossip trie_nodes() charge it makes up
-  /// WorkItem::kContractionNodes. It is not host work: insert_all() skips
-  /// most of that walk on the host and still reports it in full.
+  /// WorkItem::kContractionNodes. It is not host work.
   struct InsertResult {
     bool newly_covered = false;  // false when the code was already covered
     std::uint32_t nodes_walked = 0;
     std::uint32_t merges = 0;  // sibling-pair contractions triggered
   };
 
-  CodeSet();
+  CodeSet() = default;  // an empty table allocates nothing
 
-  /// Records `code` as completed; contracts upward. Idempotent. Takes a
-  /// view (a PathCode converts implicitly): the walk only reads steps.
+  /// Records `code` as completed; contracts upward. Idempotent. Rebuilds
+  /// the chunk(s) the code lands in.
   InsertResult insert(PathView code);
 
   /// Inserts every code of a report/table list in order; returns summed
-  /// stats and whether anything changed. Each code resumes the trie walk at
-  /// its common prefix with the previous code (whose path nodes are kept on
-  /// a stack), so a DFS-ordered gossip enters each trie node on its paths
-  /// once rather than once per code below it, and codes under the previous
-  /// code's covering node are skipped outright.
-  /// Table and result are exactly those of per-code insert() calls.
+  /// stats and whether anything changed. A list in sorted order (every
+  /// export and report is one) is merged in one pass over the list and the
+  /// chunks it reaches; the rest of a list that steps back goes code by
+  /// code. Table and result are exactly those of per-code insert() calls.
   InsertResult insert_all(const CodeList& codes);
-  /// The same merge over a local batch (any order; unsorted input merely
-  /// shares shorter prefixes).
+  /// The same merge over a local batch.
   InsertResult insert_all(std::span<const PathCode> codes);
 
   /// True when `code` or one of its ancestors is recorded completed.
@@ -83,7 +83,7 @@ class CodeSet {
 
   /// Length of the covering prefix: covering_code(code) is always
   /// code.prefix(*covering_prefix_len(code)), so callers that only need the
-  /// region — not an owned copy — take the zero-copy view code.prefix(len).
+  /// region — not an owned copy — take the view code.prefix(len).
   [[nodiscard]] std::optional<std::size_t> covering_prefix_len(
       PathView code) const;
 
@@ -92,18 +92,17 @@ class CodeSet {
   /// cross-TU call for a single flag load is measurable at planetary scale.
   [[nodiscard]] bool root_complete() const;
 
-  /// Contracted list of completed codes, in deterministic DFS order
-  /// (left branch first). This is what a full-table gossip message carries.
-  /// Built in one pass straight from the trie (chain link sizes come from
-  /// the per-node depths and byte counts) and memoized until the table next
-  /// changes, so every gossip between two mutations shares one payload.
+  /// Contracted list of completed codes, in deterministic DFS order (left
+  /// branch first). This is what a full-table gossip message carries. Built
+  /// by concatenating the chunks and memoized until the table next changes,
+  /// so every gossip between two mutations shares one payload.
   [[nodiscard]] CodeList export_list() const;
 
   /// export_list() materialized as owned codes (tests, diagnostics).
   [[nodiscard]] std::vector<PathCode> export_codes() const;
 
   /// Maximal regions of the tree *not* covered by this table: for every
-  /// incomplete trie node, branches that were never reported under. Each
+  /// proper prefix of a stored code, the branch no stored code takes. Each
   /// returned code is a real tree node (see file comment). The root-only
   /// answer {()} is returned for an empty table. Returns {} iff the root is
   /// complete.
@@ -115,26 +114,32 @@ class CodeSet {
   void complement_into(std::vector<PathCode>& out) const;
 
   /// Number of codes in the contracted representation.
-  [[nodiscard]] std::size_t code_count() const { return complete_count_; }
+  [[nodiscard]] std::size_t code_count() const { return count_; }
 
-  [[nodiscard]] bool empty() const { return complete_count_ == 0; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
 
   /// Stored size of the contracted table: a varint count plus every code's
   /// PathCode::encode() bytes, maintained incrementally. This is the
   /// storage-space unit of Table 1 (a gossip frame ships the same codes
   /// delta-chained, see core/frame.hpp).
   [[nodiscard]] std::size_t encoded_bytes() const {
-    return support::varint_size(complete_count_) + body_bytes_;
+    return support::varint_size(count_) + body_bytes_;
   }
 
-  /// Trie footprint, for memory diagnostics.
-  [[nodiscard]] std::size_t trie_nodes() const { return live_nodes_; }
+  /// Nodes of the binary trie of the stored codes (root included): 1 plus,
+  /// over the codes in order, each code's depth less its common prefix with
+  /// the code before it. The simulator charges per-gossip and per-recovery
+  /// contraction time from it.
+  [[nodiscard]] std::size_t trie_nodes() const { return 1 + trie_words_; }
+
+  /// Heap bytes of the chunks (memory diagnostics; the export memo aside).
+  [[nodiscard]] std::size_t allocated_bytes() const;
 
   void clear();
 
-  /// Deep structural validation for tests: complete nodes are leaves, no two
-  /// complete siblings, incremental counters match a recount. Aborts on
-  /// violation.
+  /// Deep structural validation for tests: sorted antichain, no sibling
+  /// pair, consistent branching variables, chunk sizes, and incremental
+  /// counters that match a recount. Aborts on violation.
   void check_invariants() const;
 
   /// Two tables are equivalent iff their contracted exports match.
@@ -145,68 +150,44 @@ class CodeSet {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  struct Node {
-    std::uint32_t var = kNoVar;  // variable this tree node branches on
-    std::int32_t parent = -1;
-    std::int32_t child[2] = {-1, -1};
-    std::uint32_t depth = 0;
-    std::uint32_t body_bytes = 0;  // encoded bytes of the steps of this path
-    std::uint8_t bit_in_parent = 0;
-    bool complete = false;
-    bool in_use = false;
+  /// One front-coded run of the table: at most CodeList::kRestart codes.
+  struct Chunk {
+    CodeList codes;
+    /// The first code's common prefix with the previous chunk's last code.
+    std::uint32_t lcp = 0;
   };
+  struct Probe;
+  class Merge;
 
-  [[nodiscard]] std::size_t code_bytes(const Node& n) const {
-    return support::varint_size(n.depth) + n.body_bytes;
-  }
+  /// Index of the last chunk whose first code is <= `code`, or -1.
+  [[nodiscard]] std::ptrdiff_t find_chunk(PathView code) const;
+  /// The stored code at or before `code` in order, and how much they share.
+  [[nodiscard]] Probe probe(PathView code) const;
 
-  std::int32_t alloc_node();
-  void free_subtree(std::int32_t idx);      // releases idx and descendants
-  void drop_completed_below(std::int32_t idx);  // accounting for subsumed codes
-  void mark_complete(std::int32_t idx, InsertResult& res);
+  template <typename Source>
+  InsertResult insert_sorted(Source& source);
 
-  /// The insert walk of `code` from depth `i` at node `cur` (the nodes above
-  /// were walked and found incomplete). With a `path`, appends every node
-  /// entered and leaves it ending at the node that covers the code.
-  InsertResult walk(PathView code, std::size_t i, std::int32_t cur,
-                    std::vector<std::int32_t>* path);
-  template <typename Codes>
-  InsertResult merge(const Codes& codes);
-
-  /// Where export_list()'s DFS stands: the depth of the leaf it emitted
-  /// last, and the node at which it turned away from that leaf's path.
-  struct ListCursor {
-    std::uint32_t prev_depth = 0;
-    std::int32_t turn = 0;
-  };
-  void list_dfs(std::int32_t idx, PathCode& path, ListCursor& cursor,
-                CodeList::Builder& out) const;
-  void complement_dfs(std::int32_t idx, PathCode& path,
-                      std::vector<PathCode>& out) const;
-
-  std::vector<Node> nodes_;
-  std::vector<std::int32_t> free_list_;
-  std::size_t complete_count_ = 0;
-  std::size_t body_bytes_ = 0;  // sum over completed leaves of code body+header bytes (see encoded_bytes)
-  std::size_t live_nodes_ = 0;
-  std::vector<std::int32_t> merge_path_;  // insert_all's walk stack (scratch)
+  std::vector<Chunk> chunks_;
+  std::size_t count_ = 0;
+  std::size_t body_bytes_ = 0;  // sum of the codes' encoded sizes (see encoded_bytes)
+  std::size_t trie_words_ = 0;  // see trie_nodes()
   /// Bumped by every mutation that changes the completed set. The export and
   /// complement enumerations are memoized against it: a table gossiped to k
   /// peers (or complemented repeatedly during recovery) between mutations
-  /// walks the trie once. The export memo is the shared payload itself, so
-  /// the next k-1 gossips cost a reference-count bump. The memos cost one
-  /// contracted list each — small by design (compactness of the contracted
-  /// form is the paper's Table 1 point) — and are lazily built, so tables
-  /// that never export pay nothing.
+  /// builds the list once. The export memo is the shared payload itself, so
+  /// the next k-1 gossips cost a reference-count bump. The memos are lazily
+  /// built, so tables that never export pay nothing.
   std::uint64_t version_ = 0;
   mutable CodeList exported_;
   mutable std::uint64_t exported_version_ = ~std::uint64_t{0};
   mutable std::vector<PathCode> complement_memo_;
   mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};
-  /// Mirrors nodes_[0].complete. The termination predicate is polled on
-  /// every scheduling step; reading it from the CodeSet object itself (hot
-  /// next to the owning worker's state) skips a dependent load into the
-  /// nodes_ heap block.
+  /// The chunk the last search ended in: a worker's lookups cluster (the
+  /// children of one expansion, the codes of one report), so the next search
+  /// tries it and its successor before bisecting.
+  mutable std::uint32_t hint_ = 0;
+  /// The table is {()}. Polled on every scheduling step, so it lives in the
+  /// object, next to the owning worker's state.
   bool root_complete_ = false;
 };
 

@@ -45,8 +45,8 @@ enum class WorkItem : std::uint8_t {
   // -- completion-table contraction --
   // Both count the modeled work the simulator charges contraction time
   // for, not host work: per inserted code the nodes a root-to-cover walk
-  // visits plus its merges (CodeSet::InsertResult, which insert_all()
-  // reports in full while skipping most of the walk on the host), per
+  // of the codes' binary trie visits plus its merges (CodeSet::InsertResult,
+  // counted from the codes' common prefixes; no trie is built), per
   // compressed report code its covering walk, and one trie_nodes() charge
   // per table gossip and per recovery complement.
   kContractionCodes,  // codes inserted into a table (local or from reports)

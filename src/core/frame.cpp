@@ -43,16 +43,19 @@ ChainPlan plan_chain(const Message& msg, ReportDeltaState* state) {
   const bool chained = msg.type == MsgType::kWorkReport ||
                        msg.type == MsgType::kTableGossip;
   if (state == nullptr || !chained) return {};
+  // The fanout copies of one batch carry the same list, so its last code
+  // is decoded once, when the batch opens.
   if (!state->active) {
     state->active = true;
     state->batch_id = msg.report_seq;
     state->seq = 0;
+    if (!msg.codes.empty()) state->cur_last = msg.codes.back();
   } else if (msg.report_seq != state->batch_id) {
     state->batch_id = msg.report_seq;
     state->prev_last = state->cur_last;
     ++state->seq;
+    if (!msg.codes.empty()) state->cur_last = msg.codes.back();
   }
-  if (!msg.codes.empty()) state->cur_last = PathCode(msg.codes.back());
   ChainPlan plan;
   plan.seq = state->seq;
   if (state->seq > 0) plan.base = state->prev_last;
@@ -67,44 +70,14 @@ std::size_t common_prefix(PathView a, PathView b) {
   return n;
 }
 
-/// One code as (trim, add, steps...) against the previous code in the chain.
-/// Straight off the packed words: the per-step wire varint IS the stored
-/// word. chain_link_size() is its exact size.
-void encode_delta(PathView prev, PathView code, support::ByteWriter& w) {
-  const std::size_t lcp = common_prefix(prev, code);
-  w.varint(prev.depth() - lcp);  // decisions to trim off the previous code
-  w.varint(code.depth() - lcp);  // decisions appended after the shared prefix
-  for (std::size_t i = lcp; i < code.depth(); ++i) w.varint(code.word(i));
-}
-
-/// Inverse of encode_delta: turns the previous code of the chain into the
-/// next one in place. False (with the reader marked) on malformed input.
-bool apply_delta(PathCode& code, support::ByteReader& r) {
-  const std::uint64_t trim = r.varint();
-  const std::uint64_t add = r.varint();
-  if (!r.ok()) return false;
-  if (trim > code.depth()) {
-    r.mark_corrupt("code chain: trim exceeds the previous code's depth");
-    return false;
-  }
-  const std::uint64_t keep = code.depth() - trim;
-  if (keep + add > PathCode::kMaxDepth) {
-    r.mark_corrupt("code chain: implausible depth");
-    return false;
-  }
-  if (!r.fits_count(add)) return false;
-  for (std::uint64_t i = 0; i < trim; ++i) code.pop_step();
-  code.reserve(static_cast<std::size_t>(keep + add));
-  for (std::uint64_t i = 0; i < add; ++i) {
-    const std::uint64_t packed = r.varint();
-    if (!r.ok()) return false;
-    if ((packed >> 1) > static_cast<std::uint64_t>(PathCode::kMaxVar)) {
-      r.mark_corrupt("code chain: variable index overflow");
-      return false;
-    }
-    code.push_word(static_cast<std::uint32_t>(packed));
-  }
-  return true;
+/// One link of a chain: decisions to trim off the previous code, decisions
+/// appended after the shared prefix, then the appended step words. The
+/// per-step wire varint IS the stored word; chain_link_size() is its size.
+void write_link(std::size_t trim, const std::uint32_t* add, std::size_t n,
+                support::ByteWriter& w) {
+  w.varint(trim);
+  w.varint(n);
+  for (std::size_t i = 0; i < n; ++i) w.varint(add[i]);
 }
 
 void write_chain(const CodeList& codes, const ChainPlan& plan,
@@ -113,34 +86,82 @@ void write_chain(const CodeList& codes, const ChainPlan& plan,
   if (plan.seq > 0) plan.base.encode(w);
   w.varint(codes.size());
   if (codes.empty()) return;
-  encode_delta(plan.base, codes[0], w);
+  // Only the first code is compared, against the base; every later link is
+  // a record of the front-coded list.
+  const PathView first = codes.front();
+  const std::size_t lcp = common_prefix(plan.base, first);
+  write_link(plan.base.depth() - lcp, first.words() + lcp, first.depth() - lcp, w);
   if (w.counting_only()) {
     // The rest of the chain was sized when the list was built.
     w.add_counted(codes.chain_bytes());
     return;
   }
-  for (std::size_t i = 1; i < codes.size(); ++i) {
-    encode_delta(codes[i - 1], codes[i], w);
+  CodeList::Links links(codes);
+  std::size_t prev_depth = links.next().depth;
+  while (!links.done()) {
+    const CodeList::Link l = links.next();
+    write_link(prev_depth - l.lcp, l.suffix, l.add(), w);
+    prev_depth = l.depth;
   }
 }
 
 CodeList read_chain(support::ByteReader& r, std::uint64_t& seq) {
   seq = r.varint();
-  PathCode code;  // the chain: the base, then each decoded code in turn
-  if (r.ok() && seq > 0) code = PathCode::decode(r);
+  // The chain: the base, then each decoded code in turn.
+  CodeList::Code code;
+  if (r.ok() && seq > 0) code.assign(PathCode::decode(r));
   const std::uint64_t n = r.varint();
   if (!r.fits_count(n, 2)) return {};  // >= trim + add varints each
   CodeList::Builder codes;
   // Steps shared with the previous code cost no input bytes, so only the
   // reservation is bounded by the input; the list grows past it.
-  codes.reserve(static_cast<std::size_t>(n), r.remaining());
+  codes.reserve(static_cast<std::size_t>(n),
+                2 * static_cast<std::size_t>(n) + r.remaining());
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!apply_delta(code, r)) break;
-    if (code.depth() > CodeList::kMaxWords - codes.word_count()) {
-      r.mark_corrupt("code chain: list exceeds the step-word limit");
+    const std::uint64_t trim = r.varint();
+    const std::uint64_t add = r.varint();
+    if (!r.ok()) break;
+    const std::size_t depth = code.depth();
+    if (trim > depth) {
+      r.mark_corrupt("code chain: trim exceeds the previous code's depth");
       break;
     }
-    codes.append(code);
+    const std::uint64_t keep = depth - trim;
+    if (keep + add > PathCode::kMaxDepth) {
+      r.mark_corrupt("code chain: implausible depth");
+      break;
+    }
+    if (!r.fits_count(add)) break;
+    // The list stores the exact common prefix with the previous code, which
+    // a sender may have trimmed short: extend it over re-added equal words.
+    code.reserve(static_cast<std::size_t>(keep + add));
+    std::uint32_t* words = code.data();
+    std::size_t lcp = static_cast<std::size_t>(keep);
+    bool shared = true;
+    for (std::uint64_t k = 0; k < add; ++k) {
+      const std::uint64_t packed = r.varint();
+      if (!r.ok()) break;
+      if ((packed >> 1) > static_cast<std::uint64_t>(PathCode::kMaxVar)) {
+        r.mark_corrupt("code chain: variable index overflow");
+        break;
+      }
+      const std::size_t at = static_cast<std::size_t>(keep + k);
+      shared = shared && at < depth && words[at] == packed;
+      if (shared) ++lcp;
+      words[at] = static_cast<std::uint32_t>(packed);
+    }
+    if (!r.ok()) break;
+    const std::size_t next = static_cast<std::size_t>(keep + add);
+    code.resize(next);
+    // Trimmed to the previous code's own length, a code can share at most
+    // that much of it.
+    lcp = std::min({lcp, depth, next});
+    if (CodeList::record_words(codes.size(), next, lcp) >
+        CodeList::kMaxWords - codes.body_words()) {
+      r.mark_corrupt("code chain: list exceeds the record-word limit");
+      break;
+    }
+    codes.append(code.view(), lcp);
   }
   return codes.finish();
 }

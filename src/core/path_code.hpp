@@ -154,8 +154,10 @@ class PathCode {
   /// derivation costs ~40ns of malloc/free. 32 words do not cover every
   /// standard workload: bench::large_problem_dense() (the Table-1 tree) has
   /// mean node depth 32.1, 46% of its nodes deeper than 32 and maximum depth
-  /// 78, so report and gossip payloads travel as a CodeList (packed words,
-  /// no per-code allocation) rather than as PathCodes.
+  /// 78, so the completion table and its report and gossip payloads keep
+  /// their codes front-coded in CodeLists (each code's words after its
+  /// common prefix with the code before it, in one shared allocation)
+  /// rather than as PathCodes.
   static constexpr std::uint32_t kInlineWords = 32;
   /// Packed-word representation caps variable indices at 31 bits.
   static constexpr std::uint32_t kMaxVar = 0x7fffffffu;

@@ -216,7 +216,7 @@ void BnbWorker::prune_pool_covered(const CodeList& just_inserted) {
     return;
   }
   if (!pool_.indexed() || overflowed) {
-    // Small pool (or an abandoned hint record): one completion-trie walk
+    // Small pool (or an abandoned hint record): one completion-table lookup
     // per entry beats materializing covering regions, and it is the
     // always-correct fallback when the hint record is incomplete.
     pending_cover_hints_.clear();
@@ -226,18 +226,34 @@ void BnbWorker::prune_pool_covered(const CodeList& just_inserted) {
     return;
   }
   // Map every hint to the maximal region the table contracted it into. A
-  // covering code is always a prefix of the query, so each region is a
-  // zero-copy view into the hint (or report code) it came from; the hints
-  // and msg.codes outlive the sweep. Covering codes of one table form an
-  // antichain, so after dedup each region is scanned at most once.
+  // covering code is always a prefix of the query. The hints outlive the
+  // sweep, so their regions are views into them; a list decodes each code
+  // into its iterator's buffer, so those regions are copied into a
+  // per-thread word arena and viewed once it stops growing. Covering codes
+  // of one table form an antichain, so after dedup each region is scanned
+  // at most once.
+  const auto region_len = [this](PathView c) {
+    return table_.covering_prefix_len(c).value_or(c.depth());
+  };
   cover_regions_.clear();
   cover_regions_.reserve(pending_cover_hints_.size() + just_inserted.size());
-  const auto add_region = [this](PathView c) {
-    const std::optional<std::size_t> len = table_.covering_prefix_len(c);
-    cover_regions_.push_back(c.prefix(len.value_or(c.depth())));
-  };
-  for (const PathCode& c : pending_cover_hints_) add_region(c);
-  for (const PathView c : just_inserted) add_region(c);
+  for (const PathCode& c : pending_cover_hints_) {
+    cover_regions_.push_back(c.view().prefix(region_len(c)));
+  }
+  thread_local std::vector<std::uint32_t> list_words;
+  list_words.clear();
+  const std::size_t hint_regions = cover_regions_.size();
+  for (const PathView c : just_inserted) {
+    const std::size_t len = region_len(c);
+    list_words.insert(list_words.end(), c.words(), c.words() + len);
+    cover_regions_.emplace_back(nullptr, len);
+  }
+  std::size_t offset = 0;
+  for (std::size_t i = hint_regions; i < cover_regions_.size(); ++i) {
+    const std::size_t len = cover_regions_[i].depth();
+    cover_regions_[i] = PathView(list_words.data() + offset, len);
+    offset += len;
+  }
   std::sort(cover_regions_.begin(), cover_regions_.end());
   cover_regions_.erase(std::unique(cover_regions_.begin(), cover_regions_.end()),
                        cover_regions_.end());
@@ -273,7 +289,7 @@ void BnbWorker::send_report() {
     codes = CodeList(std::span<const PathView>(regions));
   } else {
     // Paper-literal scheme: contract the list against itself only (in the
-    // per-worker scratch trie; clear() keeps its node storage).
+    // per-worker scratch table; clear() keeps its chunk vector's room).
     if (!report_contract_scratch_) {
       report_contract_scratch_ = std::make_unique<CodeSet>();
     }

@@ -419,7 +419,7 @@ class BnbWorker {
   /// region views in cover_regions_, and the paper-literal report scheme
   /// contracts into report_contract_scratch_, created on its first use
   /// (only with compress_against_table off). None of these change any
-  /// observable behavior — they only keep the per-call vector/trie
+  /// observable behavior — they only keep the per-call vector/table
   /// allocations out of the hot loops.
   std::vector<PathCode> complement_scratch_;
   std::vector<PathView> cover_regions_;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -15,16 +15,80 @@ namespace ftbb::sim {
 
 namespace {
 
-/// Per-host expansion bookkeeping. The model is a pure function of the code,
-/// so the cost is identical on every expansion of the same code; collect()
-/// merges the per-host maps and derives the redundant totals in canonical
-/// code order — independent of event interleaving and thread count.
-struct ExpansionRecord {
-  std::uint32_t count = 0;
-  double cost = 0.0;
+/// Per-host expansion bookkeeping: an append-only log with one record per
+/// expansion — the code's hash, its cost, its depth and its words — packed
+/// into blocks that grow geometrically and never move. The model is a pure
+/// function of the code, so the cost is identical on every expansion of the
+/// same code. collect() sorts the records of all hosts once, to count the
+/// distinct codes and to sum the redundant cost in canonical code order —
+/// independent of event interleaving and thread count.
+class ExpansionLog {
+ public:
+  /// Words of a record ahead of the code's words: hash and cost (two words
+  /// each), then the depth.
+  static constexpr std::size_t kHeader = 5;
+
+  void add(const core::PathCode& code, double cost) {
+    const std::size_t need = kHeader + code.depth();
+    if (blocks_.empty() || blocks_.back().cap - blocks_.back().used < need) {
+      // 1 KiB first, doubling to 64 KiB: a host that expands a handful of
+      // codes (the planetary storm's) holds one small block.
+      const std::size_t grown =
+          blocks_.empty() ? kFirstBlock
+                          : std::min<std::size_t>(2 * blocks_.back().cap, kMaxBlock);
+      const std::size_t cap = std::max(need, grown);
+      blocks_.push_back(Block{std::make_unique_for_overwrite<std::uint32_t[]>(cap), 0,
+                              static_cast<std::uint32_t>(cap)});
+    }
+    Block& b = blocks_.back();
+    std::uint32_t* r = b.words.get() + b.used;
+    const std::uint64_t hash = code.hash();
+    std::memcpy(r, &hash, sizeof(hash));
+    std::memcpy(r + 2, &cost, sizeof(cost));
+    r[4] = static_cast<std::uint32_t>(code.depth());
+    const core::PathView words = code.view();
+    if (!words.is_root()) std::memcpy(r + kHeader, words.words(), words.depth() * sizeof(std::uint32_t));
+    b.used += static_cast<std::uint32_t>(need);
+    ++count_;
+  }
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// Calls f(record) for every record, in insertion order.
+  template <typename F>
+  void each(F&& f) const {
+    for (const Block& b : blocks_) {
+      for (std::uint32_t pos = 0; pos < b.used; pos += static_cast<std::uint32_t>(kHeader) + b.words[pos + 4]) {
+        f(b.words.get() + pos);
+      }
+    }
+  }
+
+  [[nodiscard]] static std::uint64_t hash(const std::uint32_t* r) {
+    std::uint64_t h;
+    std::memcpy(&h, r, sizeof(h));
+    return h;
+  }
+  [[nodiscard]] static double cost(const std::uint32_t* r) {
+    double c;
+    std::memcpy(&c, r + 2, sizeof(c));
+    return c;
+  }
+  [[nodiscard]] static core::PathView code(const std::uint32_t* r) {
+    return core::PathView(r + kHeader, r[4]);
+  }
+
+ private:
+  static constexpr std::size_t kFirstBlock = 256;
+  static constexpr std::size_t kMaxBlock = 16384;
+  struct Block {
+    std::unique_ptr<std::uint32_t[]> words;
+    std::uint32_t used = 0;
+    std::uint32_t cap = 0;
+  };
+  std::vector<Block> blocks_;
+  std::size_t count_ = 0;
 };
-using ExpansionMap =
-    std::unordered_map<core::PathCode, ExpansionRecord, core::PathCodeHash>;
 
 trace::Activity to_activity(core::CostKind kind) {
   switch (kind) {
@@ -288,9 +352,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   }
 
   void note_expansion(const core::PathCode& code, double cost) override {
-    auto& record = expansions_[code];
-    ++record.count;
-    record.cost = cost;  // pure function of the code, identical every time
+    expansions_.add(code, cost);
   }
 
   void note_completion(const core::PathCode& code) override {
@@ -298,7 +360,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     cluster_->union_table_.insert(code);
   }
 
-  [[nodiscard]] const ExpansionMap& expansions() const { return expansions_; }
+  [[nodiscard]] const ExpansionLog& expansions() const { return expansions_; }
   [[nodiscard]] const trace::Timeline& trace() const { return trace_; }
 
   /// Unaccounted tail time for workers that never halted (hit a limit).
@@ -449,7 +511,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   std::uint32_t report_streams_ = 0;  // incarnations that opened a report chain
   bool counts_toward_live_ = true;
   double crash_time_ = -1.0;
-  ExpansionMap expansions_;   // every expansion this host performed
+  ExpansionLog expansions_;   // every expansion this host performed
   trace::Timeline trace_;     // host-local; merged in collect()
 };
 
@@ -656,32 +718,50 @@ ClusterResult SimCluster::collect() {
   res.all_live_halted = live_total > 0 && live_halted == live_total;
   if (!res.all_live_halted) res.makespan = end_time;
 
-  // Merge the per-host expansion maps. The totals and the redundant-cost sum
+  // Merge the per-host expansion logs. The totals and the redundant-cost sum
   // are computed in canonical code order, so they are bit-identical across
   // executors and thread counts (no dependence on which host's expansion of
-  // a shared code happened to run first).
-  ExpansionMap merged;
-  std::uint64_t noted_expansions = 0;
+  // a shared code happened to run first). Sorting by hash first groups the
+  // equal codes cheaply; only the codes expanded more than once are then
+  // put in code order.
+  std::vector<const std::uint32_t*> records;
+  std::size_t noted = 0;
+  for (const auto& host : hosts_) noted += host->expansions().size();
+  records.reserve(noted);
   for (const auto& host : hosts_) {
-    for (const auto& [code, record] : host->expansions()) {
-      auto& m = merged[code];
-      m.count += record.count;
-      m.cost = record.cost;
-      noted_expansions += record.count;
+    host->expansions().each([&](const std::uint32_t* r) { records.push_back(r); });
+  }
+  const auto by_hash = [](const std::uint32_t* a, const std::uint32_t* b) {
+    const std::uint64_t ha = ExpansionLog::hash(a);
+    const std::uint64_t hb = ExpansionLog::hash(b);
+    if (ha != hb) return ha < hb;
+    return ExpansionLog::code(a) < ExpansionLog::code(b);
+  };
+  std::sort(records.begin(), records.end(), by_hash);
+  struct Repeat {
+    const std::uint32_t* record;
+    std::uint32_t count;
+  };
+  std::vector<Repeat> repeats;
+  std::size_t unique = 0;
+  for (std::size_t i = 0; i < records.size();) {
+    std::size_t j = i + 1;
+    while (j < records.size() && ExpansionLog::hash(records[j]) == ExpansionLog::hash(records[i]) &&
+           ExpansionLog::code(records[j]) == ExpansionLog::code(records[i])) {
+      ++j;
     }
+    ++unique;
+    if (j - i > 1) repeats.push_back(Repeat{records[i], static_cast<std::uint32_t>(j - i)});
+    i = j;
   }
-  res.unique_expanded = merged.size();
-  res.redundant_expansions = noted_expansions - res.unique_expanded;
-  std::vector<std::pair<const core::PathCode*, const ExpansionRecord*>> ordered;
-  ordered.reserve(merged.size());
-  for (const auto& [code, record] : merged) {
-    if (record.count > 1) ordered.emplace_back(&code, &record);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  res.unique_expanded = unique;
+  res.redundant_expansions = records.size() - unique;
+  std::sort(repeats.begin(), repeats.end(), [](const Repeat& a, const Repeat& b) {
+    return ExpansionLog::code(a.record) < ExpansionLog::code(b.record);
+  });
   double redundant_cost = 0.0;
-  for (const auto& [code, record] : ordered) {
-    redundant_cost += static_cast<double>(record->count - 1) * record->cost;
+  for (const Repeat& r : repeats) {
+    redundant_cost += static_cast<double>(r.count - 1) * ExpansionLog::cost(r.record);
   }
   res.redundant_cost = redundant_cost;
   res.work[core::WorkItem::kRedundantExpansions] = res.redundant_expansions;

@@ -85,7 +85,8 @@ class ByteWriter {
   }
 
   /// Counting writers only: accounts `n` bytes that a payload of known
-  /// encoded size (a CodeList) would write, without walking it.
+  /// encoded size (the cached chain bytes of a CodeList's records) would
+  /// write, without walking it.
   void add_counted(std::size_t n) {
     FTBB_CHECK_MSG(counting_, "add_counted needs a counting ByteWriter");
     count_ += n;

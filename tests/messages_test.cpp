@@ -229,6 +229,71 @@ TEST(Messages, GossipOfAnExportedDeepTableSizesExactly) {
   }
 }
 
+/// Sorted codes of one tree, sharing long prefixes: `n` codes, enough to
+/// cross several of a front-coded list's whole-code records.
+std::vector<PathCode> clustered_codes(std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<PathCode> codes;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Leave the spine of deep_code() at some depth, then go six levels on:
+    // codes of equal length never nest, and codes leaving at different
+    // depths part where the earlier one leaves.
+    PathCode c = deep_code(20 + rng.pick(30), 1).sibling();
+    for (std::uint32_t d = 0; d < 6; ++d) c = c.child(500 + d, rng.chance(0.5));
+    codes.push_back(c);
+  }
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  return codes;
+}
+
+TEST(Messages, IterationIndexAndVectorAgreeAcrossRestarts) {
+  // Every kRestart-th code is stored whole and the rest front-coded against
+  // the one before: decoding from the start, from a whole-code record and
+  // in bulk must give the same codes on either side of each boundary.
+  for (const std::size_t n : {std::size_t{1}, CodeList::kRestart - 1, CodeList::kRestart,
+                              CodeList::kRestart + 1, 3 * CodeList::kRestart + 5}) {
+    const std::vector<PathCode> codes = clustered_codes(n, n);
+    const CodeList list(codes);
+    ASSERT_EQ(list.size(), codes.size());
+    std::size_t i = 0;
+    for (const PathView c : list) {
+      ASSERT_LT(i, codes.size());
+      EXPECT_EQ(c, codes[i].view()) << "iteration, code " << i;
+      EXPECT_EQ(list[i], codes[i]) << "operator[], code " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, codes.size());
+    EXPECT_EQ(list.to_vector(), codes);
+    EXPECT_EQ(list.back(), codes.back());
+    EXPECT_EQ(list.back_depth(), codes.back().depth());
+    EXPECT_EQ(list.front(), codes.front().view());
+    EXPECT_EQ(list.chain_bytes(), chain_bytes_by_walk(list));
+  }
+}
+
+TEST(Messages, EqualCodesCompareEqualWhateverTheOrigin) {
+  // Front coding is canonical: a table's export, the same codes built into
+  // a list, and that list decoded off the wire hold the same records.
+  CodeSet table;
+  for (const PathCode& c : clustered_codes(70, 5)) table.insert(c);
+  const CodeList exported = table.export_list();
+  ASSERT_GT(exported.size(), 2 * CodeList::kRestart);
+  const CodeList built(table.export_codes());
+  Message m;
+  m.type = MsgType::kTableGossip;
+  m.codes = exported;
+  const CodeList decoded = round_trip(m).codes;
+  EXPECT_EQ(exported, built);
+  EXPECT_EQ(exported, decoded);
+  EXPECT_EQ(built, decoded);
+  EXPECT_EQ(decoded.chain_bytes(), exported.chain_bytes());
+  // One code more is a different list.
+  std::vector<PathCode> more = table.export_codes();
+  more.push_back(more.back().child(9000, true));
+  EXPECT_FALSE(CodeList(more) == exported);
+}
+
 TEST(Messages, WireSizeGrowsWithPayload) {
   Message small;
   small.type = MsgType::kWorkReport;
@@ -465,6 +530,37 @@ TEST(Frames, EveryBitFlipDecodesOrErrorsNeverCrashes) {
         auto flipped = buf;
         flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
         (void)decode_frame(flipped);  // must return, never abort
+      }
+    }
+  }
+}
+
+TEST(Frames, LongListsSurviveTruncationAndBitFlips) {
+  // Lists past several whole-code records: every prefix of the frame is an
+  // error, every single-bit flip decodes or errors, and neither aborts.
+  support::Rng rng(57);
+  for (int trial = 0; trial < 6; ++trial) {
+    ReportDeltaState state;
+    Message m;
+    m.type = trial % 2 == 0 ? MsgType::kTableGossip : MsgType::kWorkReport;
+    m.report_seq = 7;
+    m.codes = CodeList(clustered_codes(20 + rng.pick(40), 100 + trial));
+    if (trial % 3 == 1) (void)encode(random_message(rng), &state);
+    const auto buf = encode(m, &state);
+    const FrameDecode whole = decode_frame(buf);
+    ASSERT_TRUE(whole.ok()) << to_string(whole.status);
+    EXPECT_EQ(whole.msg.codes, m.codes);
+    for (std::size_t len = 0; len < buf.size(); ++len) {
+      EXPECT_FALSE(decode_frame(buf.data(), len).ok()) << "prefix " << len;
+    }
+    for (std::size_t byte = 0; byte < buf.size(); ++byte) {
+      auto flipped = buf;
+      flipped[byte] ^= static_cast<std::uint8_t>(1u << rng.pick(8));
+      const FrameDecode d = decode_frame(flipped);
+      if (d.ok()) {
+        // A list that decodes is a sound one: its cached sizes hold.
+        EXPECT_EQ(d.msg.codes.chain_bytes(), chain_bytes_by_walk(d.msg.codes));
+        EXPECT_EQ(d.msg.codes.to_vector().size(), d.msg.codes.size());
       }
     }
   }
