@@ -4,7 +4,6 @@
 #include <cstring>
 #include <new>
 
-#include "core/frame.hpp"
 
 namespace ftbb::core {
 
@@ -91,6 +90,69 @@ void CodeList::decode_last(const Rep& rep, Code& out) {
   }
 }
 
+bool CodeList::replace(std::size_t first, std::size_t last, PathView code,
+                       std::size_t lcp, std::size_t next_lcp) {
+  if (rep_ == nullptr || rep_->refs.load(std::memory_order_acquire) != 1) return false;
+  const std::size_t n = rep_->count;
+  FTBB_CHECK(first <= last && last <= n && n <= kRestart);
+  if (n - (last - first) + 1 > kRestart) return false;
+  // Record offsets up to `last`; only the first record is stored whole.
+  std::uint32_t off[kRestart + 1];
+  const std::uint32_t* body = rep_->body();
+  off[0] = 0;
+  for (std::size_t k = 0; k < last; ++k) {
+    off[k + 1] = off[k] + static_cast<std::uint32_t>(record_words(k, body[off[k]], body[off[k] + 1]));
+  }
+  // Chain bytes: the links of the replaced codes and of code `last` go,
+  // those of `code` and of the re-fronted code `last` come. The first code
+  // has no link.
+  std::size_t chain = rep_->chain_bytes;
+  const std::size_t prev_depth = first == 0 ? 0 : body[off[first - 1]];
+  if (first == 0) lcp = 0;
+  FTBB_CHECK(lcp <= code.depth() && lcp <= prev_depth);
+  std::size_t depth = prev_depth;
+  for (std::size_t k = first; k <= last && k < n; ++k) {
+    const std::uint32_t* rec = body + off[k];
+    if (k != 0) chain -= link_bytes(depth - rec[1], rec[0] - rec[1], rec + 2);
+    depth = rec[0];
+  }
+  const std::size_t add = code.depth() - lcp;
+  if (first != 0) chain += link_bytes(prev_depth - lcp, add, code.words() + lcp);
+  std::size_t shrink = 0;
+  std::uint32_t next_depth = 0;
+  if (last < n) {
+    const std::uint32_t* next = body + off[last];
+    next_depth = next[0];
+    FTBB_CHECK(next_lcp >= next[1] && next_lcp <= next_depth && next_lcp <= code.depth());
+    shrink = next_lcp - next[1];
+    chain += link_bytes(code.depth() - next_lcp, next_depth - next_lcp, next + 2 + shrink);
+  }
+  const std::size_t start = off[first];
+  const std::size_t tail = last < n ? off[last] + 2 + shrink : rep_->size;
+  const std::size_t size = start + 2 + add + (last < n ? 2 : 0) + (rep_->size - tail);
+  const bool last_moves = last < n && rep_->last != off[last];
+  const std::size_t last_offset = last == n ? start
+                                  : last_moves ? rep_->last + size - rep_->size
+                                               : start + 2 + add;
+  if (size > rep_->cap) rep_ = reallocate(rep_, rep_->restart_cap, size + size / 4 + 8);
+  Rep& r = *rep_;
+  std::uint32_t* w = r.body();
+  if (last < n) {
+    std::memmove(w + start + 2 + add + 2, w + tail, (r.size - tail) * sizeof(std::uint32_t));
+    w[start + 2 + add] = next_depth;
+    w[start + 2 + add + 1] = static_cast<std::uint32_t>(next_lcp);
+  }
+  w[start] = static_cast<std::uint32_t>(code.depth());
+  w[start + 1] = static_cast<std::uint32_t>(lcp);
+  if (add != 0) std::memcpy(w + start + 2, code.words() + lcp, add * sizeof(std::uint32_t));
+  r.size = static_cast<std::uint32_t>(size);
+  r.last = static_cast<std::uint32_t>(last_offset);
+  r.count = static_cast<std::uint32_t>(n - (last - first) + 1);
+  r.chain_bytes = chain;
+  if (code.depth() > r.max_depth) r.max_depth = static_cast<std::uint32_t>(code.depth());
+  return true;
+}
+
 std::size_t CodeList::allocated_bytes() const {
   if (rep_ == nullptr) return 0;
   return sizeof(Rep) + (rep_->restart_cap + rep_->cap) * sizeof(std::uint32_t);
@@ -115,24 +177,28 @@ bool operator==(const CodeList& a, const CodeList& b) {
          std::memcmp(x.body(), y.body(), x.size * sizeof(std::uint32_t)) == 0;
 }
 
-void CodeList::Builder::resize_rep(std::size_t restart_cap, std::size_t cap) {
+CodeList::Rep* CodeList::reallocate(Rep* rep, std::size_t restart_cap, std::size_t cap) {
   void* block = ::operator new(sizeof(Rep) +
                                (restart_cap + cap) * sizeof(std::uint32_t));
   Rep* grown = ::new (block) Rep;
   grown->restart_cap = static_cast<std::uint32_t>(restart_cap);
   grown->cap = static_cast<std::uint32_t>(cap);
-  if (rep_ != nullptr) {
-    grown->count = rep_->count;
-    grown->size = rep_->size;
-    grown->max_depth = rep_->max_depth;
-    grown->last = rep_->last;
-    grown->chain_bytes = rep_->chain_bytes;
-    std::memcpy(grown->restarts(), rep_->restarts(),
-                restarts_for(rep_->count) * sizeof(std::uint32_t));
-    std::memcpy(grown->body(), rep_->body(), rep_->size * sizeof(std::uint32_t));
-    release(rep_);
+  if (rep != nullptr) {
+    grown->count = rep->count;
+    grown->size = rep->size;
+    grown->max_depth = rep->max_depth;
+    grown->last = rep->last;
+    grown->chain_bytes = rep->chain_bytes;
+    std::memcpy(grown->restarts(), rep->restarts(),
+                restarts_for(rep->count) * sizeof(std::uint32_t));
+    std::memcpy(grown->body(), rep->body(), rep->size * sizeof(std::uint32_t));
+    release(rep);
   }
-  rep_ = grown;
+  return grown;
+}
+
+void CodeList::Builder::resize_rep(std::size_t restart_cap, std::size_t cap) {
+  rep_ = reallocate(rep_, restart_cap, cap);
 }
 
 void CodeList::Builder::grow(std::size_t codes, std::size_t words) {
@@ -158,36 +224,6 @@ void CodeList::Builder::grow(std::size_t codes, std::size_t words) {
   resize_rep(restart_cap, cap);
 }
 
-void CodeList::Builder::append(PathView code, std::size_t lcp) {
-  const std::size_t index = size();
-  const std::size_t prev_depth = back_depth();
-  if (index == 0) lcp = 0;  // the first code links to the chain base
-  FTBB_CHECK(lcp <= code.depth() && lcp <= prev_depth);
-  const std::size_t words = record_words(index, code.depth(), lcp);
-  reserve(1, words);
-  Rep& r = *rep_;
-  std::uint32_t* rec = r.body() + r.size;
-  if (index % kRestart == 0) r.restarts()[index / kRestart] = r.size;
-  rec[0] = static_cast<std::uint32_t>(code.depth());
-  rec[1] = static_cast<std::uint32_t>(lcp);
-  const std::size_t from = index % kRestart == 0 ? 0 : lcp;
-  if (code.depth() > from) {  // a default view's null words must not reach memcpy
-    std::memcpy(rec + 2, code.words() + from,
-                (code.depth() - from) * sizeof(std::uint32_t));
-  }
-  if (index != 0) {
-    std::size_t step_bytes = 0;
-    for (std::size_t i = lcp; i < code.depth(); ++i) {
-      step_bytes += support::varint_size(code.word(i));
-    }
-    r.chain_bytes += chain_link_size(prev_depth - lcp, code.depth() - lcp, step_bytes);
-  }
-  r.last = r.size;
-  r.size += static_cast<std::uint32_t>(words);
-  r.max_depth = std::max(r.max_depth, static_cast<std::uint32_t>(code.depth()));
-  ++r.count;
-}
-
 void CodeList::Builder::pop_back() {
   Rep& r = *rep_;
   FTBB_CHECK(r.count != 0);
@@ -211,11 +247,7 @@ void CodeList::Builder::pop_back() {
   const std::uint32_t depth = body[popped];
   const std::uint32_t lcp = body[popped + 1];
   const std::uint32_t* suffix = body + popped + 2 + (r.count % kRestart == 0 ? lcp : 0);
-  std::size_t step_bytes = 0;
-  for (std::uint32_t i = 0; i < depth - lcp; ++i) {
-    step_bytes += support::varint_size(suffix[i]);
-  }
-  r.chain_bytes -= chain_link_size(body[pos] - lcp, depth - lcp, step_bytes);
+  r.chain_bytes -= link_bytes(body[pos] - lcp, depth - lcp, suffix);
 }
 
 CodeList CodeList::Builder::take() {

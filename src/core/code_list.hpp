@@ -61,6 +61,23 @@ class CodeList {
     return 2 + (index % kRestart == 0 ? depth : depth - lcp);
   }
 
+  /// Varint bytes of `n` step words: one each, and a byte more per seven
+  /// bits past the first seven. Words of small variables — nearly all of
+  /// them — take the one-pass path.
+  [[nodiscard]] static std::size_t word_bytes(const std::uint32_t* words,
+                                              std::size_t n) {
+    std::uint32_t any = 0;
+    for (std::size_t i = 0; i < n; ++i) any |= words[i];
+    if (any < (1u << 7)) return n;
+    std::size_t bytes = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t w = words[i];
+      bytes += static_cast<std::size_t>(w >= (1u << 7)) + (w >= (1u << 14)) +
+               (w >= (1u << 21)) + (w >= (1u << 28));
+    }
+    return bytes;
+  }
+
   /// One record: a code's depth, its common prefix with the code before it
   /// (0 for the first) and the depth - lcp words after that prefix.
   struct Link {
@@ -75,11 +92,16 @@ class CodeList {
    public:
     Links() = default;
     explicit Links(const CodeList& list)
-        : pos_(list.rep_ == nullptr ? nullptr : list.rep_->body()),
+        : base_(list.rep_ == nullptr ? nullptr : list.rep_->body()),
+          pos_(base_),
           left_(list.size()) {}
     [[nodiscard]] bool done() const { return left_ == 0; }
     /// Index of the record next() returns.
     [[nodiscard]] std::size_t index() const { return index_; }
+    /// Body offset of the record next() returns.
+    [[nodiscard]] std::size_t offset() const {
+      return static_cast<std::size_t>(pos_ - base_);
+    }
     /// Records not read yet.
     [[nodiscard]] std::size_t left() const { return left_; }
     Link next() {
@@ -92,6 +114,7 @@ class CodeList {
     }
 
    private:
+    const std::uint32_t* base_ = nullptr;
     const std::uint32_t* pos_ = nullptr;
     std::size_t index_ = 0;
     std::size_t left_ = 0;
@@ -266,6 +289,17 @@ class CodeList {
   /// Owned copies of the codes, in order (tests and diagnostics).
   [[nodiscard]] std::vector<PathCode> to_vector() const;
 
+  /// In-place edit, for the owner of the only reference to a list of at
+  /// most kRestart codes (the completion table's chunks): replaces codes
+  /// [first, last) with `code`, which shares `lcp` words with code
+  /// first - 1 (ignored when first is 0: `code` becomes the first code),
+  /// and re-fronts code `last` (if any) to share `next_lcp` words with
+  /// `code` — at least as many as it shared with the code before it.
+  /// Returns false, the list unchanged, when the list is shared or the
+  /// result would pass kRestart codes.
+  bool replace(std::size_t first, std::size_t last, PathView code,
+               std::size_t lcp, std::size_t next_lcp);
+
   friend bool operator==(const CodeList& a, const CodeList& b);
 
  private:
@@ -292,6 +326,16 @@ class CodeList {
 
   explicit CodeList(Rep* rep) : rep_(rep) {}
   static void decode_last(const Rep& rep, Code& out);
+  /// A new block of the given room holding `rep`'s contents (if any);
+  /// `rep` is released.
+  static Rep* reallocate(Rep* rep, std::size_t restart_cap, std::size_t cap);
+  /// Wire bytes of one chain link (core/frame.hpp's chain_link_size()):
+  /// varints of trim and add, then the `add` step words at `words`.
+  static std::size_t link_bytes(std::size_t trim, std::size_t add,
+                                const std::uint32_t* words) {
+    return support::varint_size(trim) + support::varint_size(add) +
+           word_bytes(words, add);
+  }
   void retain() const {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -323,7 +367,32 @@ class CodeList::Builder {
   /// Appends `code`, whose common prefix with the code appended before it
   /// is `lcp` (ignored for the first code). The caller knows the prefix —
   /// a merge, a decoder or a list it copies — so no words are compared.
-  void append(PathView code, std::size_t lcp);
+  void append(PathView code, std::size_t lcp) {
+    const std::size_t index = size();
+    const std::size_t prev_depth = back_depth();
+    if (index == 0) lcp = 0;  // the first code links to the chain base
+    FTBB_CHECK(lcp <= code.depth() && lcp <= prev_depth);
+    const std::size_t words = record_words(index, code.depth(), lcp);
+    reserve(1, words);
+    Rep& r = *rep_;
+    std::uint32_t* rec = r.body() + r.size;
+    const bool whole = index % kRestart == 0;
+    if (whole) r.restarts()[index / kRestart] = r.size;
+    const std::size_t from = whole ? 0 : lcp;
+    rec[0] = static_cast<std::uint32_t>(code.depth());
+    rec[1] = static_cast<std::uint32_t>(lcp);
+    if (code.depth() > from) {  // a default view's null words must not reach memcpy
+      std::memcpy(rec + 2, code.words() + from,
+                  (code.depth() - from) * sizeof(std::uint32_t));
+    }
+    if (index != 0) {
+      r.chain_bytes += link_bytes(prev_depth - lcp, code.depth() - lcp, code.words() + lcp);
+    }
+    r.last = r.size;
+    r.size += static_cast<std::uint32_t>(words);
+    if (code.depth() > r.max_depth) r.max_depth = static_cast<std::uint32_t>(code.depth());
+    ++r.count;
+  }
 
   /// Removes the last code (the completion table's merge contracts it
   /// away). Walks back from the last whole-code record.

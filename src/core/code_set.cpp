@@ -1,6 +1,7 @@
 #include "core/code_set.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace ftbb::core {
 
@@ -13,9 +14,17 @@ constexpr std::size_t kChunk = CodeList::kRestart;
 constexpr std::size_t kHalfChunk = kChunk / 2;
 
 /// Common prefix of a and b, given that they share at least `from` words.
+/// Compares two words at a time: codes of one table share long prefixes.
 std::size_t lcp_from(PathView a, PathView b, std::size_t from) {
   const std::size_t cap = std::min(a.depth(), b.depth());
   std::size_t n = std::min(from, cap);
+  for (; n + 2 <= cap; n += 2) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a.words() + n, sizeof(x));
+    std::memcpy(&y, b.words() + n, sizeof(y));
+    if (x != y) break;
+  }
   while (n < cap && a.word(n) == b.word(n)) ++n;
   return n;
 }
@@ -37,24 +46,19 @@ bool is_sibling(PathView a, PathView z) {
 /// Codes of one search tree that leave a shared prefix branch there on the
 /// same variable (checking each new code against its two neighbours in
 /// order checks it against the whole table). `n` is lcp(a, b).
-void check_branching(PathView a, PathView b, std::size_t n) {
-  if (n < a.depth() && n < b.depth()) {
-    FTBB_CHECK_MSG(a.var(n) == b.var(n),
-                   "CodeSet: codes disagree on a node's branching variable "
-                   "(codes must come from one search tree)");
-  }
+void check_var(std::uint32_t word, PathView code, std::size_t n) {
+  FTBB_CHECK_MSG((word >> 1) == code.var(n),
+                 "CodeSet: codes disagree on a node's branching variable "
+                 "(codes must come from one search tree)");
 }
 
-/// PathView::encoded_size() without a branch per word: each word is a
-/// varint of one to five bytes.
+void check_branching(PathView a, PathView b, std::size_t n) {
+  if (n < a.depth() && n < b.depth()) check_var(a.word(n), b, n);
+}
+
+/// PathView::encoded_size(), by CodeList::word_bytes().
 std::size_t encoded_size(PathView c) {
-  std::size_t n = support::varint_size(c.depth()) + c.depth();
-  for (std::size_t i = 0; i < c.depth(); ++i) {
-    const std::uint32_t w = c.word(i);
-    n += static_cast<std::size_t>(w >= (1u << 7)) + (w >= (1u << 14)) +
-         (w >= (1u << 21)) + (w >= (1u << 28));
-  }
-  return n;
+  return support::varint_size(c.depth()) + CodeList::word_bytes(c.words(), c.depth());
 }
 
 /// Chunk `c`'s share of trie_nodes() - 1: its records' depth - lcp, the
@@ -136,7 +140,7 @@ struct CodeSet::Probe {
   [[nodiscard]] bool covers() const { return chunk >= 0 && lcp == depth; }
 };
 
-std::ptrdiff_t CodeSet::find_chunk(PathView code) const {
+std::ptrdiff_t CodeSet::find_chunk(PathView code, std::size_t& head_lcp) const {
   const std::size_t n = chunks_.size();
   if (n == 0) return -1;
   // Bisection over the chunk heads, each compared from the prefix the code
@@ -149,7 +153,8 @@ std::ptrdiff_t CodeSet::find_chunk(PathView code) const {
     lcp = lcp_from(head, code, from);
     return order(head, code, lcp) <= 0;
   };
-  // Lookups cluster: try the last chunk found and its successor first.
+  // Lookups cluster: try the last chunk found, then its neighbour on the
+  // side the code lies.
   std::size_t lo = 0;
   std::size_t hi = n;
   const std::size_t h = std::min<std::size_t>(hint_, n - 1);
@@ -157,14 +162,26 @@ std::ptrdiff_t CodeSet::find_chunk(PathView code) const {
   if (head_le(h, 0, lcp)) {
     lo = h + 1;
     lo_lcp = lcp;
-    if (lo < n && !head_le(lo, 0, lcp)) return static_cast<std::ptrdiff_t>(h);
     if (lo < n) {
+      if (!head_le(lo, 0, lcp)) {
+        head_lcp = lo_lcp;
+        return static_cast<std::ptrdiff_t>(h);
+      }
       lo_lcp = lcp;
       ++lo;
     }
   } else {
     hi = h;
     hi_lcp = lcp;
+    if (h > 0) {
+      if (head_le(h - 1, 0, lcp)) {
+        hint_ = static_cast<std::uint32_t>(h - 1);
+        head_lcp = lcp;
+        return static_cast<std::ptrdiff_t>(h) - 1;
+      }
+      hi = h - 1;
+      hi_lcp = lcp;
+    }
   }
   // Invariant: heads before lo are <= code, heads from hi on are > code.
   while (lo < hi) {
@@ -178,19 +195,20 @@ std::ptrdiff_t CodeSet::find_chunk(PathView code) const {
     }
   }
   if (lo > 0) hint_ = static_cast<std::uint32_t>(lo - 1);
+  head_lcp = lo_lcp;
   return static_cast<std::ptrdiff_t>(lo) - 1;
 }
 
 CodeSet::Probe CodeSet::probe(PathView code) const {
   Probe p;
-  p.chunk = find_chunk(code);
+  std::size_t m = 0;
+  p.chunk = find_chunk(code, m);
   if (p.chunk < 0) return p;
   // Walk the chunk's records keeping m = lcp(predecessor, code): a record
   // sharing less than m with the predecessor sorts after the code, one
   // sharing more sorts before it, and only a tie compares words.
   CodeList::Links links(chunks_[static_cast<std::size_t>(p.chunk)].codes);
   CodeList::Link l = links.next();
-  std::size_t m = lcp_from(PathView(l.suffix, l.depth), code, 0);
   std::size_t depth = l.depth;
   while (!links.done()) {
     l = links.next();
@@ -597,7 +615,8 @@ CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
   if (!source.next()) return res;
   bool stepped_back = false;
   {
-    const std::ptrdiff_t first = find_chunk(source.code());
+    std::size_t head_lcp = 0;
+    const std::ptrdiff_t first = find_chunk(source.code(), head_lcp);
     Merge merge(*this, first < 0 ? 0 : static_cast<std::size_t>(first),
                 source.size(), res);
     do {
@@ -621,7 +640,156 @@ CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
   return res;
 }
 
+std::optional<CodeSet::InsertResult> CodeSet::edit_in_place(PathView x) {
+  if (chunks_.empty()) return std::nullopt;
+  std::size_t m = 0;
+  const std::ptrdiff_t found = find_chunk(x, m);
+  // A code before every stored one goes to the front of the first chunk.
+  const std::size_t k = found < 0 ? 0 : static_cast<std::size_t>(found);
+  Chunk& chunk = chunks_[k];
+  // The chunk's records; a code's word at position `at` sits in the suffix
+  // of the last record at or before it whose prefix ends at or before `at`.
+  struct Rec {
+    std::size_t depth;
+    std::size_t lcp;
+    const std::uint32_t* suffix;
+  };
+  Rec rec[kChunk];
+  std::size_t n = 0;
+  for (CodeList::Links links(chunk.codes); !links.done(); ++n) {
+    const CodeList::Link l = links.next();
+    rec[n] = Rec{l.depth, l.lcp, l.suffix};
+  }
+  const auto word_at = [&rec](std::size_t i, std::size_t at) {
+    while (at < rec[i].lcp) --i;
+    return rec[i].suffix[at - rec[i].lcp];
+  };
+  const auto code_bytes = [&rec](std::size_t i) {
+    std::size_t bytes = support::varint_size(rec[i].depth);
+    for (std::size_t end = rec[i].depth; end > 0; --i) {
+      if (end > rec[i].lcp) {
+        bytes += CodeList::word_bytes(rec[i].suffix, end - rec[i].lcp);
+        end = rec[i].lcp;
+      }
+    }
+    return bytes;
+  };
+  // The codes before x: indices [0, i), the last sharing m words with x
+  // (found as probe() finds it).
+  std::size_t i = 0;
+  if (found >= 0) {
+    i = 1;
+    for (; i < n; ++i) {
+      const Rec& r = rec[i];
+      if (r.lcp < m) break;
+      if (r.lcp == m) {
+        const std::size_t add = r.depth - r.lcp;
+        std::size_t j = 0;
+        while (j < add && m + j < x.depth() && r.suffix[j] == x.word(m + j)) ++j;
+        if (j < add && (m + j == x.depth() || r.suffix[j] > x.word(m + j))) break;
+        m += j;
+      }
+    }
+    if (m == rec[i - 1].depth) {
+      return InsertResult{false, static_cast<std::uint32_t>(m + 1), 0};
+    }
+    if (m < rec[i - 1].depth) check_var(word_at(i - 1, m), x, m);
+  }
+  const std::size_t d = x.depth();
+  // The codes after x, from index j on (index n: the next chunk's head),
+  // with lx = lcp(x, code j). While code j - 1 is the predecessor they
+  // share min(m, lx), and only a tie compares words; past removed codes
+  // (which sort after x) lx is the least prefix since.
+  Chunk* after = k + 1 < chunks_.size() ? &chunks_[k + 1] : nullptr;
+  const auto has_next = [&](std::size_t j) { return j < n || after != nullptr; };
+  const auto next_depth = [&](std::size_t j) {
+    return j < n ? rec[j].depth : after->codes.front().depth();
+  };
+  const auto next_word = [&](std::size_t j, std::size_t at) {
+    return j < n ? word_at(j, at) : after->codes.front().word(at);
+  };
+  const auto next_prefix = [&](std::size_t j) {
+    return j == 0 ? chunk.lcp : j < n ? rec[j].lcp : after->lcp;
+  };
+  std::size_t j = i;
+  std::size_t lx = 0;
+  if (has_next(j)) {
+    lx = i == 0 ? 0 : next_prefix(j);
+    if (lx == m) {
+      const std::size_t cap = std::min(next_depth(j), d);
+      while (lx < cap && next_word(j, lx) == x.word(lx)) ++lx;
+    }
+    if (lx < d) check_var(next_word(j, lx), x, lx);
+  }
+  // Completion subsumes the codes under x; none may lie past the chunk.
+  while (has_next(j) && lx == d) {
+    if (j == n) return std::nullopt;
+    ++j;
+    if (has_next(j)) lx = std::min(lx, next_prefix(j));
+  }
+  // Contraction: a left child's sibling is code j, a right child's the
+  // code before i. The next chunk's head stays, and so does the previous
+  // chunk's last code.
+  std::size_t lp = m;  // lcp(code i - 1, x)
+  std::size_t z = d;
+  std::uint32_t merges = 0;
+  while (z != 0) {
+    const std::uint32_t sibling = x.word(z - 1) ^ 1u;
+    if ((sibling & 1u) != 0) {
+      if (!has_next(j) || next_depth(j) != z || std::min(z, lx) != z - 1 ||
+          next_word(j, z - 1) != sibling) {
+        break;
+      }
+      if (j == n) return std::nullopt;
+      ++j;
+      if (has_next(j)) lx = std::min(lx, next_prefix(j));
+    } else {
+      if (i == 0) {
+        if (k == 0) break;
+        return std::nullopt;  // the sibling may be the previous chunk's last code
+      }
+      if (rec[i - 1].depth != z || std::min(z, lp) != z - 1 ||
+          word_at(i - 1, z - 1) != sibling) {
+        break;
+      }
+      --i;
+      if (i > 0) lp = std::min(lp, rec[i].lcp);
+    }
+    --z;
+    ++merges;
+  }
+  const PathView code = x.prefix(z);
+  // A new first code shares with the previous chunk's last code what the
+  // old first code did, capped at its depth (it is that code's prefix, or
+  // the table's first code).
+  const std::size_t lcp = i == 0 ? std::min<std::size_t>(chunk.lcp, z) : std::min(lp, z);
+  const std::size_t next_lcp = std::min(lx, z);
+  std::size_t removed_bytes = 0;
+  std::size_t removed_words = 0;
+  for (std::size_t r = i; r < j; ++r) {
+    removed_bytes += code_bytes(r);
+    removed_words += rec[r].depth - (r == 0 ? chunk.lcp : rec[r].lcp);
+  }
+  const std::size_t old_next = has_next(j) ? next_prefix(j) : 0;
+  if (!chunk.codes.replace(i, j, code, lcp, j < n ? next_lcp : 0)) return std::nullopt;
+  if (i == 0) chunk.lcp = static_cast<std::uint32_t>(lcp);
+  if (j == n && after != nullptr) after->lcp = static_cast<std::uint32_t>(next_lcp);
+  count_ = count_ + 1 - (j - i);
+  body_bytes_ = body_bytes_ + encoded_size(code) - removed_bytes;
+  trie_words_ = trie_words_ + (z - lcp) - removed_words -
+                (has_next(j) ? next_lcp - old_next : 0);
+  ++version_;
+  root_complete_ = z == 0;  // contracted to the root: nothing else is left
+  return InsertResult{true, static_cast<std::uint32_t>(d + 1), merges};
+}
+
 CodeSet::InsertResult CodeSet::insert(PathView code) {
+  // The common case edits one chunk in place: the code, the codes under it
+  // and the siblings it contracts with all sit inside one chunk that has
+  // room, past its head.
+  if (!code.is_root()) {
+    if (const std::optional<InsertResult> r = edit_in_place(code)) return *r;
+  }
   const PathView one[] = {code};
   SpanSource source{std::span<const PathView>(one)};
   return insert_sorted(source);

@@ -60,8 +60,8 @@ class CodeSet {
 
   CodeSet() = default;  // an empty table allocates nothing
 
-  /// Records `code` as completed; contracts upward. Idempotent. Rebuilds
-  /// the chunk(s) the code lands in.
+  /// Records `code` as completed; contracts upward. Idempotent. Edits the
+  /// chunk the code lands in, in place when it can.
   InsertResult insert(PathView code);
 
   /// Inserts every code of a report/table list in order; returns summed
@@ -159,10 +159,16 @@ class CodeSet {
   struct Probe;
   class Merge;
 
-  /// Index of the last chunk whose first code is <= `code`, or -1.
-  [[nodiscard]] std::ptrdiff_t find_chunk(PathView code) const;
-  /// The stored code at or before `code` in order, and how much they share.
+  /// Index of the last chunk whose first code is <= `code`, or -1; sets
+  /// `head_lcp` to that code's common prefix with `code`.
+  [[nodiscard]] std::ptrdiff_t find_chunk(PathView code, std::size_t& head_lcp) const;
+  /// The stored code at or before `code` in order, how much they share, and
+  /// the record after it.
   [[nodiscard]] Probe probe(PathView code) const;
+  /// insert() by editing one chunk in place, or nullopt (nothing changed)
+  /// when the code's subsumed codes or contracted siblings reach past its
+  /// chunk or its head, or the chunk is shared or full.
+  std::optional<InsertResult> edit_in_place(PathView code);
 
   template <typename Source>
   InsertResult insert_sorted(Source& source);

@@ -240,6 +240,42 @@ TEST(CodeSetDiffShape, ChunksStayWithinOneRestartRun) {
   EXPECT_LT(table.allocated_bytes(), words * sizeof(std::uint32_t));
 }
 
+TEST_P(CodeSetDiff, SingleInsertsInEveryOrderMatchTheTrie) {
+  // Single inserts edit one chunk in place when they can: at a chunk's
+  // front or back, before the table's first code, contracting with the
+  // chunk's head, subsuming codes up to a chunk boundary. Ascending and
+  // descending leaf order hit the table's ends; random order its middle.
+  const std::uint64_t seed = GetParam();
+  const Tree tree = random_tree(seed + 1300, 1201);
+  support::Rng rng(seed * 3 + 2);
+  std::vector<PathCode> shuffled = tree.leaves;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.pick(i)]);
+  }
+  const std::vector<PathCode> descending(tree.leaves.rbegin(), tree.leaves.rend());
+  for (const std::vector<PathCode>* order :
+       std::vector<const std::vector<PathCode>*>{&tree.leaves, &descending, &shuffled}) {
+    CodeSet table;
+    LegacyCodeSet oracle;
+    for (std::size_t i = 0; i < order->size(); ++i) {
+      // Now and then an interior node first, which subsumes what lies
+      // under it.
+      if (rng.chance(0.05)) {
+        const PathCode& inner = tree.all[rng.pick(tree.all.size())];
+        expect_same_result(table.insert(inner), oracle.insert(inner));
+      }
+      const PathCode& c = (*order)[i];
+      expect_same_result(table.insert(c), oracle.insert(c));
+      ASSERT_EQ(table.trie_nodes(), oracle.trie_nodes()) << "insert " << i;
+      ASSERT_EQ(table.encoded_bytes(), oracle.encoded_bytes()) << "insert " << i;
+      if (i % 97 == 0) expect_same_table(table, oracle);
+      if (HasFatalFailure()) return;
+    }
+    expect_same_table(table, oracle);
+    EXPECT_TRUE(table.root_complete());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodeSetDiff,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
