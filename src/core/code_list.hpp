@@ -143,8 +143,6 @@ class CodeList {
     }
     void apply(const Link& l) { splice(l.lcp, l.suffix, l.add()); }
     void assign(PathView code) { splice(0, code.words(), code.depth()); }
-    void pop() { --size_; }
-    void flip_last() { w_[size_ - 1] ^= 1u; }
     /// Room for `n` words; the words held are kept.
     void reserve(std::size_t n) {
       if (n > cap_) grow(n);
