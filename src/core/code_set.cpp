@@ -45,13 +45,15 @@ bool is_sibling(PathView a, PathView z) {
 
 /// Codes of one search tree that leave a shared prefix branch there on the
 /// same variable (checking each new code against its two neighbours in
-/// order checks it against the whole table). `n` is lcp(a, b).
+/// order checks it against the whole table): `word` is another code's word
+/// at n, where it and `code` part.
 void check_var(std::uint32_t word, PathView code, std::size_t n) {
   FTBB_CHECK_MSG((word >> 1) == code.var(n),
                  "CodeSet: codes disagree on a node's branching variable "
                  "(codes must come from one search tree)");
 }
 
+/// The same for two whole codes, given n = lcp(a, b).
 void check_branching(PathView a, PathView b, std::size_t n) {
   if (n < a.depth() && n < b.depth()) check_var(a.word(n), b, n);
 }
