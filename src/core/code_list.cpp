@@ -64,27 +64,16 @@ void CodeList::release(Rep* rep) {
 
 PathCode CodeList::operator[](std::size_t i) const {
   FTBB_CHECK(i < size());
-  // Decode from the whole-code record at or before i.
-  const std::size_t first = i - i % kRestart;
-  const std::uint32_t* pos = rep_->body() + rep_->restarts()[first / kRestart];
-  PathCode code(PathView(pos + 2, pos[0]));
-  pos += 2 + pos[0];
-  for (std::size_t k = first + 1; k <= i; ++k) {
-    const std::uint32_t depth = pos[0];
-    const std::uint32_t lcp = pos[1];
-    while (code.depth() > lcp) code.pop_step();
-    for (std::uint32_t w = 0; w < depth - lcp; ++w) code.push_word(pos[2 + w]);
-    pos += 2 + (depth - lcp);
-  }
-  return code;
+  Code code;
+  decode(*rep_, i, code);
+  return PathCode(code.view());
 }
 
-void CodeList::decode_last(const Rep& rep, Code& out) {
-  const std::size_t last = rep.count - 1;
-  const std::uint32_t* pos = rep.body() + rep.restarts()[last / kRestart];
+void CodeList::decode(const Rep& rep, std::size_t i, Code& out) {
+  const std::uint32_t* pos = rep.body() + rep.restarts()[i / kRestart];
   out.splice(0, pos + 2, pos[0]);
   pos += 2 + pos[0];
-  for (std::size_t k = last - last % kRestart + 1; k <= last; ++k) {
+  for (std::size_t k = i - i % kRestart + 1; k <= i; ++k) {
     out.splice(pos[1], pos + 2, pos[0] - pos[1]);
     pos += 2 + (pos[0] - pos[1]);
   }
@@ -177,23 +166,32 @@ bool operator==(const CodeList& a, const CodeList& b) {
          std::memcmp(x.body(), y.body(), x.size * sizeof(std::uint32_t)) == 0;
 }
 
-CodeList::Rep* CodeList::reallocate(Rep* rep, std::size_t restart_cap, std::size_t cap) {
+CodeList::Rep* CodeList::allocate(std::size_t restart_cap, std::size_t cap) {
   void* block = ::operator new(sizeof(Rep) +
                                (restart_cap + cap) * sizeof(std::uint32_t));
-  Rep* grown = ::new (block) Rep;
-  grown->restart_cap = static_cast<std::uint32_t>(restart_cap);
-  grown->cap = static_cast<std::uint32_t>(cap);
-  if (rep != nullptr) {
-    grown->count = rep->count;
-    grown->size = rep->size;
-    grown->max_depth = rep->max_depth;
-    grown->last = rep->last;
-    grown->chain_bytes = rep->chain_bytes;
-    std::memcpy(grown->restarts(), rep->restarts(),
-                restarts_for(rep->count) * sizeof(std::uint32_t));
-    std::memcpy(grown->body(), rep->body(), rep->size * sizeof(std::uint32_t));
-    release(rep);
-  }
+  Rep* rep = ::new (block) Rep;
+  rep->restart_cap = static_cast<std::uint32_t>(restart_cap);
+  rep->cap = static_cast<std::uint32_t>(cap);
+  return rep;
+}
+
+CodeList::Rep* CodeList::copy(const Rep& rep, std::size_t restart_cap, std::size_t cap) {
+  Rep* out = allocate(restart_cap, cap);
+  out->count = rep.count;
+  out->size = rep.size;
+  out->max_depth = rep.max_depth;
+  out->last = rep.last;
+  out->chain_bytes = rep.chain_bytes;
+  std::memcpy(out->restarts(), rep.restarts(),
+              restarts_for(rep.count) * sizeof(std::uint32_t));
+  std::memcpy(out->body(), rep.body(), rep.size * sizeof(std::uint32_t));
+  return out;
+}
+
+CodeList::Rep* CodeList::reallocate(Rep* rep, std::size_t restart_cap, std::size_t cap) {
+  if (rep == nullptr) return allocate(restart_cap, cap);
+  Rep* grown = copy(*rep, restart_cap, cap);
+  release(rep);
   return grown;
 }
 
@@ -252,25 +250,13 @@ void CodeList::Builder::pop_back() {
 
 CodeList CodeList::Builder::take() {
   if (size() == 0) return CodeList();
-  const std::size_t restarts = restarts_for(rep_->count);
-  void* block = ::operator new(sizeof(Rep) +
-                               (restarts + rep_->size) * sizeof(std::uint32_t));
-  Rep* copy = ::new (block) Rep;
-  copy->count = rep_->count;
-  copy->size = rep_->size;
-  copy->cap = rep_->size;
-  copy->restart_cap = static_cast<std::uint32_t>(restarts);
-  copy->max_depth = rep_->max_depth;
-  copy->last = rep_->last;
-  copy->chain_bytes = rep_->chain_bytes;
-  std::memcpy(copy->restarts(), rep_->restarts(), restarts * sizeof(std::uint32_t));
-  std::memcpy(copy->body(), rep_->body(), rep_->size * sizeof(std::uint32_t));
+  Rep* sealed = copy(*rep_, restarts_for(rep_->count), rep_->size);
   rep_->count = 0;
   rep_->size = 0;
   rep_->max_depth = 0;
   rep_->last = 0;
   rep_->chain_bytes = 0;
-  return CodeList(copy);
+  return CodeList(sealed);
 }
 
 CodeList CodeList::Builder::finish() {

@@ -92,16 +92,11 @@ class CodeList {
    public:
     Links() = default;
     explicit Links(const CodeList& list)
-        : base_(list.rep_ == nullptr ? nullptr : list.rep_->body()),
-          pos_(base_),
+        : pos_(list.rep_ == nullptr ? nullptr : list.rep_->body()),
           left_(list.size()) {}
     [[nodiscard]] bool done() const { return left_ == 0; }
     /// Index of the record next() returns.
     [[nodiscard]] std::size_t index() const { return index_; }
-    /// Body offset of the record next() returns.
-    [[nodiscard]] std::size_t offset() const {
-      return static_cast<std::size_t>(pos_ - base_);
-    }
     /// Records not read yet.
     [[nodiscard]] std::size_t left() const { return left_; }
     Link next() {
@@ -114,7 +109,6 @@ class CodeList {
     }
 
    private:
-    const std::uint32_t* base_ = nullptr;
     const std::uint32_t* pos_ = nullptr;
     std::size_t index_ = 0;
     std::size_t left_ = 0;
@@ -251,7 +245,7 @@ class CodeList {
   [[nodiscard]] PathCode operator[](std::size_t i) const;
   [[nodiscard]] PathCode back() const { return (*this)[size() - 1]; }
   /// Decodes the last code into `out` (the list must not be empty).
-  void back_into(Code& out) const { decode_last(*rep_, out); }
+  void back_into(Code& out) const { decode(*rep_, rep_->count - 1, out); }
   /// Depth of the last code, without decoding it.
   [[nodiscard]] std::size_t back_depth() const {
     return rep_ == nullptr ? 0 : rep_->body()[rep_->last];
@@ -323,9 +317,13 @@ class CodeList {
   };
 
   explicit CodeList(Rep* rep) : rep_(rep) {}
-  static void decode_last(const Rep& rep, Code& out);
-  /// A new block of the given room holding `rep`'s contents (if any);
-  /// `rep` is released.
+  /// Decodes code i from the whole-code record at or before it.
+  static void decode(const Rep& rep, std::size_t i, Code& out);
+  /// An empty block with room for `restart_cap` restarts and `cap` words.
+  static Rep* allocate(std::size_t restart_cap, std::size_t cap);
+  /// A new block of the given room holding a copy of `rep`'s contents.
+  static Rep* copy(const Rep& rep, std::size_t restart_cap, std::size_t cap);
+  /// copy() of `rep` (if any) into room, releasing `rep`.
   static Rep* reallocate(Rep* rep, std::size_t restart_cap, std::size_t cap);
   /// Wire bytes of one chain link (core/frame.hpp's chain_link_size()):
   /// varints of trim and add, then the `add` step words at `words`.
@@ -409,7 +407,7 @@ class CodeList::Builder {
   }
 
   /// Decodes the last code appended into `out` (not empty).
-  void back_into(Code& out) const { decode_last(*rep_, out); }
+  void back_into(Code& out) const { decode(*rep_, rep_->count - 1, out); }
 
   /// The sealed list, trimmed to its size; the builder is left empty.
   CodeList finish();
