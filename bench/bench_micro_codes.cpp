@@ -92,7 +92,8 @@ std::vector<PathCode> leaf_codes(std::uint64_t nodes, std::uint64_t seed) {
   cfg.seed = seed;
   const bnb::BasicTree tree = bnb::BasicTree::random(cfg);
   std::vector<PathCode> out;
-  std::vector<std::pair<std::int32_t, PathCode>> stack{{0, PathCode::root()}};
+  std::vector<std::pair<std::int32_t, PathCode>> stack;
+  stack.emplace_back(0, PathCode::root());
   while (!stack.empty()) {
     auto [idx, code] = std::move(stack.back());
     stack.pop_back();
@@ -113,7 +114,8 @@ std::vector<PathCode> leaf_codes(std::uint64_t nodes, std::uint64_t seed) {
 std::vector<PathCode> table1_leaf_codes() {
   const bnb::BasicTree tree = bench::large_problem_dense();
   std::vector<PathCode> out;
-  std::vector<std::pair<std::int32_t, PathCode>> stack{{0, PathCode::root()}};
+  std::vector<std::pair<std::int32_t, PathCode>> stack;
+  stack.emplace_back(0, PathCode::root());
   while (!stack.empty()) {
     auto [idx, code] = std::move(stack.back());
     stack.pop_back();
@@ -277,12 +279,12 @@ int main(int argc, char** argv) {
   covered.operator()<CodeSet>("");
   covered.operator()<LegacyCodeSet>("legacy_");
 
-  {
+  const auto merge_reports = [&]<typename Table>(const std::string& prefix) {
     // A receiver merging 8-code work reports into a growing table.
     const auto leaves = leaf_codes(20001, 17);
-    bench("code_set_merge_8code_reports",
+    bench(prefix + "code_set_merge_8code_reports",
           static_cast<double>(leaves.size() / 8), [&] {
-            CodeSet table;
+            Table table;
             std::vector<PathCode> report;
             for (const PathCode& c : leaves) {
               report.push_back(c);
@@ -293,7 +295,9 @@ int main(int argc, char** argv) {
             }
             g_sink = g_sink + table.code_count();
           });
-  }
+  };
+  merge_reports.operator()<CodeSet>("");
+  merge_reports.operator()<LegacyCodeSet>("legacy_");
 
   {
     // The recovery path's pattern: one persistent scratch buffer per worker,

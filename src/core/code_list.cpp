@@ -79,69 +79,6 @@ void CodeList::decode(const Rep& rep, std::size_t i, Code& out) {
   }
 }
 
-bool CodeList::replace(std::size_t first, std::size_t last, PathView code,
-                       std::size_t lcp, std::size_t next_lcp) {
-  if (rep_ == nullptr || rep_->refs.load(std::memory_order_acquire) != 1) return false;
-  const std::size_t n = rep_->count;
-  FTBB_CHECK(first <= last && last <= n && n <= kRestart);
-  if (n - (last - first) + 1 > kRestart) return false;
-  // Record offsets up to `last`; only the first record is stored whole.
-  std::uint32_t off[kRestart + 1];
-  const std::uint32_t* body = rep_->body();
-  off[0] = 0;
-  for (std::size_t k = 0; k < last; ++k) {
-    off[k + 1] = off[k] + static_cast<std::uint32_t>(record_words(k, body[off[k]], body[off[k] + 1]));
-  }
-  // Chain bytes: the links of the replaced codes and of code `last` go,
-  // those of `code` and of the re-fronted code `last` come. The first code
-  // has no link.
-  std::size_t chain = rep_->chain_bytes;
-  const std::size_t prev_depth = first == 0 ? 0 : body[off[first - 1]];
-  if (first == 0) lcp = 0;
-  FTBB_CHECK(lcp <= code.depth() && lcp <= prev_depth);
-  std::size_t depth = prev_depth;
-  for (std::size_t k = first; k <= last && k < n; ++k) {
-    const std::uint32_t* rec = body + off[k];
-    if (k != 0) chain -= link_bytes(depth - rec[1], rec[0] - rec[1], rec + 2);
-    depth = rec[0];
-  }
-  const std::size_t add = code.depth() - lcp;
-  if (first != 0) chain += link_bytes(prev_depth - lcp, add, code.words() + lcp);
-  std::size_t shrink = 0;
-  std::uint32_t next_depth = 0;
-  if (last < n) {
-    const std::uint32_t* next = body + off[last];
-    next_depth = next[0];
-    FTBB_CHECK(next_lcp >= next[1] && next_lcp <= next_depth && next_lcp <= code.depth());
-    shrink = next_lcp - next[1];
-    chain += link_bytes(code.depth() - next_lcp, next_depth - next_lcp, next + 2 + shrink);
-  }
-  const std::size_t start = off[first];
-  const std::size_t tail = last < n ? off[last] + 2 + shrink : rep_->size;
-  const std::size_t size = start + 2 + add + (last < n ? 2 : 0) + (rep_->size - tail);
-  const bool last_moves = last < n && rep_->last != off[last];
-  const std::size_t last_offset = last == n ? start
-                                  : last_moves ? rep_->last + size - rep_->size
-                                               : start + 2 + add;
-  if (size > rep_->cap) rep_ = reallocate(rep_, rep_->restart_cap, size + size / 4 + 8);
-  Rep& r = *rep_;
-  std::uint32_t* w = r.body();
-  if (last < n) {
-    std::memmove(w + start + 2 + add + 2, w + tail, (r.size - tail) * sizeof(std::uint32_t));
-    w[start + 2 + add] = next_depth;
-    w[start + 2 + add + 1] = static_cast<std::uint32_t>(next_lcp);
-  }
-  w[start] = static_cast<std::uint32_t>(code.depth());
-  w[start + 1] = static_cast<std::uint32_t>(lcp);
-  if (add != 0) std::memcpy(w + start + 2, code.words() + lcp, add * sizeof(std::uint32_t));
-  r.size = static_cast<std::uint32_t>(size);
-  r.last = static_cast<std::uint32_t>(last_offset);
-  r.count = static_cast<std::uint32_t>(n - (last - first) + 1);
-  r.chain_bytes = chain;
-  if (code.depth() > r.max_depth) r.max_depth = static_cast<std::uint32_t>(code.depth());
-  return true;
-}
-
 std::size_t CodeList::allocated_bytes() const {
   if (rep_ == nullptr) return 0;
   return sizeof(Rep) + (rep_->restart_cap + rep_->cap) * sizeof(std::uint32_t);
@@ -251,12 +188,17 @@ void CodeList::Builder::pop_back() {
 CodeList CodeList::Builder::take() {
   if (size() == 0) return CodeList();
   Rep* sealed = copy(*rep_, restarts_for(rep_->count), rep_->size);
+  clear();
+  return CodeList(sealed);
+}
+
+void CodeList::Builder::clear() {
+  if (rep_ == nullptr) return;
   rep_->count = 0;
   rep_->size = 0;
   rep_->max_depth = 0;
   rep_->last = 0;
   rep_->chain_bytes = 0;
-  return CodeList(sealed);
 }
 
 CodeList CodeList::Builder::finish() {

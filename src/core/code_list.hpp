@@ -281,17 +281,6 @@ class CodeList {
   /// Owned copies of the codes, in order (tests and diagnostics).
   [[nodiscard]] std::vector<PathCode> to_vector() const;
 
-  /// In-place edit, for the owner of the only reference to a list of at
-  /// most kRestart codes (the completion table's chunks): replaces codes
-  /// [first, last) with `code`, which shares `lcp` words with code
-  /// first - 1 (ignored when first is 0: `code` becomes the first code),
-  /// and re-fronts code `last` (if any) to share `next_lcp` words with
-  /// `code` — at least as many as it shared with the code before it.
-  /// Returns false, the list unchanged, when the list is shared or the
-  /// result would pass kRestart codes.
-  bool replace(std::size_t first, std::size_t last, PathView code,
-               std::size_t lcp, std::size_t next_lcp);
-
   friend bool operator==(const CodeList& a, const CodeList& b);
 
  private:
@@ -414,6 +403,8 @@ class CodeList::Builder {
   /// An exactly sized copy of the list built so far; the builder is left
   /// empty but keeps its room for the next list.
   CodeList take();
+  /// Drops the codes appended so far, keeping the room.
+  void clear();
 
  private:
   void grow(std::size_t codes, std::size_t words);

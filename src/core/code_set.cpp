@@ -10,7 +10,8 @@ namespace {
 /// Codes per chunk at most: each chunk is one whole code and the records
 /// that front-code against it.
 constexpr std::size_t kChunk = CodeList::kRestart;
-/// Chunks below this size are refilled instead of passed through whole.
+/// A merge passes no chunk below this size through whole, and leaves none
+/// where a neighbour can fill it.
 constexpr std::size_t kHalfChunk = kChunk / 2;
 
 /// Common prefix of a and b, given that they share at least `from` words.
@@ -93,20 +94,19 @@ class ListSource {
   [[nodiscard]] PathView code() const { return code_.view(); }
   [[nodiscard]] std::size_t lcp() const { return lcp_; }
   [[nodiscard]] bool ordered() const { return ordered_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   CodeList::Links links_;
   CodeList::Code code_;
   std::size_t lcp_ = 0;
   bool ordered_ = true;
-  std::size_t size_ = links_.left();
 };
 
-/// A span of codes read in order.
+/// A span of codes (PathViews or PathCodes) read in order.
+template <typename Code>
 class SpanSource {
  public:
-  explicit SpanSource(std::span<const PathView> codes) : codes_(codes) {}
+  explicit SpanSource(std::span<const Code> codes) : codes_(codes) {}
   bool next() {
     if (i_ == codes_.size()) return false;
     lcp_ = 0;
@@ -120,10 +120,9 @@ class SpanSource {
   [[nodiscard]] PathView code() const { return codes_[i_ - 1]; }
   [[nodiscard]] std::size_t lcp() const { return lcp_; }
   [[nodiscard]] bool ordered() const { return ordered_; }
-  [[nodiscard]] std::size_t size() const { return codes_.size(); }
 
  private:
-  std::span<const PathView> codes_;
+  std::span<const Code> codes_;
   std::size_t i_ = 0;
   std::size_t lcp_ = 0;
   bool ordered_ = true;
@@ -254,11 +253,12 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 /// in. Per code it does what a per-code insert does — the output's last
 /// code is the only one that can cover the next code, and a sibling pair
 /// can only form between it and the next table code — so the table and
-/// every InsertResult equal those of per-code inserts.
+/// every InsertResult equal those of per-code inserts. A single insert is
+/// the merge of a one-code run.
 class CodeSet::Merge {
  public:
-  /// A merge from chunk `first` on, of a run of about `codes` codes.
-  Merge(CodeSet& set, std::size_t first, std::size_t codes, InsertResult& res)
+  /// A merge from chunk `first` on.
+  Merge(CodeSet& set, std::size_t first, InsertResult& res)
       : set_(set),
         chunks_(set.chunks_),
         res_(res),
@@ -266,12 +266,9 @@ class CodeSet::Merge {
         out_(out_chunks()),
         a_(first),
         b_(first),
-        // A run far shorter than the table lands in few chunks: look for
-        // whole chunks to pass between its codes. A gossip-sized run lands
-        // in nearly all of them, and the look would only cost a compare.
-        try_pass_(codes * 4 < set.count_),
         t_(buffers().table),
-        back_(buffers().back) {
+        back_(buffers().back),
+        copy_(buffers().copy) {
     out_.clear();
   }
 
@@ -286,7 +283,8 @@ class CodeSet::Merge {
     while (true) {
       if (!have_t_) {
         if (b_ == chunks_.size()) break;
-        if (try_pass_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
+        // The range's first chunk holds the first code's predecessor.
+        if (b_ > a_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
           const PathView next = chunks_[b_ + 1].codes.front();
           const std::size_t l = lcp_from(next, x, 0);
           if (order(next, x, l) <= 0) {
@@ -355,6 +353,11 @@ class CodeSet::Merge {
 
   /// Finishes the range at a chunk boundary and splices it into the table.
   void finish() {
+    if (!changed_) {  // the table stays as it was
+      open_.clear();
+      out_.clear();
+      return;
+    }
     while (have_t_) push_t();
     // Refill a short last chunk from its right neighbour.
     while (open_.size() != 0 && open_.size() < kHalfChunk && b_ < chunks_.size() &&
@@ -364,10 +367,6 @@ class CodeSet::Merge {
     }
     if (open_.size() != 0) seal();
     balance_tail();
-    if (!changed_) {  // the chunks read were re-encoded as they were
-      out_.clear();
-      return;
-    }
     std::size_t old_words = 0;
     for (std::size_t i = a_; i < b_; ++i) {
       old_words += trie_words(chunks_[i].codes, chunks_[i].lcp);
@@ -415,6 +414,7 @@ class CodeSet::Merge {
   struct Buffers {
     CodeList::Code table;
     CodeList::Code back;
+    CodeList::Code copy;
   };
   static Buffers& buffers() {
     thread_local Buffers b;
@@ -547,11 +547,11 @@ class CodeSet::Merge {
   }
 
   void reopen(const Chunk& c) {
-    CodeList::Decoder dec(c.codes);
     open_lcp_ = c.lcp;
-    while (!dec.done()) {
-      const CodeList::Link l = dec.next();
-      open_.append(dec.code(), l.lcp);
+    for (CodeList::Links links(c.codes); !links.done();) {
+      const CodeList::Link l = links.next();
+      copy_.apply(l);
+      open_.append(copy_.view(), l.lcp);
     }
   }
 
@@ -568,17 +568,17 @@ class CodeSet::Merge {
     std::size_t i = 0;
     open_lcp_ = left.lcp;
     for (const Chunk* c : {&left, &right}) {
-      CodeList::Decoder dec(c->codes);
       bool head = true;
-      while (!dec.done()) {
-        const CodeList::Link l = dec.next();
+      for (CodeList::Links links(c->codes); !links.done();) {
+        const CodeList::Link l = links.next();
+        copy_.apply(l);
         const std::uint32_t lcp = head ? c->lcp : l.lcp;
         head = false;
         if (i++ == first) {
           seal();
           open_lcp_ = lcp;
         }
-        open_.append(dec.code(), lcp);
+        open_.append(copy_.view(), lcp);
       }
     }
     seal();
@@ -591,7 +591,6 @@ class CodeSet::Merge {
   std::vector<Chunk>& out_;
   std::size_t a_;  // first chunk of the range
   std::size_t b_;  // first chunk not read yet
-  bool try_pass_;
   // The table code being read: its words and its common prefix with the
   // table code before it.
   CodeList::Links links_;
@@ -603,6 +602,7 @@ class CodeSet::Merge {
   std::uint32_t open_lcp_ = 0;
   CodeList::Code& back_;
   bool back_valid_ = false;
+  CodeList::Code& copy_;  // a chunk's codes, decoded to be rewritten
   /// The output's last code is the table code before the next one to read,
   /// so their stored common prefix still holds.
   bool back_is_table_ = true;
@@ -619,8 +619,7 @@ CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
   {
     std::size_t head_lcp = 0;
     const std::ptrdiff_t first = find_chunk(source.code(), head_lcp);
-    Merge merge(*this, first < 0 ? 0 : static_cast<std::size_t>(first),
-                source.size(), res);
+    Merge merge(*this, first < 0 ? 0 : static_cast<std::size_t>(first), res);
     do {
       if (!source.ordered()) {
         stepped_back = true;
@@ -642,158 +641,8 @@ CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
   return res;
 }
 
-std::optional<CodeSet::InsertResult> CodeSet::edit_in_place(PathView x) {
-  if (chunks_.empty()) return std::nullopt;
-  std::size_t m = 0;
-  const std::ptrdiff_t found = find_chunk(x, m);
-  // A code before every stored one goes to the front of the first chunk.
-  const std::size_t k = found < 0 ? 0 : static_cast<std::size_t>(found);
-  Chunk& chunk = chunks_[k];
-  // The chunk's records; a code's word at position `at` sits in the suffix
-  // of the last record at or before it whose prefix ends at or before `at`.
-  struct Rec {
-    std::size_t depth;
-    std::size_t lcp;
-    const std::uint32_t* suffix;
-  };
-  Rec rec[kChunk];
-  std::size_t n = 0;
-  for (CodeList::Links links(chunk.codes); !links.done(); ++n) {
-    const CodeList::Link l = links.next();
-    rec[n] = Rec{l.depth, l.lcp, l.suffix};
-  }
-  const auto word_at = [&rec](std::size_t i, std::size_t at) {
-    while (at < rec[i].lcp) --i;
-    return rec[i].suffix[at - rec[i].lcp];
-  };
-  const auto code_bytes = [&rec](std::size_t i) {
-    std::size_t bytes = support::varint_size(rec[i].depth);
-    for (std::size_t end = rec[i].depth; end > 0; --i) {
-      if (end > rec[i].lcp) {
-        bytes += CodeList::word_bytes(rec[i].suffix, end - rec[i].lcp);
-        end = rec[i].lcp;
-      }
-    }
-    return bytes;
-  };
-  // The codes before x: indices [0, i), the last sharing m words with x
-  // (found as probe() finds it).
-  std::size_t i = 0;
-  if (found >= 0) {
-    i = 1;
-    for (; i < n; ++i) {
-      const Rec& r = rec[i];
-      if (r.lcp < m) break;
-      if (r.lcp == m) {
-        const std::size_t add = r.depth - r.lcp;
-        std::size_t j = 0;
-        while (j < add && m + j < x.depth() && r.suffix[j] == x.word(m + j)) ++j;
-        if (j < add && (m + j == x.depth() || r.suffix[j] > x.word(m + j))) break;
-        m += j;
-      }
-    }
-    if (m == rec[i - 1].depth) {
-      return InsertResult{false, static_cast<std::uint32_t>(m + 1), 0};
-    }
-    if (m < rec[i - 1].depth) check_var(word_at(i - 1, m), x, m);
-  }
-  const std::size_t d = x.depth();
-  // The codes after x, from index j on (index n: the next chunk's head),
-  // with lx = lcp(x, code j). While code j - 1 is the predecessor they
-  // share min(m, lx), and only a tie compares words; past removed codes
-  // (which sort after x) lx is the least prefix since.
-  Chunk* after = k + 1 < chunks_.size() ? &chunks_[k + 1] : nullptr;
-  const auto has_next = [&](std::size_t j) { return j < n || after != nullptr; };
-  const auto next_depth = [&](std::size_t j) {
-    return j < n ? rec[j].depth : after->codes.front().depth();
-  };
-  const auto next_word = [&](std::size_t j, std::size_t at) {
-    return j < n ? word_at(j, at) : after->codes.front().word(at);
-  };
-  const auto next_prefix = [&](std::size_t j) {
-    return j == 0 ? chunk.lcp : j < n ? rec[j].lcp : after->lcp;
-  };
-  std::size_t j = i;
-  std::size_t lx = 0;
-  if (has_next(j)) {
-    lx = i == 0 ? 0 : next_prefix(j);
-    if (lx == m) {
-      const std::size_t cap = std::min(next_depth(j), d);
-      while (lx < cap && next_word(j, lx) == x.word(lx)) ++lx;
-    }
-    if (lx < d) check_var(next_word(j, lx), x, lx);
-  }
-  // Completion subsumes the codes under x; none may lie past the chunk.
-  while (has_next(j) && lx == d) {
-    if (j == n) return std::nullopt;
-    ++j;
-    if (has_next(j)) lx = std::min(lx, next_prefix(j));
-  }
-  // Contraction: a left child's sibling is code j, a right child's the
-  // code before i. The next chunk's head stays, and so does the previous
-  // chunk's last code.
-  std::size_t lp = m;  // lcp(code i - 1, x)
-  std::size_t z = d;
-  std::uint32_t merges = 0;
-  while (z != 0) {
-    const std::uint32_t sibling = x.word(z - 1) ^ 1u;
-    if ((sibling & 1u) != 0) {
-      if (!has_next(j) || next_depth(j) != z || std::min(z, lx) != z - 1 ||
-          next_word(j, z - 1) != sibling) {
-        break;
-      }
-      if (j == n) return std::nullopt;
-      ++j;
-      if (has_next(j)) lx = std::min(lx, next_prefix(j));
-    } else {
-      if (i == 0) {
-        if (k == 0) break;
-        return std::nullopt;  // the sibling may be the previous chunk's last code
-      }
-      if (rec[i - 1].depth != z || std::min(z, lp) != z - 1 ||
-          word_at(i - 1, z - 1) != sibling) {
-        break;
-      }
-      --i;
-      if (i > 0) lp = std::min(lp, rec[i].lcp);
-    }
-    --z;
-    ++merges;
-  }
-  const PathView code = x.prefix(z);
-  // A new first code shares with the previous chunk's last code what the
-  // old first code did, capped at its depth (it is that code's prefix, or
-  // the table's first code).
-  const std::size_t lcp = i == 0 ? std::min<std::size_t>(chunk.lcp, z) : std::min(lp, z);
-  const std::size_t next_lcp = std::min(lx, z);
-  std::size_t removed_bytes = 0;
-  std::size_t removed_words = 0;
-  for (std::size_t r = i; r < j; ++r) {
-    removed_bytes += code_bytes(r);
-    removed_words += rec[r].depth - (r == 0 ? chunk.lcp : rec[r].lcp);
-  }
-  const std::size_t old_next = has_next(j) ? next_prefix(j) : 0;
-  if (!chunk.codes.replace(i, j, code, lcp, j < n ? next_lcp : 0)) return std::nullopt;
-  if (i == 0) chunk.lcp = static_cast<std::uint32_t>(lcp);
-  if (j == n && after != nullptr) after->lcp = static_cast<std::uint32_t>(next_lcp);
-  count_ = count_ + 1 - (j - i);
-  body_bytes_ = body_bytes_ + encoded_size(code) - removed_bytes;
-  trie_words_ = trie_words_ + (z - lcp) - removed_words -
-                (has_next(j) ? next_lcp - old_next : 0);
-  ++version_;
-  root_complete_ = z == 0;  // contracted to the root: nothing else is left
-  return InsertResult{true, static_cast<std::uint32_t>(d + 1), merges};
-}
-
 CodeSet::InsertResult CodeSet::insert(PathView code) {
-  // The common case edits one chunk in place: the code, the codes under it
-  // and the siblings it contracts with all sit inside one chunk that has
-  // room, past its head.
-  if (!code.is_root()) {
-    if (const std::optional<InsertResult> r = edit_in_place(code)) return *r;
-  }
-  const PathView one[] = {code};
-  SpanSource source{std::span<const PathView>(one)};
+  SpanSource<PathView> source{std::span<const PathView>(&code, 1)};
   return insert_sorted(source);
 }
 
@@ -803,8 +652,7 @@ CodeSet::InsertResult CodeSet::insert_all(const CodeList& codes) {
 }
 
 CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
-  std::vector<PathView> views(codes.begin(), codes.end());
-  SpanSource source{std::span<const PathView>(views)};
+  SpanSource<PathCode> source{codes};
   return insert_sorted(source);
 }
 

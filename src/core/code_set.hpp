@@ -60,8 +60,9 @@ class CodeSet {
 
   CodeSet() = default;  // an empty table allocates nothing
 
-  /// Records `code` as completed; contracts upward. Idempotent. Edits the
-  /// chunk the code lands in, in place when it can.
+  /// Records `code` as completed; contracts upward. Idempotent. Rewrites
+  /// the chunk the code lands in (and a neighbour it contracts or refills
+  /// with): the one-code case of insert_all's merge.
   InsertResult insert(PathView code);
 
   /// Inserts every code of a report/table list in order; returns summed
@@ -165,10 +166,6 @@ class CodeSet {
   /// The stored code at or before `code` in order, how much they share, and
   /// the record after it.
   [[nodiscard]] Probe probe(PathView code) const;
-  /// insert() by editing one chunk in place, or nullopt (nothing changed)
-  /// when the code's subsumed codes or contracted siblings reach past its
-  /// chunk or its head, or the chunk is shared or full.
-  std::optional<InsertResult> edit_in_place(PathView code);
 
   template <typename Source>
   InsertResult insert_sorted(Source& source);

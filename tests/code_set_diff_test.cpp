@@ -241,9 +241,9 @@ TEST(CodeSetDiffShape, ChunksStayWithinOneRestartRun) {
 }
 
 TEST_P(CodeSetDiff, SingleInsertsInEveryOrderMatchTheTrie) {
-  // Single inserts edit one chunk in place when they can: at a chunk's
-  // front or back, before the table's first code, contracting with the
-  // chunk's head, subsuming codes up to a chunk boundary. Ascending and
+  // Single inserts rewrite the chunk they land in: at a chunk's front or
+  // back, before the table's first code, contracting with a neighbouring
+  // chunk's code, subsuming codes up to a chunk boundary. Ascending and
   // descending leaf order hit the table's ends; random order its middle.
   const std::uint64_t seed = GetParam();
   const Tree tree = random_tree(seed + 1300, 1201);
