@@ -255,6 +255,12 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 /// can only form between it and the next table code — so the table and
 /// every InsertResult equal those of per-code inserts. A single insert is
 /// the merge of a one-code run.
+///
+/// A chunk passed through whole, and the chunk after the range, keep their
+/// stored prefix. A new code comes right before such a chunk only when the
+/// chunk before it was used up by dropping codes under the new one, and a
+/// first code not under the new code shares as much with it as with the
+/// dropped code.
 class CodeSet::Merge {
  public:
   /// A merge from chunk `first` on.
@@ -373,16 +379,6 @@ class CodeSet::Merge {
     }
     std::size_t new_words = 0;
     for (const Chunk& c : out_) new_words += trie_words(c.codes, c.lcp);
-    if (b_ < chunks_.size()) {
-      Chunk& next = chunks_[b_];
-      old_words += next.lcp;
-      if (!back_is_table_) {
-        next.lcp = has_back() ? static_cast<std::uint32_t>(
-                                    lcp_from(back(), next.codes.front(), 0))
-                              : 0;
-      }
-      new_words += next.lcp;
-    }
     set_.trie_words_ = set_.trie_words_ + new_words - old_words;
     // Replace chunks [a, b) with the output, shifting the tail at most once.
     const std::size_t common = std::min(out_.size(), b_ - a_);
@@ -431,16 +427,8 @@ class CodeSet::Merge {
   /// Moves chunk b to the output whole; `shared` bounds what its last code
   /// shares with the code being added.
   void pass_chunk(std::size_t shared) {
-    Chunk& c = chunks_[b_];
-    std::uint32_t lcp = c.lcp;
-    if (!back_is_table_) {
-      lcp = has_back() ? static_cast<std::uint32_t>(
-                             lcp_from(back(), c.codes.front(), 0))
-                       : 0;
-    }
     if (open_.size() != 0) seal();
-    out_.push_back(Chunk{c.codes, lcp});
-    ++b_;
+    out_.push_back(chunks_[b_++]);
     back_valid_ = false;
     back_is_table_ = true;
     m_tx_ = shared;

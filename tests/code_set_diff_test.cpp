@@ -214,6 +214,35 @@ TEST_P(CodeSetDiff, GossipMergesBetweenPeersMatchTheTrie) {
   }
 }
 
+TEST_P(CodeSetDiff, SparseSortedListsOverALargeTableMatchTheTrie) {
+  // Short sorted lists over a table of a hundred chunks or more: most
+  // chunks lie between two list codes and pass through whole.
+  const std::uint64_t seed = GetParam();
+  const Tree tree = random_tree(seed + 1700, 12001);
+  support::Rng rng(seed * 13 + 7);
+  CodeSet table;
+  LegacyCodeSet oracle;
+  for (const std::size_t i :
+       rng.sample_without_replacement(tree.leaves.size(), tree.leaves.size() * 3 / 5)) {
+    expect_same_result(table.insert(tree.leaves[i]), oracle.insert(tree.leaves[i]));
+  }
+  expect_same_table(table, oracle);
+  ASSERT_GT(table.code_count(), 100 * CodeList::kRestart);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<PathCode> codes;
+    for (std::size_t i = 0, n = 1 + rng.pick(30); i < n; ++i) {
+      codes.push_back(rng.chance(0.8) ? tree.leaves[rng.pick(tree.leaves.size())]
+                                      : tree.all[rng.pick(tree.all.size())]);
+    }
+    std::sort(codes.begin(), codes.end());
+    const CodeList list(codes);
+    expect_same_result(table.insert_all(list), oracle.insert_all(list));
+    expect_same_table(table, oracle);
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(CodeSetDiffShape, EmptyTableAllocatesNothingAndStaysSmall) {
   const CodeSet empty;
   EXPECT_EQ(empty.allocated_bytes(), 0u);
