@@ -1,17 +1,18 @@
-// Microbenchmark: indexed ActivePool vs the seed flat-heap pool.
+// Microbenchmark: ActivePool vs the seed flat-heap pool.
 //
 // Measures the worker-facing pool operations at 1k / 10k / 100k entries and
 // writes BENCH_pool.json (same flavor as BENCH_table1.json) so the pool's
-// perf trajectory is tracked across PRs.
+// perf trajectory is tracked across PRs. Both pools are binary heaps that
+// answer removals with one scan; ActivePool swaps cached-key slots instead
+// of whole subproblems and recycles its entries.
 //
-// The headline `prune` workload replays the worker's steady-state mix: for
-// every incumbent improvement that actually eliminates a tail there are many
+// The `prune` workload replays the worker's steady-state mix: for every
+// incumbent improvement that actually eliminates a tail there are many
 // covered sweeps triggered by incoming work reports, and most of those
-// sweeps remove nothing — the seed pool still paid a full O(n) scan (with a
-// completion-trie walk per entry) for each. Per 32 events: 29 no-match
-// covered sweeps, 1 covered sweep hitting a small subtree, 1 elimination
-// cutting ~1% of the pool (refilled to keep n steady), 1 elimination that
-// finds nothing. `--smoke` shrinks the measurement windows for CI.
+// sweeps remove nothing. Per 32 events: 29 no-match covered sweeps, 1
+// covered sweep hitting a small subtree, 1 elimination cutting ~1% of the
+// pool (refilled to keep n steady), 1 elimination that finds nothing.
+// `--smoke` shrinks the measurement windows for CI.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -74,8 +75,6 @@ double bench_push_pop(std::size_t n, double window) {
 
 /// Bulk load: push n problems into a fresh pool, then answer one query —
 /// the pattern of seeding a worker (root expansion burst, big work grant).
-/// The lazy nursery keeps this a flat-heap build plus one linear scan; an
-/// eagerly-indexed pool would pay n tree inserts for a single answer.
 template <typename Pool>
 double bench_bulk_push(std::size_t n, double window) {
   support::Rng rng(23);
@@ -100,7 +99,7 @@ double bench_best_bound(std::size_t n, double window) {
 }
 
 /// One elimination event cutting roughly `frac` of the pool, refilled to
-/// keep n steady. `prune_above` on the indexed pool, remove_if on the seed.
+/// keep n steady. `prune_above` on ActivePool, remove_if on the seed.
 template <typename Pool>
 std::size_t eliminate_tail(Pool& pool, double threshold);
 
@@ -116,14 +115,7 @@ std::size_t eliminate_tail(LegacyPool& pool, double threshold) {
 }
 
 template <typename Pool>
-std::size_t sweep_covered(Pool& pool, const std::vector<PathCode>& regions);
-
-template <>
-std::size_t sweep_covered(ActivePool& pool, const std::vector<PathCode>& regions) {
-  return pool.remove_covered_by(regions).size();
-}
-template <>
-std::size_t sweep_covered(LegacyPool& pool, const std::vector<PathCode>& regions) {
+std::size_t sweep_covered(Pool& pool, const std::vector<PathCode>& regions) {
   return pool
       .remove_if([&regions](const Subproblem& p) {
         for (const PathCode& r : regions) {
@@ -208,8 +200,8 @@ double bench_extract(std::size_t n, double window) {
 struct OpResult {
   const char* op;
   double legacy = 0.0;
-  double indexed = 0.0;
-  [[nodiscard]] double speedup() const { return indexed / legacy; }
+  double active = 0.0;
+  [[nodiscard]] double speedup() const { return active / legacy; }
 };
 
 }  // namespace
@@ -220,7 +212,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const double window = smoke ? 0.03 : 0.25;
-  std::printf("pool microbench: indexed ActivePool vs seed flat heap "
+  std::printf("pool microbench: ActivePool vs seed flat heap "
               "(best-first)%s\n\n", smoke ? " [smoke]" : "");
 
   const std::vector<std::size_t> sizes = {1000, 10000, 100000};
@@ -252,10 +244,10 @@ int main(int argc, char** argv) {
   for (const auto& sr : all) {
     std::printf("pool size %zu\n", sr.entries);
     support::TextTable table({"op", "seed flat heap (ops/s)",
-                              "indexed (ops/s)", "speedup"});
+                              "ActivePool (ops/s)", "speedup"});
     for (const OpResult& r : sr.ops) {
       table.row({r.op, support::TextTable::num(r.legacy, 0),
-                 support::TextTable::num(r.indexed, 0),
+                 support::TextTable::num(r.active, 0),
                  support::TextTable::num(r.speedup(), 2)});
     }
     std::printf("%s\n", table.render().c_str());
@@ -271,8 +263,8 @@ int main(int argc, char** argv) {
       const OpResult& r = all[s].ops[o];
       std::fprintf(json,
                    "      {\"op\": \"%s\", \"legacy_ops_per_sec\": %.0f, "
-                   "\"indexed_ops_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
-                   r.op, r.legacy, r.indexed, r.speedup(),
+                   "\"active_ops_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
+                   r.op, r.legacy, r.active, r.speedup(),
                    o + 1 < all[s].ops.size() ? "," : "");
     }
     std::fprintf(json, "    ]}%s\n", s + 1 < all.size() ? "," : "");

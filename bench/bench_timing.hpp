@@ -30,9 +30,8 @@ inline double now_seconds() {
 
 /// Runs `op` (which performs `ops_per_call` logical operations) repeatedly
 /// for at least `target_seconds`, returns operations per second. Two calls
-/// warm up outside the measurement window — two, because adaptive structures
-/// under test (e.g. the pool's lazy nursery) may spend their first *two*
-/// calls transitioning to steady state.
+/// warm up outside the measurement window, so caches and the structure's
+/// own recycled storage reach steady state first.
 ///
 /// Clock reads are amortized over a geometrically growing batch of calls
 /// (re-doubled until one batch spans ~1% of the window), so nanosecond-scale

@@ -1,6 +1,6 @@
 // The seed flat-heap ActivePool, preserved verbatim as a reference model.
 //
-// bench_pool measures the indexed pool against it, and the differential test
+// bench_pool measures ActivePool against it, and the differential test
 // (tests/pool_diff_test.cpp) asserts the two agree operation-for-operation —
 // including the heap-array order in which removals report their victims,
 // which the worker's completion pipeline observably depends on.
@@ -9,11 +9,10 @@
 // keyed (depth, bound, code). When two entries carry an identical
 // (code, bound) pair — possible via redundant grants — and the k boundary
 // falls between them, which copy is taken is unspecified by this reference;
-// the indexed pool resolves such ties deterministically by insertion order.
-// The copies are value-identical, so every observable downstream of the
-// worker is unaffected either way; only this reference's internal layout
-// could differ, and only on a standard library whose sort orders the tie
-// differently.
+// ActivePool takes the earlier-inserted one. The copies are value-identical,
+// so every observable downstream of the worker is unaffected either way;
+// only this reference's internal layout could differ, and only on a
+// standard library whose sort orders the tie differently.
 #pragma once
 
 #include <algorithm>

@@ -6,8 +6,6 @@
 
 namespace ftbb::bnb {
 
-using core::PathCode;
-
 const char* to_string(SelectRule rule) {
   switch (rule) {
     case SelectRule::kBestFirst:
@@ -40,49 +38,6 @@ bool ActivePool::ranks_before(const Subproblem& a, const Subproblem& b) const {
       break;
   }
   return a.code < b.code;
-}
-
-// ---------------------------------------------------------------------------
-// Index comparators. Every key ends on `seq` so the orders stay strict even
-// for duplicate subproblems (the same code can be granted back redundantly).
-// ---------------------------------------------------------------------------
-
-bool ActivePool::BoundLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.bound != b->item.bound) return a->item.bound < b->item.bound;
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-bool ActivePool::BoundLess::operator()(const Entry* a, double bound) const {
-  return a->item.bound < bound;
-}
-bool ActivePool::BoundLess::operator()(double bound, const Entry* b) const {
-  return bound < b->item.bound;
-}
-
-bool ActivePool::ShareLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.code.depth() != b->item.code.depth()) {
-    return a->item.code.depth() < b->item.code.depth();
-  }
-  if (a->item.bound != b->item.bound) return a->item.bound < b->item.bound;
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-
-bool ActivePool::CodeLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-bool ActivePool::CodeLess::operator()(const Entry* a, const PathCode& c) const {
-  return a->item.code < c;
-}
-bool ActivePool::CodeLess::operator()(const PathCode& c, const Entry* b) const {
-  return c < b->item.code;
-}
-bool ActivePool::CodeLess::operator()(const Entry* a, const core::PathView& c) const {
-  return a->item.code.view() < c;
-}
-bool ActivePool::CodeLess::operator()(const core::PathView& c, const Entry* b) const {
-  return c < b->item.code.view();
 }
 
 // ---------------------------------------------------------------------------
@@ -138,91 +93,6 @@ void ActivePool::release(Entry* e) {
   }
 }
 
-void ActivePool::index_insert(Entry* e) {
-  bound_index_.insert(e);
-  share_index_.insert(e);
-  code_index_.insert(e);
-}
-
-void ActivePool::index_erase(Entry* e) {
-  bound_index_.erase(e);
-  share_index_.erase(e);
-  code_index_.erase(e);
-}
-
-void ActivePool::build_indexes() {
-  // Register everything in the nursery rather than the trees: crossing the
-  // size threshold mid-bulk-load must not charge the load for tree inserts
-  // it may never benefit from. The first query-heavy phase drains it.
-  indexed_ = true;
-  ++maint_.index_builds;
-  nursery_.reserve(heap_.size());
-  for (const HeapSlot& s : heap_) nursery_add(s.e);
-}
-
-void ActivePool::drop_indexes() {
-  if (indexed_) ++maint_.index_drops;
-  bound_index_.clear();
-  share_index_.clear();
-  code_index_.clear();
-  nursery_.clear();
-  bulky_scans_ = 0;
-  indexed_ = false;
-}
-
-void ActivePool::adapt_indexing() {
-  if (!indexed_ && heap_.size() >= kIndexBuildThreshold) {
-    build_indexes();
-  } else if (indexed_ && heap_.size() <= kIndexDropThreshold) {
-    drop_indexes();
-  }
-}
-
-std::size_t ActivePool::nursery_cap() const {
-  return std::max<std::size_t>(kIndexDropThreshold, heap_.size() / 64);
-}
-
-void ActivePool::nursery_add(Entry* e) {
-  // Never flushes: pushes stay O(1) on the index side no matter how many
-  // arrive, and only a query (maybe_flush_nursery) pays the promotion.
-  e->in_index = false;
-  e->nursery_pos = static_cast<std::uint32_t>(nursery_.size());
-  nursery_.push_back(e);
-}
-
-void ActivePool::nursery_remove(Entry* e) {
-  Entry* moved = nursery_.back();
-  nursery_[e->nursery_pos] = moved;
-  moved->nursery_pos = e->nursery_pos;
-  nursery_.pop_back();
-}
-
-void ActivePool::flush_nursery() {
-  if (!nursery_.empty()) {
-    ++maint_.nursery_drains;
-    maint_.nursery_promoted += nursery_.size();
-  }
-  for (Entry* e : nursery_) {
-    e->in_index = true;
-    index_insert(e);
-  }
-  nursery_.clear();
-  bulky_scans_ = 0;
-}
-
-void ActivePool::maybe_flush_nursery() {
-  if (nursery_.size() <= nursery_cap()) return;
-  if (++bulky_scans_ >= kNurseryFlushScans) flush_nursery();
-}
-
-void ActivePool::untrack(Entry* e) {
-  if (e->in_index) {
-    index_erase(e);
-  } else {
-    nursery_remove(e);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Core heap operations
 // ---------------------------------------------------------------------------
@@ -234,40 +104,24 @@ void ActivePool::push(Subproblem p) {
                            static_cast<std::uint32_t>(raw->item.code.depth()),
                            raw});
   sift_up(heap_.size() - 1);
-  if (indexed_) {
-    nursery_add(raw);
-  } else {
-    adapt_indexing();
-  }
 }
 
 Subproblem ActivePool::pop() {
   FTBB_CHECK_MSG(!heap_.empty(), "pop from empty pool");
   ++maint_.pops;
   Entry* top = heap_.front().e;
-  if (indexed_) untrack(top);
   if (heap_.size() > 1) {
     heap_.front() = heap_.back();
   }
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  if (indexed_) adapt_indexing();
   Subproblem out = std::move(top->item);
   release(top);
   return out;
 }
 
 double ActivePool::best_bound() const {
-  if (heap_.empty()) return kInfinity;
   double best = kInfinity;
-  if (indexed_) {
-    // Drain bookkeeping is observationally pure (it moves entries between
-    // side structures, never changes the answer), so a const query may do it.
-    const_cast<ActivePool*>(this)->maybe_flush_nursery();
-    if (!bound_index_.empty()) best = (*bound_index_.begin())->item.bound;
-    for (const Entry* e : nursery_) best = std::min(best, e->item.bound);
-    return best;
-  }
   for (const HeapSlot& s : heap_) best = std::min(best, s.bound);
   return best;
 }
@@ -276,147 +130,57 @@ double ActivePool::best_bound() const {
 // Removal flavors
 // ---------------------------------------------------------------------------
 
+template <typename Victim>
+std::vector<Subproblem> ActivePool::remove_where(const Victim& victim) {
+  std::vector<Subproblem> out;
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < heap_.size(); ++read) {
+    const HeapSlot s = heap_[read];
+    if (victim(s)) {
+      out.push_back(std::move(s.e->item));
+      release(s.e);
+      continue;
+    }
+    heap_[write++] = s;
+  }
+  if (out.empty()) return out;
+  heap_.resize(write);
+  rebuild();
+  return out;
+}
+
 std::vector<Subproblem> ActivePool::prune_above(double threshold) {
-  std::vector<Entry*> victims;
-  if (indexed_) {
-    maybe_flush_nursery();
-    for (auto it = bound_index_.lower_bound(threshold);
-         it != bound_index_.end(); ++it) {
-      victims.push_back(*it);
-    }
-    maint_.sweep_entries_scanned += victims.size() + nursery_.size();
-    for (Entry* e : nursery_) {
-      if (e->item.bound >= threshold) victims.push_back(e);
-    }
-  } else {
-    maint_.sweep_entries_scanned += heap_.size();
-    for (const HeapSlot& s : heap_) {
-      if (s.bound >= threshold) victims.push_back(s.e);
-    }
-  }
-  return remove_batch(victims);
-}
-
-std::vector<Subproblem> ActivePool::remove_covered_by(
-    std::span<const PathCode> regions) {
-  return remove_covered_impl(regions);
-}
-
-std::vector<Subproblem> ActivePool::remove_covered_by(
-    std::span<const core::PathView> regions) {
-  return remove_covered_impl(regions);
-}
-
-template <typename Region>
-std::vector<Subproblem> ActivePool::remove_covered_impl(
-    std::span<const Region> regions) {
-  std::vector<Entry*> victims;
-  if (indexed_) {
-    maybe_flush_nursery();
-    for (const Region& region : regions) {
-      for (auto it = code_index_.lower_bound(region);
-           it != code_index_.end() && region.contains((*it)->item.code); ++it) {
-        victims.push_back(*it);
-      }
-    }
-    maint_.sweep_entries_scanned += victims.size() + nursery_.size();
-    for (Entry* e : nursery_) {
-      for (const Region& region : regions) {
-        if (region.contains(e->item.code)) {
-          victims.push_back(e);
-          break;
-        }
-      }
-    }
-    if (victims.empty()) return {};
-    // Covering codes from one table form an antichain, but arbitrary callers
-    // may pass nested regions; drop double-visited entries.
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  } else {
-    maint_.sweep_entries_scanned += heap_.size();
-    for (const HeapSlot& s : heap_) {
-      for (const Region& region : regions) {
-        if (region.contains(s.e->item.code)) {
-          victims.push_back(s.e);
-          break;
-        }
-      }
-    }
-  }
-  return remove_batch(victims);
+  maint_.sweep_entries_scanned += heap_.size();
+  return remove_where([threshold](const HeapSlot& s) { return s.bound >= threshold; });
 }
 
 std::vector<Subproblem> ActivePool::remove_if(
     const std::function<bool(const Subproblem&)>& victim) {
-  std::vector<Entry*> victims;
   maint_.sweep_entries_scanned += heap_.size();
-  for (const HeapSlot& s : heap_) {
-    if (victim(s.e->item)) victims.push_back(s.e);
-  }
-  return remove_batch(victims);
+  return remove_where([&victim](const HeapSlot& s) { return victim(s.e->item); });
 }
 
 std::vector<Subproblem> ActivePool::extract_for_sharing(std::size_t k) {
   k = std::min(k, heap_.size());
   if (k == 0) return {};
-  std::vector<Entry*> victims;
-  ShareLess less;
-  if (indexed_) {
-    maybe_flush_nursery();
-    // The k winners are among the nursery and the tree's first k; select
-    // from that union.
-    victims.reserve(k + nursery_.size());
-    auto it = share_index_.begin();
-    for (std::size_t i = 0; i < k && it != share_index_.end(); ++i, ++it) {
-      victims.push_back(*it);
+  // The seed's share order, made total by insertion order.
+  const auto shallower = [](const Entry* a, const Entry* b) {
+    if (a->item.code.depth() != b->item.code.depth()) {
+      return a->item.code.depth() < b->item.code.depth();
     }
-    victims.insert(victims.end(), nursery_.begin(), nursery_.end());
-  } else {
-    victims.reserve(heap_.size());
-    for (const HeapSlot& s : heap_) victims.push_back(s.e);
-  }
-  if (victims.size() > k) {
-    std::nth_element(victims.begin(), victims.begin() + (k - 1), victims.end(),
-                     less);
-    victims.resize(k);
-  }
-  maint_.share_extracted += victims.size();
-  return remove_batch(victims);
-}
-
-std::vector<Subproblem> ActivePool::remove_batch(std::vector<Entry*>& victims) {
-  if (victims.empty()) return {};
-  // Slot back-pointers are maintained lazily: sift swaps never store them
-  // (that would touch a scattered cache line per swap in the push hot path),
-  // and this — the only consumer — refreshes them in one contiguous pass.
-  // The compaction below is O(heap) anyway, so the complexity is unchanged,
-  // and a no-victim call has already returned above.
-  for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i].e->slot = i;
-  // Heap-array order is the order the historical flat heap reported (and the
-  // worker's completion pipeline observably depends on it).
-  std::sort(victims.begin(), victims.end(),
-            [](const Entry* a, const Entry* b) { return a->slot < b->slot; });
-  std::vector<Subproblem> out;
-  out.reserve(victims.size());
-  for (Entry* v : victims) {
-    if (indexed_) untrack(v);
-    heap_[v->slot].e = nullptr;  // leaves a hole
-    out.push_back(std::move(v->item));
-    release(v);
-  }
-  // In-place compaction: survivors shift left over the holes in array order,
-  // then re-heapify — exactly the historical layout transition.
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < heap_.size(); ++read) {
-    if (heap_[read].e == nullptr) continue;
-    if (write != read) heap_[write] = heap_[read];
-    ++write;
-  }
-  heap_.resize(write);
-  rebuild();
-  if (indexed_) adapt_indexing();
-  return out;
+    if (a->item.bound != b->item.bound) return a->item.bound < b->item.bound;
+    if (a->item.code != b->item.code) return a->item.code < b->item.code;
+    return a->seq < b->seq;
+  };
+  std::vector<const Entry*> order;
+  order.reserve(heap_.size());
+  for (const HeapSlot& s : heap_) order.push_back(s.e);
+  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(), shallower);
+  // A copy: the sweep moves the k-th entry's item out when it reaches it.
+  const Entry last = *order[k - 1];
+  maint_.share_extracted += k;
+  return remove_where(
+      [&](const HeapSlot& s) { return !shallower(&last, s.e); });
 }
 
 std::vector<Subproblem> ActivePool::snapshot() const {
@@ -451,7 +215,6 @@ void ActivePool::clear() {
     }
   }
   heap_.clear();
-  drop_indexes();
 }
 
 // ---------------------------------------------------------------------------
@@ -477,17 +240,11 @@ bool ActivePool::slot_ranks_before(const HeapSlot& a, const HeapSlot& b) const {
   return a.e->item.code < b.e->item.code;
 }
 
-void ActivePool::swap_slots(std::size_t i, std::size_t j) {
-  // Deliberately does NOT update the entries' slot back-pointers — see
-  // remove_batch, which refreshes them lazily before their only use.
-  std::swap(heap_[i], heap_[j]);
-}
-
 void ActivePool::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!slot_ranks_before(heap_[i], heap_[parent])) break;
-    swap_slots(i, parent);
+    std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
 }
@@ -501,7 +258,7 @@ void ActivePool::sift_down(std::size_t i) {
     if (l < n && slot_ranks_before(heap_[l], heap_[best])) best = l;
     if (r < n && slot_ranks_before(heap_[r], heap_[best])) best = r;
     if (best == i) return;
-    swap_slots(i, best);
+    std::swap(heap_[i], heap_[best]);
     i = best;
   }
 }
@@ -516,16 +273,6 @@ void ActivePool::rebuild() {
 // ---------------------------------------------------------------------------
 
 void ActivePool::check_invariants() const {
-  const std::size_t expect_index = indexed_ ? heap_.size() - nursery_.size() : 0;
-  FTBB_CHECK(bound_index_.size() == expect_index);
-  FTBB_CHECK(share_index_.size() == expect_index);
-  FTBB_CHECK(code_index_.size() == expect_index);
-  if (!indexed_) FTBB_CHECK(nursery_.empty());
-  for (std::size_t i = 0; i < nursery_.size(); ++i) {
-    FTBB_CHECK(!nursery_[i]->in_index);
-    FTBB_CHECK(nursery_[i]->nursery_pos == i);
-  }
-  double min_bound = kInfinity;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry* e = heap_[i].e;
     FTBB_CHECK(e != nullptr);
@@ -541,14 +288,7 @@ void ActivePool::check_invariants() const {
       FTBB_CHECK(slot_ranks_before(heap_[i], heap_[parent]) ==
                  ranks_before(e->item, heap_[parent].e->item));
     }
-    if (indexed_ && e->in_index) {
-      FTBB_CHECK(bound_index_.count(const_cast<Entry*>(e)) == 1);
-      FTBB_CHECK(share_index_.count(const_cast<Entry*>(e)) == 1);
-      FTBB_CHECK(code_index_.count(const_cast<Entry*>(e)) == 1);
-    }
-    min_bound = std::min(min_bound, e->item.bound);
   }
-  FTBB_CHECK(best_bound() == min_bound);
 }
 
 }  // namespace ftbb::bnb

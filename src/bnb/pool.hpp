@@ -1,59 +1,21 @@
 // The pool of active problems with the paper's Select rules (Section 2c).
 //
-// Indexed pool: alongside the classic binary heap (which still defines pop
-// order and, deliberately, the legacy removal order — see below), every
-// entry is tracked by three incremental ordered indexes:
-//
-//   * a bound index, keyed (bound, code, seq)           — O(1) best_bound(),
-//     and prune_above() locates the eliminated tail in O(log n) instead of
-//     scanning all n entries per incumbent update;
-//   * a share index, keyed (depth, bound, code, seq)    — extract_for_sharing()
-//     picks the k shallowest entries by an index walk instead of sorting the
-//     whole pool per work grant;
-//   * a code index, keyed (code, seq), lexicographic    — all entries below a
-//     completed region form one contiguous run, so remove_covered_by() is a
-//     range scan per covering code instead of a per-report full sweep that
-//     walks the completion trie once per pool entry.
-//
-// Observational identity: the heap is a contiguous array of (bound, depth,
-// entry*) slots — the selection key cached inline so sift comparisons stay
-// cache-local like the seed's value heap, with the stable Entry allocation
-// dereferenced only to break exact ties by path code. Every comparison
-// reaches the same verdict as the seed implementation's, so the array layout
-// evolves bit-identically to the historical flat heap. Pop order is
-// the rule's total order either way; removal-flavored operations report their
-// victims in heap-array order, which the worker's completion pipeline
-// (report batching, contraction charges, last-local-completion tracking)
-// observably depends on. Golden ScenarioReport fingerprints therefore stay
-// unchanged while the no-victim fast paths skip the O(n) work entirely.
-//
-// Adaptive indexing: below kIndexBuildThreshold entries the indexes are not
-// maintained at all — a small pool answers every query by a trivial scan
-// faster than tree maintenance costs, and most simulated workers idle in
-// that regime. The indexes are built in one pass when the pool grows past
-// the threshold and dropped (with hysteresis) when it shrinks back. Results
-// are identical in both modes; only the complexity changes.
-//
-// Nursery (LSM-style write buffer): while indexed, fresh pushes land in an
-// unordered nursery instead of the trees; queries scan it linearly on top of
-// their index walk. Promotion into the trees is *lazy*: a push never flushes,
-// and a query tolerates one oversized nursery scan before draining it — only
-// the second consecutive bulky scan pays the bulk tree insert. A bulk load
-// (push 100k, query once) therefore stays a flat heap plus one linear scan,
-// while any query-heavy phase converges to warm O(log n) indexes after two
-// calls. Subproblems churn — a child pushed now is often popped or
-// eliminated by the very next incumbent improvement — and entries that die
-// young this way never pay tree maintenance at all. Drain timing is
-// observationally pure: it moves entries between side structures without
-// touching the heap array, pop order, or victim order.
+// A binary heap over a contiguous array of (bound, depth, entry*) slots: the
+// selection key is cached inline so sift comparisons stay cache-local, and
+// the stable Entry allocation is dereferenced only to break exact ties by
+// path code. Every comparison reaches the same verdict as the seed's value
+// heap, so the array evolves bit-identically to it. Pop order is the rule's
+// total order; removals scan the array once, report their victims in
+// heap-array order and compact the survivors in place before re-heapifying,
+// exactly like the seed. The worker's completion pipeline (report batching,
+// contraction charges, last-local-completion tracking) observably depends on
+// that victim order, so golden ScenarioReport fingerprints hold.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
-#include <span>
 #include <vector>
 
 #include "bnb/problem.hpp"
@@ -77,20 +39,12 @@ enum class SelectRule {
 struct PoolMaintStats {
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
-  std::uint64_t nursery_drains = 0;    // lazy flush events
-  std::uint64_t nursery_promoted = 0;  // entries moved into the trees
-  std::uint64_t index_builds = 0;
-  std::uint64_t index_drops = 0;
-  std::uint64_t sweep_entries_scanned = 0;  // prune/covered/remove_if visits
+  std::uint64_t sweep_entries_scanned = 0;  // prune/remove_if visits
   std::uint64_t share_extracted = 0;
 
   void add(const PoolMaintStats& other) {
     pushes += other.pushes;
     pops += other.pops;
-    nursery_drains += other.nursery_drains;
-    nursery_promoted += other.nursery_promoted;
-    index_builds += other.index_builds;
-    index_drops += other.index_drops;
     sweep_entries_scanned += other.sweep_entries_scanned;
     share_extracted += other.share_extracted;
   }
@@ -112,37 +66,20 @@ class ActivePool {
   /// Pops the problem the selection rule ranks first.
   Subproblem pop();
 
-  /// Smallest bound present (kInfinity when empty). O(1) via the bound index.
+  /// Smallest bound present (kInfinity when empty).
   [[nodiscard]] double best_bound() const;
 
   /// Removes every entry whose bound is >= `threshold` (elimination after an
-  /// incumbent improvement). The victims are located through the bound
-  /// index — a no-op costs O(log n), never a scan — and are returned in
-  /// heap-array order, matching the historical remove_if exactly.
+  /// incumbent improvement); returns them in heap-array order.
   std::vector<Subproblem> prune_above(double threshold);
 
-  /// Removes every entry lying inside any of `regions` (a subproblem is
-  /// removed when some region is an ancestor of it or equal to it). Each
-  /// region is one contiguous run of the code index, so the cost is
-  /// O(|regions| log n + victims), independent of the pool size when nothing
-  /// matches. Callers pass the completion table's covering codes for
-  /// newly-covered regions; victims return in heap-array order.
-  std::vector<Subproblem> remove_covered_by(std::span<const core::PathCode> regions);
-
-  /// Same sweep over non-owning views — the worker's hint path passes
-  /// zero-copy covering prefixes of codes it already holds. The views must
-  /// stay valid for the duration of the call.
-  std::vector<Subproblem> remove_covered_by(std::span<const core::PathView> regions);
-
-  /// Removes every entry matching `victim`; returns the removed entries in
-  /// heap-array order. Generic O(n) fallback — the worker hot paths use
-  /// prune_above / remove_covered_by instead.
+  /// Removes every entry matching `victim`; returns them in heap-array order.
   std::vector<Subproblem> remove_if(const std::function<bool(const Subproblem&)>& victim);
 
   /// Extracts up to `k` problems for a work grant, preferring the
   /// shallowest entries: shallow subproblems represent the largest subtrees
-  /// and are the classic choice for work transfer. The k winners come from
-  /// the share index (no full sort) and are returned in heap-array order.
+  /// and are the classic choice for work transfer. Ranked by (depth, bound,
+  /// code), exact twins by insertion order; returned in heap-array order.
   std::vector<Subproblem> extract_for_sharing(std::size_t k);
 
   /// Order-canonical snapshot of the pool contents, sorted by path code.
@@ -152,105 +89,45 @@ class ActivePool {
 
   [[nodiscard]] SelectRule rule() const { return rule_; }
 
-  /// True once the pool is large enough that the ordered indexes are live.
-  /// Callers with a cheaper brute-force alternative (e.g. one completion-trie
-  /// walk per entry instead of materializing covering regions) should prefer
-  /// it while this is false.
-  [[nodiscard]] bool indexed() const { return indexed_; }
-
   /// Cumulative maintenance-work counters (never reset by clear(); a worker
   /// incarnation owns its pool, so the counters are per-incarnation).
   [[nodiscard]] const PoolMaintStats& maintenance() const { return maint_; }
 
   void clear();
 
-  /// Deep structural validation for tests: heap property, slot back-pointers,
-  /// and index membership all consistent. Aborts on violation.
+  /// Deep structural validation for tests: heap property, cached keys and
+  /// entry ownership all consistent. Aborts on violation.
   void check_invariants() const;
 
  private:
   struct Entry {
     Subproblem item;
-    std::uint64_t seq = 0;    // insertion order; totalizes every index order
-    std::size_t slot = 0;     // heap position, refreshed lazily by remove_batch
+    std::uint64_t seq = 0;          // insertion order; settles exact twins
     std::uint32_t arena_pos = 0;    // position in arena_ (ownership store)
-    bool in_index = false;    // indexed mode: trees vs nursery residency
-    std::uint32_t nursery_pos = 0;  // position in nursery_ when !in_index
   };
 
   /// One heap-array element: the selection key cached inline (sift
   /// comparisons read contiguous memory; only exact bound+depth ties deref
   /// the entry for the path-code tiebreak) plus the entry it stands for.
-  /// `e == nullptr` marks a hole during remove_batch compaction.
   struct HeapSlot {
     double bound = 0.0;
     std::uint32_t depth = 0;
     Entry* e = nullptr;
   };
 
-  struct BoundLess {
-    using is_transparent = void;
-    bool operator()(const Entry* a, const Entry* b) const;
-    bool operator()(const Entry* a, double bound) const;
-    bool operator()(double bound, const Entry* b) const;
-  };
-  struct ShareLess {
-    bool operator()(const Entry* a, const Entry* b) const;
-  };
-  struct CodeLess {
-    using is_transparent = void;
-    bool operator()(const Entry* a, const Entry* b) const;
-    bool operator()(const Entry* a, const core::PathCode& c) const;
-    bool operator()(const core::PathCode& c, const Entry* b) const;
-    bool operator()(const Entry* a, const core::PathView& c) const;
-    bool operator()(const core::PathView& c, const Entry* b) const;
-  };
-
-  /// Index maintenance pays off only once scans get long; below this the
-  /// pool is a plain heap with linear fallbacks.
-  static constexpr std::size_t kIndexBuildThreshold = 512;
-  static constexpr std::size_t kIndexDropThreshold = 256;  // hysteresis
-  /// Consecutive over-cap nursery scans a query tolerates before draining
-  /// the nursery into the trees. 2 keeps a bulk-load-then-query-once
-  /// workload linear while a query-heavy phase warms the indexes fast.
-  static constexpr std::uint32_t kNurseryFlushScans = 2;
-
   [[nodiscard]] bool ranks_before(const Subproblem& a, const Subproblem& b) const;
   /// Same verdicts as ranks_before on the corresponding items, but reads the
   /// cached keys and only dereferences entries on exact (bound, depth) ties.
   [[nodiscard]] bool slot_ranks_before(const HeapSlot& a, const HeapSlot& b) const;
-  void swap_slots(std::size_t i, std::size_t j);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void rebuild();
 
-  void index_insert(Entry* e);
-  void index_erase(Entry* e);
-  void build_indexes();
-  void drop_indexes();
-  /// Builds or drops the indexes when the size crossed a threshold.
-  void adapt_indexing();
-
-  [[nodiscard]] std::size_t nursery_cap() const;
-  void nursery_add(Entry* e);
-  void nursery_remove(Entry* e);
-  void flush_nursery();
-  /// Called by every nursery-scanning query: counts over-cap scans and
-  /// drains the nursery on the kNurseryFlushScans-th consecutive one.
-  void maybe_flush_nursery();
-  /// Removes `e` from whichever side structure (tree or nursery) holds it.
-  void untrack(Entry* e);
-
-  /// Shared body of the two remove_covered_by overloads; Region is PathCode
-  /// or PathView (identical comparisons either way).
-  template <typename Region>
-  std::vector<Subproblem> remove_covered_impl(std::span<const Region> regions);
-
-  /// Removes the given entries from the pool and returns their items in
-  /// heap-array order, compacting and re-heapifying exactly like the
-  /// historical remove_if. Precondition: `victims` holds no duplicates (a
-  /// repeated pointer would be moved from twice); any order is fine.
-  std::vector<Subproblem> remove_batch(std::vector<Entry*>& victims);
+  /// Removes every slot matching `victim` in one pass and returns the items
+  /// in heap-array order, compacting and re-heapifying exactly like the
+  /// seed's remove_if.
+  template <typename Victim>
+  std::vector<Subproblem> remove_where(const Victim& victim);
 
   Entry* acquire(Subproblem item);
   void release(Entry* e);
@@ -258,12 +135,6 @@ class ActivePool {
 
   SelectRule rule_;
   std::vector<HeapSlot> heap_;  // heap_[0] = next pop
-  bool indexed_ = false;
-  std::set<Entry*, BoundLess> bound_index_;
-  std::set<Entry*, ShareLess> share_index_;
-  std::set<Entry*, CodeLess> code_index_;
-  std::vector<Entry*> nursery_;  // indexed mode: fresh, not-yet-promoted entries
-  std::uint32_t bulky_scans_ = 0;  // consecutive over-cap nursery scans
   std::vector<std::unique_ptr<Entry>> arena_;  // owns every live + free entry
   std::vector<Entry*> free_;  // entry recycling, caps churn
   std::uint64_t next_seq_ = 0;

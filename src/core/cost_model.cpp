@@ -33,10 +33,6 @@ const char* to_string(WorkItem item) {
     case WorkItem::kIncarnations: return "incarnations";
     case WorkItem::kPoolPushes: return "pool_pushes";
     case WorkItem::kPoolPops: return "pool_pops";
-    case WorkItem::kNurseryDrains: return "nursery_drains";
-    case WorkItem::kNurseryPromoted: return "nursery_promoted";
-    case WorkItem::kIndexBuilds: return "index_builds";
-    case WorkItem::kIndexDrops: return "index_drops";
     case WorkItem::kSweepEntriesScanned: return "sweep_entries_scanned";
     case WorkItem::kShareExtracted: return "share_extracted";
     case WorkItem::kControllerRetunes: return "controller_retunes";

@@ -74,11 +74,7 @@ enum class WorkItem : std::uint8_t {
   // -- pool maintenance --
   kPoolPushes,
   kPoolPops,
-  kNurseryDrains,         // lazy LSM-nursery flush events
-  kNurseryPromoted,       // entries promoted into the ordered trees
-  kIndexBuilds,
-  kIndexDrops,
-  kSweepEntriesScanned,   // entries/iterations visited by prune & covered sweeps
+  kSweepEntriesScanned,   // entries visited by prune & covered sweeps
   kShareExtracted,        // problems handed out via extract_for_sharing
   // -- controller --
   kControllerRetunes,     // hysteresis-gated output recomputations

@@ -173,15 +173,6 @@ void BnbWorker::complete(const PathCode& code) {
                config_->costs.contract_per_code +
                    config_->costs.contract_per_node * (r.nodes_walked + r.merges));
   if (!r.newly_covered) return;  // already known through reports
-  // Remaining pool entries can only be covered by regions that grew since
-  // their push; remember this one so the next covered sweep inspects it.
-  if (!pool_.empty()) {
-    if (pending_cover_hints_.size() < kMaxCoverHints) {
-      pending_cover_hints_.push_back(code);
-    } else {
-      cover_hints_overflowed_ = true;
-    }
-  }
   note_progress();
   fresh_.push_back(code);
   if (fresh_.size() >= effective_report_batch()) {
@@ -208,59 +199,10 @@ void BnbWorker::prune_pool_by_bound() {
   }
 }
 
-void BnbWorker::prune_pool_covered(const CodeList& just_inserted) {
-  const bool overflowed = cover_hints_overflowed_;
-  cover_hints_overflowed_ = false;
-  if (pool_.empty()) {
-    pending_cover_hints_.clear();
-    return;
-  }
-  if (!pool_.indexed() || overflowed) {
-    // Small pool (or an abandoned hint record): one completion-table lookup
-    // per entry beats materializing covering regions, and it is the
-    // always-correct fallback when the hint record is incomplete.
-    pending_cover_hints_.clear();
-    const auto removed = pool_.remove_if(
-        [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
-    stats_.covered_skips += removed.size();
-    return;
-  }
-  // Map every hint to the maximal region the table contracted it into. A
-  // covering code is always a prefix of the query. The hints outlive the
-  // sweep, so their regions are views into them; a list decodes each code
-  // into its iterator's buffer, so those regions are copied into a
-  // per-thread word arena and viewed once it stops growing. Covering codes
-  // of one table form an antichain, so after dedup each region is scanned
-  // at most once.
-  const auto region_len = [this](PathView c) {
-    return table_.covering_prefix_len(c).value_or(c.depth());
-  };
-  cover_regions_.clear();
-  cover_regions_.reserve(pending_cover_hints_.size() + just_inserted.size());
-  for (const PathCode& c : pending_cover_hints_) {
-    cover_regions_.push_back(c.view().prefix(region_len(c)));
-  }
-  thread_local std::vector<std::uint32_t> list_words;
-  list_words.clear();
-  const std::size_t hint_regions = cover_regions_.size();
-  for (const PathView c : just_inserted) {
-    const std::size_t len = region_len(c);
-    list_words.insert(list_words.end(), c.words(), c.words() + len);
-    cover_regions_.emplace_back(nullptr, len);
-  }
-  std::size_t offset = 0;
-  for (std::size_t i = hint_regions; i < cover_regions_.size(); ++i) {
-    const std::size_t len = cover_regions_[i].depth();
-    cover_regions_[i] = PathView(list_words.data() + offset, len);
-    offset += len;
-  }
-  std::sort(cover_regions_.begin(), cover_regions_.end());
-  cover_regions_.erase(std::unique(cover_regions_.begin(), cover_regions_.end()),
-                       cover_regions_.end());
-  const auto removed = pool_.remove_covered_by(
-      std::span<const PathView>(cover_regions_));
+void BnbWorker::prune_pool_covered() {
+  const auto removed = pool_.remove_if(
+      [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
   stats_.covered_skips += removed.size();
-  pending_cover_hints_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +217,7 @@ void BnbWorker::send_report() {
     // completion — a prefix of it, so a view into fresh_ — deduplicated
     // (covering codes form an antichain, so equality is the only possible
     // overlap).
-    std::vector<PathView>& regions = cover_regions_;
+    std::vector<PathView>& regions = report_regions_;
     regions.clear();
     for (const PathCode& c : fresh_) {
       const std::optional<std::size_t> len = table_.covering_prefix_len(c);
@@ -471,11 +413,10 @@ void BnbWorker::handle_work_grant(const Message& msg) {
   // A stale grant (answering a timed-out request) still carries problems;
   // absorbing them loses nothing and discarding them would force recovery
   // to redo the work later.
-  for (const bnb::Subproblem& p : msg.problems) add_subproblem(p, /*from_grant=*/true);
+  for (const bnb::Subproblem& p : msg.problems) add_subproblem(p);
 }
 
-void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
-  (void)from_grant;
+void BnbWorker::add_subproblem(bnb::Subproblem p) {
   if (table_.covered(p.code)) {
     ++stats_.covered_skips;
     return;
@@ -614,10 +555,6 @@ WorkLedger BnbWorker::work_snapshot() const {
   const bnb::PoolMaintStats& pm = pool_.maintenance();
   w[WorkItem::kPoolPushes] = pm.pushes;
   w[WorkItem::kPoolPops] = pm.pops;
-  w[WorkItem::kNurseryDrains] = pm.nursery_drains;
-  w[WorkItem::kNurseryPromoted] = pm.nursery_promoted;
-  w[WorkItem::kIndexBuilds] = pm.index_builds;
-  w[WorkItem::kIndexDrops] = pm.index_drops;
   w[WorkItem::kSweepEntriesScanned] = pm.sweep_entries_scanned;
   w[WorkItem::kShareExtracted] = pm.share_extracted;
   w[WorkItem::kControllerRetunes] = controller_.retunes();
@@ -674,7 +611,7 @@ void BnbWorker::on_message(const Message& msg) {
                        config_->costs.contract_per_node * (r.nodes_walked + r.merges));
       if (r.newly_covered) {
         note_progress();  // fresh knowledge: the computation is advancing
-        prune_pool_covered(msg.codes);
+        prune_pool_covered();
       }
       break;
     }

@@ -319,7 +319,7 @@ class BnbWorker {
   void complete(const PathCode& code);
   void absorb_incumbent(double value);
   void prune_pool_by_bound();
-  void prune_pool_covered(const CodeList& just_inserted);
+  void prune_pool_covered();
 
   // -- reports & termination --
   void send_report();
@@ -335,7 +335,7 @@ class BnbWorker {
   [[nodiscard]] std::size_t pick_recovery_candidate(
       const std::vector<PathCode>& candidates);
 
-  void add_subproblem(bnb::Subproblem p, bool from_grant);
+  void add_subproblem(bnb::Subproblem p);
   void enter_backoff(std::uint32_t steps);
 
   // The waiting parameters in force: the controller's under
@@ -375,7 +375,6 @@ class BnbWorker {
   bool halted_ = false;
   bool step_scheduled_ = false;
   bool flush_armed_ = false;
-  bool cover_hints_overflowed_ = false;
 
   // Load-balancing state: at most one work request outstanding, then a
   // backoff pause after each failed attempt.
@@ -402,27 +401,15 @@ class BnbWorker {
   CodeSet table_;
   bnb::ActivePool pool_;
   std::vector<PathCode> fresh_;  // locally discovered, unreported completions
-  /// Codes whose insertion into the table newly covered a region while the
-  /// pool was non-empty. A pool entry can only become covered through such
-  /// an insertion (every push is covered-checked first), so the next covered
-  /// sweep needs to inspect only the regions these codes contracted into —
-  /// not the whole pool. Capped: a worker that receives no reports for a
-  /// long stretch (solo, partitioned) would otherwise accumulate one code
-  /// per completion; past the cap the record is abandoned
-  /// (cover_hints_overflowed_) and the next sweep falls back to the full
-  /// per-entry scan, which removes the same victim set.
-  static constexpr std::size_t kMaxCoverHints = 512;
-  std::vector<PathCode> pending_cover_hints_;
-
   /// Steady-state scratch, one per worker: recovery complements into
-  /// complement_scratch_, covered sweeps and report batches collect their
-  /// region views in cover_regions_, and the paper-literal report scheme
+  /// complement_scratch_, report batches collect their covering-region
+  /// views in report_regions_, and the paper-literal report scheme
   /// contracts into report_contract_scratch_, created on its first use
   /// (only with compress_against_table off). None of these change any
   /// observable behavior — they only keep the per-call vector/table
   /// allocations out of the hot loops.
   std::vector<PathCode> complement_scratch_;
-  std::vector<PathView> cover_regions_;
+  std::vector<PathView> report_regions_;
   std::unique_ptr<CodeSet> report_contract_scratch_;
 
   // Cost-model state (see WorkerConfig::model_adaptivity). The controller

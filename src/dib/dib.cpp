@@ -162,10 +162,8 @@ struct Machine {
     }
   }
 
-  /// Eliminated pool entries leave their job's accounting immediately.
-  /// Victims are visited in array order, exactly the seed linear sweep (the
-  /// check_job cascade order is observable); a prune that eliminates
-  /// nothing — the common case per absorbed incumbent — costs O(log n).
+  /// Eliminated pool entries leave their job's accounting immediately, in
+  /// array order (the check_job cascade order is observable).
   void prune_pool() {
     pool.prune_at_least(incumbent,
                         [this](const Task& task) { node_finished(task.job); });

@@ -1,129 +1,48 @@
 #include "dib/dib_pool.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace ftbb::dib {
 
-bool DibPool::SelectLess::operator()(const Entry* a, const Entry* b) const {
-  const std::size_t da = a->task.sub.code.depth();
-  const std::size_t db = b->task.sub.code.depth();
-  if (da != db) return da > db;  // deepest first
-  if (a->task.sub.code != b->task.sub.code) {
-    return a->task.sub.code < b->task.sub.code;
-  }
-  return a->seq < b->seq;
-}
-
-bool DibPool::BoundLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->task.sub.bound != b->task.sub.bound) {
-    return a->task.sub.bound < b->task.sub.bound;
-  }
-  return a->seq < b->seq;
-}
-
-bool DibPool::BoundLess::operator()(const Entry* a, double bound) const {
-  return a->task.sub.bound < bound;
-}
-
-bool DibPool::BoundLess::operator()(double bound, const Entry* b) const {
-  return bound < b->task.sub.bound;
-}
-
-void DibPool::push(Task task) {
-  auto entry = std::make_unique<Entry>();
-  entry->task = std::move(task);
-  entry->pos = slots_.size();
-  entry->seq = next_seq_++;
-  select_index_.insert(entry.get());
-  bound_index_.insert(entry.get());
-  slots_.push_back(std::move(entry));
-}
-
-void DibPool::index_erase(Entry* entry) {
-  select_index_.erase(entry);
-  bound_index_.erase(entry);
-}
-
-Task DibPool::remove_at(std::size_t pos) {
-  Entry* victim = slots_[pos].get();
-  index_erase(victim);
-  Task out = std::move(victim->task);
-  if (pos + 1 != slots_.size()) {
-    slots_[pos] = std::move(slots_.back());
-    slots_[pos]->pos = pos;
-  }
-  slots_.pop_back();
+Task DibPool::remove_at(std::size_t i) {
+  Task out = std::move(tasks_[i]);
+  if (i + 1 != tasks_.size()) tasks_[i] = std::move(tasks_.back());
+  tasks_.pop_back();
   return out;
 }
 
 Task DibPool::pop_best() {
-  FTBB_CHECK(!slots_.empty());
-  // The head of the select index is the (max depth, min code) class; among
-  // exact duplicates the seed scan kept the first array index.
-  auto it = select_index_.begin();
-  Entry* best = *it;
-  for (++it; it != select_index_.end(); ++it) {
-    Entry* e = *it;
-    if (e->task.sub.code.depth() != best->task.sub.code.depth() ||
-        e->task.sub.code != best->task.sub.code) {
-      break;
-    }
-    if (e->pos < best->pos) best = e;
+  FTBB_CHECK(!tasks_.empty());
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < tasks_.size(); ++i) {
+    const core::PathCode& a = tasks_[i].sub.code;
+    const core::PathCode& b = tasks_[best].sub.code;
+    if (a.depth() > b.depth() || (a.depth() == b.depth() && a < b)) best = i;
   }
-  return remove_at(best->pos);
+  return remove_at(best);
 }
 
 Task DibPool::take_shallowest() {
-  FTBB_CHECK(!slots_.empty());
-  // The select index tail holds the minimum depth; the seed donation scan
-  // kept the first array index among that depth (codes not compared).
-  auto rit = select_index_.rbegin();
-  const std::size_t min_depth = (*rit)->task.sub.code.depth();
-  Entry* pick = *rit;
-  for (++rit; rit != select_index_.rend(); ++rit) {
-    Entry* e = *rit;
-    if (e->task.sub.code.depth() != min_depth) break;
-    if (e->pos < pick->pos) pick = e;
+  FTBB_CHECK(!tasks_.empty());
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < tasks_.size(); ++i) {
+    if (tasks_[i].sub.code.depth() < tasks_[best].sub.code.depth()) best = i;
   }
-  return remove_at(pick->pos);
+  return remove_at(best);
 }
 
 void DibPool::prune_at_least(double threshold,
                              const std::function<void(const Task&)>& on_victim) {
-  auto it = bound_index_.lower_bound(threshold);
-  if (it == bound_index_.end()) return;  // nothing to eliminate: O(log n)
-  std::size_t first = slots_.size();
-  for (; it != bound_index_.end(); ++it) {
-    Entry* e = *it;
-    e->doomed = true;
-    first = std::min(first, e->pos);
-  }
-  // The seed's stable left-to-right sweep: victims are visited in ascending
-  // array order and survivors keep their relative order.
-  std::size_t write = first;
-  for (std::size_t read = first; read < slots_.size(); ++read) {
-    Entry* e = slots_[read].get();
-    if (e->doomed) {
-      on_victim(e->task);
-      index_erase(e);
-      slots_[read].reset();
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < tasks_.size(); ++read) {
+    if (tasks_[read].sub.bound >= threshold) {
+      on_victim(tasks_[read]);
     } else {
-      if (write != read) {
-        slots_[write] = std::move(slots_[read]);
-        slots_[write]->pos = write;
-      }
+      if (write != read) tasks_[write] = std::move(tasks_[read]);
       ++write;
     }
   }
-  slots_.resize(write);
-}
-
-void DibPool::clear() {
-  select_index_.clear();
-  bound_index_.clear();
-  slots_.clear();
+  tasks_.resize(write);
 }
 
 }  // namespace ftbb::dib

@@ -1,38 +1,15 @@
-// Indexed task pool for the DIB baseline.
-//
-// The seed implementation kept DIB's active tasks in a flat std::vector and
-// paid a full O(n) scan per pop (deepest-first pick), per donation (the
-// shallowest task is handed away), and per incumbent absorption (every task
-// with bound >= incumbent is eliminated — and DIB absorbs an incumbent from
-// *every* message it handles). This pool keeps the same dense array as the
-// structure of record — positions evolve exactly like the seed vector:
-// push_back appends, pop/donate remove by swap-with-back, elimination
-// compacts stably — because the visit order of eliminated tasks is
+// The DIB baseline's pool of active tasks: the seed's flat vector. Pops and
+// donations scan it, removal swaps with the back, and elimination is a
+// stable left-to-right sweep. The visit order of eliminated tasks is
 // observable through per-job accounting (node_finished / check_job
-// cascades). Two incremental ordered indexes locate candidates instead of
-// scanning:
-//
-//   * select index, keyed (depth desc, code asc, seq) — pop_best() finds the
-//     deepest/lexicographically-first task in O(log n); full (depth, code)
-//     ties resolve to the lowest array position, exactly the seed's
-//     first-index-wins linear scan;
-//   * bound index, keyed (bound asc, seq) — prune_at_least() locates the
-//     eliminated set in O(log n + victims); a no-op prune (the common case:
-//     an absorbed incumbent that eliminates nothing) never scans.
-//
-// take_shallowest() walks the select index's min-depth tail and picks the
-// lowest array position among that depth — O(log n + ties); donations are
-// per-work-request, far off DIB's hot path.
-//
-// Observational identity with the seed linear pool (pop order, donation
-// choice, elimination visit order) is asserted operation-for-operation by
-// tests/dib_pool_diff_test.cpp against a verbatim copy of the seed logic.
+// cascades), and tests/dib_pool_diff_test.cpp pins every operation to a
+// verbatim copy of the seed logic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "bnb/problem.hpp"
@@ -47,58 +24,32 @@ struct Task {
 
 class DibPool {
  public:
-  DibPool() = default;
-  DibPool(const DibPool&) = delete;
-  DibPool& operator=(const DibPool&) = delete;
-
-  void push(Task task);
-  [[nodiscard]] bool empty() const { return slots_.empty(); }
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  void push(Task task) { tasks_.push_back(std::move(task)); }
+  [[nodiscard]] bool empty() const { return tasks_.empty(); }
+  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
 
   /// Removes and returns the task the DIB expansion loop selects: greatest
   /// depth, then lexicographically smallest code, then (for exact duplicate
-  /// tasks) the lowest array position — the seed scan's first-index-wins.
+  /// tasks) the lowest array position.
   Task pop_best();
 
   /// Removes and returns the donation pick: smallest depth, lowest array
-  /// position among equal depths (code is NOT compared — the seed scan
-  /// improved on strict depth decrease only).
+  /// position among equal depths (codes are not compared).
   Task take_shallowest();
 
   /// Eliminates every task with bound >= `threshold`, visiting victims in
-  /// ascending array order (the seed's stable left-to-right sweep) and
-  /// compacting survivors stably. `on_victim` must not mutate the pool.
+  /// ascending array order and compacting survivors stably. `on_victim`
+  /// must not mutate the pool.
   void prune_at_least(double threshold,
                       const std::function<void(const Task&)>& on_victim);
 
-  void clear();
+  void clear() { tasks_.clear(); }
 
  private:
-  struct Entry {
-    Task task;
-    std::size_t pos = 0;    // current array position
-    std::uint64_t seq = 0;  // insertion order; totalizes the index orders
-    bool doomed = false;    // marked during a prune sweep
-  };
+  /// Swap-with-back removal.
+  Task remove_at(std::size_t i);
 
-  struct SelectLess {
-    bool operator()(const Entry* a, const Entry* b) const;
-  };
-  struct BoundLess {
-    using is_transparent = void;
-    bool operator()(const Entry* a, const Entry* b) const;
-    bool operator()(const Entry* a, double bound) const;
-    bool operator()(double bound, const Entry* b) const;
-  };
-
-  /// Swap-with-back removal, exactly the seed vector's discipline.
-  Task remove_at(std::size_t pos);
-  void index_erase(Entry* entry);
-
-  std::vector<std::unique_ptr<Entry>> slots_;
-  std::set<Entry*, SelectLess> select_index_;
-  std::set<Entry*, BoundLess> bound_index_;
-  std::uint64_t next_seq_ = 0;
+  std::vector<Task> tasks_;
 };
 
 }  // namespace ftbb::dib

@@ -134,13 +134,13 @@ std::vector<WorkMixCase> work_mix_cases() {
   std::vector<WorkMixCase> cases;
   cases.push_back({"flaky-link", 4,
                    sim::FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
-                   0x502dbb7ca6dc7d0cULL});
+                   0x4e595135e6cc9a8cULL});
   cases.push_back({"rolling-restart", 4,
                    sim::FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
-                   0xd2280f9f512ad350ULL});
+                   0xd013d626b403f7d0ULL});
   cases.push_back({"cascading-storm", 4,
                    sim::FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
-                   0x481d922e0fb9f35fULL});
+                   0x053e51700d18345fULL});
   return cases;
 }
 

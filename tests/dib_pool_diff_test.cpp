@@ -1,11 +1,11 @@
-// Differential proof that the indexed DibPool is observationally identical
-// to the seed linear pool it replaced (src/dib/dib.cpp's std::vector<Task>
-// with O(n) scans). The reference below preserves the seed logic verbatim —
-// the first-index-wins deepest scan of pop_task, the strict-decrease
-// shallowest scan of the donation pick, the stable left-to-right elimination
-// sweep — and randomized mixed operation streams assert operation-for-
-// operation identity: same popped tasks, same donation choices, same
-// elimination victims in the same visit order.
+// Differential proof that DibPool stays observationally identical to the
+// seed linear pool (src/dib/dib.cpp's std::vector<Task> with O(n) scans).
+// The reference below preserves the seed logic verbatim — the
+// first-index-wins deepest scan of pop_task, the strict-decrease shallowest
+// scan of the donation pick, the stable left-to-right elimination sweep —
+// and randomized mixed operation streams assert operation-for-operation
+// identity: same popped tasks, same donation choices, same elimination
+// victims in the same visit order.
 #include <gtest/gtest.h>
 
 #include <vector>

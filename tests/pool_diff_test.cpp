@@ -1,4 +1,4 @@
-// Differential test: the indexed ActivePool against the seed flat-heap pool.
+// Differential test: ActivePool against the seed flat-heap pool.
 //
 // The worker's completion pipeline observably depends not just on pop order
 // but on the heap-array order in which removals report their victims (report
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "bench/legacy_pool.hpp"
@@ -52,6 +53,16 @@ PathCode tree_code(support::Rng& rng, std::size_t max_depth) {
   return code;
 }
 
+/// The predicate of a covered sweep over `regions`: a subproblem is covered
+/// when some region is an ancestor of it or equal to it.
+std::function<bool(const Subproblem&)> in_regions(
+    const std::vector<PathCode>& regions) {
+  return [&regions](const Subproblem& p) {
+    return std::any_of(regions.begin(), regions.end(),
+                       [&p](const PathCode& r) { return r.contains(p.code); });
+  };
+}
+
 void expect_same(const std::vector<Subproblem>& a,
                  const std::vector<Subproblem>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -83,19 +94,15 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
           [threshold](const Subproblem& p) { return p.bound >= threshold; });
       expect_same(got, want, "prune_above");
     } else if (dice < 0.92) {
-      // Covered sweep over a few random regions (including nested ones —
-      // remove_covered_by must deduplicate overlapping scans).
+      // Covered sweep over a few random, possibly nested, regions.
       std::vector<PathCode> regions;
       const std::size_t n_regions = 1 + rng.pick(3);
       for (std::size_t i = 0; i < n_regions; ++i) {
         regions.push_back(random_code(rng, 6));
       }
-      const auto got = pool.remove_covered_by(regions);
-      const auto want = legacy.remove_if([&regions](const Subproblem& p) {
-        return std::any_of(regions.begin(), regions.end(),
-                           [&p](const PathCode& r) { return r.contains(p.code); });
-      });
-      expect_same(got, want, "remove_covered_by");
+      const auto covered = in_regions(regions);
+      expect_same(pool.remove_if(covered), legacy.remove_if(covered),
+                  "covered remove_if");
     } else {
       const std::size_t k = 1 + rng.pick(8);
       expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
@@ -121,13 +128,11 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
   pool.check_invariants();
 }
 
-TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
-  // Drives the nursery through its lazy lifecycle explicitly: a bulk load
-  // far past the index-build threshold (everything sits in the nursery),
-  // the one tolerated bulky query scan, the drain on the second query, and
-  // then removal flavors whose victim sets span tree residents and fresh
-  // nursery residents — all of it operation-identical to the seed pool,
-  // victim order included.
+TEST_P(PoolDiff, LargePoolRoundsAndClearRecyclingAreOperationIdentical) {
+  // A bulk load of thousands of entries, rounds of top-ups and removals of
+  // every flavor at that size, then clear() and a reload onto recycled
+  // entries — all of it operation-identical to the seed pool, victim order
+  // included.
   const SelectRule rule = GetParam();
   support::Rng rng(0xAB5EED + static_cast<std::uint64_t>(rule));
   ActivePool pool(rule);
@@ -136,8 +141,7 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
   // Continuous bounds: at this pool size the coarse pick(64) bounds breed
   // exact (depth, bound, code) duplicates, and the seed reference's
   // extraction order is unspecified across such twins (see
-  // legacy_pool.hpp). Tie behavior is MixedOpStream's job; this test pins
-  // the nursery lifecycle.
+  // legacy_pool.hpp). Tie behavior is MixedOpStream's job.
   const auto push_batch = [&](std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       Subproblem p{random_code(rng, 10), rng.uniform()};
@@ -146,20 +150,15 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
     }
   };
 
-  // Bulk load: no query has run, so every entry is nursery-resident.
   push_batch(2000);
   pool.check_invariants();
-
-  // First query after the load tolerates the oversized nursery scan;
-  // the second drains it into the trees. Identical answers either side.
   EXPECT_EQ(pool.best_bound(), legacy.best_bound());
   pool.check_invariants();
   EXPECT_EQ(pool.best_bound(), legacy.best_bound());
   pool.check_invariants();
 
-  // Steady-state rounds: top up (fresh nursery residents), then remove in
-  // every flavor — victims interleave drained and undrained entries, and
-  // their reported order must match the seed heap-array order exactly.
+  // Steady-state rounds: top up, then remove in every flavor; the victims'
+  // reported order must match the seed heap-array order exactly.
   for (int round = 0; round < 6; ++round) {
     push_batch(300);
     const double threshold = 0.6 + 0.4 * rng.uniform();
@@ -167,27 +166,23 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
                 legacy.remove_if([threshold](const Subproblem& p) {
                   return p.bound >= threshold;
                 }),
-                "lazy prune_above");
+                "large prune_above");
     push_batch(200);
     std::vector<PathCode> regions;
     for (std::size_t i = 0; i < 2; ++i) regions.push_back(random_code(rng, 5));
-    expect_same(pool.remove_covered_by(regions),
-                legacy.remove_if([&regions](const Subproblem& p) {
-                  return std::any_of(
-                      regions.begin(), regions.end(),
-                      [&p](const PathCode& r) { return r.contains(p.code); });
-                }),
-                "lazy remove_covered_by");
+    const auto covered = in_regions(regions);
+    expect_same(pool.remove_if(covered), legacy.remove_if(covered),
+                "large covered remove_if");
     const std::size_t k = 1 + rng.pick(32);
     expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
-                "lazy extract_for_sharing");
+                "large extract_for_sharing");
     ASSERT_EQ(pool.size(), legacy.size());
     ASSERT_EQ(pool.best_bound(), legacy.best_bound());
     pool.check_invariants();
   }
 
   // Recycled restart: clear both, reload, and re-verify — entry recycling
-  // and the fresh nursery must not perturb any observable.
+  // must not perturb any observable.
   pool.clear();
   legacy.clear();
   EXPECT_TRUE(pool.empty());
@@ -200,17 +195,18 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
   pool.check_invariants();
 }
 
-TEST_P(PoolDiff, CoveredSweepWithTableHintsMatchesFullScan) {
-  // Reproduces the worker's discipline: every push is covered-checked
-  // against the table first, and every table insertion while the pool is
-  // non-empty records a hint. A sweep over the hints' covering codes must
-  // then remove exactly the entries a full table_.covered() scan would.
+TEST_P(PoolDiff, TableCoveredSweepIsOperationIdentical) {
+  // The worker's covered sweep: every push is covered-checked against the
+  // table first, completions land in the table, and a sweep removes every
+  // entry the table covers — the same victims in the same order as the seed.
   const SelectRule rule = GetParam();
   support::Rng rng(0xBEEF + static_cast<std::uint64_t>(rule));
   ActivePool pool(rule);
   LegacyPool legacy(rule);
   CodeSet table;
-  std::vector<PathCode> hints;
+  const auto covered = [&table](const Subproblem& p) {
+    return table.covered(p.code);
+  };
 
   for (int step = 0; step < 8000; ++step) {
     const double dice = rng.uniform();
@@ -223,23 +219,10 @@ TEST_P(PoolDiff, CoveredSweepWithTableHintsMatchesFullScan) {
       EXPECT_EQ(pool.pop(), legacy.pop());
     } else if (dice < 0.95) {
       // A "completion" lands in the table (local or via report).
-      const PathCode code = tree_code(rng, 8);
-      const CodeSet::InsertResult r = table.insert(code);
-      if (r.newly_covered && !pool.empty()) hints.push_back(code);
+      (void)table.insert(tree_code(rng, 8));
     } else {
-      // Sweep: hints -> covering codes -> indexed range removal.
-      std::vector<PathCode> regions;
-      for (const PathCode& h : hints) {
-        std::optional<PathCode> cover = table.covering_code(h);
-        regions.push_back(cover.has_value() ? std::move(*cover) : h);
-      }
-      hints.clear();
-      std::sort(regions.begin(), regions.end());
-      regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
-      const auto got = pool.remove_covered_by(regions);
-      const auto want = legacy.remove_if(
-          [&table](const Subproblem& p) { return table.covered(p.code); });
-      expect_same(got, want, "hinted covered sweep");
+      expect_same(pool.remove_if(covered), legacy.remove_if(covered),
+                  "table covered sweep");
     }
     ASSERT_EQ(pool.size(), legacy.size());
   }

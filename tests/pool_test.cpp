@@ -153,27 +153,6 @@ TEST(ActivePool, PruneAboveRemovesThresholdTail) {
   pool.check_invariants();
 }
 
-TEST(ActivePool, RemoveCoveredByPrunesRegionSubtrees) {
-  ActivePool pool(SelectRule::kBestFirst);
-  pool.push(make({{1, false}}, 1.0));
-  pool.push(make({{1, false}, {2, false}}, 2.0));
-  pool.push(make({{1, false}, {2, true}, {3, false}}, 3.0));
-  pool.push(make({{1, true}}, 4.0));
-  const PathCode region = PathCode::root().child(1, false);
-  const auto removed = pool.remove_covered_by(std::vector<PathCode>{region});
-  EXPECT_EQ(removed.size(), 3u);
-  for (const Subproblem& p : removed) EXPECT_TRUE(region.contains(p.code));
-  ASSERT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.pop().code, PathCode::root().child(1, true));
-  // Nested (non-antichain) regions must not double-remove.
-  pool.push(make({{1, false}}, 1.0));
-  pool.push(make({{1, false}, {2, false}}, 2.0));
-  const auto nested = pool.remove_covered_by(std::vector<PathCode>{
-      region, region.child(2, false), PathCode::root()});
-  EXPECT_EQ(nested.size(), 2u);
-  EXPECT_TRUE(pool.empty());
-}
-
 TEST(ActivePool, SnapshotIsCodeSorted) {
   ActivePool pool(SelectRule::kDepthFirst);
   pool.push(make({{2, true}}, 3.0));
@@ -187,18 +166,16 @@ TEST(ActivePool, SnapshotIsCodeSorted) {
   EXPECT_EQ(pool.size(), 3u);  // snapshot does not disturb the pool
 }
 
-TEST(ActivePool, IndexActivationRoundTripsThroughThreshold) {
-  // Grow far past the build threshold, shrink to empty, and verify ordering
-  // and structure at every transition.
+TEST(ActivePool, LargePoolSharesPrunesAndDrainsInOrder) {
+  // Grow to thousands of entries, share, prune, drain to empty, and verify
+  // ordering and structure along the way.
   support::Rng rng(4242);
   ActivePool pool(SelectRule::kBestFirst);
-  EXPECT_FALSE(pool.indexed());
   for (int i = 0; i < 3000; ++i) {
     pool.push(make({{static_cast<std::uint32_t>(i % 97), i % 2 == 0},
                     {static_cast<std::uint32_t>(i % 31), i % 3 == 0}},
                    rng.uniform(0.0, 100.0)));
   }
-  EXPECT_TRUE(pool.indexed());
   pool.check_invariants();
   const auto shared = pool.extract_for_sharing(40);
   EXPECT_EQ(shared.size(), 40u);
@@ -212,7 +189,6 @@ TEST(ActivePool, IndexActivationRoundTripsThroughThreshold) {
     EXPECT_LT(b, 80.0);
     last = b;
   }
-  EXPECT_FALSE(pool.indexed());
   EXPECT_EQ(pool.best_bound(), kInfinity);
   pool.check_invariants();
 }

@@ -326,33 +326,33 @@ std::vector<NamedPlanCase> named_plan_cases() {
   cases.push_back({"flaky-link", 4,
                    FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
                    0x4cee3ee639cfb4b2ULL,
-                   {0x77b54f27b47b4f67ULL, 0x2d3aa8d646f23197ULL,
-                    0x73791d6e83888990ULL, 0x0dca0fa525503684ULL}});
+                   {0x77b54f27b47b4f67ULL, 0x88328d82f59f6617ULL,
+                    0x73791d6e83888990ULL, 0x47701249fadcf484ULL}});
   cases.push_back({"rolling-restart", 4,
                    FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
                    0x8ffe5b5f6a3b8838ULL,
-                   {0x4c28bfc9fad1d6e5ULL, 0x052d752280539327ULL,
-                    0x3bb5d45afe9a6116ULL, 0x67ffa77ba1fda9dfULL}});
+                   {0x4c28bfc9fad1d6e5ULL, 0xe9acf894fab37027ULL,
+                    0x3bb5d45afe9a6116ULL, 0x5b22bfa0aaab70dfULL}});
   cases.push_back({"flapping-partition", 4,
                    FaultPlan::flapping_partition(3, 0.04, 0.06, 0.05),
                    0x4dec7d9ae7820e9dULL,
-                   {0xe13ac833977bd8afULL, 0xb7d28fa53c7bbebbULL,
-                    0x221477e868639117ULL, 0xec68d3296ee4f8e0ULL}});
+                   {0xe13ac833977bd8afULL, 0xc766671a1a94b2bbULL,
+                    0x221477e868639117ULL, 0x17e0041a6ed5fce0ULL}});
   cases.push_back({"adversarial-churn", 2,
                    FaultPlan::adversarial_churn(2, 3, 0.05, 0.05),
                    0x03599496eef5f8bdULL,
-                   {0xd4afa13e1e0b4b12ULL, 0x92a461cee2fc5864ULL,
-                    0x40363c7dd178a285ULL, 0x96ea1c5efb916698ULL}});
+                   {0xd4afa13e1e0b4b12ULL, 0xf6c8936011382664ULL,
+                    0x40363c7dd178a285ULL, 0x3d70b58e7c052298ULL}});
   cases.push_back({"cascading-storm", 4,
                    FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
                    0x322c12890445edb7ULL,
-                   {0x0fcb510577e2e3efULL, 0x21660a65676b98cfULL,
-                    0x6224fa21b47a6acfULL, 0x6fbf8c80b6cf2fd2ULL}});
+                   {0x0fcb510577e2e3efULL, 0x996b78f43b58a1cfULL,
+                    0x6224fa21b47a6acfULL, 0x0aaf8eded1be9052ULL}});
   cases.push_back({"asymmetric-partition", 4,
                    FaultPlan::asymmetric_partition(1, 3, 0.04, 0.07, 0.05),
                    0x83d23375e08522d9ULL,
-                   {0x3cd3b40e7c0480dfULL, 0xed8aecf10ab52392ULL,
-                    0x5fe07da15f3731e3ULL, 0xde8754a78008c25eULL}});
+                   {0x3cd3b40e7c0480dfULL, 0x8df42fb85bcd0912ULL,
+                    0x5fe07da15f3731e3ULL, 0x858fe760f913935eULL}});
   return cases;
 }
 
@@ -434,28 +434,28 @@ std::vector<PlanetaryCase> planetary_cases() {
   cases.push_back({"planetary-churn", 8,
                    FaultPlan::planetary_churn(8, 5, 0.05, 0.04),
                    0xeab0ac07971ab207ULL,
-                   {0x4ff5790c1e4c8f20ULL, 0xc59a1f168e09c9c8ULL,
-                    0x62a5ba002ae366f5ULL, 0xacb65aea68965bf4ULL}});
+                   {0x4ff5790c1e4c8f20ULL, 0x3969b0adfbf4e5c8ULL,
+                    0x62a5ba002ae366f5ULL, 0x3159cfd40f7061f4ULL}});
   cases.push_back({"rack-failures", 12,
                    FaultPlan::rack_failures(1, 2, kPlanetaryNodesPerRack, 0.05,
                                             0.04, 0.1),
                    0x9902a4d6a863069cULL,
-                   {0x8e9594907878862cULL, 0x18911c417bc62f58ULL,
-                    0x38df03a19c976e47ULL, 0xfdff13a105d53124ULL}});
+                   {0x8e9594907878862cULL, 0xb52fb3c7651e8358ULL,
+                    0x38df03a19c976e47ULL, 0xa765da4e97249f24ULL}});
   cases.push_back({"cascading-partition", 24,
                    FaultPlan::cascading_partition(24, kPlanetaryNodesPerRack,
                                                   kPlanetaryRacksPerCampus,
                                                   0.04, 0.08, 0.04),
                    0x530067f73f264c50ULL,
-                   {0x74b661f66cec1c75ULL, 0xd7b53db413b17c60ULL,
-                    0x618b225c2e82279aULL, 0xe7f5013846a9e9c1ULL}});
+                   {0x74b661f66cec1c75ULL, 0x9e553d45c2b34c60ULL,
+                    0x618b225c2e82279aULL, 0x6b7e05654e5f0941ULL}});
   cases.push_back({"planetary-storm", 24,
                    FaultPlan::planetary_storm(24, kPlanetaryNodesPerRack,
                                               kPlanetaryRacksPerCampus, 0.05,
                                               0.05),
                    0xa0f6cdc626dc6ddeULL,
-                   {0x9d33c2946db1b9aaULL, 0x50e587bab989e254ULL,
-                    0xe8de76a7a6b18901ULL, 0x8709ec58c7104a40ULL}});
+                   {0x9d33c2946db1b9aaULL, 0xd6bf9c8b1260b854ULL,
+                    0xe8de76a7a6b18901ULL, 0x755d1db02d6b2a40ULL}});
   return cases;
 }
 
