@@ -139,9 +139,9 @@ std::vector<Subproblem> ActivePool::remove_where(const Victim& victim) {
     if (victim(s)) {
       out.push_back(std::move(s.e->item));
       release(s.e);
-      continue;
+    } else {
+      heap_[write++] = s;
     }
-    heap_[write++] = s;
   }
   if (out.empty()) return out;
   heap_.resize(write);
