@@ -42,8 +42,9 @@ int main() {
     const central::CentralResult central = central::CentralSim::run(
         problem, procs, central_cfg, {}, {}, 3e4, 59);
     std::uint64_t busiest = 0;
-    for (const auto& w : ours.workers) {
-      busiest = std::max(busiest, w.msgs_received + w.msgs_sent);
+    for (const core::WorkLedger& w : ours.worker_ledgers) {
+      busiest = std::max(busiest, w[core::WorkItem::kMsgsReceived] +
+                                      w[core::WorkItem::kMsgsSent]);
     }
     ta.row({std::to_string(procs),
             ours.all_live_halted ? support::TextTable::num(ours.makespan, 2) : "-",

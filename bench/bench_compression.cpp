@@ -53,8 +53,9 @@ Cell measure(const ftbb::bnb::TreeProblem& problem, std::uint32_t procs,
   c.batch = batch;
   const double nodes = static_cast<double>(res.total_expanded);
   const sim::WireStats& wire = res.wire;
-  c.codes_per_completion = static_cast<double>(res.total_report_codes) /
-                           static_cast<double>(res.total_completions);
+  c.codes_per_completion =
+      static_cast<double>(res.work[core::WorkItem::kReportCodesSent]) /
+      static_cast<double>(res.work[core::WorkItem::kCompletions]);
   c.bytes_per_node = static_cast<double>(wire.frame_bytes) / nodes;
   c.msgs_per_node = static_cast<double>(wire.frames) / nodes;
   c.self_contained_bytes_per_node =

@@ -41,12 +41,6 @@ struct PolicyRow {
 /// band `f10_model_timeouts 16 16` of bench/baselines/cost_smoke.txt.
 constexpr std::uint64_t kMaxModelTimeouts = 32;
 
-std::uint64_t sum_timeouts(const ftbb::sim::ClusterResult& res) {
-  std::uint64_t n = 0;
-  for (const auto& w : res.workers) n += w.request_timeouts;
-  return n;
-}
-
 /// "key value tolerance" lines ('#' comments); returns false on violation.
 bool check_baseline(const char* path,
                     const std::map<std::string, double>& actual) {
@@ -133,7 +127,7 @@ int main(int argc, char** argv) {
       PolicyRow row;
       row.factor = factor;
       row.policy = name;
-      row.timeouts = sum_timeouts(res);
+      row.timeouts = res.work[core::WorkItem::kRequestTimeouts];
       row.redundant = res.redundant_expansions;
       row.efficiency = res.all_live_halted ? ideal / res.makespan : -1.0;
       row.expansions =

@@ -59,7 +59,7 @@ int main() {
     const sim::ClusterResult res = sim::SimCluster::run(problem, cfg);
     std::uint64_t joiner_expanded = 0;
     for (std::uint32_t id = 4; id < 16; ++id) {
-      joiner_expanded += res.workers[id].expanded;
+      joiner_expanded += res.worker_ledgers[id][core::WorkItem::kExpansions];
     }
     table.row({scenario.name, res.all_live_halted ? "yes" : "NO",
                res.solution == tree.optimal_value() ? "exact" : "WRONG",

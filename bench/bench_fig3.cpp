@@ -32,16 +32,16 @@ int main() {
       std::printf("procs=%u FAILED (halted=%d)\n", procs, res.all_live_halted);
       return 1;
     }
-    const double total = res.time_all();
-    const double bb = res.time_of(core::CostKind::kBB);
+    const double total = res.work.time_all();
+    const double bb = res.work.time(core::CostKind::kBB);
     table.row({std::to_string(procs), support::TextTable::num(res.makespan, 2),
                support::TextTable::pct(bb / total, 1),
-               support::TextTable::pct(res.time_of(core::CostKind::kComm) / total, 2),
+               support::TextTable::pct(res.work.time(core::CostKind::kComm) / total, 2),
                support::TextTable::pct(
-                   res.time_of(core::CostKind::kContraction) / total, 2),
+                   res.work.time(core::CostKind::kContraction) / total, 2),
                support::TextTable::pct(
-                   res.time_of(core::CostKind::kLoadBalance) / total, 2),
-               support::TextTable::pct(res.time_of(core::CostKind::kIdle) / total, 2),
+                   res.work.time(core::CostKind::kLoadBalance) / total, 2),
+               support::TextTable::pct(res.work.time(core::CostKind::kIdle) / total, 2),
                support::TextTable::pct(1.0 - bb / total, 1)});
   }
   std::printf("%s", table.render().c_str());

@@ -36,8 +36,7 @@ int main() {
               tree.optimal_value(), res.makespan);
   std::printf("every processor detected termination: P0 at %.2fs, P1 at %.2fs, "
               "P2 at %.2fs\n",
-              res.workers[0].halted_at, res.workers[1].halted_at,
-              res.workers[2].halted_at);
+              res.halted_at[0], res.halted_at[1], res.halted_at[2]);
   std::printf("\ncsv timeline (first rows):\n");
   const std::string csv = res.timeline.to_csv();
   std::size_t shown = 0;

@@ -48,7 +48,8 @@ int main() {
               res.solution == tree.optimal_value() ? "exact" : "WRONG");
   std::printf("lost work recovered   : %llu complement recoveries, "
               "%llu redundant expansions\n",
-              static_cast<unsigned long long>(res.workers[0].recoveries),
+              static_cast<unsigned long long>(
+                  res.worker_ledgers[0][core::WorkItem::kRecoveries]),
               static_cast<unsigned long long>(res.redundant_expansions));
   return res.all_live_halted && res.solution == tree.optimal_value() ? 0 : 1;
 }

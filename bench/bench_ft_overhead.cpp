@@ -48,7 +48,7 @@ int main() {
               support::TextTable::num(res.makespan - res.first_detection, 3),
               std::to_string(res.net.bytes_sent),
               support::TextTable::pct(
-                  res.time_of(core::CostKind::kContraction) / res.time_all(), 2)});
+                  res.work.time(core::CostKind::kContraction) / res.work.time_all(), 2)});
     }
   }
   std::printf("%s\n", ta.render().c_str());
@@ -94,8 +94,7 @@ int main() {
                    {6, baseline.makespan * 0.5}};
     cfg.time_limit = 3e4;
     const sim::ClusterResult res = sim::SimCluster::run(problem, cfg);
-    std::uint64_t recoveries = 0;
-    for (const auto& w : res.workers) recoveries += w.recoveries;
+    const std::uint64_t recoveries = res.work[core::WorkItem::kRecoveries];
     tc.row({to_string(policy),
             res.all_live_halted ? support::TextTable::num(res.makespan, 2)
                                 : "did not finish",

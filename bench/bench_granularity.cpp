@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double ideal = tree.total_cost() / 8.0;
-    const double total = res.time_all();
-    const double waste = (res.time_of(core::CostKind::kIdle) +
-                          res.time_of(core::CostKind::kLoadBalance)) /
+    const double total = res.work.time_all();
+    const double waste = (res.work.time(core::CostKind::kIdle) +
+                          res.work.time(core::CostKind::kLoadBalance)) /
                          total;
     sweep.push_back(SweepSample{
         factor, res.makespan, ideal / res.makespan, waste,
@@ -134,9 +134,7 @@ int main(int argc, char** argv) {
     const sim::ClusterResult fixed = run(false);
     const sim::ClusterResult model = run(true);
     auto timeouts = [](const sim::ClusterResult& res) {
-      std::uint64_t n = 0;
-      for (const auto& w : res.workers) n += w.request_timeouts;
-      return n;
+      return res.work[core::WorkItem::kRequestTimeouts];
     };
     auto eff = [&](const sim::ClusterResult& res) {
       return res.all_live_halted ? ideal / res.makespan : -1.0;

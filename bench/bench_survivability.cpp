@@ -40,8 +40,7 @@ int main() {
                                           std::max(1u, k - 1))});
     }
     const sim::ClusterResult res = sim::SimCluster::run(problem, cfg);
-    std::uint64_t recoveries = 0;
-    for (const auto& w : res.workers) recoveries += w.recoveries;
+    const std::uint64_t recoveries = res.work[core::WorkItem::kRecoveries];
     const bool exact =
         res.all_live_halted && res.solution == tree.optimal_value();
     all_exact = all_exact && exact;

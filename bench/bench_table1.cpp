@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       std::printf("procs=%u FAILED (halted=%d)\n", procs, res.all_live_halted);
       return 1;
     }
-    const double total = res.time_all();
+    const double total = res.work.time_all();
     const double hours = res.makespan / 3600.0;
     const double storage_mb =
         static_cast<double>(res.peak_table_bytes_total) / 1e6;
@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
     const double mb_per_proc_hour = static_cast<double>(res.net.bytes_sent) /
                                     1e6 / hours / static_cast<double>(procs);
     table.row({std::to_string(procs), support::TextTable::num(hours, 2),
-               support::TextTable::pct(res.time_of(core::CostKind::kBB) / total, 2),
+               support::TextTable::pct(res.work.time(core::CostKind::kBB) / total, 2),
                support::TextTable::pct(
-                   res.time_of(core::CostKind::kContraction) / total, 2),
+                   res.work.time(core::CostKind::kContraction) / total, 2),
                support::TextTable::num(storage_mb, 2),
                support::TextTable::num(redundant_mb, 2),
                support::TextTable::num(mb_per_proc_hour, 2)});

@@ -48,7 +48,8 @@ int main() {
   std::printf("makespan          : %.2fs (+%.0f%% over failure-free)\n", rec.makespan,
               100.0 * (rec.makespan / ok.makespan - 1.0));
   std::printf("recoveries        : %llu complement picks, %llu redundant expansions\n",
-              static_cast<unsigned long long>(rec.workers[0].recoveries),
+              static_cast<unsigned long long>(
+                  rec.worker_ledgers[0][core::WorkItem::kRecoveries]),
               static_cast<unsigned long long>(rec.redundant_expansions));
   return rec.all_live_halted && rec.solution == tree.optimal_value() ? 0 : 1;
 }

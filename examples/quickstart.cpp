@@ -63,11 +63,11 @@ int main(int argc, char** argv) {
               static_cast<double>(result.net.bytes_sent) / 1024.0);
 
   support::TextTable table({"category", "time (s)", "share"});
-  const double total = result.time_all();
+  const double total = result.work.time_all();
   for (int k = 0; k < core::kCostKinds; ++k) {
     table.row({to_string(static_cast<core::CostKind>(k)),
-               support::TextTable::num(result.total_time[k], 2),
-               support::TextTable::pct(result.total_time[k] / total, 1)});
+               support::TextTable::num(result.work.seconds[k], 2),
+               support::TextTable::pct(result.work.seconds[k] / total, 1)});
   }
   std::printf("\nper-category time across all workers:\n%s", table.render().c_str());
   return result.all_live_halted ? 0 : 1;

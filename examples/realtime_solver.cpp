@@ -53,13 +53,14 @@ int main(int argc, char** argv) {
   std::printf("\nmessages      : %llu delivered, %llu lost\n",
               static_cast<unsigned long long>(res.net.messages_delivered),
               static_cast<unsigned long long>(res.net.messages_lost));
-  std::printf("incarnations  : %u spawned, %u reaped, %llu nodes re-expanded\n",
-              res.incarnations, res.reaped,
-              static_cast<unsigned long long>(res.redundant_expansions));
-  for (std::size_t i = 0; i < res.workers.size(); ++i) {
+  std::printf("incarnations  : %llu spawned, %u reaped, %llu nodes re-expanded\n",
+              static_cast<unsigned long long>(res.work[core::WorkItem::kIncarnations]),
+              res.reaped, static_cast<unsigned long long>(res.redundant_expansions));
+  for (std::size_t i = 0; i < res.worker_ledgers.size(); ++i) {
+    const core::WorkLedger& w = res.worker_ledgers[i];
     std::printf("worker %zu      : expanded=%llu recoveries=%llu%s\n", i,
-                static_cast<unsigned long long>(res.workers[i].expanded),
-                static_cast<unsigned long long>(res.workers[i].recoveries),
+                static_cast<unsigned long long>(w[core::WorkItem::kExpansions]),
+                static_cast<unsigned long long>(w[core::WorkItem::kRecoveries]),
                 res.crashed[i] ? " [crashed]" : "");
   }
   return res.all_live_halted ? 0 : 1;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -137,7 +138,7 @@ struct Worker {
   double incumbent = bnb::kInfinity;
   std::uint64_t expanded = 0;
   /// Codes this worker expanded (worker-context only; merged at the end).
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> expansions;
+  std::unordered_set<PathCode, core::PathCodeHash> expansions;
   /// Incarnation counter: closures belonging to a crashed incarnation must
   /// not resume after a revive (their batch state is stale).
   std::uint64_t epoch = 0;
@@ -221,7 +222,7 @@ struct Worker {
     }
     const bnb::NodeEval eval = sim->model.eval(p.code);
     ++expanded;
-    ++expansions[p.code];
+    expansions.insert(p.code);
     sim->kernel.after(
         eval.cost, static_cast<sim::OwnerId>(id),
         [this, batch_id, todo = std::move(todo),
@@ -422,11 +423,11 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
   result.makespan =
       sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
-  // Merge per-worker expansion maps; totals are interleaving-independent.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> merged;
+  // Merge per-worker expansion sets; totals are interleaving-independent.
+  std::unordered_set<PathCode, core::PathCodeHash> merged;
   for (const auto& w : sim.workers) {
     result.total_expanded += w->expanded;
-    for (const auto& [code, count] : w->expansions) merged[code] += count;
+    merged.insert(w->expansions.begin(), w->expansions.end());
   }
   result.unique_expanded = merged.size();
   result.redundant_expansions = result.total_expanded - result.unique_expanded;

@@ -42,9 +42,25 @@ const char* to_string(WorkItem item) {
   return "?";
 }
 
+const char* to_string(CostKind kind) {
+  switch (kind) {
+    case CostKind::kBB:
+      return "bb";
+    case CostKind::kContraction:
+      return "contraction";
+    case CostKind::kComm:
+      return "comm";
+    case CostKind::kLoadBalance:
+      return "lb";
+    case CostKind::kIdle:
+      return "idle";
+  }
+  return "?";
+}
+
 void WorkLedger::add(const WorkLedger& other) {
   for (int i = 0; i < kWorkItems; ++i) items[i] += other.items[i];
-  for (int k = 0; k < kTimeKinds; ++k) seconds[k] += other.seconds[k];
+  for (int k = 0; k < kCostKinds; ++k) seconds[k] += other.seconds[k];
   redundant_seconds += other.redundant_seconds;
 }
 
@@ -73,7 +89,7 @@ struct Fnv {
 std::uint64_t WorkLedger::fingerprint() const {
   Fnv fnv;
   for (int i = 0; i < kWorkItems; ++i) fnv.u64(items[i]);
-  for (int k = 0; k < kTimeKinds; ++k) fnv.f64(seconds[k]);
+  for (int k = 0; k < kCostKinds; ++k) fnv.f64(seconds[k]);
   fnv.f64(redundant_seconds);
   return fnv.h;
 }
@@ -88,10 +104,9 @@ std::string WorkLedger::to_string() const {
                   static_cast<unsigned long long>(items[i]));
     out += buf;
   }
-  static const char* const kTimeNames[kTimeKinds] = {"bb", "contraction",
-                                                     "comm", "lb", "idle"};
-  for (int k = 0; k < kTimeKinds; ++k) {
-    std::snprintf(buf, sizeof buf, " t_%s=%.9g", kTimeNames[k], seconds[k]);
+  for (int k = 0; k < kCostKinds; ++k) {
+    std::snprintf(buf, sizeof buf, " t_%s=%.9g",
+                  core::to_string(static_cast<CostKind>(k)), seconds[k]);
     out += buf;
   }
   std::snprintf(buf, sizeof buf, " t_redundant=%.9g", redundant_seconds);

@@ -86,14 +86,28 @@ constexpr int kWorkItems = static_cast<int>(WorkItem::kCount);
 
 [[nodiscard]] const char* to_string(WorkItem item);
 
-/// Flat additive work accounting. `seconds` mirrors WorkerStats::time in
-/// CostKind order (bb, contraction, comm, lb, idle); kept here as plain
-/// doubles so the ledger stays self-contained and header-cycle-free.
-struct WorkLedger {
-  static constexpr int kTimeKinds = 5;
+/// Cost categories of Figure 3 / Table 1. The worker charges kBB,
+/// kContraction, kComm and kLoadBalance explicitly; waiting time is
+/// attributed by the environment to kLoadBalance or kIdle from the wait
+/// hint the worker publishes.
+enum class CostKind : std::uint8_t {
+  kBB = 0,
+  kContraction = 1,
+  kComm = 2,
+  kLoadBalance = 3,
+  kIdle = 4,
+};
+constexpr int kCostKinds = 5;
 
+[[nodiscard]] const char* to_string(CostKind kind);
+
+/// Flat additive work accounting: the worker's one counter block. The worker
+/// counts its search and protocol work here, its host adds the messages,
+/// bytes and seconds it measures; times are virtual seconds in the simulator
+/// and wall seconds in the real-time runtime.
+struct WorkLedger {
   std::uint64_t items[kWorkItems] = {};
-  double seconds[kTimeKinds] = {0, 0, 0, 0, 0};
+  double seconds[kCostKinds] = {0, 0, 0, 0, 0};
   double redundant_seconds = 0.0;  // harness-filled, canonical-order merge
 
   [[nodiscard]] std::uint64_t& operator[](WorkItem item) {
@@ -101,6 +115,18 @@ struct WorkLedger {
   }
   [[nodiscard]] std::uint64_t operator[](WorkItem item) const {
     return items[static_cast<int>(item)];
+  }
+  [[nodiscard]] double& time(CostKind kind) {
+    return seconds[static_cast<int>(kind)];
+  }
+  [[nodiscard]] double time(CostKind kind) const {
+    return seconds[static_cast<int>(kind)];
+  }
+  /// Sum of the five categories, busy and idle.
+  [[nodiscard]] double time_all() const {
+    double t = 0.0;
+    for (const double s : seconds) t += s;
+    return t;
   }
 
   /// Field-wise accumulation (incarnation folding, cross-worker aggregation).

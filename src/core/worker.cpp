@@ -6,22 +6,6 @@
 
 namespace ftbb::core {
 
-const char* to_string(CostKind kind) {
-  switch (kind) {
-    case CostKind::kBB:
-      return "bb";
-    case CostKind::kContraction:
-      return "contraction";
-    case CostKind::kComm:
-      return "comm";
-    case CostKind::kLoadBalance:
-      return "lb";
-    case CostKind::kIdle:
-      return "idle";
-  }
-  return "?";
-}
-
 const char* to_string(RecoveryPolicy policy) {
   switch (policy) {
     case RecoveryPolicy::kRandom:
@@ -102,12 +86,12 @@ void BnbWorker::do_step() {
   if (config_->enable_elimination && p.bound >= incumbent_) {
     // Eliminate: the incumbent improved after insertion. A problem fathomed
     // by its bound is completed (paper Figure 2 semantics).
-    ++stats_.eliminated;
+    ++work_[WorkItem::kEliminated];
     complete(p.code);
   } else if (table_.covered(p.code)) {
     // A work report proved this subproblem done elsewhere; drop it
     // ("interrupting the redundant work when information is updated").
-    ++stats_.covered_skips;
+    ++work_[WorkItem::kCoveredSkips];
   } else {
     expand(p);
   }
@@ -123,21 +107,21 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
   env_->charge(CostKind::kBB, eval.cost);
   env_->note_expansion(p.code, eval.cost);
   controller_.observe(eval.cost);
-  ++stats_.expanded;
+  ++work_[WorkItem::kExpansions];
 
   if (eval.feasible_leaf) {
-    ++stats_.feasible_leaves;
+    ++work_[WorkItem::kFeasibleLeaves];
     if (eval.value < incumbent_) {
       incumbent_ = eval.value;
       best_code_ = p.code;
-      ++stats_.incumbent_updates;
+      ++work_[WorkItem::kIncumbentUpdates];
       prune_pool_by_bound();
     }
     complete(p.code);
     return;
   }
   if (eval.children.empty()) {
-    ++stats_.dead_ends;
+    ++work_[WorkItem::kDeadEnds];
     complete(p.code);
     return;
   }
@@ -146,17 +130,17 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
   for (const bnb::ChildOut& child : eval.children) {
     const PathCode code = p.code.child(child.var, child.bit != 0);
     if (child.infeasible) {
-      ++stats_.dead_ends;
+      ++work_[WorkItem::kDeadEnds];
       complete(code);
       continue;
     }
     if (config_->enable_elimination && child.bound >= incumbent_) {
-      ++stats_.eliminated;
+      ++work_[WorkItem::kEliminated];
       complete(code);
       continue;
     }
     if (table_.covered(code)) {
-      ++stats_.covered_skips;
+      ++work_[WorkItem::kCoveredSkips];
       continue;
     }
     pool_.push(bnb::Subproblem{code, child.bound});
@@ -164,7 +148,7 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
 }
 
 void BnbWorker::complete(const PathCode& code) {
-  ++stats_.completions;
+  ++work_[WorkItem::kCompletions];
   last_local_completion_ = code;
   env_->note_completion(code);
   const CodeSet::InsertResult r = table_.insert(code);
@@ -185,7 +169,7 @@ void BnbWorker::complete(const PathCode& code) {
 void BnbWorker::absorb_incumbent(double value) {
   if (value < incumbent_) {
     incumbent_ = value;
-    ++stats_.incumbent_updates;
+    ++work_[WorkItem::kIncumbentUpdates];
     prune_pool_by_bound();
   }
 }
@@ -194,7 +178,7 @@ void BnbWorker::prune_pool_by_bound() {
   if (!config_->enable_elimination) return;
   const auto removed = pool_.prune_above(incumbent_);
   for (const bnb::Subproblem& p : removed) {
-    ++stats_.eliminated;
+    ++work_[WorkItem::kEliminated];
     complete(p.code);
   }
 }
@@ -202,7 +186,7 @@ void BnbWorker::prune_pool_by_bound() {
 void BnbWorker::prune_pool_covered() {
   const auto removed = pool_.remove_if(
       [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
-  stats_.covered_skips += removed.size();
+  work_[WorkItem::kCoveredSkips] += removed.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +244,8 @@ void BnbWorker::send_report() {
     const std::vector<std::size_t> picks =
         env_->rng().sample_without_replacement(peers.size(), fanout);
     for (const std::size_t i : picks) env_->send(peers[i], m);
-    ++stats_.reports_sent;
-    stats_.report_codes_sent += m.codes.size();
+    ++work_[WorkItem::kReportsSent];
+    work_[WorkItem::kReportCodesSent] += m.codes.size();
   }
   fresh_.clear();
   flush_armed_ = false;
@@ -283,7 +267,7 @@ void BnbWorker::send_table_gossip() {
   env_->charge(CostKind::kContraction,
                config_->costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
   env_->send(peers[env_->rng().pick(peers.size())], m);
-  ++stats_.table_gossips_sent;
+  ++work_[WorkItem::kTableGossipsSent];
 }
 
 void BnbWorker::arm_flush_timer() {
@@ -298,7 +282,7 @@ bool BnbWorker::maybe_terminate() {
   // Section 5.4: the detector sends one final work report — the root code —
   // to every member it knows, then stops.
   halted_ = true;
-  stats_.halted_at = env_->now();
+  halted_at_ = env_->now();
   Message m;
   m.type = MsgType::kRootReport;
   m.from = id_;
@@ -372,7 +356,7 @@ void BnbWorker::seek_work() {
   const NodeId target = peers[env_->rng().pick(peers.size())];
   env_->charge(CostKind::kLoadBalance, config_->costs.lb_handle);
   env_->send(target, m);
-  ++stats_.work_requests_sent;
+  ++work_[WorkItem::kWorkRequestsSent];
   request_outstanding_ = true;
   env_->set_wait_hint(WaitHint::kAwaitingWork);
   env_->set_timer(TimerKind::kRequestTimeout, effective_request_timeout(), request_gen_);
@@ -392,8 +376,8 @@ void BnbWorker::handle_work_request(const Message& msg) {
     reply.problems = pool_.extract_for_sharing(k);
     env_->charge(CostKind::kLoadBalance,
                  config_->costs.lb_per_problem * static_cast<double>(reply.problems.size()));
-    ++stats_.grants_given;
-    stats_.problems_given += reply.problems.size();
+    ++work_[WorkItem::kGrantsGiven];
+    work_[WorkItem::kProblemsGiven] += reply.problems.size();
   } else {
     reply.type = MsgType::kWorkDeny;
     reply.busy = !pool_.empty();
@@ -405,7 +389,7 @@ void BnbWorker::handle_work_grant(const Message& msg) {
   env_->charge(CostKind::kLoadBalance,
                config_->costs.lb_handle +
                    config_->costs.lb_per_problem * static_cast<double>(msg.problems.size()));
-  ++stats_.grants_received;
+  ++work_[WorkItem::kGrantsReceived];
   if (msg.request_id == request_gen_) request_outstanding_ = false;
   failed_attempts_ = 0;
   deny_streak_ = 0;
@@ -418,11 +402,11 @@ void BnbWorker::handle_work_grant(const Message& msg) {
 
 void BnbWorker::add_subproblem(bnb::Subproblem p) {
   if (table_.covered(p.code)) {
-    ++stats_.covered_skips;
+    ++work_[WorkItem::kCoveredSkips];
     return;
   }
   if (config_->enable_elimination && p.bound >= incumbent_) {
-    ++stats_.eliminated;
+    ++work_[WorkItem::kEliminated];
     complete(p.code);
     return;
   }
@@ -452,7 +436,7 @@ std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& cand
       // Prefer the candidate sharing the longest decision prefix with the
       // last problem completed locally: nearby regions are most likely to be
       // ours to finish and least likely to collide with other recoverers.
-      if (stats_.completions == 0) {
+      if (work_[WorkItem::kCompletions] == 0) {
         // No local history yet: fall back to the deepest (smallest) region —
         // if the suspicion is wrong, the duplicated work is minimal.
         std::size_t best = 0;
@@ -500,7 +484,7 @@ void BnbWorker::recover() {
     continue_work();
     return;
   }
-  ++stats_.recoveries;
+  ++work_[WorkItem::kRecoveries];
   // Policy picks the first region to re-create; regions whose bound already
   // exceeds the incumbent are fathomed on the spot (that, too, completes
   // them), and the first survivor goes to the pool.
@@ -512,7 +496,7 @@ void BnbWorker::recover() {
     if (table_.covered(code)) continue;  // our own eliminations covered it
     const double bound = model_->bound_of(code);
     if (config_->enable_elimination && bound >= incumbent_) {
-      ++stats_.eliminated;
+      ++work_[WorkItem::kEliminated];
       complete(code);
       continue;
     }
@@ -527,38 +511,14 @@ void BnbWorker::recover() {
 // ---------------------------------------------------------------------------
 
 WorkLedger BnbWorker::work_snapshot() const {
-  WorkLedger w;
-  w[WorkItem::kContractionCodes] = contraction_codes_;
-  w[WorkItem::kContractionNodes] = contraction_nodes_;
-  w[WorkItem::kExpansions] = stats_.expanded;
-  w[WorkItem::kEliminated] = stats_.eliminated;
-  w[WorkItem::kDeadEnds] = stats_.dead_ends;
-  w[WorkItem::kFeasibleLeaves] = stats_.feasible_leaves;
-  w[WorkItem::kCompletions] = stats_.completions;
-  w[WorkItem::kCoveredSkips] = stats_.covered_skips;
-  w[WorkItem::kReportsSent] = stats_.reports_sent;
-  w[WorkItem::kReportCodesSent] = stats_.report_codes_sent;
-  w[WorkItem::kTableGossipsSent] = stats_.table_gossips_sent;
-  w[WorkItem::kMsgsSent] = stats_.msgs_sent;
-  w[WorkItem::kMsgsReceived] = stats_.msgs_received;
-  w[WorkItem::kWireBytesSent] = stats_.bytes_sent;
-  w[WorkItem::kWireBytesReceived] = stats_.bytes_received;
-  w[WorkItem::kWorkRequestsSent] = stats_.work_requests_sent;
-  w[WorkItem::kGrantsReceived] = stats_.grants_received;
-  w[WorkItem::kDeniesReceived] = stats_.denies_received;
-  w[WorkItem::kRequestTimeouts] = stats_.request_timeouts;
-  w[WorkItem::kGrantsGiven] = stats_.grants_given;
-  w[WorkItem::kProblemsGiven] = stats_.problems_given;
-  w[WorkItem::kRecoveries] = stats_.recoveries;
-  w[WorkItem::kIncumbentUpdates] = stats_.incumbent_updates;
-  w[WorkItem::kIncarnations] = 1;
+  WorkLedger w = work_;
   const bnb::PoolMaintStats& pm = pool_.maintenance();
   w[WorkItem::kPoolPushes] = pm.pushes;
   w[WorkItem::kPoolPops] = pm.pops;
   w[WorkItem::kSweepEntriesScanned] = pm.sweep_entries_scanned;
   w[WorkItem::kShareExtracted] = pm.share_extracted;
   w[WorkItem::kControllerRetunes] = controller_.retunes();
-  for (int k = 0; k < kCostKinds; ++k) w.seconds[k] = stats_.time[k];
+  w[WorkItem::kIncarnations] = 1;
   return w;
 }
 
@@ -577,7 +537,7 @@ void BnbWorker::on_message(const Message& msg) {
       handle_work_grant(msg);
       break;
     case MsgType::kWorkDeny:
-      ++stats_.denies_received;
+      ++work_[WorkItem::kDeniesReceived];
       env_->charge(CostKind::kLoadBalance, config_->costs.lb_handle);
       // Progress accounting accepts busy denies even when stale: a late
       // reply from a peer grinding a coarse node is exactly the situation
@@ -648,7 +608,7 @@ void BnbWorker::on_timer(TimerKind kind, std::uint64_t gen) {
       if (gen != request_gen_ || !request_outstanding_) return;
       request_outstanding_ = false;
       ++failed_attempts_;
-      ++stats_.request_timeouts;
+      ++work_[WorkItem::kRequestTimeouts];
       continue_work();
       break;
     case TimerKind::kBackoff:

@@ -34,21 +34,6 @@
 
 namespace ftbb::core {
 
-/// Cost categories of Figure 3 / Table 1. The worker charges kBB,
-/// kContraction, kComm and kLoadBalance explicitly; waiting time is
-/// attributed by the environment to kLoadBalance or kIdle from the wait
-/// hint the worker publishes.
-enum class CostKind : std::uint8_t {
-  kBB = 0,
-  kContraction = 1,
-  kComm = 2,
-  kLoadBalance = 3,
-  kIdle = 4,
-};
-constexpr int kCostKinds = 5;
-
-[[nodiscard]] const char* to_string(CostKind kind);
-
 /// What the worker is waiting for while quiescent.
 enum class WaitHint : std::uint8_t {
   kNone = 0,          // busy or runnable
@@ -161,73 +146,6 @@ struct WorkerConfig {
   ProtocolCosts costs;
 };
 
-/// Per-worker measurements; times are virtual seconds in the simulator and
-/// wall seconds in the real-time runtime.
-struct WorkerStats {
-  double time[kCostKinds] = {0, 0, 0, 0, 0};
-
-  std::uint64_t expanded = 0;
-  std::uint64_t eliminated = 0;       // fathomed by bound
-  std::uint64_t dead_ends = 0;
-  std::uint64_t feasible_leaves = 0;
-  std::uint64_t completions = 0;      // codes passed to complete()
-  std::uint64_t covered_skips = 0;    // pool/grant entries dropped as already completed
-
-  std::uint64_t reports_sent = 0;
-  std::uint64_t report_codes_sent = 0;
-  std::uint64_t table_gossips_sent = 0;
-
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-
-  std::uint64_t work_requests_sent = 0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t denies_received = 0;
-  std::uint64_t request_timeouts = 0;
-  std::uint64_t grants_given = 0;
-  std::uint64_t problems_given = 0;
-
-  std::uint64_t recoveries = 0;           // complement-pick events
-  std::uint64_t incumbent_updates = 0;
-
-  double halted_at = -1.0;  // local termination-detection instant
-
-  [[nodiscard]] double busy_total() const {
-    return time[0] + time[1] + time[2] + time[3];
-  }
-
-  /// Field-wise accumulation of every time and counter (halted_at is an
-  /// instant, not a quantity, and is left untouched). Lives next to the
-  /// fields so a new counter cannot be forgotten here unnoticed; harnesses
-  /// use it to fold a crashed incarnation's stats into its successor's.
-  void add(const WorkerStats& other) {
-    for (int k = 0; k < kCostKinds; ++k) time[k] += other.time[k];
-    expanded += other.expanded;
-    eliminated += other.eliminated;
-    dead_ends += other.dead_ends;
-    feasible_leaves += other.feasible_leaves;
-    completions += other.completions;
-    covered_skips += other.covered_skips;
-    reports_sent += other.reports_sent;
-    report_codes_sent += other.report_codes_sent;
-    table_gossips_sent += other.table_gossips_sent;
-    msgs_sent += other.msgs_sent;
-    msgs_received += other.msgs_received;
-    bytes_sent += other.bytes_sent;
-    bytes_received += other.bytes_received;
-    work_requests_sent += other.work_requests_sent;
-    grants_received += other.grants_received;
-    denies_received += other.denies_received;
-    request_timeouts += other.request_timeouts;
-    grants_given += other.grants_given;
-    problems_given += other.problems_given;
-    recoveries += other.recoveries;
-    incumbent_updates += other.incumbent_updates;
-  }
-};
-
 /// Environment the worker runs in. Implementations: sim::SimCluster
 /// (virtual time), rt::Cluster (threads), tests::ScriptedEnv.
 class IWorkerEnv {
@@ -291,21 +209,24 @@ class BnbWorker {
   // --- observers (tests, harnesses) ---
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] bool halted() const { return halted_; }
+  /// Local termination-detection instant; -1 until the worker halts.
+  [[nodiscard]] double halted_at() const { return halted_at_; }
   [[nodiscard]] double incumbent() const { return incumbent_; }
   [[nodiscard]] const PathCode& best_code() const { return best_code_; }
   [[nodiscard]] const CodeSet& table() const { return table_; }
   [[nodiscard]] const bnb::ActivePool& pool() const { return pool_; }
-  [[nodiscard]] const WorkerStats& stats() const { return stats_; }
-  [[nodiscard]] WorkerStats& stats() { return stats_; }
+  /// The incarnation's counter block. Hosts add the messages, bytes and
+  /// seconds they measure to it; everything else the worker counts itself.
+  [[nodiscard]] const WorkLedger& work() const { return work_; }
+  [[nodiscard]] WorkLedger& work() { return work_; }
   [[nodiscard]] const WorkerConfig& config() const { return *config_; }
   [[nodiscard]] std::size_t fresh_count() const { return fresh_.size(); }
   [[nodiscard]] const CostController& controller() const { return controller_; }
 
-  /// The incarnation's work ledger, composed on demand from the stats block,
-  /// the worker-internal contraction counters, and the pool's maintenance
-  /// counters. Counts one incarnation; harnesses add() snapshots across
-  /// lives and workers (in canonical id order) and fill the redundant-work
-  /// fields from their canonical-order expansion merge.
+  /// work() plus the pool's maintenance counters, the controller's retunes
+  /// and one incarnation. Harnesses add() snapshots across lives and
+  /// workers (in canonical id order) and fill the redundant-work fields from
+  /// their canonical-order expansion merge.
   [[nodiscard]] WorkLedger work_snapshot() const;
 
  private:
@@ -346,8 +267,8 @@ class BnbWorker {
   [[nodiscard]] std::uint32_t effective_report_batch() const;
 
   void note_contraction(std::uint64_t codes, std::uint64_t nodes) {
-    contraction_codes_ += codes;
-    contraction_nodes_ += nodes;
+    work_[WorkItem::kContractionCodes] += codes;
+    work_[WorkItem::kContractionNodes] += nodes;
   }
 
   // Stall detection (see WorkerConfig::stall_recovery_factor).
@@ -392,12 +313,7 @@ class BnbWorker {
   /// its delta state once per report/gossip batch, not once per fanout copy.
   std::uint64_t report_batches_ = 0;
 
-  /// Worker-internal work counters; work_snapshot() folds them into the
-  /// ledger next to the stats block and the pool's maintenance counters.
-  std::uint64_t contraction_codes_ = 0;  // codes inserted into a table
-  std::uint64_t contraction_nodes_ = 0;  // trie nodes walked doing it
-
-  WorkerStats stats_;
+  WorkLedger work_;
   CodeSet table_;
   bnb::ActivePool pool_;
   std::vector<PathCode> fresh_;  // locally discovered, unreported completions
@@ -420,6 +336,7 @@ class BnbWorker {
 
   PathCode best_code_;
   PathCode last_local_completion_;
+  double halted_at_ = -1.0;
 };
 
 }  // namespace ftbb::core

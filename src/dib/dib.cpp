@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -125,7 +126,7 @@ struct Machine {
   std::uint64_t request_gen = 0;
   std::uint64_t expanded = 0;
   /// Machine-context-only bookkeeping, merged when the run ends.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> expansions;
+  std::unordered_set<PathCode, core::PathCodeHash> expansions;
   std::uint64_t donations_made = 0;
   std::uint64_t donation_redos = 0;
   /// Incarnation counter: a crashed incarnation's expansion continuation and
@@ -237,7 +238,7 @@ struct Machine {
     }
     const bnb::NodeEval eval = sim->model.eval(task.sub.code);
     ++expanded;
-    ++expansions[task.sub.code];
+    expansions.insert(task.sub.code);
     sim->kernel.after(eval.cost, static_cast<sim::OwnerId>(id),
                       [this, task = std::move(task), eval, e = epoch] {
       if (e != epoch) return;  // expansion begun by a crashed incarnation
@@ -422,13 +423,13 @@ DibResult DibSim::run(const bnb::IProblemModel& model, std::uint32_t machines,
   result.makespan = sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
   // Merge per-machine bookkeeping; totals are interleaving-independent.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> merged;
+  std::unordered_set<PathCode, core::PathCodeHash> merged;
   for (const auto& m : sim.machines) {
     result.total_expanded += m->expanded;
     result.donations += m->donations_made;
     result.donation_redos += m->donation_redos;
     result.expanded_per_machine.push_back(m->expanded);
-    for (const auto& [code, count] : m->expansions) merged[code] += count;
+    merged.insert(m->expansions.begin(), m->expansions.end());
   }
   result.unique_expanded = merged.size();
   result.redundant_expansions = result.total_expanded - result.unique_expanded;

@@ -10,7 +10,7 @@
 #include <optional>
 #include <queue>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <variant>
 
 #include "core/frame.hpp"
@@ -36,8 +36,8 @@ struct InboundMsg {
 struct Poison {};
 using Event = std::variant<InboundMsg, TimerFire, Poison>;
 
-using ExpansionMap =
-    std::unordered_map<core::PathCode, std::uint32_t, core::PathCodeHash>;
+/// Codes expanded; the merge reads only how many distinct ones there are.
+using ExpansionSet = std::unordered_set<core::PathCode, core::PathCodeHash>;
 
 /// Unbounded MPSC mailbox; one consumer (the incarnation's thread).
 class Mailbox {
@@ -145,7 +145,7 @@ class WorkerHost;
 
 /// One incarnation of a member: a fresh BnbWorker, its mailbox, and the
 /// thread that drives both. Crashing retires the whole object (its thread
-/// exits; the state stays readable for stats merging) and reviving spawns a
+/// exits; the state stays readable for ledger merging) and reviving spawns a
 /// new one — nothing of a dead incarnation ever leaks into its successor,
 /// mirroring the simulator's crash-stop semantics.
 class Incarnation final : public core::IWorkerEnv {
@@ -174,7 +174,7 @@ class Incarnation final : public core::IWorkerEnv {
   Mailbox& mailbox() { return mailbox_; }
   core::BnbWorker& worker() { return *worker_; }
   [[nodiscard]] const core::BnbWorker& worker() const { return *worker_; }
-  [[nodiscard]] const ExpansionMap& expansions() const { return expansions_; }
+  [[nodiscard]] const ExpansionSet& expansions() const { return expansions_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Whether this incarnation opened a report delta chain (sent at least
   /// one report/gossip batch). Post-run observer: read after join_thread().
@@ -198,7 +198,7 @@ class Incarnation final : public core::IWorkerEnv {
   void notify_halted() override;
   void note_expansion(const core::PathCode& code, double cost) override {
     (void)cost;
-    ++expansions_[code];
+    expansions_.insert(code);
   }
 
  private:
@@ -210,8 +210,9 @@ class Incarnation final : public core::IWorkerEnv {
       if (stopped()) break;
       if (auto* in = std::get_if<InboundMsg>(&e)) {
         if (!worker_->halted()) {
-          worker_->stats().msgs_received++;
-          worker_->stats().bytes_received += in->bytes;
+          core::WorkLedger& work = worker_->work();
+          ++work[core::WorkItem::kMsgsReceived];
+          work[core::WorkItem::kWireBytesReceived] += in->bytes;
           worker_->on_message(in->msg);
         }
       } else {
@@ -226,7 +227,7 @@ class Incarnation final : public core::IWorkerEnv {
   support::Rng rng_;
   Mailbox mailbox_;
   std::optional<core::BnbWorker> worker_;
-  ExpansionMap expansions_;
+  ExpansionSet expansions_;
   std::thread thread_;
   core::ReportDeltaState delta_;  // dies with the incarnation: a revived
                                   // worker never deltas against a dead
@@ -299,9 +300,6 @@ class WorkerHost {
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool ever_crashed() const { return ever_crashed_; }
-  [[nodiscard]] std::uint32_t incarnation_count() const {
-    return static_cast<std::uint32_t>(retired_.size()) + (current_ ? 1u : 0u);
-  }
   [[nodiscard]] std::uint32_t report_streams() const {
     std::uint32_t n = 0;
     for (const auto& inc : retired_) {
@@ -312,20 +310,8 @@ class WorkerHost {
   }
   [[nodiscard]] const Incarnation* current() const { return current_.get(); }
 
-  /// Current incarnation's stats plus everything crashed incarnations spent
-  /// (the paper's aggregates cover crashed processors' time too).
-  [[nodiscard]] core::WorkerStats merged_stats() const {
-    core::WorkerStats total;
-    for (const auto& inc : retired_) total.add(inc->worker().stats());
-    if (current_) {
-      total.add(current_->worker().stats());
-      total.halted_at = current_->worker().stats().halted_at;
-    }
-    return total;
-  }
-
-  /// Work ledger across all incarnations, mirroring SimCluster's
-  /// merged_ledger (kIncarnations counts one per life).
+  /// Work ledger across all incarnations, crashed ones included, mirroring
+  /// SimCluster's merged_ledger (kIncarnations counts one per life).
   [[nodiscard]] core::WorkLedger merged_ledger() const {
     core::WorkLedger total;
     for (const auto& inc : retired_) total.add(inc->worker().work_snapshot());
@@ -333,14 +319,12 @@ class WorkerHost {
     return total;
   }
 
-  void merge_expansions(ExpansionMap& into) const {
+  void merge_expansions(ExpansionSet& into) const {
     for (const auto& inc : retired_) {
-      for (const auto& [code, count] : inc->expansions()) into[code] += count;
+      into.insert(inc->expansions().begin(), inc->expansions().end());
     }
     if (current_) {
-      for (const auto& [code, count] : current_->expansions()) {
-        into[code] += count;
-      }
+      into.insert(current_->expansions().begin(), current_->expansions().end());
     }
   }
 
@@ -460,8 +444,9 @@ void Incarnation::send(core::NodeId to, core::Message msg) {
   // delta state is this incarnation's own and is touched only by its thread.
   support::ByteWriter w;
   core::encode_frame(msg, &delta_, w);
-  worker_->stats().msgs_sent++;
-  worker_->stats().bytes_sent += w.size();
+  core::WorkLedger& work = worker_->work();
+  ++work[core::WorkItem::kMsgsSent];
+  work[core::WorkItem::kWireBytesSent] += w.size();
   host_->cluster_->transport_send(host_->id(), to, std::move(w));
 }
 
@@ -476,7 +461,7 @@ void Incarnation::set_timer(core::TimerKind kind, double delay, std::uint64_t ge
 
 void Incarnation::charge(core::CostKind kind, double seconds) {
   if (seconds <= 0.0) return;
-  worker_->stats().time[static_cast<int>(kind)] += seconds;
+  worker_->work().time(kind) += seconds;
   const double scale = host_->cluster_->config_.time_scale;
   if (kind == core::CostKind::kBB && scale > 0.0) {
     // Emulate the computation (model costs are virtual seconds). A crash
@@ -736,15 +721,12 @@ RtResult RtCluster::run() {
 
   std::uint32_t live = 0;
   std::uint32_t halted = 0;
-  ExpansionMap merged;
+  ExpansionSet merged;
   for (auto& host : hosts_) {
-    result.workers.push_back(host->merged_stats());
     result.worker_ledgers.push_back(host->merged_ledger());
     result.work.add(result.worker_ledgers.back());
     result.crashed.push_back(host->ever_crashed());
-    result.incarnations_per_worker.push_back(host->incarnation_count());
     result.report_streams_per_worker.push_back(host->report_streams());
-    result.incarnations += host->incarnation_count();
     host->merge_expansions(merged);
     if (host->alive() && host->started()) {
       ++live;
@@ -759,9 +741,7 @@ RtResult RtCluster::run() {
     }
   }
   result.all_live_halted = live > 0 && live == halted;
-  for (const core::WorkerStats& stats : result.workers) {
-    result.total_expanded += stats.expanded;
-  }
+  result.total_expanded = result.work[core::WorkItem::kExpansions];
   result.unique_expanded = merged.size();
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;

@@ -15,7 +15,7 @@
 // the discrete-event backends replays here against wall-clock deadlines.
 // Crashed workers are torn down as whole incarnations (thread, mailbox,
 // worker state) and revived as fresh ones; epoch guards drop messages and
-// timers addressed to dead incarnations, and per-incarnation stats merge in
+// timers addressed to dead incarnations, and per-incarnation ledgers merge in
 // the results exactly as SimCluster merges them. The in-process transport
 // evaluates the same windowed loss rules and partition groups as the
 // simulated Network (shared helpers in sim/network.hpp), against wall
@@ -68,24 +68,21 @@ struct RtResult : sim::RunOutcome {
   /// unknown type...). The transport drops them — a decode failure is a
   /// recoverable network event, never a crash. Zero on a healthy run.
   std::uint64_t decode_errors = 0;
-  /// Per member, merged across every incarnation (crashed incarnations'
-  /// spend included), mirroring SimCluster's per-incarnation merge.
-  std::vector<core::WorkerStats> workers;
-  /// Per-member work ledgers (all incarnations folded, member order); `work`
-  /// is their member-order aggregate. Real threads make the *values*
-  /// nondeterministic run to run; the composition mirrors SimCluster's.
+  /// Per-member work ledgers, merged across every incarnation (crashed
+  /// incarnations' spend included) in member order; `work` is their sum,
+  /// and its kIncarnations counts every incarnation spawned. Real threads
+  /// make the *values* nondeterministic run to run; the composition mirrors
+  /// SimCluster's.
   std::vector<core::WorkLedger> worker_ledgers;
   std::vector<bool> crashed;  // ever crash-injected
-  std::vector<std::uint32_t> incarnations_per_worker;
   /// Per member: incarnations that opened a report delta chain (sent at
   /// least one report/gossip batch). A worker crashed mid-stream and revived
   /// shows 2 — the revived incarnation restarted from a self-contained
   /// report rather than the dead predecessor's delta base.
   std::vector<std::uint32_t> report_streams_per_worker;
   /// Incarnation hygiene: every spawned worker thread must be joined by the
-  /// time the result exists. The chaos-soak test asserts reaped ==
-  /// incarnations, i.e. churn never leaks a thread.
-  std::uint32_t incarnations = 0;
+  /// time the result exists. The chaos-soak test asserts that reaped equals
+  /// work[kIncarnations], i.e. churn never leaks a thread.
   std::uint32_t reaped = 0;
 };
 

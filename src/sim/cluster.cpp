@@ -154,19 +154,11 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] double crash_time() const { return crash_time_; }
 
-  /// Current incarnation's stats plus everything crashed incarnations spent
-  /// (the paper's aggregates cover crashed processors' time too).
-  [[nodiscard]] core::WorkerStats merged_stats() const {
-    core::WorkerStats total = prior_ ? prior_->stats : core::WorkerStats{};
-    total.add(worker_->stats());
-    total.halted_at = worker_->stats().halted_at;
-    return total;
-  }
-
-  /// Work ledger across all incarnations (crashed lives folded first, like
-  /// merged_stats; kIncarnations counts one per life).
+  /// Work ledger across all incarnations, crashed lives folded first (the
+  /// paper's aggregates cover crashed processors' time too; kIncarnations
+  /// counts one per life).
   [[nodiscard]] core::WorkLedger merged_ledger() const {
-    core::WorkLedger total = prior_ ? prior_->ledger : core::WorkLedger{};
+    core::WorkLedger total = prior_ ? *prior_ : core::WorkLedger{};
     total.add(worker_->work_snapshot());
     return total;
   }
@@ -215,9 +207,8 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// are dropped, local clock restarted at the revival instant.
   void revive() {
     FTBB_CHECK(!alive_);
-    if (!prior_) prior_ = std::make_unique<PriorLives>();
-    prior_->stats.add(worker_->stats());
-    prior_->ledger.add(worker_->work_snapshot());
+    if (!prior_) prior_ = std::make_unique<core::WorkLedger>();
+    prior_->add(worker_->work_snapshot());
     ++cluster_->epochs_[id_];
     alive_ = true;
     started_ = true;
@@ -269,9 +260,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
         wire_.delta_report_bytes += bytes;
       }
     }
-    auto& stats = worker_->stats();
-    ++stats.msgs_sent;
-    stats.bytes_sent += bytes;
+    core::WorkLedger& work = worker_->work();
+    ++work[core::WorkItem::kMsgsSent];
+    work[core::WorkItem::kWireBytesSent] += bytes;
     charge(core::CostKind::kComm,
            cluster_->config_.worker.costs.send_fixed +
                cluster_->config_.worker.costs.send_per_byte * static_cast<double>(bytes));
@@ -307,7 +298,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
 
   void charge(core::CostKind kind, double seconds) override {
     if (seconds <= 0.0) return;
-    worker_->stats().time[static_cast<int>(kind)] += seconds;
+    worker_->work().time(kind) += seconds;
     if (cluster_->config_.record_trace) {
       trace_.add(id_, busy_until_, busy_until_ + seconds, to_activity(kind));
     }
@@ -384,13 +375,6 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   };
   using Pending = std::variant<Inbound, TimerFire>;
 
-  /// What crashed incarnations spent, folded on each revive; allocated on
-  /// the first one, so a worker that never crashes carries one pointer.
-  struct PriorLives {
-    core::WorkerStats stats;
-    core::WorkLedger ledger;  // work-mix counters
-  };
-
   /// This worker's current incarnation (the cluster's epoch array holds it).
   [[nodiscard]] std::uint64_t incarnation() const {
     return cluster_->epochs_[id_];
@@ -402,7 +386,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     const core::CostKind kind = (wait_hint_ == core::WaitHint::kAwaitingWork)
                                     ? core::CostKind::kLoadBalance
                                     : core::CostKind::kIdle;
-    worker_->stats().time[static_cast<int>(kind)] += dur;
+    worker_->work().time(kind) += dur;
     if (cluster_->config_.record_trace) {
       trace_.add(id_, from, to,
                  kind == core::CostKind::kLoadBalance ? trace::Activity::kLB
@@ -460,9 +444,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
       busy_until_ = t;
     }
     if (Inbound* in = std::get_if<Inbound>(&e)) {
-      auto& stats = worker_->stats();
-      ++stats.msgs_received;
-      stats.bytes_received += in->bytes;
+      core::WorkLedger& work = worker_->work();
+      ++work[core::WorkItem::kMsgsReceived];
+      work[core::WorkItem::kWireBytesReceived] += in->bytes;
       charge(core::CostKind::kComm,
              cluster_->config_.worker.costs.recv_fixed +
                  cluster_->config_.worker.costs.recv_per_byte *
@@ -507,7 +491,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// Per incarnation: the first report/gossip batch creates it, revive()
   /// drops it.
   std::unique_ptr<core::ReportDeltaState> delta_;
-  std::unique_ptr<PriorLives> prior_;
+  /// What crashed incarnations spent, folded on each revive; allocated on
+  /// the first one, so a worker that never crashes carries one pointer.
+  std::unique_ptr<core::WorkLedger> prior_;
   std::uint32_t report_streams_ = 0;  // incarnations that opened a report chain
   bool counts_toward_live_ = true;
   double crash_time_ = -1.0;
@@ -685,20 +671,19 @@ ClusterResult SimCluster::collect() {
   for (auto& host : hosts_) {
     host->finalize(end_time);
     const core::BnbWorker& w = host->worker();
-    const core::WorkerStats merged = host->merged_stats();
-    res.workers.push_back(merged);
     res.worker_ledgers.push_back(host->merged_ledger());
     res.work.add(res.worker_ledgers.back());
     res.crashed.push_back(!host->alive());
     res.incumbents.push_back(w.incumbent());
+    res.halted_at.push_back(w.halted_at());
     // A member that never started (its join was abandoned at the horizon)
     // is not part of the live set the run waits for.
     if (host->alive() && host->started()) {
       ++live_total;
       if (w.halted()) {
         ++live_halted;
-        res.makespan = std::max(res.makespan, w.stats().halted_at);
-        res.first_detection = std::min(res.first_detection, w.stats().halted_at);
+        res.makespan = std::max(res.makespan, w.halted_at());
+        res.first_detection = std::min(res.first_detection, w.halted_at());
         if (w.incumbent() < res.solution) {
           res.solution = w.incumbent();
           res.solution_found = true;
@@ -706,15 +691,10 @@ ClusterResult SimCluster::collect() {
       }
       res.final_table_bytes_total += w.table().encoded_bytes();
     }
-    for (int k = 0; k < core::kCostKinds; ++k) {
-      res.total_time[k] += merged.time[k];
-    }
-    res.total_expanded += merged.expanded;
-    res.total_completions += merged.completions;
-    res.total_report_codes += merged.report_codes_sent;
     res.wire.add(host->wire_stats());
     res.report_streams_per_worker.push_back(host->report_streams());
   }
+  res.total_expanded = res.work[core::WorkItem::kExpansions];
   res.all_live_halted = live_total > 0 && live_halted == live_total;
   if (!res.all_live_halted) res.makespan = end_time;
 
@@ -783,7 +763,7 @@ ClusterResult SimCluster::collect() {
       if (!host.alive()) {
         res.timeline.add(id, host.crash_time(), end_time, trace::Activity::kDead);
       } else if (host.worker().halted()) {
-        res.timeline.add(id, host.worker().stats().halted_at, end_time,
+        res.timeline.add(id, host.worker().halted_at(), end_time,
                          trace::Activity::kDone);
       }
     }

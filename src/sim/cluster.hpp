@@ -131,7 +131,6 @@ struct ClusterResult : RunOutcome {
   double first_detection = 0.0;  // earliest termination detection
 
   // -- per worker --
-  std::vector<core::WorkerStats> workers;
   /// Per-worker work ledgers, all incarnations folded (host-id order, so
   /// aggregation is canonical across executors and thread counts).
   std::vector<core::WorkLedger> worker_ledgers;
@@ -140,11 +139,9 @@ struct ClusterResult : RunOutcome {
   /// says every live worker that detected termination holds exactly the
   /// global optimum here, not merely the best of them.
   std::vector<double> incumbents;
-
-  // -- aggregates over live + crashed workers --
-  double total_time[core::kCostKinds] = {0, 0, 0, 0, 0};
-  std::uint64_t total_completions = 0;
-  std::uint64_t total_report_codes = 0;    // compression numerator
+  /// The current incarnation's termination-detection instant (-1 if it
+  /// never halted).
+  std::vector<double> halted_at;
 
   // -- storage (Table 1) --
   std::size_t peak_table_bytes_total = 0;   // sum of all live tables at peak
@@ -160,16 +157,6 @@ struct ClusterResult : RunOutcome {
   std::vector<std::uint32_t> report_streams_per_worker;
 
   trace::Timeline timeline;  // populated when record_trace
-
-  [[nodiscard]] double time_of(core::CostKind kind) const {
-    return total_time[static_cast<int>(kind)];
-  }
-  /// Sum of the four busy categories plus idle, across workers.
-  [[nodiscard]] double time_all() const {
-    double t = 0.0;
-    for (const double v : total_time) t += v;
-    return t;
-  }
 };
 
 class SimCluster {

@@ -18,6 +18,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 /// Small tree + tight protocol timings so virtual runs stay fast.
 core::WorkerConfig fast_worker_config() {
@@ -77,7 +78,9 @@ TEST(Cluster, FourWorkersSolveTreeProblem) {
   // Work spread: most workers expanded something (with elimination the
   // effective tree can be too small to reach everyone before it is done).
   int active = 0;
-  for (const auto& w : res.workers) active += w.expanded > 0 ? 1 : 0;
+  for (const core::WorkLedger& w : res.worker_ledgers) {
+    active += w[WorkItem::kExpansions] > 0 ? 1 : 0;
+  }
   EXPECT_GE(active, 3);
 }
 
@@ -86,7 +89,8 @@ TEST(Cluster, EveryLiveWorkerDetectsTermination) {
   TreeProblem problem(&tree);
   const ClusterResult res = SimCluster::run(problem, base_config(5, 3));
   ASSERT_TRUE(res.all_live_halted);
-  for (const auto& w : res.workers) EXPECT_GE(w.halted_at, 0.0);
+  ASSERT_EQ(res.halted_at.size(), 5u);
+  for (const double t : res.halted_at) EXPECT_GE(t, 0.0);
 }
 
 TEST(Cluster, DistributedKnapsackMatchesDp) {
@@ -134,7 +138,7 @@ TEST(Cluster, ReportsAreCompressed) {
   const ClusterResult res = SimCluster::run(problem, base_config(4, 7));
   ASSERT_TRUE(res.all_live_halted);
   // Code compression: fewer codes cross the wire than completions occur.
-  EXPECT_LT(res.total_report_codes, res.total_completions);
+  EXPECT_LT(res.work[WorkItem::kReportCodesSent], res.work[WorkItem::kCompletions]);
 }
 
 TEST(Cluster, LargerReportBatchesCompressBetter) {
@@ -152,10 +156,12 @@ TEST(Cluster, LargerReportBatchesCompressBetter) {
   const ClusterResult b = SimCluster::run(problem, large_batch);
   ASSERT_TRUE(a.all_live_halted);
   ASSERT_TRUE(b.all_live_halted);
-  const double ratio_small =
-      static_cast<double>(a.total_report_codes) / static_cast<double>(a.total_completions);
-  const double ratio_large =
-      static_cast<double>(b.total_report_codes) / static_cast<double>(b.total_completions);
+  const auto ratio = [](const ClusterResult& r) {
+    return static_cast<double>(r.work[WorkItem::kReportCodesSent]) /
+           static_cast<double>(r.work[WorkItem::kCompletions]);
+  };
+  const double ratio_small = ratio(a);
+  const double ratio_large = ratio(b);
   EXPECT_LT(ratio_large, ratio_small);
   EXPECT_LT(ratio_large, 0.5);
 }
@@ -202,8 +208,10 @@ TEST(Cluster, CrashedWorkerRejoinsAsFreshIncarnationAndHalts) {
   // (every live worker that detects termination holds the global optimum).
   EXPECT_FALSE(res.crashed[1]);
   EXPECT_DOUBLE_EQ(res.incumbents[1], tree.optimal_value());
-  // Its reported stats fold in the crashed incarnation's spent time.
-  EXPECT_GT(res.workers[1].busy_total(), 0.0);
+  // Its ledger folds in the crashed incarnation's spent time.
+  const core::WorkLedger& revived = res.worker_ledgers[1];
+  EXPECT_EQ(revived[WorkItem::kIncarnations], 2u);
+  EXPECT_GT(revived.time_all() - revived.time(core::CostKind::kIdle), 0.0);
 }
 
 TEST(Cluster, RejoinAimedAtLiveWorkerIsIgnored) {
@@ -232,7 +240,7 @@ TEST(Cluster, Figure6AllButOneCrashNearTheEnd) {
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());
   // The survivor had to redo lost work.
-  EXPECT_GT(res.workers[0].recoveries + res.redundant_expansions, 0u);
+  EXPECT_GT(res.worker_ledgers[0][WorkItem::kRecoveries] + res.redundant_expansions, 0u);
 }
 
 TEST(Cluster, SurvivesRootHolderCrashBeforeSharing) {
@@ -243,9 +251,7 @@ TEST(Cluster, SurvivesRootHolderCrashBeforeSharing) {
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());
   // Someone recovered the root problem from an empty table.
-  std::uint64_t recoveries = 0;
-  for (const auto& w : res.workers) recoveries += w.recoveries;
-  EXPECT_GT(recoveries, 0u);
+  EXPECT_GT(res.work[WorkItem::kRecoveries], 0u);
 }
 
 TEST(Cluster, SurvivesMessageLoss) {
@@ -351,7 +357,9 @@ TEST(Cluster, LateJoinersParticipateAndTerminate) {
   EXPECT_LT(res.makespan, baseline.makespan);
   // Every joiner contributed.
   int active = 0;
-  for (const auto& w : res.workers) active += w.expanded > 0 ? 1 : 0;
+  for (const core::WorkLedger& w : res.worker_ledgers) {
+    active += w[WorkItem::kExpansions] > 0 ? 1 : 0;
+  }
   EXPECT_GE(active, 6);
 }
 
@@ -400,11 +408,10 @@ TEST(Cluster, CrashedIdleWorkerAccountsForEverySecondUntilItsCrash) {
     const ClusterResult res = SimCluster::run(problem, cfg);
     expect_solved(res, tree.optimal_value());
     ASSERT_TRUE(res.crashed[1]);
-    double lifetime = 0.0;
-    for (const double t : res.workers[1].time) lifetime += t;
-    EXPECT_NEAR(lifetime, 0.1 - 0.03, 1e-12) << "partitioned " << partitioned;
-    EXPECT_GT(res.workers[1].work_requests_sent, 0u);
-    EXPECT_EQ(res.workers[1].expanded, 0u);
+    const core::WorkLedger& late = res.worker_ledgers[1];
+    EXPECT_NEAR(late.time_all(), 0.1 - 0.03, 1e-12) << "partitioned " << partitioned;
+    EXPECT_GT(late[WorkItem::kWorkRequestsSent], 0u);
+    EXPECT_EQ(late[WorkItem::kExpansions], 0u);
   }
 }
 
@@ -438,11 +445,8 @@ TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
   // before any node cost has been observed, so the counts only need to not
   // regress; the precise stretching contract is tested at the worker level
   // in worker_test.cpp.)
-  std::uint64_t fixed_timeouts = 0;
-  std::uint64_t model_timeouts = 0;
-  for (const auto& w : fixed_res.workers) fixed_timeouts += w.request_timeouts;
-  for (const auto& w : adaptive_res.workers) model_timeouts += w.request_timeouts;
-  EXPECT_LE(model_timeouts, fixed_timeouts);
+  EXPECT_LE(adaptive_res.work[WorkItem::kRequestTimeouts],
+            fixed_res.work[WorkItem::kRequestTimeouts]);
   // Small endgame duplication is possible; ramp-up scale blowups are not.
   EXPECT_LT(adaptive_res.redundant_expansions, 50u);
 }
@@ -488,7 +492,7 @@ TEST(Cluster, TraceRecordsActivityAndDeath) {
 }
 
 TEST(Cluster, ShardedExecutorMatchesSequentialBitForBit) {
-  // Every observable of ClusterResult — per-worker stats, the redundant-cost
+  // Every observable of ClusterResult — per-worker ledgers, the redundant-cost
   // double, storage peaks, network counters, the activity timeline — must be
   // byte-equal between the sequential kernel and sharded runs, under a
   // schedule exercising crash, rejoin, partition, and loss at once.
@@ -513,7 +517,8 @@ TEST(Cluster, ShardedExecutorMatchesSequentialBitForBit) {
     EXPECT_EQ(seq.unique_expanded, par.unique_expanded);
     EXPECT_EQ(seq.redundant_expansions, par.redundant_expansions);
     EXPECT_EQ(seq.redundant_cost, par.redundant_cost);  // exact, not NEAR
-    EXPECT_EQ(seq.total_completions, par.total_completions);
+    // The ledger fingerprint covers every counter and time bucket bit for bit.
+    EXPECT_EQ(seq.work.fingerprint(), par.work.fingerprint()) << "threads " << threads;
     EXPECT_EQ(seq.peak_table_bytes_total, par.peak_table_bytes_total);
     EXPECT_EQ(seq.peak_table_bytes_unique, par.peak_table_bytes_unique);
     EXPECT_EQ(seq.final_table_bytes_total, par.final_table_bytes_total);
@@ -521,15 +526,12 @@ TEST(Cluster, ShardedExecutorMatchesSequentialBitForBit) {
     EXPECT_EQ(seq.net.messages_delivered, par.net.messages_delivered);
     EXPECT_EQ(seq.net.messages_lost, par.net.messages_lost);
     EXPECT_EQ(seq.net.bytes_sent, par.net.bytes_sent);
-    ASSERT_EQ(seq.workers.size(), par.workers.size());
-    for (std::size_t w = 0; w < seq.workers.size(); ++w) {
-      for (int k = 0; k < core::kCostKinds; ++k) {
-        EXPECT_EQ(seq.workers[w].time[k], par.workers[w].time[k])
-            << "worker " << w << " kind " << k << " threads " << threads;
-      }
-      EXPECT_EQ(seq.workers[w].expanded, par.workers[w].expanded);
-      EXPECT_EQ(seq.workers[w].msgs_sent, par.workers[w].msgs_sent);
-      EXPECT_EQ(seq.workers[w].halted_at, par.workers[w].halted_at);
+    ASSERT_EQ(seq.worker_ledgers.size(), par.worker_ledgers.size());
+    ASSERT_EQ(seq.halted_at.size(), par.halted_at.size());
+    for (std::size_t w = 0; w < seq.worker_ledgers.size(); ++w) {
+      EXPECT_EQ(seq.worker_ledgers[w].fingerprint(), par.worker_ledgers[w].fingerprint())
+          << "worker " << w << " threads " << threads;
+      EXPECT_EQ(seq.halted_at[w], par.halted_at[w]);
       EXPECT_EQ(seq.incumbents[w], par.incumbents[w]);
       EXPECT_EQ(seq.crashed[w], par.crashed[w]);
     }

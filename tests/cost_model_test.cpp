@@ -108,7 +108,7 @@ TEST(WorkLedger, AddIsCommutativeAndFingerprintSeesEveryField) {
     l.items[i] += 1;
     EXPECT_NE(l.fingerprint(), ab.fingerprint()) << "item " << i;
   }
-  for (int i = 0; i < core::WorkLedger::kTimeKinds; ++i) {
+  for (int i = 0; i < core::kCostKinds; ++i) {
     core::WorkLedger l = ab;
     l.seconds[i] += 0.5;
     EXPECT_NE(l.fingerprint(), ab.fingerprint()) << "time " << i;
@@ -116,7 +116,11 @@ TEST(WorkLedger, AddIsCommutativeAndFingerprintSeesEveryField) {
   core::WorkLedger l = ab;
   l.redundant_seconds += 0.5;
   EXPECT_NE(l.fingerprint(), ab.fingerprint());
-  EXPECT_FALSE(ab.to_string().empty());
+  // Nonzero counters in WorkItem order, then every time bucket by its
+  // CostKind name.
+  EXPECT_EQ(ab.to_string(),
+            "work-mix: expansions=3 msgs_sent=7 t_bb=1.5 t_contraction=0 t_comm=0 "
+            "t_lb=0 t_idle=0 t_redundant=0.25");
 }
 
 // ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ TEST_P(InvariantSweep, EveryDetectorHoldsTheOptimumEvenUnderCrashes) {
   const ClusterResult res = SimCluster::run(crashed_problem, crashed.cfg);
   ASSERT_TRUE(res.all_live_halted);
   for (std::size_t i = 0; i < res.incumbents.size(); ++i) {
-    if (res.crashed[i] || res.workers[i].halted_at < 0.0) continue;
+    if (res.crashed[i] || res.halted_at[i] < 0.0) continue;
     EXPECT_DOUBLE_EQ(res.incumbents[i], crashed.tree.optimal_value())
         << "worker " << i;
   }

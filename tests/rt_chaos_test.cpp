@@ -26,6 +26,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 /// A random adversity schedule over ~0.35 wall seconds: every fault kind the
 /// runtime supports, at randomized times and victims (node 0 seeds the
@@ -97,18 +98,18 @@ TEST(RtChaos, RandomizedChurnSoakFindsOptimumAndReapsEveryIncarnation) {
     // Incarnation hygiene: every spawned thread was joined, every member of
     // the extended population (initial + churn) got at least one
     // incarnation, and every bounce cost exactly one extra.
-    EXPECT_EQ(res.reaped, res.incarnations) << "seed " << seed;
-    EXPECT_EQ(res.incarnations_per_worker.size(), cfg.faults.population);
-    std::uint32_t expected = 0;
+    EXPECT_EQ(res.reaped, res.work[WorkItem::kIncarnations]) << "seed " << seed;
+    EXPECT_EQ(res.worker_ledgers.size(), cfg.faults.population);
+    std::uint64_t expected = 0;
     for (std::uint32_t node = 0; node < cfg.faults.population; ++node) {
       // A member has one incarnation per distinct entry (join or revive);
       // crashes that landed after its halt spawn nothing. At minimum it
       // joined once.
-      EXPECT_GE(res.incarnations_per_worker[node], 1u)
-          << "seed " << seed << " node " << node;
-      expected += res.incarnations_per_worker[node];
+      const std::uint64_t lives = res.worker_ledgers[node][WorkItem::kIncarnations];
+      EXPECT_GE(lives, 1u) << "seed " << seed << " node " << node;
+      expected += lives;
     }
-    EXPECT_EQ(res.incarnations, expected);
+    EXPECT_EQ(res.work[WorkItem::kIncarnations], expected);
   }
 }
 
@@ -140,7 +141,7 @@ TEST(RtChaos, LongPartitionWithLossStillConverges) {
   EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
-  EXPECT_EQ(res.reaped, res.incarnations);
+  EXPECT_EQ(res.reaped, res.work[WorkItem::kIncarnations]);
   EXPECT_GT(res.net.messages_partitioned + res.net.messages_lost, 0u);
 }
 

@@ -15,6 +15,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 RtConfig fast_config(std::uint32_t workers, std::uint64_t seed) {
   RtConfig cfg;
@@ -81,7 +82,7 @@ TEST(Rt, SurvivesWorkerCrashes) {
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_TRUE(res.crashed[1]);
   EXPECT_TRUE(res.crashed[3]);
-  EXPECT_EQ(res.reaped, res.incarnations);
+  EXPECT_EQ(res.reaped, res.work[WorkItem::kIncarnations]);
 }
 
 TEST(Rt, SurvivesMessageLoss) {
@@ -123,8 +124,8 @@ TEST(Rt, CrashedWorkerRejoinsAsFreshIncarnation) {
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_TRUE(res.crashed[1]);
   // The bounce spawned a second incarnation and both threads were reaped.
-  EXPECT_GE(res.incarnations_per_worker[1], 2u);
-  EXPECT_EQ(res.reaped, res.incarnations);
+  EXPECT_GE(res.worker_ledgers[1][WorkItem::kIncarnations], 2u);
+  EXPECT_EQ(res.reaped, res.work[WorkItem::kIncarnations]);
 }
 
 TEST(Rt, ChurnArrivalsJoinLate) {
@@ -139,8 +140,8 @@ TEST(Rt, ChurnArrivalsJoinLate) {
   EXPECT_FALSE(res.hit_time_limit);
   ASSERT_TRUE(res.all_live_halted);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
-  ASSERT_EQ(res.workers.size(), 4u);  // population grew to 4
-  EXPECT_EQ(res.reaped, res.incarnations);
+  ASSERT_EQ(res.worker_ledgers.size(), 4u);  // population grew to 4
+  EXPECT_EQ(res.reaped, res.work[WorkItem::kIncarnations]);
 }
 
 TEST(Rt, WindowedLinkLossAndPartitionReplay) {
@@ -162,14 +163,21 @@ TEST(Rt, StatsAreCollected) {
   TreeProblem problem(&tree);
   const RtResult res = Cluster::run(problem, fast_config(3, 7));
   ASSERT_TRUE(res.all_live_halted);
-  std::uint64_t total_expanded = 0;
-  for (const auto& w : res.workers) {
-    total_expanded += w.expanded;
-    EXPECT_GE(w.time[0], 0.0);
+  ASSERT_EQ(res.worker_ledgers.size(), 3u);
+  core::WorkLedger sum;
+  for (const core::WorkLedger& w : res.worker_ledgers) {
+    EXPECT_GE(w.time(core::CostKind::kBB), 0.0);
+    sum.add(w);
   }
   // Every node of the tree was expanded at least once (bounds honored, so
   // some are eliminated; at minimum the feasible optimum path was walked).
-  EXPECT_GT(total_expanded, 0u);
+  EXPECT_GT(sum[WorkItem::kExpansions], 0u);
+  // The cluster ledger is the member-order sum of the members' ledgers once
+  // the merge's redundancy count is filled in, and it counts one life per
+  // incarnation thread spawned and reaped. Both hold wherever a fault lands.
+  sum[WorkItem::kRedundantExpansions] = res.redundant_expansions;
+  EXPECT_EQ(sum.fingerprint(), res.work.fingerprint());
+  EXPECT_EQ(res.work[WorkItem::kIncarnations], res.reaped);
 }
 
 }  // namespace

@@ -136,13 +136,13 @@ TEST(Wire, RtRevivedWorkerRestartsItsDeltaStream) {
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_EQ(res.decode_errors, 0u);
   ASSERT_EQ(res.report_streams_per_worker.size(), 4u);
-  ASSERT_EQ(res.incarnations_per_worker.size(), 4u);
-  EXPECT_GE(res.incarnations_per_worker[1], 2u);
+  ASSERT_EQ(res.worker_ledgers.size(), 4u);
+  EXPECT_GE(res.worker_ledgers[1][core::WorkItem::kIncarnations], 2u);
   for (std::size_t node = 0; node < 4; ++node) {
     // A stream needs an incarnation; timing decides whether every
     // incarnation got far enough to report, so only the bound is exact.
     EXPECT_LE(res.report_streams_per_worker[node],
-              res.incarnations_per_worker[node]);
+              res.worker_ledgers[node][core::WorkItem::kIncarnations]);
   }
   // Somebody reported, and every frame decoded.
   std::uint32_t streams = 0;

@@ -113,7 +113,7 @@ TEST(Worker, SoloWithRootSolvesToTermination) {
   EXPECT_TRUE(f.env.halted_notified);
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
   EXPECT_TRUE(worker.table().root_complete());
-  EXPECT_GE(worker.stats().halted_at, 0.0);
+  EXPECT_GE(worker.halted_at(), 0.0);
 }
 
 TEST(Worker, SoloWithoutRootRecoversTheRootFromAnEmptyTable) {
@@ -125,7 +125,7 @@ TEST(Worker, SoloWithoutRootRecoversTheRootFromAnEmptyTable) {
   worker.on_start(/*with_root=*/false);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
-  EXPECT_GE(worker.stats().recoveries, 1u);
+  EXPECT_GE(worker.work()[WorkItem::kRecoveries], 1u);
 }
 
 TEST(Worker, BestCodeNamesAnOptimalLeaf) {
@@ -254,7 +254,7 @@ TEST(Worker, IncumbentAbsorbedAndPruned) {
   worker.on_message(deny);
   EXPECT_DOUBLE_EQ(worker.incumbent(), -1e30);
   EXPECT_TRUE(worker.pool().empty());
-  EXPECT_GT(worker.stats().eliminated, 0u);
+  EXPECT_GT(worker.work()[WorkItem::kEliminated], 0u);
 }
 
 TEST(Worker, RequestTimeoutsEscalateToRecovery) {
@@ -268,12 +268,12 @@ TEST(Worker, RequestTimeoutsEscalateToRecovery) {
   // table the stall threshold is further multiplied (a wrong suspicion would
   // duplicate the whole root problem). Keep firing timers until the worker
   // gives up on load balancing and complements.
-  for (int i = 0; i < 2000 && worker.stats().recoveries == 0; ++i) {
+  for (int i = 0; i < 2000 && worker.work()[WorkItem::kRecoveries] == 0; ++i) {
     ASSERT_TRUE(f.env.fire_next(worker));
   }
-  EXPECT_GE(worker.stats().work_requests_sent, 2u);
-  EXPECT_GE(worker.stats().request_timeouts, 2u);
-  EXPECT_GE(worker.stats().recoveries, 1u);
+  EXPECT_GE(worker.work()[WorkItem::kWorkRequestsSent], 2u);
+  EXPECT_GE(worker.work()[WorkItem::kRequestTimeouts], 2u);
+  EXPECT_GE(worker.work()[WorkItem::kRecoveries], 1u);
   EXPECT_FALSE(worker.pool().empty());  // recovered the root region
   // The stall gate held recovery back until the silence threshold.
   EXPECT_GE(f.env.clock,
@@ -313,7 +313,7 @@ TEST(Worker, GrantOfCoveredProblemIsDropped) {
   grant.problems.push_back(bnb::Subproblem{left, 0.0});
   worker.on_message(grant);
   EXPECT_TRUE(worker.pool().empty());
-  EXPECT_GT(worker.stats().covered_skips, 0u);
+  EXPECT_GT(worker.work()[WorkItem::kCoveredSkips], 0u);
 }
 
 TEST(Worker, PaperLiteralReportCompressionAlsoWorks) {
@@ -334,7 +334,7 @@ TEST(Worker, EliminationDisabledStillTerminates) {
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   // Exhaustive traversal: every node expanded exactly once.
-  EXPECT_EQ(worker.stats().expanded, f.tree.size());
+  EXPECT_EQ(worker.work()[WorkItem::kExpansions], f.tree.size());
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
 }
 
@@ -389,9 +389,9 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
       for (const auto& t : env.timers) {
         if (t.kind == TimerKind::kRequestTimeout) last_request_delay = t.delay;
       }
-      if (last_request_delay > 0.0 && worker.stats().expanded > 5) break;
+      if (last_request_delay > 0.0 && worker.work()[WorkItem::kExpansions] > 5) break;
     }
-    ASSERT_GT(worker.stats().expanded, 5u);
+    ASSERT_GT(worker.work()[WorkItem::kExpansions], 5u);
     ASSERT_GT(last_request_delay, 0.0);
     if (adaptive) {
       // ~0.02 + 2.0 * 0.5s, modulo the EWMA's spread.
