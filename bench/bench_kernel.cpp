@@ -9,16 +9,18 @@
 //     schedule a replacement at now + exp-ish offset. On the seed heap this
 //     is O(log n) sift per op plus a malloc/free pair per std::function; on
 //     the ladder it is O(1) amortized band append plus zero allocations for
-//     inline-sized captures. The ISSUE gate is that this curve is flat
-//     (O(1)) across 10^4..10^7 while the heap's drifts up with log n.
+//     inline-sized captures. The target is that this curve is flat (O(1))
+//     across 10^4..10^7 while the heap's drifts up with log n.
 //   * bytes/event and allocs/event: global operator new/delete are
 //     instrumented in this binary; prefill measures bytes per pending event
 //     (node + callback storage), the warm churn window measures allocations
 //     per schedule+dispatch cycle (the inline SBO contract says 0 for the
 //     ladder).
 //
-// `--smoke` runs 10^4..10^5 only with short windows — the CI perf-smoke job
-// uses it as a build-and-run gate, not a perf assertion.
+// `--smoke` runs 10^4..10^5 only with short windows. Throughput is reported,
+// not asserted, but the binary exits nonzero if the ladder's warm-churn
+// allocs/event is not exactly 0 at any size (the CI perf-smoke job gates on
+// that).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -225,5 +227,15 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_kernel.json\n");
-  return 0;
+
+  // Gate: the ladder's steady-state schedule+dispatch must be allocation-free.
+  int rc = 0;
+  for (const SizeResult& sr : all) {
+    if (sr.ladder.allocs_per_event != 0.0) {
+      std::fprintf(stderr, "GATE FAIL: ladder allocates %.4f/event at %zu pending (expected 0)\n",
+                   sr.ladder.allocs_per_event, sr.pending);
+      rc = 1;
+    }
+  }
+  return rc;
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -136,9 +135,8 @@ struct Worker {
   bool stopped = false;
   bool fetch_outstanding = false;
   double incumbent = bnb::kInfinity;
-  std::uint64_t expanded = 0;
-  /// Codes this worker expanded (worker-context only; merged at the end).
-  std::unordered_set<PathCode, core::PathCodeHash> expansions;
+  /// Worker-context only; accounted when the run ends.
+  sim::ExpansionLog expansions;
   /// Incarnation counter: closures belonging to a crashed incarnation must
   /// not resume after a revive (their batch state is stale).
   std::uint64_t epoch = 0;
@@ -221,8 +219,7 @@ struct Worker {
       return;
     }
     const bnb::NodeEval eval = sim->model.eval(p.code);
-    ++expanded;
-    expansions.insert(p.code);
+    expansions.add(p.code, eval.cost);
     sim->kernel.after(
         eval.cost, static_cast<sim::OwnerId>(id),
         [this, batch_id, todo = std::move(todo),
@@ -423,14 +420,9 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
   result.makespan =
       sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
-  // Merge per-worker expansion sets; totals are interleaving-independent.
-  std::unordered_set<PathCode, core::PathCodeHash> merged;
-  for (const auto& w : sim.workers) {
-    result.total_expanded += w->expanded;
-    merged.insert(w->expansions.begin(), w->expansions.end());
-  }
-  result.unique_expanded = merged.size();
-  result.redundant_expansions = result.total_expanded - result.unique_expanded;
+  std::vector<const sim::ExpansionLog*> logs;
+  for (const auto& w : sim.workers) logs.push_back(&w->expansions);
+  result.account_expansions(logs);
   result.manager_messages = sim.manager_messages;
   result.reissues = sim.reissues;
   result.manager_restarts = sim.manager_restarts;

@@ -103,12 +103,13 @@ constexpr int kCostKinds = 5;
 
 /// Flat additive work accounting: the worker's one counter block. The worker
 /// counts its search and protocol work here, its host adds the messages,
-/// bytes and seconds it measures; times are virtual seconds in the simulator
-/// and wall seconds in the real-time runtime.
+/// bytes and seconds it measures. Times are virtual seconds; the rt runtime
+/// adds the model's charges unscaled and only sleeps time_scale times each
+/// B&B charge, so its times are model seconds too, not wall seconds.
 struct WorkLedger {
   std::uint64_t items[kWorkItems] = {};
   double seconds[kCostKinds] = {0, 0, 0, 0, 0};
-  double redundant_seconds = 0.0;  // harness-filled, canonical-order merge
+  double redundant_seconds = 0.0;  // RunOutcome::account_expansions fills it
 
   [[nodiscard]] std::uint64_t& operator[](WorkItem item) {
     return items[static_cast<int>(item)];

@@ -18,19 +18,14 @@
 // varint per word. The first kInlineWords decisions live inline in the
 // object (small-buffer optimization: typical search depths fit, so
 // child()/parent()/sibling() on the expansion hot path allocate nothing);
-// deeper codes spill to a geometrically grown heap block. A prefix hash is
-// maintained incrementally through every derivation — the FNV-1a prime is
-// odd, hence invertible mod 2^64, so parent()/pop_step() can *unmix* the
-// last word — which makes hash() O(1) while returning bit-for-bit the value
-// the seed implementation computed per call. Packing var into 31 bits caps
-// variable indices at kMaxVar = 2^31-1 (decode rejects larger as corrupt;
-// no workload comes within orders of magnitude of it).
+// deeper codes spill to a geometrically grown heap block. Packing var into
+// 31 bits caps variable indices at kMaxVar = 2^31-1 (decode rejects larger
+// as corrupt; no workload comes within orders of magnitude of it).
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,25 +43,6 @@ struct Branch {
   friend bool operator==(const Branch&, const Branch&) = default;
   friend auto operator<=>(const Branch&, const Branch&) = default;
 };
-
-namespace detail {
-
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// Multiplicative inverse of an odd constant mod 2^64 (Newton iteration:
-/// each step doubles the number of correct low bits, starting from the three
-/// that a*a ≡ 1 (mod 8) guarantees for odd a).
-constexpr std::uint64_t mul_inverse(std::uint64_t a) {
-  std::uint64_t x = a;
-  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
-  return x;
-}
-
-inline constexpr std::uint64_t kFnvPrimeInv = mul_inverse(kFnvPrime);
-static_assert(kFnvPrime * kFnvPrimeInv == 1, "FNV prime must be invertible");
-
-}  // namespace detail
 
 /// Non-owning view of a code: a span of packed step words. The cheap
 /// currency for read-only code traversal — CodeSet lookups, pool covered
@@ -147,7 +123,7 @@ class PathView {
 /// is exported or reported.
 class PathCode {
  public:
-  /// Decisions stored inline before spilling to the heap (144-byte object).
+  /// Decisions stored inline before spilling to the heap (136-byte object).
   /// Codes up to depth 32 — child() in expand, code copies during pool
   /// pushes — never touch the allocator; deeper codes spill. Measured
   /// break-even: the extra memcpy width costs ~2ns per copy while a spilled
@@ -170,17 +146,11 @@ class PathCode {
   }
 
   explicit PathCode(PathView view) : PathCode(Uninit{}, view.depth()) {
-    std::uint64_t h = detail::kFnvOffset;
     std::uint32_t* w = mutable_words();
-    for (std::size_t i = 0; i < view.depth(); ++i) {
-      w[i] = view.word(i);
-      h = (h ^ w[i]) * detail::kFnvPrime;
-    }
-    pre_hash_ = h;
+    for (std::size_t i = 0; i < view.depth(); ++i) w[i] = view.word(i);
   }
 
-  PathCode(const PathCode& other)
-      : pre_hash_(other.pre_hash_), size_(other.size_) {
+  PathCode(const PathCode& other) : size_(other.size_) {
     if (size_ > kInlineWords) {
       cap_ = size_;
       rep_.heap = new std::uint32_t[cap_];
@@ -188,8 +158,7 @@ class PathCode {
     copy_words(*this, other, size_);
   }
 
-  PathCode(PathCode&& other) noexcept
-      : pre_hash_(other.pre_hash_), size_(other.size_), cap_(other.cap_) {
+  PathCode(PathCode&& other) noexcept : size_(other.size_), cap_(other.cap_) {
     if (other.is_heap()) {
       rep_.heap = other.rep_.heap;
       other.reset_to_root();
@@ -204,7 +173,6 @@ class PathCode {
     reserve(other.size_);  // reuses an existing heap block when it fits
     copy_words(*this, other, other.size_);
     size_ = other.size_;
-    pre_hash_ = other.pre_hash_;
     return *this;
   }
 
@@ -215,14 +183,12 @@ class PathCode {
       rep_.heap = other.rep_.heap;
       cap_ = other.cap_;
       size_ = other.size_;
-      pre_hash_ = other.pre_hash_;
       other.reset_to_root();
     } else {
       // Inline source: a short memcpy, keeping our (possibly heap) capacity.
       std::memcpy(mutable_words(), other.rep_.inline_w,
                   other.size_ * sizeof(std::uint32_t));
       size_ = other.size_;
-      pre_hash_ = other.pre_hash_;
     }
     return *this;
   }
@@ -260,9 +226,7 @@ class PathCode {
     FTBB_CHECK_MSG(var <= kMaxVar, "PathCode: variable index exceeds 31 bits");
     PathCode out(Uninit{}, size_ + std::size_t{1});
     copy_words(out, *this, size_);
-    const std::uint32_t packed = (var << 1) | (bit ? 1u : 0u);
-    out.mutable_words()[size_] = packed;
-    out.pre_hash_ = (pre_hash_ ^ packed) * detail::kFnvPrime;
+    out.mutable_words()[size_] = (var << 1) | (bit ? 1u : 0u);
     return out;
   }
 
@@ -271,7 +235,6 @@ class PathCode {
     FTBB_CHECK_MSG(size_ != 0, "root code has no parent");
     PathCode out(Uninit{}, size_ - std::size_t{1});
     copy_words(out, *this, size_ - 1);
-    out.pre_hash_ = (pre_hash_ * detail::kFnvPrimeInv) ^ words()[size_ - 1];
     return out;
   }
 
@@ -281,8 +244,6 @@ class PathCode {
     PathCode out(Uninit{}, std::size_t{size_});
     copy_words(out, *this, size_);
     out.mutable_words()[size_ - 1] ^= 1u;
-    out.pre_hash_ =
-        ((pre_hash_ * detail::kFnvPrimeInv) ^ 1u) * detail::kFnvPrime;
     return out;
   }
 
@@ -304,15 +265,12 @@ class PathCode {
   void push_word(std::uint32_t packed) {
     if (size_ == cap_) grow(std::size_t{cap_} * 2);
     mutable_words()[size_++] = packed;
-    pre_hash_ = (pre_hash_ ^ packed) * detail::kFnvPrime;
   }
 
-  /// Removes the last decision (inverse of push_step; O(1) via the
-  /// invertible hash mix). Capacity is retained.
+  /// Removes the last decision (inverse of push_step). Capacity is retained.
   void pop_step() {
     FTBB_CHECK_MSG(size_ != 0, "root code has no step to pop");
     --size_;
-    pre_hash_ = (pre_hash_ * detail::kFnvPrimeInv) ^ words()[size_];
   }
 
   void reserve(std::size_t n) {
@@ -354,15 +312,19 @@ class PathCode {
     return a.view() <=> b.view();
   }
 
-  /// FNV-1a style hash over the decision sequence — same value the seed
-  /// computed by re-walking the steps, but O(1) off the maintained prefix
-  /// hash (pool/table keys are hashed far more often than they change).
+  /// FNV-1a style hash over the step words, then the depth: O(depth), the
+  /// value the seed implementation computed. Read once per expansion (the
+  /// expansion log, NodeCostModel::cost_for).
   [[nodiscard]] std::size_t hash() const {
-    return static_cast<std::size_t>((pre_hash_ ^ size_) * detail::kFnvPrime);
+    constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const std::uint32_t* w = words();
+    for (std::uint32_t i = 0; i < size_; ++i) h = (h ^ w[i]) * kFnvPrime;
+    return static_cast<std::size_t>((h ^ size_) * kFnvPrime);
   }
 
  private:
-  struct Uninit {};  // tag: allocate for n words, caller fills words + hash
+  struct Uninit {};  // tag: allocate for n words, caller fills them
 
   PathCode(Uninit, std::size_t n) : size_(static_cast<std::uint32_t>(n)) {
     if (n > kInlineWords) {
@@ -396,7 +358,6 @@ class PathCode {
 
   /// Leaves a moved-from object as the root code (inline, empty).
   void reset_to_root() {
-    pre_hash_ = detail::kFnvOffset;
     size_ = 0;
     cap_ = kInlineWords;
   }
@@ -410,19 +371,12 @@ class PathCode {
     cap_ = static_cast<std::uint32_t>(ncap);
   }
 
-  /// Running FNV-1a state over the step words (size not yet mixed in; the
-  /// seed implementation mixes it last, which hash() replays in O(1)).
-  std::uint64_t pre_hash_ = detail::kFnvOffset;
   std::uint32_t size_ = 0;
   std::uint32_t cap_ = kInlineWords;  // > kInlineWords iff heap mode
   union Rep {
     std::uint32_t inline_w[kInlineWords];
     std::uint32_t* heap;
   } rep_;
-};
-
-struct PathCodeHash {
-  std::size_t operator()(const PathCode& c) const { return c.hash(); }
 };
 
 }  // namespace ftbb::core

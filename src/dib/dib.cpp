@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -124,9 +123,8 @@ struct Machine {
   double incumbent = bnb::kInfinity;
   bool request_outstanding = false;
   std::uint64_t request_gen = 0;
-  std::uint64_t expanded = 0;
-  /// Machine-context-only bookkeeping, merged when the run ends.
-  std::unordered_set<PathCode, core::PathCodeHash> expansions;
+  /// Machine-context only; accounted when the run ends.
+  sim::ExpansionLog expansions;
   std::uint64_t donations_made = 0;
   std::uint64_t donation_redos = 0;
   /// Incarnation counter: a crashed incarnation's expansion continuation and
@@ -237,8 +235,7 @@ struct Machine {
       return;
     }
     const bnb::NodeEval eval = sim->model.eval(task.sub.code);
-    ++expanded;
-    expansions.insert(task.sub.code);
+    expansions.add(task.sub.code, eval.cost);
     sim->kernel.after(eval.cost, static_cast<sim::OwnerId>(id),
                       [this, task = std::move(task), eval, e = epoch] {
       if (e != epoch) return;  // expansion begun by a crashed incarnation
@@ -423,16 +420,14 @@ DibResult DibSim::run(const bnb::IProblemModel& model, std::uint32_t machines,
   result.makespan = sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
   // Merge per-machine bookkeeping; totals are interleaving-independent.
-  std::unordered_set<PathCode, core::PathCodeHash> merged;
+  std::vector<const sim::ExpansionLog*> logs;
   for (const auto& m : sim.machines) {
-    result.total_expanded += m->expanded;
     result.donations += m->donations_made;
     result.donation_redos += m->donation_redos;
-    result.expanded_per_machine.push_back(m->expanded);
-    merged.insert(m->expansions.begin(), m->expansions.end());
+    result.expanded_per_machine.push_back(m->expansions.size());
+    logs.push_back(&m->expansions);
   }
-  result.unique_expanded = merged.size();
-  result.redundant_expansions = result.total_expanded - result.unique_expanded;
+  result.account_expansions(logs);
   result.net = sim.net->stats();
   result.fill_coarse_work();
   // Donations map onto the grant counters.

@@ -10,7 +10,6 @@
 #include <optional>
 #include <queue>
 #include <thread>
-#include <unordered_set>
 #include <variant>
 
 #include "core/frame.hpp"
@@ -35,9 +34,6 @@ struct InboundMsg {
 };
 struct Poison {};
 using Event = std::variant<InboundMsg, TimerFire, Poison>;
-
-/// Codes expanded; the merge reads only how many distinct ones there are.
-using ExpansionSet = std::unordered_set<core::PathCode, core::PathCodeHash>;
 
 /// Unbounded MPSC mailbox; one consumer (the incarnation's thread).
 class Mailbox {
@@ -174,7 +170,7 @@ class Incarnation final : public core::IWorkerEnv {
   Mailbox& mailbox() { return mailbox_; }
   core::BnbWorker& worker() { return *worker_; }
   [[nodiscard]] const core::BnbWorker& worker() const { return *worker_; }
-  [[nodiscard]] const ExpansionSet& expansions() const { return expansions_; }
+  [[nodiscard]] const sim::ExpansionLog& expansions() const { return expansions_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Whether this incarnation opened a report delta chain (sent at least
   /// one report/gossip batch). Post-run observer: read after join_thread().
@@ -197,8 +193,7 @@ class Incarnation final : public core::IWorkerEnv {
   void set_wait_hint(core::WaitHint hint) override { (void)hint; }
   void notify_halted() override;
   void note_expansion(const core::PathCode& code, double cost) override {
-    (void)cost;
-    expansions_.insert(code);
+    expansions_.add(code, cost);
   }
 
  private:
@@ -227,7 +222,7 @@ class Incarnation final : public core::IWorkerEnv {
   support::Rng rng_;
   Mailbox mailbox_;
   std::optional<core::BnbWorker> worker_;
-  ExpansionSet expansions_;
+  sim::ExpansionLog expansions_;  // read after join_thread()
   std::thread thread_;
   core::ReportDeltaState delta_;  // dies with the incarnation: a revived
                                   // worker never deltas against a dead
@@ -319,13 +314,10 @@ class WorkerHost {
     return total;
   }
 
-  void merge_expansions(ExpansionSet& into) const {
-    for (const auto& inc : retired_) {
-      into.insert(inc->expansions().begin(), inc->expansions().end());
-    }
-    if (current_) {
-      into.insert(current_->expansions().begin(), current_->expansions().end());
-    }
+  /// Appends every incarnation's expansion log, oldest first.
+  void append_logs(std::vector<const sim::ExpansionLog*>& out) const {
+    for (const auto& inc : retired_) out.push_back(&inc->expansions());
+    if (current_) out.push_back(&current_->expansions());
   }
 
  private:
@@ -721,13 +713,13 @@ RtResult RtCluster::run() {
 
   std::uint32_t live = 0;
   std::uint32_t halted = 0;
-  ExpansionSet merged;
+  std::vector<const sim::ExpansionLog*> logs;
   for (auto& host : hosts_) {
     result.worker_ledgers.push_back(host->merged_ledger());
     result.work.add(result.worker_ledgers.back());
     result.crashed.push_back(host->ever_crashed());
     result.report_streams_per_worker.push_back(host->report_streams());
-    host->merge_expansions(merged);
+    host->append_logs(logs);
     if (host->alive() && host->started()) {
       ++live;
       const Incarnation* inc = host->current();
@@ -741,10 +733,7 @@ RtResult RtCluster::run() {
     }
   }
   result.all_live_halted = live > 0 && live == halted;
-  result.total_expanded = result.work[core::WorkItem::kExpansions];
-  result.unique_expanded = merged.size();
-  result.redundant_expansions = result.total_expanded - result.unique_expanded;
-  result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;
+  result.account_expansions(logs);
   result.net.messages_sent = net_sent_.load();
   result.net.messages_delivered = net_delivered_.load();
   result.net.messages_lost = net_lost_.load();

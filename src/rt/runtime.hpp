@@ -60,7 +60,8 @@ struct RtConfig {
 };
 
 /// The makespan is in wall seconds, and hit_time_limit means the wall
-/// timeout was hit; `net` counts the in-process transport exactly where the
+/// timeout was hit; ledger times and redundant_cost are unscaled model
+/// seconds. `net` counts the in-process transport exactly where the
 /// simulated Network counts (delivered at arrival, before epoch guards).
 struct RtResult : sim::RunOutcome {
   bool all_live_halted = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -14,81 +13,6 @@
 namespace ftbb::sim {
 
 namespace {
-
-/// Per-host expansion bookkeeping: an append-only log with one record per
-/// expansion — the code's hash, its cost, its depth and its words — packed
-/// into blocks that grow geometrically and never move. The model is a pure
-/// function of the code, so the cost is identical on every expansion of the
-/// same code. collect() sorts the records of all hosts once, to count the
-/// distinct codes and to sum the redundant cost in canonical code order —
-/// independent of event interleaving and thread count.
-class ExpansionLog {
- public:
-  /// Words of a record ahead of the code's words: hash and cost (two words
-  /// each), then the depth.
-  static constexpr std::size_t kHeader = 5;
-
-  void add(const core::PathCode& code, double cost) {
-    const std::size_t need = kHeader + code.depth();
-    if (blocks_.empty() || blocks_.back().cap - blocks_.back().used < need) {
-      // 1 KiB first, doubling to 64 KiB: a host that expands a handful of
-      // codes (the planetary storm's) holds one small block.
-      const std::size_t grown =
-          blocks_.empty() ? kFirstBlock
-                          : std::min<std::size_t>(2 * blocks_.back().cap, kMaxBlock);
-      const std::size_t cap = std::max(need, grown);
-      blocks_.push_back(Block{std::make_unique_for_overwrite<std::uint32_t[]>(cap), 0,
-                              static_cast<std::uint32_t>(cap)});
-    }
-    Block& b = blocks_.back();
-    std::uint32_t* r = b.words.get() + b.used;
-    const std::uint64_t hash = code.hash();
-    std::memcpy(r, &hash, sizeof(hash));
-    std::memcpy(r + 2, &cost, sizeof(cost));
-    r[4] = static_cast<std::uint32_t>(code.depth());
-    const core::PathView words = code.view();
-    if (!words.is_root()) std::memcpy(r + kHeader, words.words(), words.depth() * sizeof(std::uint32_t));
-    b.used += static_cast<std::uint32_t>(need);
-    ++count_;
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-
-  /// Calls f(record) for every record, in insertion order.
-  template <typename F>
-  void each(F&& f) const {
-    for (const Block& b : blocks_) {
-      for (std::uint32_t pos = 0; pos < b.used; pos += static_cast<std::uint32_t>(kHeader) + b.words[pos + 4]) {
-        f(b.words.get() + pos);
-      }
-    }
-  }
-
-  [[nodiscard]] static std::uint64_t hash(const std::uint32_t* r) {
-    std::uint64_t h;
-    std::memcpy(&h, r, sizeof(h));
-    return h;
-  }
-  [[nodiscard]] static double cost(const std::uint32_t* r) {
-    double c;
-    std::memcpy(&c, r + 2, sizeof(c));
-    return c;
-  }
-  [[nodiscard]] static core::PathView code(const std::uint32_t* r) {
-    return core::PathView(r + kHeader, r[4]);
-  }
-
- private:
-  static constexpr std::size_t kFirstBlock = 256;
-  static constexpr std::size_t kMaxBlock = 16384;
-  struct Block {
-    std::unique_ptr<std::uint32_t[]> words;
-    std::uint32_t used = 0;
-    std::uint32_t cap = 0;
-  };
-  std::vector<Block> blocks_;
-  std::size_t count_ = 0;
-};
 
 trace::Activity to_activity(core::CostKind kind) {
   switch (kind) {
@@ -668,8 +592,10 @@ ClusterResult SimCluster::collect() {
   res.first_detection = bnb::kInfinity;
   std::uint32_t live_halted = 0;
   std::uint32_t live_total = 0;
+  std::vector<const ExpansionLog*> logs;  // most storm hosts expand nothing
   for (auto& host : hosts_) {
     host->finalize(end_time);
+    if (host->expansions().size() > 0) logs.push_back(&host->expansions());
     const core::BnbWorker& w = host->worker();
     res.worker_ledgers.push_back(host->merged_ledger());
     res.work.add(res.worker_ledgers.back());
@@ -694,58 +620,10 @@ ClusterResult SimCluster::collect() {
     res.wire.add(host->wire_stats());
     res.report_streams_per_worker.push_back(host->report_streams());
   }
-  res.total_expanded = res.work[core::WorkItem::kExpansions];
   res.all_live_halted = live_total > 0 && live_halted == live_total;
   if (!res.all_live_halted) res.makespan = end_time;
 
-  // Merge the per-host expansion logs. The totals and the redundant-cost sum
-  // are computed in canonical code order, so they are bit-identical across
-  // executors and thread counts (no dependence on which host's expansion of
-  // a shared code happened to run first). Sorting by hash first groups the
-  // equal codes cheaply; only the codes expanded more than once are then
-  // put in code order.
-  std::vector<const std::uint32_t*> records;
-  std::size_t noted = 0;
-  for (const auto& host : hosts_) noted += host->expansions().size();
-  records.reserve(noted);
-  for (const auto& host : hosts_) {
-    host->expansions().each([&](const std::uint32_t* r) { records.push_back(r); });
-  }
-  const auto by_hash = [](const std::uint32_t* a, const std::uint32_t* b) {
-    const std::uint64_t ha = ExpansionLog::hash(a);
-    const std::uint64_t hb = ExpansionLog::hash(b);
-    if (ha != hb) return ha < hb;
-    return ExpansionLog::code(a) < ExpansionLog::code(b);
-  };
-  std::sort(records.begin(), records.end(), by_hash);
-  struct Repeat {
-    const std::uint32_t* record;
-    std::uint32_t count;
-  };
-  std::vector<Repeat> repeats;
-  std::size_t unique = 0;
-  for (std::size_t i = 0; i < records.size();) {
-    std::size_t j = i + 1;
-    while (j < records.size() && ExpansionLog::hash(records[j]) == ExpansionLog::hash(records[i]) &&
-           ExpansionLog::code(records[j]) == ExpansionLog::code(records[i])) {
-      ++j;
-    }
-    ++unique;
-    if (j - i > 1) repeats.push_back(Repeat{records[i], static_cast<std::uint32_t>(j - i)});
-    i = j;
-  }
-  res.unique_expanded = unique;
-  res.redundant_expansions = records.size() - unique;
-  std::sort(repeats.begin(), repeats.end(), [](const Repeat& a, const Repeat& b) {
-    return ExpansionLog::code(a.record) < ExpansionLog::code(b.record);
-  });
-  double redundant_cost = 0.0;
-  for (const Repeat& r : repeats) {
-    redundant_cost += static_cast<double>(r.count - 1) * ExpansionLog::cost(r.record);
-  }
-  res.redundant_cost = redundant_cost;
-  res.work[core::WorkItem::kRedundantExpansions] = res.redundant_expansions;
-  res.work.redundant_seconds = res.redundant_cost;
+  res.account_expansions(logs);
 
   res.peak_table_bytes_total = peak_total_bytes_;
   res.peak_table_bytes_unique = peak_unique_bytes_;

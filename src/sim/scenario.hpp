@@ -138,7 +138,7 @@ struct ScenarioReport {
   std::uint64_t total_expanded = 0;
   std::uint64_t unique_expanded = 0;
   std::uint64_t redundant_expansions = 0;
-  double redundant_cost = 0.0;  // virtual seconds of re-expansion (kFtbb)
+  double redundant_cost = 0.0;  // model seconds re-expanding (RunOutcome's)
 
   // -- bytes gossiped / network --
   std::uint64_t messages_sent = 0;

@@ -1,10 +1,10 @@
 // System-level invariants behind the paper's correctness argument.
 //
-// The load-bearing theorem (README "Architecture notes"): completion
-// knowledge and the incumbent travel together on every message, so any
-// process whose table covers a region holds an incumbent at least as good
-// as that region's best solution. Its observable consequences, asserted
-// here across seeds, worker counts, and failure schedules:
+// The load-bearing theorem: completion knowledge and the incumbent travel
+// together on every message, so any process whose table covers a region
+// holds an incumbent at least as good as that region's best solution. Its
+// observable consequences, asserted here across seeds, worker counts, and
+// failure schedules:
 //
 //   1. EVERY termination detector independently holds the global optimum
 //      (not merely the best across workers);

@@ -173,9 +173,11 @@ TEST(Rt, StatsAreCollected) {
   // some are eliminated; at minimum the feasible optimum path was walked).
   EXPECT_GT(sum[WorkItem::kExpansions], 0u);
   // The cluster ledger is the member-order sum of the members' ledgers once
-  // the merge's redundancy count is filled in, and it counts one life per
-  // incarnation thread spawned and reaped. Both hold wherever a fault lands.
+  // the expansion account's redundant count and cost are filled in, and it
+  // counts one life per incarnation thread spawned and reaped. Both hold
+  // wherever a fault lands.
   sum[WorkItem::kRedundantExpansions] = res.redundant_expansions;
+  sum.redundant_seconds = res.redundant_cost;
   EXPECT_EQ(sum.fingerprint(), res.work.fingerprint());
   EXPECT_EQ(res.work[WorkItem::kIncarnations], res.reaped);
 }

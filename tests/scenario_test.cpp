@@ -3,6 +3,10 @@
 // ScenarioRunner on all three backends, with bit-reproducible reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "sim/outcome.hpp"
 #include "sim/scenario.hpp"
 
 namespace ftbb::sim {
@@ -211,6 +215,53 @@ TEST(Scenario, CrashedWorkForcesRedundantExpansion) {
             report.total_expanded - report.unique_expanded);
 }
 
+TEST(ExpansionAccount, RepeatsCountOnceAndPriceTheRestInAnyLogOrder) {
+  // A code expanded k times across the logs is one unique expansion and
+  // k - 1 redundant ones, priced at (k - 1) times its cost. Four codes
+  // repeat, so a sum taken in log order would differ in its last bits; the
+  // deep code (41 steps, 46 words a record) fills a log's first block.
+  const core::PathCode a = core::PathCode::root().child(3, true);
+  const core::PathCode b = a.sibling();
+  const core::PathCode c = a.child(5, false);
+  core::PathCode deep = a;
+  for (std::uint32_t var = 0; var < 40; ++var) deep = deep.child(var, var % 2 == 0);
+  const double cost_deep = 0.0371;
+  std::vector<ExpansionLog> logs(4);  // the last one stays empty
+  logs[0].add(core::PathCode::root(), 0.5);
+  logs[0].add(a, 0.1);
+  logs[1].add(a, 0.1);
+  logs[1].add(b, 0.2);
+  logs[2].add(b, 0.2);
+  logs[2].add(c, 0.3);
+  logs[0].add(c, 0.3);
+  for (int k = 0; k < 4; ++k) logs[0].add(deep, cost_deep);
+  for (int k = 0; k < 3; ++k) logs[1].add(deep, cost_deep);
+  for (int k = 0; k < 3; ++k) logs[2].add(deep, cost_deep);
+  ASSERT_EQ(logs[0].size(), 7u);
+  ASSERT_EQ(logs[3].size(), 0u);
+
+  std::array<const ExpansionLog*, 4> order = {&logs[0], &logs[1], &logs[2], &logs[3]};
+  RunOutcome first;
+  first.account_expansions(order);
+  EXPECT_EQ(first.total_expanded, 17u);
+  EXPECT_EQ(first.unique_expanded, 5u);  // root, a, b, c, deep
+  EXPECT_EQ(first.redundant_expansions, 3u + 9u);
+  EXPECT_DOUBLE_EQ(first.redundant_cost, 0.1 + 0.2 + 0.3 + 9 * cost_deep);
+  EXPECT_EQ(first.work[core::WorkItem::kRedundantExpansions], 12u);
+  EXPECT_EQ(first.work.redundant_seconds, first.redundant_cost);
+  // Bit-identical under every permutation of the logs.
+  std::sort(order.begin(), order.end());
+  do {
+    RunOutcome again;
+    again.account_expansions(order);
+    EXPECT_EQ(again.total_expanded, first.total_expanded);
+    EXPECT_EQ(again.unique_expanded, first.unique_expanded);
+    EXPECT_EQ(again.redundant_expansions, first.redundant_expansions);
+    EXPECT_EQ(again.redundant_cost, first.redundant_cost);  // exact, not NEAR
+    EXPECT_EQ(again.work.fingerprint(), first.work.fingerprint());
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
 TEST(Scenario, CrashAtTheJoinInstantMatchesAJoinPastTheHorizon) {
   // A crash at a member's own join instant lands first, so the member never
   // joins: the run must match one whose member joins past the horizon and is
@@ -331,27 +382,27 @@ std::vector<NamedPlanCase> named_plan_cases() {
   cases.push_back({"rolling-restart", 4,
                    FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
                    0x8ffe5b5f6a3b8838ULL,
-                   {0x4c28bfc9fad1d6e5ULL, 0xe9acf894fab37027ULL,
-                    0x3bb5d45afe9a6116ULL, 0x5b22bfa0aaab70dfULL}});
+                   {0xfeab94013be5aaddULL, 0x9705f737237d86ffULL,
+                    0xba1aa89cb3d1889dULL, 0x254ca7692684245cULL}});
   cases.push_back({"flapping-partition", 4,
                    FaultPlan::flapping_partition(3, 0.04, 0.06, 0.05),
                    0x4dec7d9ae7820e9dULL,
-                   {0xe13ac833977bd8afULL, 0xc766671a1a94b2bbULL,
-                    0x221477e868639117ULL, 0x17e0041a6ed5fce0ULL}});
+                   {0x156648657f02347bULL, 0x0cbed4c13cf4e627ULL,
+                    0xce16835aed834c5aULL, 0x27af539087b63ca7ULL}});
   cases.push_back({"adversarial-churn", 2,
                    FaultPlan::adversarial_churn(2, 3, 0.05, 0.05),
                    0x03599496eef5f8bdULL,
                    {0xd4afa13e1e0b4b12ULL, 0xf6c8936011382664ULL,
-                    0x40363c7dd178a285ULL, 0x3d70b58e7c052298ULL}});
+                    0x1d1133320b9a7878ULL, 0x5e6f181038c4c811ULL}});
   cases.push_back({"cascading-storm", 4,
                    FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
                    0x322c12890445edb7ULL,
-                   {0x0fcb510577e2e3efULL, 0x996b78f43b58a1cfULL,
-                    0x6224fa21b47a6acfULL, 0x0aaf8eded1be9052ULL}});
+                   {0xcaa7c5f43fb02e3bULL, 0xa694b7ba722471f7ULL,
+                    0x2492a615beb94b42ULL, 0x0302b762bcedb095ULL}});
   cases.push_back({"asymmetric-partition", 4,
                    FaultPlan::asymmetric_partition(1, 3, 0.04, 0.07, 0.05),
                    0x83d23375e08522d9ULL,
-                   {0x3cd3b40e7c0480dfULL, 0x8df42fb85bcd0912ULL,
+                   {0xd652a39a5992201aULL, 0x197a74941279e3c9ULL,
                     0x5fe07da15f3731e3ULL, 0x858fe760f913935eULL}});
   return cases;
 }
@@ -388,6 +439,35 @@ TEST(NamedPlans, ShardedExecutorReproducesEveryGolden) {
 TEST(NamedPlans, BaselinesMatchGoldenFingerprintsAtEveryThreadCount) {
   for (const NamedPlanCase& c : named_plan_cases()) {
     expect_baseline_goldens(named_plan_spec(c), c.baselines);
+  }
+}
+
+TEST(NamedPlans, RollingRestartPricesRedoneWorkOnEverySubstrate) {
+  // The baselines re-expand after the rolling restart (1 code on central and
+  // 13 on DIB), and one expansion account prices what they redo in the
+  // report and in its ledger alike. rt's crashes land at wall-clock
+  // instants, so its redone work varies run to run; the account must still
+  // balance there.
+  const std::vector<NamedPlanCase> cases = named_plan_cases();
+  const NamedPlanCase& rolling = cases[1];
+  ASSERT_STREQ(rolling.name, "rolling-restart");
+  for (const Backend backend : {Backend::kCentral, Backend::kDib, Backend::kRt}) {
+    ScenarioSpec spec = named_plan_spec(rolling);
+    spec.backend = backend;
+    const ScenarioReport report = ScenarioRunner::run(spec);
+    ASSERT_TRUE(report.work_mix.has_value());
+    EXPECT_EQ(report.unique_expanded + report.redundant_expansions,
+              report.total_expanded)
+        << report.to_string();
+    if (backend != Backend::kRt) {
+      EXPECT_GT(report.redundant_expansions, 0u) << to_string(backend);
+    }
+    if (report.redundant_expansions > 0) {
+      EXPECT_GT(report.redundant_cost, 0.0) << report.to_string();
+    }
+    EXPECT_EQ(report.work_mix->redundant_seconds, report.redundant_cost);
+    EXPECT_EQ((*report.work_mix)[core::WorkItem::kRedundantExpansions],
+              report.redundant_expansions);
   }
 }
 
