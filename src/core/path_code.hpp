@@ -91,6 +91,15 @@ class PathView {
     return size_ < other.size_ && contains(other);
   }
 
+  /// FNV-1a style hash over the step words, then the depth: O(depth), the
+  /// value the seed implementation computed.
+  [[nodiscard]] std::size_t hash() const {
+    constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < size_; ++i) h = (h ^ words_[i]) * kFnvPrime;
+    return static_cast<std::size_t>((h ^ size_) * kFnvPrime);
+  }
+
   /// Wire encoding (see PathCode::encode) and its exact byte count.
   void encode(support::ByteWriter& w) const;
   [[nodiscard]] std::size_t encoded_size() const;
@@ -312,16 +321,8 @@ class PathCode {
     return a.view() <=> b.view();
   }
 
-  /// FNV-1a style hash over the step words, then the depth: O(depth), the
-  /// value the seed implementation computed. Read once per expansion (the
-  /// expansion log, NodeCostModel::cost_for).
-  [[nodiscard]] std::size_t hash() const {
-    constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const std::uint32_t* w = words();
-    for (std::uint32_t i = 0; i < size_; ++i) h = (h ^ w[i]) * kFnvPrime;
-    return static_cast<std::size_t>((h ^ size_) * kFnvPrime);
-  }
+  /// PathView::hash() of the code.
+  [[nodiscard]] std::size_t hash() const { return view().hash(); }
 
  private:
   struct Uninit {};  // tag: allocate for n words, caller fills them

@@ -186,8 +186,8 @@ class IWorkerEnv {
     (void)cost;
   }
 
-  /// Observation hook: a completion was recorded locally (harnesses use it
-  /// to maintain the global union table for redundant-storage accounting).
+  /// Observation hook: a completion was recorded locally (the simulator
+  /// logs it for its union table, the redundant-storage measurement).
   virtual void note_completion(const PathCode& code) { (void)code; }
 };
 

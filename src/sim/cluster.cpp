@@ -7,6 +7,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/code_set.hpp"
 #include "core/frame.hpp"
 #include "support/check.hpp"
 
@@ -267,15 +268,13 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   }
 
   void note_expansion(const core::PathCode& code, double cost) override {
-    expansions_.add(code, cost);
+    log_.add(code, cost);
   }
 
-  void note_completion(const core::PathCode& code) override {
-    const std::lock_guard<std::mutex> lock(cluster_->completions_mu_);
-    cluster_->union_table_.insert(code);
-  }
+  void note_completion(const core::PathCode& code) override { log_.complete(code); }
 
-  [[nodiscard]] const ExpansionLog& expansions() const { return expansions_; }
+  [[nodiscard]] ExpansionLog& log() { return log_; }
+  [[nodiscard]] const ExpansionLog& log() const { return log_; }
   [[nodiscard]] const trace::Timeline& trace() const { return trace_; }
 
   /// Unaccounted tail time for workers that never halted (hit a limit).
@@ -421,7 +420,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   std::uint32_t report_streams_ = 0;  // incarnations that opened a report chain
   bool counts_toward_live_ = true;
   double crash_time_ = -1.0;
-  ExpansionLog expansions_;   // every expansion this host performed
+  ExpansionLog log_;          // every expansion and completion of this host
   trace::Timeline trace_;     // host-local; merged in collect()
 };
 
@@ -565,8 +564,8 @@ void SimCluster::sample_storage() {
   }
   if (total > peak_total_bytes_) {
     peak_total_bytes_ = total;
-    const std::lock_guard<std::mutex> lock(completions_mu_);
-    peak_unique_bytes_ = union_table_.encoded_bytes();
+    // collect() folds the union table of this instant from the logs.
+    for (const auto& host : hosts_) host->log().mark();
   }
   if (!finished()) {
     kernel_.after(config_.storage_sample_interval, [this]() { sample_storage(); });
@@ -586,6 +585,28 @@ ClusterResult SimCluster::run(const bnb::IProblemModel& model,
   return result;
 }
 
+std::size_t SimCluster::peak_union_bytes() const {
+  // The contracted table depends only on the set of completions, so folding
+  // the hosts' marked completions in sorted batches rebuilds exactly the
+  // union table of the peak instant.
+  core::CodeSet united;
+  std::vector<core::PathCode> batch;
+  const auto fold = [&united, &batch]() {
+    std::sort(batch.begin(), batch.end());
+    united.insert_all(batch);
+    batch.clear();
+  };
+  for (const auto& host : hosts_) {
+    host->log().decode([&](const ExpansionLog::Record& r) {
+      if (!r.completed) return;
+      batch.emplace_back(r.code);
+      if (batch.size() == 4096) fold();
+    }, host->log().marked());
+  }
+  fold();
+  return united.encoded_bytes();
+}
+
 ClusterResult SimCluster::collect() {
   ClusterResult res;
   const double end_time = std::min(kernel_.now(), config_.time_limit);
@@ -595,7 +616,7 @@ ClusterResult SimCluster::collect() {
   std::vector<const ExpansionLog*> logs;  // most storm hosts expand nothing
   for (auto& host : hosts_) {
     host->finalize(end_time);
-    if (host->expansions().size() > 0) logs.push_back(&host->expansions());
+    if (host->log().size() > 0) logs.push_back(&host->log());
     const core::BnbWorker& w = host->worker();
     res.worker_ledgers.push_back(host->merged_ledger());
     res.work.add(res.worker_ledgers.back());
@@ -626,7 +647,7 @@ ClusterResult SimCluster::collect() {
   res.account_expansions(logs);
 
   res.peak_table_bytes_total = peak_total_bytes_;
-  res.peak_table_bytes_unique = peak_unique_bytes_;
+  if (peak_total_bytes_ > 0) res.peak_table_bytes_unique = peak_union_bytes();
   res.net = network_->stats();
   if (config_.record_trace) {
     // Stitch the per-host charts together in worker order, then close the

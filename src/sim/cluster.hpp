@@ -23,12 +23,10 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "bnb/problem.hpp"
-#include "core/code_set.hpp"
 #include "core/worker.hpp"
 #include "fault/driver.hpp"
 #include "sim/kernel.hpp"
@@ -196,6 +194,8 @@ class SimCluster {
   void revive(core::NodeId id);
   void sample_storage();
   [[nodiscard]] bool finished() const;
+  /// Bytes of the union completion table at the last storage peak.
+  [[nodiscard]] std::size_t peak_union_bytes() const;
   ClusterResult collect();
 
   const bnb::IProblemModel& model_;
@@ -214,16 +214,12 @@ class SimCluster {
   std::vector<std::uint32_t> join_pos_;  // node id -> index in joined_
   std::uint64_t membership_version_ = 0;
 
-  // Cross-worker accounting. Expansion bookkeeping is per-host (merged
-  // order-independently in collect()); the union completion table is the one
-  // genuinely shared structure — its contracted form is canonical in the
-  // completion *set*, so concurrent insertion order cannot leak into the
-  // sampled byte counts.
-  std::mutex completions_mu_;
-  core::CodeSet union_table_;  // every completion ever recorded, for the
-                               // "redundant storage" measurement
+  // Storage peaks. Each host logs its own expansions and completions
+  // (ExpansionLog); sample_storage() marks every log at a new peak of the
+  // live tables' bytes, and collect() folds the union completion table of
+  // that instant from the completions before the marks, crashed
+  // incarnations' included.
   std::size_t peak_total_bytes_ = 0;
-  std::size_t peak_unique_bytes_ = 0;
 
   std::atomic<std::uint32_t> live_halted_{0};
   std::uint32_t live_count_ = 0;

@@ -8,7 +8,9 @@
 //
 // Redone work has one account too: every substrate appends each expansion to
 // an ExpansionLog, one per worker (one per incarnation on the rt runtime),
-// and account_expansions() prices the repeats across all of them.
+// and account_expansions() prices the repeats across all of them. The
+// simulator's hosts log their completions there as well, which is where its
+// union completion table is built from.
 #pragma once
 
 #include <cstdint>
@@ -20,34 +22,81 @@
 #include "core/cost_model.hpp"
 #include "core/path_code.hpp"
 #include "sim/network.hpp"
+#include "support/bytes.hpp"
 
 namespace ftbb::sim {
 
-/// One worker's expansions: an append-only log with one record per
-/// expansion — the code's hash, its cost, its depth and its words — packed
-/// into blocks that grow geometrically and never move. The model is a pure
-/// function of the code, so the cost is identical on every expansion of the
-/// same code.
+/// One worker's expansions and completions: an append-only, byte-coded log.
+/// A record is a flag byte, the code front-coded against the record before
+/// it (varint depth, varint common prefix, a varint per remaining word) and,
+/// on an expansion, the model's cost in 8 bytes (the model is a pure
+/// function of the code). Blocks grow geometrically and never move; an
+/// empty log is one null pointer.
+///
+/// The simulator logs completions for its union table. Completing the code
+/// just expanded only flags that record; any other completion appends a
+/// completion-only record. mark() closes the records so far to later flags.
 class ExpansionLog {
  public:
-  void add(const core::PathCode& code, double cost);
+  /// Logs an expansion of `code` that cost the model `cost` seconds.
+  void add(const core::PathCode& code, double cost) { append(code, kExpanded, cost); }
+  /// Logs a completion of `code`.
+  void complete(const core::PathCode& code);
+  /// Marks the records logged so far (see marked()).
+  void mark();
 
   /// Expansions logged.
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return state_ ? state_->expansions : 0; }
+  /// Records logged: the expansions and the completion-only records.
+  [[nodiscard]] std::size_t records() const { return state_ ? state_->records : 0; }
+  /// Records logged before the last mark() (0 before the first).
+  [[nodiscard]] std::size_t marked() const { return state_ ? state_->marked : 0; }
+
+  /// One decoded record. `code` views a buffer that lives for the call.
+  struct Record {
+    bool expanded;
+    bool completed;
+    core::PathView code;
+    double cost;  // an expansion's; 0 on a completion-only record
+  };
+
+  /// Calls fn(const Record&) on the first `n` records, in log order.
+  template <typename Fn>
+  void decode(Fn&& fn, std::size_t n = ~std::size_t{0}) const {
+    if (!state_) return;
+    std::vector<std::uint32_t> words;
+    words.reserve(state_->last.depth() + 1);  // never null, even for the root
+    for (const std::vector<std::uint8_t>& block : state_->blocks) {
+      for (support::ByteReader in(block); !in.done() && n > 0; --n) {
+        const std::uint8_t flags = in.u8();
+        const std::uint64_t depth = in.varint();
+        words.resize(in.varint());
+        while (words.size() < depth) words.push_back(static_cast<std::uint32_t>(in.varint()));
+        const bool expanded = (flags & kExpanded) != 0;
+        fn(Record{expanded, (flags & kCompleted) != 0,
+                  core::PathView(words.data(), words.size()), expanded ? in.f64() : 0.0});
+      }
+    }
+  }
 
  private:
-  friend struct RunOutcome;  // account_expansions() reads the records
+  static constexpr std::uint8_t kExpanded = 1;
+  static constexpr std::uint8_t kCompleted = 2;
 
-  /// Appends a pointer to every record, in insertion order.
-  void append_records(std::vector<const std::uint32_t*>& out) const;
-
-  struct Block {
-    std::unique_ptr<std::uint32_t[]> words;
-    std::uint32_t used = 0;
-    std::uint32_t cap = 0;
+  struct State {
+    std::vector<std::vector<std::uint8_t>> blocks;  // reserved, never grown
+    core::PathCode last;  // the last record's code: the next one's base
+    /// The last record's flag byte while a completion of its code may still
+    /// set it: an expansion not followed by another record or a mark.
+    std::uint8_t* open = nullptr;
+    std::size_t expansions = 0;
+    std::size_t records = 0;
+    std::size_t marked = 0;
   };
-  std::vector<Block> blocks_;
-  std::size_t count_ = 0;
+
+  void append(const core::PathCode& code, std::uint8_t flags, double cost);
+
+  std::unique_ptr<State> state_;
 };
 
 struct RunOutcome {

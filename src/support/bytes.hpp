@@ -19,6 +19,27 @@
 
 namespace ftbb::support {
 
+/// Writes `v` as an unsigned LEB128 varint at `out` (room for varint_size(v)
+/// bytes) and returns the end: ByteWriter's encoder, for raw buffers too.
+inline std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
+}
+
+/// Writes `v`'s IEEE-754 bits at `out`, 8 bytes little-endian (ByteReader::f64
+/// reads them), and returns the end.
+inline std::uint8_t* put_f64(std::uint8_t* out, double v) {
+  std::uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(v));
+  __builtin_memcpy(&bits, &v, sizeof(bits));
+  for (int i = 0; i < 8; ++i) *out++ = static_cast<std::uint8_t>(bits >> (8 * i));
+  return out;
+}
+
 /// Append-only encoder producing a byte vector.
 ///
 /// A counting() writer accepts the same encode calls but accumulates size()
@@ -42,19 +63,8 @@ class ByteWriter {
 
   /// Unsigned LEB128 varint, 1..10 bytes.
   void varint(std::uint64_t v) {
-    if (counting_) {
-      while (v >= 0x80) {
-        ++count_;
-        v >>= 7;
-      }
-      ++count_;
-      return;
-    }
-    while (v >= 0x80) {
-      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t b[10];
+    bytes(b, static_cast<std::size_t>(put_varint(b, v) - b));
   }
 
   /// Signed values via zigzag so small negatives stay small.
@@ -65,14 +75,8 @@ class ByteWriter {
 
   /// IEEE-754 doubles verbatim (bounds, incumbents, timestamps).
   void f64(double v) {
-    if (counting_) {
-      count_ += 8;
-      return;
-    }
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    std::uint8_t b[8];
+    bytes(b, static_cast<std::size_t>(put_f64(b, v) - b));
   }
 
   void bytes(const void* data, std::size_t n) {

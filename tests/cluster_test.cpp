@@ -306,6 +306,37 @@ TEST(Cluster, EliminationStillCorrectUnderCrashes) {
   expect_solved(res, *model.known_optimal());
 }
 
+TEST(Cluster, StoragePeaksOfAKnapsackRunWithACrashAndARevive) {
+  // Knapsack eliminations complete codes no worker expanded, and the union
+  // keeps what a crashed incarnation completed. The peaks are pinned at the
+  // values the union table measured when it took every completion as it
+  // happened; the later crash forces redone work.
+  const auto inst = bnb::KnapsackInstance::strongly_correlated(15, 50, 0.5, 4);
+  bnb::NodeCostModel cost;
+  cost.mean = 1e-3;
+  bnb::KnapsackModel model(inst, cost);
+  struct Pinned {
+    double crash;
+    std::size_t total;
+    std::size_t unique;
+  };
+  for (const Pinned& pin : {Pinned{0.02, 1051, 454}, Pinned{0.024, 686, 40}}) {
+    ClusterConfig cfg = base_config(4, 15);
+    cfg.storage_sample_interval = 0.01;
+    cfg.crashes = {{1, pin.crash}};
+    cfg.rejoins = {{1, 0.03}};
+    for (const std::uint32_t threads : {1u, 4u}) {
+      cfg.sim_threads = threads;
+      const ClusterResult res = SimCluster::run(model, cfg);
+      expect_solved(res, *model.known_optimal());
+      EXPECT_EQ(res.worker_ledgers[1][WorkItem::kIncarnations], 2u);
+      EXPECT_GT(res.work[WorkItem::kEliminated], 0u);
+      EXPECT_EQ(res.peak_table_bytes_total, pin.total) << "crash " << pin.crash;
+      EXPECT_EQ(res.peak_table_bytes_unique, pin.unique) << "crash " << pin.crash;
+    }
+  }
+}
+
 /// Property sweep: random crash schedules leaving at least one survivor
 /// always terminate with the exact optimum.
 class CrashSweepTest : public ::testing::TestWithParam<std::uint64_t> {};

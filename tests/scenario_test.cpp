@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "sim/outcome.hpp"
 #include "sim/scenario.hpp"
+#include "support/rng.hpp"
 
 namespace ftbb::sim {
 namespace {
@@ -206,13 +208,135 @@ TEST(Scenario, TspCompletesAndMatchesGolden) {
 TEST(Scenario, CrashedWorkForcesRedundantExpansion) {
   // A crash destroying a worker's pool and unreported completions must be
   // paid for in re-expanded nodes, and the report must expose that cost.
+  // The crashes land mid-run: the fault-free run ends at about 0.044 s.
   ScenarioSpec spec = base_spec("crash-costs-work", Backend::kFtbb, 42);
-  spec.faults.crash(1, 0.08).crash(2, 0.08).crash(3, 0.08);
+  spec.faults.crash(1, 0.02).crash(2, 0.02).crash(3, 0.02);
   const ScenarioReport report = ScenarioRunner::run(spec);
   expect_solved(report);
   EXPECT_GE(report.total_expanded, report.unique_expanded);
   EXPECT_EQ(report.redundant_expansions,
             report.total_expanded - report.unique_expanded);
+  EXPECT_GT(report.redundant_expansions, 0u) << report.to_string();
+  EXPECT_GT(report.redundant_cost, 0.0);
+}
+
+static_assert(sizeof(ExpansionLog) == sizeof(void*),
+              "an empty expansion log is one pointer");
+
+/// One logged record, as a test expects to read it back.
+struct Logged {
+  bool expanded;
+  bool completed;
+  core::PathCode code;
+  double cost;
+};
+
+void expect_records(const ExpansionLog& log, const std::vector<Logged>& want) {
+  ASSERT_EQ(log.records(), want.size());
+  std::size_t i = 0;
+  log.decode([&](const ExpansionLog::Record& r) {
+    ASSERT_LT(i, want.size());
+    EXPECT_EQ(r.expanded, want[i].expanded) << "record " << i;
+    EXPECT_EQ(r.completed, want[i].completed) << "record " << i;
+    EXPECT_TRUE(r.code == want[i].code.view()) << "record " << i;
+    EXPECT_EQ(r.cost, want[i].cost) << "record " << i;
+    ++i;
+  });
+  EXPECT_EQ(i, want.size());
+}
+
+TEST(ExpansionLog, RecordsRoundTripThroughDecodeAndTheAccount) {
+  // A random walk over codes: the root, codes far deeper than PathCode's 32
+  // inline words, words of 1 to 5 varint bytes, and tens of KB of records,
+  // so records sit on both sides of several block boundaries (the first
+  // block holds 256 bytes). Some expansions are repeated.
+  support::Rng rng(2026);
+  ExpansionLog log;
+  log.add(core::PathCode::root(), 0.25);
+  std::vector<Logged> want = {Logged{true, false, core::PathCode::root(), 0.25}};
+  std::map<core::PathCode, std::pair<std::size_t, double>> expanded = {
+      {core::PathCode::root(), {1, 0.25}}};  // count, cost
+  core::PathCode code;
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t keep = rng.pick(code.depth() + 1);
+    code = code.prefix(rng.chance(0.05) ? 0 : keep);
+    const std::size_t grow = rng.chance(0.02) ? 60 + rng.pick(40) : rng.pick(4);
+    for (std::size_t k = 0; k < grow; ++k) {
+      const std::uint32_t var = static_cast<std::uint32_t>(
+          rng.next() >> (33 + 7 * rng.pick(5)));  // up to kMaxVar
+      code = code.child(var, rng.chance(0.5));
+    }
+    const double cost = rng.uniform(1e-4, 1e-2);
+    if (rng.chance(0.3)) {
+      log.complete(code);
+      Logged& last = want.back();
+      if (last.expanded && !last.completed && last.code == code) {
+        last.completed = true;  // the code just expanded
+      } else {
+        want.push_back(Logged{false, true, code, 0.0});
+      }
+      continue;
+    }
+    const auto it = expanded.try_emplace(code, 0, cost).first;
+    const int times = rng.chance(0.1) ? 2 : 1;
+    for (int t = 0; t < times; ++t) {
+      log.add(code, it->second.second);
+      want.push_back(Logged{true, false, code, it->second.second});
+      ++it->second.first;
+    }
+  }
+  expect_records(log, want);
+
+  std::size_t total = 0;
+  double redundant_cost = 0.0;  // in code order, as the account sums it
+  for (const auto& [c, seen] : expanded) {
+    total += seen.first;
+    if (seen.first > 1) redundant_cost += static_cast<double>(seen.first - 1) * seen.second;
+  }
+  EXPECT_EQ(log.size(), total);
+  const std::array<const ExpansionLog*, 1> logs = {&log};
+  RunOutcome out;
+  out.account_expansions(logs);
+  EXPECT_EQ(out.total_expanded, total);
+  EXPECT_EQ(out.unique_expanded, expanded.size());
+  EXPECT_EQ(out.redundant_expansions, total - expanded.size());
+  EXPECT_GT(out.redundant_expansions, 0u);
+  EXPECT_EQ(out.redundant_cost, redundant_cost);  // exact, not NEAR
+}
+
+TEST(ExpansionLog, CompletingTheCodeJustExpandedOnlyFlagsItsRecord) {
+  const core::PathCode a = core::PathCode::root().child(3, true);
+  const core::PathCode b = a.child(200, false);  // a two-byte word
+  const core::PathCode c = b.sibling();
+  ExpansionLog log;
+  expect_records(log, {});
+  log.add(a, 0.5);
+  log.complete(a);  // the code just expanded: no record
+  EXPECT_EQ(log.records(), 1u);
+  log.complete(a);  // its flag is taken: a record
+  log.add(b, 0.25);
+  log.complete(c);  // another code: a record
+  log.complete(b);  // b is no longer the last record: a record
+  log.add(c, 0.125);
+  log.mark();
+  EXPECT_EQ(log.marked(), 6u);
+  log.complete(c);  // the mark closed c's record: a record
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.marked(), 6u);
+  expect_records(log, {Logged{true, true, a, 0.5}, Logged{false, true, a, 0.0},
+                       Logged{true, false, b, 0.25}, Logged{false, true, c, 0.0},
+                       Logged{false, true, b, 0.0}, Logged{true, false, c, 0.125},
+                       Logged{false, true, c, 0.0}});
+  std::size_t marked = 0;  // decode stops where it is told to
+  log.decode([&marked](const ExpansionLog::Record&) { ++marked; }, log.marked());
+  EXPECT_EQ(marked, 6u);
+  // Completion-only records are not expansions.
+  const std::array<const ExpansionLog*, 1> logs = {&log};
+  RunOutcome out;
+  out.account_expansions(logs);
+  EXPECT_EQ(out.total_expanded, 3u);
+  EXPECT_EQ(out.unique_expanded, 3u);
+  EXPECT_EQ(out.redundant_cost, 0.0);
 }
 
 TEST(ExpansionAccount, RepeatsCountOnceAndPriceTheRestInAnyLogOrder) {
