@@ -23,11 +23,8 @@
 // time per subproblem").
 #pragma once
 
-#include <cstdio>
-
 #include "bnb/basic_tree.hpp"
 #include "bnb/knapsack.hpp"
-#include "bnb/shifty.hpp"
 #include "core/worker.hpp"
 #include "sim/cluster.hpp"
 #include "support/table.hpp"
@@ -86,16 +83,6 @@ inline bnb::BasicTree large_problem_dense() {
   return bnb::BasicTree::random(cfg);
 }
 
-/// Adversarial workload: the branching factor and per-node cost shift
-/// mid-solve (bnb/shifty.hpp), so any fixed report/timeout tuning is wrong
-/// for half of the tree. Used to exercise the cost-model controller.
-inline bnb::ShiftyProblem small_shifty(std::uint32_t depth = 12,
-                                       std::uint64_t seed = 7) {
-  bnb::ShiftyOptions opts;
-  opts.depth_limit = depth;
-  return bnb::ShiftyProblem(seed, opts);
-}
-
 /// Worker tuning for the small (10 ms granularity) problem.
 inline core::WorkerConfig small_worker_config() {
   core::WorkerConfig w;
@@ -146,18 +133,6 @@ inline sim::ClusterConfig small_cluster_config(std::uint32_t workers,
   cfg.time_limit = 3e4;
   cfg.storage_sample_interval = 1.0;
   return cfg;
-}
-
-/// Prints the standard outcome line every bench emits.
-inline void print_outcome(const char* label, const sim::ClusterResult& res,
-                          double optimal) {
-  std::printf("%s: %s, solution %s (makespan %.2fs, %llu expanded, %llu redundant)\n",
-              label,
-              res.all_live_halted ? "terminated" : "DID NOT TERMINATE",
-              res.solution == optimal ? "exact" : "WRONG",
-              res.makespan,
-              static_cast<unsigned long long>(res.total_expanded),
-              static_cast<unsigned long long>(res.redundant_expansions));
 }
 
 }  // namespace ftbb::bench

@@ -2,25 +2,28 @@
 //
 // The identical worker protocol that the simulator hosts in virtual time
 // runs here on real threads with real message queues (the MPI-on-one-box
-// equivalent), solving a minimum-vertex-cover instance while two workers
-// are killed mid-run.
+// equivalent), solving a 0/1 knapsack instance while two workers are killed
+// mid-run and one of them rejoins. Exits 0 only if every live worker halted
+// on the exact optimum.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
-#include "bnb/vertex_cover.hpp"
+#include "bnb/knapsack.hpp"
 #include "rt/runtime.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftbb;
   const std::uint32_t workers = argc > 1 ? std::atoi(argv[1]) : 6;
 
-  // A G(n, p) graph; vertex cover branches on vertices, excluding a vertex
-  // forces its neighbors into the cover.
-  const bnb::Graph graph = bnb::Graph::gnp(26, 0.25, 11);
+  // A strongly correlated instance (hard for B&B), large enough that the
+  // search outlasts the last fault injection below.
+  const auto instance =
+      bnb::KnapsackInstance::strongly_correlated(20, 100, 0.5, 11);
   bnb::NodeCostModel cost;
   cost.mean = 5e-3;  // ~5 ms per node: long enough that the faults land
                      // mid-search, short enough to stay a demo
-  bnb::VertexCoverModel model(graph, cost);
+  bnb::KnapsackModel model(instance, cost);
 
   rt::RtConfig cfg;
   cfg.workers = workers;
@@ -39,16 +42,17 @@ int main(int argc, char** argv) {
   cfg.faults.crashes = {{1, 0.02}, {2, 0.04}};
   cfg.faults.revives = {{2, 0.12}};
 
-  std::printf("solving vertex cover on %u threads (2 crash, 1 rejoins)...\n",
-              workers);
+  std::printf("solving knapsack (%zu items) on %u threads (2 crash, 1 rejoins)...\n",
+              instance.items(), workers);
   const rt::RtResult res = rt::Cluster::run(model, cfg);
 
   std::printf("terminated    : %s in %.2fs wall\n",
               res.all_live_halted ? "yes" : "NO", res.makespan);
-  std::printf("cover size    : %.0f", res.solution);
-  if (model.known_optimal().has_value()) {
-    std::printf(" (optimum %.0f, %s)", *model.known_optimal(),
-                res.solution == *model.known_optimal() ? "match" : "MISMATCH");
+  std::printf("best profit   : %.0f", -res.solution);
+  const std::optional<double> optimum = model.known_optimal();
+  const bool exact = !optimum.has_value() || res.solution == *optimum;
+  if (optimum.has_value()) {
+    std::printf(" (optimum %.0f, %s)", -*optimum, exact ? "match" : "MISMATCH");
   }
   std::printf("\nmessages      : %llu delivered, %llu lost\n",
               static_cast<unsigned long long>(res.net.messages_delivered),
@@ -63,5 +67,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(w[core::WorkItem::kRecoveries]),
                 res.crashed[i] ? " [crashed]" : "");
   }
-  return res.all_live_halted ? 0 : 1;
+  return res.all_live_halted && exact ? 0 : 1;
 }

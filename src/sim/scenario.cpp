@@ -6,11 +6,7 @@
 
 #include "bnb/basic_tree.hpp"
 #include "bnb/knapsack.hpp"
-#include "bnb/maxsat.hpp"
-#include "bnb/partition.hpp"
-#include "bnb/shifty.hpp"
 #include "bnb/tsp.hpp"
-#include "bnb/vertex_cover.hpp"
 #include "rt/runtime.hpp"
 #include "support/check.hpp"
 
@@ -175,16 +171,8 @@ const char* to_string(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kKnapsack:
       return "knapsack";
-    case WorkloadKind::kVertexCover:
-      return "vertex-cover";
-    case WorkloadKind::kNumberPartition:
-      return "number-partition";
     case WorkloadKind::kSyntheticTree:
       return "synthetic-tree";
-    case WorkloadKind::kShifty:
-      return "shifty";
-    case WorkloadKind::kMaxSat:
-      return "max-sat";
     case WorkloadKind::kTsp:
       return "tsp";
   }
@@ -205,16 +193,6 @@ Workload build_workload(const WorkloadSpec& spec) {
       w.model = std::make_unique<bnb::KnapsackModel>(std::move(inst), cost);
       break;
     }
-    case WorkloadKind::kVertexCover: {
-      bnb::Graph g = bnb::Graph::gnp(spec.size, 0.3, spec.seed);
-      w.model = std::make_unique<bnb::VertexCoverModel>(std::move(g), cost);
-      break;
-    }
-    case WorkloadKind::kNumberPartition: {
-      auto inst = bnb::PartitionInstance::random(spec.size, 40, spec.seed);
-      w.model = std::make_unique<bnb::PartitionModel>(std::move(inst), cost);
-      break;
-    }
     case WorkloadKind::kSyntheticTree: {
       bnb::RandomTreeConfig cfg;
       cfg.target_nodes = spec.size;
@@ -224,20 +202,6 @@ Workload build_workload(const WorkloadSpec& spec) {
       auto tree = std::make_shared<bnb::BasicTree>(bnb::BasicTree::random(cfg));
       w.model = std::make_unique<bnb::TreeProblem>(tree.get());
       w.storage = tree;
-      break;
-    }
-    case WorkloadKind::kShifty: {
-      bnb::ShiftyOptions opts;
-      opts.depth_limit = spec.size;
-      opts.cost_mean = spec.cost_mean;
-      w.model = std::make_unique<bnb::ShiftyProblem>(spec.seed, opts);
-      break;
-    }
-    case WorkloadKind::kMaxSat: {
-      bnb::MaxSatOptions opts;
-      opts.vars = spec.size;
-      opts.cost_mean = spec.cost_mean;
-      w.model = std::make_unique<bnb::MaxSatProblem>(spec.seed, opts);
       break;
     }
     case WorkloadKind::kTsp: {

@@ -2,7 +2,7 @@
 //
 // ScenarioRunner is the single entry point the test suite, the benches, and
 // the CLI use to drive an end-to-end run under adversity: it builds the
-// requested workload (one of the seven WorkloadKinds below), compiles the
+// requested workload (one of the three WorkloadKinds below), compiles the
 // backend-neutral FaultPlan once into a fault::FaultSchedule, and runs it on
 // the chosen backend (the paper's decentralized protocol, the centralized
 // manager/worker baseline, the DIB baseline, or the protocol on the rt
@@ -42,20 +42,16 @@ enum class Backend : std::uint8_t {
 
 enum class WorkloadKind : std::uint8_t {
   kKnapsack = 0,
-  kVertexCover = 1,
-  kNumberPartition = 2,
-  kSyntheticTree = 3,
-  kShifty = 4,  // adversarial mid-solve branching-factor shift (bnb/shifty.hpp)
-  kMaxSat = 5,  // weighted random 3-CNF, minimize falsified weight (bnb/maxsat.hpp)
-  kTsp = 6,     // symmetric TSP, Little-style edge branching (bnb/tsp.hpp)
+  kSyntheticTree = 1,
+  kTsp = 2,  // symmetric TSP, Little-style edge branching (bnb/tsp.hpp)
 };
 
 [[nodiscard]] const char* to_string(WorkloadKind kind);
 
-/// Deterministic workload recipe; `size` is items / vertices / values /
-/// tree nodes depending on the kind. Every kind with a known optimum
-/// (everything except large synthetic trees — and those know theirs too)
-/// lets reports verify the computed solution.
+/// Deterministic workload recipe; `size` is knapsack items, tree nodes or
+/// TSP cities depending on the kind. Every kind's model knows its optimum
+/// (knapsack's DP up to a size limit), so reports verify the computed
+/// solution.
 struct WorkloadSpec {
   WorkloadKind kind = WorkloadKind::kSyntheticTree;
   std::uint32_t size = 401;

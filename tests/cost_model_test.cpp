@@ -2,11 +2,9 @@
 // controller policy (only the time-priced knob scales; hysteresis; batch and
 // grant sizing), ledger merge determinism (sequential vs sharded execution,
 // bit for bit, with pinned golden fingerprints), per-incarnation counters
-// across crash/revive, and the adversarial ShiftyProblem workload.
+// across crash/revive.
 #include <gtest/gtest.h>
 
-#include "bnb/sequential.hpp"
-#include "bnb/shifty.hpp"
 #include "core/cost_model.hpp"
 #include "sim/cluster.hpp"
 #include "sim/scenario.hpp"
@@ -226,49 +224,6 @@ TEST(WorkMix, CrashAndReviveResetPerIncarnationCounters) {
   sum[core::WorkItem::kRedundantExpansions] = res.redundant_expansions;
   sum.redundant_seconds = res.redundant_cost;
   EXPECT_EQ(sum.fingerprint(), res.work.fingerprint());
-}
-
-// ---------------------------------------------------------------------------
-// The adversarial ShiftyProblem workload
-// ---------------------------------------------------------------------------
-
-TEST(Shifty, IsPureAndDeterministic) {
-  bnb::ShiftyOptions opts;
-  opts.depth_limit = 10;
-  bnb::ShiftyProblem a(7, opts);
-  bnb::ShiftyProblem b(7, opts);
-  EXPECT_EQ(a.total_nodes(), b.total_nodes());
-  EXPECT_EQ(a.total_leaves(), b.total_leaves());
-  ASSERT_TRUE(a.known_optimal().has_value());
-  EXPECT_EQ(*a.known_optimal(), *b.known_optimal());
-  // Different seeds give different trees.
-  bnb::ShiftyProblem c(8, opts);
-  EXPECT_TRUE(a.total_nodes() != c.total_nodes() ||
-              *a.known_optimal() != *c.known_optimal());
-}
-
-TEST(Shifty, SequentialSolveMatchesKnownOptimal) {
-  bnb::ShiftyOptions opts;
-  opts.depth_limit = 12;
-  bnb::ShiftyProblem problem(13, opts);
-  const bnb::SeqResult res = bnb::solve_sequential(problem, bnb::SeqOptions{});
-  ASSERT_TRUE(res.completed);
-  ASSERT_TRUE(problem.known_optimal().has_value());
-  EXPECT_DOUBLE_EQ(res.best_value, *problem.known_optimal());
-}
-
-TEST(Shifty, BranchingShiftsBetweenPhases) {
-  bnb::ShiftyOptions opts;
-  opts.depth_limit = 16;
-  opts.phase_period = 4;
-  bnb::ShiftyProblem problem(7, opts);
-  // Depths 0-3 bushy, 4-7 skinny, 8-11 bushy again, ...
-  EXPECT_FALSE(problem.in_skinny_band(0));
-  EXPECT_FALSE(problem.in_skinny_band(3));
-  EXPECT_TRUE(problem.in_skinny_band(4));
-  EXPECT_TRUE(problem.in_skinny_band(7));
-  EXPECT_FALSE(problem.in_skinny_band(8));
-  EXPECT_TRUE(problem.in_skinny_band(12));
 }
 
 }  // namespace

@@ -67,26 +67,8 @@ TEST(Equivalence, KnapsackUnderLossyPlan) {
   expect_equivalent(WorkloadKind::kKnapsack, 14, 8);
 }
 
-TEST(Equivalence, VertexCoverUnderLossyPlan) {
-  expect_equivalent(WorkloadKind::kVertexCover, 10, 9);
-  expect_equivalent(WorkloadKind::kVertexCover, 12, 10);
-}
-
-TEST(Equivalence, NumberPartitionUnderLossyPlan) {
-  expect_equivalent(WorkloadKind::kNumberPartition, 10, 11);
-}
-
 TEST(Equivalence, SyntheticTreeUnderLossyPlan) {
   expect_equivalent(WorkloadKind::kSyntheticTree, 401, 12);
-}
-
-TEST(Equivalence, ShiftyUnderLossyPlan) {
-  expect_equivalent(WorkloadKind::kShifty, 12, 13);
-}
-
-TEST(Equivalence, MaxSatUnderLossyPlan) {
-  expect_equivalent(WorkloadKind::kMaxSat, 12, 14);
-  expect_equivalent(WorkloadKind::kMaxSat, 14, 15);
 }
 
 TEST(Equivalence, TspUnderLossyPlan) {

@@ -6,6 +6,7 @@
 #include "bnb/basic_tree.hpp"
 #include "bnb/knapsack.hpp"
 #include "bnb/sequential.hpp"
+#include "sim/cluster.hpp"
 
 namespace ftbb::bnb {
 namespace {
@@ -164,6 +165,32 @@ TEST_P(KnapsackSolveTest, UncorrelatedMatchesDp) {
   ASSERT_TRUE(model.known_optimal().has_value());
   const SeqResult res = solve_sequential(model);
   EXPECT_DOUBLE_EQ(res.best_value, *model.known_optimal());
+}
+
+TEST_P(KnapsackSolveTest, DistributedWithCrashesMatchesDp) {
+  const std::uint64_t seed = GetParam();
+  NodeCostModel cost;
+  cost.mean = 1e-3;
+  KnapsackModel model(KnapsackInstance::strongly_correlated(16, 50, 0.5, seed),
+                      cost);
+  ASSERT_TRUE(model.known_optimal().has_value());
+  sim::ClusterConfig cfg;
+  cfg.workers = 4;
+  cfg.seed = seed;
+  cfg.worker.report_batch = 4;
+  cfg.worker.report_flush_interval = 0.05;
+  cfg.worker.table_gossip_interval = 0.2;
+  cfg.worker.work_request_timeout = 0.02;
+  cfg.worker.idle_backoff = 0.005;
+  cfg.time_limit = 300.0;
+  const sim::ClusterResult baseline = sim::SimCluster::run(model, cfg);
+  ASSERT_TRUE(baseline.all_live_halted);
+  EXPECT_DOUBLE_EQ(baseline.solution, *model.known_optimal());
+  // Kill half the workers mid-run; still exact.
+  cfg.crashes = {{1, baseline.makespan * 0.4}, {2, baseline.makespan * 0.6}};
+  const sim::ClusterResult res = sim::SimCluster::run(model, cfg);
+  ASSERT_TRUE(res.all_live_halted);
+  EXPECT_DOUBLE_EQ(res.solution, *model.known_optimal());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackSolveTest,

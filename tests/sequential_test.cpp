@@ -3,7 +3,6 @@
 #include "bnb/basic_tree.hpp"
 #include "bnb/knapsack.hpp"
 #include "bnb/sequential.hpp"
-#include "bnb/vertex_cover.hpp"
 
 namespace ftbb::bnb {
 namespace {
@@ -90,15 +89,6 @@ TEST(Sequential, BestCodeIsAFeasibleLeaf) {
   const NodeEval leaf = model.eval(res.best_code);
   EXPECT_TRUE(leaf.feasible_leaf);
   EXPECT_DOUBLE_EQ(leaf.value, res.best_value);
-}
-
-TEST(Sequential, VertexCoverAgreesAcrossRules) {
-  VertexCoverModel model(Graph::gnp(13, 0.4, 21));
-  SeqOptions depth;
-  depth.rule = SelectRule::kDepthFirst;
-  const double a = solve_sequential(model).best_value;
-  const double b = solve_sequential(model, depth).best_value;
-  EXPECT_DOUBLE_EQ(a, b);
 }
 
 }  // namespace
