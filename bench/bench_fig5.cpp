@@ -45,5 +45,5 @@ int main() {
     if (csv[i] == '\n') ++shown;
   }
   std::printf("...\n");
-  return res.all_live_halted ? 0 : 1;
+  return res.all_live_halted && res.solution == tree.optimal_value() ? 0 : 1;
 }

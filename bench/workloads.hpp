@@ -4,9 +4,12 @@
 //
 //  * the SMALL problem (Figure 3): a real B&B tree recorded from an
 //    instrumented knapsack run (a "basic tree", Section 6.2) at the paper's
-//    0.01 s/node granularity. The paper's instance expands ~3,500 nodes;
-//    the largest instance whose FULL tree is still recordable here expands
-//    1,632 (see EXPERIMENTS.md) — same granularity regime, so the
+//    0.01 s/node granularity. The paper's instance expands ~3,500 nodes.
+//    Recording takes the FULL tree, which doubles with each item: at seed 2
+//    the 18-item instance records 263,019 nodes and best-first search
+//    expands 1,632 of them, 19 items record 525,761 nodes but expand only
+//    782, and 20 items (1,051,743 nodes) pass small_problem()'s
+//    600,000-node cap. Same granularity regime, so the
 //    overhead-vs-processors shape is preserved;
 //
 //  * the LARGE problem (Table 1 / Figure 4): ~79,600 expanded nodes at a
@@ -31,14 +34,16 @@
 
 namespace ftbb::bench {
 
-// Calibrated instance constants (see EXPERIMENTS.md).
+// Instance constants: the 18-item, seed-2 knapsack above, and Table 1's
+// ~79,600 nodes at 3.47 s each (the generated tree's costs sum to the
+// paper's 76.7 uniprocessor hours).
 inline constexpr std::size_t kSmallItems = 18;
 inline constexpr std::uint64_t kSmallSeed = 2;
 inline constexpr double kSmallNodeCost = 0.01;   // paper Figure 3
 inline constexpr std::uint64_t kLargeNodes = 79601;
 inline constexpr double kLargeNodeCost = 3.47;   // paper Table 1
 
-/// Figure 3 problem: recorded knapsack basic tree (262,651 nodes);
+/// Figure 3 problem: recorded knapsack basic tree (263,019 nodes);
 /// sequential best-first B&B expands 1,632 of them at 0.01 s/node.
 inline bnb::BasicTree small_problem() {
   bnb::NodeCostModel cost;

@@ -9,13 +9,6 @@ namespace ftbb::core {
 
 namespace {
 
-std::size_t common_prefix(PathView a, PathView b) {
-  const std::size_t cap = std::min(a.depth(), b.depth());
-  std::size_t n = 0;
-  while (n < cap && a.word(n) == b.word(n)) ++n;
-  return n;
-}
-
 /// One exactly sized allocation for a sequence of codes or views.
 template <typename Codes>
 CodeList build(const Codes& codes) {

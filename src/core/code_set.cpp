@@ -14,22 +14,6 @@ constexpr std::size_t kChunk = CodeList::kRestart;
 /// where a neighbour can fill it.
 constexpr std::size_t kHalfChunk = kChunk / 2;
 
-/// Common prefix of a and b, given that they share at least `from` words.
-/// Compares two words at a time: codes of one table share long prefixes.
-std::size_t lcp_from(PathView a, PathView b, std::size_t from) {
-  const std::size_t cap = std::min(a.depth(), b.depth());
-  std::size_t n = std::min(from, cap);
-  for (; n + 2 <= cap; n += 2) {
-    std::uint64_t x;
-    std::uint64_t y;
-    std::memcpy(&x, a.words() + n, sizeof(x));
-    std::memcpy(&y, b.words() + n, sizeof(y));
-    if (x != y) break;
-  }
-  while (n < cap && a.word(n) == b.word(n)) ++n;
-  return n;
-}
-
 /// Sign of a <=> b, given n = lcp(a, b).
 int order(PathView a, PathView b, std::size_t n) {
   if (n == a.depth()) return n == b.depth() ? 0 : -1;
@@ -111,7 +95,7 @@ class SpanSource {
     if (i_ == codes_.size()) return false;
     lcp_ = 0;
     if (i_ > 0) {
-      lcp_ = lcp_from(codes_[i_ - 1], codes_[i_], 0);
+      lcp_ = common_prefix(codes_[i_ - 1], codes_[i_]);
       if (order(codes_[i_], codes_[i_ - 1], lcp_) < 0) ordered_ = false;
     }
     ++i_;
@@ -151,7 +135,7 @@ std::ptrdiff_t CodeSet::find_chunk(PathView code, std::size_t& head_lcp) const {
   std::size_t hi_lcp = 0;
   const auto head_le = [&](std::size_t k, std::size_t from, std::size_t& lcp) {
     const PathView head = chunks_[k].codes.front();
-    lcp = lcp_from(head, code, from);
+    lcp = common_prefix(head, code, from);
     return order(head, code, lcp) <= 0;
   };
   // Lookups cluster: try the last chunk found, then its neighbour on the
@@ -292,7 +276,7 @@ class CodeSet::Merge {
         // The range's first chunk holds the first code's predecessor.
         if (b_ > a_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
           const PathView next = chunks_[b_ + 1].codes.front();
-          const std::size_t l = lcp_from(next, x, 0);
+          const std::size_t l = common_prefix(next, x);
           if (order(next, x, l) <= 0) {
             pass_chunk(std::min<std::size_t>(l, chunks_[b_ + 1].lcp));
             continue;
@@ -300,7 +284,7 @@ class CodeSet::Merge {
         }
         load();
       }
-      m_tx_ = lcp_from(t_.view(), x, m_tx_);
+      m_tx_ = common_prefix(t_.view(), x, m_tx_);
       if (order(t_.view(), x, m_tx_) >= 0) break;
       push_t();
     }
@@ -311,7 +295,7 @@ class CodeSet::Merge {
     }
     if (has_back()) {
       const PathView back = this->back();
-      m_bx_ = lcp_from(back, x, m_bx_);
+      m_bx_ = common_prefix(back, x, m_bx_);
       if (m_bx_ == back.depth()) {
         res_.nodes_walked += static_cast<std::uint32_t>(back.depth() + 1);
         return;
@@ -324,7 +308,7 @@ class CodeSet::Merge {
     changed_ = true;
     // Completion subsumes the table codes below x.
     while (next_t()) {
-      m_tx_ = lcp_from(t_.view(), x, m_tx_);
+      m_tx_ = common_prefix(t_.view(), x, m_tx_);
       if (m_tx_ < x.depth()) break;
       drop_t();
     }
@@ -336,7 +320,7 @@ class CodeSet::Merge {
       const std::uint32_t sibling = x.word(z - 1) ^ 1u;
       if ((sibling & 1u) != 0) {
         if (!next_t()) break;
-        m_tx_ = lcp_from(t_.view(), x, m_tx_);
+        m_tx_ = common_prefix(t_.view(), x, m_tx_);
         if (t_.depth() != z || m_tx_ != z - 1 || t_.word(z - 1) != sibling) break;
         drop_t();
       } else {
@@ -344,7 +328,7 @@ class CodeSet::Merge {
         const PathView back = this->back();
         if (back.depth() != z || m_bx_ != z - 1 || back.word(z - 1) != sibling) break;
         pop_back();
-        if (has_back()) m_bx_ = lcp_from(this->back(), x, 0);
+        if (has_back()) m_bx_ = common_prefix(this->back(), x);
       }
       --z;
       ++res_.merges;
@@ -466,7 +450,7 @@ class CodeSet::Merge {
   void push_t() {
     std::size_t lcp = t_lcp_;
     if (!back_is_table_) {
-      lcp = has_back() ? lcp_from(back(), t_.view(), std::min(m_bx_, m_tx_)) : 0;
+      lcp = has_back() ? common_prefix(back(), t_.view(), std::min(m_bx_, m_tx_)) : 0;
     }
     push(t_.view(), lcp);
     back_is_table_ = true;
@@ -767,7 +751,7 @@ void CodeSet::check_invariants() const {
     while (!dec.done()) {
       const CodeList::Link l = dec.next();
       code.assign(dec.code());
-      const std::size_t lcp = lcp_from(prev.view(), code.view(), 0);
+      const std::size_t lcp = common_prefix(prev.view(), code.view());
       FTBB_CHECK_MSG(lcp == (head ? c.lcp : l.lcp), "CodeSet: stale common prefix");
       head = false;
       if (count > 0) {

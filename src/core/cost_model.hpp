@@ -14,11 +14,12 @@
 // with a hysteresis band so cheap subtrees don't thrash the outputs) into
 // the worker's adaptivity knobs. The deliberate asymmetry against the
 // per-knob EWMA scheme it replaced (every waiting parameter scaled with node
-// cost): node cost prices *waiting for a busy peer*, not messaging. So the controller raises only the request timeout
-// (a busy peer answers at its next step boundary, one node away), keeps the
-// idle backoff and report flush at their configured base (polling cadence
-// and knowledge spread are message-priced, and messages did not get more
-// expensive), shrinks the report batch on coarse nodes (each completion now
+// cost): node cost prices *waiting for a busy peer*, not messaging. So the
+// controller raises only the request timeout (a busy peer answers at its
+// next step boundary, one node away), leaves the idle backoff and report
+// flush to the worker's configured values (polling cadence and knowledge
+// spread are message-priced, and messages did not get more expensive),
+// shrinks the report batch on coarse nodes (each completion now
 // carries more work, so holding eight of them back delays the group's
 // elimination knowledge by eight node-times), and sizes work grants in
 // estimated work-seconds instead of raw problem counts.
@@ -142,43 +143,23 @@ struct WorkLedger {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Tuning constants for CostController; lives in WorkerConfig.
-struct CostModelConfig {
-  double ewma_alpha = 0.1;       // expansion-cost smoothing
-  /// Request timeout = base + timeout_safety * ewma: long enough that a
-  /// busy peer one coarse node away from its step boundary still answers.
-  double timeout_safety = 2.0;
-  /// Grants are sized to keep the requester busy for about this many
-  /// request timeouts' worth of estimated work.
-  double grant_horizon = 2.0;
-  /// The report batch shrinks so one report amortizes its messaging cost
-  /// against at most (batch * ewma) of withheld completion knowledge:
-  /// batch = report_msg_cost / (batch_cost_share * ewma), clamped to
-  /// [1, configured batch].
-  double batch_cost_share = 2.5e-3;
-  /// Relative dead band: outputs recompute only when the EWMA drifts more
-  /// than this fraction from the value they were last tuned to, so cheap
-  /// subtrees inside a coarse run don't thrash timers.
-  double hysteresis = 0.25;
-};
-
 /// EWMA + hysteresis policy engine. Pure arithmetic over observed costs —
 /// no clocks, no randomness — so its outputs are deterministic functions of
 /// the worker's (deterministic) observation stream.
 class CostController {
  public:
+  /// Request timeout = base + kTimeoutSafety * ewma: long enough that a
+  /// busy peer one coarse node away from its step boundary still answers.
+  static constexpr double kTimeoutSafety = 2.0;
+
   CostController() = default;
 
   /// `report_msg_cost` is the modeled CPU cost of shipping one report batch
   /// (fanout * (send + recv fixed costs)) — the denominator that decides
   /// how much batching a report must amortize.
-  void configure(const CostModelConfig& cfg, double base_timeout,
-                 double base_backoff, double base_flush,
-                 std::uint32_t base_batch, double report_msg_cost) {
-    cfg_ = cfg;
+  void configure(double base_timeout, std::uint32_t base_batch,
+                 double report_msg_cost) {
     base_timeout_ = base_timeout;
-    base_backoff_ = base_backoff;
-    base_flush_ = base_flush;
     base_batch_ = base_batch;
     report_msg_cost_ = report_msg_cost;
   }
@@ -187,39 +168,32 @@ class CostController {
   /// only when the drift leaves the hysteresis band.
   void observe(double cost) {
     if (cost <= 0.0) return;
-    ewma_ = (ewma_ == 0.0) ? cost : ewma_ + cfg_.ewma_alpha * (cost - ewma_);
-    if (tuned_ewma_ == 0.0 ||
-        std::abs(ewma_ - tuned_ewma_) > cfg_.hysteresis * tuned_ewma_) {
+    ewma_ = (ewma_ == 0.0) ? cost : ewma_ + kEwmaAlpha * (cost - ewma_);
+    if (tuned_ewma_ == 0.0 || std::abs(ewma_ - tuned_ewma_) > kHysteresis * tuned_ewma_) {
       tuned_ewma_ = ewma_;
       ++retunes_;
     }
   }
 
   [[nodiscard]] double request_timeout() const {
-    return base_timeout_ + cfg_.timeout_safety * tuned_ewma_;
+    return base_timeout_ + kTimeoutSafety * tuned_ewma_;
   }
-  /// Deliberately the base value: backoff paces polling, and polling is
-  /// message-priced. Scaling it with node cost is exactly where the per-knob
-  /// EWMA scheme lost its efficiency.
-  [[nodiscard]] double backoff() const { return base_backoff_; }
-  /// Deliberately the base value, same reasoning as backoff().
-  [[nodiscard]] double flush_interval() const { return base_flush_; }
 
   [[nodiscard]] std::uint32_t report_batch() const {
     if (tuned_ewma_ == 0.0 || base_batch_ <= 1) return base_batch_;
     const double ideal =
-        std::ceil(report_msg_cost_ / (cfg_.batch_cost_share * tuned_ewma_));
+        std::ceil(report_msg_cost_ / (kBatchCostShare * tuned_ewma_));
     if (ideal >= static_cast<double>(base_batch_)) return base_batch_;
     return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(ideal));
   }
 
-  /// Caps a grant at ~grant_horizon request-timeouts of estimated work so a
+  /// Caps a grant at ~kGrantHorizon request-timeouts of estimated work so a
   /// coarse-grained donor doesn't ship half its pool where three problems
   /// already cover the requester past its next acquisition round.
   [[nodiscard]] std::size_t grant_size(std::size_t suggested) const {
     if (tuned_ewma_ == 0.0) return suggested;
     const double work_cap =
-        std::ceil(cfg_.grant_horizon * request_timeout() / tuned_ewma_);
+        std::ceil(kGrantHorizon * request_timeout() / tuned_ewma_);
     const auto cap = static_cast<std::size_t>(
         std::max(1.0, std::min(work_cap, 1e9)));
     return std::min(suggested, cap);
@@ -230,10 +204,21 @@ class CostController {
   [[nodiscard]] std::uint64_t retunes() const { return retunes_; }
 
  private:
-  CostModelConfig cfg_;
+  static constexpr double kEwmaAlpha = 0.1;  // expansion-cost smoothing
+  /// Grants are sized to keep the requester busy for about this many
+  /// request timeouts' worth of estimated work.
+  static constexpr double kGrantHorizon = 2.0;
+  /// The report batch shrinks so one report amortizes its messaging cost
+  /// against at most (batch * ewma) of withheld completion knowledge:
+  /// batch = report_msg_cost / (kBatchCostShare * ewma), clamped to
+  /// [1, configured batch].
+  static constexpr double kBatchCostShare = 2.5e-3;
+  /// Relative dead band: outputs recompute only when the EWMA drifts more
+  /// than this fraction from the value they were last tuned to, so cheap
+  /// subtrees inside a coarse run don't thrash timers.
+  static constexpr double kHysteresis = 0.25;
+
   double base_timeout_ = 0.05;
-  double base_backoff_ = 0.02;
-  double base_flush_ = 1.0;
   std::uint32_t base_batch_ = 8;
   double report_msg_cost_ = 2e-4;
   double ewma_ = 0.0;        // continuously updated

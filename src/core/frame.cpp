@@ -62,14 +62,6 @@ ChainPlan plan_chain(const Message& msg, ReportDeltaState* state) {
   return plan;
 }
 
-/// Decisions two codes share from the root.
-std::size_t common_prefix(PathView a, PathView b) {
-  const std::size_t cap = std::min(a.depth(), b.depth());
-  std::size_t n = 0;
-  while (n < cap && a.word(n) == b.word(n)) ++n;
-  return n;
-}
-
 /// One link of a chain: decisions to trim off the previous code, decisions
 /// appended after the shared prefix, then the appended step words. The
 /// per-step wire varint IS the stored word; chain_link_size() is its size.

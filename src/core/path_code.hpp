@@ -125,6 +125,24 @@ class PathView {
   std::size_t size_ = 0;
 };
 
+/// Decisions `a` and `b` share from the root, given that they share at least
+/// `from`. Compares two words at a time: codes of one table share long
+/// prefixes.
+[[nodiscard]] inline std::size_t common_prefix(PathView a, PathView b,
+                                               std::size_t from = 0) {
+  const std::size_t cap = a.depth() < b.depth() ? a.depth() : b.depth();
+  std::size_t n = from < cap ? from : cap;
+  for (; n + 2 <= cap; n += 2) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a.words() + n, sizeof(x));
+    std::memcpy(&y, b.words() + n, sizeof(y));
+    if (x != y) break;
+  }
+  while (n < cap && a.word(n) == b.word(n)) ++n;
+  return n;
+}
+
 /// Immutable-ish sequence of branching decisions from the root.
 ///
 /// The empty code denotes the root problem. Codes order lexicographically

@@ -26,12 +26,9 @@ BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model,
   FTBB_CHECK(model_ != nullptr);
   FTBB_CHECK(env_ != nullptr);
   FTBB_CHECK(config_->report_fanout >= 1);
-  FTBB_CHECK(config_->grant_divisor >= 1);
-  controller_.configure(
-      config_->cost_model, config_->work_request_timeout, config_->idle_backoff,
-      config_->report_flush_interval, config_->report_batch,
-      static_cast<double>(config_->report_fanout) *
-          (config_->costs.send_fixed + config_->costs.recv_fixed));
+  controller_.configure(config_->work_request_timeout, config_->report_batch,
+                        static_cast<double>(config_->report_fanout) *
+                            (config_->costs.send_fixed + config_->costs.recv_fixed));
 }
 
 void BnbWorker::on_start(bool with_root) {
@@ -82,13 +79,10 @@ void BnbWorker::do_step() {
     continue_work();
     return;
   }
+  // No entry needs an elimination check here: every push requires
+  // bound < incumbent, and every incumbent drop prunes the pool.
   const bnb::Subproblem p = pool_.pop();
-  if (config_->enable_elimination && p.bound >= incumbent_) {
-    // Eliminate: the incumbent improved after insertion. A problem fathomed
-    // by its bound is completed (paper Figure 2 semantics).
-    ++work_[WorkItem::kEliminated];
-    complete(p.code);
-  } else if (table_.covered(p.code)) {
+  if (table_.covered(p.code)) {
     // A work report proved this subproblem done elsewhere; drop it
     // ("interrupting the redundant work when information is updated").
     ++work_[WorkItem::kCoveredSkips];
@@ -273,7 +267,7 @@ void BnbWorker::send_table_gossip() {
 void BnbWorker::arm_flush_timer() {
   if (flush_armed_) return;
   flush_armed_ = true;
-  env_->set_timer(TimerKind::kReportFlush, effective_flush_interval(), ++flush_gen_);
+  env_->set_timer(TimerKind::kReportFlush, config_->report_flush_interval, ++flush_gen_);
 }
 
 bool BnbWorker::maybe_terminate() {
@@ -300,24 +294,15 @@ bool BnbWorker::maybe_terminate() {
 
 void BnbWorker::enter_backoff(std::uint32_t steps) {
   backoff_armed_ = true;
-  steps = std::min(std::max(steps, 1u), config_->max_backoff_steps);
+  steps = std::min(std::max(steps, 1u), kMaxBackoffSteps);
   env_->set_wait_hint(WaitHint::kIdle);
   env_->set_timer(TimerKind::kBackoff,
-                  effective_backoff() * static_cast<double>(steps), ++backoff_gen_);
+                  config_->idle_backoff * static_cast<double>(steps), ++backoff_gen_);
 }
 
 double BnbWorker::effective_request_timeout() const {
   return config_->model_adaptivity ? controller_.request_timeout()
                                   : config_->work_request_timeout;
-}
-
-double BnbWorker::effective_backoff() const {
-  return config_->model_adaptivity ? controller_.backoff() : config_->idle_backoff;
-}
-
-double BnbWorker::effective_flush_interval() const {
-  return config_->model_adaptivity ? controller_.flush_interval()
-                                  : config_->report_flush_interval;
 }
 
 std::uint32_t BnbWorker::effective_report_batch() const {
@@ -326,8 +311,8 @@ std::uint32_t BnbWorker::effective_report_batch() const {
 }
 
 bool BnbWorker::stalled() const {
-  double threshold = config_->stall_recovery_factor * effective_request_timeout();
-  if (table_.empty()) threshold *= config_->empty_table_stall_multiplier;
+  double threshold = kStallRecoveryFactor * effective_request_timeout();
+  if (table_.empty()) threshold *= kEmptyTableStallMultiplier;
   return env_->now() - last_progress_ >= threshold;
 }
 
@@ -343,7 +328,7 @@ void BnbWorker::seek_work() {
   // Failure evidence without a stall is ramp-up or contention; a stall
   // without failure evidence resolves through the stall check below.
   if ((failed_attempts_ >= config_->attempts_before_recovery ||
-       deny_streak_ >= config_->deny_streak_before_recovery) &&
+       deny_streak_ >= kDenyStreakBeforeRecovery) &&
       stalled()) {
     recover();
     return;
@@ -369,8 +354,8 @@ void BnbWorker::handle_work_request(const Message& msg) {
   reply.best_known = incumbent_;
   reply.request_id = msg.request_id;
   if (pool_.size() >= config_->min_pool_to_grant) {
-    std::size_t k = std::max<std::size_t>(pool_.size() / config_->grant_divisor, 1);
-    k = std::min<std::size_t>(k, config_->max_grant_problems);
+    std::size_t k = std::max<std::size_t>(pool_.size() / kGrantDivisor, 1);
+    k = std::min<std::size_t>(k, kMaxGrantProblems);
     if (config_->model_adaptivity) k = controller_.grant_size(k);
     reply.type = MsgType::kWorkGrant;
     reply.problems = pool_.extract_for_sharing(k);

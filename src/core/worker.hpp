@@ -77,6 +77,33 @@ struct ProtocolCosts {
   double lb_per_problem = 10e-6;    // per subproblem packed or unpacked
 };
 
+// Protocol constants: the load-balancing and recovery thresholds every
+// substrate and experiment runs with.
+
+/// Linear backoff growth cap: the n-th consecutive deny pauses for
+/// min(n, kMaxBackoffSteps) idle backoffs.
+inline constexpr std::uint32_t kMaxBackoffSteps = 8;
+/// Recovery additionally requires a *stall*: no new completion knowledge,
+/// no granted work for kStallRecoveryFactor * request timeout. While
+/// information keeps arriving the system is alive and merely busy or scarce
+/// (ramp-up, endgame), and complementing would duplicate large regions for
+/// nothing. A genuine loss — crashed holder, dropped grant, partition —
+/// starves the whole group of progress and trips the detector. Long
+/// consecutive-deny streaks (kDenyStreakBeforeRecovery) with a stall also
+/// escalate, covering the all-alive-but-work-lost case where no timeout
+/// ever fires.
+inline constexpr double kStallRecoveryFactor = 10.0;
+inline constexpr std::uint32_t kDenyStreakBeforeRecovery = 8;
+/// Extra patience while the completion table is still empty: with zero
+/// knowledge the complement is the entire root problem, so a wrong suspicion
+/// duplicates everything. Ramp-up on coarse problems is exactly this state
+/// (no completion exists anywhere yet).
+inline constexpr double kEmptyTableStallMultiplier = 25.0;
+/// A grant gives away pool size / kGrantDivisor problems, at most
+/// kMaxGrantProblems of them.
+inline constexpr std::uint32_t kGrantDivisor = 2;
+inline constexpr std::uint32_t kMaxGrantProblems = 64;
+
 struct WorkerConfig {
   bnb::SelectRule rule = bnb::SelectRule::kBestFirst;
 
@@ -103,27 +130,9 @@ struct WorkerConfig {
   /// regions when work is merely scarce, e.g. during ramp-up.
   bool count_denies_toward_recovery = false;
   double idle_backoff = 0.02;            // pause after each failed attempt
-  std::uint32_t max_backoff_steps = 8;   // linear backoff growth cap
-  /// Recovery additionally requires a *stall*: no new completion knowledge,
-  /// no granted work for stall_recovery_factor * request timeout. While
-  /// information keeps arriving the system is alive and merely busy or
-  /// scarce (ramp-up, endgame), and complementing would duplicate large
-  /// regions for nothing. A genuine loss — crashed holder, dropped grant,
-  /// partition — starves the whole group of progress and trips the
-  /// detector. Long consecutive-deny streaks with a stall also escalate,
-  /// covering the all-alive-but-work-lost case where no timeout ever fires.
-  double stall_recovery_factor = 10.0;
-  std::uint32_t deny_streak_before_recovery = 8;
-  /// Extra patience while the completion table is still empty: with zero
-  /// knowledge the complement is the entire root problem, so a wrong
-  /// suspicion duplicates everything. Ramp-up on coarse problems is exactly
-  /// this state (no completion exists anywhere yet).
-  double empty_table_stall_multiplier = 25.0;
   double initial_stagger = 0.01;         // randomized start offset, avoids a
                                          // t=0 request storm
   std::uint32_t min_pool_to_grant = 2;   // keep at least one problem
-  std::uint32_t grant_divisor = 2;       // give away size/divisor problems
-  std::uint32_t max_grant_problems = 64; // cap per grant message
 
   // --- search ---
   bool enable_elimination = true;        // l(v) >= U pruning
@@ -138,7 +147,6 @@ struct WorkerConfig {
   /// cost_model.hpp for why). Without it, coarse-grained problems under
   /// fine-grained timeouts misread busy peers as dead ones (see E7/E15).
   bool model_adaptivity = false;
-  CostModelConfig cost_model;
 
   // --- fault tolerance ---
   RecoveryPolicy recovery = RecoveryPolicy::kNearLastLocal;
@@ -259,11 +267,10 @@ class BnbWorker {
   void add_subproblem(bnb::Subproblem p);
   void enter_backoff(std::uint32_t steps);
 
-  // The waiting parameters in force: the controller's under
-  // WorkerConfig::model_adaptivity, the configured ones otherwise.
+  // The request timeout and report batch in force: the controller's under
+  // WorkerConfig::model_adaptivity, the configured ones otherwise. The idle
+  // backoff and flush interval are always the configured ones.
   [[nodiscard]] double effective_request_timeout() const;
-  [[nodiscard]] double effective_backoff() const;
-  [[nodiscard]] double effective_flush_interval() const;
   [[nodiscard]] std::uint32_t effective_report_batch() const;
 
   void note_contraction(std::uint64_t codes, std::uint64_t nodes) {
@@ -271,7 +278,7 @@ class BnbWorker {
     work_[WorkItem::kContractionNodes] += nodes;
   }
 
-  // Stall detection (see WorkerConfig::stall_recovery_factor).
+  // Stall detection (see kStallRecoveryFactor).
   void note_progress() { last_progress_ = env_->now(); }
   [[nodiscard]] bool stalled() const;
 

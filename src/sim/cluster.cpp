@@ -448,7 +448,6 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
       config_(config),
       kernel_(executor_config(config)) {
   FTBB_CHECK(config_.workers >= 1);
-  FTBB_CHECK(config_.root_holder < config_.workers);
   support::Rng master(config_.seed);
   network_ = std::make_unique<Network>(&kernel_, config_.net, master.split(0x6e657477),
                                        config_.workers);
@@ -456,7 +455,7 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
                      config_.join_times.size() == config_.workers,
                  "join_times must be empty or one entry per worker");
   FTBB_CHECK_MSG(config_.join_times.empty() ||
-                     config_.join_times[config_.root_holder] == 0.0,
+                     config_.join_times[kRootHolder] == 0.0,
                  "the root holder must join at time 0");
   epochs_.assign(config_.workers, 0);
   for (core::NodeId id = 0; id < config_.workers; ++id) {
@@ -494,7 +493,7 @@ void SimCluster::join(core::NodeId id) {
   join_pos_[id] = static_cast<std::uint32_t>(joined_.size());
   joined_.push_back(id);
   ++membership_version_;
-  host->start(id == config_.root_holder);
+  host->start(id == kRootHolder);
 }
 
 void SimCluster::revive(core::NodeId id) {
@@ -577,7 +576,7 @@ ClusterResult SimCluster::run(const bnb::IProblemModel& model,
   SimCluster cluster(model, config);
   cluster.start();
   const Kernel::RunResult kr =
-      cluster.kernel_.run(config.time_limit, config.event_limit);
+      cluster.kernel_.run(config.time_limit, kEventLimit);
   ClusterResult result = cluster.collect();
   result.hit_time_limit = kr.hit_time_limit;
   result.hit_event_limit = kr.hit_event_limit;

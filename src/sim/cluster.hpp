@@ -52,6 +52,11 @@ struct ReviveEvent {
   double time = 0.0;
 };
 
+/// The one member seeded with the root problem.
+inline constexpr core::NodeId kRootHolder = 0;
+/// Kernel events after which a run stops (ClusterResult::hit_event_limit).
+inline constexpr std::uint64_t kEventLimit = 200'000'000ULL;
+
 struct ClusterConfig {
   std::uint32_t workers = 4;
   core::WorkerConfig worker;
@@ -74,7 +79,6 @@ struct ClusterConfig {
   /// everyone), which is what makes 10^5+ simulated workers practical.
   std::uint32_t peer_view_limit = 0;
   double time_limit = 1e9;               // virtual seconds
-  std::uint64_t event_limit = 200'000'000ULL;
   std::vector<CrashEvent> crashes;
   std::vector<ReviveEvent> rejoins;
   std::vector<Partition> partitions;
@@ -84,7 +88,6 @@ struct ClusterConfig {
   std::vector<LossRule> loss_rules;
   bool record_trace = false;
   double storage_sample_interval = 0.25; // virtual seconds between samples
-  core::NodeId root_holder = 0;          // the one member seeded with the root
   /// Join time per worker (empty: everyone joins at t=0). Models the
   /// dynamically available resource pool of Section 4: late joiners enter
   /// the membership and acquire work through the normal load-balancing

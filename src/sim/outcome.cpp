@@ -8,11 +8,7 @@ void ExpansionLog::append(const core::PathCode& code, std::uint8_t flags, double
   if (!state_) state_ = std::make_unique<State>();
   State& s = *state_;
   const std::size_t depth = code.depth();
-  std::size_t prefix = 0;
-  while (prefix < std::min(depth, s.last.depth()) &&
-         code.word(prefix) == s.last.word(prefix)) {
-    ++prefix;
-  }
+  const std::size_t prefix = core::common_prefix(code, s.last);
   // At most: the flag, two 5-byte varints, 5 bytes a word and the cost.
   const std::size_t need = 1 + 10 + 5 * (depth - prefix) + 8;
   if (s.blocks.empty() || s.blocks.back().capacity() - s.blocks.back().size() < need) {

@@ -17,13 +17,10 @@ namespace {
 // ---------------------------------------------------------------------------
 
 core::CostController make_controller(double base_timeout = 0.05,
-                                     double base_backoff = 0.02,
-                                     double base_flush = 1.0,
                                      std::uint32_t base_batch = 8,
                                      double report_msg_cost = 2e-4) {
   core::CostController c;
-  c.configure(core::CostModelConfig{}, base_timeout, base_backoff, base_flush,
-              base_batch, report_msg_cost);
+  c.configure(base_timeout, base_batch, report_msg_cost);
   return c;
 }
 
@@ -31,13 +28,11 @@ TEST(CostController, OnlyTheTimePricedKnobScales) {
   core::CostController c = make_controller();
   for (int i = 0; i < 200; ++i) c.observe(0.1);  // coarse nodes
   EXPECT_GT(c.tuned_ewma(), 0.05);
-  // The request timeout grows with the observed node cost...
+  // The request timeout grows with the observed node cost. The
+  // message-priced knobs (idle backoff, report flush) are not the
+  // controller's: the worker reads them from its config in both modes.
   EXPECT_DOUBLE_EQ(c.request_timeout(),
-                   0.05 + core::CostModelConfig{}.timeout_safety * c.tuned_ewma());
-  // ...while the message-priced knobs stay at base: their cost does not
-  // grow with node cost, and scaling them is where efficiency is lost.
-  EXPECT_DOUBLE_EQ(c.backoff(), 0.02);
-  EXPECT_DOUBLE_EQ(c.flush_interval(), 1.0);
+                   0.05 + core::CostController::kTimeoutSafety * c.tuned_ewma());
 }
 
 TEST(CostController, HysteresisSuppressesSmallRetunes) {

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace ftbb::support {
@@ -81,20 +82,37 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 2.5, 0.05);
 }
 
+/// Sample mean and (n - 1) standard deviation.
+struct Moments {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+
+Moments moments(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  const double mean = sum / static_cast<double>(xs.size());
+  double ss = 0.0;
+  for (const double x : xs) ss += (x - mean) * (x - mean);
+  return {mean, std::sqrt(ss / static_cast<double>(xs.size() - 1))};
+}
+
 TEST(Rng, NormalMoments) {
   Rng rng(13);
-  Accumulator acc;
-  for (int i = 0; i < 200000; ++i) acc.add(rng.normal(10.0, 3.0));
-  EXPECT_NEAR(acc.mean(), 10.0, 0.05);
-  EXPECT_NEAR(acc.stddev(), 3.0, 0.05);
+  std::vector<double> xs;
+  for (int i = 0; i < 200000; ++i) xs.push_back(rng.normal(10.0, 3.0));
+  const Moments m = moments(xs);
+  EXPECT_NEAR(m.mean, 10.0, 0.05);
+  EXPECT_NEAR(m.stddev, 3.0, 0.05);
 }
 
 TEST(Rng, LognormalMeanCv) {
   Rng rng(17);
-  Accumulator acc;
-  for (int i = 0; i < 300000; ++i) acc.add(rng.lognormal_mean_cv(0.01, 0.3));
-  EXPECT_NEAR(acc.mean(), 0.01, 0.0005);
-  EXPECT_NEAR(acc.stddev() / acc.mean(), 0.3, 0.02);
+  std::vector<double> xs;
+  for (int i = 0; i < 300000; ++i) xs.push_back(rng.lognormal_mean_cv(0.01, 0.3));
+  const Moments m = moments(xs);
+  EXPECT_NEAR(m.mean, 0.01, 0.0005);
+  EXPECT_NEAR(m.stddev / m.mean, 0.3, 0.02);
   // cv = 0 degenerates to the constant.
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(5.0, 0.0), 5.0);
 }
@@ -164,52 +182,6 @@ TEST(Bytes, VarintSizeMatchesEncoding) {
     w.varint(v);
     EXPECT_EQ(varint_size(v), w.size()) << v;
   }
-}
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (const double v : {1.0, 2.0, 3.0, 4.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(acc.sum(), 10.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_NEAR(acc.variance(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(Accumulator, MergeMatchesCombined) {
-  Accumulator a;
-  Accumulator b;
-  Accumulator all;
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const double v = rng.uniform(0, 10);
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  Accumulator a;
-  a.add(5.0);
-  Accumulator empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
-}
-
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h({1.0, 2.0, 4.0});
-  for (double v = 0.25; v < 5.0; v += 0.5) h.add(v);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_GT(h.quantile(0.5), 1.0);
-  EXPECT_LE(h.quantile(0.0), h.quantile(1.0));
 }
 
 TEST(TextTable, RendersAligned) {

@@ -257,6 +257,103 @@ TEST(Worker, IncumbentAbsorbedAndPruned) {
   EXPECT_GT(worker.work()[WorkItem::kEliminated], 0u);
 }
 
+/// Counts pool entries that a bound check at pop time would eliminate.
+std::size_t fathomable_entries(const BnbWorker& worker) {
+  std::size_t n = 0;
+  for (const bnb::Subproblem& p : worker.pool().snapshot()) {
+    if (p.bound >= worker.incumbent()) ++n;
+  }
+  return n;
+}
+
+/// The tree's subproblems `depth` decisions below the root, with their bounds.
+std::vector<bnb::Subproblem> subproblems_at(const BasicTree& tree, int depth) {
+  std::vector<std::pair<PathCode, std::size_t>> level{{PathCode::root(), 0}};
+  for (int d = 0; d < depth; ++d) {
+    std::vector<std::pair<PathCode, std::size_t>> next;
+    for (const auto& [code, index] : level) {
+      const bnb::TreeNode& n = tree.node(index);
+      if (n.is_leaf()) continue;
+      for (const int bit : {0, 1}) {
+        next.emplace_back(code.child(n.var, bit != 0), static_cast<std::size_t>(n.child[bit]));
+      }
+    }
+    level = std::move(next);
+  }
+  std::vector<bnb::Subproblem> out;
+  for (const auto& [code, index] : level) out.push_back({code, tree.node(index).bound});
+  return out;
+}
+
+TEST(Worker, PoolBoundsStayBelowTheIncumbent) {
+  // Every push requires bound < incumbent and every drop of the incumbent
+  // prunes the pool, so no entry is fathomed by its bound when popped.
+  // Checked after every timer and message, with incumbents found by local
+  // leaves (a solo depth-first search) and incumbents a peer's deny, report
+  // or grant carries in. A deny or report carries the pool's top bound, so
+  // it prunes part of the pool and the search goes on. A grant brings the
+  // subproblems 3 and 6 decisions deep and carries the median of their
+  // bounds, so some are admitted and some eliminated on arrival.
+  int local_drops = 0;
+  int message_drops = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Fixture solo(seed, 1001);
+    solo.config.rule = bnb::SelectRule::kDepthFirst;
+    BnbWorker local(0, &solo.problem, &solo.config, &solo.env);
+    local.on_start(true);
+    while (!local.halted()) {
+      const double before = local.incumbent();
+      ASSERT_TRUE(solo.env.fire_next(local));
+      if (local.incumbent() < before) ++local_drops;
+      ASSERT_EQ(fathomable_entries(local), 0u) << "seed " << seed;
+    }
+
+    Fixture f(seed, 1001);
+    f.config.rule = bnb::SelectRule::kBreadthFirst;  // a wide pool
+    f.env.peer_list = {1};
+    std::vector<bnb::Subproblem> grantable = subproblems_at(f.tree, 3);
+    for (bnb::Subproblem& p : subproblems_at(f.tree, 6)) grantable.push_back(std::move(p));
+    std::vector<double> grant_bounds;
+    for (const bnb::Subproblem& p : grantable) grant_bounds.push_back(p.bound);
+    std::sort(grant_bounds.begin(), grant_bounds.end());
+    BnbWorker worker(0, &f.problem, &f.config, &f.env);
+    worker.on_start(true);
+    for (int event = 0; event < 20000 && !worker.halted(); ++event) {
+      const double before = worker.incumbent();
+      if (event % 4 == 3 && !worker.pool().empty()) {
+        Message m;
+        m.from = 1;
+        m.best_known = -bnb::kInfinity;
+        for (const bnb::Subproblem& p : worker.pool().snapshot()) {
+          m.best_known = std::max(m.best_known, p.bound);
+        }
+        switch (event / 4 % 3) {
+          case 0:
+            m.type = MsgType::kWorkDeny;
+            break;
+          case 1:
+            m.type = MsgType::kWorkReport;
+            m.codes = {grantable[static_cast<std::size_t>(event) % grantable.size()].code};
+            break;
+          default:
+            m.type = MsgType::kWorkGrant;
+            m.best_known = grant_bounds[grant_bounds.size() / 2];
+            m.problems = grantable;
+            break;
+        }
+        worker.on_message(m);
+        if (worker.incumbent() < before) ++message_drops;
+      } else {
+        ASSERT_TRUE(f.env.fire_next(worker));
+      }
+      ASSERT_EQ(fathomable_entries(worker), 0u) << "seed " << seed << ", event " << event;
+    }
+    EXPECT_TRUE(worker.halted()) << "seed " << seed;
+  }
+  EXPECT_GE(local_drops, 6);
+  EXPECT_GE(message_drops, 6);
+}
+
 TEST(Worker, RequestTimeoutsEscalateToRecovery) {
   Fixture f(10);
   f.env.peer_list = {1};  // a peer that never answers (crashed)
@@ -276,8 +373,7 @@ TEST(Worker, RequestTimeoutsEscalateToRecovery) {
   EXPECT_GE(worker.work()[WorkItem::kRecoveries], 1u);
   EXPECT_FALSE(worker.pool().empty());  // recovered the root region
   // The stall gate held recovery back until the silence threshold.
-  EXPECT_GE(f.env.clock,
-            f.config.stall_recovery_factor * f.config.work_request_timeout);
+  EXPECT_GE(f.env.clock, kStallRecoveryFactor * f.config.work_request_timeout);
 }
 
 TEST(Worker, StaleGrantIsStillAbsorbed) {
@@ -355,7 +451,7 @@ TEST(Worker, RecoveryPoliciesAllSolveSolo) {
 
 TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
   // The cost-model controller (Section 7 future work) raises the request
-  // timeout to base + timeout_safety * EWMA(node cost): after expanding
+  // timeout to base + kTimeoutSafety * EWMA(node cost): after expanding
   // coarse nodes, the worker must arm request-timeout timers far beyond the
   // configured base.
   RandomTreeConfig tree_cfg;
