@@ -152,6 +152,105 @@ void CodeList::Builder::grow(std::size_t codes, std::size_t words) {
   resize_rep(restart_cap, cap);
 }
 
+std::size_t CodeList::appended_words(const CodeList& list, std::size_t at,
+                                     std::size_t lcp) {
+  std::size_t words = list.body_words();
+  // With the restart slots aligned, every record keeps its size.
+  if (list.empty() || at % kRestart == 0) return words;
+  words -= lcp;  // the first record, whole in `list`, stores only its suffix
+  // Records slot, kRestart, kRestart + slot, ... change form: those on the
+  // appended list's restart slots become whole, the list's own restarts
+  // keep only their suffix.
+  const std::size_t slot = kRestart - at % kRestart;
+  Links links(list);
+  for (std::size_t k = slot; k < list.size(); k += k % kRestart == 0 ? slot : kRestart - slot) {
+    while (links.index() < k) links.next();
+    const Link l = links.next();
+    words = k % kRestart == 0 ? words - l.lcp : words + l.lcp;
+  }
+  return words;
+}
+
+void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
+  const std::size_t n = list.size();
+  if (n == 0) return;
+  const std::size_t at = size();
+  const std::size_t prev_depth = back_depth();
+  if (at == 0) lcp = 0;  // the first code links to the chain base
+  const Rep& s = *list.rep_;
+  const std::uint32_t* in = s.body();
+  FTBB_CHECK(lcp <= in[0] && lcp <= prev_depth);
+  const std::size_t words = appended_words(list, at, lcp);
+  reserve(n, words);
+  Rep& r = *rep_;
+  if (at != 0) r.chain_bytes += link_bytes(prev_depth - lcp, in[0] - lcp, in + 2 + lcp);
+  r.chain_bytes += s.chain_bytes;
+  r.max_depth = std::max(r.max_depth, s.max_depth);
+  std::uint32_t* const body = r.body();
+  std::uint32_t* out = body + r.size;
+  const auto offset = [&](const std::uint32_t* p) {
+    return static_cast<std::uint32_t>(p - body);
+  };
+  // Records that keep their form are copied in runs, one memcpy each.
+  const std::uint32_t* run = nullptr;
+  std::uint32_t* run_out = nullptr;
+  const auto flush = [&](const std::uint32_t* end) {
+    if (run == nullptr) return;
+    const std::size_t w = static_cast<std::size_t>(end - run);
+    std::memcpy(run_out, run, w * sizeof(std::uint32_t));
+    out = run_out + w;
+    run = nullptr;
+  };
+  const std::uint32_t* recs[kRestart];  // the list's records since its last restart
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t* rec = in;
+    const std::size_t depth = rec[0];
+    const bool was_whole = k % kRestart == 0;
+    const bool whole = (at + k) % kRestart == 0;
+    recs[k % kRestart] = rec;
+    in += 2 + (was_whole ? depth : depth - rec[1]);
+    if (k != 0 && was_whole == whole) {
+      if (run == nullptr) {
+        run = rec;
+        run_out = out;
+      }
+      r.last = offset(run_out + (rec - run));
+      if (whole) r.restarts()[(at + k) / kRestart] = r.last;
+      continue;
+    }
+    flush(rec);
+    const std::size_t rec_lcp = k == 0 ? lcp : rec[1];
+    r.last = offset(out);
+    if (whole) r.restarts()[(at + k) / kRestart] = r.last;
+    out[0] = static_cast<std::uint32_t>(depth);
+    out[1] = static_cast<std::uint32_t>(rec_lcp);
+    std::uint32_t* w = out + 2;
+    if (was_whole) {
+      const std::size_t from = whole ? 0 : rec_lcp;
+      std::memcpy(w, rec + 2 + from, (depth - from) * sizeof(std::uint32_t));
+      out = w + depth - from;
+      continue;
+    }
+    // A suffix record on a restart slot: its prefix comes from the records
+    // before it, back to the list's last whole one.
+    std::size_t need = rec_lcp;
+    std::memcpy(w + need, rec + 2, (depth - need) * sizeof(std::uint32_t));
+    for (std::size_t q = k; need != 0;) {
+      const std::uint32_t* p = recs[--q % kRestart];
+      const std::size_t from = q % kRestart == 0 ? 0 : p[1];
+      if (from < need) {
+        std::memcpy(w + from, p + 2, (need - from) * sizeof(std::uint32_t));
+        need = from;
+      }
+    }
+    out = w + depth;
+  }
+  flush(in);
+  FTBB_CHECK(offset(out) == r.size + words);
+  r.size = offset(out);
+  r.count += static_cast<std::uint32_t>(n);
+}
+
 void CodeList::Builder::pop_back() {
   Rep& r = *rep_;
   FTBB_CHECK(r.count != 0);

@@ -61,6 +61,13 @@ class CodeList {
     return 2 + (index % kRestart == 0 ? depth : depth - lcp);
   }
 
+  /// Body words `list`'s records take once Builder::append_list() appends
+  /// them after `at` codes, the first sharing `lcp` words with the code
+  /// before it: the list's own words, less the first record's prefix and
+  /// give or take the prefixes of records that gain or lose a restart slot.
+  [[nodiscard]] static std::size_t appended_words(const CodeList& list, std::size_t at,
+                                                  std::size_t lcp);
+
   /// Varint bytes of `n` step words: one each, and a byte more per seven
   /// bits past the first seven. Words of small variables — nearly all of
   /// them — take the one-pass path.
@@ -378,6 +385,14 @@ class CodeList::Builder {
     if (code.depth() > r.max_depth) r.max_depth = static_cast<std::uint32_t>(code.depth());
     ++r.count;
   }
+
+  /// Appends every code of `list`, whose first code shares `lcp` words with
+  /// the code appended before it, by copying its records: only the first
+  /// record (which takes `lcp`) and the records that land on or leave a
+  /// restart slot are rewritten, and a record that becomes whole takes its
+  /// prefix from the records before it. Chain bytes are the list's cached
+  /// total plus the first record's link.
+  void append_list(const CodeList& list, std::size_t lcp);
 
   /// Removes the last code (the completion table's merge contracts it
   /// away). Walks back from the last whole-code record.

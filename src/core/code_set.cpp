@@ -520,11 +520,7 @@ class CodeSet::Merge {
 
   void reopen(const Chunk& c) {
     open_lcp_ = c.lcp;
-    for (CodeList::Links links(c.codes); !links.done();) {
-      const CodeList::Link l = links.next();
-      copy_.apply(l);
-      open_.append(copy_.view(), l.lcp);
-    }
+    open_.append_list(c.codes, 0);
   }
 
   void seal() { out_.push_back(Chunk{open_.take(), open_lcp_}); }
@@ -634,28 +630,18 @@ CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
 
 CodeList CodeSet::export_list() const {
   if (exported_version_ != version_) {
-    // Every record keeps its words after the common prefix, except that the
-    // export stores each kRestart-th code whole: size it exactly first.
-    std::size_t words = 2 * count_ + trie_words_;
-    std::size_t i = 0;
+    // The export is the chunks' records copied back to back: each head takes
+    // its chunk's stored prefix, and each kRestart-th record of the export
+    // is stored whole. Size it exactly first, so it is one allocation.
+    std::size_t words = 0;
+    std::size_t at = 0;
     for (const Chunk& c : chunks_) {
-      CodeList::Links links(c.codes);
-      while (!links.done()) {
-        const CodeList::Link l = links.next();
-        if (i++ % CodeList::kRestart == 0) words += links.index() == 1 ? c.lcp : l.lcp;
-      }
+      words += CodeList::appended_words(c.codes, at, c.lcp);
+      at += c.codes.size();
     }
     CodeList::Builder out;
     out.reserve(count_, words);
-    for (const Chunk& c : chunks_) {
-      CodeList::Decoder dec(c.codes);
-      bool head = true;
-      while (!dec.done()) {
-        const CodeList::Link l = dec.next();
-        out.append(dec.code(), head ? c.lcp : l.lcp);
-        head = false;
-      }
-    }
+    for (const Chunk& c : chunks_) out.append_list(c.codes, c.lcp);
     exported_ = out.finish();
     exported_version_ = version_;
   }

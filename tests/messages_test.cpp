@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "core/code_set.hpp"
@@ -272,6 +274,37 @@ TEST(Messages, IterationIndexAndVectorAgreeAcrossRestarts) {
   }
 }
 
+/// The contracted table of `codes` by brute force: codes under another are
+/// dropped and sibling pairs folded into their parent until none is left.
+std::vector<PathCode> contracted(const std::vector<PathCode>& codes) {
+  std::set<PathCode> set(codes.begin(), codes.end());
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::vector<PathCode> folds;  // codes whose sibling is stored too
+    for (auto it = set.begin(); it != set.end();) {
+      bool covered = false;
+      for (PathCode p = *it; !covered && !p.is_root();) {
+        p = p.parent();
+        covered = set.count(p) != 0;
+      }
+      if (covered) {
+        it = set.erase(it);
+        changed = true;
+        continue;
+      }
+      if (!it->is_root() && set.count(it->sibling()) != 0) folds.push_back(*it);
+      ++it;
+    }
+    for (const PathCode& c : folds) {
+      if (set.erase(c) == 0) continue;  // folded with its sibling already
+      set.erase(c.sibling());
+      set.insert(c.parent());
+      changed = true;
+    }
+  }
+  return {set.begin(), set.end()};
+}
+
 TEST(Messages, EqualCodesCompareEqualWhateverTheOrigin) {
   // Front coding is canonical: a table's export, the same codes built into
   // a list, and that list decoded off the wire hold the same records.
@@ -292,6 +325,76 @@ TEST(Messages, EqualCodesCompareEqualWhateverTheOrigin) {
   std::vector<PathCode> more = table.export_codes();
   more.push_back(more.back().child(9000, true));
   EXPECT_FALSE(CodeList(more) == exported);
+
+  // An export copies each chunk's records and rewrites only the chunk heads
+  // and the records on its own restart slots. Tables of the same codes built
+  // in different orders, or by gossip merges, chunk them differently, so
+  // their chunk heads land at every offset mod kRestart of the export. The
+  // codes go deeper than PathCode's inline words, and their variables (64
+  // and up) take two varint bytes a word.
+  support::Rng rng(11);
+  std::vector<PathCode> completed;
+  for (std::size_t i = 0; i < 900; ++i) {
+    PathCode c = PathCode::root();
+    // A few shallow codes cover regions of the deep ones.
+    const std::size_t depth = rng.chance(0.05) ? 10 + rng.pick(20) : 34 + rng.pick(16);
+    for (std::size_t d = 0; d < depth; ++d) {
+      // Down one spine at first, so the codes share long prefixes.
+      const bool bit = d < 16 ? d % 7 == 3 || rng.chance(0.1) : rng.chance(0.5);
+      c = c.child(static_cast<std::uint32_t>(64 + 5 * d), bit);
+    }
+    completed.push_back(c);
+  }
+  const std::vector<PathCode> want = contracted(completed);
+  ASSERT_GT(want.size(), 8 * CodeList::kRestart);
+  ASSERT_GT(want.back().depth(), 32u);
+  const CodeList want_list(want);
+  const auto expect_export = [&](const CodeSet& t, const char* origin) {
+    const CodeList got = t.export_list();
+    ASSERT_EQ(got.size(), want.size()) << origin;
+    EXPECT_EQ(got, want_list) << origin;
+    EXPECT_EQ(got.chain_bytes(), want_list.chain_bytes()) << origin;
+    for (std::size_t i = 0; i < got.size(); i += CodeList::kRestart) {
+      EXPECT_EQ(got[i], want[i]) << origin << ", code " << i;
+    }
+    EXPECT_EQ(got.back(), want.back()) << origin;
+    EXPECT_EQ(got.to_vector(), want) << origin;
+  };
+  std::vector<PathCode> sorted = completed;
+  std::sort(sorted.begin(), sorted.end());
+  const auto one_by_one = [](const std::vector<PathCode>& codes) {
+    CodeSet t;
+    for (const PathCode& c : codes) t.insert(c);
+    return t;
+  };
+  expect_export(one_by_one(sorted), "sorted inserts");
+  expect_export(one_by_one(std::vector<PathCode>(sorted.rbegin(), sorted.rend())),
+                "reversed inserts");
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    support::Rng order(seed);
+    std::vector<PathCode> shuffled;
+    for (const std::size_t i : order.sample_without_replacement(sorted.size(), sorted.size())) {
+      shuffled.push_back(sorted[i]);
+    }
+    expect_export(one_by_one(shuffled), "shuffled inserts");
+  }
+  {
+    CodeSet batch;
+    batch.insert_all(std::span<const PathCode>(sorted));
+    expect_export(batch, "one batch");
+  }
+  // Gossip: members that completed interleaved shares of the codes merge
+  // each other's exports, in rounds of growing lists.
+  for (const std::size_t members : {2, 3, 5}) {
+    std::vector<CodeSet> tables(members);
+    for (std::size_t i = 0; i < completed.size(); ++i) tables[i % members].insert(completed[i]);
+    CodeSet merged = tables[0];
+    for (std::size_t m = 1; m < members; ++m) merged.insert_all(tables[m].export_list());
+    expect_export(merged, "gossip merges");
+    CodeSet back = tables[members - 1];
+    back.insert_all(merged.export_list());
+    expect_export(back, "gossip merge into a member");
+  }
 }
 
 TEST(Messages, WireSizeGrowsWithPayload) {
