@@ -180,8 +180,14 @@ void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
   const Rep& s = *list.rep_;
   const std::uint32_t* in = s.body();
   FTBB_CHECK(lcp <= in[0] && lcp <= prev_depth);
-  const std::size_t words = appended_words(list, at, lcp);
-  reserve(n, words);
+  // The records take at most their own words and a whole code for each of
+  // this list's restart slots they land on: only a tighter room (the last
+  // list of an exactly sized one) needs the exact count.
+  const std::size_t slots = (at + n - 1) / kRestart + 1 - (at + kRestart - 1) / kRestart;
+  if (rep_ == nullptr || rep_->cap - rep_->size < s.size + slots * s.max_depth ||
+      rep_->count + n > std::size_t{rep_->restart_cap} * kRestart) {
+    reserve(n, appended_words(list, at, lcp));
+  }
   Rep& r = *rep_;
   if (at != 0) r.chain_bytes += link_bytes(prev_depth - lcp, in[0] - lcp, in + 2 + lcp);
   r.chain_bytes += s.chain_bytes;
@@ -201,8 +207,15 @@ void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
     out = run_out + w;
     run = nullptr;
   };
+  // The first record, the list's restarts and the records on this list's
+  // restart slots are rewritten; the records after the last of those are
+  // one run, copied without reading them.
+  std::size_t last_rewritten = (n - 1) / kRestart * kRestart;
+  if (slots != 0) {
+    last_rewritten = std::max(last_rewritten, (at + n - 1) / kRestart * kRestart - at);
+  }
   const std::uint32_t* recs[kRestart];  // the list's records since its last restart
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k <= last_rewritten; ++k) {
     const std::uint32_t* rec = in;
     const std::size_t depth = rec[0];
     const bool was_whole = k % kRestart == 0;
@@ -214,8 +227,7 @@ void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
         run = rec;
         run_out = out;
       }
-      r.last = offset(run_out + (rec - run));
-      if (whole) r.restarts()[(at + k) / kRestart] = r.last;
+      if (whole) r.restarts()[(at + k) / kRestart] = offset(run_out + (rec - run));
       continue;
     }
     flush(rec);
@@ -227,26 +239,31 @@ void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
     std::uint32_t* w = out + 2;
     if (was_whole) {
       const std::size_t from = whole ? 0 : rec_lcp;
-      std::memcpy(w, rec + 2 + from, (depth - from) * sizeof(std::uint32_t));
+      copy_words(w, rec + 2 + from, depth - from);
       out = w + depth - from;
       continue;
     }
     // A suffix record on a restart slot: its prefix comes from the records
     // before it, back to the list's last whole one.
     std::size_t need = rec_lcp;
-    std::memcpy(w + need, rec + 2, (depth - need) * sizeof(std::uint32_t));
+    copy_words(w + need, rec + 2, depth - need);
     for (std::size_t q = k; need != 0;) {
       const std::uint32_t* p = recs[--q % kRestart];
       const std::size_t from = q % kRestart == 0 ? 0 : p[1];
       if (from < need) {
-        std::memcpy(w + from, p + 2, (need - from) * sizeof(std::uint32_t));
+        copy_words(w + from, p + 2, need - from);
         need = from;
       }
     }
     out = w + depth;
   }
-  flush(in);
-  FTBB_CHECK(offset(out) == r.size + words);
+  if (last_rewritten + 1 < n && run == nullptr) {
+    run = in;
+    run_out = out;
+  }
+  if (run != nullptr) r.last = offset(run_out + (s.body() + s.last - run));  // the run ends the list
+  flush(s.body() + s.size);
+  FTBB_CHECK(offset(out) <= r.cap);
   r.size = offset(out);
   r.count += static_cast<std::uint32_t>(n);
 }

@@ -34,6 +34,7 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/path_code.hpp"
@@ -76,13 +77,47 @@ class CodeList {
     std::uint32_t any = 0;
     for (std::size_t i = 0; i < n; ++i) any |= words[i];
     if (any < (1u << 7)) return n;
-    std::size_t bytes = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t w = words[i];
-      bytes += static_cast<std::size_t>(w >= (1u << 7)) + (w >= (1u << 14)) +
-               (w >= (1u << 21)) + (w >= (1u << 28));
-    }
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) bytes += word_size(words[i]);
     return bytes;
+  }
+  /// Varint bytes of one step word.
+  [[nodiscard]] static std::size_t word_size(std::uint32_t w) {
+    return 1 + static_cast<std::size_t>(w >= (1u << 7)) + (w >= (1u << 14)) +
+           (w >= (1u << 21)) + (w >= (1u << 28));
+  }
+
+  /// Copies `n` words between buffers that do not overlap. Most copies are
+  /// a record's suffix of a few words, or a chunk head's whole code: up to
+  /// 32 words take fixed-size moves from each end of the range, which may
+  /// overlap each other.
+  static void copy_words(std::uint32_t* dst, const std::uint32_t* src, std::size_t n) {
+    const auto move = [&](std::size_t at, auto bytes) {
+      std::memcpy(dst + at, src + at, decltype(bytes)::value);
+    };
+    using B4 = std::integral_constant<std::size_t, 4>;
+    using B8 = std::integral_constant<std::size_t, 8>;
+    using B16 = std::integral_constant<std::size_t, 16>;
+    if (n <= 2) {
+      if (n != 0) move(0, B4{});
+      if (n == 2) move(1, B4{});
+    } else if (n <= 4) {
+      move(0, B8{});
+      move(n - 2, B8{});
+    } else if (n <= 8) {
+      move(0, B16{});
+      move(n - 4, B16{});
+    } else if (n <= 16) {
+      move(0, B16{});
+      move(4, B16{});
+      move(n - 8, B16{});
+      move(n - 4, B16{});
+    } else if (n <= 32) {
+      for (std::size_t at = 0; at < 16; at += 4) move(at, B16{});
+      for (std::size_t at = n - 16; at < n; at += 4) move(at, B16{});
+    } else {
+      std::memcpy(dst, src, n * sizeof(std::uint32_t));
+    }
   }
 
   /// One record: a code's depth, its common prefix with the code before it
@@ -93,6 +128,11 @@ class CodeList {
     const std::uint32_t* suffix = nullptr;
     [[nodiscard]] std::uint32_t add() const { return depth - lcp; }
   };
+
+  /// The record at `rec`, the index-th of its list.
+  [[nodiscard]] static Link link_at(const std::uint32_t* rec, std::size_t index) {
+    return Link{rec[0], rec[1], rec + 2 + (index % kRestart == 0 ? rec[1] : 0)};
+  }
 
   /// Reads the records in order without decoding them.
   class Links {
@@ -106,9 +146,10 @@ class CodeList {
     [[nodiscard]] std::size_t index() const { return index_; }
     /// Records not read yet.
     [[nodiscard]] std::size_t left() const { return left_; }
+    /// The stored prefix of the record next() returns (not done()).
+    [[nodiscard]] std::uint32_t next_lcp() const { return pos_[1]; }
     Link next() {
-      const Link l{pos_[0], pos_[1],
-                   pos_ + 2 + (index_ % kRestart == 0 ? pos_[1] : 0)};
+      const Link l = link_at(pos_, index_);
       pos_ = l.suffix + l.add();
       ++index_;
       --left_;
@@ -139,7 +180,7 @@ class CodeList {
     /// Keeps the first `keep` words and appends `n` more.
     void splice(std::size_t keep, const std::uint32_t* words, std::size_t n) {
       reserve(keep + n);
-      if (n != 0) std::memcpy(w_.get() + keep, words, n * sizeof(std::uint32_t));
+      copy_words(w_.get() + keep, words, n);
       size_ = keep + n;
     }
     void apply(const Link& l) { splice(l.lcp, l.suffix, l.add()); }
@@ -257,6 +298,10 @@ class CodeList {
   [[nodiscard]] std::size_t back_depth() const {
     return rep_ == nullptr ? 0 : rep_->body()[rep_->last];
   }
+  /// The last record (the list must not be empty).
+  [[nodiscard]] Link back_link() const {
+    return link_at(rep_->body() + rep_->last, rep_->count - 1);
+  }
   /// The first code, stored whole: a view into the list, no decoding.
   [[nodiscard]] PathView front() const {
     const std::uint32_t* r = rep_->body();
@@ -325,8 +370,8 @@ class CodeList {
   /// varints of trim and add, then the `add` step words at `words`.
   static std::size_t link_bytes(std::size_t trim, std::size_t add,
                                 const std::uint32_t* words) {
-    return support::varint_size(trim) + support::varint_size(add) +
-           word_bytes(words, add);
+    return word_size(static_cast<std::uint32_t>(trim)) +
+           word_size(static_cast<std::uint32_t>(add)) + word_bytes(words, add);
   }
   void retain() const {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
@@ -373,10 +418,7 @@ class CodeList::Builder {
     const std::size_t from = whole ? 0 : lcp;
     rec[0] = static_cast<std::uint32_t>(code.depth());
     rec[1] = static_cast<std::uint32_t>(lcp);
-    if (code.depth() > from) {  // a default view's null words must not reach memcpy
-      std::memcpy(rec + 2, code.words() + from,
-                  (code.depth() - from) * sizeof(std::uint32_t));
-    }
+    copy_words(rec + 2, code.words() + from, code.depth() - from);
     if (index != 0) {
       r.chain_bytes += link_bytes(prev_depth - lcp, code.depth() - lcp, code.words() + lcp);
     }
@@ -412,6 +454,10 @@ class CodeList::Builder {
 
   /// Decodes the last code appended into `out` (not empty).
   void back_into(Code& out) const { decode(*rep_, rep_->count - 1, out); }
+  /// The last record appended (not empty).
+  [[nodiscard]] Link back_link() const {
+    return link_at(rep_->body() + rep_->last, rep_->count - 1);
+  }
 
   /// The sealed list, trimmed to its size; the builder is left empty.
   CodeList finish();

@@ -78,6 +78,14 @@ class ListSource {
   [[nodiscard]] PathView code() const { return code_.view(); }
   [[nodiscard]] std::size_t lcp() const { return lcp_; }
   [[nodiscard]] bool ordered() const { return ordered_; }
+  /// Skips the codes that share at least `d` words with the one before,
+  /// without decoding them, and returns how many. The next code read shares
+  /// less, so the words it keeps are still those of the code decoded last.
+  std::size_t skip_under(std::size_t d) {
+    std::size_t n = 0;
+    for (; !links_.done() && links_.next_lcp() >= d; ++n) links_.next();
+    return n;
+  }
 
  private:
   CodeList::Links links_;
@@ -104,6 +112,12 @@ class SpanSource {
   [[nodiscard]] PathView code() const { return codes_[i_ - 1]; }
   [[nodiscard]] std::size_t lcp() const { return lcp_; }
   [[nodiscard]] bool ordered() const { return ordered_; }
+  /// Skips the codes that share at least `d` words with the one before.
+  std::size_t skip_under(std::size_t d) {
+    std::size_t n = 0;
+    for (; i_ < codes_.size() && common_prefix(codes_[i_ - 1], codes_[i_]) >= d; ++n) ++i_;
+    return n;
+  }
 
  private:
   std::span<const Code> codes_;
@@ -232,13 +246,22 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 
 /// One pass of a sorted run of codes over the table, from the chunk holding
 /// the first code's predecessor to the chunk boundary after the last code.
-/// It reads the old chunks of that range in order, writes their
+/// It reads the old chunks of that range record by record, writes their
 /// replacement (chunks no code lands in pass through whole), and splices it
 /// in. Per code it does what a per-code insert does — the output's last
 /// code is the only one that can cover the next code, and a sibling pair
 /// can only form between it and the next table code — so the table and
 /// every InsertResult equal those of per-code inserts. A single insert is
 /// the merge of a one-code run.
+///
+/// Both sides are read as front-coded records. The merge keeps the exact
+/// common prefix of the code being placed, x, with the table code read last
+/// and with the output's last code. Sorted codes a < b < c have lcp(a, c) =
+/// min(lcp(a, b), lcp(b, c)), so a record that shares more or less with its
+/// predecessor than the predecessor shares with x is ordered against x by
+/// its header alone, and so is the next code of the run against the table
+/// code; only a tie compares words, from that prefix. A table code that
+/// follows its table predecessor into the output keeps its stored prefix.
 ///
 /// A chunk passed through whole, and the chunk after the range, keep their
 /// stored prefix. A new code comes right before such a chunk only when the
@@ -247,98 +270,135 @@ std::optional<PathCode> CodeSet::covering_code(PathView code) const {
 /// dropped code.
 class CodeSet::Merge {
  public:
-  /// A merge from chunk `first` on.
-  Merge(CodeSet& set, std::size_t first, InsertResult& res)
+  /// A merge positioned at `x`, the run's first code: `first` is
+  /// find_chunk(x) and `head_lcp` what that chunk's first code shares with
+  /// x. place() then inserts x.
+  Merge(CodeSet& set, std::ptrdiff_t first, std::size_t head_lcp, PathView x,
+        InsertResult& res)
       : set_(set),
         chunks_(set.chunks_),
         res_(res),
         open_(open_builder()),
         out_(out_chunks()),
-        a_(first),
-        b_(first),
+        a_(first < 0 ? 0 : static_cast<std::size_t>(first)),
+        b_(a_),
         t_(buffers().table),
         back_(buffers().back),
-        copy_(buffers().copy) {
+        copy_(buffers().copy),
+        x_(x) {
     out_.clear();
+    if (b_ == chunks_.size()) return;  // an empty table
+    read_head();
+    if (first < 0) {  // every table code sorts after x
+      p_tx_ = common_prefix(t_.view(), x);
+      c_tx_ = 1;
+      return;
+    }
+    p_tx_ = head_lcp;
+    c_tx_ = head_lcp == x.depth() && head_lcp == t_.depth() ? 0 : -1;
+    // The chunk before the range ends with the head's predecessor.
+    if (a_ > 0) p_bx_ = std::min<std::size_t>(chunks_[a_].lcp, head_lcp);
   }
 
-  /// Inserts `x`, which sorts at or after every code added before it and
-  /// shares `lx` words with the previous one.
-  void add(PathView x, std::size_t lx) {
-    // m_tx_ and m_bx_ bound how much the table's and the output's current
-    // codes share with x; each compare starts there.
-    m_tx_ = std::min(m_tx_, lx);
-    m_bx_ = std::min(m_bx_, lx);
+  /// place() and add() return this, or the depth of the output's last code
+  /// when it covers the code.
+  static constexpr std::size_t kNotCovered = ~std::size_t{0};
+
+  /// Inserts `x`, which sorts after the code inserted before it and shares
+  /// `lx` words with it.
+  std::size_t add(PathView x, std::size_t lx) {
+    // The output's last code sorts before both codes. The table code read
+    // last keeps its order and prefix against x unless x leaves the
+    // previous code before the table code does.
+    x_ = x;
+    p_bx_ = std::min(p_bx_, lx);
+    if (c_tx_ < 0) {
+      p_tx_ = std::min(p_tx_, lx);
+    } else if (lx < p_tx_) {
+      p_tx_ = lx;
+      c_tx_ = -1;
+    } else if (lx == p_tx_) {
+      compare_t();
+    }
+    return place();
+  }
+
+  /// Inserts the code the merge is positioned at.
+  std::size_t place() {
+    const PathView x = x_;
     // Move every table code before x to the output.
     while (true) {
       if (!have_t_) {
         if (b_ == chunks_.size()) break;
-        // The range's first chunk holds the first code's predecessor.
-        if (b_ > a_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
+        // The range's first chunk holds the first code's predecessor, and no
+        // chunk after a table code at or past x lies before it.
+        if (c_tx_ < 0 && b_ > a_ && b_ + 1 < chunks_.size() && fits_whole(b_)) {
           const PathView next = chunks_[b_ + 1].codes.front();
           const std::size_t l = common_prefix(next, x);
           if (order(next, x, l) <= 0) {
-            pass_chunk(std::min<std::size_t>(l, chunks_[b_ + 1].lcp));
+            pass_chunk(l);
             continue;
           }
         }
         load();
       }
-      m_tx_ = common_prefix(t_.view(), x, m_tx_);
-      if (order(t_.view(), x, m_tx_) >= 0) break;
+      if (c_tx_ >= 0) break;
       push_t();
+      if (have_t_) order_t();
     }
     // Already stored, or covered by the output's last code.
-    if (have_t_ && m_tx_ == x.depth() && m_tx_ == t_.depth()) {
+    if (have_t_ && c_tx_ == 0) {
       res_.nodes_walked += static_cast<std::uint32_t>(x.depth() + 1);
-      return;
+      return kNotCovered;
     }
     if (has_back()) {
-      const PathView back = this->back();
-      m_bx_ = common_prefix(back, x, m_bx_);
-      if (m_bx_ == back.depth()) {
-        res_.nodes_walked += static_cast<std::uint32_t>(back.depth() + 1);
-        return;
+      const std::size_t depth = back_depth();
+      if (p_bx_ == depth) {
+        res_.nodes_walked += static_cast<std::uint32_t>(depth + 1);
+        return depth;
       }
-      check_branching(back, x, m_bx_);
+      if (p_bx_ < x.depth()) check_var(back_word(p_bx_), x, p_bx_);
     }
-    if (have_t_) check_branching(t_.view(), x, m_tx_);
+    if (have_t_) check_branching(t_.view(), x, p_tx_);
     res_.newly_covered = true;
     res_.nodes_walked += static_cast<std::uint32_t>(x.depth() + 1);
     changed_ = true;
-    // Completion subsumes the table codes below x.
-    while (next_t()) {
-      m_tx_ = common_prefix(t_.view(), x, m_tx_);
-      if (m_tx_ < x.depth()) break;
-      drop_t();
+    // Completion subsumes the table codes below x: those that share all of
+    // x with the code after it.
+    const std::size_t x_words = CodeList::word_bytes(x.words(), x.depth());
+    while (next_t() && p_tx_ == x.depth()) {
+      const std::size_t tail = t_.depth() - x.depth();
+      drop_t(support::varint_size(t_.depth()) + x_words +
+             CodeList::word_bytes(t_.view().words() + x.depth(), tail));
     }
     // List contraction (Section 5.3.2): a left child's sibling is the next
     // table code, a right child's the output's last code. Both share with
-    // the prefix z of x what they share with x, capped at z's depth.
+    // the prefix z of x what they share with x, capped at z's depth, and
+    // take as many bytes as it.
     std::size_t z = x.depth();
+    std::size_t bytes = support::varint_size(z) + x_words;
     while (z != 0) {
       const std::uint32_t sibling = x.word(z - 1) ^ 1u;
       if ((sibling & 1u) != 0) {
-        if (!next_t()) break;
-        m_tx_ = common_prefix(t_.view(), x, m_tx_);
-        if (t_.depth() != z || m_tx_ != z - 1 || t_.word(z - 1) != sibling) break;
-        drop_t();
+        if (!next_t() || t_.depth() != z || p_tx_ != z - 1 || t_.word(z - 1) != sibling) break;
+        drop_t(bytes);
       } else {
-        if (!has_back()) break;
-        const PathView back = this->back();
-        if (back.depth() != z || m_bx_ != z - 1 || back.word(z - 1) != sibling) break;
-        pop_back();
-        if (has_back()) m_bx_ = common_prefix(this->back(), x);
+        if (!has_back() || back_depth() != z || p_bx_ != z - 1 || back_word(z - 1) != sibling) {
+          break;
+        }
+        pop_back(bytes);
       }
+      bytes -= support::varint_size(z) + CodeList::word_size(sibling);
       --z;
+      bytes += support::varint_size(z);
       ++res_.merges;
     }
-    const PathView code = x.prefix(z);
-    push(code, has_back() ? std::min(m_bx_, z) : 0);
-    m_bx_ = z;
+    push(x.prefix(z), has_back() ? std::min(p_bx_, z) : 0);
+    p_bx_ = z;
     back_is_table_ = false;
     ++set_.count_;
-    set_.body_bytes_ += encoded_size(code);
+    set_.body_bytes_ += bytes;
+    return kNotCovered;
   }
 
   /// Finishes the range at a chunk boundary and splices it into the table.
@@ -348,6 +408,8 @@ class CodeSet::Merge {
       out_.clear();
       return;
     }
+    // The run's codes may be gone: prefixes with x are bounds from here on.
+    finishing_ = true;
     while (have_t_) push_t();
     // Refill a short last chunk from its right neighbour.
     while (open_.size() != 0 && open_.size() < kHalfChunk && b_ < chunks_.size() &&
@@ -408,25 +470,36 @@ class CodeSet::Merge {
            (open_.size() == 0 || open_.size() >= kHalfChunk);
   }
 
-  /// Moves chunk b to the output whole; `shared` bounds what its last code
-  /// shares with the code being added.
-  void pass_chunk(std::size_t shared) {
+  /// Moves chunk b, which lies before x, to the output whole; `l` is what
+  /// the next chunk's head, at or before x, shares with x.
+  void pass_chunk(std::size_t l) {
     if (open_.size() != 0) seal();
     out_.push_back(chunks_[b_++]);
     back_valid_ = false;
     back_is_table_ = true;
-    m_tx_ = shared;
-    m_bx_ = shared;
+    // The passed chunk's last code is the table code read last.
+    p_bx_ = std::min<std::size_t>(chunks_[b_].lcp, l);
+    p_tx_ = p_bx_;
+    c_tx_ = -1;
   }
 
-  /// Starts reading chunk b record by record.
-  void load() {
+  /// Reads the first code of chunk b.
+  void read_head() {
     const Chunk& c = chunks_[b_++];
     links_ = CodeList::Links(c.codes);
     t_.apply(links_.next());
     t_lcp_ = c.lcp;
-    m_tx_ = std::min<std::size_t>(m_tx_, c.lcp);
     have_t_ = true;
+  }
+
+  /// Starts reading chunk b record by record.
+  void load() {
+    read_head();
+    if (finishing_) {
+      p_tx_ = std::min(p_tx_, t_lcp_);
+    } else {
+      order_t();
+    }
   }
 
   /// Loads the next table code if the current chunk is used up.
@@ -443,33 +516,78 @@ class CodeSet::Merge {
     const CodeList::Link l = links_.next();
     t_.apply(l);
     t_lcp_ = l.lcp;
-    m_tx_ = std::min<std::size_t>(m_tx_, l.lcp);
+  }
+
+  /// Orders the table code just read against x, from what it shares with
+  /// the table code before it (t_lcp_) and what that one shares with x.
+  void order_t() {
+    if (c_tx_ >= 0) {  // after a code at or past x
+      p_tx_ = std::min(p_tx_, t_lcp_);
+      c_tx_ = 1;
+    } else if (t_lcp_ < p_tx_) {  // leaves x's side of the predecessor
+      p_tx_ = t_lcp_;
+      c_tx_ = 1;
+    } else if (t_lcp_ == p_tx_) {
+      compare_t();
+    }  // else it stays before x, sharing as much with it
+  }
+
+  /// Orders the table code against x by its words after p_tx_.
+  void compare_t() {
+    p_tx_ = common_prefix(t_.view(), x_, p_tx_);
+    c_tx_ = order(t_.view(), x_, p_tx_);
   }
 
   /// Moves the current table code to the output.
   void push_t() {
     std::size_t lcp = t_lcp_;
-    if (!back_is_table_) {
-      lcp = has_back() ? common_prefix(back(), t_.view(), std::min(m_bx_, m_tx_)) : 0;
+    if (!back_is_table_ && !has_back()) {
+      lcp = 0;
+    } else if (!back_is_table_) {
+      // The last code sorts before the table code, and both before x (or
+      // both at or before it, once finishing): what they share with each
+      // other is the smaller of what each shares with x, unless those tie.
+      const std::size_t shared = std::min(p_bx_, p_tx_);
+      lcp = !finishing_ && p_bx_ < p_tx_ ? shared : common_prefix(back(), t_.view(), shared);
     }
     push(t_.view(), lcp);
     back_is_table_ = true;
-    m_bx_ = m_tx_;
+    p_bx_ = p_tx_;
     advance_t();
   }
 
-  /// Drops the current table code (subsumed or contracted away).
-  void drop_t() {
+  /// Drops the current table code (subsumed or contracted away), which
+  /// takes `bytes` encoded; the next one sorts after x.
+  void drop_t(std::size_t bytes) {
     --set_.count_;
-    set_.body_bytes_ -= encoded_size(t_.view());
+    set_.body_bytes_ -= bytes;
     back_is_table_ = false;
     advance_t();
+    if (have_t_) order_t();
   }
 
   /// The output so far ends with a code: one written here, or the last
   /// code of the chunk before the range.
   [[nodiscard]] bool has_back() const {
     return open_.size() != 0 || !out_.empty() || a_ > 0;
+  }
+
+  /// The output's last record.
+  [[nodiscard]] CodeList::Link back_link() const {
+    if (open_.size() != 0) return open_.back_link();
+    if (!out_.empty()) return out_.back().codes.back_link();
+    return chunks_[a_ - 1].codes.back_link();
+  }
+  [[nodiscard]] std::size_t back_depth() const { return back_link().depth; }
+
+  /// Word i of the output's last code: off its record when the record
+  /// holds it, else from the decoded code.
+  std::uint32_t back_word(std::size_t i) {
+    if (!back_valid_) {
+      const CodeList::Link l = back_link();
+      if (i >= l.lcp) return l.suffix[i - l.lcp];
+    }
+    return back().word(i);
   }
 
   PathView back() {
@@ -498,10 +616,11 @@ class CodeSet::Merge {
     }
   }
 
-  /// Removes the output's last code (a sibling contracted with the next).
-  void pop_back() {
+  /// Removes the output's last code (a sibling contracted with the next),
+  /// which takes `bytes` encoded.
+  void pop_back(std::size_t bytes) {
     --set_.count_;
-    set_.body_bytes_ -= encoded_size(back());
+    set_.body_bytes_ -= bytes;
     if (open_.size() == 0) {
       // Reopen the chunk the code sits in: the output's last, or the one
       // before the range, which the range then takes in.
@@ -513,7 +632,10 @@ class CodeSet::Merge {
         reopen(chunks_[a_]);
       }
     }
+    // The code before it shares with x what the two share, at most.
+    const std::size_t lcp = open_.size() == 1 ? open_lcp_ : open_.back_link().lcp;
     open_.pop_back();
+    p_bx_ = std::min(p_bx_, lcp);
     back_valid_ = false;
     back_is_table_ = false;
   }
@@ -559,8 +681,8 @@ class CodeSet::Merge {
   std::vector<Chunk>& out_;
   std::size_t a_;  // first chunk of the range
   std::size_t b_;  // first chunk not read yet
-  // The table code being read: its words and its common prefix with the
-  // table code before it.
+  // The table code read last: its words, its common prefix with the table
+  // code before it, and whether it still waits to be placed.
   CodeList::Links links_;
   CodeList::Code& t_;
   std::size_t t_lcp_ = 0;
@@ -574,8 +696,13 @@ class CodeSet::Merge {
   /// The output's last code is the table code before the next one to read,
   /// so their stored common prefix still holds.
   bool back_is_table_ = true;
-  std::size_t m_tx_ = 0;  // <= lcp(current table code, code being added)
-  std::size_t m_bx_ = 0;  // <= lcp(output's last code, code being added)
+  PathView x_;  // the code being placed
+  // Exact common prefixes with x of the table code read last and of the
+  // output's last code, and the sign of (table code <=> x).
+  std::size_t p_tx_ = 0;
+  int c_tx_ = -1;
+  std::size_t p_bx_ = 0;
+  bool finishing_ = false;
   bool changed_ = false;
 };
 
@@ -587,14 +714,22 @@ CodeSet::InsertResult CodeSet::insert_sorted(Source& source) {
   {
     std::size_t head_lcp = 0;
     const std::ptrdiff_t first = find_chunk(source.code(), head_lcp);
-    Merge merge(*this, first < 0 ? 0 : static_cast<std::size_t>(first), res);
-    do {
+    Merge merge(*this, first, head_lcp, source.code(), res);
+    std::size_t covering = merge.place();
+    while (true) {
+      if (covering != Merge::kNotCovered) {
+        // The codes after it under the output's last code are covered by
+        // it too: count them without reading them.
+        res.nodes_walked +=
+            static_cast<std::uint32_t>((covering + 1) * source.skip_under(covering));
+      }
+      if (!source.next()) break;
       if (!source.ordered()) {
         stepped_back = true;
         break;
       }
-      merge.add(source.code(), source.lcp());
-    } while (source.next());
+      covering = merge.add(source.code(), source.lcp());
+    }
     merge.finish();
   }
   if (stepped_back) {

@@ -21,13 +21,19 @@
 // the order of a left-first DFS) as a vector of small front-coded chunks,
 // each a CodeList of at most CodeList::kRestart codes whose first code is
 // stored whole. The table, its gossip export and the wire chain share that
-// one packed form: an export concatenates the chunks, and a frame writes the
-// export's records as they are. `covered(x)` searches the chunk heads and
-// scans one chunk; merging a sorted list is one pass over both that
-// contracts as it goes; the complement is one scan. All codes inserted into
-// one CodeSet must originate from a single underlying search tree
-// (decomposition is deterministic per node), which inserts check: two codes
-// that leave a shared prefix must branch there on the same variable.
+// one packed form: an export copies the chunks' records into one exactly
+// sized list (each chunk head takes its stored prefix, every kRestart-th
+// record is written whole, the chain bytes are the chunks' totals plus a
+// link per head), and a frame writes the export's records as they are.
+// `covered(x)` searches the chunk heads and scans one chunk. Merging a
+// sorted list is one pass over both, record by record, that contracts as it
+// goes: it keeps each side's exact common prefix with the code being placed,
+// so most records are ordered by their headers alone, and it skips without
+// decoding the list's codes under a covering one. The complement is one
+// scan. All codes inserted into one CodeSet must originate from a single
+// underlying search tree (decomposition is deterministic per node), which
+// inserts check: two codes that leave a shared prefix must branch there on
+// the same variable.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +101,8 @@ class CodeSet {
 
   /// Contracted list of completed codes, in deterministic DFS order (left
   /// branch first). This is what a full-table gossip message carries. Built
-  /// by concatenating the chunks and memoized until the table next changes,
-  /// so every gossip between two mutations shares one payload.
+  /// by copying the chunks' records and memoized until the table next
+  /// changes, so every gossip between two mutations shares one payload.
   [[nodiscard]] CodeList export_list() const;
 
   /// export_list() materialized as owned codes (tests, diagnostics).

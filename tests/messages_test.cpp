@@ -383,6 +383,19 @@ TEST(Messages, EqualCodesCompareEqualWhateverTheOrigin) {
     batch.insert_all(std::span<const PathCode>(sorted));
     expect_export(batch, "one batch");
   }
+  // Two lists of the codes, split anywhere, appended back to back: records
+  // land on and leave every restart offset, in lists longer than a chunk.
+  for (std::size_t split = 1; split < want.size(); split += 7) {
+    const CodeList head(std::span<const PathCode>(want).first(split));
+    const CodeList tail(std::span<const PathCode>(want).subspan(split));
+    CodeList::Builder joined;
+    joined.append_list(head, 0);
+    joined.append_list(tail, common_prefix(want[split - 1], want[split]));
+    const CodeList got = joined.finish();
+    ASSERT_EQ(got, want_list) << "split at " << split;
+    EXPECT_EQ(got.chain_bytes(), want_list.chain_bytes()) << "split at " << split;
+    EXPECT_EQ(got.back(), want.back()) << "split at " << split;
+  }
   // Gossip: members that completed interleaved shares of the codes merge
   // each other's exports, in rounds of growing lists.
   for (const std::size_t members : {2, 3, 5}) {
