@@ -1,4 +1,4 @@
-// E16 — dynamically available resources (paper Sections 4 and 7).
+// E17 — dynamically available resources (paper Sections 4 and 7).
 //
 // The target architecture's defining property is that "the quantity of
 // resources available may vary over time". The paper's simulations fix the
@@ -13,7 +13,7 @@
 
 int main() {
   using namespace ftbb;
-  std::printf("E16 / elastic resource pool: workers join in waves mid-run\n\n");
+  std::printf("E17 / elastic resource pool: workers join in waves mid-run\n\n");
 
   bnb::RandomTreeConfig tree_cfg;
   tree_cfg.target_nodes = 8001;

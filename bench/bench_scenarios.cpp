@@ -1,4 +1,4 @@
-// E16 — scenario sweep: the fault-tolerance overhead of each backend under
+// E18 — scenario sweep: the fault-tolerance overhead of each backend under
 // a ladder of increasingly hostile fault schedules, on one fixed workload.
 //
 // For every (backend, schedule) cell the table reports completion, solution
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
                                         sim::Backend::kDib};
   if (with_rt) backends.push_back(sim::Backend::kRt);
 
-  std::printf("E16 / scenario sweep: fault ladder x backend, knapsack n=14%s\n\n",
+  std::printf("E18 / scenario sweep: fault ladder x backend, knapsack n=14%s\n\n",
               with_rt ? " (+rt wall-clock runtime)" : "");
   std::vector<Cell> cells;
   bool ok = true;
