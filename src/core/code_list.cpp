@@ -214,7 +214,7 @@ void CodeList::Builder::append_list(const CodeList& list, std::size_t lcp) {
   if (slots != 0) {
     last_rewritten = std::max(last_rewritten, (at + n - 1) / kRestart * kRestart - at);
   }
-  const std::uint32_t* recs[kRestart];  // the list's records since its last restart
+  const std::uint32_t* recs[kRestart] = {};  // the list's records since its last restart
   for (std::size_t k = 0; k <= last_rewritten; ++k) {
     const std::uint32_t* rec = in;
     const std::size_t depth = rec[0];

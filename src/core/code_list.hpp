@@ -34,7 +34,6 @@
 #include <iterator>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/path_code.hpp"
@@ -92,29 +91,24 @@ class CodeList {
   /// 32 words take fixed-size moves from each end of the range, which may
   /// overlap each other.
   static void copy_words(std::uint32_t* dst, const std::uint32_t* src, std::size_t n) {
-    const auto move = [&](std::size_t at, auto bytes) {
-      std::memcpy(dst + at, src + at, decltype(bytes)::value);
+    const auto move = [&](std::size_t at, std::size_t words) {  // `words` is a constant
+      std::memcpy(dst + at, src + at, words * sizeof(std::uint32_t));
     };
-    using B4 = std::integral_constant<std::size_t, 4>;
-    using B8 = std::integral_constant<std::size_t, 8>;
-    using B16 = std::integral_constant<std::size_t, 16>;
     if (n <= 2) {
-      if (n != 0) move(0, B4{});
-      if (n == 2) move(1, B4{});
+      if (n != 0) move(0, 1);
+      if (n == 2) move(1, 1);
     } else if (n <= 4) {
-      move(0, B8{});
-      move(n - 2, B8{});
+      move(0, 2);
+      move(n - 2, 2);
     } else if (n <= 8) {
-      move(0, B16{});
-      move(n - 4, B16{});
+      move(0, 4);
+      move(n - 4, 4);
     } else if (n <= 16) {
-      move(0, B16{});
-      move(4, B16{});
-      move(n - 8, B16{});
-      move(n - 4, B16{});
+      move(0, 8);
+      move(n - 8, 8);
     } else if (n <= 32) {
-      for (std::size_t at = 0; at < 16; at += 4) move(at, B16{});
-      for (std::size_t at = n - 16; at < n; at += 4) move(at, B16{});
+      move(0, 16);
+      move(n - 16, 16);
     } else {
       std::memcpy(dst, src, n * sizeof(std::uint32_t));
     }
