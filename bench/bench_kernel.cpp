@@ -17,21 +17,33 @@
 //     per schedule+dispatch cycle (the inline SBO contract says 0 for the
 //     ladder).
 //
+// A third row measures the whole sequential kernel on cold owners: 10^5
+// owners, each a separately allocated 1,344-byte object (a simulated host's
+// size), 10^5 pending events. Each event writes its owner's first six lines
+// and schedules one event to a random owner, so every dispatch reaches an
+// object far outside the cache. The row runs once without and once with the
+// owners registered in the kernel's owner table, which makes dispatch
+// prefetch the next event's object while the current one runs; the ratio is
+// what that prefetch buys when owner memory is cold.
+//
 // `--smoke` runs 10^4..10^5 only with short windows. Throughput is reported,
-// not asserted, but the binary exits nonzero if the ladder's warm-churn
-// allocs/event is not exactly 0 at any size (the CI perf-smoke job gates on
-// that).
+// not asserted, but the binary exits nonzero if the ladder's or the
+// cold-owner kernel's warm-churn allocs/event is not exactly 0 (the CI
+// perf-smoke job gates on that).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "bench/bench_timing.hpp"
 #include "bench/legacy_event_queue.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/kernel.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -160,6 +172,72 @@ QueueResult run_queue(const char* name, std::size_t n, double window) {
                      d.memory_bytes()};
 }
 
+/// One simulated host's worth of owner memory.
+struct ColdOwner {
+  unsigned char bytes[1344];
+};
+
+struct ColdOwnerKernel {
+  static constexpr std::size_t kOwners = 100000;
+  static constexpr std::size_t kLines = 6;
+
+  std::vector<std::unique_ptr<ColdOwner>> owners;
+  sim::Kernel kernel;
+  support::Rng rng{0xC01D};
+
+  /// Writes the owner's first lines, then schedules one event to a random
+  /// owner. Like a message delivery it carries its owner's address; 16
+  /// bytes of capture, inline.
+  struct Touch {
+    ColdOwnerKernel* bench;
+    ColdOwner* owner;
+    void operator()() const {
+      for (std::size_t line = 0; line < kLines; ++line) ++owner->bytes[line * 64];
+      bench->schedule();
+    }
+  };
+
+  void schedule() {
+    const std::size_t to = rng.below(kOwners);
+    kernel.at(kernel.now() + rng.uniform(0.0, 10.0), static_cast<sim::OwnerId>(to),
+              Touch{this, owners[to].get()});
+  }
+
+  /// Runs `events` events (the kernel stops at its event limit and resumes
+  /// on the next call).
+  void run(std::uint64_t events) {
+    kernel.run(std::numeric_limits<double>::infinity(), events);
+  }
+};
+
+struct ColdOwnerResult {
+  double events_per_sec = 0.0;
+  double allocs_per_event = 0.0;
+};
+
+ColdOwnerResult run_cold_owners(bool registered, double window) {
+  ColdOwnerKernel b;
+  b.owners.reserve(ColdOwnerKernel::kOwners);
+  std::vector<const void*> table;
+  table.reserve(ColdOwnerKernel::kOwners);
+  for (std::size_t i = 0; i < ColdOwnerKernel::kOwners; ++i) {
+    b.owners.push_back(std::make_unique<ColdOwner>());
+    table.push_back(b.owners.back().get());
+  }
+  if (registered) b.kernel.set_owner_objects(std::move(table));
+  for (std::size_t i = 0; i < ColdOwnerKernel::kOwners; ++i) b.schedule();
+  constexpr std::uint64_t kBatch = 1000;
+  b.run(2 * ColdOwnerKernel::kOwners);  // warm-up: slabs, rungs, buckets
+  const std::uint64_t allocs_before = g_alloc_calls;
+  b.run(2 * ColdOwnerKernel::kOwners);
+  ColdOwnerResult r;
+  r.allocs_per_event = static_cast<double>(g_alloc_calls - allocs_before) /
+                       static_cast<double>(2 * ColdOwnerKernel::kOwners);
+  r.events_per_sec =
+      measure(window, static_cast<double>(kBatch), [&] { b.run(kBatch); });
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,6 +284,42 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
+  // Cold owners: alternate the two kernels so host noise hits both alike,
+  // and report each side's median.
+  const int cold_reps = smoke ? 1 : 5;
+  std::vector<ColdOwnerResult> plain;
+  std::vector<ColdOwnerResult> registered;
+  for (int rep = 0; rep < cold_reps; ++rep) {
+    plain.push_back(run_cold_owners(false, window));
+    registered.push_back(run_cold_owners(true, window));
+  }
+  const auto median_rate = [](std::vector<ColdOwnerResult> runs) {
+    std::sort(runs.begin(), runs.end(),
+              [](const ColdOwnerResult& a, const ColdOwnerResult& b) {
+                return a.events_per_sec < b.events_per_sec;
+              });
+    return runs[runs.size() / 2].events_per_sec;
+  };
+  double cold_allocs = 0.0;
+  for (const auto* runs : {&plain, &registered}) {
+    for (const ColdOwnerResult& r : *runs) {
+      cold_allocs = std::max(cold_allocs, r.allocs_per_event);
+    }
+  }
+  const double plain_rate = median_rate(plain);
+  const double registered_rate = median_rate(registered);
+  support::TextTable cold({"owners x bytes", "pending", "owner table",
+                           "dispatch (ev/s)", "allocs/event", "speedup"});
+  cold.row({"100000 x 1344", "100000", "none",
+            support::TextTable::num(plain_rate, 0),
+            support::TextTable::num(cold_allocs, 3), "-"});
+  cold.row({"100000 x 1344", "100000", "registered",
+            support::TextTable::num(registered_rate, 0),
+            support::TextTable::num(cold_allocs, 3),
+            support::TextTable::num(registered_rate / plain_rate, 2)});
+  std::printf("cold-owner dispatch, sequential kernel (median of %d):\n%s\n",
+              cold_reps, cold.render().c_str());
+
   FILE* json = bench::open_bench_json("BENCH_kernel.json", "kernel");
   if (json == nullptr) return 1;
   std::fprintf(json, "  \"smoke\": %s,\n  \"sizes\": [\n",
@@ -224,11 +338,20 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "    ]}%s\n", s + 1 < all.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
+  std::fprintf(json, "  ],\n");
+  std::fprintf(json,
+               "  \"cold_owner_dispatch\": {\"owners\": %zu, \"object_bytes\": %zu, "
+               "\"pending\": %zu, \"repetitions\": %d, "
+               "\"plain_per_sec\": %.0f, \"registered_per_sec\": %.0f, "
+               "\"speedup\": %.3f, \"allocs_per_event\": %.4f}\n}\n",
+               ColdOwnerKernel::kOwners, sizeof(ColdOwner), ColdOwnerKernel::kOwners,
+               cold_reps, plain_rate, registered_rate, registered_rate / plain_rate,
+               cold_allocs);
   std::fclose(json);
   std::printf("wrote BENCH_kernel.json\n");
 
-  // Gate: the ladder's steady-state schedule+dispatch must be allocation-free.
+  // Gate: the ladder's and the cold-owner kernel's steady-state
+  // schedule+dispatch must be allocation-free.
   int rc = 0;
   for (const SizeResult& sr : all) {
     if (sr.ladder.allocs_per_event != 0.0) {
@@ -236,6 +359,11 @@ int main(int argc, char** argv) {
                    sr.ladder.allocs_per_event, sr.pending);
       rc = 1;
     }
+  }
+  if (cold_allocs != 0.0) {
+    std::fprintf(stderr, "GATE FAIL: cold-owner kernel allocates %.4f/event (expected 0)\n",
+                 cold_allocs);
+    rc = 1;
   }
   return rc;
 }

@@ -1,6 +1,7 @@
 #include "core/worker.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "support/check.hpp"
 
@@ -23,6 +24,8 @@ const char* to_string(RecoveryPolicy policy) {
 BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model,
                      const WorkerConfig* config, IWorkerEnv* env)
     : id_(id), model_(model), config_(config), env_(env), pool_(config->rule) {
+  static_assert(offsetof(BnbWorker, work_) == kHotBytes,
+                "the hot state no longer ends where the counter block begins");
   FTBB_CHECK(model_ != nullptr);
   FTBB_CHECK(env_ != nullptr);
   FTBB_CHECK(config_->report_fanout >= 1);

@@ -19,6 +19,7 @@
 // received report proves completed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -236,6 +237,11 @@ class BnbWorker {
   /// workers (in canonical id order) and fill the redundant-work fields from
   /// their canonical-order expansion merge.
   [[nodiscard]] WorkLedger work_snapshot() const;
+
+  /// Bytes of hot state that lead the object (the members from id_ through
+  /// report_batches_ below): a host that prefetches its worker ahead of the
+  /// worker's events covers at least these.
+  static constexpr std::size_t kHotBytes = 112;
 
  private:
   // -- scheduling --

@@ -71,6 +71,16 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
  public:
   WorkerHost(SimCluster* cluster, core::NodeId id, std::uint64_t seed)
       : cluster_(cluster), id_(id), rng_(seed) {
+    // The kernel prefetches a host's first kOwnerPrefetchBytes ahead of its
+    // next event: the hot block below and the worker's leading hot fields
+    // must lie inside them. (offsetof is conditionally supported on a class
+    // with virtual functions; GCC and Clang give the layout offset.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+    static_assert(offsetof(WorkerHost, worker_) + core::BnbWorker::kHotBytes <=
+                      kOwnerPrefetchBytes,
+                  "the host's hot block outgrew the kernel's prefetch span");
+#pragma GCC diagnostic pop
     worker_.emplace(id, &cluster->model_, &cluster->config_.worker, this);
   }
 
@@ -391,7 +401,8 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
 
   // Hot block: what one event of an idle worker's request, deny and backoff
   // loop reads, packed at the front (the worker's own hot fields lead
-  // BnbWorker in turn).
+  // BnbWorker in turn). The kernel prefetches it, with the worker's hot
+  // fields, while the event before this host's next one runs.
   SimCluster* cluster_;
   double busy_until_ = 0.0;
   core::NodeId id_;
@@ -458,9 +469,14 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
                      config_.join_times[kRootHolder] == 0.0,
                  "the root holder must join at time 0");
   epochs_.assign(config_.workers, 0);
+  hosts_.reserve(config_.workers);
+  std::vector<const void*> owners;
+  owners.reserve(config_.workers);
   for (core::NodeId id = 0; id < config_.workers; ++id) {
     hosts_.push_back(std::make_unique<WorkerHost>(this, id, master.split(id).next()));
+    owners.push_back(hosts_.back().get());
   }
+  kernel_.set_owner_objects(std::move(owners));
   join_pos_.assign(config_.workers, 0);
   live_count_ = config_.workers;
 

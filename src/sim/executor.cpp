@@ -76,6 +76,33 @@ struct ExecContext {
 
 thread_local ExecContext tls_ctx;
 
+/// One dispatch, the body of both executors' loops: pops `queue`'s earliest
+/// event, starts loading what the event after it will read (its owner's
+/// object from `owners` and its spilled closure block) so those loads
+/// overlap the popped event's run, lets `enter` point the clock and context
+/// at the popped event, runs it and recycles its node. Peeking right after
+/// the pop may promote the next band into the ladder's active heap before
+/// the handler schedules into it; the order is the same either way.
+template <typename Enter>
+void dispatch_one(EventQueue& queue, const std::vector<const void*>& owners,
+                  Enter&& enter) {
+  EventNode* ev = queue.pop();
+  if (const EventNode* next = queue.peek()) {
+    // The control owner (-1) wraps past the end of every table.
+    const auto owner = static_cast<std::size_t>(next->owner);
+    if (owner < owners.size()) {
+      const auto* object = static_cast<const unsigned char*>(owners[owner]);
+      for (std::size_t at = 0; at < kOwnerPrefetchBytes; at += kCacheLineBytes) {
+        __builtin_prefetch(object + at);
+      }
+    }
+    next->fn.prefetch();
+  }
+  enter(*ev);
+  ev->fn();
+  queue.recycle(ev);
+}
+
 // ---------------------------------------------------------------------------
 // SequentialExecutor — the extracted single-threaded event loop
 // ---------------------------------------------------------------------------
@@ -107,12 +134,11 @@ class SequentialExecutor final : public EventExecutor {
         cur_owner_ = kControlOwner;
         return res;
       }
-      EventNode* ev = queue_.pop();
-      now_ = ev->t;
-      cur_owner_ = ev->owner;
       ++res.events;
-      ev->fn();
-      queue_.recycle(ev);
+      dispatch_one(queue_, owner_objects_, [this](const EventNode& ev) {
+        now_ = ev.t;
+        cur_owner_ = ev.owner;
+      });
     }
     cur_owner_ = kControlOwner;
     res.drained = true;
@@ -537,14 +563,13 @@ class ShardedExecutor final : public EventExecutor {
             dispatched >= window_event_quota_) {
           break;
         }
-        EventNode* ev = shard.queue.pop();
-        tls_ctx.now = ev->t;
-        tls_ctx.owner = ev->owner;
-        shard.last_time = ev->t;
         ++shard.events;
         ++dispatched;
-        ev->fn();
-        shard.queue.recycle(ev);
+        dispatch_one(shard.queue, owner_objects_, [&shard](const EventNode& ev) {
+          tls_ctx.now = ev.t;
+          tls_ctx.owner = ev.owner;
+          shard.last_time = ev.t;
+        });
       }
       tls_ctx.owner = kControlOwner;
       done_count_.fetch_add(1, std::memory_order_seq_cst);

@@ -50,9 +50,11 @@
 // kernel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"  // Callback, OwnerId, kControlOwner, EventQueue
@@ -112,9 +114,28 @@ struct RunResult {
   bool hit_event_limit = false;
 };
 
+/// The cache line size dispatch's prefetch hints step by.
+inline constexpr std::size_t kCacheLineBytes = 64;
+/// The leading bytes of a registered owner object that dispatch prefetches
+/// ahead of the object's next event: six cache lines. An owner whose hot
+/// fields lead its object ties its layout to this span (SimCluster's
+/// WorkerHost does, with a static_assert).
+inline constexpr std::size_t kOwnerPrefetchBytes = 6 * kCacheLineBytes;
+
 class EventExecutor {
  public:
   virtual ~EventExecutor() = default;
+
+  /// Registers the object each node's events act on: `objects[n]` for node
+  /// n, non-null and at least kOwnerPrefetchBytes long; nodes past the
+  /// table's end and the control context have none. Set before run(). After each pop, dispatch peeks the next event
+  /// and, while the popped one runs, prefetches the first
+  /// kOwnerPrefetchBytes of that event's object and its spilled closure
+  /// block. A prefetch is only a hint to the cache, so dispatch order and
+  /// every result stay the same with or without a table.
+  void set_owner_objects(std::vector<const void*> objects) {
+    owner_objects_ = std::move(objects);
+  }
 
   /// Schedules `fn` at absolute virtual time `t` (>= now) on `owner`'s event
   /// stream. The canonical stamp is assigned here from the calling context.
@@ -138,6 +159,10 @@ class EventExecutor {
 
   [[nodiscard]] virtual bool empty() const = 0;
   [[nodiscard]] virtual std::size_t queued() const = 0;
+
+ protected:
+  /// Read-only once run() starts, so every shard thread may read it.
+  std::vector<const void*> owner_objects_;
 };
 
 [[nodiscard]] std::unique_ptr<EventExecutor> make_executor(const ExecutorConfig& config);

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "sim/executor.hpp"
 #include "support/check.hpp"
@@ -68,6 +69,13 @@ class Kernel {
 
   [[nodiscard]] bool empty() const { return exec_->empty(); }
   [[nodiscard]] std::size_t queued() const { return exec_->queued(); }
+
+  /// Registers the object each node's events act on, one address per node
+  /// (EventExecutor::set_owner_objects): dispatch prefetches it ahead of the
+  /// node's next event. Results do not change.
+  void set_owner_objects(std::vector<const void*> objects) {
+    exec_->set_owner_objects(std::move(objects));
+  }
 
  private:
   std::unique_ptr<EventExecutor> exec_;

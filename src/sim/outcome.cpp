@@ -1,7 +1,6 @@
 #include "sim/outcome.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace ftbb::sim {
 
@@ -91,30 +90,11 @@ void RunOutcome::account_expansions(std::span<const ExpansionLog* const> logs) {
     return core::PathView(words.data() + r.at, r.depth);
   };
   std::vector<std::size_t> first(repeated.size(), kNone);  // per repeated hash
-  // Nearly every expansion is of a code expanded once. A two-probe bit
-  // filter of the repeated hashes, 16 bits each, turns most of those away
-  // before the binary search.
-  std::size_t filter_bits = 6;
-  while (filter_bits < 32 && (std::size_t{1} << filter_bits) < 16 * repeated.size()) ++filter_bits;
-  std::vector<std::uint64_t> filter((std::size_t{1} << filter_bits) / 64);
-  const auto probes = [filter_bits](std::uint64_t hash) {
-    const std::uint64_t mixed = hash * 0x9E3779B97F4A7C15ull;
-    const std::size_t mask = (std::size_t{1} << filter_bits) - 1;
-    return std::pair<std::size_t, std::size_t>{mixed >> (64 - filter_bits),
-                                               (mixed >> (32 - filter_bits)) & mask};
-  };
-  for (const std::uint64_t hash : repeated) {
-    const auto [a, b] = probes(hash);
-    filter[a / 64] |= std::uint64_t{1} << (a % 64);
-    filter[b / 64] |= std::uint64_t{1} << (b % 64);
-  }
   for (const ExpansionLog* log : logs) {
     if (repeated.empty()) break;
     log->decode([&](const ExpansionLog::Record& r) {
       if (!r.expanded) return;
       const std::uint64_t hash = r.code.hash();
-      const auto [a, b] = probes(hash);
-      if ((filter[a / 64] >> (a % 64) & (filter[b / 64] >> (b % 64)) & 1) == 0) return;
       const auto it = std::lower_bound(repeated.begin(), repeated.end(), hash);
       if (it == repeated.end() || *it != hash) return;
       std::size_t* link = &first[static_cast<std::size_t>(it - repeated.begin())];

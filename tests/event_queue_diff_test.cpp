@@ -8,7 +8,9 @@
 // limit streams — wide-uniform times, microscopic deltas, exact duplicate
 // timestamps (dense tie storms that only src/seq discriminate), far-future
 // spikes, and handler-style re-schedules at the current dispatch time — and
-// assert the two pop sequences match event for event.
+// assert the two pop sequences match event for event. The interleaved
+// stream also runs with a peek after every pop, the executors' prefetch
+// order.
 //
 // The second half instruments the global allocator and asserts the
 // InlineCallback small-buffer contract: once warm, schedule+dispatch of
@@ -74,6 +76,11 @@ struct QueuePair {
   std::uint64_t next_seq = 0;
   double now = 0.0;
   double last_t = 0.0;  // most recently scheduled time (tie-storm anchor)
+  /// Peek the ladder right after each pop, before the popped event's
+  /// callback runs and before any push that follows it, as the executors'
+  /// dispatch loop does to prefetch the next event. The peek can promote the
+  /// next band into the active heap ahead of those pushes.
+  bool peek_after_pop = false;
 
   void push(double t, OwnerId src, OwnerId owner) {
     const std::uint64_t id = next_id++;
@@ -91,6 +98,7 @@ struct QueuePair {
     EXPECT_EQ(ladder.empty(), legacy.empty());
     if (ladder.empty()) return false;
     EventNode* a = ladder.pop();
+    if (peek_after_pop) (void)ladder.peek();
     LegacyEventQueue::Event b = legacy.pop();
     EXPECT_EQ(a->t, b.t);
     EXPECT_EQ(a->src, b.src);
@@ -122,9 +130,10 @@ double draw_time(support::Rng& rng, const QueuePair& q) {
 
 class EventQueueDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EventQueueDiff, InterleavedStreamIsOrderIdentical) {
-  support::Rng rng(GetParam());
-  QueuePair q;
+/// One randomized interleaved stream of pushes, pops, handler-style bursts
+/// and runs to a limit, mirrored into both queues of `q`.
+void run_interleaved_stream(std::uint64_t seed, QueuePair& q) {
+  support::Rng rng(seed);
   for (int step = 0; step < 60000; ++step) {
     const double dice = rng.uniform();
     if (q.ladder.empty() || dice < 0.52) {
@@ -154,8 +163,17 @@ TEST_P(EventQueueDiff, InterleavedStreamIsOrderIdentical) {
     }
   }
   q.drain();
-  EXPECT_EQ(q.ladder_log, q.legacy_log);
-  EXPECT_EQ(q.ladder_log.size(), q.next_id);
+}
+
+TEST_P(EventQueueDiff, InterleavedStreamIsOrderIdentical) {
+  for (const bool peek_after_pop : {false, true}) {
+    SCOPED_TRACE(peek_after_pop ? "peek after every pop" : "no extra peek");
+    QueuePair q;
+    q.peek_after_pop = peek_after_pop;
+    run_interleaved_stream(GetParam(), q);
+    EXPECT_EQ(q.ladder_log, q.legacy_log);
+    EXPECT_EQ(q.ladder_log.size(), q.next_id);
+  }
 }
 
 TEST_P(EventQueueDiff, BulkLoadThenFullDrainMatches) {

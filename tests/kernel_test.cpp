@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/scenario.hpp"
+#include "support/rng.hpp"
 
 namespace ftbb::sim {
 namespace {
@@ -107,6 +110,75 @@ TEST(Kernel, TimeLimitAdvancesClockSoCallersCanResume) {
   const auto res2 = k.run();
   EXPECT_TRUE(res2.drained);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 6.0, 10.0}));
+}
+
+// ---------------------------------------------------------------------------
+// Owner objects: dispatch prefetches them, and nothing else may change
+// ---------------------------------------------------------------------------
+
+/// What one randomized self-scheduling run dispatched: each event's id,
+/// time and owner in dispatch order, and the owner objects' bytes at the end.
+struct OwnedRun {
+  std::vector<std::tuple<std::uint64_t, double, OwnerId>> log;
+  std::vector<std::vector<unsigned char>> objects;
+  bool operator==(const OwnedRun&) const = default;
+};
+
+/// Runs the same randomized schedule on a sequential kernel with the first
+/// `registered` owners' objects in its owner table (none when 0). Events go
+/// to 16 owners and the control context, carry inline or spilled closures,
+/// write their owner's object and schedule more events to random owners.
+OwnedRun run_owned_schedule(std::size_t registered) {
+  constexpr int kOwners = 16;
+  constexpr std::size_t kObjectBytes = 1344;
+  OwnedRun run;
+  run.objects.assign(kOwners, std::vector<unsigned char>(kObjectBytes, 0));
+  Kernel k;
+  if (registered > 0) {
+    // Exactly `registered` entries, so ASan flags any read past the end.
+    std::vector<const void*> table(registered);
+    for (std::size_t n = 0; n < registered; ++n) table[n] = run.objects[n].data();
+    k.set_owner_objects(std::move(table));
+  }
+  support::Rng rng(0x0B1EC7);
+  std::uint64_t next_id = 0;
+  std::function<void(OwnerId)> schedule_one;
+  const auto handle = [&](std::uint64_t id, OwnerId owner, std::uint64_t salt) {
+    run.log.emplace_back(id, k.now(), owner);
+    if (owner != kControlOwner) {
+      std::vector<unsigned char>& object = run.objects[static_cast<std::size_t>(owner)];
+      object[id % kObjectBytes] ^= static_cast<unsigned char>(salt);
+    }
+    const int fanout = rng.chance(0.5) ? 2 : 1;
+    for (int i = 0; i < fanout && next_id < 20000; ++i) {
+      schedule_one(static_cast<OwnerId>(rng.range(-1, kOwners - 1)));
+    }
+  };
+  schedule_one = [&](OwnerId owner) {
+    const double t = k.now() + (rng.chance(0.3) ? 0.0 : rng.uniform(0.0, 2.0));
+    const std::uint64_t id = next_id++;
+    if (rng.chance(0.5)) {
+      k.at(t, owner, [&handle, id, owner] { handle(id, owner, id); });
+    } else {
+      std::array<std::uint64_t, 12> payload{};  // 96 B: spills into a block
+      payload[11] = id * 7;
+      k.at(t, owner,
+           [&handle, id, owner, payload] { handle(id, owner, payload[11]); });
+    }
+  };
+  for (int i = 0; i < 64; ++i) {
+    schedule_one(static_cast<OwnerId>(rng.range(-1, kOwners - 1)));
+  }
+  EXPECT_TRUE(k.run().drained);
+  EXPECT_EQ(run.log.size(), next_id);
+  return run;
+}
+
+TEST(Kernel, OwnerTableLeavesDispatchUnchanged) {
+  const OwnedRun plain = run_owned_schedule(0);
+  EXPECT_EQ(plain.log.size(), 20000u);
+  EXPECT_EQ(plain, run_owned_schedule(6));   // shorter than the owner range
+  EXPECT_EQ(plain, run_owned_schedule(16));  // every owner registered
 }
 
 // ---------------------------------------------------------------------------
