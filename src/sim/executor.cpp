@@ -80,9 +80,12 @@ thread_local ExecContext tls_ctx;
 /// event, starts loading what the event after it will read (its owner's
 /// object from `owners` and its spilled closure block) so those loads
 /// overlap the popped event's run, lets `enter` point the clock and context
-/// at the popped event, runs it and recycles its node. Peeking right after
-/// the pop may promote the next band into the ladder's active heap before
-/// the handler schedules into it; the order is the same either way.
+/// at the popped event, runs it and recycles its node. A table as large as
+/// the population misses the cache too, so the table entries of the two
+/// candidates for the event after that load one event earlier still. Peeking
+/// right after the pop may promote the next band into the ladder's active
+/// heap before the handler schedules into it; the order is the same either
+/// way.
 template <typename Enter>
 void dispatch_one(EventQueue& queue, const std::vector<const void*>& owners,
                   Enter&& enter) {
@@ -97,6 +100,10 @@ void dispatch_one(EventQueue& queue, const std::vector<const void*>& owners,
       }
     }
     next->fn.prefetch();
+    for (const EventNode* later : queue.after_next()) {
+      const auto later_owner = static_cast<std::size_t>(later->owner);
+      if (later_owner < owners.size()) __builtin_prefetch(&owners[later_owner]);
+    }
   }
   enter(*ev);
   ev->fn();
