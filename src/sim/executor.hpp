@@ -51,12 +51,14 @@
 //
 // Dispatch body. Both executors run one event the same way: pop it, peek
 // the event after it, prefetch that event's owner object (registered with
-// set_owner_objects) and its spilled closure block, then run the popped
-// event. At 10^5 simulated workers each event reaches a host the cache does
-// not hold, so the next host's lines load while the current event runs.
-// Peeking right after the pop can promote the next band of the ladder queue
-// into its active heap before the handler schedules into it; the queue
-// orders the same either way, and a prefetch changes no result.
+// set_owner_objects) and its spilled closure block, prefetch the owner-table
+// entries of the two candidates for the event after that, then run the
+// popped event. At 10^5 simulated workers each event reaches a host the
+// cache does not hold, and the table of host addresses is no smaller than
+// the cache either, so the next host's lines load while the current event
+// runs. Peeking right after the pop can promote the next band of the ladder
+// queue into its active heap before the handler schedules into it; the
+// queue orders the same either way, and a prefetch changes no result.
 #pragma once
 
 #include <cstddef>
@@ -137,10 +139,11 @@ class EventExecutor {
 
   /// Registers the object each node's events act on: `objects[n]` for node
   /// n, non-null and at least kOwnerPrefetchBytes long; nodes past the
-  /// table's end and the control context have none. Set before run(). After each pop, dispatch peeks the next event
-  /// and, while the popped one runs, prefetches the first
-  /// kOwnerPrefetchBytes of that event's object and its spilled closure
-  /// block. A prefetch is only a hint to the cache, so dispatch order and
+  /// table's end and the control context have none. Set before run(). After
+  /// each pop, dispatch peeks the next event and, while the popped one runs,
+  /// prefetches the first kOwnerPrefetchBytes of that event's object, its
+  /// spilled closure block and the table entries of the events likely to
+  /// follow it. A prefetch is only a hint to the cache, so dispatch order and
   /// every result stay the same with or without a table.
   void set_owner_objects(std::vector<const void*> objects) {
     owner_objects_ = std::move(objects);
