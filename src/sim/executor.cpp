@@ -77,15 +77,14 @@ struct ExecContext {
 thread_local ExecContext tls_ctx;
 
 /// One dispatch, the body of both executors' loops: pops `queue`'s earliest
-/// event, starts loading what the event after it will read (its owner's
-/// object from `owners` and its spilled closure block) so those loads
-/// overlap the popped event's run, lets `enter` point the clock and context
-/// at the popped event, runs it and recycles its node. A table as large as
-/// the population misses the cache too, so the table entries of the two
-/// candidates for the event after that load one event earlier still. Peeking
-/// right after the pop may promote the next band into the ladder's active
-/// heap before the handler schedules into it; the order is the same either
-/// way.
+/// event and, before running it, starts loading what the next event will
+/// read (its owner's object from `owners` and its spilled closure block)
+/// and the `owners` entries of the two candidates for the event after that
+/// (a table as large as the population misses the cache too). Then `enter`
+/// points the clock and context at the popped event, which runs and is
+/// recycled. Peeking right after the pop may promote the next band into the
+/// ladder's active heap before the handler schedules into it; the order is
+/// the same either way.
 template <typename Enter>
 void dispatch_one(EventQueue& queue, const std::vector<const void*>& owners,
                   Enter&& enter) {
