@@ -17,14 +17,14 @@
 //     per schedule+dispatch cycle (the inline SBO contract says 0 for the
 //     ladder).
 //
-// A third row measures the whole sequential kernel on cold owners: 10^5
-// owners, each a separately allocated 1,344-byte object (a simulated host's
-// size), 10^5 pending events. Each event writes its owner's first six lines
-// and schedules one event to a random owner, so every dispatch reaches an
-// object far outside the cache. The row runs once without and once with the
-// owners registered in the kernel's owner table, which makes dispatch
-// prefetch the next event's object while the current one runs; the ratio is
-// what that prefetch buys when owner memory is cold.
+// A third workload, cold-owner dispatch, runs the whole sequential kernel
+// on 10^5 owners, each a separately allocated 1,344-byte object (a simulated
+// host's size), with 10^5 events pending. Each event writes its owner's
+// first six lines and schedules one event to a random owner, so every
+// dispatch reaches an object far outside the cache. It runs without and
+// with the owners registered in the kernel's owner table, which makes
+// dispatch prefetch the next event's object while the current one runs; the
+// ratio is what that prefetch buys when owner memory is cold.
 //
 // `--smoke` runs 10^4..10^5 only with short windows. Throughput is reported,
 // not asserted, but the binary exits nonzero if the ladder's or the
