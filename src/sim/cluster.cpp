@@ -73,8 +73,12 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
       : cluster_(cluster), id_(id), rng_(seed) {
     // The kernel prefetches a host's first kOwnerPrefetchBytes ahead of its
     // next event: the hot block below and the worker's leading hot fields
-    // must lie inside them. (offsetof is conditionally supported on a class
-    // with virtual functions; GCC and Clang give the layout offset.)
+    // (344 bytes) must lie inside them. The six hints step by a line from
+    // the host's address, and a host starts on a 16-byte boundary, so the
+    // last 8 of those bytes (the worker's report_batches_, read only when it
+    // reports) can fall on a seventh line. (offsetof is conditionally
+    // supported on a class with virtual functions; GCC and Clang give the
+    // layout offset.)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
     static_assert(offsetof(WorkerHost, worker_) + core::BnbWorker::kHotBytes <=
