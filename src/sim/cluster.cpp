@@ -67,16 +67,14 @@ class Fifo {
 // WorkerHost: the per-worker IWorkerEnv adapter
 // ---------------------------------------------------------------------------
 
-class SimCluster::WorkerHost final : public core::IWorkerEnv {
+class alignas(kCacheLineBytes) SimCluster::WorkerHost final : public core::IWorkerEnv {
  public:
   WorkerHost(SimCluster* cluster, core::NodeId id, std::uint64_t seed)
       : cluster_(cluster), id_(id), rng_(seed) {
     // The kernel prefetches a host's first kOwnerPrefetchBytes ahead of its
     // next event: the hot block below and the worker's leading hot fields
-    // (344 bytes) must lie inside them. The six hints step by a line from
-    // the host's address, and a host starts on a 16-byte boundary, so the
-    // last 8 of those bytes (the worker's report_batches_, read only when it
-    // reports) can fall on a seventh line. (offsetof is conditionally
+    // (344 bytes) must lie inside them. A host starts on a cache line, so the
+    // six hints cover exactly those bytes. (offsetof is conditionally
     // supported on a class with virtual functions; GCC and Clang give the
     // layout offset.)
 #pragma GCC diagnostic push
@@ -181,18 +179,23 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     // Frame-size the message; a report/gossip batch advances the
     // per-incarnation delta state, created with the incarnation's first
     // batch (idempotently per batch — the m fanout copies size identically).
+    // Other frames never consult that state, so they do not load it.
     const bool chained = msg.type == core::MsgType::kWorkReport ||
                          msg.type == core::MsgType::kTableGossip;
-    if (chained && !delta_) delta_ = std::make_unique<core::ReportDeltaState>();
-    const bool was_active = delta_ && delta_->active;
-    const std::size_t bytes = core::frame_size(msg, delta_.get());
+    core::ReportDeltaState* delta = nullptr;
+    if (chained) {
+      if (!delta_) delta_ = std::make_unique<core::ReportDeltaState>();
+      delta = delta_.get();
+    }
+    const bool was_active = delta != nullptr && delta->active;
+    const std::size_t bytes = core::frame_size(msg, delta);
     ++wire_.frames;
     wire_.frame_bytes += bytes;
     if (chained) {
       ++wire_.report_frames;
       wire_.report_frame_bytes += bytes;
       if (!was_active) ++report_streams_;
-      if (delta_->seq == 0) {
+      if (delta->seq == 0) {
         ++wire_.self_contained_reports;
       } else {
         ++wire_.delta_reports;
@@ -205,11 +208,12 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     charge(core::CostKind::kComm,
            cluster_->config_.worker.costs.send_fixed +
                cluster_->config_.worker.costs.send_per_byte * static_cast<double>(bytes));
-    // The destination's incarnation comes from the cluster's dense epoch
-    // array, so a send touches no line of the destination's host.
+    // The destination's address is arithmetic on the host array and its
+    // incarnation comes from the cluster's dense epoch array, so a send
+    // touches no line of the destination's host.
     cluster_->network_->send(
         id_, to, bytes, busy_until_,
-        [dest = cluster_->hosts_[to].get(), dest_epoch = cluster_->epochs_[to],
+        [dest = &cluster_->hosts_[to], dest_epoch = cluster_->epochs_[to],
          bytes, msg = std::move(msg)]() mutable {
           dest->accept(std::move(msg), bytes, dest_epoch);
         });
@@ -474,19 +478,16 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
                  "the root holder must join at time 0");
   epochs_.assign(config_.workers, 0);
   hosts_.reserve(config_.workers);
-  std::vector<const void*> owners;
-  owners.reserve(config_.workers);
   for (core::NodeId id = 0; id < config_.workers; ++id) {
-    hosts_.push_back(std::make_unique<WorkerHost>(this, id, master.split(id).next()));
-    owners.push_back(hosts_.back().get());
+    hosts_.emplace_back(this, id, master.split(id).next());
   }
-  kernel_.set_owner_objects(std::move(owners));
+  kernel_.set_owner_objects(hosts_.data(), sizeof(WorkerHost), hosts_.size());
   join_pos_.assign(config_.workers, 0);
   live_count_ = config_.workers;
 
   // The cluster's fault surface is driven like any other backend's: the
   // config's fault fields become one compiled schedule and a FaultDriver
-  // arms it on the kernel's control stream (see FaultPlane).
+  // arms it on the kernel's control stream.
   fault::FaultSchedule schedule;
   schedule.population = config_.workers;
   for (const CrashEvent& crash : config_.crashes) {
@@ -498,7 +499,7 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
   schedule.join_times = config_.join_times;
   schedule.partitions = config_.partitions;
   schedule.loss_rules = config_.loss_rules;
-  driver_.emplace(std::move(schedule), &fault_plane_, &fault_plane_);
+  driver_.emplace(std::move(schedule), this, this);
 }
 
 SimCluster::~SimCluster() = default;
@@ -507,63 +508,53 @@ bool SimCluster::finished() const {
   return live_halted_.load(std::memory_order_relaxed) >= live_count_;
 }
 
-void SimCluster::join(core::NodeId id) {
-  WorkerHost* host = hosts_[id].get();
-  if (!host->alive()) return;  // crashed before joining; already uncounted
-  join_pos_[id] = static_cast<std::uint32_t>(joined_.size());
-  joined_.push_back(id);
-  ++membership_version_;
-  host->start(id == kRootHolder);
+// ---- the cluster as a fault-injectable backend ----
+
+void SimCluster::crash(std::uint32_t node) {
+  // Crashing reduces the live population that must halt for the run to be
+  // considered finished. A node that already crashed or already detected
+  // termination absorbs the injection as a no-op.
+  WorkerHost& host = hosts_[node];
+  if (!host.alive() || host.worker().halted()) return;
+  host.kill(kernel_.now());
+  host.leave_live_set();
 }
 
-void SimCluster::revive(core::NodeId id) {
-  WorkerHost* host = hosts_[id].get();
+void SimCluster::revive(std::uint32_t node) {
+  WorkerHost& host = hosts_[node];
   // Only a crashed, previously started worker can re-enter; a revive aimed
   // at a live worker (its crash was skipped because it had already halted)
   // is a no-op.
-  if (host->alive() || !host->started()) return;
-  host->revive();
-  host->rejoin_live_set();
+  if (host.alive() || !host.started()) return;
+  host.revive();
+  host.rejoin_live_set();
   // No membership update: the worker had started, so it joined, and crashed
   // members are never removed from joined_ (failures are not detectable,
   // Section 4) — peers still list it and their mail reaches the new
   // incarnation.
 }
 
-// ---- FaultPlane: the cluster as a fault-injectable backend ----
-
-void SimCluster::FaultPlane::crash(std::uint32_t node) {
-  // Crashing reduces the live population that must halt for the run to be
-  // considered finished. A node that already crashed or already detected
-  // termination absorbs the injection as a no-op.
-  WorkerHost* host = cluster_->hosts_[node].get();
-  if (!host->alive() || host->worker().halted()) return;
-  host->kill(cluster_->kernel_.now());
-  host->leave_live_set();
+void SimCluster::join(std::uint32_t node) {
+  WorkerHost& host = hosts_[node];
+  if (!host.alive()) return;  // crashed before joining; already uncounted
+  join_pos_[node] = static_cast<std::uint32_t>(joined_.size());
+  joined_.push_back(node);
+  ++membership_version_;
+  host.start(node == kRootHolder);
 }
 
-void SimCluster::FaultPlane::revive(std::uint32_t node) {
-  cluster_->revive(node);
+void SimCluster::abandon_join(std::uint32_t node) { hosts_[node].leave_live_set(); }
+
+void SimCluster::set_partition(const Partition& partition) {
+  network_->add_partition(partition);
 }
 
-void SimCluster::FaultPlane::join(std::uint32_t node) { cluster_->join(node); }
+void SimCluster::set_loss_rule(const LossRule& rule) { network_->add_loss_rule(rule); }
 
-void SimCluster::FaultPlane::abandon_join(std::uint32_t node) {
-  cluster_->hosts_[node]->leave_live_set();
-}
-
-void SimCluster::FaultPlane::set_partition(const Partition& partition) {
-  cluster_->network_->add_partition(partition);
-}
-
-void SimCluster::FaultPlane::set_loss_rule(const LossRule& rule) {
-  cluster_->network_->add_loss_rule(rule);
-}
-
-void SimCluster::FaultPlane::call_at(double at, Callback fn) {
+void SimCluster::call_at(double at, Callback fn) {
   // Control-context scheduling: under a sharded executor the injection runs
   // at an epoch barrier with every shard quiescent.
-  cluster_->kernel_.at(at, std::move(fn));
+  kernel_.at(at, std::move(fn));
 }
 
 void SimCluster::start() {
@@ -577,14 +568,14 @@ void SimCluster::sample_storage() {
   // Runs as a control event: every shard is quiescent at a barrier, so the
   // worker tables reflect exactly the events before the sample instant.
   std::size_t total = 0;
-  for (const auto& host : hosts_) {
-    if (!host->alive()) continue;
-    total += host->worker().table().encoded_bytes();
+  for (const WorkerHost& host : hosts_) {
+    if (!host.alive()) continue;
+    total += host.worker().table().encoded_bytes();
   }
   if (total > peak_total_bytes_) {
     peak_total_bytes_ = total;
     // collect() folds the union table of this instant from the logs.
-    for (const auto& host : hosts_) host->log().mark();
+    for (WorkerHost& host : hosts_) host.log().mark();
   }
   if (!finished()) {
     kernel_.after(config_.storage_sample_interval, [this]() { sample_storage(); });
@@ -615,12 +606,12 @@ std::size_t SimCluster::peak_union_bytes() const {
     united.insert_all(batch);
     batch.clear();
   };
-  for (const auto& host : hosts_) {
-    host->log().decode([&](const ExpansionLog::Record& r) {
+  for (const WorkerHost& host : hosts_) {
+    host.log().decode([&](const ExpansionLog::Record& r) {
       if (!r.completed) return;
       batch.emplace_back(r.code);
       if (batch.size() == 4096) fold();
-    }, host->log().marked());
+    }, host.log().marked());
   }
   fold();
   return united.encoded_bytes();
@@ -633,18 +624,18 @@ ClusterResult SimCluster::collect() {
   std::uint32_t live_halted = 0;
   std::uint32_t live_total = 0;
   std::vector<const ExpansionLog*> logs;  // most storm hosts expand nothing
-  for (auto& host : hosts_) {
-    host->finalize(end_time);
-    if (host->log().size() > 0) logs.push_back(&host->log());
-    const core::BnbWorker& w = host->worker();
-    res.worker_ledgers.push_back(host->merged_ledger());
+  for (WorkerHost& host : hosts_) {
+    host.finalize(end_time);
+    if (host.log().size() > 0) logs.push_back(&host.log());
+    const core::BnbWorker& w = host.worker();
+    res.worker_ledgers.push_back(host.merged_ledger());
     res.work.add(res.worker_ledgers.back());
-    res.crashed.push_back(!host->alive());
+    res.crashed.push_back(!host.alive());
     res.incumbents.push_back(w.incumbent());
     res.halted_at.push_back(w.halted_at());
     // A member that never started (its join was abandoned at the horizon)
     // is not part of the live set the run waits for.
-    if (host->alive() && host->started()) {
+    if (host.alive() && host.started()) {
       ++live_total;
       if (w.halted()) {
         ++live_halted;
@@ -657,8 +648,8 @@ ClusterResult SimCluster::collect() {
       }
       res.final_table_bytes_total += w.table().encoded_bytes();
     }
-    res.wire.add(host->wire_stats());
-    res.report_streams_per_worker.push_back(host->report_streams());
+    res.wire.add(host.wire_stats());
+    res.report_streams_per_worker.push_back(host.report_streams());
   }
   res.all_live_halted = live_total > 0 && live_halted == live_total;
   if (!res.all_live_halted) res.makespan = end_time;
@@ -671,13 +662,13 @@ ClusterResult SimCluster::collect() {
   if (config_.record_trace) {
     // Stitch the per-host charts together in worker order, then close the
     // chart with terminal states.
-    for (const auto& host : hosts_) {
-      for (const trace::Interval& iv : host->trace().intervals()) {
+    for (const WorkerHost& host : hosts_) {
+      for (const trace::Interval& iv : host.trace().intervals()) {
         res.timeline.add(iv.proc, iv.t0, iv.t1, iv.activity);
       }
     }
     for (core::NodeId id = 0; id < config_.workers; ++id) {
-      const WorkerHost& host = *hosts_[id];
+      const WorkerHost& host = hosts_[id];
       if (!host.alive()) {
         res.timeline.add(id, host.crash_time(), end_time, trace::Activity::kDead);
       } else if (host.worker().halted()) {

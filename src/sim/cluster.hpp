@@ -160,7 +160,10 @@ struct ClusterResult : RunOutcome {
   trace::Timeline timeline;  // populated when record_trace
 };
 
-class SimCluster {
+/// The cluster is its own fault-injection surface: a FaultDriver replays
+/// any compiled FaultSchedule through its IFaultBackend capabilities, with
+/// injection deadlines on the kernel's control event stream (virtual time).
+class SimCluster final : public fault::IFaultBackend, public fault::IFaultClock {
  public:
   /// Builds the cluster, runs it to quiescence (or a limit), and reports.
   static ClusterResult run(const bnb::IProblemModel& model, const ClusterConfig& config);
@@ -169,32 +172,21 @@ class SimCluster {
   class WorkerHost;
   friend class WorkerHost;
 
-  /// The narrow fault-injection surface of the simulated cluster: a
-  /// FaultDriver replays any compiled FaultSchedule through these
-  /// capabilities, with injection deadlines living on the kernel's control
-  /// event stream (virtual time).
-  class FaultPlane final : public fault::IFaultBackend, public fault::IFaultClock {
-   public:
-    explicit FaultPlane(SimCluster* cluster) : cluster_(cluster) {}
-    void crash(std::uint32_t node) override;
-    void revive(std::uint32_t node) override;
-    void join(std::uint32_t node) override;
-    void abandon_join(std::uint32_t node) override;
-    void set_partition(const Partition& partition) override;
-    void set_loss_rule(const LossRule& rule) override;
-    void call_at(double at, Callback fn) override;
-
-   private:
-    SimCluster* cluster_;
-  };
-  friend class FaultPlane;
-
   SimCluster(const bnb::IProblemModel& model, const ClusterConfig& config);
   ~SimCluster();
 
+  // ---- fault::IFaultBackend ----
+  void crash(std::uint32_t node) override;
+  void revive(std::uint32_t node) override;
+  void join(std::uint32_t node) override;
+  void abandon_join(std::uint32_t node) override;
+  void set_partition(const Partition& partition) override;
+  void set_loss_rule(const LossRule& rule) override;
+
+  // ---- fault::IFaultClock ----
+  void call_at(double at, Callback fn) override;
+
   void start();
-  void join(core::NodeId id);
-  void revive(core::NodeId id);
   void sample_storage();
   [[nodiscard]] bool finished() const;
   /// Bytes of the union completion table at the last storage peak.
@@ -205,9 +197,12 @@ class SimCluster {
   ClusterConfig config_;
   Kernel kernel_;
   std::unique_ptr<Network> network_;
-  FaultPlane fault_plane_{this};
   std::optional<fault::FaultDriver> driver_;
-  std::vector<std::unique_ptr<WorkerHost>> hosts_;
+  /// One host per worker in one array, reserved once and never resized: no
+  /// host moves, so workers and closures keep their addresses, and a host's
+  /// address is arithmetic on its id, for senders and for the kernel's
+  /// dispatch prefetch (Kernel::set_owner_objects) alike.
+  std::vector<WorkerHost> hosts_;
   /// Current incarnation per worker, bumped by each revive. Senders read
   /// the destination's epoch here — one dense array instead of a line of
   /// every destination host. Mutated only by control events.

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -123,14 +122,6 @@ class EventQueue {
   [[nodiscard]] const EventNode* peek() {
     if (bottom_.empty() && !refill()) return nullptr;
     return bottom_.front();
-  }
-
-  /// The candidates for the event after the earliest one: the active heap
-  /// root's children (at most two). Valid after a peek() that returned an
-  /// event; a push may slip a still earlier event in before them.
-  [[nodiscard]] std::span<EventNode* const> after_next() const {
-    return std::span<EventNode* const>(bottom_).subspan(
-        1, std::min<std::size_t>(bottom_.size(), 3) - 1);
   }
 
   /// Removes and returns the earliest event. Caller dispatches `fn` and then

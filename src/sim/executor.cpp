@@ -78,31 +78,24 @@ thread_local ExecContext tls_ctx;
 
 /// One dispatch, the body of both executors' loops: pops `queue`'s earliest
 /// event and, before running it, starts loading what the next event will
-/// read (its owner's object from `owners` and its spilled closure block)
-/// and the `owners` entries of the two candidates for the event after that
-/// (a table as large as the population misses the cache too). Then `enter`
-/// points the clock and context at the popped event, which runs and is
-/// recycled. Peeking right after the pop may promote the next band into the
-/// ladder's active heap before the handler schedules into it; the order is
-/// the same either way.
+/// read: its owner's object in `owners` and its spilled closure block. Then
+/// `enter` points the clock and context at the popped event, which runs and
+/// is recycled. Peeking right after the pop may promote the next band into
+/// the ladder's active heap before the handler schedules into it; the order
+/// is the same either way.
 template <typename Enter>
-void dispatch_one(EventQueue& queue, const std::vector<const void*>& owners,
-                  Enter&& enter) {
+void dispatch_one(EventQueue& queue, const OwnerObjects& owners, Enter&& enter) {
   EventNode* ev = queue.pop();
   if (const EventNode* next = queue.peek()) {
-    // The control owner (-1) wraps past the end of every table.
+    // The control owner (-1) wraps past every count.
     const auto owner = static_cast<std::size_t>(next->owner);
-    if (owner < owners.size()) {
-      const auto* object = static_cast<const unsigned char*>(owners[owner]);
+    if (owner < owners.count) {
+      const unsigned char* object = owners.first + owner * owners.stride;
       for (std::size_t at = 0; at < kOwnerPrefetchBytes; at += kCacheLineBytes) {
         __builtin_prefetch(object + at);
       }
     }
     next->fn.prefetch();
-    for (const EventNode* later : queue.after_next()) {
-      const auto later_owner = static_cast<std::size_t>(later->owner);
-      if (later_owner < owners.size()) __builtin_prefetch(&owners[later_owner]);
-    }
   }
   enter(*ev);
   ev->fn();
@@ -141,7 +134,7 @@ class SequentialExecutor final : public EventExecutor {
         return res;
       }
       ++res.events;
-      dispatch_one(queue_, owner_objects_, [this](const EventNode& ev) {
+      dispatch_one(queue_, owners_, [this](const EventNode& ev) {
         now_ = ev.t;
         cur_owner_ = ev.owner;
       });
@@ -571,7 +564,7 @@ class ShardedExecutor final : public EventExecutor {
         }
         ++shard.events;
         ++dispatched;
-        dispatch_one(shard.queue, owner_objects_, [&shard](const EventNode& ev) {
+        dispatch_one(shard.queue, owners_, [&shard](const EventNode& ev) {
           tls_ctx.now = ev.t;
           tls_ctx.owner = ev.owner;
           shard.last_time = ev.t;

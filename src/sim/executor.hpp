@@ -50,22 +50,21 @@
 // kernel.
 //
 // Dispatch body. Both executors run one event the same way: pop it, peek
-// the event after it, prefetch that event's owner object (registered with
-// set_owner_objects) and its spilled closure block, prefetch the owner-table
-// entries of the two candidates for the event after that, then run the
-// popped event. At 10^5 simulated workers each event reaches a host the
-// cache does not hold, and the table of host addresses is no smaller than
-// the cache either, so the next host's lines load while the current event
-// runs. Peeking right after the pop can promote the next band of the ladder
-// queue into its active heap before the handler schedules into it; the
-// queue orders the same either way, and a prefetch changes no result.
+// the event after it, prefetch that event's owner object and its spilled
+// closure block, then run the popped event. Owner objects are registered
+// with set_owner_objects as one array, so an object's address is arithmetic
+// on its node id: nothing is looked up. At 10^5 simulated workers each
+// event reaches a host the cache does not hold, and this way the next
+// host's lines load while the current event runs. Peeking right after the
+// pop can promote the next band of the ladder queue into its active heap
+// before the handler schedules into it; the queue orders the same either
+// way, and a prefetch changes no result.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"  // Callback, OwnerId, kControlOwner, EventQueue
@@ -128,25 +127,34 @@ struct RunResult {
 /// The cache line size dispatch's prefetch hints step by.
 inline constexpr std::size_t kCacheLineBytes = 64;
 /// The leading bytes of a registered owner object that dispatch prefetches
-/// ahead of the object's next event: six cache lines. An owner whose hot
-/// fields lead its object ties its layout to this span (SimCluster's
-/// WorkerHost does, with a static_assert).
+/// ahead of the object's next event: six cache lines, exactly the object's
+/// first six when it starts on a line. An owner whose hot fields lead its
+/// object ties its layout to this span (SimCluster's WorkerHost does, with a
+/// static_assert).
 inline constexpr std::size_t kOwnerPrefetchBytes = 6 * kCacheLineBytes;
+
+/// The owner objects registered with EventExecutor::set_owner_objects
+/// (none: count 0).
+struct OwnerObjects {
+  const unsigned char* first = nullptr;
+  std::size_t stride = 0;
+  std::size_t count = 0;
+};
 
 class EventExecutor {
  public:
   virtual ~EventExecutor() = default;
 
-  /// Registers the object each node's events act on: `objects[n]` for node
-  /// n, non-null and at least kOwnerPrefetchBytes long; nodes past the
-  /// table's end and the control context have none. Set before run(). After
-  /// each pop, dispatch peeks the next event and, while the popped one runs,
-  /// prefetches the first kOwnerPrefetchBytes of that event's object, its
-  /// spilled closure block and the table entries of the events likely to
-  /// follow it. A prefetch is only a hint to the cache, so dispatch order and
-  /// every result stay the same with or without a table.
-  void set_owner_objects(std::vector<const void*> objects) {
-    owner_objects_ = std::move(objects);
+  /// Registers the objects nodes' events act on as one array: node n < count
+  /// owns the object at `first + n * stride` bytes, at least
+  /// kOwnerPrefetchBytes long; nodes from `count` on and the control context
+  /// have none. Set before run(). After each pop, dispatch peeks the next
+  /// event and, while the popped one runs, prefetches the first
+  /// kOwnerPrefetchBytes of that event's object and its spilled closure
+  /// block. A prefetch is only a hint to the cache, so dispatch order and
+  /// every result stay the same with or without registered objects.
+  void set_owner_objects(const void* first, std::size_t stride, std::size_t count) {
+    owners_ = OwnerObjects{static_cast<const unsigned char*>(first), stride, count};
   }
 
   /// Schedules `fn` at absolute virtual time `t` (>= now) on `owner`'s event
@@ -174,7 +182,7 @@ class EventExecutor {
 
  protected:
   /// Read-only once run() starts, so every shard thread may read it.
-  std::vector<const void*> owner_objects_;
+  OwnerObjects owners_;
 };
 
 [[nodiscard]] std::unique_ptr<EventExecutor> make_executor(const ExecutorConfig& config);

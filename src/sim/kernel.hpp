@@ -70,11 +70,11 @@ class Kernel {
   [[nodiscard]] bool empty() const { return exec_->empty(); }
   [[nodiscard]] std::size_t queued() const { return exec_->queued(); }
 
-  /// Registers the object each node's events act on, one address per node
-  /// (EventExecutor::set_owner_objects): dispatch prefetches it ahead of the
-  /// node's next event. Results do not change.
-  void set_owner_objects(std::vector<const void*> objects) {
-    exec_->set_owner_objects(std::move(objects));
+  /// Registers the objects nodes' events act on as one array
+  /// (EventExecutor::set_owner_objects): dispatch prefetches a node's object
+  /// ahead of its next event. Results do not change.
+  void set_owner_objects(const void* first, std::size_t stride, std::size_t count) {
+    exec_->set_owner_objects(first, stride, count);
   }
 
  private:

@@ -120,34 +120,30 @@ TEST(Kernel, TimeLimitAdvancesClockSoCallersCanResume) {
 /// time and owner in dispatch order, and the owner objects' bytes at the end.
 struct OwnedRun {
   std::vector<std::tuple<std::uint64_t, double, OwnerId>> log;
-  std::vector<std::vector<unsigned char>> objects;
+  std::vector<unsigned char> objects;  // the owners' objects back to back
   bool operator==(const OwnedRun&) const = default;
 };
 
 /// Runs the same randomized schedule on a sequential kernel with the first
-/// `registered` owners' objects in its owner table (none when 0). Events go
-/// to 16 owners and the control context, carry inline or spilled closures,
-/// write their owner's object and schedule more events to random owners.
+/// `registered` of 16 owner objects registered (none when 0). The objects
+/// lie back to back in one buffer. Events go to the 16 owners and the
+/// control context, carry inline or spilled closures, write their owner's
+/// object and schedule more events to random owners.
 OwnedRun run_owned_schedule(std::size_t registered) {
   constexpr int kOwners = 16;
   constexpr std::size_t kObjectBytes = 1344;
   OwnedRun run;
-  run.objects.assign(kOwners, std::vector<unsigned char>(kObjectBytes, 0));
+  run.objects.assign(kOwners * kObjectBytes, 0);
   Kernel k;
-  if (registered > 0) {
-    // Exactly `registered` entries, so ASan flags any read past the end.
-    std::vector<const void*> table(registered);
-    for (std::size_t n = 0; n < registered; ++n) table[n] = run.objects[n].data();
-    k.set_owner_objects(std::move(table));
-  }
+  if (registered > 0) k.set_owner_objects(run.objects.data(), kObjectBytes, registered);
   support::Rng rng(0x0B1EC7);
   std::uint64_t next_id = 0;
   std::function<void(OwnerId)> schedule_one;
   const auto handle = [&](std::uint64_t id, OwnerId owner, std::uint64_t salt) {
     run.log.emplace_back(id, k.now(), owner);
     if (owner != kControlOwner) {
-      std::vector<unsigned char>& object = run.objects[static_cast<std::size_t>(owner)];
-      object[id % kObjectBytes] ^= static_cast<unsigned char>(salt);
+      const std::size_t object = static_cast<std::size_t>(owner) * kObjectBytes;
+      run.objects[object + id % kObjectBytes] ^= static_cast<unsigned char>(salt);
     }
     const int fanout = rng.chance(0.5) ? 2 : 1;
     for (int i = 0; i < fanout && next_id < 20000; ++i) {
@@ -174,10 +170,10 @@ OwnedRun run_owned_schedule(std::size_t registered) {
   return run;
 }
 
-TEST(Kernel, OwnerTableLeavesDispatchUnchanged) {
+TEST(Kernel, OwnerObjectsLeaveDispatchUnchanged) {
   const OwnedRun plain = run_owned_schedule(0);
   EXPECT_EQ(plain.log.size(), 20000u);
-  EXPECT_EQ(plain, run_owned_schedule(6));   // shorter than the owner range
+  EXPECT_EQ(plain, run_owned_schedule(6));   // fewer objects than owners
   EXPECT_EQ(plain, run_owned_schedule(16));  // every owner registered
 }
 
