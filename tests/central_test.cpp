@@ -90,16 +90,30 @@ TEST(Central, ManagerCrashWithCheckpointingRecovers) {
   TreeProblem problem(&tree);
   CentralConfig cfg = fast_config();
   cfg.checkpointing = true;
+  cfg.checkpoint_interval = 0.02;  // checkpoints land before the crash
   const CentralResult baseline =
       CentralSim::run(problem, 3, cfg, {}, {}, 120.0, 5);
   ASSERT_TRUE(baseline.completed);
-  const CentralResult res = CentralSim::run(
-      problem, 3, cfg, {}, crash_at(0, baseline.makespan * 0.5), 240.0, 5);
+  const double crash = baseline.makespan * 0.5;
+  ASSERT_GT(crash, cfg.checkpoint_interval);
+  const CentralResult res =
+      CentralSim::run(problem, 3, cfg, {}, crash_at(0, crash), 240.0, 5);
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   EXPECT_EQ(res.manager_restarts, 1u);
   // Progress since the last checkpoint is redone.
   EXPECT_GE(res.total_expanded, baseline.total_expanded);
+
+  // The same crash before the first checkpoint restarts the manager from
+  // the root, which redoes more than restoring the checkpoint did.
+  CentralConfig unsaved = cfg;
+  unsaved.checkpoint_interval = fast_config().checkpoint_interval;
+  ASSERT_LT(crash, unsaved.checkpoint_interval);
+  const CentralResult from_root =
+      CentralSim::run(problem, 3, unsaved, {}, crash_at(0, crash), 240.0, 5);
+  ASSERT_TRUE(from_root.completed);
+  EXPECT_EQ(from_root.manager_restarts, 1u);
+  EXPECT_LT(res.total_expanded, from_root.total_expanded);
 }
 
 TEST(Central, DeterministicForSeed) {
