@@ -135,8 +135,9 @@ struct QueueResult {
   double bytes_per_event = 0.0;   // storage bytes per pending event at prefill
   double allocs_per_event = 0.0;  // warm-churn mallocs per schedule+dispatch
   std::size_t memory_bytes = 0;   // queue-visible structure bytes
-  int settle_windows = 0;         // churn windows that allocated before one did not
-  bool settled = true;            // a settle window allocated nothing
+  /// Churn windows that allocated before one did not (kMaxSettleWindows:
+  /// none was clean).
+  int settle_windows = 0;
 };
 
 /// Churn windows an allocation-free queue may take to settle.
@@ -180,11 +181,8 @@ QueueResult run_queue(const char* name, std::size_t n, double window) {
   QueueResult r;
   r.queue = name;
   if constexpr (Driver::kAllocationFree) {
-    while (churn_allocs() != 0) {
-      if (++r.settle_windows == kMaxSettleWindows) {
-        r.settled = false;
-        break;
-      }
+    while (r.settle_windows < kMaxSettleWindows && churn_allocs() != 0) {
+      ++r.settle_windows;
     }
   }
   r.allocs_per_event =
@@ -380,7 +378,7 @@ int main(int argc, char** argv) {
   // steady-state schedule+dispatch must be allocation-free.
   int rc = 0;
   for (const SizeResult& sr : all) {
-    if (!sr.ladder.settled) {
+    if (sr.ladder.settle_windows == kMaxSettleWindows) {
       std::fprintf(stderr, "GATE FAIL: ladder churn still allocates after %d windows at %zu pending\n",
                    sr.ladder.settle_windows, sr.pending);
       rc = 1;
