@@ -21,13 +21,14 @@
 //     (at most four) before its churn window is measured.
 //
 // A third workload, cold-owner dispatch, runs the whole sequential kernel
-// on 10^5 owners, one array of 1,344-byte objects (a simulated host's size)
-// each starting on a cache line, with 10^5 events pending. Each event writes
-// its owner's first six lines and schedules one event to a random owner, so
-// every dispatch reaches an object far outside the cache. It runs without
-// and with the array registered with the kernel (Kernel::set_owner_objects),
-// which makes dispatch prefetch the next event's object while the current
-// one runs; the ratio is what that prefetch buys when owner memory is cold.
+// on 10^5 owners, one array of 1,344-byte objects (21 cache lines, four
+// more than a simulated host's 17), each starting on a cache line, with
+// 10^5 events pending. Each event writes its owner's first six lines and
+// schedules one event to a random owner, so every dispatch reaches an
+// object far outside the cache. It runs without and with the array
+// registered with the kernel (Kernel::set_owner_objects), which makes
+// dispatch prefetch the next event's object while the current one runs;
+// the ratio is what that prefetch buys when owner memory is cold.
 //
 // `--smoke` runs 10^4..10^5 only with short windows. Throughput is reported,
 // not asserted, but the binary exits nonzero if the ladder does not settle

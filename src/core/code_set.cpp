@@ -439,6 +439,9 @@ class CodeSet::Merge {
     }
     out_.clear();
     ++set_.version_;
+    // The export memo is a copy of the old records: drop it with them
+    // instead of pinning it until the next export.
+    set_.exported_ = CodeList();
     set_.root_complete_ = set_.count_ == 1 && chunks_[0].codes.front().is_root();
   }
 

@@ -184,8 +184,10 @@ class CodeSet {
   /// complement enumerations are memoized against it: a table gossiped to k
   /// peers (or complemented repeatedly during recovery) between mutations
   /// builds the list once. The export memo is the shared payload itself, so
-  /// the next k-1 gossips cost a reference-count bump. The memos are lazily
-  /// built, so tables that never export pay nothing.
+  /// the next k-1 gossips cost a reference-count bump; a mutation releases
+  /// it, so a stale copy of the records lives only as long as the messages
+  /// carrying it. The memos are lazily built, so tables that never export
+  /// pay nothing.
   std::uint64_t version_ = 0;
   mutable CodeList exported_;
   mutable std::uint64_t exported_version_ = ~std::uint64_t{0};

@@ -26,12 +26,20 @@ BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model,
     : id_(id), model_(model), config_(config), env_(env), pool_(config->rule) {
   static_assert(offsetof(BnbWorker, work_) == kHotBytes,
                 "the hot state no longer ends where the counter block begins");
+  static_assert(sizeof(BnbWorker) <= 784,
+                "BnbWorker outgrew its footprint; see the README's "
+                "\"Per-worker footprint\" section before raising this bound");
   FTBB_CHECK(model_ != nullptr);
   FTBB_CHECK(env_ != nullptr);
   FTBB_CHECK(config_->report_fanout >= 1);
   controller_.configure(config_->work_request_timeout, config_->report_batch,
                         static_cast<double>(config_->report_fanout) *
                             (config_->costs.send_fixed + config_->costs.recv_fixed));
+}
+
+const PathCode& BnbWorker::best_code() const {
+  static const PathCode root = PathCode::root();
+  return best_code_ ? *best_code_ : root;
 }
 
 void BnbWorker::on_start(bool with_root) {
@@ -110,7 +118,8 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
     ++work_[WorkItem::kFeasibleLeaves];
     if (eval.value < incumbent_) {
       incumbent_ = eval.value;
-      best_code_ = p.code;
+      if (!best_code_) best_code_ = std::make_unique<PathCode>();
+      *best_code_ = p.code;
       ++work_[WorkItem::kIncumbentUpdates];
       prune_pool_by_bound();
     }
@@ -146,7 +155,8 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
 
 void BnbWorker::complete(const PathCode& code) {
   ++work_[WorkItem::kCompletions];
-  last_local_completion_ = code;
+  if (!last_local_completion_) last_local_completion_ = std::make_unique<PathCode>();
+  *last_local_completion_ = code;
   env_->note_completion(code);
   const CodeSet::InsertResult r = table_.insert(code);
   note_contraction(1, static_cast<std::uint64_t>(r.nodes_walked + r.merges));
@@ -234,7 +244,7 @@ void BnbWorker::send_report() {
   m.codes = std::move(codes);
   m.report_seq = ++report_batches_;
 
-  const std::vector<NodeId>& peers = env_->peers();
+  const std::span<const NodeId> peers = env_->peers();
   if (!peers.empty()) {
     const std::size_t fanout =
         std::min<std::size_t>(config_->report_fanout, peers.size());
@@ -252,7 +262,7 @@ void BnbWorker::send_table_gossip() {
   // Nothing to push yet: the common case of an idle worker's deny loop,
   // settled before the peer view is read.
   if (table_.empty()) return;
-  const std::vector<NodeId>& peers = env_->peers();
+  const std::span<const NodeId> peers = env_->peers();
   if (peers.empty()) return;
   Message m;
   m.type = MsgType::kTableGossip;
@@ -321,7 +331,7 @@ bool BnbWorker::stalled() const {
 
 void BnbWorker::seek_work() {
   if (request_outstanding_ || backoff_armed_) return;  // already waiting
-  const std::vector<NodeId>& peers = env_->peers();
+  const std::span<const NodeId> peers = env_->peers();
   if (peers.empty()) {
     recover();  // alone in the group: nobody else can hold the missing work
     return;
@@ -424,7 +434,7 @@ std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& cand
       // Prefer the candidate sharing the longest decision prefix with the
       // last problem completed locally: nearby regions are most likely to be
       // ours to finish and least likely to collide with other recoverers.
-      if (work_[WorkItem::kCompletions] == 0) {
+      if (!last_local_completion_) {
         // No local history yet: fall back to the deepest (smallest) region —
         // if the suspicion is wrong, the duplicated work is minimal.
         std::size_t best = 0;
@@ -433,13 +443,13 @@ std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& cand
         }
         return best;
       }
+      const PathCode& last = *last_local_completion_;
       std::size_t best = 0;
       std::size_t best_lcp = 0;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         std::size_t lcp = 0;
-        const std::size_t limit =
-            std::min(candidates[i].depth(), last_local_completion_.depth());
-        while (lcp < limit && candidates[i].step(lcp) == last_local_completion_.step(lcp)) {
+        const std::size_t limit = std::min(candidates[i].depth(), last.depth());
+        while (lcp < limit && candidates[i].step(lcp) == last.step(lcp)) {
           ++lcp;
         }
         if (lcp > best_lcp ||

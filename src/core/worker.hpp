@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bnb/pool.hpp"
@@ -180,8 +181,11 @@ class IWorkerEnv {
   /// Deterministic per-worker randomness.
   virtual support::Rng& rng() = 0;
 
-  /// Current peer set (other members). May change under membership churn.
-  [[nodiscard]] virtual const std::vector<NodeId>& peers() const = 0;
+  /// Current peer set (other members). May change under membership churn:
+  /// the span is valid until the next membership change or the next
+  /// peers() call, so a worker reads it within one event and never keeps it
+  /// across events.
+  [[nodiscard]] virtual std::span<const NodeId> peers() const = 0;
 
   /// Publishes what the worker is waiting for (gap-time attribution).
   virtual void set_wait_hint(WaitHint hint) = 0;
@@ -221,7 +225,9 @@ class BnbWorker {
   /// Local termination-detection instant; -1 until the worker halts.
   [[nodiscard]] double halted_at() const { return halted_at_; }
   [[nodiscard]] double incumbent() const { return incumbent_; }
-  [[nodiscard]] const PathCode& best_code() const { return best_code_; }
+  /// The code of the incumbent's leaf; the root code until this
+  /// incarnation finds a leaf itself.
+  [[nodiscard]] const PathCode& best_code() const;
   [[nodiscard]] const CodeSet& table() const { return table_; }
   [[nodiscard]] const bnb::ActivePool& pool() const { return pool_; }
   /// The incarnation's counter block. Hosts add the messages, bytes and
@@ -347,8 +353,11 @@ class BnbWorker {
   // steer the worker only when model_adaptivity is set.
   CostController controller_;
 
-  PathCode best_code_;
-  PathCode last_local_completion_;
+  // Written at an improving leaf and at each local completion, which many
+  // workers of a large run never reach: each code is allocated on its first
+  // write (136 B of PathCode against a pointer).
+  std::unique_ptr<PathCode> best_code_;
+  std::unique_ptr<PathCode> last_local_completion_;
   double halted_at_ = -1.0;
 };
 

@@ -189,7 +189,7 @@ class Incarnation final : public core::IWorkerEnv {
   void set_timer(core::TimerKind kind, double delay, std::uint64_t gen) override;
   void charge(core::CostKind kind, double seconds) override;
   support::Rng& rng() override { return rng_; }
-  [[nodiscard]] const std::vector<core::NodeId>& peers() const override;
+  [[nodiscard]] std::span<const core::NodeId> peers() const override;
   void set_wait_hint(core::WaitHint hint) override { (void)hint; }
   void notify_halted() override;
   void note_expansion(const core::PathCode& code, double cost) override {
@@ -465,7 +465,7 @@ void Incarnation::charge(core::CostKind kind, double seconds) {
   }
 }
 
-const std::vector<core::NodeId>& Incarnation::peers() const {
+std::span<const core::NodeId> Incarnation::peers() const {
   RtCluster* cluster = host_->cluster_;
   const std::uint64_t version =
       cluster->membership_version_.load(std::memory_order_acquire);

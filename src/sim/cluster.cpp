@@ -83,6 +83,9 @@ class alignas(kCacheLineBytes) SimCluster::WorkerHost final : public core::IWork
                       kOwnerPrefetchBytes,
                   "the host's hot block outgrew the kernel's prefetch span");
 #pragma GCC diagnostic pop
+    static_assert(sizeof(WorkerHost) <= 17 * kCacheLineBytes,
+                  "the host outgrew its footprint; see the README's "
+                  "\"Per-worker footprint\" section before raising this bound");
     worker_.emplace(id, &cluster->model_, &cluster->config_.worker, this);
   }
 
@@ -250,24 +253,29 @@ class alignas(kCacheLineBytes) SimCluster::WorkerHost final : public core::IWork
 
   support::Rng& rng() override { return rng_; }
 
-  [[nodiscard]] const std::vector<core::NodeId>& peers() const override {
-    // Peer set = members that have joined so far, minus self. Rebuilt only
-    // when the membership version changes; crashed members stay listed
-    // (their failure is not detectable, Section 4). With peer_view_limit
-    // set, the view shrinks to the members that follow this worker in join
-    // order — a ring neighborhood, so the union of all views stays
-    // connected and per-worker memory stays O(limit) instead of O(n).
+  [[nodiscard]] std::span<const core::NodeId> peers() const override {
+    // Peer set = members that have joined so far, minus self; crashed
+    // members stay listed (their failure is not detectable, Section 4).
+    // With peer_view_limit set, the view shrinks to the members that follow
+    // this worker in join order — a ring neighborhood, so the union of all
+    // views stays connected and per-worker memory stays O(limit) instead of
+    // O(n). A window that does not wrap is a slice of the join order that
+    // later joins never change, so it is returned in place; a wrapping
+    // window and the full view are copied, and recopied when the membership
+    // version changes.
+    const std::vector<core::NodeId>& joined = cluster_->joined_;
+    const std::size_t limit = cluster_->config_.peer_view_limit;
+    const std::size_t pos = cluster_->join_pos_[id_];
+    if (limit > 0 && pos + limit < joined.size()) {
+      return {joined.data() + pos + 1, limit};
+    }
     if (peers_version_ != cluster_->membership_version_) {
       peers_version_ = cluster_->membership_version_;
       peers_cache_.clear();
-      const std::vector<core::NodeId>& joined = cluster_->joined_;
-      const std::uint32_t limit = cluster_->config_.peer_view_limit;
-      if (limit > 0 && joined.size() > static_cast<std::size_t>(limit) + 1) {
-        const std::size_t pos = cluster_->join_pos_[id_];
+      if (limit > 0 && joined.size() > limit + 1) {
         peers_cache_.reserve(limit);
-        for (std::uint32_t k = 1; k <= limit; ++k) {
-          const core::NodeId id = joined[(pos + k) % joined.size()];
-          if (id != id_) peers_cache_.push_back(id);
+        for (std::size_t k = 1; k <= limit; ++k) {
+          peers_cache_.push_back(joined[(pos + k) % joined.size()]);
         }
       } else {
         for (const core::NodeId id : joined) {
@@ -477,6 +485,7 @@ SimCluster::SimCluster(const bnb::IProblemModel& model, const ClusterConfig& con
                      config_.join_times[kRootHolder] == 0.0,
                  "the root holder must join at time 0");
   epochs_.assign(config_.workers, 0);
+  joined_.reserve(config_.workers);
   hosts_.reserve(config_.workers);
   for (core::NodeId id = 0; id < config_.workers; ++id) {
     hosts_.emplace_back(this, id, master.split(id).next());
@@ -537,6 +546,8 @@ void SimCluster::revive(std::uint32_t node) {
 void SimCluster::join(std::uint32_t node) {
   WorkerHost& host = hosts_[node];
   if (!host.alive()) return;  // crashed before joining; already uncounted
+  FTBB_CHECK_MSG(joined_.size() < joined_.capacity(),
+                 "a join would move the peer views' join order");
   join_pos_[node] = static_cast<std::uint32_t>(joined_.size());
   joined_.push_back(node);
   ++membership_version_;
@@ -588,7 +599,11 @@ ClusterResult SimCluster::run(const bnb::IProblemModel& model,
   cluster.start();
   const Kernel::RunResult kr =
       cluster.kernel_.run(config.time_limit, kEventLimit);
-  ClusterResult result = cluster.collect();
+  // No run resumes: the events still queued at a limit are freed before
+  // the result is built, so their memory serves the result's vectors.
+  const double end_time = std::min(cluster.kernel_.now(), config.time_limit);
+  cluster.kernel_.discard_pending();
+  ClusterResult result = cluster.collect(end_time);
   result.hit_time_limit = kr.hit_time_limit;
   result.hit_event_limit = kr.hit_event_limit;
   result.kernel_events = kr.events;
@@ -617,10 +632,14 @@ std::size_t SimCluster::peak_union_bytes() const {
   return united.encoded_bytes();
 }
 
-ClusterResult SimCluster::collect() {
+ClusterResult SimCluster::collect(double end_time) {
   ClusterResult res;
-  const double end_time = std::min(kernel_.now(), config_.time_limit);
   res.first_detection = bnb::kInfinity;
+  res.worker_ledgers.reserve(hosts_.size());
+  res.crashed.reserve(hosts_.size());
+  res.incumbents.reserve(hosts_.size());
+  res.halted_at.reserve(hosts_.size());
+  res.report_streams_per_worker.reserve(hosts_.size());
   std::uint32_t live_halted = 0;
   std::uint32_t live_total = 0;
   std::vector<const ExpansionLog*> logs;  // most storm hosts expand nothing

@@ -191,7 +191,8 @@ class SimCluster final : public fault::IFaultBackend, public fault::IFaultClock 
   [[nodiscard]] bool finished() const;
   /// Bytes of the union completion table at the last storage peak.
   [[nodiscard]] std::size_t peak_union_bytes() const;
-  ClusterResult collect();
+  /// Builds the result of a run that ended at `end_time`.
+  ClusterResult collect(double end_time);
 
   const bnb::IProblemModel& model_;
   ClusterConfig config_;
@@ -207,8 +208,9 @@ class SimCluster final : public fault::IFaultBackend, public fault::IFaultClock 
   /// the destination's epoch here — one dense array instead of a line of
   /// every destination host. Mutated only by control events.
   std::vector<std::uint64_t> epochs_;
-  std::vector<core::NodeId> joined_;   // members that have joined so far;
-                                       // mutated only by control events
+  /// Members that have joined so far, reserved to the population so the
+  /// peer views' spans into it never dangle; mutated only by control events.
+  std::vector<core::NodeId> joined_;
   std::vector<std::uint32_t> join_pos_;  // node id -> index in joined_
   std::uint64_t membership_version_ = 0;
 

@@ -99,6 +99,9 @@ class EventQueue {
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
+  /// A move keeps every node in its slab, so the pointers stay valid.
+  EventQueue(EventQueue&&) = default;
+  EventQueue& operator=(EventQueue&&) = default;
 
   void push(double t, OwnerId src, std::uint64_t seq, OwnerId owner,
             Callback fn) {

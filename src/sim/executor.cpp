@@ -144,6 +144,8 @@ class SequentialExecutor final : public EventExecutor {
     return res;
   }
 
+  void discard_pending() override { queue_ = EventQueue{}; }
+
   [[nodiscard]] bool empty() const override { return queue_.empty(); }
   [[nodiscard]] std::size_t queued() const override { return queue_.size(); }
 
@@ -466,6 +468,17 @@ class ShardedExecutor final : public EventExecutor {
     res.events = control_events;
     for (const auto& shard : shards_) res.events += shard->events;
     return res;
+  }
+
+  void discard_pending() override {
+    FTBB_CHECK_MSG(tls_ctx.executor != this,
+                   "ShardedExecutor: discard_pending() called from a handler");
+    control_ = std::vector<PendingEvent>();
+    for (auto& shard : shards_) {
+      shard->queue = EventQueue{};
+      shard->mailbox = std::vector<PendingEvent>();
+      shard->mail_hwm = 0;
+    }
   }
 
   [[nodiscard]] bool empty() const override { return queued() == 0; }

@@ -177,6 +177,10 @@ class EventExecutor {
   /// window of events.
   virtual RunResult run(double time_limit, std::uint64_t event_limit) = 0;
 
+  /// Destroys every pending event and frees the queue memory holding them;
+  /// the clock stays where run() stopped. Only at quiescence, like queued().
+  virtual void discard_pending() = 0;
+
   [[nodiscard]] virtual bool empty() const = 0;
   [[nodiscard]] virtual std::size_t queued() const = 0;
 

@@ -67,6 +67,10 @@ class Kernel {
     return exec_->run(time_limit, event_limit);
   }
 
+  /// Frees the events still queued after a limit stop (node slabs, spilled
+  /// closures and the messages they carry), for a caller that will not resume.
+  void discard_pending() { exec_->discard_pending(); }
+
   [[nodiscard]] bool empty() const { return exec_->empty(); }
   [[nodiscard]] std::size_t queued() const { return exec_->queued(); }
 

@@ -299,8 +299,10 @@ class Network {
   /// originates, plus the delivery counter for traffic it receives. Both
   /// sides are written only on the node's own shard (sends execute in the
   /// source's context, deliveries in the destination's), so there is exactly
-  /// one writer per channel; alignas keeps channels off shared cache lines.
-  struct alignas(64) Channel {
+  /// one writer per channel. Channels are packed (80 B, not padded to two
+  /// lines): neighbours on different shards may share a line, which costs
+  /// false sharing, never a race.
+  struct Channel {
     explicit Channel(support::Rng r) : rng(r) {}
     support::Rng rng;
     std::uint64_t messages_sent = 0;

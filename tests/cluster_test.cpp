@@ -7,6 +7,8 @@
 // failure schedules.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bnb/basic_tree.hpp"
 #include "bnb/knapsack.hpp"
 #include "bnb/sequential.hpp"
@@ -442,6 +444,103 @@ TEST(Cluster, BoundedPeerViewsStayExactThroughAnArrivalAndACrash) {
       EXPECT_EQ(seq.worker_ledgers[w].fingerprint(), par.worker_ledgers[w].fingerprint())
           << "worker " << w << " threads " << threads;
     }
+  }
+}
+
+/// Every per-worker and aggregate number of two runs of one configuration
+/// agrees bit for bit.
+void expect_same_run(const ClusterResult& a, const ClusterResult& b,
+                     const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.hit_time_limit, b.hit_time_limit);
+  EXPECT_EQ(a.all_live_halted, b.all_live_halted);
+  EXPECT_EQ(a.kernel_events, b.kernel_events);
+  EXPECT_EQ(a.solution, b.solution);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.total_expanded, b.total_expanded);
+  EXPECT_EQ(a.redundant_cost, b.redundant_cost);
+  EXPECT_EQ(a.work.fingerprint(), b.work.fingerprint());
+  EXPECT_EQ(a.peak_table_bytes_unique, b.peak_table_bytes_unique);
+  EXPECT_EQ(a.final_table_bytes_total, b.final_table_bytes_total);
+  EXPECT_EQ(a.net.messages_sent, b.net.messages_sent);
+  EXPECT_EQ(a.net.bytes_delivered, b.net.bytes_delivered);
+  EXPECT_EQ(a.wire.frame_bytes, b.wire.frame_bytes);
+  EXPECT_EQ(a.crashed, b.crashed);
+  EXPECT_EQ(a.incumbents, b.incumbents);
+  EXPECT_EQ(a.halted_at, b.halted_at);
+  EXPECT_EQ(a.report_streams_per_worker, b.report_streams_per_worker);
+  ASSERT_EQ(a.worker_ledgers.size(), b.worker_ledgers.size());
+  for (std::size_t w = 0; w < a.worker_ledgers.size(); ++w) {
+    EXPECT_EQ(a.worker_ledgers[w].fingerprint(), b.worker_ledgers[w].fingerprint())
+        << "worker " << w;
+  }
+}
+
+TEST(Cluster, BoundedPeerViewsCrossFromTheFullViewToTheRing) {
+  // Four members join at t = 0 with peer_view_limit 3, so each sees every
+  // other member (worker 0's window is already the slice of the three after
+  // it). Each later arrival grows the ring by one: the windows of the last
+  // three members wrap to the front of the join order and change with every
+  // arrival, while the earlier members' windows become slices that never
+  // change again. The run must end on the optimum, identically at every sim
+  // thread count.
+  const BasicTree tree = test_tree(27, 2001);
+  TreeProblem problem(&tree, /*honor_bounds=*/false);
+  ClusterConfig cfg = base_config(4, 27);
+  cfg.peer_view_limit = 3;
+  const ClusterResult four = SimCluster::run(problem, cfg);
+  expect_solved(four, tree.optimal_value());
+  cfg.workers = 8;
+  cfg.join_times.assign(8, 0.0);
+  for (std::uint32_t w = 4; w < 8; ++w) {
+    cfg.join_times[w] = four.makespan * 0.1 * (w - 3);
+  }
+  cfg.sim_threads = 1;
+  const ClusterResult seq = SimCluster::run(problem, cfg);
+  expect_solved(seq, tree.optimal_value());
+  for (std::uint32_t w = 4; w < 8; ++w) {
+    EXPECT_GT(seq.worker_ledgers[w][WorkItem::kExpansions], 0u) << "arrival " << w;
+  }
+  // Pinned from views that copied every window out of the join order: a
+  // slice that differs from the copied window changes the run.
+  EXPECT_EQ(seq.work.fingerprint(), 0x4a5bd0ab3bb44504ULL);
+  EXPECT_EQ(seq.net.messages_sent, 1018u);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    cfg.sim_threads = threads;
+    expect_same_run(seq, SimCluster::run(problem, cfg),
+                    "threads " + std::to_string(threads));
+  }
+}
+
+TEST(Cluster, TruncatedRunReportsEveryWorkerAtEveryThreadCount) {
+  // A time limit that cuts the run while events are still queued (a crash
+  // included): the events left over are freed before the result is built,
+  // and the result still holds one entry per worker in every per-worker
+  // vector, the same on a rerun and at every sim thread count.
+  const BasicTree tree = test_tree(28, 2001);
+  TreeProblem problem(&tree, /*honor_bounds=*/false);
+  ClusterConfig cfg = base_config(6, 28);
+  const ClusterResult full = SimCluster::run(problem, cfg);
+  expect_solved(full, tree.optimal_value());
+  cfg.time_limit = full.makespan * 0.5;
+  cfg.crashes = {{2, full.makespan * 0.25}};
+  cfg.sim_threads = 1;
+  const ClusterResult seq = SimCluster::run(problem, cfg);
+  EXPECT_TRUE(seq.hit_time_limit);
+  EXPECT_FALSE(seq.all_live_halted);
+  EXPECT_EQ(seq.makespan, cfg.time_limit);
+  EXPECT_GT(seq.total_expanded, 0u);
+  EXPECT_EQ(seq.worker_ledgers.size(), 6u);
+  EXPECT_EQ(seq.crashed.size(), 6u);
+  EXPECT_EQ(seq.incumbents.size(), 6u);
+  EXPECT_EQ(seq.halted_at.size(), 6u);
+  EXPECT_EQ(seq.report_streams_per_worker.size(), 6u);
+  EXPECT_TRUE(seq.crashed[2]);
+  expect_same_run(seq, SimCluster::run(problem, cfg), "rerun");
+  for (const std::uint32_t threads : {2u, 4u}) {
+    cfg.sim_threads = threads;
+    expect_same_run(seq, SimCluster::run(problem, cfg),
+                    "threads " + std::to_string(threads));
   }
 }
 

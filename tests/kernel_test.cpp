@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -110,6 +111,34 @@ TEST(Kernel, TimeLimitAdvancesClockSoCallersCanResume) {
   const auto res2 = k.run();
   EXPECT_TRUE(res2.drained);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 6.0, 10.0}));
+}
+
+TEST(Kernel, DiscardPendingDestroysTheQueuedEvents) {
+  // After a time-limit stop the queued events (an inline closure, a spilled
+  // one and a control event) are destroyed with their captures, and the
+  // clock stays at the limit, on the sequential and the sharded executor.
+  for (const std::uint32_t threads : {1u, 2u}) {
+    ExecutorConfig cfg;
+    cfg.threads = threads;
+    cfg.nodes = 2;
+    cfg.lookahead = 1.0;
+    Kernel k(cfg);
+    const auto held = std::make_shared<int>(0);
+    const std::array<char, 96> ballast{};  // spills past the inline buffer
+    k.at(1.0, OwnerId{0}, [held] { ++*held; });
+    k.at(10.0, OwnerId{0}, [held] { ++*held; });
+    k.at(10.0, OwnerId{1}, [held, ballast] { *held += ballast[0] + 1; });
+    k.at(10.0, [held] { ++*held; });
+    const auto res = k.run(5.0);
+    EXPECT_TRUE(res.hit_time_limit);
+    EXPECT_EQ(*held, 1);
+    EXPECT_EQ(k.queued(), 3u);
+    EXPECT_EQ(held.use_count(), 4);
+    k.discard_pending();
+    EXPECT_EQ(k.queued(), 0u) << "threads " << threads;
+    EXPECT_EQ(held.use_count(), 1) << "threads " << threads;
+    EXPECT_DOUBLE_EQ(k.now(), 5.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

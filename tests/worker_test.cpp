@@ -41,7 +41,7 @@ class ScriptedEnv : public IWorkerEnv {
   }
   void charge(CostKind, double seconds) override { clock += seconds; }
   support::Rng& rng() override { return rng_; }
-  [[nodiscard]] const std::vector<NodeId>& peers() const override { return peer_list; }
+  [[nodiscard]] std::span<const NodeId> peers() const override { return peer_list; }
   void set_wait_hint(WaitHint) override {}
   void notify_halted() override { halted_notified = true; }
 
@@ -133,6 +133,23 @@ TEST(Worker, BestCodeNamesAnOptimalLeaf) {
   BnbWorker worker(0, &f.problem, &f.config, &f.env);
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
+  const bnb::NodeEval leaf = f.problem.eval(worker.best_code());
+  EXPECT_TRUE(leaf.feasible_leaf);
+  EXPECT_DOUBLE_EQ(leaf.value, worker.incumbent());
+}
+
+TEST(Worker, BestCodeIsTheRootBeforeAnyLeaf) {
+  // The incumbent's code is stored on the first improving leaf; until then
+  // best_code() names the root.
+  Fixture f(3);
+  BnbWorker worker(0, &f.problem, &f.config, &f.env);
+  EXPECT_TRUE(worker.best_code().is_root());
+  worker.on_start(true);
+  while (worker.work()[WorkItem::kIncumbentUpdates] == 0) {
+    EXPECT_TRUE(worker.best_code().is_root());
+    ASSERT_TRUE(f.env.fire_next(worker));
+  }
+  ASSERT_GE(worker.work()[WorkItem::kExpansions], 2u);  // the root is no leaf
   const bnb::NodeEval leaf = f.problem.eval(worker.best_code());
   EXPECT_TRUE(leaf.feasible_leaf);
   EXPECT_DOUBLE_EQ(leaf.value, worker.incumbent());
