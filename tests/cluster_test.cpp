@@ -410,43 +410,6 @@ TEST(Cluster, JoinersPlusCrashesStillExact) {
   expect_solved(res, tree.optimal_value());
 }
 
-TEST(Cluster, BoundedPeerViewsStayExactThroughAnArrivalAndACrash) {
-  // With peer_view_limit each worker sees only the three members after it
-  // in join order, a ring that is rebuilt when a late member arrives; a
-  // crashed member stays in its predecessors' views. The run must still
-  // end on the optimum, identically at every sim thread count.
-  const BasicTree tree = test_tree(23, 2001);
-  TreeProblem problem(&tree, /*honor_bounds=*/false);
-  ClusterConfig cfg = base_config(12, 23);
-  cfg.peer_view_limit = 3;
-  const ClusterResult baseline = SimCluster::run(problem, cfg);
-  expect_solved(baseline, tree.optimal_value());
-  cfg.join_times.assign(12, 0.0);
-  cfg.join_times[11] = baseline.makespan * 0.2;
-  cfg.crashes = {{4, baseline.makespan * 0.4}};
-  cfg.sim_threads = 1;
-  const ClusterResult seq = SimCluster::run(problem, cfg);
-  expect_solved(seq, tree.optimal_value());
-  EXPECT_TRUE(seq.crashed[4]);
-  EXPECT_GT(seq.worker_ledgers[11][WorkItem::kExpansions], 0u);  // the arrival worked
-  for (const std::uint32_t threads : {2u, 4u}) {
-    cfg.sim_threads = threads;
-    const ClusterResult par = SimCluster::run(problem, cfg);
-    EXPECT_EQ(seq.solution, par.solution);
-    EXPECT_EQ(seq.makespan, par.makespan);
-    EXPECT_EQ(seq.total_expanded, par.total_expanded);
-    EXPECT_EQ(seq.work.fingerprint(), par.work.fingerprint()) << "threads " << threads;
-    EXPECT_EQ(seq.net.messages_sent, par.net.messages_sent);
-    EXPECT_EQ(seq.halted_at, par.halted_at);
-    EXPECT_EQ(seq.crashed, par.crashed);
-    ASSERT_EQ(seq.worker_ledgers.size(), par.worker_ledgers.size());
-    for (std::size_t w = 0; w < seq.worker_ledgers.size(); ++w) {
-      EXPECT_EQ(seq.worker_ledgers[w].fingerprint(), par.worker_ledgers[w].fingerprint())
-          << "worker " << w << " threads " << threads;
-    }
-  }
-}
-
 /// Every per-worker and aggregate number of two runs of one configuration
 /// agrees bit for bit.
 void expect_same_run(const ClusterResult& a, const ClusterResult& b,
@@ -473,6 +436,32 @@ void expect_same_run(const ClusterResult& a, const ClusterResult& b,
   for (std::size_t w = 0; w < a.worker_ledgers.size(); ++w) {
     EXPECT_EQ(a.worker_ledgers[w].fingerprint(), b.worker_ledgers[w].fingerprint())
         << "worker " << w;
+  }
+}
+
+TEST(Cluster, BoundedPeerViewsStayExactThroughAnArrivalAndACrash) {
+  // With peer_view_limit each worker sees only the three members after it
+  // in join order, a ring whose wrapping windows change when a late member
+  // arrives; a crashed member stays in its predecessors' views. The run
+  // must still end on the optimum, identically at every sim thread count.
+  const BasicTree tree = test_tree(23, 2001);
+  TreeProblem problem(&tree, /*honor_bounds=*/false);
+  ClusterConfig cfg = base_config(12, 23);
+  cfg.peer_view_limit = 3;
+  const ClusterResult baseline = SimCluster::run(problem, cfg);
+  expect_solved(baseline, tree.optimal_value());
+  cfg.join_times.assign(12, 0.0);
+  cfg.join_times[11] = baseline.makespan * 0.2;
+  cfg.crashes = {{4, baseline.makespan * 0.4}};
+  cfg.sim_threads = 1;
+  const ClusterResult seq = SimCluster::run(problem, cfg);
+  expect_solved(seq, tree.optimal_value());
+  EXPECT_TRUE(seq.crashed[4]);
+  EXPECT_GT(seq.worker_ledgers[11][WorkItem::kExpansions], 0u);  // the arrival worked
+  for (const std::uint32_t threads : {2u, 4u}) {
+    cfg.sim_threads = threads;
+    expect_same_run(seq, SimCluster::run(problem, cfg),
+                    "threads " + std::to_string(threads));
   }
 }
 
