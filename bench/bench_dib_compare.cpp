@@ -8,6 +8,10 @@
 //  * a DIB machine failure also voids the bookkeeping for problems it
 //    donated onward, so its donor redoes work third machines already
 //    finished; our reports survive at whichever members received them.
+//
+// Exits nonzero unless that shape holds: every FTBB run halts on the exact
+// optimum; DIB finishes exactly with no failure, after machine 3 dies and
+// when 7 of 8 die; and it does not finish when machine 0 dies.
 #include <cstdio>
 
 #include "bench/workloads.hpp"
@@ -49,15 +53,30 @@ int main() {
     return 1;
   }
 
+  bool shape_holds = true;
+  const auto expect = [&shape_holds](bool holds, const char* scenario, const char* what) {
+    if (!holds) std::printf("SHAPE FAIL: %s: %s\n", scenario, what);
+    shape_holds = shape_holds && holds;
+  };
+
   support::TextTable table({"scenario", "algorithm", "finished", "solution",
                             "makespan (s)", "redundant"});
   auto add_ftbb = [&](const char* scenario, const sim::ClusterResult& res) {
+    expect(res.all_live_halted && res.solution == tree.optimal_value(), scenario,
+           "FTBB missed the optimum");
     table.row({scenario, "FTBB", res.all_live_halted ? "yes" : "NO",
                res.solution == tree.optimal_value() ? "exact" : "WRONG",
                support::TextTable::num(res.makespan, 2),
                std::to_string(res.redundant_expansions)});
   };
-  auto add_dib = [&](const char* scenario, const dib::DibResult& res) {
+  // DIB must finish exactly, or (`finishes` false) must not finish.
+  auto add_dib = [&](const char* scenario, const dib::DibResult& res, bool finishes) {
+    if (finishes) {
+      expect(res.completed && res.solution == tree.optimal_value(), scenario,
+             "DIB missed the optimum");
+    } else {
+      expect(!res.completed, scenario, "DIB finished without its root machine");
+    }
     table.row({scenario, "DIB", res.completed ? "yes" : "NO",
                res.completed && res.solution == tree.optimal_value() ? "exact"
                                                                      : "-",
@@ -66,7 +85,7 @@ int main() {
   };
 
   add_ftbb("no failures", ours_base);
-  add_dib("no failures", dib_base);
+  add_dib("no failures", dib_base, true);
 
   // Mid-machine failure: both survive; compare the redo bill.
   {
@@ -76,7 +95,8 @@ int main() {
     add_ftbb("machine 3 dies", sim::SimCluster::run(problem, cfg));
     add_dib("machine 3 dies",
             dib::DibSim::run(problem, 8, dib_cfg, {},
-                             crash_at(3, dib_base.makespan * 0.5), 3e4, 53));
+                             crash_at(3, dib_base.makespan * 0.5), 3e4, 53),
+            true);
   }
 
   // Root/holder failure: FTBB has no special node; machine 0 merely held
@@ -90,7 +110,8 @@ int main() {
     add_dib("machine 0 dies",
             dib::DibSim::run(problem, 8, dib_cfg, {},
                              crash_at(0, dib_base.makespan * 0.5),
-                             dib_base.makespan * 6.0, 53));
+                             dib_base.makespan * 6.0, 53),
+            false);
   }
 
   // All but one.
@@ -105,8 +126,9 @@ int main() {
     for (std::uint32_t v = 1; v < 8; ++v) {
       faults.crashes.push_back(fault::CrashAt{v, dib_base.makespan * (0.3 + 0.05 * v)});
     }
-    add_dib("7 of 8 die", dib::DibSim::run(problem, 8, dib_cfg, {}, faults,
-                                           dib_base.makespan * 20.0, 53));
+    add_dib("7 of 8 die",
+            dib::DibSim::run(problem, 8, dib_cfg, {}, faults, dib_base.makespan * 20.0, 53),
+            true);
   }
 
   std::printf("%s", table.render().c_str());
@@ -114,5 +136,5 @@ int main() {
               "finish when machine 0 (the root of its responsibility hierarchy)\n"
               "dies, while FTBB treats all processes identically and survives\n"
               "even 7 of 8 failures.\n");
-  return 0;
+  return shape_holds ? 0 : 1;
 }

@@ -21,9 +21,9 @@
 //     (at most four) before its churn window is measured.
 //
 // A third workload, cold-owner dispatch, runs the whole sequential kernel
-// on 10^5 owners, one array of 1,344-byte objects (21 cache lines, four
-// more than a simulated host's 17), each starting on a cache line, with
-// 10^5 events pending. Each event writes its owner's first six lines and
+// on 10^5 owners, one array of 1,024-byte objects (16 cache lines, the size
+// of a simulated host), each starting on a cache line, with 10^5 events
+// pending. Each event writes its owner's first six lines and
 // schedules one event to a random owner, so every dispatch reaches an
 // object far outside the cache. It runs without and with the array
 // registered with the kernel (Kernel::set_owner_objects), which makes
@@ -200,7 +200,7 @@ QueueResult run_queue(const char* name, std::size_t n, double window) {
 /// One simulated host's worth of owner memory, starting on a cache line
 /// like a host does.
 struct alignas(64) ColdOwner {
-  unsigned char bytes[1344];
+  unsigned char bytes[1024];
 };
 
 struct ColdOwnerKernel {
@@ -331,10 +331,10 @@ int main(int argc, char** argv) {
   const double registered_rate = median_rate(registered);
   support::TextTable cold({"owners x bytes", "pending", "owner objects",
                            "dispatch (ev/s)", "allocs/event", "speedup"});
-  cold.row({"100000 x 1344", "100000", "none",
+  cold.row({"100000 x 1024", "100000", "none",
             support::TextTable::num(plain_rate, 0),
             support::TextTable::num(cold_allocs, 3), "-"});
-  cold.row({"100000 x 1344", "100000", "registered",
+  cold.row({"100000 x 1024", "100000", "registered",
             support::TextTable::num(registered_rate, 0),
             support::TextTable::num(cold_allocs, 3),
             support::TextTable::num(registered_rate / plain_rate, 2)});

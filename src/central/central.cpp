@@ -11,8 +11,7 @@
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
-#include "fault/driver.hpp"
-#include "sim/kernel.hpp"
+#include "sim/baseline.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -54,16 +53,13 @@ struct Batch {
   double issued_at = 0.0;
 };
 
-/// The run, and its fault plane: a FaultDriver replays the schedule through
-/// the capabilities below, in network ids (0 = the manager), with
-/// injections on the kernel's control event stream.
-struct Sim final : fault::IFaultBackend, fault::IFaultClock {
+/// The run: network node 0 is the manager, nodes 1..N the workers. The
+/// fault plane replays the schedule through crash(), revive() and join() in
+/// those ids.
+struct Sim final : sim::BaselineSim {
   const bnb::IProblemModel& model;
   CentralConfig cfg;
-  sim::Kernel kernel;  // node 0 = manager, nodes 1..N = workers
-  std::unique_ptr<sim::Network> net;
   std::vector<std::unique_ptr<Worker>> workers;
-  double time_limit;
 
   // --- manager state (node 0) ---
   bool manager_alive = true;
@@ -81,19 +77,9 @@ struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   };
   std::optional<Checkpoint> checkpoint;
 
-  bool concluded = false;
-  double concluded_at = 0.0;
-  bool failed = false;  // manager died without checkpointing
-
-  // Expansion bookkeeping is per worker (merged at the end); these counters
-  // are only ever touched in the manager's (node 0) context.
-  std::uint64_t manager_messages = 0;
-  std::uint64_t reissues = 0;
-  std::uint64_t manager_restarts = 0;
-
-  Sim(const bnb::IProblemModel& m, const CentralConfig& c, double limit,
-      const sim::ExecutorConfig& ex)
-      : model(m), cfg(c), kernel(ex), time_limit(limit) {}
+  Sim(const bnb::IProblemModel& m, const CentralConfig& c, const sim::NetConfig& net,
+      std::uint32_t nodes, double limit, support::Rng net_rng)
+      : BaselineSim(net, nodes, c.sim_threads, net_rng, limit), model(m), cfg(c) {}
 
   void manager_prune() {
     if (!cfg.enable_elimination) return;
@@ -115,16 +101,6 @@ struct Sim final : fault::IFaultBackend, fault::IFaultClock {
   void crash(std::uint32_t node) override;
   void revive(std::uint32_t node) override;
   void join(std::uint32_t node) override;
-  void abandon_join(std::uint32_t /*node*/) override {}
-  void set_partition(const sim::Partition& partition) override {
-    net->add_partition(partition);
-  }
-  void set_loss_rule(const sim::LossRule& rule) override {
-    net->add_loss_rule(rule);
-  }
-  void call_at(double at, sim::Callback fn) override {
-    kernel.at(at, std::move(fn));
-  }
 };
 
 struct Worker {
@@ -150,6 +126,7 @@ struct Worker {
   void revive() {
     if (alive || stopped) return;
     ++epoch;
+    ++sim->ledgers[id][core::WorkItem::kIncarnations];
     alive = true;
     busy = false;
     fetch_outstanding = false;
@@ -164,8 +141,8 @@ struct Worker {
   void fetch() {
     if (!running() || busy || fetch_outstanding) return;
     fetch_outstanding = true;
-    sim->net->send(id, 0, request_bytes(), sim->kernel.now(), [this] {
-      ++sim->manager_messages;
+    ++sim->ledgers[id][core::WorkItem::kWorkRequestsSent];
+    sim->send(id, 0, request_bytes(), [this] {
       if (sim->manager_alive) sim->on_fetch(id);
     });
     // Fetches lost to a down manager are retried. Owner-tagged: the retry
@@ -186,6 +163,7 @@ struct Worker {
     // Never run two batch chains at once; a dropped batch stays in the
     // manager's outstanding ledger and is reissued by the audit.
     if (busy) return;
+    ++sim->ledgers[id][core::WorkItem::kGrantsReceived];
     fetch_outstanding = false;
     incumbent = std::min(incumbent, best);
     busy = true;
@@ -201,14 +179,10 @@ struct Worker {
       busy = false;
       // The result carries the incumbent as of sending: the worker's own
       // field belongs to its shard, not the manager's.
-      sim->net->send(id, 0, batch_bytes(children), sim->kernel.now(),
-                     [this, batch_id, best = incumbent,
-                      children = std::move(children)]() mutable {
-                       ++sim->manager_messages;
-                       if (sim->manager_alive) {
-                         sim->on_result(batch_id, best, std::move(children));
-                       }
-                     });
+      sim->send(id, 0, batch_bytes(children),
+                [this, batch_id, best = incumbent, children = std::move(children)]() mutable {
+                  if (sim->manager_alive) sim->on_result(batch_id, best, std::move(children));
+                });
       fetch();
       return;
     }
@@ -220,6 +194,7 @@ struct Worker {
     }
     const bnb::NodeEval eval = sim->model.eval(p.code);
     expansions.add(p.code, eval.cost);
+    sim->note_expansion(id, eval.cost);
     sim->kernel.after(
         eval.cost, static_cast<sim::OwnerId>(id),
         [this, batch_id, todo = std::move(todo),
@@ -252,14 +227,15 @@ void Sim::try_dispatch() {
     }
     const std::uint64_t batch_id = next_batch_id++;
     outstanding.emplace(batch_id, Batch{batch, w, kernel.now()});
+    ++ledgers[0][core::WorkItem::kGrantsGiven];
+    ledgers[0][core::WorkItem::kProblemsGiven] += batch.size();
     Worker* worker = workers[w - 1].get();
-    net->send(0, w, batch_bytes(batch), kernel.now(),
-              [worker, batch_id, batch = std::move(batch), best = incumbent,
-               e = worker->epoch] {
-                // Batches addressed to a crashed incarnation are not handed
-                // to its replacement; the audit will reissue them.
-                if (e == worker->epoch) worker->on_batch(batch_id, batch, best);
-              });
+    send(0, w, batch_bytes(batch),
+         [worker, batch_id, batch = std::move(batch), best = incumbent, e = worker->epoch] {
+           // Batches addressed to a crashed incarnation are not handed to its
+           // replacement; the audit will reissue them.
+           if (e == worker->epoch) worker->on_batch(batch_id, batch, best);
+         });
   }
 }
 
@@ -291,11 +267,9 @@ void Sim::on_result(std::uint64_t batch_id, double best,
 void Sim::maybe_conclude() {
   if (concluded || !manager_alive) return;
   if (!pool.empty() || !outstanding.empty()) return;
-  concluded = true;
-  concluded_at = kernel.now();
+  conclude();
   for (auto& w : workers) {
-    net->send(0, w->id, conclude_bytes(), kernel.now(),
-              [wp = w.get()] { wp->stopped = true; });
+    send(0, w->id, conclude_bytes(), [wp = w.get()] { wp->stopped = true; });
   }
 }
 
@@ -312,7 +286,7 @@ void Sim::audit() {
     for (const std::uint64_t batch_id : expired) {
       Batch batch = outstanding.at(batch_id);
       outstanding.erase(batch_id);
-      ++reissues;
+      ++ledgers[0][core::WorkItem::kRecoveries];
       for (auto& p : batch.problems) pool.push_back(std::move(p));
     }
     if (!expired.empty()) try_dispatch();
@@ -339,16 +313,15 @@ void Sim::take_checkpoint() {
 void Sim::crash_manager() {
   if (!manager_alive || concluded) return;
   manager_alive = false;
-  if (!cfg.checkpointing) {
-    failed = true;  // unrecoverable: the paper's single point of failure
-    return;
-  }
+  // Without checkpoints the crash is unrecoverable: the paper's single
+  // point of failure.
+  if (!cfg.checkpointing) return;
   // Manager state belongs to node 0's shard; the restart is a node-0 event.
   kernel.after(cfg.restart_delay, sim::OwnerId{0}, [this] { restart_manager(); });
 }
 
 void Sim::restart_manager() {
-  ++manager_restarts;
+  ++ledgers[0][core::WorkItem::kIncarnations];
   manager_alive = true;
   pool.clear();
   outstanding.clear();
@@ -391,17 +364,14 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
                               std::uint64_t seed) {
   FTBB_CHECK(workers >= 1);
   faults.population = std::max(workers + 1, faults.population);
-  const std::uint32_t worker_count = faults.population - 1;
   // Network node 0 is the manager; the topology's coordinates apply to the
   // shifted ids (workers start at rack coordinate of node 1).
-  const sim::ExecutorConfig ex = sim::make_executor_config(
-      net, faults.population, sim::resolve_sim_threads(config.sim_threads));
-  Sim sim(model, config, time_limit, ex);
-  support::Rng master(seed);
-  sim.net = std::make_unique<sim::Network>(&sim.kernel, net, master.split(0x63656e74),
-                                           faults.population);
-  for (std::uint32_t i = 1; i <= worker_count; ++i) {
+  Sim sim(model, config, net, faults.population, time_limit,
+          support::Rng(seed).split(0x63656e74));
+  std::vector<const sim::ExpansionLog*> logs;
+  for (std::uint32_t i = 1; i < faults.population; ++i) {
     sim.workers.push_back(std::make_unique<Worker>(&sim, i));
+    logs.push_back(&sim.workers.back()->expansions);
   }
   sim.pool.push_back(bnb::Subproblem{PathCode::root(), model.root_bound()});
   sim.kernel.after(config.audit_interval, sim::OwnerId{0}, [&sim] { sim.audit(); });
@@ -409,25 +379,11 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
     sim.kernel.after(config.checkpoint_interval, sim::OwnerId{0},
                      [&sim] { sim.take_checkpoint(); });
   }
-  fault::FaultDriver driver(std::move(faults), &sim, &sim);
-  driver.arm(time_limit);
-  const auto kr = sim.kernel.run(time_limit);
-
   CentralResult result;
+  sim.run(std::move(faults), logs, result);
   result.completed = sim.concluded;
   result.solution = sim.incumbent;
   result.solution_found = sim.incumbent < bnb::kInfinity;
-  result.makespan =
-      sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
-  result.hit_time_limit = kr.hit_time_limit;
-  std::vector<const sim::ExpansionLog*> logs;
-  for (const auto& w : sim.workers) logs.push_back(&w->expansions);
-  result.account_expansions(logs);
-  result.manager_messages = sim.manager_messages;
-  result.reissues = sim.reissues;
-  result.manager_restarts = sim.manager_restarts;
-  result.net = sim.net->stats();
-  result.fill_coarse_work();
   return result;
 }
 

@@ -38,11 +38,15 @@ struct CentralConfig {
   double restart_delay = 1.0;  // manager recovery time after a crash
 };
 
+/// `worker_ledgers` is indexed by network id, so ledger 0 is the manager's.
+/// Its kMsgsReceived is the bottleneck metric (the messages the manager
+/// handles), its kRecoveries counts the batches it reissued, and its
+/// kIncarnations is 1 plus one per checkpoint restart. A worker counts its
+/// fetches in kWorkRequestsSent and the batches it accepts in
+/// kGrantsReceived; the manager counts the batches it issues in kGrantsGiven
+/// and their subproblems in kProblemsGiven.
 struct CentralResult : sim::RunOutcome {
   bool completed = false;  // the manager concluded the computation
-  std::uint64_t manager_messages = 0;  // the bottleneck metric
-  std::uint64_t reissues = 0;
-  std::uint64_t manager_restarts = 0;
 };
 
 class CentralSim {

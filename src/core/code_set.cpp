@@ -438,7 +438,6 @@ class CodeSet::Merge {
                     chunks_.begin() + static_cast<std::ptrdiff_t>(b_));
     }
     out_.clear();
-    ++set_.version_;
     // The export memo is a copy of the old records: drop it with them
     // instead of pinning it until the next export.
     set_.exported_ = CodeList();
@@ -767,7 +766,7 @@ CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
 // ---------------------------------------------------------------------------
 
 CodeList CodeSet::export_list() const {
-  if (exported_version_ != version_) {
+  if (exported_.empty() && !chunks_.empty()) {
     // The export is the chunks' records copied back to back: each head takes
     // its chunk's stored prefix, and each kRestart-th record of the export
     // is stored whole. Size it exactly first, so it is one allocation.
@@ -781,7 +780,6 @@ CodeList CodeSet::export_list() const {
     out.reserve(count_, words);
     for (const Chunk& c : chunks_) out.append_list(c.codes, c.lcp);
     exported_ = out.finish();
-    exported_version_ = version_;
   }
   return exported_;
 }
@@ -790,54 +788,44 @@ std::vector<PathCode> CodeSet::export_codes() const {
   return export_list().to_vector();
 }
 
-void CodeSet::complement_into(std::vector<PathCode>& out) const {
-  if (complement_memo_version_ != version_) {
-    std::vector<PathCode>& regions = complement_memo_;
-    regions.clear();
-    if (chunks_.empty()) regions.emplace_back();  // nothing known: the root
-    // In DFS order, leaving code c at depth d toward a code that shares
-    // less passes c's right sibling region at d when c went left there, and
-    // entering a code passes the left sibling where it goes right.
-    CodeList::Code code;
-    const auto sibling_at = [&](std::size_t d) {
-      PathCode region(code.view().prefix(d));
-      region.push_word(code.word(d) ^ 1u);
-      regions.push_back(std::move(region));
-    };
-    const auto leave = [&](std::size_t shared) {
-      for (std::size_t d = code.depth(); d-- > shared;) {
-        if ((code.word(d) & 1u) == 0) sibling_at(d);
-      }
-    };
-    bool first = true;
-    for (const Chunk& c : chunks_) {
-      CodeList::Links links(c.codes);
-      bool head = true;
-      while (!links.done()) {
-        const CodeList::Link l = links.next();
-        const std::size_t lcp = head ? c.lcp : l.lcp;
-        head = false;
-        // Codes of a table differ below their shared prefix, where the
-        // earlier one goes left and the later right: neither side is open.
-        const std::size_t from = first ? 0 : lcp + 1;
-        if (!first) leave(lcp + 1);
-        first = false;
-        code.splice(lcp, l.suffix + (lcp - l.lcp), l.depth - lcp);
-        for (std::size_t d = from; d < code.depth(); ++d) {
-          if ((code.word(d) & 1u) != 0) sibling_at(d);
-        }
+std::vector<PathCode> CodeSet::complement() const {
+  std::vector<PathCode> regions;
+  if (chunks_.empty()) regions.emplace_back();  // nothing known: the root
+  // In DFS order, leaving code c at depth d toward a code that shares
+  // less passes c's right sibling region at d when c went left there, and
+  // entering a code passes the left sibling where it goes right.
+  CodeList::Code code;
+  const auto sibling_at = [&](std::size_t d) {
+    PathCode region(code.view().prefix(d));
+    region.push_word(code.word(d) ^ 1u);
+    regions.push_back(std::move(region));
+  };
+  const auto leave = [&](std::size_t shared) {
+    for (std::size_t d = code.depth(); d-- > shared;) {
+      if ((code.word(d) & 1u) == 0) sibling_at(d);
+    }
+  };
+  bool first = true;
+  for (const Chunk& c : chunks_) {
+    CodeList::Links links(c.codes);
+    bool head = true;
+    while (!links.done()) {
+      const CodeList::Link l = links.next();
+      const std::size_t lcp = head ? c.lcp : l.lcp;
+      head = false;
+      // Codes of a table differ below their shared prefix, where the
+      // earlier one goes left and the later right: neither side is open.
+      const std::size_t from = first ? 0 : lcp + 1;
+      if (!first) leave(lcp + 1);
+      first = false;
+      code.splice(lcp, l.suffix + (lcp - l.lcp), l.depth - lcp);
+      for (std::size_t d = from; d < code.depth(); ++d) {
+        if ((code.word(d) & 1u) != 0) sibling_at(d);
       }
     }
-    if (!first) leave(0);
-    complement_memo_version_ = version_;
   }
-  out = complement_memo_;  // element-wise copy-assign over out's elements
-}
-
-std::vector<PathCode> CodeSet::complement() const {
-  std::vector<PathCode> out;
-  complement_into(out);
-  return out;
+  if (!first) leave(0);
+  return regions;
 }
 
 std::size_t CodeSet::allocated_bytes() const {
@@ -853,12 +841,9 @@ void CodeSet::clear() {
   trie_words_ = 0;
   root_complete_ = false;
   hint_ = 0;
-  ++version_;
-  // Release memo storage: a cleared table (worker restart, scratch reuse)
-  // should not pin the previous incarnation's contracted list.
+  // A cleared table (worker restart) should not pin the previous
+  // incarnation's contracted list.
   exported_ = CodeList();
-  complement_memo_.clear();
-  complement_memo_.shrink_to_fit();
 }
 
 void CodeSet::check_invariants() const {

@@ -115,11 +115,6 @@ class CodeSet {
   /// complete.
   [[nodiscard]] std::vector<PathCode> complement() const;
 
-  /// complement() into a caller-owned buffer — the recovery path's
-  /// scratch-reusing variant: existing elements are overwritten in place
-  /// (copy-assign reuses each element's heap capacity).
-  void complement_into(std::vector<PathCode>& out) const;
-
   /// Number of codes in the contracted representation.
   [[nodiscard]] std::size_t code_count() const { return count_; }
 
@@ -180,19 +175,13 @@ class CodeSet {
   std::size_t count_ = 0;
   std::size_t body_bytes_ = 0;  // sum of the codes' encoded sizes (see encoded_bytes)
   std::size_t trie_words_ = 0;  // see trie_nodes()
-  /// Bumped by every mutation that changes the completed set. The export and
-  /// complement enumerations are memoized against it: a table gossiped to k
-  /// peers (or complemented repeatedly during recovery) between mutations
-  /// builds the list once. The export memo is the shared payload itself, so
-  /// the next k-1 gossips cost a reference-count bump; a mutation releases
-  /// it, so a stale copy of the records lives only as long as the messages
-  /// carrying it. The memos are lazily built, so tables that never export
-  /// pay nothing.
-  std::uint64_t version_ = 0;
+  /// The export memo: a table gossiped to k peers between mutations builds
+  /// the list once, and it is the shared payload itself, so the next k-1
+  /// gossips cost a reference-count bump. Every mutation that changes the
+  /// completed set drops it, so a non-empty memo is current, and a stale
+  /// copy of the records lives only as long as the messages carrying it. It
+  /// is built lazily, so tables that never export pay nothing.
   mutable CodeList exported_;
-  mutable std::uint64_t exported_version_ = ~std::uint64_t{0};
-  mutable std::vector<PathCode> complement_memo_;
-  mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};
   /// The chunk the last search ended in: a worker's lookups cluster (the
   /// children of one expansion, the codes of one report), so the next search
   /// tries it and its successor before bisecting.

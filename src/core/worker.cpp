@@ -26,7 +26,7 @@ BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model,
     : id_(id), model_(model), config_(config), env_(env), pool_(config->rule) {
   static_assert(offsetof(BnbWorker, work_) == kHotBytes,
                 "the hot state no longer ends where the counter block begins");
-  static_assert(sizeof(BnbWorker) <= 784,
+  static_assert(sizeof(BnbWorker) <= 704,
                 "BnbWorker outgrew its footprint; see the README's "
                 "\"Per-worker footprint\" section before raising this bound");
   FTBB_CHECK(model_ != nullptr);
@@ -221,13 +221,8 @@ void BnbWorker::send_report() {
     regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
     codes = CodeList(std::span<const PathView>(regions));
   } else {
-    // Paper-literal scheme: contract the list against itself only (in the
-    // per-worker scratch table; clear() keeps its chunk vector's room).
-    if (!report_contract_scratch_) {
-      report_contract_scratch_ = std::make_unique<CodeSet>();
-    }
-    CodeSet& tmp = *report_contract_scratch_;
-    tmp.clear();
+    // Paper-literal scheme: contract the list against itself only.
+    CodeSet tmp;
     const CodeSet::InsertResult r = tmp.insert_all(fresh_);
     note_contraction(fresh_.size(),
                      static_cast<std::uint64_t>(r.nodes_walked + r.merges));
@@ -472,8 +467,7 @@ void BnbWorker::recover() {
   // from scratch here.
   failed_attempts_ = 0;
   deny_streak_ = 0;
-  table_.complement_into(complement_scratch_);
-  std::vector<PathCode>& candidates = complement_scratch_;
+  std::vector<PathCode> candidates = table_.complement();
   note_contraction(0, table_.trie_nodes());
   env_->charge(CostKind::kContraction,
                config_->costs.contract_per_node * static_cast<double>(table_.trie_nodes()));

@@ -336,16 +336,9 @@ class BnbWorker {
   CodeSet table_;
   bnb::ActivePool pool_;
   std::vector<PathCode> fresh_;  // locally discovered, unreported completions
-  /// Steady-state scratch, one per worker: recovery complements into
-  /// complement_scratch_, report batches collect their covering-region
-  /// views in report_regions_, and the paper-literal report scheme
-  /// contracts into report_contract_scratch_, created on its first use
-  /// (only with compress_against_table off). None of these change any
-  /// observable behavior — they only keep the per-call vector/table
-  /// allocations out of the hot loops.
-  std::vector<PathCode> complement_scratch_;
+  /// Scratch for the covering-region views of a report batch, kept so the
+  /// per-batch vector allocation stays out of the hot loop.
   std::vector<PathView> report_regions_;
-  std::unique_ptr<CodeSet> report_contract_scratch_;
 
   // Cost-model state (see WorkerConfig::model_adaptivity). The controller
   // observes every expansion regardless of mode (observation is free and

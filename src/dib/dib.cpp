@@ -10,8 +10,7 @@
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
 #include "dib/dib_pool.hpp"
-#include "fault/driver.hpp"
-#include "sim/kernel.hpp"
+#include "sim/baseline.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -72,39 +71,23 @@ struct Donation {
 
 struct Machine;
 
-/// The run, and its fault plane: a FaultDriver replays the schedule through
-/// the capabilities below, with injections on the kernel's control event
-/// stream.
-struct Sim final : fault::IFaultBackend, fault::IFaultClock {
+/// The run: one network node per machine. The fault plane replays the
+/// schedule through crash(), revive() and join().
+struct Sim final : sim::BaselineSim {
   const bnb::IProblemModel& model;
   DibConfig cfg;
-  sim::Kernel kernel;
-  std::unique_ptr<sim::Network> net;
   std::vector<std::unique_ptr<Machine>> machines;
-  double time_limit;
 
-  bool concluded = false;       // written by machine 0's context only
-  double concluded_at = 0.0;
-  double best = bnb::kInfinity;
+  double best = bnb::kInfinity;  // written by machine 0's context only
   bool best_found = false;
 
-  Sim(const bnb::IProblemModel& m, const DibConfig& c, double limit,
-      const sim::ExecutorConfig& ex)
-      : model(m), cfg(c), kernel(ex), time_limit(limit) {}
+  Sim(const bnb::IProblemModel& m, const DibConfig& c, const sim::NetConfig& net,
+      std::uint32_t nodes, double limit, support::Rng net_rng)
+      : BaselineSim(net, nodes, c.sim_threads, net_rng, limit), model(m), cfg(c) {}
 
   void crash(std::uint32_t node) override;
   void revive(std::uint32_t node) override;
   void join(std::uint32_t node) override;
-  void abandon_join(std::uint32_t /*node*/) override {}
-  void set_partition(const sim::Partition& partition) override {
-    net->add_partition(partition);
-  }
-  void set_loss_rule(const sim::LossRule& rule) override {
-    net->add_loss_rule(rule);
-  }
-  void call_at(double at, sim::Callback fn) override {
-    kernel.at(at, std::move(fn));
-  }
 };
 
 struct Machine {
@@ -125,8 +108,6 @@ struct Machine {
   std::uint64_t request_gen = 0;
   /// Machine-context only; accounted when the run ends.
   sim::ExpansionLog expansions;
-  std::uint64_t donations_made = 0;
-  std::uint64_t donation_redos = 0;
   /// Incarnation counter: a crashed incarnation's expansion continuation and
   /// audit chain must not touch the replacement's (emptied) job list.
   std::uint64_t epoch = 0;
@@ -143,6 +124,7 @@ struct Machine {
   void revive() {
     if (alive || stopped || sim->concluded) return;
     ++epoch;
+    ++sim->ledgers[id][core::WorkItem::kIncarnations];
     alive = true;
     busy = false;
     request_outstanding = false;
@@ -182,16 +164,12 @@ struct Machine {
     if (job.donor < 0) {
       // The root job: the whole computation is finished (only machine 0 can
       // reach this). Broadcast the conclusion.
-      sim->concluded = true;
-      sim->concluded_at = sim->kernel.now();
+      sim->conclude();
       sim->best = incumbent;
       sim->best_found = incumbent < bnb::kInfinity;
       for (auto& m : sim->machines) {
         if (m->id != id) {
-          sim->net->send(id, m->id, conclude_bytes(),
-                         sim->kernel.now(), [mp = m.get()] {
-            mp->stopped = true;
-          });
+          sim->send(id, m->id, conclude_bytes(), [mp = m.get()] { mp->stopped = true; });
         }
       }
       stopped = true;
@@ -200,11 +178,10 @@ struct Machine {
     // Report completion to the machine the problem came from.
     const auto donor = static_cast<std::uint32_t>(job.donor);
     Machine* target = sim->machines[donor].get();
-    sim->net->send(id, donor, completion_bytes(job.code),
-                   sim->kernel.now(),
-                   [target, donation_id = job.donation_id, best = incumbent] {
-                     target->on_completion_report(donation_id, best);
-                   });
+    sim->send(id, donor, completion_bytes(job.code),
+              [target, donation_id = job.donation_id, best = incumbent] {
+                target->on_completion_report(donation_id, best);
+              });
   }
 
   void on_completion_report(std::uint64_t donation_id, double best) {
@@ -236,6 +213,7 @@ struct Machine {
     }
     const bnb::NodeEval eval = sim->model.eval(task.sub.code);
     expansions.add(task.sub.code, eval.cost);
+    sim->note_expansion(id, eval.cost);
     sim->kernel.after(eval.cost, static_cast<sim::OwnerId>(id),
                       [this, task = std::move(task), eval, e = epoch] {
       if (e != epoch) return;  // expansion begun by a crashed incarnation
@@ -275,13 +253,10 @@ struct Machine {
     }
     request_outstanding = true;
     const std::uint64_t gen = ++request_gen;
+    ++sim->ledgers[id][core::WorkItem::kWorkRequestsSent];
     Machine* peer = sim->machines[target].get();
-    sim->net->send(id, target,
-                   typed_bytes(core::MsgType::kWorkRequest),
-                   sim->kernel.now(),
-                   [peer, from = id, best = incumbent] {
-                     peer->on_work_request(from, best);
-                   });
+    sim->send(id, target, typed_bytes(core::MsgType::kWorkRequest),
+              [peer, from = id, best = incumbent] { peer->on_work_request(from, best); });
     const auto owner = static_cast<sim::OwnerId>(id);
     sim->kernel.after(sim->cfg.work_request_timeout, owner, [this, gen, owner] {
       if (!running() || !request_outstanding || gen != request_gen) return;
@@ -304,28 +279,26 @@ struct Machine {
       FTBB_CHECK(job.open_nodes > 0);
       --job.open_nodes;  // the node now lives in the ledger, not the pool
       ++job.unacked;
-      ++donations_made;
-      ledger.emplace(donation_id,
-                     Donation{task, from, task.job, sim->kernel.now()});
+      ++sim->ledgers[id][core::WorkItem::kGrantsGiven];
+      ++sim->ledgers[id][core::WorkItem::kProblemsGiven];
+      ledger.emplace(donation_id, Donation{task, from, task.job, sim->kernel.now()});
       // The subproblem rides boxed: its inline code buffer alone would push
       // the delivery past the kernel's pooled callback block.
-      sim->net->send(id, from, donate_bytes(task.sub),
-                     sim->kernel.now(),
-                     [requester, sub = std::make_unique<bnb::Subproblem>(task.sub),
-                      donation_id, donor = id, best = incumbent] {
-                       requester->on_grant(*sub, donor, donation_id, best);
-                     });
+      sim->send(id, from, donate_bytes(task.sub),
+                [requester, sub = std::make_unique<bnb::Subproblem>(task.sub), donation_id,
+                 donor = id, best = incumbent] {
+                  requester->on_grant(*sub, donor, donation_id, best);
+                });
     } else {
-      sim->net->send(id, from,
-                     typed_bytes(core::MsgType::kWorkDeny),
-                     sim->kernel.now(),
-                     [requester, best = incumbent] { requester->on_deny(best); });
+      sim->send(id, from, typed_bytes(core::MsgType::kWorkDeny),
+                [requester, best = incumbent] { requester->on_deny(best); });
     }
   }
 
   void on_grant(const bnb::Subproblem& sub, std::uint32_t donor,
                 std::uint64_t donation_id, double best) {
     if (!running()) return;
+    ++sim->ledgers[id][core::WorkItem::kGrantsReceived];
     absorb(best);
     request_outstanding = false;
     jobs.push_back(Job{sub.code, static_cast<std::int32_t>(donor), donation_id, 1,
@@ -336,6 +309,7 @@ struct Machine {
 
   void on_deny(double best) {
     if (!running()) return;
+    ++sim->ledgers[id][core::WorkItem::kDeniesReceived];
     absorb(best);
     request_outstanding = false;
     sim->kernel.after(sim->cfg.request_backoff, static_cast<sim::OwnerId>(id),
@@ -358,7 +332,7 @@ struct Machine {
     for (const std::uint64_t donation_id : expired) {
       Donation donation = ledger.at(donation_id);
       ledger.erase(donation_id);
-      ++donation_redos;
+      ++sim->ledgers[id][core::WorkItem::kRecoveries];
       Job& job = jobs[donation.job];
       FTBB_CHECK(job.unacked > 0);
       --job.unacked;
@@ -396,43 +370,22 @@ DibResult DibSim::run(const bnb::IProblemModel& model, std::uint32_t machines,
   FTBB_CHECK_MSG(faults.join_times.empty() || faults.join_times[0] == 0.0,
                  "machine 0 holds the root job and must join at time 0");
   faults.population = std::max(machines, faults.population);
-  const sim::ExecutorConfig ex = sim::make_executor_config(
-      net, faults.population, sim::resolve_sim_threads(config.sim_threads));
-  Sim sim(model, config, time_limit, ex);
-  support::Rng master(seed);
-  sim.net = std::make_unique<sim::Network>(&sim.kernel, net, master.split(0x646962),
-                                           faults.population);
+  const support::Rng master(seed);
+  Sim sim(model, config, net, faults.population, time_limit, master.split(0x646962));
+  std::vector<const sim::ExpansionLog*> logs;
   for (std::uint32_t i = 0; i < faults.population; ++i) {
     sim.machines.push_back(std::make_unique<Machine>(&sim, i, master.split(i).next()));
+    logs.push_back(&sim.machines.back()->expansions);
   }
   // Machine 0 holds the root of the responsibility hierarchy.
   Machine& root = *sim.machines[0];
   root.jobs.push_back(Job{PathCode::root(), -1, 0, 1, 0, false});
   root.pool.push(Task{bnb::Subproblem{PathCode::root(), model.root_bound()}, 0});
-  fault::FaultDriver driver(std::move(faults), &sim, &sim);
-  driver.arm(time_limit);
-  const auto kr = sim.kernel.run(time_limit);
-
   DibResult result;
+  sim.run(std::move(faults), logs, result);
   result.completed = sim.concluded;
   result.solution = sim.best;
   result.solution_found = sim.best_found;
-  result.makespan = sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
-  result.hit_time_limit = kr.hit_time_limit;
-  // Merge per-machine bookkeeping; totals are interleaving-independent.
-  std::vector<const sim::ExpansionLog*> logs;
-  for (const auto& m : sim.machines) {
-    result.donations += m->donations_made;
-    result.donation_redos += m->donation_redos;
-    result.expanded_per_machine.push_back(m->expansions.size());
-    logs.push_back(&m->expansions);
-  }
-  result.account_expansions(logs);
-  result.net = sim.net->stats();
-  result.fill_coarse_work();
-  // Donations map onto the grant counters.
-  result.work[core::WorkItem::kGrantsGiven] = result.donations;
-  result.work[core::WorkItem::kRecoveries] = result.donation_redos;
   return result;
 }
 

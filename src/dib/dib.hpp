@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "bnb/problem.hpp"
 #include "fault/schedule.hpp"
@@ -43,11 +42,13 @@ struct DibConfig {
   std::uint32_t sim_threads = 0;
 };
 
+/// `worker_ledgers` is indexed by machine id. A donation counts once in the
+/// donor's kGrantsGiven and kProblemsGiven, a donation the audit redoes in
+/// the donor's kRecoveries, and a machine's expansions in its kExpansions.
+/// A work request counts in kWorkRequestsSent and its answer, when the
+/// requester is still running, in kGrantsReceived or kDeniesReceived.
 struct DibResult : sim::RunOutcome {
   bool completed = false;  // root machine concluded the computation
-  std::uint64_t donations = 0;
-  std::uint64_t donation_redos = 0;  // audit decided to redo a donation
-  std::vector<std::uint64_t> expanded_per_machine;
 };
 
 class DibSim {

@@ -69,12 +69,10 @@ struct RtResult : sim::RunOutcome {
   /// unknown type...). The transport drops them — a decode failure is a
   /// recoverable network event, never a crash. Zero on a healthy run.
   std::uint64_t decode_errors = 0;
-  /// Per-member work ledgers, merged across every incarnation (crashed
-  /// incarnations' spend included) in member order; `work` is their sum,
-  /// and its kIncarnations counts every incarnation spawned. Real threads
-  /// make the *values* nondeterministic run to run; the composition mirrors
-  /// SimCluster's.
-  std::vector<core::WorkLedger> worker_ledgers;
+  /// A member's ledger in worker_ledgers folds all its incarnations (crashed
+  /// ones' spend included), and work's kIncarnations counts every
+  /// incarnation spawned. Real threads make the *values* nondeterministic
+  /// run to run; the composition mirrors SimCluster's.
   std::vector<bool> crashed;  // ever crash-injected
   /// Per member: incarnations that opened a report delta chain (sent at
   /// least one report/gossip batch). A worker crashed mid-stream and revived

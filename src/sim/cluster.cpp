@@ -83,7 +83,7 @@ class alignas(kCacheLineBytes) SimCluster::WorkerHost final : public core::IWork
                       kOwnerPrefetchBytes,
                   "the host's hot block outgrew the kernel's prefetch span");
 #pragma GCC diagnostic pop
-    static_assert(sizeof(WorkerHost) <= 17 * kCacheLineBytes,
+    static_assert(sizeof(WorkerHost) <= 16 * kCacheLineBytes,
                   "the host outgrew its footprint; see the README's "
                   "\"Per-worker footprint\" section before raising this bound");
     worker_.emplace(id, &cluster->model_, &cluster->config_.worker, this);

@@ -132,9 +132,6 @@ struct ClusterResult : RunOutcome {
   double first_detection = 0.0;  // earliest termination detection
 
   // -- per worker --
-  /// Per-worker work ledgers, all incarnations folded (host-id order, so
-  /// aggregation is canonical across executors and thread counts).
-  std::vector<core::WorkLedger> worker_ledgers;
   std::vector<bool> crashed;
   /// Final incumbent of each worker (+inf if none). The correctness theorem
   /// says every live worker that detected termination holds exactly the

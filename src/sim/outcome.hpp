@@ -114,7 +114,11 @@ struct RunOutcome {
   /// unscaled model seconds, not the wall seconds its workers slept.
   double redundant_cost = 0.0;
   Network::Stats net;
-  /// Cluster-wide work-mix ledger (cost-model counters).
+  /// One work ledger per worker, network node or rt member, every
+  /// incarnation folded, in id order.
+  std::vector<core::WorkLedger> worker_ledgers;
+  /// The sum of worker_ledgers, with the redundancy fields filled by
+  /// account_expansions().
   core::WorkLedger work;
 
   /// The one expansion account. Fills the expansion totals, the redundant
@@ -123,17 +127,6 @@ struct RunOutcome {
   /// the result is bit-identical under any order of `logs` and independent
   /// of event interleaving and thread count.
   void account_expansions(std::span<const ExpansionLog* const> logs);
-
-  /// The coarse ledger of a backend without per-worker protocol counters:
-  /// expansions and wire traffic from the aggregates above. The finer
-  /// WorkItem entries stay zero by design.
-  void fill_coarse_work() {
-    work[core::WorkItem::kExpansions] = total_expanded;
-    work[core::WorkItem::kMsgsSent] = net.messages_sent;
-    work[core::WorkItem::kMsgsReceived] = net.messages_delivered;
-    work[core::WorkItem::kWireBytesSent] = net.bytes_sent;
-    work[core::WorkItem::kWireBytesReceived] = net.bytes_delivered;
-  }
 };
 
 }  // namespace ftbb::sim

@@ -3,6 +3,7 @@
 
 #include "bnb/basic_tree.hpp"
 #include "central/central.hpp"
+#include "tests/ledger_checks.hpp"
 
 namespace ftbb::central {
 namespace {
@@ -10,6 +11,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 BasicTree test_tree(std::uint64_t seed, std::uint64_t nodes = 601) {
   RandomTreeConfig cfg;
@@ -57,7 +59,7 @@ TEST(Central, ManagerHandlesEveryBatch) {
   // each direction.
   const std::uint64_t batches =
       (res.total_expanded + fast_config().batch_size - 1) / fast_config().batch_size;
-  EXPECT_GE(res.manager_messages, batches);
+  EXPECT_GE(res.worker_ledgers[0][WorkItem::kMsgsReceived], batches);
 }
 
 TEST(Central, SurvivesWorkerCrashByReissue) {
@@ -100,7 +102,7 @@ TEST(Central, ManagerCrashWithCheckpointingRecovers) {
       CentralSim::run(problem, 3, cfg, {}, crash_at(0, crash), 240.0, 5);
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
-  EXPECT_EQ(res.manager_restarts, 1u);
+  EXPECT_EQ(res.worker_ledgers[0][WorkItem::kIncarnations], 2u);  // one restart
   // Progress since the last checkpoint is redone.
   EXPECT_GE(res.total_expanded, baseline.total_expanded);
 
@@ -112,8 +114,54 @@ TEST(Central, ManagerCrashWithCheckpointingRecovers) {
   const CentralResult from_root =
       CentralSim::run(problem, 3, unsaved, {}, crash_at(0, crash), 240.0, 5);
   ASSERT_TRUE(from_root.completed);
-  EXPECT_EQ(from_root.manager_restarts, 1u);
+  EXPECT_EQ(from_root.worker_ledgers[0][WorkItem::kIncarnations], 2u);
   EXPECT_LT(res.total_expanded, from_root.total_expanded);
+}
+
+/// Worker 2 crashes and revives, and the manager crashes after its first
+/// checkpoints and restarts from them.
+CentralResult run_every_fault_kind(std::uint32_t sim_threads) {
+  const BasicTree tree = test_tree(5, 301);
+  TreeProblem problem(&tree);
+  CentralConfig cfg = fast_config();
+  cfg.checkpointing = true;
+  cfg.checkpoint_interval = 0.02;
+  cfg.sim_threads = sim_threads;
+  fault::FaultSchedule faults;
+  faults.crashes = {{2, 0.03}, {0, 0.08}};
+  faults.revives = {{2, 0.05}};
+  return CentralSim::run(problem, 3, cfg, {}, faults, 240.0, 5);
+}
+
+TEST(Central, LedgersArePerNodeAndAddUp) {
+  const CentralResult res = run_every_fault_kind(1);
+  ASSERT_TRUE(res.completed);
+  expect_ledgers_add_up(res, 4);  // the manager and three workers
+  const core::WorkLedger& manager = res.worker_ledgers[0];
+  EXPECT_EQ(manager[WorkItem::kIncarnations], 2u);
+  EXPECT_EQ(res.worker_ledgers[2][WorkItem::kIncarnations], 2u);
+  for (const std::uint32_t w : {1u, 3u}) {
+    EXPECT_EQ(res.worker_ledgers[w][WorkItem::kIncarnations], 1u) << w;
+  }
+  // The manager issues batches and expands nothing; workers do the reverse.
+  EXPECT_EQ(manager[WorkItem::kExpansions], 0u);
+  EXPECT_EQ(manager[WorkItem::kGrantsGiven], res.work[WorkItem::kGrantsGiven]);
+  EXPECT_EQ(manager[WorkItem::kRecoveries], res.work[WorkItem::kRecoveries]);
+  EXPECT_GE(manager[WorkItem::kProblemsGiven], manager[WorkItem::kGrantsGiven]);
+  EXPECT_GE(manager[WorkItem::kGrantsGiven], res.work[WorkItem::kGrantsReceived]);
+}
+
+TEST(Central, LedgersMatchAtEveryThreadCount) {
+  const CentralResult sequential = run_every_fault_kind(1);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    const CentralResult sharded = run_every_fault_kind(threads);
+    ASSERT_EQ(sharded.worker_ledgers.size(), sequential.worker_ledgers.size());
+    for (std::size_t n = 0; n < sequential.worker_ledgers.size(); ++n) {
+      EXPECT_EQ(sharded.worker_ledgers[n].fingerprint(),
+                sequential.worker_ledgers[n].fingerprint())
+          << "node " << n << " with " << threads << " threads";
+    }
+  }
 }
 
 TEST(Central, DeterministicForSeed) {

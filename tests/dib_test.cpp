@@ -6,6 +6,7 @@
 
 #include "bnb/basic_tree.hpp"
 #include "dib/dib.hpp"
+#include "tests/ledger_checks.hpp"
 
 namespace ftbb::dib {
 namespace {
@@ -13,6 +14,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 BasicTree test_tree(std::uint64_t seed, std::uint64_t nodes = 601) {
   RandomTreeConfig cfg;
@@ -53,10 +55,11 @@ TEST(Dib, WorkSpreadsAcrossMachines) {
   const DibResult res =
       DibSim::run(problem, 4, fast_config(), {}, {}, 120.0, 2);
   ASSERT_TRUE(res.completed);
-  for (const std::uint64_t expanded : res.expanded_per_machine) {
-    EXPECT_GT(expanded, 0u);
+  ASSERT_EQ(res.worker_ledgers.size(), 4u);
+  for (const core::WorkLedger& machine : res.worker_ledgers) {
+    EXPECT_GT(machine[WorkItem::kExpansions], 0u);
   }
-  EXPECT_GT(res.donations, 0u);
+  EXPECT_GT(res.work[WorkItem::kGrantsGiven], 0u);
 }
 
 TEST(Dib, SingleMachineWorks) {
@@ -90,7 +93,47 @@ TEST(Dib, SurvivesNonRootFailureByDonorRedo) {
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.solution, tree.optimal_value());
   // The donor redid work: either explicit redos or duplicated expansions.
-  EXPECT_GT(res.donation_redos + res.redundant_expansions, 0u);
+  EXPECT_GT(res.work[WorkItem::kRecoveries] + res.redundant_expansions, 0u);
+}
+
+/// Machine 2 crashes while it holds donated work and revives empty.
+DibResult run_crash_and_revive(std::uint32_t sim_threads) {
+  const BasicTree tree = test_tree(5, 1001);
+  TreeProblem problem(&tree, /*honor_bounds=*/false);
+  DibConfig cfg = fast_config();
+  cfg.sim_threads = sim_threads;
+  fault::FaultSchedule faults;
+  faults.crashes = {{2, 0.1}};
+  faults.revives = {{2, 0.2}};
+  return DibSim::run(problem, 4, cfg, {}, faults, 240.0, 5);
+}
+
+TEST(Dib, LedgersArePerMachineAndAddUp) {
+  const DibResult res = run_crash_and_revive(1);
+  ASSERT_TRUE(res.completed);
+  expect_ledgers_add_up(res, 4);
+  EXPECT_EQ(res.worker_ledgers[2][WorkItem::kIncarnations], 2u);
+  for (const std::uint32_t m : {0u, 1u, 3u}) {
+    EXPECT_EQ(res.worker_ledgers[m][WorkItem::kIncarnations], 1u) << m;
+  }
+  // A donation is one grant of one problem; a grant to a crashed machine is
+  // given but never received.
+  EXPECT_EQ(res.work[WorkItem::kGrantsGiven], res.work[WorkItem::kProblemsGiven]);
+  EXPECT_GE(res.work[WorkItem::kGrantsGiven], res.work[WorkItem::kGrantsReceived]);
+  EXPECT_GT(res.work[WorkItem::kGrantsReceived], 0u);
+}
+
+TEST(Dib, LedgersMatchAtEveryThreadCount) {
+  const DibResult sequential = run_crash_and_revive(1);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    const DibResult sharded = run_crash_and_revive(threads);
+    ASSERT_EQ(sharded.worker_ledgers.size(), sequential.worker_ledgers.size());
+    for (std::size_t m = 0; m < sequential.worker_ledgers.size(); ++m) {
+      EXPECT_EQ(sharded.worker_ledgers[m].fingerprint(),
+                sequential.worker_ledgers[m].fingerprint())
+          << "machine " << m << " with " << threads << " threads";
+    }
+  }
 }
 
 TEST(Dib, RootFailureIsFatal) {

@@ -252,8 +252,9 @@ TEST(ShardedKernel, DenseSameTimestampCrossShardEventsMatchSequential) {
   EXPECT_EQ(sequential, run_mesh(8));  // one node per shard
 }
 
-/// End-to-end: the same scenario spec must fingerprint identically on the
-/// sequential kernel and on 2- and 4-way sharded kernels, on every backend.
+/// End-to-end: the same scenario spec must fingerprint identically, report
+/// and work mix, on the sequential kernel and on 2- and 4-way sharded
+/// kernels, on every backend.
 TEST(ShardedKernel, ScenarioFingerprintsMatchSequentialOnAllBackends) {
   for (const Backend backend :
        {Backend::kFtbb, Backend::kCentral, Backend::kDib}) {
@@ -285,6 +286,10 @@ TEST(ShardedKernel, ScenarioFingerprintsMatchSequentialOnAllBackends) {
       EXPECT_EQ(sequential.fingerprint(), sharded.fingerprint())
           << "backend " << to_string(backend) << " threads " << threads << "\n"
           << sequential.to_string() << sharded.to_string();
+      ASSERT_TRUE(sequential.work_mix.has_value() && sharded.work_mix.has_value());
+      EXPECT_EQ(sequential.work_mix->fingerprint(), sharded.work_mix->fingerprint())
+          << "backend " << to_string(backend) << " threads " << threads << "\n"
+          << sequential.work_mix->to_string() << "\n" << sharded.work_mix->to_string();
     }
   }
 }

@@ -455,33 +455,33 @@ std::vector<NamedPlanCase> named_plan_cases() {
   cases.push_back({"flaky-link", 4,
                    FaultPlan::flaky_link(0, 2, 0.02, 0.5, 0.6, 0.06),
                    0x4cee3ee639cfb4b2ULL,
-                   {0x77b54f27b47b4f67ULL, 0x88328d82f59f6617ULL,
-                    0x73791d6e83888990ULL, 0x47701249fadcf484ULL}});
+                   {0x77b54f27b47b4f67ULL, 0xb0251c2fcddc2719ULL,
+                    0x73791d6e83888990ULL, 0x4f75502a5db323b1ULL}});
   cases.push_back({"rolling-restart", 4,
                    FaultPlan::rolling_restart(1, 3, 0.05, 0.08, 0.1),
                    0x8ffe5b5f6a3b8838ULL,
-                   {0xfeab94013be5aaddULL, 0x9705f737237d86ffULL,
-                    0xba1aa89cb3d1889dULL, 0x254ca7692684245cULL}});
+                   {0xfeab94013be5aaddULL, 0x6dd871541ecdcfccULL,
+                    0xba1aa89cb3d1889dULL, 0x4958603eaa3e5cf1ULL}});
   cases.push_back({"flapping-partition", 4,
                    FaultPlan::flapping_partition(3, 0.04, 0.06, 0.05),
                    0x4dec7d9ae7820e9dULL,
-                   {0x156648657f02347bULL, 0x0cbed4c13cf4e627ULL,
-                    0xce16835aed834c5aULL, 0x27af539087b63ca7ULL}});
+                   {0x156648657f02347bULL, 0x831eb957136ed598ULL,
+                    0xce16835aed834c5aULL, 0x6fad35d0483e0484ULL}});
   cases.push_back({"adversarial-churn", 2,
                    FaultPlan::adversarial_churn(2, 3, 0.05, 0.05),
                    0x03599496eef5f8bdULL,
-                   {0xd4afa13e1e0b4b12ULL, 0xf6c8936011382664ULL,
-                    0x1d1133320b9a7878ULL, 0x5e6f181038c4c811ULL}});
+                   {0xd4afa13e1e0b4b12ULL, 0x60b9e303de87ff47ULL,
+                    0x1d1133320b9a7878ULL, 0x6b73f19ab775b8d7ULL}});
   cases.push_back({"cascading-storm", 4,
                    FaultPlan::cascading_storm(1, 3, 0.05, 0.08, 0.12),
                    0x322c12890445edb7ULL,
-                   {0xcaa7c5f43fb02e3bULL, 0xa694b7ba722471f7ULL,
-                    0x2492a615beb94b42ULL, 0x0302b762bcedb095ULL}});
+                   {0xcaa7c5f43fb02e3bULL, 0xce54fe1b21059cc4ULL,
+                    0x2492a615beb94b42ULL, 0xf3a47cf62659f082ULL}});
   cases.push_back({"asymmetric-partition", 4,
                    FaultPlan::asymmetric_partition(1, 3, 0.04, 0.07, 0.05),
                    0x83d23375e08522d9ULL,
-                   {0xd652a39a5992201aULL, 0x197a74941279e3c9ULL,
-                    0x5fe07da15f3731e3ULL, 0x858fe760f913935eULL}});
+                   {0xd652a39a5992201aULL, 0x753a390db5135e08ULL,
+                    0x5fe07da15f3731e3ULL, 0x26c52a10278495d1ULL}});
   return cases;
 }
 
@@ -592,28 +592,28 @@ std::vector<PlanetaryCase> planetary_cases() {
   cases.push_back({"planetary-churn", 8,
                    FaultPlan::planetary_churn(8, 5, 0.05, 0.04),
                    0xeab0ac07971ab207ULL,
-                   {0x4ff5790c1e4c8f20ULL, 0x3969b0adfbf4e5c8ULL,
-                    0x62a5ba002ae366f5ULL, 0x3159cfd40f7061f4ULL}});
+                   {0x4ff5790c1e4c8f20ULL, 0x7469e6aad12652a8ULL,
+                    0x62a5ba002ae366f5ULL, 0x554296ae615a39e5ULL}});
   cases.push_back({"rack-failures", 12,
                    FaultPlan::rack_failures(1, 2, kPlanetaryNodesPerRack, 0.05,
                                             0.04, 0.1),
                    0x9902a4d6a863069cULL,
-                   {0x8e9594907878862cULL, 0xb52fb3c7651e8358ULL,
-                    0x38df03a19c976e47ULL, 0xa765da4e97249f24ULL}});
+                   {0x8e9594907878862cULL, 0x1b763ec574a0747cULL,
+                    0x38df03a19c976e47ULL, 0x69865c86d0d2e388ULL}});
   cases.push_back({"cascading-partition", 24,
                    FaultPlan::cascading_partition(24, kPlanetaryNodesPerRack,
                                                   kPlanetaryRacksPerCampus,
                                                   0.04, 0.08, 0.04),
                    0x530067f73f264c50ULL,
-                   {0x74b661f66cec1c75ULL, 0x9e553d45c2b34c60ULL,
-                    0x618b225c2e82279aULL, 0x6b7e05654e5f0941ULL}});
+                   {0x74b661f66cec1c75ULL, 0xc8a52535b463fd74ULL,
+                    0x618b225c2e82279aULL, 0x207945dba2738a8bULL}});
   cases.push_back({"planetary-storm", 24,
                    FaultPlan::planetary_storm(24, kPlanetaryNodesPerRack,
                                               kPlanetaryRacksPerCampus, 0.05,
                                               0.05),
                    0xa0f6cdc626dc6ddeULL,
-                   {0x9d33c2946db1b9aaULL, 0xd6bf9c8b1260b854ULL,
-                    0xe8de76a7a6b18901ULL, 0x755d1db02d6b2a40ULL}});
+                   {0x9d33c2946db1b9aaULL, 0x44c8ccea79fc481dULL,
+                    0xe8de76a7a6b18901ULL, 0xff78aa58ea1fb947ULL}});
   return cases;
 }
 
