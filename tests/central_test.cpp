@@ -149,18 +149,23 @@ TEST(Central, LedgersArePerNodeAndAddUp) {
   EXPECT_EQ(manager[WorkItem::kRecoveries], res.work[WorkItem::kRecoveries]);
   EXPECT_GE(manager[WorkItem::kProblemsGiven], manager[WorkItem::kGrantsGiven]);
   EXPECT_GE(manager[WorkItem::kGrantsGiven], res.work[WorkItem::kGrantsReceived]);
+  // Nothing is lost, and workers talk only to the manager: what they send it
+  // receives, and the other way round.
+  std::uint64_t workers_sent = 0;
+  std::uint64_t workers_received = 0;
+  for (std::size_t w = 1; w < res.worker_ledgers.size(); ++w) {
+    workers_sent += res.worker_ledgers[w][WorkItem::kMsgsSent];
+    workers_received += res.worker_ledgers[w][WorkItem::kMsgsReceived];
+  }
+  EXPECT_EQ(manager[WorkItem::kMsgsReceived], workers_sent);
+  EXPECT_EQ(manager[WorkItem::kMsgsSent], workers_received);
 }
 
 TEST(Central, LedgersMatchAtEveryThreadCount) {
   const CentralResult sequential = run_every_fault_kind(1);
   for (const std::uint32_t threads : {2u, 4u}) {
-    const CentralResult sharded = run_every_fault_kind(threads);
-    ASSERT_EQ(sharded.worker_ledgers.size(), sequential.worker_ledgers.size());
-    for (std::size_t n = 0; n < sequential.worker_ledgers.size(); ++n) {
-      EXPECT_EQ(sharded.worker_ledgers[n].fingerprint(),
-                sequential.worker_ledgers[n].fingerprint())
-          << "node " << n << " with " << threads << " threads";
-    }
+    SCOPED_TRACE(threads);
+    expect_same_ledgers(sequential, run_every_fault_kind(threads));
   }
 }
 

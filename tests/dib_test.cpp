@@ -126,13 +126,8 @@ TEST(Dib, LedgersArePerMachineAndAddUp) {
 TEST(Dib, LedgersMatchAtEveryThreadCount) {
   const DibResult sequential = run_crash_and_revive(1);
   for (const std::uint32_t threads : {2u, 4u}) {
-    const DibResult sharded = run_crash_and_revive(threads);
-    ASSERT_EQ(sharded.worker_ledgers.size(), sequential.worker_ledgers.size());
-    for (std::size_t m = 0; m < sequential.worker_ledgers.size(); ++m) {
-      EXPECT_EQ(sharded.worker_ledgers[m].fingerprint(),
-                sequential.worker_ledgers[m].fingerprint())
-          << "machine " << m << " with " << threads << " threads";
-    }
+    SCOPED_TRACE(threads);
+    expect_same_ledgers(sequential, run_crash_and_revive(threads));
   }
 }
 

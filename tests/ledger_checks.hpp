@@ -1,4 +1,5 @@
-// Checks that a run's per-node ledgers add up to what the run reports.
+// Checks on a run's per-node ledgers: they add up to what the run reports,
+// and they match another run's.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -29,6 +30,15 @@ inline void expect_ledgers_add_up(const sim::RunOutcome& res, std::size_t nodes)
   EXPECT_EQ(sum[WorkItem::kWireBytesSent], res.net.bytes_sent);
   EXPECT_EQ(sum[WorkItem::kWireBytesReceived], res.net.bytes_delivered);
   EXPECT_EQ(sum[WorkItem::kExpansions], res.total_expanded);
+}
+
+/// Two runs whose per-node ledgers are bit-identical.
+inline void expect_same_ledgers(const sim::RunOutcome& a, const sim::RunOutcome& b) {
+  ASSERT_EQ(a.worker_ledgers.size(), b.worker_ledgers.size());
+  for (std::size_t n = 0; n < a.worker_ledgers.size(); ++n) {
+    EXPECT_EQ(a.worker_ledgers[n].fingerprint(), b.worker_ledgers[n].fingerprint())
+        << "node " << n;
+  }
 }
 
 }  // namespace ftbb
