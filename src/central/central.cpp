@@ -111,8 +111,6 @@ struct Worker {
   bool stopped = false;
   bool fetch_outstanding = false;
   double incumbent = bnb::kInfinity;
-  /// Worker-context only; accounted when the run ends.
-  sim::ExpansionLog expansions;
   /// Incarnation counter: closures belonging to a crashed incarnation must
   /// not resume after a revive (their batch state is stale).
   std::uint64_t epoch = 0;
@@ -193,8 +191,7 @@ struct Worker {
       return;
     }
     const bnb::NodeEval eval = sim->model.eval(p.code);
-    expansions.add(p.code, eval.cost);
-    sim->note_expansion(id, eval.cost);
+    sim->note_expansion(id, p.code, eval.cost);
     sim->kernel.after(
         eval.cost, static_cast<sim::OwnerId>(id),
         [this, batch_id, todo = std::move(todo),
@@ -368,10 +365,8 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
   // shifted ids (workers start at rack coordinate of node 1).
   Sim sim(model, config, net, faults.population, time_limit,
           support::Rng(seed).split(0x63656e74));
-  std::vector<const sim::ExpansionLog*> logs;
   for (std::uint32_t i = 1; i < faults.population; ++i) {
     sim.workers.push_back(std::make_unique<Worker>(&sim, i));
-    logs.push_back(&sim.workers.back()->expansions);
   }
   sim.pool.push_back(bnb::Subproblem{PathCode::root(), model.root_bound()});
   sim.kernel.after(config.audit_interval, sim::OwnerId{0}, [&sim] { sim.audit(); });
@@ -380,7 +375,7 @@ CentralResult CentralSim::run(const bnb::IProblemModel& model, std::uint32_t wor
                      [&sim] { sim.take_checkpoint(); });
   }
   CentralResult result;
-  sim.run(std::move(faults), logs, result);
+  sim.run(std::move(faults), result);
   result.completed = sim.concluded;
   result.solution = sim.incumbent;
   result.solution_found = sim.incumbent < bnb::kInfinity;

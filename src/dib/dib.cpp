@@ -106,8 +106,6 @@ struct Machine {
   double incumbent = bnb::kInfinity;
   bool request_outstanding = false;
   std::uint64_t request_gen = 0;
-  /// Machine-context only; accounted when the run ends.
-  sim::ExpansionLog expansions;
   /// Incarnation counter: a crashed incarnation's expansion continuation and
   /// audit chain must not touch the replacement's (emptied) job list.
   std::uint64_t epoch = 0;
@@ -212,8 +210,7 @@ struct Machine {
       return;
     }
     const bnb::NodeEval eval = sim->model.eval(task.sub.code);
-    expansions.add(task.sub.code, eval.cost);
-    sim->note_expansion(id, eval.cost);
+    sim->note_expansion(id, task.sub.code, eval.cost);
     sim->kernel.after(eval.cost, static_cast<sim::OwnerId>(id),
                       [this, task = std::move(task), eval, e = epoch] {
       if (e != epoch) return;  // expansion begun by a crashed incarnation
@@ -372,17 +369,15 @@ DibResult DibSim::run(const bnb::IProblemModel& model, std::uint32_t machines,
   faults.population = std::max(machines, faults.population);
   const support::Rng master(seed);
   Sim sim(model, config, net, faults.population, time_limit, master.split(0x646962));
-  std::vector<const sim::ExpansionLog*> logs;
   for (std::uint32_t i = 0; i < faults.population; ++i) {
     sim.machines.push_back(std::make_unique<Machine>(&sim, i, master.split(i).next()));
-    logs.push_back(&sim.machines.back()->expansions);
   }
   // Machine 0 holds the root of the responsibility hierarchy.
   Machine& root = *sim.machines[0];
   root.jobs.push_back(Job{PathCode::root(), -1, 0, 1, 0, false});
   root.pool.push(Task{bnb::Subproblem{PathCode::root(), model.root_bound()}, 0});
   DibResult result;
-  sim.run(std::move(faults), logs, result);
+  sim.run(std::move(faults), result);
   result.completed = sim.concluded;
   result.solution = sim.best;
   result.solution_found = sim.best_found;

@@ -7,8 +7,9 @@
 // run outcomes, is written once for all four substrates.
 //
 // Redone work has one account too: every substrate appends each expansion to
-// an ExpansionLog, one per worker (one per incarnation on the rt runtime),
-// and account_expansions() prices the repeats across all of them. The
+// an ExpansionLog, one per worker or network node (one per incarnation on
+// the rt runtime), and account_expansions() prices the repeats across all
+// of them. The
 // simulator's hosts log their completions there as well, which is where its
 // union completion table is built from.
 #pragma once
