@@ -17,10 +17,12 @@
 // instrumentation never skews the timings). The binary exits nonzero if any
 // `*_inline` code derivation allocates (the packed small-buffer PathCode
 // guarantees child/sibling/parent are allocation-free at inline depths), or
-// if the Table-1 gossip merge or export allocates more per op than its
-// steady-state count. CI runs `--smoke` so a regression fails the
+// if the Table-1 gossip merge, its export or a complement allocates more per
+// op than its steady-state count. CI runs `--smoke` so a regression fails the
 // perf-smoke job.
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,29 +46,48 @@
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_bytes{0};
-}  // namespace
 
-// Every replacement stays out of line. Inlined into a container, the
-// malloc/free inside them meets the library's delete/new on the other side
-// of the allocation and GCC reports a mismatched pair
-// (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t size) {
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  const auto a = static_cast<std::size_t>(align);
+  if (a <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(a, (std::max<std::size_t>(size, 1) + a - 1) / a * a);
+}
+
+constexpr std::align_val_t kDefaultAlign{alignof(std::max_align_t)};
+}  // namespace
+
+// Every replacement stays out of line, and the aligned forms count too.
+// Inlined into a container, the malloc/free inside them meets the library's
+// delete/new on the other side of the allocation and GCC reports a
+// mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size, kDefaultAlign)) return p;
   throw std::bad_alloc();
 }
 
 [[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
+  return counted_alloc(size, kDefaultAlign);
 }
 
 [[gnu::noinline]] void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = counted_alloc(size, kDefaultAlign)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align,
+                                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
 
@@ -77,6 +98,18 @@ std::atomic<std::uint64_t> g_bytes{0};
 }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -453,15 +486,18 @@ int main(int argc, char** argv) {
   std::printf("\nwrote BENCH_micro_codes.json\n");
 
   // Gates: inline-depth code derivations must be allocation-free, and the
-  // Table-1 gossip merge and export allocate no more than their steady-state
-  // counts: one list per output chunk, and the export's one list plus the
-  // fresh code's chunk. Allocation counts are deterministic.
+  // Table-1 gossip merge, its export and the complement allocate no more
+  // than their steady-state counts: one list per output chunk, the export's
+  // one list plus the fresh code's chunk, and one block per region deeper
+  // than PathCode's inline words plus the region vector's growth.
+  // Allocation counts are deterministic.
   struct Ceiling {
     const char* name;
     double allocs_per_op;
   };
   constexpr Ceiling kCeilings[] = {{"code_list_merge_table1_gossip_batch", 391.0},
-                                   {"code_list_export_table1", 2.48}};
+                                   {"code_list_export_table1", 2.48},
+                                   {"code_set_complement", 662.0}};
   int rc = 0;
   for (const Result& r : results) {
     double ceiling = r.name.find("_inline") != std::string::npos ? 0.0 : -1.0;

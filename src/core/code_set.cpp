@@ -796,7 +796,10 @@ std::vector<PathCode> CodeSet::complement() const {
   // entering a code passes the left sibling where it goes right.
   CodeList::Code code;
   const auto sibling_at = [&](std::size_t d) {
-    PathCode region(code.view().prefix(d));
+    // Sized for the whole region at once, then the last step flips: a deep
+    // region costs one allocation.
+    PathCode region(code.view().prefix(d + 1));
+    region.pop_step();
     region.push_word(code.word(d) ^ 1u);
     regions.push_back(std::move(region));
   };

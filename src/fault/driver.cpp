@@ -12,9 +12,10 @@ FaultDriver::FaultDriver(FaultSchedule schedule, IFaultBackend* backend,
   FTBB_CHECK(backend_ != nullptr && clock_ != nullptr);
 }
 
-void FaultDriver::schedule_injection(double at, sim::Callback injection) {
+template <typename F>
+void FaultDriver::schedule_injection(double at, F injection) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  clock_->call_at(at, [this, injection = std::move(injection)]() mutable {
+  clock_->call_at(at, [this, injection]() {
     injection();
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     if (on_fire_) on_fire_();

@@ -110,7 +110,11 @@ class FaultDriver {
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
 
  private:
-  void schedule_injection(double at, sim::Callback injection);
+  /// Counts `injection` pending and has the clock run it at `at`. The
+  /// wrapper holds the callable by its own type (24 B for an injection), so
+  /// each injection is one inline Callback, not a Callback nested in one.
+  template <typename F>
+  void schedule_injection(double at, F injection);
 
   FaultSchedule schedule_;
   IFaultBackend* backend_;

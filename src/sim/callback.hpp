@@ -6,21 +6,24 @@
 // around two pointers) dominated the event engine's profile. InlineCallback
 // is a move-only type-erased callable tuned for that one job:
 //
-//   * SBO contract: a callable whose decayed type is <= kInlineBytes (64)
+//   * SBO contract: a callable whose decayed type is <= kInlineBytes (32)
 //     bytes, at most pointer-aligned, and nothrow-move-constructible lives
 //     entirely inside the callback object — schedule and dispatch perform
-//     ZERO heap allocations for it. Every self-scheduling closure on the hot
-//     path (worker timers: this + kind + gen + epoch = 24 B; wakes: this +
-//     gen = 16 B; storage sampling: 8 B) fits.
+//     ZERO heap allocations for it. The callback is 40 B, so an EventNode
+//     around it fills one cache line. Every self-scheduling closure of the
+//     simulated cluster fits (worker timers: this + kind + gen + epoch =
+//     32 B; wakes: this + gen = 16 B; fault injections: 24 B; storage
+//     sampling: 8 B).
 //   * Overflow contract: a larger capture (a message delivery — the
 //     network's DeliverTask around a closure holding a core::Message by
-//     value — is 112 B) spills into a fixed 128-byte block
-//     drawn from a thread-local freelist. Blocks recycle through mailboxes
-//     and Network::send's deliver path: after warm-up the freelist serves
-//     every spill, so the steady state performs zero mallocs per event on
-//     the overflow path too (the differential suite asserts the inline
-//     guarantee; BENCH_kernel.json tracks both). Captures beyond the block
-//     size fall back to exact-size operator new — nothing on a hot path does.
+//     value — is 112 B; the baselines' deliveries, 48–64 B) spills into a
+//     fixed 128-byte block drawn from a thread-local freelist. Blocks
+//     recycle through mailboxes and Network::send's deliver path: after
+//     warm-up the freelist serves every spill, so the steady state performs
+//     zero mallocs per event on the overflow path too (the differential
+//     suite asserts the inline guarantee; BENCH_kernel.json tracks both).
+//     Captures beyond the block size fall back to exact-size operator new —
+//     nothing on a hot path does.
 //   * Move-only (no copy): events are scheduled once and dispatched once; a
 //     copyable closure would force every capture to be copyable and invite
 //     accidental duplication of Message payloads.
@@ -45,7 +48,7 @@ namespace ftbb::sim {
 
 namespace cbdetail {
 
-inline constexpr std::size_t kInlineBytes = 64;
+inline constexpr std::size_t kInlineBytes = 32;
 inline constexpr std::size_t kBlockBytes = 128;
 /// Freelist cap (512 KiB/thread). Producer/consumer thread pairs that only
 /// ever free here (the rt runtime's scheduler thread) would otherwise hoard

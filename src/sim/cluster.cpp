@@ -600,7 +600,9 @@ ClusterResult SimCluster::run(const bnb::IProblemModel& model,
   const Kernel::RunResult kr =
       cluster.kernel_.run(config.time_limit, kEventLimit);
   // No run resumes: the events still queued at a limit are freed before
-  // the result is built, so their memory serves the result's vectors.
+  // the result is built. Their slabs go back to the heap for the result's
+  // smaller vectors; the ledger array is big enough to get a mapping of its
+  // own.
   const double end_time = std::min(cluster.kernel_.now(), config.time_limit);
   cluster.kernel_.discard_pending();
   ClusterResult result = cluster.collect(end_time);

@@ -30,14 +30,20 @@
 //   verbatim seed heap (preserved in bench/legacy_event_queue.hpp) under
 //   randomized interleaved schedule/pop streams.
 //
-// Memory: events live in slab-allocated EventNode arenas recycled through a
-// freelist (pop -> dispatch -> recycle), so the steady state allocates
-// nothing; bucket vectors and retired rungs are pooled the same way. Small
-// populations (< kHeapModeLimit) never leave plain heap mode — the ladder
-// machinery only engages at the scales where it wins.
+// Memory: storage is sized by the peak pending count, not by the high water
+// of each band. Events live in slab-allocated EventNodes of one cache line
+// each, recycled through an intrusive freelist (pop -> dispatch -> recycle).
+// Buckets and the far band are chains of fixed 512-byte pointer blocks drawn
+// from one pool per queue; a band hands its blocks back the moment it is
+// consumed, so the pool needs the blocks of the events pending at once plus
+// at most one partial block per bucket, wherever in time the events sit.
+// The pool grows in geometric slabs, so a queue whose size only jitters
+// stops allocating. Small populations (< kHeapModeLimit) never leave plain
+// heap mode — the ladder machinery only engages at the scales where it wins.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -57,15 +63,19 @@ namespace ftbb::sim {
 using OwnerId = std::int32_t;
 constexpr OwnerId kControlOwner = -1;
 
-/// A pending event. Nodes are arena-owned by the EventQueue that minted
-/// them; pointers stay stable across pushes (slabs never move).
-struct EventNode {
+/// A pending event, one cache line. Nodes are arena-owned by the EventQueue
+/// that minted them; pointers stay stable across pushes (slabs never move).
+struct alignas(64) EventNode {
   double t = 0.0;
   OwnerId src = kControlOwner;  // scheduling context (stamp component 2)
   OwnerId owner = kControlOwner;
-  std::uint64_t seq = 0;        // per-context sequence (stamp component 3)
+  union {
+    std::uint64_t seq = 0;  // per-context sequence (stamp component 3)
+    EventNode* next_free;   // while recycled: the arena freelist's link
+  };
   Callback fn;
 };
+static_assert(sizeof(EventNode) == 64, "an event node fills one cache line");
 
 /// The canonical stamp order, verbatim from the seed heap: time ascending,
 /// then scheduling context (control = -1 first), then per-context sequence.
@@ -95,11 +105,16 @@ class EventQueue {
   static constexpr std::size_t kDirectDumpLimit = 256;
   static constexpr std::size_t kMaxRungs = 8;
   static constexpr std::size_t kSlabNodes = 1024;
+  /// Bucket storage: blocks of 62 node pointers behind a two-word header,
+  /// eight cache lines each.
+  static constexpr std::size_t kBlockBytes = 512;
+  static constexpr std::size_t kBlockEntries = 62;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-  /// A move keeps every node in its slab, so the pointers stay valid.
+  /// A move keeps every node and block in its slab, so the pointers stay
+  /// valid. The moved-from queue may only be destroyed or assigned to.
   EventQueue(EventQueue&&) = default;
   EventQueue& operator=(EventQueue&&) = default;
 
@@ -148,48 +163,104 @@ class EventQueue {
   /// Returns a dispatched node to the arena (destroys its callback).
   void recycle(EventNode* node) {
     node->fn.reset();
-    free_nodes_.push_back(node);
+    node->next_free = free_nodes_;
+    free_nodes_ = node;
   }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Approximate resident bytes: node slabs plus pointer-array capacities.
+  /// Resident bytes: node slabs, the block pool, and the capacity of the
+  /// active heap and the rung array.
   [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t bytes = slabs_.size() * kSlabNodes * sizeof(EventNode);
-    bytes += (bottom_.capacity() + top_.capacity() + free_nodes_.capacity()) *
-             sizeof(EventNode*);
-    for (const Rung& r : rungs_) bytes += rung_bytes(r);
-    for (const Rung& r : rung_pool_) bytes += rung_bytes(r);
-    bytes += scratch_.capacity() * sizeof(EventNode*);
-    return bytes;
+    return node_slabs_.size() * kSlabNodes * sizeof(EventNode) +
+           block_count_ * sizeof(Block) +
+           bottom_.capacity() * sizeof(EventNode*) +
+           rungs_.capacity() * sizeof(Rung);
   }
 
  private:
+  struct alignas(64) Block {
+    Block* next = nullptr;  // older block of the chain, or the pool's freelist
+    std::size_t count = 0;
+    EventNode* items[kBlockEntries];
+  };
+  static_assert(sizeof(Block) == kBlockBytes);
+  /// The block pool's first slab; every later slab adds an eighth of the
+  /// pool.
+  static constexpr std::size_t kMinBlockSlab = 64;
+
+  /// A band's entries: a chain of blocks whose head is the one being filled,
+  /// so only the head is ever partial.
+  struct Bucket {
+    Block* head = nullptr;
+    std::size_t size = 0;
+  };
+
   struct Rung {
     double start = 0.0;
     double width = 0.0;
-    std::size_t cur = 0;  // buckets below cur are consumed
-    std::vector<std::vector<EventNode*>> buckets;
+    std::size_t cur = 0;  // buckets below cur are consumed (and empty)
+    std::array<Bucket, kBuckets> buckets{};
   };
 
-  static std::size_t rung_bytes(const Rung& r) {
-    std::size_t bytes = r.buckets.capacity() * sizeof(std::vector<EventNode*>);
-    for (const auto& b : r.buckets) bytes += b.capacity() * sizeof(EventNode*);
-    return bytes;
+  EventNode* acquire_node() {
+    if (free_nodes_ == nullptr) {
+      node_slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
+      EventNode* slab = node_slabs_.back().get();
+      for (std::size_t i = 0; i < kSlabNodes; ++i) {
+        slab[i].next_free = free_nodes_;
+        free_nodes_ = &slab[i];
+      }
+    }
+    EventNode* node = free_nodes_;
+    free_nodes_ = node->next_free;
+    return node;
   }
 
-  EventNode* acquire_node() {
-    if (free_nodes_.empty()) {
-      slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
-      EventNode* slab = slabs_.back().get();
-      free_nodes_.reserve(free_nodes_.size() + kSlabNodes);
-      for (std::size_t i = 0; i < kSlabNodes; ++i)
-        free_nodes_.push_back(&slab[i]);
+  Block* acquire_block() {
+    if (free_blocks_ == nullptr) {
+      // Geometric growth: a pool whose use jitters around a high water
+      // reaches it in a few slabs and then stops allocating.
+      const std::size_t n = std::max(kMinBlockSlab, block_count_ / 8);
+      block_slabs_.push_back(std::make_unique<Block[]>(n));
+      Block* slab = block_slabs_.back().get();
+      for (std::size_t i = 0; i < n; ++i) release_block(&slab[i]);
+      block_count_ += n;
     }
-    EventNode* node = free_nodes_.back();
-    free_nodes_.pop_back();
-    return node;
+    Block* block = free_blocks_;
+    free_blocks_ = block->next;
+    return block;
+  }
+
+  void release_block(Block* block) {
+    block->next = free_blocks_;
+    free_blocks_ = block;
+  }
+
+  void bucket_push(Bucket& bucket, EventNode* node) {
+    if (bucket.head == nullptr || bucket.head->count == kBlockEntries) {
+      Block* block = acquire_block();
+      block->next = bucket.head;
+      block->count = 0;
+      bucket.head = block;
+    }
+    bucket.head->items[bucket.head->count++] = node;
+    ++bucket.size;
+  }
+
+  /// Hands every entry of `bucket` to `visit` and empties it. Each block
+  /// returns to the pool once read, so `visit` may fill other buckets with
+  /// the blocks this one frees.
+  template <typename Visit>
+  void drain(Bucket& bucket, Visit&& visit) {
+    for (Block* block = bucket.head; block != nullptr;) {
+      for (std::size_t i = 0; i < block->count; ++i) visit(block->items[i]);
+      Block* older = block->next;
+      release_block(block);
+      block = older;
+    }
+    bucket = Bucket{};
   }
 
   void heap_insert(EventNode* node) {
@@ -219,20 +290,20 @@ class EventQueue {
       if (node->t < r.start) continue;
       std::size_t idx = bucket_index(r, node->t);
       if (idx < r.cur) continue;  // consumed here; try the finer rung
-      r.buckets[idx].push_back(node);
+      bucket_push(r.buckets[idx], node);
       return;
     }
     heap_insert(node);  // inside (or before) the active band
   }
 
   void top_push(EventNode* node) {
-    if (top_.empty()) {
+    if (top_.size == 0) {
       top_min_ = top_max_ = node->t;
     } else {
       top_min_ = std::min(top_min_, node->t);
       top_max_ = std::max(top_max_, node->t);
     }
-    top_.push_back(node);
+    bucket_push(top_, node);
   }
 
   /// Heap -> ladder conversion: dump the whole heap into the far band and
@@ -250,40 +321,15 @@ class EventQueue {
       convert_floor_ = size_ * 2;
       return;
     }
-    top_.reserve(top_.size() + bottom_.size());
     for (EventNode* node : bottom_) top_push(node);
     bottom_.clear();
+    // Rungs are built in place and never outnumber kMaxRungs, so reserving
+    // them once keeps every refill free of allocation.
+    rungs_.reserve(kMaxRungs);
     // With no rungs yet, every push routes to top_ until the first refill
     // builds rung 0 from the collected band.
     heap_mode_ = false;
     convert_floor_ = kHeapModeLimit;
-  }
-
-  Rung& acquire_rung() {
-    if (rung_pool_.empty()) {
-      rungs_.emplace_back();
-      rungs_.back().buckets.resize(kBuckets);
-    } else {
-      rungs_.push_back(std::move(rung_pool_.back()));
-      rung_pool_.pop_back();
-    }
-    return rungs_.back();
-  }
-
-  /// `assign` into a too-small vector reallocates to the exact element count,
-  /// so a band one event larger than the historical maximum would pay a fresh
-  /// allocation every time the fluctuation repeats. Reserving double keeps
-  /// growth geometric and lets steady-state band sizes jitter for free.
-  static void reserve_with_headroom(std::vector<EventNode*>& v,
-                                    std::size_t need) {
-    if (v.capacity() < need) v.reserve(need * 2);
-  }
-
-  void retire_rung() {
-    Rung& r = rungs_.back();
-    r.cur = 0;
-    rung_pool_.push_back(std::move(r));
-    rungs_.pop_back();
   }
 
   /// Promotes the next non-empty band into the active heap. Returns false
@@ -292,43 +338,28 @@ class EventQueue {
     for (;;) {
       if (!rungs_.empty()) {
         Rung& deepest = rungs_.back();
-        while (deepest.cur < kBuckets && deepest.buckets[deepest.cur].empty())
+        while (deepest.cur < kBuckets && deepest.buckets[deepest.cur].size == 0)
           ++deepest.cur;
         if (deepest.cur == kBuckets) {
-          retire_rung();
+          rungs_.pop_back();  // every bucket consumed, so no block is left
           continue;
         }
-        // Copy the band's pointers out and clear() the bucket IN PLACE: every
-        // vector (bucket slots, scratch_, bottom_) keeps its own capacity for
-        // its own role across the rung lifecycle, so steady-state refills and
-        // rung rebuilds allocate nothing. (Moving the bucket out instead
-        // would shuffle capacities between small child bands and large
-        // parent bands and regrow vectors every cycle.)
-        std::vector<EventNode*>& bucket = deepest.buckets[deepest.cur];
-        if (bucket.size() > kSpawnThreshold && rungs_.size() < kMaxRungs) {
-          reserve_with_headroom(scratch_, bucket.size());
-          scratch_.assign(bucket.begin(), bucket.end());
-          bucket.clear();
-          ++deepest.cur;  // consumed before any re-route can see it
-          // NOTE: spawn_rung may grow rungs_, so `deepest`/`bucket` are dead.
-          if (spawn_rung(scratch_)) continue;
-          bottom_.swap(scratch_);  // degenerate single-timestamp band
-        } else {
-          reserve_with_headroom(bottom_, bucket.size());
-          bottom_.assign(bucket.begin(), bucket.end());
-          bucket.clear();
-          ++deepest.cur;
+        // Detach the band: its bucket counts as consumed before any push can
+        // route to it, and a spawned rung cannot move it.
+        Bucket band = std::exchange(deepest.buckets[deepest.cur], Bucket{});
+        ++deepest.cur;
+        if (band.size > kSpawnThreshold && rungs_.size() < kMaxRungs &&
+            spawn_rung(band)) {
+          continue;
         }
-        std::make_heap(bottom_.begin(), bottom_.end(), NodeAfter{});
+        load_bottom(band);  // sparse, or a degenerate single-timestamp band
         return true;
       }
-      if (top_.empty()) return false;
-      if (top_.size() <= kDirectDumpLimit || !(top_max_ > top_min_)) {
+      if (top_.size == 0) return false;
+      if (top_.size <= kDirectDumpLimit || !(top_max_ > top_min_)) {
         // Too small (or a pure tie storm) to be worth banding: collapse
         // back to plain heap mode.
-        bottom_.swap(top_);
-        std::make_heap(bottom_.begin(), bottom_.end(), NodeAfter{});
-        top_.clear();
+        load_bottom(top_);
         heap_mode_ = true;
         convert_floor_ =
             (top_max_ > top_min_) ? kHeapModeLimit : bottom_.size() * 2;
@@ -336,32 +367,43 @@ class EventQueue {
       }
       build_rung(top_min_, top_max_, top_);
       top_start_ = rungs_.front().start + rungs_.front().width * kBuckets;
-      top_.clear();
     }
   }
 
-  /// Splits a dense band into a finer rung. Returns false when the band is
-  /// a single timestamp (nothing to split — caller heap-sorts it).
-  bool spawn_rung(std::vector<EventNode*>& band) {
+  /// Makes `band` the active heap (`bottom_` is empty whenever refill runs)
+  /// and empties it. `bottom_` grows by doubling and keeps its capacity, so
+  /// band sizes that jitter below its high water cost nothing.
+  void load_bottom(Bucket& band) {
+    drain(band, [this](EventNode* node) { bottom_.push_back(node); });
+    std::make_heap(bottom_.begin(), bottom_.end(), NodeAfter{});
+  }
+
+  /// Splits a dense band into a finer rung and empties it. Returns false,
+  /// leaving the band as it was, when it is a single timestamp: nothing to
+  /// split, so the caller heap-sorts it.
+  bool spawn_rung(Bucket& band) {
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (const EventNode* node : band) {
-      lo = std::min(lo, node->t);
-      hi = std::max(hi, node->t);
+    for (const Block* block = band.head; block != nullptr; block = block->next) {
+      for (std::size_t i = 0; i < block->count; ++i) {
+        lo = std::min(lo, block->items[i]->t);
+        hi = std::max(hi, block->items[i]->t);
+      }
     }
     if (!(hi > lo)) return false;
     build_rung(lo, hi, band);
-    band.clear();  // caller's scratch buffer; capacity stays with the caller
     return true;
   }
 
-  void build_rung(double lo, double hi, std::vector<EventNode*>& nodes) {
-    Rung& rung = acquire_rung();  // becomes rungs_.back()
+  /// Distributes `band` over a new finest rung spanning [lo, hi] and
+  /// empties it.
+  void build_rung(double lo, double hi, Bucket& band) {
+    Rung& rung = rungs_.emplace_back();
     rung.start = lo;
     rung.width = (hi - lo) / static_cast<double>(kBuckets);
-    rung.cur = 0;
-    for (EventNode* node : nodes)
-      rung.buckets[bucket_index(rung, node->t)].push_back(node);
+    drain(band, [this, &rung](EventNode* node) {
+      bucket_push(rung.buckets[bucket_index(rung, node->t)], node);
+    });
   }
 
   // --- active band ---------------------------------------------------------
@@ -370,17 +412,18 @@ class EventQueue {
   std::size_t convert_floor_ = 0;  // tie-storm backoff for try_convert()
 
   // --- ladder --------------------------------------------------------------
-  std::vector<Rung> rungs_;      // [0] coarsest .. back() finest
-  std::vector<Rung> rung_pool_;  // retired rungs, bucket capacity preserved
-  std::vector<EventNode*> scratch_;  // band staging for spawn_rung
-  std::vector<EventNode*> top_;  // far band (t >= top_start_), unsorted
+  std::vector<Rung> rungs_;  // [0] coarsest .. back() finest
+  Bucket top_;               // far band (t >= top_start_), unsorted
   double top_start_ = std::numeric_limits<double>::infinity();
   double top_min_ = 0.0;
   double top_max_ = 0.0;
 
-  // --- arena ---------------------------------------------------------------
-  std::vector<std::unique_ptr<EventNode[]>> slabs_;
-  std::vector<EventNode*> free_nodes_;
+  // --- arenas --------------------------------------------------------------
+  std::vector<std::unique_ptr<EventNode[]>> node_slabs_;
+  EventNode* free_nodes_ = nullptr;
+  std::vector<std::unique_ptr<Block[]>> block_slabs_;
+  Block* free_blocks_ = nullptr;
+  std::size_t block_count_ = 0;  // blocks in all slabs
 
   // --- bookkeeping ---------------------------------------------------------
   std::size_t size_ = 0;

@@ -74,7 +74,7 @@ namespace ftbb::sim {
 // The event data plane lives in two sibling headers:
 //   - sim/callback.hpp   : Callback (InlineCallback) — the move-only,
 //     small-buffer-optimized event closure; zero allocations for captures
-//     up to 64 bytes, pooled 128-byte blocks beyond.
+//     up to 32 bytes, pooled 128-byte blocks beyond.
 //   - sim/event_queue.hpp: OwnerId / kControlOwner, the canonical stamp
 //     order, and the ladder EventQueue both executors dispatch from.
 

@@ -15,7 +15,7 @@
 // must name the destination explicitly.
 //
 // Callback is sim::InlineCallback (sim/callback.hpp): move-only, zero heap
-// allocations for captures up to 64 bytes, pooled fixed-size blocks beyond.
+// allocations for captures up to 32 bytes, pooled fixed-size blocks beyond.
 // Pending events live in the ladder EventQueue (sim/event_queue.hpp) — O(1)
 // amortized schedule/dispatch at millions of pending events, same canonical
 // stamp order as the seed binary heap.

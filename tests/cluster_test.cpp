@@ -72,6 +72,21 @@ TEST(Cluster, SingleWorkerSolvesAlone) {
   EXPECT_EQ(res.redundant_expansions, 0u);
 }
 
+TEST(Cluster, LoneWorkerClosuresAllFitInline) {
+  // A lone worker sends no message, so every closure of its run (timers,
+  // wakes, the join injection, storage samples) must fit the callback's
+  // 32-byte inline buffer: none takes a pooled block.
+  const BasicTree tree = test_tree(1, 301);
+  TreeProblem problem(&tree);
+  const cbdetail::BlockPool& pool = cbdetail::block_pool();
+  const std::uint64_t blocks_before = pool.fresh + pool.hits;
+  const ClusterResult res = SimCluster::run(problem, base_config(1, 1));
+  expect_solved(res, tree.optimal_value());
+  EXPECT_EQ(res.net.messages_sent, 0u);
+  EXPECT_GT(res.kernel_events, 0u);
+  EXPECT_EQ(pool.fresh + pool.hits, blocks_before);
+}
+
 TEST(Cluster, FourWorkersSolveTreeProblem) {
   const BasicTree tree = test_tree(2);
   TreeProblem problem(&tree);

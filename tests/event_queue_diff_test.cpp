@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -30,33 +31,57 @@
 #include "support/rng.hpp"
 
 // --- instrumented global allocator (this test binary only) -----------------
+//
+// The aligned forms count too: the queue's line-aligned slabs go through
+// them. Every replacement stays out of line. Inlined into a container, the
+// malloc/free inside them meets the library's delete/new on the other side
+// of the allocation and GCC reports a mismatched pair
+// (-Wmismatched-new-delete).
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
+
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (a <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(a, (std::max<std::size_t>(size, 1) + a - 1) / a * a);
+}
+
+constexpr std::align_val_t kDefaultAlign{alignof(std::max_align_t)};
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size, kDefaultAlign)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, kDefaultAlign);
 }
 
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align,
+                                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
-
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  operator delete(p);
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 
 namespace ftbb::sim {
@@ -209,7 +234,7 @@ TEST(EventQueueAlloc, InlineCallbacksAreAllocationFreeInSteadyState) {
       now = ev->t;
       ev->fn();
       q.recycle(ev);
-      // 24-byte capture — well inside the 64-byte inline buffer.
+      // 24-byte capture — inside the 32-byte inline buffer.
       q.push(now + rng.uniform(0.0, 10.0), 0, seq++, 0,
              [&sink, a = seq, b = now]() { sink += a + static_cast<std::uint64_t>(b); });
     }
@@ -237,7 +262,7 @@ TEST(EventQueueAlloc, InlineCallbacksAreAllocationFreeInSteadyState) {
 }
 
 TEST(EventQueueAlloc, OversizedCallbacksRecycleThroughBlockPool) {
-  // A capture bigger than the 64-byte inline buffer spills into a pooled
+  // A capture bigger than the 32-byte inline buffer spills into a pooled
   // 128-byte block; after warm-up the freelist serves every spill, so the
   // steady state stays malloc-free even for overflow callbacks.
   EventQueue q;
@@ -274,6 +299,38 @@ TEST(EventQueueAlloc, OversizedCallbacksRecycleThroughBlockPool) {
   const std::uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "warm overflow callbacks must come from the thread-local block pool";
+}
+
+TEST(EventQueueMemory, HoldsWhatIsPendingNotEachBandsHighWater) {
+  // A burst over many bands, drained to a remnant, and a second burst into
+  // later bands. Consumed buckets keep no storage, so the queue holds what
+  // its pending events need: their nodes, full blocks of their pointers, at
+  // most one partial block per bucket (a rung's or the far band's), and a
+  // little for the active heap and the rung array.
+  EventQueue q;
+  std::uint64_t seq = 0;
+  support::Rng rng(0xB0057);
+  std::size_t peak = 0;
+  const auto burst = [&](double from) {
+    for (int i = 0; i < 100000; ++i) {
+      q.push(from + rng.uniform(0.0, 100.0), 0, seq++, 0, [] {});
+    }
+    peak = std::max(peak, q.size());
+  };
+  burst(0.0);
+  while (q.size() > 1000) q.recycle(q.pop());
+  burst(200.0);
+
+  const std::size_t slabs =
+      (peak + EventQueue::kSlabNodes - 1) / EventQueue::kSlabNodes;
+  const std::size_t full_blocks =
+      (q.size() + EventQueue::kBlockEntries - 1) / EventQueue::kBlockEntries;
+  const std::size_t buckets = EventQueue::kMaxRungs * EventQueue::kBuckets + 1;
+  constexpr std::size_t kHeapAndRungs = 64 * 1024;
+  EXPECT_LE(q.memory_bytes(),
+            slabs * EventQueue::kSlabNodes * sizeof(EventNode) +
+                (full_blocks + buckets) * EventQueue::kBlockBytes + kHeapAndRungs);
+  while (!q.empty()) q.recycle(q.pop());
 }
 
 }  // namespace

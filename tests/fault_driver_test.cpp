@@ -196,6 +196,28 @@ TEST(FaultDriver, JoinsBeyondTheHorizonAreAbandonedNotScheduled) {
   EXPECT_EQ(driver.pending_injections(), 0u);
 }
 
+TEST(FaultDriver, InjectionsTakeNoPooledCallbackBlock) {
+  // The wrapper that counts an injection pending holds the injection by its
+  // own type, so each one is a single inline Callback: arming takes no
+  // block from the callback pool.
+  constexpr std::uint32_t kCrashes = 64;
+  FaultSchedule schedule;
+  schedule.population = kCrashes;
+  for (std::uint32_t node = 0; node < kCrashes; ++node) {
+    schedule.crashes.push_back(CrashAt{node, 0.1});
+  }
+  RecordingBackend backend;
+  ManualClock clock;
+  FaultDriver driver(schedule, &backend, &clock);
+  const sim::cbdetail::BlockPool& pool = sim::cbdetail::block_pool();
+  const std::uint64_t blocks_before = pool.fresh + pool.hits;
+  driver.arm(1.0);
+  EXPECT_EQ(pool.fresh + pool.hits, blocks_before);
+  EXPECT_EQ(driver.pending_injections(), 2 * kCrashes);  // the crashes, the joins
+  clock.fire_all_due(1.0);
+  EXPECT_EQ(driver.pending_injections(), 0u);
+}
+
 TEST(FaultDriverDeath, OutOfRangeNodeAborts) {
   FaultSchedule schedule;
   schedule.population = 2;
